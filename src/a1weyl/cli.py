@@ -136,7 +136,7 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 def _cmd_validate(args) -> int:
     try:
-        s = load_semilattice(args.config)
+        s = _load_base(args).semilattice
     except ConfigError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -308,6 +308,8 @@ def _cmd_center(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.n < 0 or args.max_len < 0:
+        raise DomainError(f"--n and --len must be non-negative, got {args.n} and {args.max_len}")
     base = _load_base(args)
     s = base.semilattice
     rng = random.Random(args.seed)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError, InternalCheckError
-from .lattice import Vec, baby_base, vec_add, vec_scale, zero_vec
+from .lattice import Root, Vec, baby_base, vec_add, vec_scale, zero_vec
 from .presentation import (
     RULE_CANCEL,
     RULE_DELETE,
@@ -29,7 +29,7 @@ from .presentation import (
     RewriteStep,
     reduction_macros,
 )
-from .weyl import WeylElement, eval_word, is_relation_w
+from .weyl import WeylElement, is_relation_w
 from .words import Word
 
 
@@ -78,13 +78,17 @@ class Path:
         return self.word.rank
 
 
+def _reflection(a: Root) -> WeylElement:
+    """The canonical form of the single letter ``w_a``: one step of a path."""
+    return WeylElement(-1, vec_scale(a.sign, a.lat))
+
+
 def path_of_word(word: Word, base: Simplex) -> Path:
     if word.rank != base.rank:
         raise DomainError("rank mismatch between word and base simplex")
     out = [base]
     for a in reversed(word.letters):
-        step = WeylElement(-1, vec_scale(a.sign, a.lat))
-        out.append(act_on_simplex(step, out[-1]))
+        out.append(act_on_simplex(_reflection(a), out[-1]))
     return Path(tuple(out), word)
 
 
@@ -129,34 +133,45 @@ def move_block(gens: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class _Tracer:
-    """Applies elementary moves to a live word, recording them with their bases."""
+    """Applies elementary moves to a live word, recording them with their bases.
 
-    def __init__(self, indices: Sequence[int], base: Simplex, nu: int):
+    Invariant: ``at[q]`` is the simplex that ``word[q:]`` carries the base
+    simplex to (the path, read backwards).  An elementary block is a
+    relation, so it acts as the identity: a move leaves every entry outside
+    its block unchanged and splices only the block's own entries, whatever
+    the word length.  A move that does not apply raises ``DomainError``.
+    """
+
+    def __init__(self, indices: Sequence[int], path: Path):
         self.word = list(indices)
-        self.base = base
-        self.nu = nu
-        self.crumbs = baby_base(nu)
+        self.at = list(reversed(path.simplices))
+        self.steps = [_reflection(a) for a in baby_base(path.rank).roots]
         self.moves: list[Move] = []
 
-    def _loop_base(self, suffix_start: int) -> Simplex:
-        tail = Word.from_indices(self.crumbs, self.word[suffix_start:])
-        return act_on_simplex(eval_word(tail), self.base)
-
-    def insert(self, pos: int, gens: tuple[int, ...]) -> None:
+    def insert(self, pos: int, gens: tuple[int, ...]) -> Simplex:
         block = move_block(gens)
-        self.moves.append(Move("insert", pos, gens, self._loop_base(pos)))
-        self.word[pos:pos] = list(block)
+        n = len(self.word)
+        if not (0 <= pos <= n and all(0 <= k < len(self.steps) for k in block)):
+            raise DomainError(f"cannot insert {block} at {pos} into a word of length {n}")
+        base = self.at[pos]
+        entries = [base]
+        for k in reversed(block):
+            entries.append(act_on_simplex(self.steps[k], entries[-1]))
+        self.at[pos:pos] = entries[:0:-1]
+        self.word[pos:pos] = block
+        self.moves.append(Move("insert", pos, gens, base))
+        return base
 
-    def delete(self, pos: int, gens: tuple[int, ...]) -> None:
+    def delete(self, pos: int, gens: tuple[int, ...]) -> Simplex:
         block = move_block(gens)
-        if tuple(self.word[pos : pos + len(block)]) != block:
-            raise InternalCheckError(f"cannot delete {block} at {pos}: block mismatch")
-        self.moves.append(Move("delete", pos, gens, self._loop_base(pos + len(block))))
-        del self.word[pos : pos + len(block)]
-
-    def pair_for(self, i: int, j: int) -> tuple[int, ...]:
-        lo, hi = min(i, j), max(i, j)
-        return (0, lo, hi)
+        end = pos + len(block)
+        if pos < 0 or tuple(self.word[pos:end]) != block:
+            raise DomainError(f"cannot delete {block} at {pos}: block absent")
+        base = self.at[end]
+        del self.at[pos:end]
+        del self.word[pos:end]
+        self.moves.append(Move("delete", pos, gens, base))
+        return base
 
     def reverse_triple(self, q: int) -> None:
         """Reverse ``word[q:q+3]`` by elementary moves.
@@ -176,7 +191,7 @@ class _Tracer:
             self.delete(q + 2, (0,))            # c b a
             return
         if b == 0:
-            d = self.pair_for(a, c)
+            d = (0, min(a, c), max(a, c))
             i, j = d[1], d[2]
             if (a, c) == (i, j):                # i 0 j -> j 0 i
                 self.insert(q + 2, d)           # i 0 [0 i j 0 i j] j
@@ -189,7 +204,7 @@ class _Tracer:
                 self.insert(q + 1, (0,))        # i 0 0 i j 0 i j j
                 self.delete(q + 2, d)           # i 0 j
         elif a == 0:
-            d = self.pair_for(b, c)
+            d = (0, min(b, c), max(b, c))
             i, j = d[1], d[2]
             if (b, c) == (i, j):                # 0 i j -> j i 0
                 self.insert(q + 3, (0,))        # 0 i j 0 0
@@ -202,7 +217,7 @@ class _Tracer:
                 self.delete(q + 4, (j,))        # i j 0 i i
                 self.delete(q + 3, (i,))        # i j 0
         else:
-            d = self.pair_for(a, b)
+            d = (0, min(a, b), max(a, b))
             i, j = d[1], d[2]
             if (a, b) == (j, i):                # j i 0 -> 0 i j
                 self.insert(q, d)               # 0 i j 0 i j j i 0
@@ -241,12 +256,15 @@ def reduce_loop(p: Path) -> MoveTrace:
         raise DomainError("only loops can be reduced")
     nu = p.rank
     indices = p.word.to_indices(baby_base(nu))
-    tracer = _Tracer(indices, p.base, nu)
+    tracer = _Tracer(indices, p)
     macros: list[tuple[int, int, str]] = []
     for kind, steps in reduction_macros(indices, nu):
         start = len(tracer.moves)
         for step in steps:
-            _apply_certificate_step(tracer, step)
+            try:
+                _apply_certificate_step(tracer, step)
+            except DomainError as exc:
+                raise InternalCheckError(f"certificate step {step} does not apply: {exc}") from exc
         macros.append((start, len(tracer.moves), kind))
     if tracer.word:
         raise InternalCheckError("reduction finished with a non-empty word")
@@ -254,27 +272,23 @@ def reduce_loop(p: Path) -> MoveTrace:
 
 
 def replay_trace(trace: MoveTrace, upto: int | None = None) -> Path:
-    """Replay the first ``upto`` moves (default: all) and return the resulting path."""
-    nu = trace.base.rank
-    crumbs = baby_base(nu)
-    word = list(trace.start)
-    moves = trace.moves if upto is None else trace.moves[:upto]
-    for mv in moves:
-        block = move_block(mv.gens)
+    """Replay the first ``upto`` moves (default: all) and return the resulting path.
+
+    Raises ``DomainError`` unless every move applies to the live word and
+    records the base its sub-loop has there.
+    """
+    crumbs = baby_base(trace.base.rank)
+    tracer = _Tracer(trace.start, path_of_word(Word.from_indices(crumbs, trace.start), trace.base))
+    for mv in trace.moves[:upto]:
         if mv.kind == "insert":
-            word[mv.pos : mv.pos] = list(block)
-            suffix = word[mv.pos + len(block) :]
+            base = tracer.insert(mv.pos, mv.gens)
         elif mv.kind == "delete":
-            if tuple(word[mv.pos : mv.pos + len(block)]) != block:
-                raise DomainError(f"trace replay: block {block} absent at {mv.pos}")
-            del word[mv.pos : mv.pos + len(block)]
-            suffix = word[mv.pos :]
+            base = tracer.delete(mv.pos, mv.gens)
         else:
             raise DomainError(f"unknown move kind {mv.kind!r}")
-        tail = Word.from_indices(crumbs, suffix)
-        if act_on_simplex(eval_word(tail), trace.base) != mv.base:
+        if base != mv.base:
             raise DomainError("trace replay: recorded sub-loop base does not match")
-    return path_of_word(Word.from_indices(crumbs, word), trace.base)
+    return path_of_word(Word.from_indices(crumbs, tracer.word), trace.base)
 
 
 # ---------------------------------------------------------------------------

@@ -28,14 +28,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     )
 
 
-def mat_vec(a: Mat, v: Sequence[int]) -> tuple[int, ...]:
-    return tuple(checked(sum(row[k] * v[k] for k in range(len(v)))) for row in a)
-
-
-def mat_transpose(a: Mat) -> Mat:
-    return tuple(zip(*a))
-
-
 def mat_rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank over the rationals by fraction-exact Gaussian elimination."""
     work = [[Fraction(x) for x in row] for row in rows]

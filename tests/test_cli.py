@@ -54,6 +54,14 @@ def test_missing_config_file(capsys, tmp_path):
     assert code == 3
 
 
+def test_validate_malformed_json_is_io_error(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"rank": 2, "cosets": [[0, 0],')
+    assert main(["validate", "--config", str(bad)]) == 3
+    assert main(["eval", "--config", str(bad), "g0"]) == 3
+    assert "i/o error" in capsys.readouterr().err
+
+
 def test_eval_relation_flag(capsys, baby2_config):
     code, data = run_json(
         capsys, "eval", "--config", baby2_config, "--group", "W",
@@ -193,6 +201,13 @@ def test_oracle_compare_deterministic(capsys, baby2_config):
     _, first = run(capsys, "oracle-compare", "--config", baby2_config, "--n", "20", "--seed", "5")
     _, second = run(capsys, "oracle-compare", "--config", baby2_config, "--n", "20", "--seed", "5")
     assert first == second
+
+
+@pytest.mark.parametrize("flag", ["--n", "--len"])
+def test_oracle_compare_negative_count_is_domain_error(capsys, baby2_config, flag):
+    code, out = run(capsys, "oracle-compare", "--config", baby2_config, flag, "-3")
+    assert code == 5
+    assert out == ""
 
 
 def test_element_json_round_trips(capsys, baby2_config):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import strategies as st
 
 from a1weyl import (
     DomainError,
+    Move,
+    MoveTrace,
     Simplex,
     WeylElement,
     Word,
@@ -21,6 +24,7 @@ from a1weyl import (
     replay_trace,
     witness_word_for_element,
 )
+from a1weyl.geometry import move_block
 from a1weyl.words import random_relation_indices
 
 WORKED_LOOP = (2, 0, 2, 1, 0, 1, 0, 2, 1, 2, 1, 0)
@@ -176,6 +180,88 @@ class TestReduceLoop:
         ]
         assert here.macros == there.macros
         assert simplices_of(replay_trace(there)) == ((moved.anchor, moved.orient),)
+
+
+def commutator(n):
+    return (0, 1) * n + (0, 2) * n + (1, 0) * n + (2, 0) * n
+
+
+def suffix_bases(trace, nu):
+    """Every move's sub-loop base, from the whole word suffix evaluated afresh."""
+    crumbs = baby_base(nu)
+    word = list(trace.start)
+    for mv in trace.moves:
+        block = list(move_block(mv.gens))
+        end = mv.pos + len(block)
+        if mv.kind == "insert":
+            suffix = word[mv.pos :]
+            word[mv.pos : mv.pos] = block
+        else:
+            assert word[mv.pos : end] == block
+            suffix = word[end:]
+            del word[mv.pos : end]
+        yield act_on_simplex(eval_word(Word.from_indices(crumbs, suffix)), trace.base)
+    assert word == []
+
+
+@st.composite
+def loops_with_base(draw):
+    nu = draw(st.sampled_from((2, 3)))
+    if nu == 2 and draw(st.booleans()):
+        indices = commutator(draw(st.integers(0, 6)))
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        indices = random_relation_indices(rng, nu, draw(st.integers(0, 12)))
+    anchor = draw(st.tuples(*[st.integers(-3, 3)] * nu))
+    return nu, indices, Simplex(anchor, draw(st.sampled_from((1, -1))))
+
+
+@settings(deadline=None, max_examples=60)
+@given(loops_with_base())
+def test_move_bases_match_fresh_suffix_evaluation(case):
+    nu, indices, start = case
+    trace = reduce_loop(path_of_word(Word.from_indices(baby_base(nu), indices), start))
+    assert [mv.base for mv in trace.moves] == list(suffix_bases(trace, nu))
+    assert simplices_of(replay_trace(trace)) == ((start.anchor, start.orient),)
+
+
+class TestReplayRejectsTampering:
+    START = (1, 1, 2, 2)
+
+    @pytest.mark.parametrize(
+        "kind, pos, gens",
+        [
+            ("insert", 5, (1,)),  # past the end of the word
+            ("insert", -1, (1,)),
+            ("delete", -4, (1,)),  # a negative slice that would hold the block
+            ("delete", 1, (1,)),  # block absent
+            ("delete", 0, (2,)),
+            ("delete", 3, (2,)),  # runs past the end
+            ("insert", 0, (7,)),  # generator outside 0..nu
+            ("insert", 0, (0, 1, 3)),
+            ("flip", 0, (1,)),  # unknown kind
+        ],
+    )
+    def test_malformed_move(self, kind, pos, gens):
+        b = base_simplex(2)
+        trace = MoveTrace(self.START, b, (Move(kind, pos, gens, b),), ())
+        with pytest.raises(DomainError):
+            replay_trace(trace)
+
+    def test_well_formed_moves_replay(self):
+        b = base_simplex(2)
+        moves = (Move("delete", 0, (1,), b), Move("insert", 2, (1,), b))
+        path = replay_trace(MoveTrace(self.START, b, moves, ()))
+        assert path.word.to_indices(baby_base(2)) == (2, 2, 1, 1)
+
+    def test_any_wrong_base(self, baby2_base):
+        p = path_of_word(Word.from_indices(baby2_base, WORKED_LOOP), base_simplex(2))
+        trace = reduce_loop(p)
+        for k, mv in enumerate(trace.moves):
+            wrong = Simplex(mv.base.anchor, -mv.base.orient)
+            moves = trace.moves[:k] + (dataclasses.replace(mv, base=wrong),) + trace.moves[k + 1 :]
+            with pytest.raises(DomainError):
+                replay_trace(dataclasses.replace(trace, moves=moves))
 
 
 class TestFreeTransitiveAction:

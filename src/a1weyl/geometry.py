@@ -21,14 +21,7 @@ from typing import Sequence
 
 from .errors import DomainError, InternalCheckError
 from .lattice import Root, Vec, baby_base, vec_add, vec_scale, zero_vec
-from .presentation import (
-    RULE_CANCEL,
-    RULE_DELETE,
-    RULE_INSERT,
-    RULE_REVERSE,
-    RewriteStep,
-    reduction_macros,
-)
+from .presentation import WordMoves, move_block, rewrite_to_identity  # noqa: F401
 from .weyl import WeylElement, is_relation_w
 from .words import Word
 
@@ -123,16 +116,7 @@ class MoveTrace:
     macros: tuple[tuple[int, int, str], ...]
 
 
-def move_block(gens: tuple[int, ...]) -> tuple[int, ...]:
-    """The word of the elementary loop named by ``gens``."""
-    if len(gens) == 1:
-        return (gens[0], gens[0])
-    if len(gens) == 3 and gens[0] == 0 and 1 <= gens[1] < gens[2]:
-        return gens + gens
-    raise DomainError(f"{gens} does not name an elementary loop")
-
-
-class _Tracer:
+class _Tracer(WordMoves):
     """Applies elementary moves to a live word, recording them with their bases.
 
     Invariant: ``at[q]`` is the simplex that ``word[q:]`` carries the base
@@ -143,126 +127,49 @@ class _Tracer:
     """
 
     def __init__(self, indices: Sequence[int], path: Path):
-        self.word = list(indices)
+        super().__init__(indices, path.rank)
         self.at = list(reversed(path.simplices))
         self.steps = [_reflection(a) for a in baby_base(path.rank).roots]
         self.moves: list[Move] = []
 
     def insert(self, pos: int, gens: tuple[int, ...]) -> Simplex:
-        block = move_block(gens)
-        n = len(self.word)
-        if not (0 <= pos <= n and all(0 <= k < len(self.steps) for k in block)):
-            raise DomainError(f"cannot insert {block} at {pos} into a word of length {n}")
+        block = super().insert(pos, gens)
         base = self.at[pos]
         entries = [base]
         for k in reversed(block):
             entries.append(act_on_simplex(self.steps[k], entries[-1]))
         self.at[pos:pos] = entries[:0:-1]
-        self.word[pos:pos] = block
         self.moves.append(Move("insert", pos, gens, base))
         return base
 
     def delete(self, pos: int, gens: tuple[int, ...]) -> Simplex:
-        block = move_block(gens)
-        end = pos + len(block)
-        if pos < 0 or tuple(self.word[pos:end]) != block:
-            raise DomainError(f"cannot delete {block} at {pos}: block absent")
+        end = pos + len(super().delete(pos, gens))
         base = self.at[end]
         del self.at[pos:end]
-        del self.word[pos:end]
         self.moves.append(Move("delete", pos, gens, base))
         return base
-
-    def reverse_triple(self, q: int) -> None:
-        """Reverse ``word[q:q+3]`` by elementary moves.
-
-        Triples containing a 0 reverse in four moves against the six-letter
-        loop on their two nonzero letters; triples of three nonzero letters
-        route through a freshly inserted ``g_0^2`` and three sub-reversals.
-        """
-        a, b, c = self.word[q : q + 3]
-        if a == c:
-            return  # palindromic: nothing to do
-        if 0 not in (a, b, c):
-            self.insert(q + 2, (0,))            # a b 0 0 c
-            self.reverse_triple(q)              # 0 b a 0 c
-            self.reverse_triple(q + 2)          # 0 b c 0 a
-            self.reverse_triple(q)              # c b 0 0 a
-            self.delete(q + 2, (0,))            # c b a
-            return
-        if b == 0:
-            d = (0, min(a, c), max(a, c))
-            i, j = d[1], d[2]
-            if (a, c) == (i, j):                # i 0 j -> j 0 i
-                self.insert(q + 2, d)           # i 0 [0 i j 0 i j] j
-                self.delete(q + 1, (0,))        # i i j 0 i j j
-                self.delete(q, (i,))            # j 0 i j j
-                self.delete(q + 3, (j,))        # j 0 i
-            else:                               # j 0 i -> i 0 j
-                self.insert(q + 3, (j,))        # j 0 i j j
-                self.insert(q, (i,))            # i i j 0 i j j
-                self.insert(q + 1, (0,))        # i 0 0 i j 0 i j j
-                self.delete(q + 2, d)           # i 0 j
-        elif a == 0:
-            d = (0, min(b, c), max(b, c))
-            i, j = d[1], d[2]
-            if (b, c) == (i, j):                # 0 i j -> j i 0
-                self.insert(q + 3, (0,))        # 0 i j 0 0
-                self.insert(q + 4, (i,))        # 0 i j 0 i i 0
-                self.insert(q + 5, (j,))        # 0 i j 0 i j j i 0
-                self.delete(q, d)               # j i 0
-            else:                               # 0 j i -> i j 0
-                self.insert(q + 1, d)           # 0 0 i j 0 i j j i
-                self.delete(q, (0,))            # i j 0 i j j i
-                self.delete(q + 4, (j,))        # i j 0 i i
-                self.delete(q + 3, (i,))        # i j 0
-        else:
-            d = (0, min(a, b), max(a, b))
-            i, j = d[1], d[2]
-            if (a, b) == (j, i):                # j i 0 -> 0 i j
-                self.insert(q, d)               # 0 i j 0 i j j i 0
-                self.delete(q + 5, (j,))        # 0 i j 0 i i 0
-                self.delete(q + 4, (i,))        # 0 i j 0 0
-                self.delete(q + 3, (0,))        # 0 i j
-            else:                               # i j 0 -> 0 j i
-                self.insert(q + 3, (i,))        # i j 0 i i
-                self.insert(q + 4, (j,))        # i j 0 i j j i
-                self.insert(q, (0,))            # 0 0 i j 0 i j j i
-                self.delete(q + 1, d)           # 0 j i
-
-
-def _apply_certificate_step(tracer: _Tracer, step: RewriteStep) -> None:
-    if step.rule == RULE_CANCEL:
-        tracer.delete(step.pos, (step.payload[0],))
-    elif step.rule == RULE_DELETE:
-        tracer.delete(step.pos, tuple(step.payload[:3]))
-    elif step.rule == RULE_INSERT:
-        tracer.insert(step.pos, tuple(step.payload[:3]))
-    elif step.rule == RULE_REVERSE:
-        tracer.reverse_triple(step.pos)
-    else:
-        raise DomainError(f"unknown certificate rule {step.rule!r}")
 
 
 def reduce_loop(p: Path) -> MoveTrace:
     """Move a loop over the baby-base generators to the trivial loop at its base.
 
-    Word-level reduction macros drive the process; each of their steps
-    expands into elementary insert/delete moves on the path.  The returned
-    macro spans group the elementary moves the way the word-level strategy
-    grouped its steps.
+    The word-level certificate of :func:`rewrite_to_identity` drives the
+    process; each of its steps expands into elementary insert/delete moves on
+    the path.  The returned macro spans group the elementary moves the way
+    the certificate grouped its steps.
     """
     if not is_loop(p):
         raise DomainError("only loops can be reduced")
     nu = p.rank
     indices = p.word.to_indices(baby_base(nu))
+    cert = rewrite_to_identity(indices, nu)
     tracer = _Tracer(indices, p)
     macros: list[tuple[int, int, str]] = []
-    for kind, steps in reduction_macros(indices, nu):
+    for a, b, kind in cert.macros:
         start = len(tracer.moves)
-        for step in steps:
+        for step in cert.steps[a:b]:
             try:
-                _apply_certificate_step(tracer, step)
+                tracer.apply(step)
             except DomainError as exc:
                 raise InternalCheckError(f"certificate step {step} does not apply: {exc}") from exc
         macros.append((start, len(tracer.moves), kind))

@@ -4,8 +4,10 @@ The rewriting system lives over the baby-base generators ``g_0..g_nu``.  Its
 rules are the involutions ``g_k^2``, the six-letter relators
 ``(g_0 g_i g_j)^2`` for ``1 <= i < j <= nu``, and the triple reversal
 ``g_a g_b g_c -> g_c g_b g_a`` (a consequence of the relators).  Every
-relation word reduces to the empty word by the macro strategy below, and the
-certificate of steps replays deterministically.
+relation word reduces to the empty word by the macro strategy below.  Replay
+trusts only the relators: it applies each certificate step as elementary
+moves, each inserting or deleting one relator block, and realises every
+triple reversal by such moves.
 """
 
 from __future__ import annotations
@@ -214,7 +216,6 @@ def verify_presentation(p: Presentation, target: str, base: ReflectableBase) -> 
 RULE_CANCEL = "cancel-involution"
 RULE_REVERSE = "triple-reverse"
 RULE_DELETE = "delete-relator"
-RULE_INSERT = "insert-relator"
 
 MACRO_CANCEL = "cancel"
 MACRO_DELETE = "delete-relator"
@@ -239,9 +240,6 @@ class RewriteCertificate:
     macros: tuple[tuple[int, int, str], ...]
     final_empty: bool
 
-    def macro_count(self) -> int:
-        return len(self.macros)
-
 
 def certificate_to_dict(cert: RewriteCertificate) -> dict:
     return {
@@ -261,43 +259,139 @@ def certificate_to_dict(cert: RewriteCertificate) -> dict:
     }
 
 
-def apply_step(word: Sequence[int], step: RewriteStep) -> list[int]:
-    """Apply one certificate step, validating that it matches the word."""
-    w = list(word)
-    q = step.pos
-    if step.rule == RULE_CANCEL:
-        if not (0 <= q and q + 2 <= len(w) and w[q] == w[q + 1] == step.payload[0]):
-            raise DomainError(f"cancel step does not match word at {q}")
-        del w[q : q + 2]
-    elif step.rule == RULE_REVERSE:
-        if not (0 <= q and q + 3 <= len(w) and tuple(w[q : q + 3]) == step.payload):
-            raise DomainError(f"reverse step does not match word at {q}")
-        w[q : q + 3] = w[q : q + 3][::-1]
-    elif step.rule == RULE_DELETE:
-        size = len(step.payload)
-        if not (0 <= q and q + size <= len(w) and tuple(w[q : q + size]) == step.payload):
-            raise DomainError(f"delete step does not match word at {q}")
-        del w[q : q + size]
-    elif step.rule == RULE_INSERT:
-        if not 0 <= q <= len(w):
-            raise DomainError(f"insert position {q} out of range")
-        w[q:q] = list(step.payload)
-    else:
-        raise DomainError(f"unknown rule {step.rule!r}")
-    if len(w) != step.after_len:
-        raise DomainError("step length bookkeeping does not match")
-    return w
+def move_block(gens: tuple[int, ...]) -> tuple[int, ...]:
+    """The word of the elementary loop named by ``gens``: ``g_k^2`` or ``(g_0 g_i g_j)^2``."""
+    if len(gens) == 1:
+        k = gens[0]
+        if type(k) is int and k >= 0:
+            return (k, k)
+    elif len(gens) == 3:
+        z, i, j = gens
+        if type(z) is type(i) is type(j) is int and z == 0 and 1 <= i < j:
+            return (0, i, j, 0, i, j)
+    raise DomainError(f"{gens!r} does not name an elementary loop")
+
+
+class WordMoves:
+    """A live word over ``g_0..g_nu`` changed only by elementary moves.
+
+    A move inserts or deletes the block of one relator (:func:`move_block`)
+    at an ``int`` position; a move that does not apply raises
+    ``DomainError``.  Inserted letters must not exceed ``g_nu``; with
+    ``nu=None`` they are not bounded, which is safe for certificate replay
+    because :meth:`reverse_triple` inserts only ``g_0`` and letters already
+    in the word.
+    """
+
+    def __init__(self, indices: Sequence[int], nu: int | None = None):
+        self.word = list(indices)
+        self.nu = nu
+
+    def insert(self, pos: int, gens: tuple[int, ...]) -> tuple[int, ...]:
+        block = move_block(gens)
+        n = len(self.word)
+        if not (type(pos) is int and 0 <= pos <= n) or (self.nu is not None and max(block) > self.nu):
+            raise DomainError(f"cannot insert {block} at {pos!r} into a word of length {n}")
+        self.word[pos:pos] = block
+        return block
+
+    def delete(self, pos: int, gens: tuple[int, ...]) -> tuple[int, ...]:
+        block = move_block(gens)
+        if type(pos) is not int or pos < 0 or tuple(self.word[pos : pos + len(block)]) != block:
+            raise DomainError(f"cannot delete {block} at {pos!r}: block absent")
+        del self.word[pos : pos + len(block)]
+        return block
+
+    def reverse_triple(self, q: int) -> None:
+        """Reverse ``word[q:q+3]`` by elementary moves.
+
+        Triples containing a 0 reverse in four moves against the six-letter
+        loop on their two nonzero letters; triples of three nonzero letters
+        route through a freshly inserted ``g_0^2`` and three sub-reversals.
+        A triple with two equal neighbours has no such expansion: one of its
+        moves raises ``DomainError``.
+        """
+        a, b, c = self.word[q : q + 3]
+        if a == c:
+            return  # palindromic: nothing to do
+        if 0 not in (a, b, c):
+            self.insert(q + 2, (0,))            # a b 0 0 c
+            self.reverse_triple(q)              # 0 b a 0 c
+            self.reverse_triple(q + 2)          # 0 b c 0 a
+            self.reverse_triple(q)              # c b 0 0 a
+            self.delete(q + 2, (0,))            # c b a
+            return
+        if b == 0:
+            d = (0, min(a, c), max(a, c))
+            i, j = d[1], d[2]
+            if (a, c) == (i, j):                # i 0 j -> j 0 i
+                self.insert(q + 2, d)           # i 0 [0 i j 0 i j] j
+                self.delete(q + 1, (0,))        # i i j 0 i j j
+                self.delete(q, (i,))            # j 0 i j j
+                self.delete(q + 3, (j,))        # j 0 i
+            else:                               # j 0 i -> i 0 j
+                self.insert(q + 3, (j,))        # j 0 i j j
+                self.insert(q, (i,))            # i i j 0 i j j
+                self.insert(q + 1, (0,))        # i 0 0 i j 0 i j j
+                self.delete(q + 2, d)           # i 0 j
+        elif a == 0:
+            d = (0, min(b, c), max(b, c))
+            i, j = d[1], d[2]
+            if (b, c) == (i, j):                # 0 i j -> j i 0
+                self.insert(q + 3, (0,))        # 0 i j 0 0
+                self.insert(q + 4, (i,))        # 0 i j 0 i i 0
+                self.insert(q + 5, (j,))        # 0 i j 0 i j j i 0
+                self.delete(q, d)               # j i 0
+            else:                               # 0 j i -> i j 0
+                self.insert(q + 1, d)           # 0 0 i j 0 i j j i
+                self.delete(q, (0,))            # i j 0 i j j i
+                self.delete(q + 4, (j,))        # i j 0 i i
+                self.delete(q + 3, (i,))        # i j 0
+        else:
+            d = (0, min(a, b), max(a, b))
+            i, j = d[1], d[2]
+            if (a, b) == (j, i):                # j i 0 -> 0 i j
+                self.insert(q, d)               # 0 i j 0 i j j i 0
+                self.delete(q + 5, (j,))        # 0 i j 0 i i 0
+                self.delete(q + 4, (i,))        # 0 i j 0 0
+                self.delete(q + 3, (0,))        # 0 i j
+            else:                               # i j 0 -> 0 j i
+                self.insert(q + 3, (i,))        # i j 0 i i
+                self.insert(q + 4, (j,))        # i j 0 i j j i
+                self.insert(q, (0,))            # 0 0 i j 0 i j j i
+                self.delete(q + 1, d)           # 0 j i
+
+    def apply(self, step: RewriteStep) -> None:
+        """Apply one certificate step by elementary moves, checking its payload."""
+        rule, q, payload = step.rule, step.pos, tuple(step.payload)
+        if rule == RULE_CANCEL and len(payload) == 1:
+            self.delete(q, payload)
+        elif rule == RULE_DELETE and len(payload) == 6 and payload[:3] == payload[3:]:
+            self.delete(q, payload[:3])
+        elif rule == RULE_REVERSE and type(q) is int and q >= 0 and len(payload) == 3 and (
+            tuple(self.word[q : q + 3]) == payload
+        ):
+            self.reverse_triple(q)
+        else:
+            raise DomainError(f"{rule!r} step with payload {payload} does not apply at {q!r}")
 
 
 def replay_certificate(cert: RewriteCertificate) -> list[list[int]]:
-    """All intermediate words, starting from the input and ending empty."""
-    word = list(cert.start)
-    states = [list(word)]
+    """All intermediate words, starting from the input and ending empty.
+
+    Every step is replayed as relator moves, so a certificate that replays
+    proves its word trivial from the relators alone.
+    """
+    moves = WordMoves(cert.start)
+    word = moves.word  # changed in place by every move
+    states = [word[:]]
     for step in cert.steps:
         if len(word) != step.before_len:
             raise DomainError("certificate does not chain: length mismatch")
-        word = apply_step(word, step)
-        states.append(list(word))
+        moves.apply(step)
+        if len(word) != step.after_len:
+            raise DomainError("step length bookkeeping does not match")
+        states.append(word[:])
     if cert.final_empty and word:
         raise DomainError("certificate claims the empty word but replay does not reach it")
     return states
@@ -380,8 +474,8 @@ def _macro_once(word: list[int], nu: int, steps: list[RewriteStep]) -> str:
             return MACRO_BUBBLE
 
 
-def reduction_macros(indices: Sequence[int], nu: int):
-    """Yield ``(kind, steps)`` macro by macro until the word is empty.
+def rewrite_to_identity(indices: Sequence[int], nu: int) -> RewriteCertificate:
+    """Reduce a relation word over the baby-base generators to the empty word.
 
     Precondition (checked): ``indices`` is a relation word over the baby-base
     generators ``0..nu``.  Each macro shortens the word by at least two.
@@ -393,17 +487,10 @@ def reduction_macros(indices: Sequence[int], nu: int):
     if not is_relation_w(word_obj):
         raise DomainError("the word is not a relation, no reduction certificate exists")
     word = list(indices)
-    while word:
-        steps: list[RewriteStep] = []
-        kind = _macro_once(word, nu, steps)
-        yield kind, steps
-
-
-def rewrite_to_identity(indices: Sequence[int], nu: int) -> RewriteCertificate:
-    """Reduce a relation word over the baby-base generators to the empty word."""
     steps: list[RewriteStep] = []
     macros: list[tuple[int, int, str]] = []
-    for kind, macro_steps in reduction_macros(indices, nu):
-        macros.append((len(steps), len(steps) + len(macro_steps), kind))
-        steps.extend(macro_steps)
+    while word:
+        start = len(steps)
+        kind = _macro_once(word, nu, steps)
+        macros.append((start, len(steps), kind))
     return RewriteCertificate(tuple(indices), tuple(steps), tuple(macros), True)

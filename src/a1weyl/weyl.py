@@ -122,8 +122,8 @@ def enumerate_alternating(
     positions can still cancel, so it stays cheap for the small pools the
     caps allow.
     """
-    if k % 2 != 0:
-        raise DomainError(f"tuple length must be even, got {k}")
+    if k < 0 or k % 2 != 0:
+        raise DomainError(f"tuple length must be even and non-negative, got {k}")
     if k > max_k:
         raise DomainError(f"tuple length {k} exceeds the cap {max_k}")
     if len(pool) > max_letters:

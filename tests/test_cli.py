@@ -220,3 +220,33 @@ def test_element_json_round_trips(capsys, baby2_config):
         capsys, "eval", "--config", baby2_config, "--group", "Wt", "g1", "g0"
     )
     assert element_from_dict(data["element"]).projection().shift == (-1, 0)
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2])
+def test_alt_enum_negative_k_is_domain_error(capsys, tmp_path, rank):
+    config = tmp_path / "baby.json"
+    cosets = [[0] * rank] + [[int(i == k) for i in range(rank)] for k in range(rank)]
+    config.write_text(json.dumps({"rank": rank, "cosets": cosets}))
+    code, out = run(capsys, "alt-enum", "--config", str(config), "--k", "-2")
+    assert code == 5
+    assert out == ""
+
+
+def test_reduce_failed_replay_is_internal_check_failure(capsys, monkeypatch, baby2_config):
+    import dataclasses
+
+    from a1weyl import presentation
+
+    honest = presentation.rewrite_to_identity
+
+    def tampered(indices, nu):
+        cert = honest(indices, nu)
+        return dataclasses.replace(cert, steps=cert.steps[:-1])
+
+    monkeypatch.setattr(presentation, "rewrite_to_identity", tampered)
+    code = main(["reduce", "--config", baby2_config, *WORKED_LOOP_TEXT])
+    captured = capsys.readouterr()
+    assert code == 6
+    assert captured.out == ""
+    assert "internal check failed" in captured.err
+    assert main(["reduce", "--no-replay", "--config", baby2_config, *WORKED_LOOP_TEXT]) == 0

@@ -263,6 +263,25 @@ class TestReplayRejectsTampering:
             with pytest.raises(DomainError):
                 replay_trace(dataclasses.replace(trace, moves=moves))
 
+    @pytest.mark.parametrize(
+        "kind, pos, gens",
+        [
+            ("insert", 1.5, (1,)),
+            ("insert", "0", (1,)),
+            ("insert", None, (1,)),
+            ("delete", 0.0, (1,)),
+            ("delete", "0", (1,)),
+            ("insert", 0, (1.5,)),
+            ("delete", 0, (1.0,)),
+            ("insert", 0, (0, 1.0, 2)),
+        ],
+    )
+    def test_non_int_move(self, kind, pos, gens):
+        b = base_simplex(2)
+        trace = MoveTrace(self.START, b, (Move(kind, pos, gens, b),), ())
+        with pytest.raises(DomainError):
+            replay_trace(trace)
+
 
 class TestFreeTransitiveAction:
     def test_freeness_sampled(self):

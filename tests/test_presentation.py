@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import random
 
 import pytest
@@ -26,7 +28,12 @@ from a1weyl.presentation import (
     Presentation,
     RULE_CANCEL,
     RULE_DELETE,
+    RULE_REVERSE,
+    RewriteCertificate,
+    RewriteStep,
+    WordMoves,
     certificate_to_dict,
+    move_block,
 )
 from a1weyl.words import random_relation_indices
 
@@ -239,3 +246,77 @@ def test_presentation_json_round_trip(baby2_base):
         presentation_alternating(baby2_base.roots, 4),
     ):
         assert presentation_from_dict(presentation_to_dict(p)) == p
+
+
+class TestReplayCertificateRejectsTampering:
+    """Replay accepts only steps it can realise by relator moves on the live word."""
+
+    @staticmethod
+    def one_step(start, rule, pos, payload, after_len):
+        step = RewriteStep(rule, pos, payload, len(start), after_len)
+        return RewriteCertificate(tuple(start), (step,), ((0, 1, "tampered"),), after_len == 0)
+
+    @pytest.mark.parametrize(
+        "start, rule, pos, payload, after_len",
+        [
+            ((1, 2, 1, 2, 1, 2), RULE_DELETE, 0, (1, 2, 1, 2, 1, 2), 0),  # not a relator
+            ((0, 2, 1, 0, 2, 1), RULE_DELETE, 0, (0, 2, 1, 0, 2, 1), 0),  # i > j
+            ((0, 1, 2, 0, 1, 2), RULE_DELETE, 0, (0, 1, 2, 0, 1, 1), 0),  # payload is not the word
+            ((1, 1), RULE_CANCEL, 0, (), 0),  # empty payload
+            ((1, 1), RULE_CANCEL, 0, (1, 1), 0),
+            ((1, 1), RULE_CANCEL, 1.5, (1,), 0),  # non-int position
+            ((1, 1), RULE_CANCEL, "0", (1,), 0),
+            ((1, 1), RULE_CANCEL, 0, (1.0,), 0),  # non-int payload entry
+            ((1, 0, 2), RULE_REVERSE, 0, (2, 0, 1), 3),  # payload does not match the word
+            ((1, 0, 2), RULE_REVERSE, 1, (0, 2), 3),
+            ((1, 0, 2, 1), RULE_REVERSE, -3, (1, 0, 2), 4),  # a negative slice that matches
+            ((), "insert-relator", 0, (1, 1), 2),  # no longer a rule
+            ((1, 1), "flip", 0, (1,), 0),
+        ],
+    )
+    def test_malformed_step(self, start, rule, pos, payload, after_len):
+        with pytest.raises(DomainError):
+            replay_certificate(self.one_step(start, rule, pos, payload, after_len))
+
+    @pytest.mark.parametrize("field", ["before_len", "after_len"])
+    def test_wrong_length_bookkeeping(self, field):
+        cert = rewrite_to_identity(WORKED_LOOP, 2)
+        for k, step in enumerate(cert.steps):
+            bad = dataclasses.replace(step, **{field: getattr(step, field) + 1})
+            steps = cert.steps[:k] + (bad,) + cert.steps[k + 1 :]
+            with pytest.raises(DomainError):
+                replay_certificate(dataclasses.replace(cert, steps=steps))
+
+    def test_reverse_payload_tampered_in_a_real_certificate(self):
+        cert = rewrite_to_identity(WORKED_LOOP, 2)
+        k = next(n for n, s in enumerate(cert.steps) if s.rule == RULE_REVERSE)
+        bad = dataclasses.replace(cert.steps[k], payload=cert.steps[k].payload[::-1])
+        steps = cert.steps[:k] + (bad,) + cert.steps[k + 1 :]
+        with pytest.raises(DomainError):
+            replay_certificate(dataclasses.replace(cert, steps=steps))
+
+    def test_claimed_empty_word_must_be_reached(self):
+        cert = rewrite_to_identity(WORKED_LOOP, 2)
+        with pytest.raises(DomainError):
+            replay_certificate(dataclasses.replace(cert, steps=cert.steps[:-1]))
+
+
+@pytest.mark.parametrize("nu", [2, 3])
+def test_every_reduced_triple_reverses_by_relator_moves(nu):
+    for a, b, c in itertools.product(range(nu + 1), repeat=3):
+        moves = WordMoves((1, a, b, c, 2), nu)
+        if a == b or b == c:
+            if a != c:
+                with pytest.raises(DomainError):
+                    moves.reverse_triple(1)
+            continue
+        moves.reverse_triple(1)
+        assert moves.word == [1, c, b, a, 2]
+
+
+def test_move_block_names_only_the_relators():
+    assert move_block((3,)) == (3, 3)
+    assert move_block((0, 1, 2)) == (0, 1, 2, 0, 1, 2)
+    for gens in [(), (-1,), (1.0,), (True,), (1, 2), (0, 2, 1), (0, 1, 1), (1, 1, 2), (0, 1.0, 2)]:
+        with pytest.raises(DomainError):
+            move_block(gens)

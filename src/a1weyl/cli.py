@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 ok, 2 invalid configuration, 3 I/O failure, 4 word parse error,
-5 domain error, 6 internal cross-check failure.
+Exit codes: 0 ok, 2 invalid configuration or usage error, 3 I/O failure,
+4 word parse error, 5 domain error, 6 internal cross-check failure.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ EXIT_PARSE = 4
 EXIT_DOMAIN = 5
 EXIT_INTERNAL = 6
 
+WORD_HELP = "word tokens (g<k> or (+|-)e:c1,...); put them after -- if one starts with -"
+
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="semilattice JSON file")
@@ -33,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="a1weyl",
         description="exact computations in the Weyl groups of rank-one reflection lattices",
         epilog=(
-            "exit codes: 0 ok, 2 invalid configuration, 3 i/o failure, "
+            "exit codes: 0 ok, 2 invalid configuration or usage error, 3 i/o failure, "
             "4 word parse error, 5 domain error, 6 internal check failed"
         ),
     )
@@ -45,12 +47,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("eval", help="evaluate a word to its canonical form")
     _add_common(p)
     p.add_argument("--group", choices=("W", "Wt"), default="W")
-    p.add_argument("word", nargs="+", help="word tokens (g<k> or (+|-)e:c1,...)")
+    p.add_argument("word", nargs="+", help=WORD_HELP)
 
     p = subs.add_parser("check", help="decide whether a word is a relation")
     _add_common(p)
     p.add_argument("--group", choices=("W", "Wt"), default="W")
-    p.add_argument("word", nargs="+")
+    p.add_argument("word", nargs="+", help=WORD_HELP)
 
     p = subs.add_parser("alt-enum", help="enumerate alternating tuples over the base")
     _add_common(p)
@@ -67,20 +69,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("reduce", help="certificate reducing a relation word to the identity")
     _add_common(p)
     p.add_argument("--no-replay", action="store_true", help="skip the replay self-check")
-    p.add_argument("word", nargs="+")
+    p.add_argument("word", nargs="+", help=WORD_HELP)
 
     p = subs.add_parser("path", help="the simplex path of a word")
     _add_common(p)
     p.add_argument("--anchor", default=None, help="base simplex anchor, e.g. 0,0")
     p.add_argument("--orient", type=int, choices=(1, -1), default=1)
-    p.add_argument("word", nargs="+")
+    p.add_argument("word", nargs="+", help=WORD_HELP)
 
     p = subs.add_parser("render-svg", help="render the path of a word (rank 2 only)")
     _add_common(p)
     p.add_argument("--anchor", default=None)
     p.add_argument("--orient", type=int, choices=(1, -1), default=1)
     p.add_argument("--out", required=True, help="output SVG file")
-    p.add_argument("word", nargs="+")
+    p.add_argument("word", nargs="+", help=WORD_HELP)
 
     p = subs.add_parser("center-basis", help="free basis of the center of the extended group")
     _add_common(p)

@@ -4,9 +4,11 @@ The extension adds dual basis vectors l_1..l_nu pairing with s_1..s_nu, so an
 element is determined by its restriction to ``V`` (parity, shift) together
 with, for each j, the vector ``l_j - w(l_j)`` lying in ``V``.  We store that
 vector split into its sign component ``dual_sgn[j]`` and its lattice part
-``dual_p[j]``.  The group is a central extension of the group on ``V``: a
-word is central exactly when it restricts to the identity on ``V``, and the
-center is free abelian with an explicit basis indexed by pairs ``i < j``.
+``dual_p[j]``; the sign components repeat the ``W`` form,
+``dual_sgn = -parity * shift`` (see :func:`eval_word_hyp`).  The group is a
+central extension of the group on ``V``: a word is central exactly when it
+restricts to the identity on ``V``, and the center is free abelian with an
+explicit basis indexed by pairs ``i < j``.
 
 A full matrix representation on the ordered basis (e, s_1..s_nu, l_1..l_nu)
 is kept alongside as an independent oracle; the two are compared entry by
@@ -30,7 +32,8 @@ from .lattice import (
     vec_scale,
     zero_vec,
 )
-from .weyl import WeylElement, eval_word, is_relation_w
+from . import weyl
+from .weyl import WeylElement, is_relation_w
 from .words import Word
 
 
@@ -48,7 +51,7 @@ class HyperbolicElement:
     dual_p: tuple[Vec, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "shift", tuple(checked(int(c)) for c in self.shift))
+        object.__setattr__(self, "shift", WeylElement(self.parity, self.shift).shift)
         object.__setattr__(self, "dual_sgn", tuple(checked(int(c)) for c in self.dual_sgn))
         object.__setattr__(
             self, "dual_p", tuple(tuple(checked(int(c)) for c in row) for row in self.dual_p)
@@ -80,37 +83,34 @@ def identity_element_hyp(rank: int) -> HyperbolicElement:
 
 
 def eval_word_hyp(word: Word) -> HyperbolicElement:
-    """Evaluate a word in the extended group.
+    """Evaluate a word in the extended group, in one pass.
 
-    For ``w = w_{a_1}...w_{a_k}`` and each dual index j:
+    For ``w = w_{a_1}...w_{a_k}`` let ``c_i = (-1)^(k-i) sign(a_i)`` and let
+    ``acc_i = sum_{r<=i} c_r p(a_r)`` be the running sum of ``eval_word``
+    (``acc_k`` is the shift).  For each dual index j:
 
-      dual_sgn[j] = sum_i (-1)^(i+1) sign(a_i) p_j(a_i)
-      dual_p[j]   = sum_s p_j(a_s) p(a_s)
-                    + 2 sum_{s>=2} (-1)^s p_j(a_s) sign(a_s)
-                          sum_{r<s} (-1)^r sign(a_r) p(a_r)
+      dual_p[j]   = sum_i p_j(a_i) (p(a_i) + 2 c_i acc_{i-1})
+      dual_sgn[j] = sum_i (-1)^(i+1) sign(a_i) p_j(a_i) = -(-1)^k acc_k[j]
 
-    The sign of dual_sgn is pinned by the matrix representation (the k = 1
-    case is ``l_j - w(l_j) = p_j(a) * a``, with a plus sign).
+    that is, ``dual_sgn = -parity * shift``.  The sign of dual_sgn is pinned
+    by the matrix representation (the k = 1 case is
+    ``l_j - w(l_j) = p_j(a) * a``, with a plus sign).
     """
-    nu = word.rank
-    base = eval_word(word)
-    sgn_acc = list(zero_vec(nu))
+    nu, k = word.rank, len(word)
+    acc = zero_vec(nu)
     rows = [list(zero_vec(nu)) for _ in range(nu)]
-    prefix = zero_vec(nu)
     for i, a in enumerate(word.letters, start=1):
-        par = -1 if i % 2 == 1 else 1
+        coef = a.sign if (k - i) % 2 == 0 else -a.sign
         for j in range(nu):
             pj = a.lat[j]
             if pj == 0:
                 continue
-            sgn_acc[j] -= par * a.sign * pj
             row = rows[j]
             for c in range(nu):
-                row[c] += pj * a.lat[c] + 2 * par * pj * a.sign * prefix[c]
-        prefix = vec_add(prefix, vec_scale(par * a.sign, a.lat))
-    return HyperbolicElement(
-        base.parity, base.shift, tuple(sgn_acc), tuple(tuple(r) for r in rows)
-    )
+                row[c] += pj * a.lat[c] + 2 * coef * pj * acc[c]
+        acc = vec_add(acc, vec_scale(coef, a.lat))
+    parity = 1 if k % 2 == 0 else -1
+    return HyperbolicElement(parity, acc, vec_scale(-parity, acc), tuple(tuple(r) for r in rows))
 
 
 def is_relation_hyp(word: Word) -> bool:
@@ -246,18 +246,15 @@ def center_basis(base: ReflectableBase) -> tuple[CentralGenerator, ...]:
 
 
 def element_to_dict(h: HyperbolicElement) -> dict:
+    """The ``W`` form's ``"eps"`` / ``"t"`` plus the dual data ``"s"`` / ``"q"``."""
     return {
-        "eps": h.parity,
-        "t": list(h.shift),
+        **weyl.element_to_dict(h.projection()),
         "s": list(h.dual_sgn),
         "q": [list(row) for row in h.dual_p],
     }
 
 
 def element_from_dict(data: dict) -> HyperbolicElement:
-    return HyperbolicElement(
-        int(data["eps"]),
-        tuple(int(c) for c in data["t"]),
-        tuple(int(c) for c in data["s"]),
-        tuple(tuple(int(c) for c in row) for row in data["q"]),
-    )
+    w = weyl.element_from_dict(data)
+    q = tuple(tuple(int(c) for c in row) for row in data["q"])
+    return HyperbolicElement(w.parity, w.shift, tuple(int(c) for c in data["s"]), q)

@@ -277,20 +277,17 @@ class WordMoves:
 
     A move inserts or deletes the block of one relator (:func:`move_block`)
     at an ``int`` position; a move that does not apply raises
-    ``DomainError``.  Inserted letters must not exceed ``g_nu``; with
-    ``nu=None`` they are not bounded, which is safe for certificate replay
-    because :meth:`reverse_triple` inserts only ``g_0`` and letters already
-    in the word.
+    ``DomainError``.  Inserted letters must not exceed ``g_nu``.
     """
 
-    def __init__(self, indices: Sequence[int], nu: int | None = None):
+    def __init__(self, indices: Sequence[int], nu: int):
         self.word = list(indices)
         self.nu = nu
 
     def insert(self, pos: int, gens: tuple[int, ...]) -> tuple[int, ...]:
         block = move_block(gens)
         n = len(self.word)
-        if not (type(pos) is int and 0 <= pos <= n) or (self.nu is not None and max(block) > self.nu):
+        if not (type(pos) is int and 0 <= pos <= n) or max(block) > self.nu:
             raise DomainError(f"cannot insert {block} at {pos!r} into a word of length {n}")
         self.word[pos:pos] = block
         return block
@@ -380,9 +377,11 @@ def replay_certificate(cert: RewriteCertificate) -> list[list[int]]:
     """All intermediate words, starting from the input and ending empty.
 
     Every step is replayed as relator moves, so a certificate that replays
-    proves its word trivial from the relators alone.
+    proves its word trivial from the relators alone.  Replay inserts only
+    ``g_0`` and letters already in the word, so the largest ``int`` start
+    letter bounds what it may insert.
     """
-    moves = WordMoves(cert.start)
+    moves = WordMoves(cert.start, max((g for g in cert.start if type(g) is int), default=0))
     word = moves.word  # changed in place by every move
     states = [word[:]]
     for step in cert.steps:

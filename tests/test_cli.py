@@ -250,3 +250,22 @@ def test_reduce_failed_replay_is_internal_check_failure(capsys, monkeypatch, bab
     assert captured.out == ""
     assert "internal check failed" in captured.err
     assert main(["reduce", "--no-replay", "--config", baby2_config, *WORKED_LOOP_TEXT]) == 0
+
+
+def test_word_token_starting_with_minus_goes_after_double_dash(capsys, baby2_config):
+    code, out = run(capsys, "eval", "--config", baby2_config, "--", "g1", "-e:1,0")
+    assert code == 0
+    assert out.startswith("element: ")
+    with pytest.raises(SystemExit) as exc:  # taken for an option: a usage error
+        main(["eval", "--config", baby2_config, "g1", "-e:1,0"])
+    assert exc.value.code == 2
+
+
+def test_eval_wt_overflow_is_domain_error(capsys, tmp_path):
+    config = tmp_path / "rank1.json"
+    config.write_text(json.dumps({"rank": 1, "cosets": [[0], [1]]}))
+    big = 2**62
+    code, out = run(capsys, "eval", "--config", str(config), "--group", "Wt",
+                    "--", f"+e:{big}", f"-e:{big}", f"-e:{big}")
+    assert code == 5
+    assert out == ""

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from a1weyl import (
     DomainError,
+    HyperbolicElement,
     ReflectableBase,
     Root,
+    WeylElement,
     Word,
     baby_base,
     baby_semilattice,
@@ -206,3 +208,65 @@ class TestCenterBasis:
 def test_element_json_round_trip():
     h = eval_word_hyp(word2(G1, E, G2, G1, E, G2))
     assert element_from_dict(element_to_dict(h)) == h
+
+
+def test_parity_other_than_plus_or_minus_one_is_rejected():
+    with pytest.raises(DomainError):
+        HyperbolicElement(5, (0,), (0,), ((0,),))
+    with pytest.raises(DomainError):
+        element_from_dict({"eps": 5, "t": [0], "s": [0], "q": [[0]]})
+
+
+L = 2**62
+
+
+def rank1_word(*letters):
+    return Word(1, tuple(Root(sign, (c,)) for sign, c in letters))
+
+
+OVERFLOW_PROBES = {
+    "+L -L -L": rank1_word((1, L), (-1, L), (-1, L)),
+    "+L -L -L +L": rank1_word((1, L), (-1, L), (-1, L), (1, L)),
+    "+max -max": rank1_word((1, 2**63 - 1), (-1, 2**63 - 1)),
+    "+2^32 +(-2^32) +2^32": rank1_word((1, 2**32), (1, -(2**32)), (1, 2**32)),
+}
+
+
+@pytest.mark.parametrize(
+    "probe, fn, expected",
+    [
+        ("+L -L -L", eval_word, OverflowError),
+        ("+L -L -L", eval_word_hyp, OverflowError),
+        ("+L -L -L", is_relation_w, False),
+        ("+L -L -L", is_central, False),
+        ("+L -L -L +L", eval_word, WeylElement(1, (0,))),
+        ("+L -L -L +L", eval_word_hyp, identity_element_hyp(1)),
+        ("+L -L -L +L", is_relation_w, True),
+        ("+L -L -L +L", is_central, True),
+        ("+max -max", eval_word, OverflowError),
+        ("+max -max", eval_word_hyp, OverflowError),
+        ("+max -max", is_relation_w, OverflowError),
+        ("+max -max", is_central, OverflowError),
+        ("+2^32 +(-2^32) +2^32", eval_word, WeylElement(-1, (3 * 2**32,))),
+        ("+2^32 +(-2^32) +2^32", eval_word_hyp, OverflowError),  # the dual rows reach 9 * 2^64
+        ("+2^32 +(-2^32) +2^32", is_relation_w, False),
+        ("+2^32 +(-2^32) +2^32", is_central, False),
+    ],
+)
+def test_which_evaluation_overflows_at_the_edge_of_the_64_bit_band(probe, fn, expected):
+    """The guard band is asymmetric, so the same word can overflow one evaluation only."""
+    word = OVERFLOW_PROBES[probe]
+    if expected is OverflowError:
+        with pytest.raises(OverflowError):
+            fn(word)
+    else:
+        assert fn(word) == expected
+
+
+def test_eval_word_hyp_overflows_only_where_the_w_form_or_the_dual_rows_do():
+    # -2^63 is in the band and 2^63 is not: the running shift passes through
+    # -2^63, which the W form accepts, and the word is the reflection in
+    # -e + s_1.
+    word = rank1_word((1, -(2**63)), (1, -(2**63 - 1)), (1, 0))
+    assert eval_word(word) == WeylElement(-1, (-1,))
+    assert eval_word_hyp(word) == eval_word_hyp(rank1_word((-1, 1)))

@@ -320,3 +320,10 @@ def test_move_block_names_only_the_relators():
     for gens in [(), (-1,), (1.0,), (True,), (1, 2), (0, 2, 1), (0, 1, 1), (1, 1, 2), (0, 1.0, 2)]:
         with pytest.raises(DomainError):
             move_block(gens)
+
+
+def test_replay_rejects_a_non_int_start_letter_as_a_domain_error():
+    for start in ((1, "x", 1, "x"), ("x", "x")):
+        step = RewriteStep(RULE_CANCEL, 0, (1,), len(start), len(start) - 2)
+        with pytest.raises(DomainError):
+            replay_certificate(RewriteCertificate(start, (step,), ((0, 1, "tampered"),), False))

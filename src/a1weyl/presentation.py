@@ -8,6 +8,28 @@ relation word reduces to the empty word by the macro strategy below.  Replay
 trusts only the relators: it applies each certificate step as elementary
 moves, each inserting or deleting one relator block, and realises every
 triple reversal by such moves.
+
+A macro does the first of three things that applies: cancel the leftmost
+adjacent pair ``g_k g_k`` and then every pair that unlocks (a cascade);
+delete the leftmost relator block ``0 i j 0 i j`` (``1 <= i < j <= nu``); or
+bubble the first letter toward its opposite-parity partner by triple
+reversals until a pair appears, and cancel that cascade.  The rewriter finds
+"leftmost" without rescanning from position 0, by three invariants:
+
+- *Pair window.*  No adjacent equal pair starts outside ``[lo, hi)``.  A cut
+  of 2 or 6 letters at ``q`` sets ``lo = min(lo, max(q - 1, 0))`` and shifts
+  ``hi`` by the cut length, keeping it past ``q - 1``; a scan that finds
+  nothing leaves ``lo`` at the end of the word and the window empty.
+- *Bubble check.*  A bubble starts on a word with no pairs, and reversing
+  ``word[c:c+3]`` can make a pair only at ``c - 1`` or ``c + 2``, so only
+  those two positions are tested after each reversal.
+- *Relator window.*  No relator block starts outside ``[rlo, rhi)``.  A cut
+  at ``q`` shifts the bounds past ``q`` by the cut length, then widens the
+  window to cover the starts ``q - 5 .. q``; a reversal at ``c`` widens it to
+  cover ``c - 5 .. c + 2``; a search reads only the window.
+
+So a cancellation or a bubble step reads O(1) letters, and the certificate
+is the one a rescan from position 0 after every change would give.
 """
 
 from __future__ import annotations
@@ -396,100 +418,137 @@ def replay_certificate(cert: RewriteCertificate) -> list[list[int]]:
     return states
 
 
-def _leftmost_pair(word: Sequence[int]) -> int | None:
-    for q in range(len(word) - 1):
-        if word[q] == word[q + 1]:
-            return q
-    return None
+class _Rewriter:
+    """One run of the macro strategy: the live word, its steps, and two windows.
 
-
-def _leftmost_relator(word: Sequence[int], nu: int) -> int | None:
-    for q in range(len(word) - 5):
-        i, j = word[q + 1], word[q + 2]
-        if (
-            word[q] == 0
-            and word[q + 3] == 0
-            and word[q + 4] == i
-            and word[q + 5] == j
-            and 1 <= i < j <= nu
-        ):
-            return q
-    return None
-
-
-def _partner_position(word: Sequence[int]) -> int:
-    """Smallest 0-based odd index holding the same letter as position 0.
-
-    Letters of a relation word split evenly between even and odd positions,
-    so the partner always exists; its absence means the word was no relation.
+    No adjacent equal pair starts outside ``[lo, hi)``, and no relator block
+    starts outside ``[rlo, rhi)``.  Every cut and every reversal widens them
+    by the starts it can affect, and a search that finds nothing empties its
+    window, so a search reads only where a pair or a block can be new.
     """
-    first = word[0]
-    for q in range(1, len(word), 2):
-        if word[q] == first:
-            return q
-    raise InternalCheckError("no opposite-parity partner; input was not a relation word")
 
+    def __init__(self, indices: Sequence[int], nu: int):
+        self.word = list(indices)
+        self.nu = nu
+        self.steps: list[RewriteStep] = []
+        self.lo, self.hi = 0, len(self.word)
+        self.rlo, self.rhi = 0, len(self.word)
 
-def _macro_once(word: list[int], nu: int, steps: list[RewriteStep]) -> str:
-    """Run one macro on ``word`` in place, appending its steps; returns the kind."""
+    def macro(self) -> str:
+        """Run one macro, appending its steps; returns the kind."""
+        if self.cancel_cascade():
+            return MACRO_CANCEL
+        if self.delete_relator():
+            return MACRO_DELETE
+        self.bubble()
+        return MACRO_BUBBLE
 
-    def cancel_cascade() -> bool:
+    def cut(self, rule: str, q: int, payload: tuple[int, ...], n: int) -> None:
+        """Delete ``word[q:q+n]``: a new pair or block can only cross the seam at ``q``."""
+        word = self.word
+        self.steps.append(RewriteStep(rule, q, payload, len(word), len(word) - n))
+        del word[q : q + n]
+        # Shift the upper bounds past the cut, then widen the windows to the
+        # starts the seam can make: pairs at q - 1, blocks at q - 5 .. q.
+        # Comparisons, not min/max calls: this runs once per cancellation.
+        lo, rlo = (q - 1 if q > 1 else 0), (q - 5 if q > 5 else 0)
+        if lo < self.lo:
+            self.lo = lo
+        if rlo < self.rlo:
+            self.rlo = rlo
+        hi, rhi = self.hi - n, self.rhi - n
+        self.hi = hi if hi > q else q
+        self.rhi = rhi if rhi > q else q + 1
+
+    def cancel_cascade(self) -> bool:
+        """Cancel the leftmost adjacent pair until none is left; True if one was."""
+        word = self.word
         did = False
-        q = _leftmost_pair(word)
-        while q is not None:
-            steps.append(RewriteStep(RULE_CANCEL, q, (word[q],), len(word), len(word) - 2))
-            del word[q : q + 2]
+        q, end = self.lo, min(self.hi, len(word) - 1)
+        while q < end:
+            if word[q] != word[q + 1]:
+                q += 1
+                continue
+            self.lo = q
+            self.cut(RULE_CANCEL, q, (word[q],), 2)
             did = True
-            q = _leftmost_pair(word)
+            q, end = self.lo, min(self.hi, len(word) - 1)
+        self.lo, self.hi = len(word), 0
         return did
 
-    if cancel_cascade():
-        return MACRO_CANCEL
+    def delete_relator(self) -> bool:
+        """Delete the leftmost block ``0 i j 0 i j`` (``1 <= i < j <= nu``); True if one was."""
+        word, nu = self.word, self.nu
+        for q in range(self.rlo, min(self.rhi, len(word) - 5)):
+            i, j = word[q + 1], word[q + 2]
+            if (
+                word[q] == 0
+                and word[q + 3] == 0
+                and word[q + 4] == i
+                and word[q + 5] == j
+                and 1 <= i < j <= nu
+            ):
+                self.rlo = q  # the scan found no block before q
+                self.cut(RULE_DELETE, q, tuple(word[q : q + 6]), 6)
+                return True
+        self.rlo, self.rhi = len(word), 0
+        return False
 
-    q = _leftmost_relator(word, nu)
-    if q is not None:
-        payload = tuple(word[q : q + 6])
-        steps.append(RewriteStep(RULE_DELETE, q, payload, len(word), len(word) - 6))
-        del word[q : q + 6]
-        return MACRO_DELETE
+    def bubble(self) -> None:
+        """Bubble the first letter toward its opposite-parity partner by triple reversals.
 
-    # Bubble the first letter toward its opposite-parity partner by triple
-    # reversals; the first adjacent equal pair this creates is cancelled,
-    # together with any cascade it unlocks.
-    partner = _partner_position(word)
-    c = 0
-    while True:
-        if c + 2 >= len(word) or c >= partner:
-            raise InternalCheckError("bubble ran past the partner; input was not a relation word")
-        if word[c] == word[c + 2]:
-            c += 2  # palindromic triple: the reversal would be a no-op
-            continue
-        payload = tuple(word[c : c + 3])
-        steps.append(RewriteStep(RULE_REVERSE, c, payload, len(word), len(word)))
-        word[c : c + 3] = word[c : c + 3][::-1]
-        c += 2
-        if _leftmost_pair(word) is not None:
-            cancel_cascade()
-            return MACRO_BUBBLE
+        The word has no adjacent pair here, so reversing ``word[c:c+3]`` can
+        pair only at ``c - 1`` or ``c + 2``; the first pair it makes is
+        cancelled, together with any cascade it unlocks.  Letters of a
+        relation word split evenly between even and odd positions, so the
+        partner (the first odd position holding the first letter) exists, and
+        the moving letter pairs with it at the latest when it arrives next to
+        it; running off the end of the word means the word was no relation.
+        """
+        word = self.word
+        n = len(word)
+        c = 0
+        while True:
+            if c + 2 >= n:
+                raise InternalCheckError("bubble found no partner; input was not a relation word")
+            a, b, x = word[c], word[c + 1], word[c + 2]
+            if a == x:
+                c += 2  # palindromic triple: the reversal would be a no-op
+                continue
+            self.steps.append(RewriteStep(RULE_REVERSE, c, (a, b, x), n, n))
+            word[c], word[c + 2] = x, a
+            if c - 5 < self.rlo:  # the blocks through c .. c + 2 start at c - 5 .. c + 2
+                self.rlo = c - 5 if c > 5 else 0
+            if c + 3 > self.rhi:
+                self.rhi = c + 3
+            if c and word[c - 1] == x:
+                self.lo, self.hi = c - 1, c + 3
+            elif c + 3 < n and word[c + 3] == a:
+                self.lo, self.hi = c + 2, c + 3
+            else:
+                c += 2
+                continue
+            self.cancel_cascade()
+            return
 
 
 def rewrite_to_identity(indices: Sequence[int], nu: int) -> RewriteCertificate:
     """Reduce a relation word over the baby-base generators to the empty word.
 
     Precondition (checked): ``indices`` is a relation word over the baby-base
-    generators ``0..nu``.  Each macro shortens the word by at least two.
+    generators ``0..nu``, each letter an ``int``.  Each macro shortens the
+    word by at least two.
     """
     for g in indices:
-        if not 0 <= g <= nu:
-            raise DomainError(f"letter {g} outside the generator range 0..{nu}")
+        if type(g) is not int or not 0 <= g <= nu:
+            raise DomainError(f"letter {g!r} is not an int in the generator range 0..{nu}")
     word_obj = Word.from_indices(baby_base(nu), indices)
     if not is_relation_w(word_obj):
         raise DomainError("the word is not a relation, no reduction certificate exists")
-    word = list(indices)
-    steps: list[RewriteStep] = []
+    rewriter = _Rewriter(indices, nu)
     macros: list[tuple[int, int, str]] = []
-    while word:
-        start = len(steps)
-        kind = _macro_once(word, nu, steps)
-        macros.append((start, len(steps), kind))
-    return RewriteCertificate(tuple(indices), tuple(steps), tuple(macros), True)
+    while rewriter.word:
+        start = len(rewriter.steps)
+        kind = rewriter.macro()
+        macros.append((start, len(rewriter.steps), kind))
+    return RewriteCertificate(tuple(indices), tuple(rewriter.steps), tuple(macros), True)

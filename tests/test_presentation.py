@@ -1,11 +1,16 @@
 import dataclasses
+import hashlib
 import itertools
 import random
+from typing import Sequence
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from a1weyl import (
     DomainError,
+    InternalCheckError,
     ReflectableBase,
     Word,
     baby_base,
@@ -25,6 +30,8 @@ from a1weyl import (
 )
 from a1weyl.presentation import (
     MACRO_BUBBLE,
+    MACRO_CANCEL,
+    MACRO_DELETE,
     Presentation,
     RULE_CANCEL,
     RULE_DELETE,
@@ -32,6 +39,7 @@ from a1weyl.presentation import (
     RewriteCertificate,
     RewriteStep,
     WordMoves,
+    _Rewriter,
     certificate_to_dict,
     move_block,
 )
@@ -327,3 +335,180 @@ def test_replay_rejects_a_non_int_start_letter_as_a_domain_error():
         step = RewriteStep(RULE_CANCEL, 0, (1,), len(start), len(start) - 2)
         with pytest.raises(DomainError):
             replay_certificate(RewriteCertificate(start, (step,), ((0, 1, "tampered"),), False))
+
+
+@pytest.mark.parametrize("letters", [(1.0, 1.0), ("1", "1"), (1, None), (None, None), (True, True)])
+def test_rewrite_rejects_a_non_int_letter_as_a_domain_error(letters):
+    with pytest.raises(DomainError):
+        rewrite_to_identity(letters, 2)
+
+
+def test_rewrite_rejects_numpy_integer_letters_as_a_domain_error():
+    np = pytest.importorskip("numpy")
+    with pytest.raises(DomainError):
+        rewrite_to_identity(tuple(np.array([1, 1])), 2)
+
+
+# --- the rewriter that rescans from position 0 after every change: the oracle ---
+
+
+def _leftmost_pair(word: Sequence[int]) -> int | None:
+    for q in range(len(word) - 1):
+        if word[q] == word[q + 1]:
+            return q
+    return None
+
+
+def _leftmost_relator(word: Sequence[int], nu: int) -> int | None:
+    for q in range(len(word) - 5):
+        i, j = word[q + 1], word[q + 2]
+        if (
+            word[q] == 0
+            and word[q + 3] == 0
+            and word[q + 4] == i
+            and word[q + 5] == j
+            and 1 <= i < j <= nu
+        ):
+            return q
+    return None
+
+
+def _partner_position(word: Sequence[int]) -> int:
+    first = word[0]
+    for q in range(1, len(word), 2):
+        if word[q] == first:
+            return q
+    raise InternalCheckError("no opposite-parity partner; input was not a relation word")
+
+
+def _macro_once(word: list[int], nu: int, steps: list[RewriteStep]) -> str:
+    def cancel_cascade() -> bool:
+        did = False
+        q = _leftmost_pair(word)
+        while q is not None:
+            steps.append(RewriteStep(RULE_CANCEL, q, (word[q],), len(word), len(word) - 2))
+            del word[q : q + 2]
+            did = True
+            q = _leftmost_pair(word)
+        return did
+
+    if cancel_cascade():
+        return MACRO_CANCEL
+
+    q = _leftmost_relator(word, nu)
+    if q is not None:
+        payload = tuple(word[q : q + 6])
+        steps.append(RewriteStep(RULE_DELETE, q, payload, len(word), len(word) - 6))
+        del word[q : q + 6]
+        return MACRO_DELETE
+
+    partner = _partner_position(word)
+    c = 0
+    while True:
+        if c + 2 >= len(word) or c >= partner:
+            raise InternalCheckError("bubble ran past the partner; input was not a relation word")
+        if word[c] == word[c + 2]:
+            c += 2
+            continue
+        payload = tuple(word[c : c + 3])
+        steps.append(RewriteStep(RULE_REVERSE, c, payload, len(word), len(word)))
+        word[c : c + 3] = word[c : c + 3][::-1]
+        c += 2
+        if _leftmost_pair(word) is not None:
+            cancel_cascade()
+            return MACRO_BUBBLE
+
+
+def rescan_certificate(indices: Sequence[int], nu: int) -> RewriteCertificate:
+    """The certificate of the rewriter that rescans from position 0 after every change."""
+    word = list(indices)
+    steps: list[RewriteStep] = []
+    macros = []
+    while word:
+        start = len(steps)
+        kind = _macro_once(word, nu, steps)
+        macros.append((start, len(steps), kind))
+    return RewriteCertificate(tuple(indices), tuple(steps), tuple(macros), True)
+
+
+def assert_same_as_rescan(indices, nu):
+    cert = rewrite_to_identity(indices, nu)
+    oracle = rescan_certificate(indices, nu)
+    for f in dataclasses.fields(RewriteCertificate):
+        assert getattr(cert, f.name) == getattr(oracle, f.name), f.name
+    assert replay_certificate(cert)[-1] == []
+    return cert
+
+
+@st.composite
+def pair_up_relations(draw, min_nu=1, max_half=100):
+    """``(nu, word)``: two shuffles of one multiset of letters, interleaved."""
+    nu = draw(st.integers(min_nu, 5))
+    n = draw(st.integers(0, max_half))
+    half = draw(st.lists(st.integers(0, nu), min_size=n, max_size=n))
+    odd, even = draw(st.permutations(half)), draw(st.permutations(half))
+    return nu, tuple(x for pair in zip(odd, even) for x in pair)
+
+
+@st.composite
+def relations_with_relators(draw):
+    """A pair-up relation with relator blocks ``(0 i j)^2`` and ``k k`` spliced in anywhere.
+
+    Later blocks can land inside earlier ones, so deleting one block or
+    cancelling a pair makes a relator across the seam.
+    """
+    nu, start = draw(pair_up_relations(min_nu=2, max_half=60))
+    word = list(start)
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.booleans()):
+            i, j = sorted(draw(st.lists(st.integers(1, nu), min_size=2, max_size=2, unique=True)))
+            block = [0, i, j, 0, i, j]
+        else:
+            k = draw(st.integers(0, nu))
+            block = [k, k]
+        q = draw(st.integers(0, len(word)))
+        word[q:q] = block
+    return nu, tuple(word)
+
+
+@settings(deadline=None, max_examples=150)
+@given(pair_up_relations())
+@example((2, (1, 2, 2, 1)))
+def test_pair_up_certificates_equal_the_rescan_rewriters(case):
+    assert_same_as_rescan(case[1], case[0])
+
+
+@settings(deadline=None, max_examples=150)
+@given(relations_with_relators())
+@example((4, (0, 1, 2, 0, 1, 0, 3, 4, 0, 3, 4, 2)))
+@example((4, (0, 1, 2, 0, 1, 3, 3, 2)))
+def test_certificates_with_relators_equal_the_rescan_rewriters(case):
+    assert_same_as_rescan(case[1], case[0])
+
+
+def test_a_bubble_without_partner_is_an_internal_check_error():
+    with pytest.raises(InternalCheckError):
+        _Rewriter((1, 2, 1, 3), 3).macro()  # not a relation: g1 has no odd-position partner
+
+
+def test_a_relator_made_five_letters_before_a_cut_is_deleted():
+    cert = assert_same_as_rescan((0, 1, 2, 0, 1, 0, 3, 4, 0, 3, 4, 2), 4)
+    assert [kind for _, _, kind in cert.macros] == [MACRO_DELETE, MACRO_DELETE]
+    assert [s.pos for s in cert.steps] == [5, 0]
+
+
+# sha256 of repr(rewrite_to_identity(w + reverse(w), 4)), w cycling g1..g4 from
+# g(1 + phase), 8000 letters: recorded from the rewriter that rescanned.
+PALINDROME_8000_SHA256 = {
+    0: "cd0454909e086604fa8f0edb9654b4ebf5a37763ada2319b777fa2ff7b6c3abf",
+    1: "8606017ff1a195cd0710199c8b5162fbeaaeafa2287517c57ec6320e012b5687",
+    2: "ef6cad83818b24bf187fbe5f794f473c798eafa2d64a9b98ac8d844a6bed0744",
+    3: "e70bd8714791c795e530d7092b63898ad844eb2c838f2cb8ae74bf827be365b9",
+}
+
+
+@pytest.mark.parametrize("phase", sorted(PALINDROME_8000_SHA256))
+def test_nested_palindrome_certificate_is_unchanged(phase):
+    w = [1 + (phase + k) % 4 for k in range(4000)]
+    cert = rewrite_to_identity(tuple(w + w[::-1]), 4)
+    assert hashlib.sha256(repr(cert).encode()).hexdigest() == PALINDROME_8000_SHA256[phase]

@@ -33,3 +33,13 @@ def test_oracle_sweep_finds_no_mismatch():
         for family in ("baby", "toroidal", "pairwise") for nu in (1, 2)
     ]
     assert done.stdout.splitlines()[-1] == "total mismatches: 0"
+
+
+def test_output_digest_prints_one_digest_per_layer():
+    done = run_script("output_digest.py", "--seeds", "1", "--variants", "0")
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()]
+    assert [(r[0], r[6]) for r in rows] == [("decide", "216"), ("certify", "207"), ("loops", "106")]
+    for r in rows:
+        assert r[1:5] == ["seeds", "1", "variants", "0"] and r[7] == "sha256"
+        assert len(r[8]) == 64 and int(r[8], 16) >= 0

@@ -18,6 +18,8 @@ entry in the test suite and by the ``oracle-compare`` command.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add, mul
 
 from .errors import DomainError, InternalCheckError
 from .intmat import Mat, mat_identity, mat_mul
@@ -25,7 +27,7 @@ from .lattice import (
     ReflectableBase,
     Root,
     Vec,
-    checked,
+    checked_vec,
     is_elliptic_like,
     support_pairs,
     vec_add,
@@ -33,7 +35,7 @@ from .lattice import (
     zero_vec,
 )
 from . import weyl
-from .weyl import WeylElement, is_relation_w
+from .weyl import WeylElement, bounded_columns, is_relation_w
 from .words import Word
 
 
@@ -52,10 +54,8 @@ class HyperbolicElement:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "shift", WeylElement(self.parity, self.shift).shift)
-        object.__setattr__(self, "dual_sgn", tuple(checked(int(c)) for c in self.dual_sgn))
-        object.__setattr__(
-            self, "dual_p", tuple(tuple(checked(int(c)) for c in row) for row in self.dual_p)
-        )
+        object.__setattr__(self, "dual_sgn", checked_vec(self.dual_sgn))
+        object.__setattr__(self, "dual_p", tuple(checked_vec(row) for row in self.dual_p))
         if len(self.dual_sgn) != len(self.shift) or len(self.dual_p) != len(self.shift):
             raise DomainError("dual data must have one entry per lattice rank")
 
@@ -83,11 +83,11 @@ def identity_element_hyp(rank: int) -> HyperbolicElement:
 
 
 def eval_word_hyp(word: Word) -> HyperbolicElement:
-    """Evaluate a word in the extended group, in one pass.
+    """Evaluate a word in the extended group.
 
     For ``w = w_{a_1}...w_{a_k}`` let ``c_i = (-1)^(k-i) sign(a_i)`` and let
     ``acc_i = sum_{r<=i} c_r p(a_r)`` be the running sum of ``eval_word``
-    (``acc_k`` is the shift).  For each dual index j:
+    (``acc_0 = 0``, and ``acc_k`` is the shift).  For each dual index j:
 
       dual_p[j]   = sum_i p_j(a_i) (p(a_i) + 2 c_i acc_{i-1})
       dual_sgn[j] = sum_i (-1)^(i+1) sign(a_i) p_j(a_i) = -(-1)^k acc_k[j]
@@ -95,6 +95,43 @@ def eval_word_hyp(word: Word) -> HyperbolicElement:
     that is, ``dual_sgn = -parity * shift``.  The sign of dual_sgn is pinned
     by the matrix representation (the k = 1 case is
     ``l_j - w(l_j) = p_j(a) * a``, with a plus sign).
+
+    As ``c_i^2 = 1`` and ``c_i p(a_i) = acc_i - acc_{i-1}``, each entry is
+
+      dual_p[j][c] = sum_i (acc_i[j] - acc_{i-1}[j]) (acc_i[c] + acc_{i-1}[c]).
+
+    Adding ``dual_p[c][j]`` telescopes the sum to
+    ``dual_p[j][c] + dual_p[c][j] = 2 shift_j shift_c``, as ``w``
+    preserving the Gram form requires, and on the diagonal
+    ``dual_p[j][j] = shift_j^2``.  So a bounded word (see
+    ``weyl.bounded_columns``) needs the sum only for ``j < c``, over the
+    prefix sums of its columns; any other word takes the checked loop.
+    """
+    bounded = bounded_columns(word)
+    if bounded is None:
+        return eval_word_hyp_checked(word)
+    coefs, cols = bounded
+    nu = word.rank
+    steps = [list(map(mul, coefs, col)) for col in cols]  # c_i p_c(a_i)
+    shift = tuple(map(sum, steps))
+    rows = [[0] * nu for _ in range(nu)]
+    for c in range(nu):
+        rows[c][c] = shift[c] * shift[c]
+        if not c:
+            continue
+        acc = [0, *accumulate(steps[c])]
+        both = list(map(add, acc, acc[1:]))  # acc_{i-1}[c] + acc_i[c]
+        for j in range(c):
+            rows[j][c] = entry = sum(map(mul, steps[j], both))
+            rows[c][j] = 2 * shift[j] * shift[c] - entry
+    parity = 1 if len(word) % 2 == 0 else -1
+    return HyperbolicElement(parity, shift, tuple(-parity * t for t in shift), rows)
+
+
+def eval_word_hyp_checked(word: Word) -> HyperbolicElement:
+    """``eval_word_hyp`` in one pass, the running sum guarded at every letter.
+
+    The path for words beyond the bound of ``weyl.bounded_columns``.
     """
     nu, k = word.rank, len(word)
     acc = zero_vec(nu)

@@ -7,7 +7,14 @@ generates the lattice.  Non-isotropic roots have the shape ``sign*e + p`` with
 representatives mod 2; isotropic roots carry ``sign == 0``.
 
 All arithmetic is exact.  Coordinates are Python ints guarded to the signed
-64-bit range: overflow raises, it never wraps.
+64-bit range: overflow raises, it never wraps.  There is one guard policy.
+Values are checked where they enter, by the constructors of ``Root``,
+``WeylElement`` and ``HyperbolicElement`` through :func:`checked_vec`, and
+the ``vec_*`` helpers check every result they build.  A word is bounded
+once: when ``B_c = sum_i |p_c(a_i)|`` is at most ``I64_MAX`` for every
+coordinate ``c``, no partial sum of its letters can leave the band, so the
+evaluations in ``weyl`` and ``hyperbolic`` sum it without per-step guards;
+otherwise they fall back to the checked loop, letter by letter.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ConfigError, DomainError
 
@@ -32,6 +39,24 @@ def checked(n: int) -> int:
     if n > I64_MAX or n < I64_MIN:
         raise OverflowError(f"integer {n} exceeds the signed 64-bit guard")
     return n
+
+
+def checked_vec(values: Iterable) -> Vec:
+    """The entries of ``values`` as ints, or raise as ``checked(int(c))`` does on the first bad one.
+
+    A tuple or list is converted in one go and its band tested once with
+    ``min`` / ``max``; the entry-by-entry loop runs only to raise, or for
+    other iterables, so types, messages and order of errors are unchanged.
+    """
+    if isinstance(values, (tuple, list)):
+        try:
+            vec = tuple(map(int, values))
+        except Exception:  # raised again below, after any earlier out-of-band entry
+            pass
+        else:
+            if not vec or (min(vec) >= I64_MIN and max(vec) <= I64_MAX):
+                return vec
+    return tuple(checked(int(c)) for c in values)
 
 
 def zero_vec(rank: int) -> Vec:
@@ -80,7 +105,7 @@ class Root:
     def __post_init__(self) -> None:
         if self.sign not in (-1, 0, 1):
             raise DomainError(f"root sign must be -1, 0 or +1, got {self.sign}")
-        object.__setattr__(self, "lat", tuple(checked(int(c)) for c in self.lat))
+        object.__setattr__(self, "lat", checked_vec(self.lat))
 
     @property
     def rank(self) -> int:

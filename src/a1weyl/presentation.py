@@ -35,13 +35,14 @@ is the one a rescan from position 0 after every change would give.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DomainError, InternalCheckError
 from .hyperbolic import eval_word_hyp
-from .lattice import ReflectableBase, baby_base, is_elliptic_like, support_pairs
-from .weyl import enumerate_alternating, eval_word, is_relation_w
+from .lattice import ReflectableBase, is_elliptic_like, support_pairs
+from .weyl import enumerate_alternating, eval_word
 from .words import Word
 
 TARGET_W = "W"
@@ -542,8 +543,12 @@ def rewrite_to_identity(indices: Sequence[int], nu: int) -> RewriteCertificate:
     for g in indices:
         if type(g) is not int or not 0 <= g <= nu:
             raise DomainError(f"letter {g!r} is not an int in the generator range 0..{nu}")
-    word_obj = Word.from_indices(baby_base(nu), indices)
-    if not is_relation_w(word_obj):
+    # Over the baby base g_0 adds nothing to the alternating sum and g_k
+    # (k >= 1) adds +-s_k by the parity of its position: a relation has even
+    # length and each g_k as often at even positions as at odd ones.  Both
+    # hold exactly when every letter is (g_0 too, as the halves are equally long).
+    even = Counter(itertools.islice(indices, 0, None, 2))
+    if even != Counter(itertools.islice(indices, 1, None, 2)):
         raise DomainError("the word is not a relation, no reduction certificate exists")
     rewriter = _Rewriter(indices, nu)
     macros: list[tuple[int, int, str]] = []

@@ -10,11 +10,24 @@ parts vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle, islice
+from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import DomainError
 from .intmat import Mat, mat_identity, mat_mul
-from .lattice import Root, Vec, checked, vec_add, vec_neg, vec_scale, vec_sub, zero_vec, unit_vec
+from .lattice import (
+    I64_MAX,
+    Root,
+    Vec,
+    checked_vec,
+    vec_add,
+    vec_neg,
+    vec_scale,
+    vec_sub,
+    zero_vec,
+    unit_vec,
+)
 from .words import Word
 
 
@@ -28,7 +41,7 @@ class WeylElement:
     def __post_init__(self) -> None:
         if self.parity not in (-1, 1):
             raise DomainError(f"parity must be +1 or -1, got {self.parity}")
-        object.__setattr__(self, "shift", tuple(checked(int(c)) for c in self.shift))
+        object.__setattr__(self, "shift", checked_vec(self.shift))
 
     @property
     def rank(self) -> int:
@@ -43,7 +56,39 @@ def identity_element(rank: int) -> WeylElement:
     return WeylElement(1, zero_vec(rank))
 
 
+def bounded_columns(word: Word) -> tuple[list[int], list[Vec]] | None:
+    """The coefficients ``c_i = (-1)^(k-i) sign(a_i)`` and the lattice columns of a word.
+
+    Column ``c`` is ``(p_c(a_1), ..., p_c(a_k))``, so ``shift_c`` is
+    ``sum(map(mul, coefs, col_c))``.  Returns None when some
+    ``B_c = sum_i |p_c(a_i)|`` exceeds ``I64_MAX``: below that bound no
+    partial sum leaves the 64-bit band, so the sums need no guard; above it
+    the caller takes its checked loop.
+    """
+    letters = word.letters
+    k = len(letters)
+    if not k:
+        return [], [() for _ in range(word.rank)]
+    signs = islice(cycle((1, -1) if k % 2 else (-1, 1)), k)  # (-1)^(k-i) from i = 1
+    coefs = list(map(mul, [a.sign for a in letters], signs))
+    cols = list(zip(*[a.lat for a in letters]))
+    if any(sum(map(abs, col)) > I64_MAX for col in cols):
+        return None
+    return coefs, cols
+
+
 def eval_word(word: Word) -> WeylElement:
+    """Canonical form of a word: bounded column sums, or the checked loop."""
+    bounded = bounded_columns(word)
+    if bounded is None:
+        return eval_word_checked(word)
+    coefs, cols = bounded
+    shift = tuple(sum(map(mul, coefs, col)) for col in cols)
+    return WeylElement(1 if len(word) % 2 == 0 else -1, shift)
+
+
+def eval_word_checked(word: Word) -> WeylElement:
+    """``eval_word`` letter by letter, every step guarded; the path for unbounded words."""
     k = len(word)
     acc = zero_vec(word.rank)
     for i, a in enumerate(word.letters, start=1):
@@ -91,8 +136,13 @@ def alternating_sum(word: Word) -> Vec:
 
 
 def is_relation_w(word: Word) -> bool:
-    """Word problem for the group on ``V``: even length and vanishing alternating sum."""
-    return len(word) % 2 == 0 and not any(alternating_sum(word))
+    """Word problem for the group on ``V``: even length and vanishing alternating sum.
+
+    At even length the alternating sum is the shift, summed with the same
+    coefficients, so :func:`eval_word` decides it and overflows where
+    :func:`alternating_sum` would.
+    """
+    return len(word) % 2 == 0 and eval_word(word).is_identity
 
 
 def is_alternating(pool: Sequence[Root], tup: Sequence[Root]) -> bool:

@@ -96,31 +96,42 @@ def _parse_explicit(token: str, rank: int) -> Root:
     if len(parts) != rank:
         raise WordParseError(f"token {token!r} has {len(parts)} coordinates, expected {rank}")
     try:
-        lat = tuple(int(p) for p in parts)
+        lat = tuple(map(int, parts))
     except ValueError as exc:
         raise WordParseError(f"non-integer coordinate in token {token!r}") from exc
     return Root(sign, lat)
 
 
 def parse_word(text: str, base: ReflectableBase) -> Word:
-    """Parse the shared text format against the active base."""
+    """Parse the shared text format against the active base.
+
+    Each distinct token is parsed once per call; roots are frozen, so its
+    letters share one ``Root``.
+    """
+    roots: dict[str, Root] = {}
     letters = []
     for token in text.split():
-        if token.startswith("g"):
-            try:
-                k = int(token[1:])
-            except ValueError as exc:
-                raise WordParseError(f"bad generator token {token!r}") from exc
-            if not 0 <= k < len(base.roots):
-                raise WordParseError(
-                    f"generator token {token!r} out of range 0..{len(base.roots) - 1}"
-                )
-            letters.append(base.roots[k])
-        elif token[:1] in ("+", "-") and token[1:2] == "e":
-            letters.append(_parse_explicit(token, base.rank))
-        else:
-            raise WordParseError(f"unrecognised token {token!r}")
+        root = roots.get(token)
+        if root is None:
+            root = roots[token] = _parse_token(token, base)
+        letters.append(root)
     return Word(base.rank, tuple(letters))
+
+
+def _parse_token(token: str, base: ReflectableBase) -> Root:
+    if token.startswith("g"):
+        try:
+            k = int(token[1:])
+        except ValueError as exc:
+            raise WordParseError(f"bad generator token {token!r}") from exc
+        if not 0 <= k < len(base.roots):
+            raise WordParseError(
+                f"generator token {token!r} out of range 0..{len(base.roots) - 1}"
+            )
+        return base.roots[k]
+    if token[:1] in ("+", "-") and token[1:2] == "e":
+        return _parse_explicit(token, base.rank)
+    raise WordParseError(f"unrecognised token {token!r}")
 
 
 def format_word(word: Word, base: ReflectableBase | None = None) -> str:

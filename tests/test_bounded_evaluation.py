@@ -1,0 +1,148 @@
+"""The bounded evaluations agree with the checked loops, on both sides of the bound.
+
+``eval_word``, ``eval_word_hyp`` and ``is_relation_w`` sum a word by columns
+when every ``B_c = sum_i |p_c(a_i)|`` is at most ``I64_MAX``, and fall back to
+the checked loop otherwise.  The checked loops are the reference: every word
+must give the same result, or the same exception with the same message.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from a1weyl import Root, Word, eval_word, eval_word_hyp, is_relation_w, matrix_of_word
+from a1weyl.hyperbolic import eval_word_hyp_checked, matrix_of_element_hyp
+from a1weyl.lattice import I64_MAX, I64_MIN, checked, checked_vec
+from a1weyl.weyl import alternating_sum, bounded_columns, eval_word_checked
+
+
+def is_relation_w_checked(word):
+    return len(word) % 2 == 0 and not any(alternating_sum(word))
+
+
+PAIRS = [
+    (eval_word, eval_word_checked),
+    (eval_word_hyp, eval_word_hyp_checked),
+    (is_relation_w, is_relation_w_checked),
+]
+
+
+def outcome(fn, word):
+    try:
+        return "value", fn(word)
+    except Exception as exc:  # the type and the message must both match
+        return "raises", type(exc), str(exc)
+
+
+def assert_same_as_checked(word):
+    for fast, reference in PAIRS:
+        assert outcome(fast, word) == outcome(reference, word), fast.__name__
+
+
+coords = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2**57), 2**57),  # forty of them stay inside the bound
+    st.integers(I64_MIN, I64_MAX),
+)
+
+
+@st.composite
+def words(draw, coords, max_rank=8, max_len=40):
+    rank = draw(st.integers(0, max_rank))
+    length = draw(st.one_of(st.sampled_from((0, 1, 2)), st.integers(0, max_len)))
+    letters = draw(st.lists(
+        st.builds(Root, st.sampled_from((-1, 1)), st.tuples(*[coords] * rank)),
+        min_size=length, max_size=length,
+    ))
+    return Word(rank, tuple(letters))
+
+
+@settings(deadline=None, max_examples=300)
+@given(words(coords))
+def test_bounded_evaluations_equal_the_checked_loops(word):
+    assert_same_as_checked(word)
+
+
+@st.composite
+def words_at_the_bound(draw, total):
+    """Words whose first coordinate has ``B_0 == total`` exactly."""
+    rank = draw(st.integers(1, 3))
+    length = draw(st.integers(1, 6))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=length - 1, max_size=length - 1)))
+    parts = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+    letters = []
+    for part in parts:
+        # 2^63 is only in the band as -2^63
+        p0 = -part if part > I64_MAX or draw(st.booleans()) else part
+        rest = draw(st.tuples(*[st.integers(-3, 3)] * (rank - 1)))
+        letters.append(Root(draw(st.sampled_from((-1, 1))), (p0, *rest)))
+    return Word(rank, tuple(letters))
+
+
+@settings(deadline=None, max_examples=150)
+@given(words_at_the_bound(I64_MAX))
+def test_a_word_with_b_equal_to_i64_max_is_summed_by_columns(word):
+    assert bounded_columns(word) is not None
+    assert_same_as_checked(word)
+
+
+@settings(deadline=None, max_examples=150)
+@given(words_at_the_bound(I64_MAX + 1))
+def test_a_word_with_b_one_past_i64_max_takes_the_checked_loop(word):
+    assert bounded_columns(word) is None
+    assert_same_as_checked(word)
+
+
+@pytest.mark.parametrize("letters, expected", [
+    # B = I64_MAX, and so is the shift: summed by columns
+    ([(-1, I64_MAX - 5), (1, 5)], (1, (I64_MAX,))),
+    # B = I64_MAX + 1: the checked loop raises where the sum leaves the band
+    ([(-1, I64_MAX - 5), (1, 6)], OverflowError),
+    # B = 2^63 from a single -2^63: the checked loop raises only where it negates it
+    ([(1, I64_MIN), (1, 0)], OverflowError),
+    ([(1, 0), (1, I64_MIN)], (1, (I64_MIN,))),
+])
+def test_eval_word_at_the_edge_of_the_band(letters, expected):
+    word = Word(1, tuple(Root(sign, (c,)) for sign, c in letters))
+    if expected is OverflowError:
+        with pytest.raises(OverflowError):
+            eval_word(word)
+    else:
+        element = eval_word(word)
+        assert (element.parity, element.shift) == expected
+    assert_same_as_checked(word)
+
+
+@settings(deadline=None, max_examples=150)
+@given(words(st.integers(-4, 4), max_rank=5, max_len=12))
+def test_dual_rows_plus_their_transpose_are_twice_the_shift_square(word):
+    h = eval_word_hyp(word)
+    assert matrix_of_element_hyp(h) == matrix_of_word(word)
+    for j in range(word.rank):
+        assert h.dual_p[j][j] == h.shift[j] ** 2
+        for c in range(word.rank):
+            assert h.dual_p[j][c] + h.dual_p[c][j] == 2 * h.shift[j] * h.shift[c]
+
+
+def checked_vec_reference(values):
+    return tuple(checked(int(c)) for c in values)
+
+
+@pytest.mark.parametrize("values", [
+    (),
+    [],
+    (1, -2, 3),
+    [I64_MIN, I64_MAX],
+    ("7", 2.0, True),
+    (I64_MAX + 1,),
+    (I64_MIN - 1, 0),
+    (0, I64_MAX + 1, "x"),  # out of band before non-numeric: the overflow is raised
+    (0, "x", I64_MAX + 1),  # non-numeric first: the ValueError is raised
+    (None, I64_MAX + 1),
+    (float("inf"),),
+    (1.5, 2**70),
+])
+def test_checked_vec_converts_and_raises_as_the_per_entry_guard(values):
+    expected = outcome(checked_vec_reference, values)
+    assert outcome(checked_vec, values) == expected
+    assert outcome(checked_vec, iter(values)) == expected

@@ -512,3 +512,33 @@ def test_nested_palindrome_certificate_is_unchanged(phase):
     w = [1 + (phase + k) % 4 for k in range(4000)]
     cert = rewrite_to_identity(tuple(w + w[::-1]), 4)
     assert hashlib.sha256(repr(cert).encode()).hexdigest() == PALINDROME_8000_SHA256[phase]
+
+
+@st.composite
+def index_words(draw):
+    """``(nu, word)``: a pair-up relation or any word over ``0..nu``, maybe one letter changed."""
+    nu = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 30))
+        half = draw(st.lists(st.integers(0, nu), min_size=n, max_size=n))
+        odd, even = draw(st.permutations(half)), draw(st.permutations(half))
+        word = [x for pair in zip(odd, even) for x in pair]
+    else:
+        word = draw(st.lists(st.integers(0, nu), max_size=60))
+    if word and draw(st.booleans()):
+        word[draw(st.integers(0, len(word) - 1))] = draw(st.integers(0, nu))
+    return nu, tuple(word)
+
+
+@settings(deadline=None, max_examples=300)
+@given(index_words())
+@example((0, (0,)))
+@example((3, (1, 2, 2, 1)))
+@example((3, (1, 2, 1, 2)))
+def test_rewrite_precondition_counts_letters_as_is_relation_w_decides(case):
+    nu, word = case
+    if is_relation_w(Word.from_indices(baby_base(nu), word)):
+        assert replay_certificate(rewrite_to_identity(word, nu))[-1] == []
+    else:
+        with pytest.raises(DomainError, match="^the word is not a relation, no reduction"):
+            rewrite_to_identity(word, nu)

@@ -1,5 +1,6 @@
 """The scripts under ``scripts/`` run end to end as separate processes."""
 
+import functools
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
+@functools.lru_cache(maxsize=None)  # the digest run is shared by two tests
 def run_script(name, *args):
     return subprocess.run(
         [sys.executable, str(SCRIPTS / name), *args],
@@ -43,3 +45,20 @@ def test_output_digest_prints_one_digest_per_layer():
     for r in rows:
         assert r[1:5] == ["seeds", "1", "variants", "0"] and r[7] == "sha256"
         assert len(r[8]) == 64 and int(r[8], 16) >= 0
+
+
+# What the library answered on the benchmark's seed-1 inputs when this was
+# recorded: a change that keeps every canonical form, certificate and trace
+# keeps these digests.
+OUTPUT_DIGESTS = {
+    "decide": "a6df4a9541064b5a75e7e2a8706fa2bcd4b5e954e5ae26579627103dac02b367",
+    "certify": "d1fbdde81556546060389e3059d07d3b027f010754de321cb27f5362cca58594",
+    "loops": "8c5053bc902fa376153982553dbf1532caf4cb52a3e318f5a665418784e0c113",
+}
+
+
+def test_output_digests_are_unchanged():
+    done = run_script("output_digest.py", "--seeds", "1", "--variants", "0")
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()]
+    assert {r[0]: r[8] for r in rows} == OUTPUT_DIGESTS

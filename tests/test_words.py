@@ -85,3 +85,25 @@ def test_random_relation_indices_are_relations(baby2_base):
     for _ in range(50):
         indices = random_relation_indices(rng, 2, rng.randint(1, 12))
         assert is_relation_w(Word.from_indices(baby2_base, indices))
+
+
+def test_repeated_explicit_tokens_parse_as_one_built_token_by_token(baby2_base):
+    tokens = ["+e:2,1", "-e:0,-3", "g1", "+e:2,1", "+e:2,3", "+e:2,1", "g1", "-e:0,-3", "+e:2,3"]
+    word = parse_word(" ".join(tokens), baby2_base)
+    by_token = Word(2, tuple(parse_word(t, baby2_base).letters[0] for t in tokens))
+    assert word == by_token
+    assert word.letters[0] == root(1, 2, 1) and word.letters[1] == root(-1, 0, -3)
+
+
+def test_spellings_of_one_root_parse_to_equal_roots(baby2_base):
+    word = parse_word("+e:01,2 +e:1,2 +e:+1,2", baby2_base)
+    assert word.letters == (root(1, 1, 2),) * 3
+
+
+@pytest.mark.parametrize("bad", ["+e:1", "+e:1,x", "g9", "h1", "gx"])
+def test_a_bad_token_after_valid_repeats_raises_as_alone(baby2_base, bad):
+    with pytest.raises(WordParseError) as alone:
+        parse_word(bad, baby2_base)
+    with pytest.raises(WordParseError) as after:
+        parse_word(f"+e:1,0 g1 +e:1,0 g1 {bad} +e:1,0", baby2_base)
+    assert str(after.value) == str(alone.value)

@@ -156,7 +156,7 @@ def _cmd_eval(args) -> int:
         ]
     else:
         helem = hyperbolic.eval_word_hyp(word)
-        central = hyperbolic.is_central(word) if word.rank >= 1 else None
+        central = helem.projection().is_identity if word.rank >= 1 else None
         payload = {
             "group": "Wt",
             "element": hyperbolic.element_to_dict(helem),

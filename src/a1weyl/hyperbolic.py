@@ -22,10 +22,9 @@ from itertools import accumulate
 from operator import add, mul
 
 from .errors import DomainError, InternalCheckError
-from .intmat import Mat, mat_identity, mat_mul
+from .intmat import Mat, mat_mul
 from .lattice import (
     ReflectableBase,
-    Root,
     Vec,
     checked_vec,
     is_elliptic_like,
@@ -35,7 +34,7 @@ from .lattice import (
     zero_vec,
 )
 from . import weyl
-from .weyl import WeylElement, bounded_columns, is_relation_w
+from .weyl import WeylElement, bounded_columns, is_relation_w, reflection_product
 from .words import Word
 
 
@@ -177,36 +176,9 @@ def gram_matrix(rank: int) -> Mat:
     return tuple(tuple(r) for r in rows)
 
 
-def reflection_matrix_hyp(alpha: Root) -> Mat:
-    """Reflection in ``alpha`` on the ordered basis (e, s_1..s_nu, l_1..l_nu).
-
-    Images: e -> e - 2*sign(alpha)*alpha, s_i -> s_i, l_j -> l_j - p_j(alpha)*alpha.
-    """
-    nu = alpha.rank
-    n = 2 * nu + 1
-    if alpha.sign == 0:
-        return mat_identity(n)
-    rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    rows[0][0] = -1
-    for i in range(nu):
-        rows[1 + i][0] = -2 * alpha.sign * alpha.lat[i]
-    for j in range(nu):
-        pj = alpha.lat[j]
-        if pj == 0:
-            continue
-        col = 1 + nu + j
-        rows[0][col] = -pj * alpha.sign
-        for i in range(nu):
-            rows[1 + i][col] = -pj * alpha.lat[i]
-    return tuple(tuple(r) for r in rows)
-
-
 def matrix_of_word(word: Word) -> Mat:
     """Independent oracle: exact product of hyperbolic reflection matrices."""
-    out = mat_identity(2 * word.rank + 1)
-    for a in word.letters:
-        out = mat_mul(out, reflection_matrix_hyp(a))
-    return out
+    return reflection_product(word, 2 * word.rank + 1)
 
 
 def matrix_of_element_hyp(h: HyperbolicElement) -> Mat:

@@ -226,10 +226,14 @@ def pairwise_semilattice(nu: int) -> Semilattice:
 
 def semilattice_from_dict(data: dict) -> Semilattice:
     try:
-        rank = int(data["rank"])
-        cosets = tuple(tuple(int(c) for c in row) for row in data["cosets"])
-    except (KeyError, TypeError, ValueError) as exc:
+        rank = data["rank"]
+        cosets = tuple(tuple(row) for row in data["cosets"])
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed semilattice configuration: {exc}") from exc
+    # JSON floats, strings and booleans are not integers, even where int() would take them
+    bad = [v for v in (rank, *(c for row in cosets for c in row)) if type(v) is not int]
+    if bad:
+        raise ConfigError(f"malformed semilattice configuration: {bad[0]!r} is not an integer")
     s = Semilattice(rank, cosets)
     problems = validate_semilattice(s)
     if problems:

@@ -15,11 +15,12 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import DomainError
-from .intmat import Mat, mat_identity, mat_mul
+from .intmat import Mat, mat_identity
 from .lattice import (
     I64_MAX,
     Root,
     Vec,
+    checked,
     checked_vec,
     vec_add,
     vec_neg,
@@ -228,24 +229,40 @@ def witness_word_for_element(a: WeylElement) -> Word:
     return Word(nu, tuple(letters))
 
 
-def reflection_matrix_w(alpha: Root) -> Mat:
-    """Matrix of the reflection in ``alpha`` on the ordered basis (e, s_1..s_nu)."""
-    if alpha.sign == 0:
-        return mat_identity(alpha.rank + 1)
-    n = alpha.rank + 1
-    rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    rows[0][0] = -1
-    for i in range(1, n):
-        rows[i][0] = -2 * alpha.sign * alpha.lat[i - 1]
-    return tuple(tuple(r) for r in rows)
+def reflection_product(word: Word, n: int) -> Mat:
+    """The matrix of ``w_{a_1}...w_{a_k}`` on the first ``n`` of (e, s_1..s_nu, l_1..l_nu).
+
+    A letter ``a = (sign, p, 0)`` has pairing row ``phi = (2*sign, 0..0, p)``
+    ((e,e) = 2, (s_i,l_j) = delta_ij), so ``r_a(v) = v - (v,a) a`` has matrix
+    ``R_a = I - a phi^T`` and ``M R_a = M - (M a) phi^T``: each row moves by
+    ``ma = sign*row[0] + sum_i p_i row[1+i]`` times ``phi``, in column 0 and
+    the columns ``1+nu+j`` with ``p_j != 0`` only, which is done in place.
+    ``span(e, s)`` is invariant, so ``n = nu + 1`` gives the matrix on ``V``
+    and ``n = 2*nu + 1`` the hyperbolic one.
+
+    Every changed entry is checked, row by row in column order, and every
+    other one is in the band already; so a word overflows at the same letter,
+    with the same message, as the full product of reflection matrices with
+    each entry checked.
+    """
+    nu = word.rank
+    rows = [list(r) for r in mat_identity(n)]
+    for a in word.letters:
+        sign, p = a.sign, a.lat
+        duals = [(c, pj) for c, pj in enumerate(p, 1 + nu) if pj and c < n]
+        for row in rows:
+            ma = sign * row[0] + sum(map(mul, p, row[1 : 1 + nu]))
+            if not ma:
+                continue
+            row[0] = checked(row[0] - 2 * sign * ma)
+            for c, pj in duals:
+                row[c] = checked(row[c] - pj * ma)
+    return tuple(map(tuple, rows))
 
 
 def matrix_of_word_w(word: Word) -> Mat:
     """Independent oracle: the product of reflection matrices on (e, s_1..s_nu)."""
-    out = mat_identity(word.rank + 1)
-    for a in word.letters:
-        out = mat_mul(out, reflection_matrix_w(a))
-    return out
+    return reflection_product(word, word.rank + 1)
 
 
 def matrix_of_element_w(a: WeylElement) -> Mat:

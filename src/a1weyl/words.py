@@ -74,10 +74,10 @@ class Word:
 
 
 def validate_word(s: Semilattice, word: Word) -> None:
-    """Check every letter against the root system over ``s``."""
+    """Check every letter against the root system over ``s``, each distinct one once."""
     if word.rank != s.rank:
         raise DomainError(f"word has rank {word.rank}, semilattice has rank {s.rank}")
-    for a in word.letters:
+    for a in dict.fromkeys(word.letters):
         if not root_in_rx(s, a):
             raise DomainError(f"letter {a} is not a non-isotropic root of the system")
 

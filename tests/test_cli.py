@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -269,3 +270,49 @@ def test_eval_wt_overflow_is_domain_error(capsys, tmp_path):
                     "--", f"+e:{big}", f"-e:{big}", f"-e:{big}")
     assert code == 5
     assert out == ""
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3])
+def test_eval_wt_central_agrees_with_is_central(capsys, tmp_path, nu):
+    from a1weyl import ReflectableBase, Word, baby_semilattice, is_central
+    from a1weyl.lattice import semilattice_to_dict
+    from a1weyl.words import format_word, random_relation_indices, random_word
+
+    s = baby_semilattice(nu)
+    base = ReflectableBase(s)
+    config = tmp_path / "baby.json"
+    config.write_text(json.dumps(semilattice_to_dict(s)))
+    rng = random.Random(nu)
+    relations = [
+        Word.from_indices(base, random_relation_indices(rng, nu, rng.randint(1, 8)))
+        for _ in range(6)
+    ]
+    others = [random_word(rng, s, rng.randint(1, 12)) for _ in range(12)]
+    seen = set()
+    for word in relations + others:
+        code, out = run(capsys, "eval", "--config", str(config), "--group", "Wt",
+                        "--format", "json", "--", *format_word(word, base).split())
+        assert code == 0
+        data = json.loads(out)
+        assert data["central"] is is_central(word)
+        seen.add(data["central"])
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("config", [
+    {"rank": 1.9, "cosets": [[0], [1]]},
+    {"rank": 1, "cosets": [[0], [1.7]]},
+    {"rank": 1.0, "cosets": [[0], [1]]},
+    {"rank": "1", "cosets": [[0], [1]]},
+    {"rank": 1, "cosets": [[0], ["1"]]},
+    {"rank": True, "cosets": [[0], [1]]},
+    {"rank": 1, "cosets": [[0], [True]]},
+    {"rank": 1, "cosets": [[False], [1]]},
+], ids=["float-rank", "float-coset", "integral-float-rank", "string-rank", "string-coset",
+        "bool-rank", "bool-coset", "bool-zero-coset"])
+def test_validate_rejects_non_integer_values(capsys, tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["validate", "--config", str(path)]) == 2
+    assert "is not an integer" in capsys.readouterr().err
+    assert main(["eval", "--config", str(path), "g0"]) == 2

@@ -48,7 +48,8 @@ def random_lines():
             for spread in (1, 3, 50):
                 for length in (0, 1, rng.randint(2, 63), 64):
                     w = random_word(rng, s, length, spread)
-                    yield f"{name} {nu} {spread} {length}: {matrix_of_word_w(w)!r} {matrix_of_word(w)!r}"
+                    key = f"{name} {nu} {spread} {length}"
+                    yield f"{key}: {matrix_of_word_w(w)!r} {matrix_of_word(w)!r}"
 
 
 def outcome(oracle, word):

@@ -107,3 +107,13 @@ def test_a_bad_token_after_valid_repeats_raises_as_alone(baby2_base, bad):
     with pytest.raises(WordParseError) as after:
         parse_word(f"+e:1,0 g1 +e:1,0 g1 {bad} +e:1,0", baby2_base)
     assert str(after.value) == str(alone.value)
+
+
+def test_validate_word_names_the_first_bad_letter_after_repeated_good_ones(baby2):
+    good = (root(1, 0, 0), root(1, 1, 0), root(-1, 2, 0))
+    word = Word(2, good * 500 + (root(-1, 1, 1), root(1, 3, 3), root(-1, 1, 1)))
+    with pytest.raises(DomainError) as exc:
+        validate_word(baby2, word)
+    assert str(exc.value) == (
+        "letter Root(sign=-1, lat=(1, 1)) is not a non-isotropic root of the system"
+    )

@@ -62,6 +62,7 @@ from .lattice import (
 )
 from .presentation import (
     Presentation,
+    ReplayedCertificate,
     RewriteCertificate,
     RewriteStep,
     VerificationReport,

@@ -265,5 +265,5 @@ def element_to_dict(h: HyperbolicElement) -> dict:
 
 def element_from_dict(data: dict) -> HyperbolicElement:
     w = weyl.element_from_dict(data)
-    q = tuple(tuple(int(c) for c in row) for row in data["q"])
-    return HyperbolicElement(w.parity, w.shift, tuple(int(c) for c in data["s"]), q)
+    q = tuple(weyl.json_ints(row, "q") for row in data["q"])
+    return HyperbolicElement(w.parity, w.shift, weyl.json_ints(data["s"], "s"), q)

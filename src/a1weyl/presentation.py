@@ -7,7 +7,9 @@ rules are the involutions ``g_k^2``, the six-letter relators
 relation word reduces to the empty word by the macro strategy below.  Replay
 trusts only the relators: it applies each certificate step as elementary
 moves, each inserting or deleting one relator block, and realises every
-triple reversal by such moves.
+triple reversal by such moves.  Replay keeps only the live word, so its
+memory is O(length), and returns the intermediate words as a view that
+replays the steps again when they are read.
 
 A macro does the first of three things that applies: cancel the leftmost
 adjacent pair ``g_k g_k`` and then every pair that unlocks (a cascade);
@@ -35,9 +37,10 @@ is the one a rescan from position 0 after every change would give.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .errors import DomainError, InternalCheckError
 from .hyperbolic import eval_word_hyp
@@ -396,27 +399,78 @@ class WordMoves:
             raise DomainError(f"{rule!r} step with payload {payload} does not apply at {q!r}")
 
 
-def replay_certificate(cert: RewriteCertificate) -> list[list[int]]:
-    """All intermediate words, starting from the input and ending empty.
+class ReplayedCertificate(Sequence):
+    """The words a replayed certificate passes through, rebuilt on demand.
+
+    ``replay_certificate`` has checked every step before it returns this view,
+    which keeps the certificate, ``nu`` and the final word only.  Entry ``k``
+    is the word after ``k`` steps, a fresh ``list[int]``: the final word is
+    copied, any other entry (and iteration) replays the steps again from the
+    start by :class:`WordMoves`.  Negative indices count from the end as for a
+    list; a slice replays once and returns a list of the entries it selects.
+    """
+
+    def __init__(self, cert: RewriteCertificate, nu: int, final: list[int]):
+        self.cert = cert
+        self.nu = nu
+        self._final = final
+
+    def __len__(self) -> int:
+        return len(self.cert.steps) + 1
+
+    def _live(self) -> Iterator[list[int]]:
+        """The one live word after 0, 1, 2, ... steps; callers copy what they keep."""
+        moves = WordMoves(self.cert.start, self.nu)
+        yield moves.word
+        for step in self.cert.steps:
+            moves.apply(step)
+            yield moves.word
+
+    def __iter__(self) -> Iterator[list[int]]:
+        for word in self._live():
+            yield word[:]
+
+    def __getitem__(self, index):
+        n = len(self)
+        if isinstance(index, slice):
+            keep = range(n)[index]
+            states = itertools.islice(enumerate(self._live()), max(keep, default=-1) + 1)
+            kept = {k: word[:] for k, word in states if k in keep}
+            return [kept[k] for k in keep]
+        k = operator.index(index)
+        if k < 0:
+            k += n
+        if not 0 <= k < n:
+            raise IndexError(f"state index {index} out of range for {n} states")
+        if k == n - 1:
+            return self._final[:]
+        return next(itertools.islice(self._live(), k, None))[:]
+
+
+def replay_certificate(cert: RewriteCertificate) -> ReplayedCertificate:
+    """Check every step of ``cert`` on one live word; the states as a lazy view.
 
     Every step is replayed as relator moves, so a certificate that replays
     proves its word trivial from the relators alone.  Replay inserts only
     ``g_0`` and letters already in the word, so the largest ``int`` start
-    letter bounds what it may insert.
+    letter bounds what it may insert.  A step that does not apply, a length
+    that does not chain, or a claimed empty word that is not reached raises
+    ``DomainError`` here, before anything is returned.  No intermediate word
+    is stored, so memory is O(word length); the returned
+    :class:`ReplayedCertificate` rebuilds the words when they are read.
     """
-    moves = WordMoves(cert.start, max((g for g in cert.start if type(g) is int), default=0))
+    nu = max((g for g in cert.start if type(g) is int), default=0)
+    moves = WordMoves(cert.start, nu)
     word = moves.word  # changed in place by every move
-    states = [word[:]]
     for step in cert.steps:
         if len(word) != step.before_len:
             raise DomainError("certificate does not chain: length mismatch")
         moves.apply(step)
         if len(word) != step.after_len:
             raise DomainError("step length bookkeeping does not match")
-        states.append(word[:])
     if cert.final_empty and word:
         raise DomainError("certificate claims the empty word but replay does not reach it")
-    return states
+    return ReplayedCertificate(cert, nu, word)
 
 
 class _Rewriter:

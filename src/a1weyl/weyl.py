@@ -279,5 +279,15 @@ def element_to_dict(a: WeylElement) -> dict:
     return {"eps": a.parity, "t": list(a.shift)}
 
 
+def json_ints(values, field: str) -> tuple[int, ...]:
+    """The entries of a JSON array field, each an ``int`` and nothing that ``int()`` would take."""
+    entries = tuple(values)
+    bad = [v for v in entries if type(v) is not int]  # floats, strings, booleans
+    if bad:
+        raise DomainError(f"element field {field!r}: {bad[0]!r} is not an integer")
+    return entries
+
+
 def element_from_dict(data: dict) -> WeylElement:
-    return WeylElement(int(data["eps"]), tuple(int(c) for c in data["t"]))
+    (eps,) = json_ints([data["eps"]], "eps")
+    return WeylElement(eps, json_ints(data["t"], "t"))

@@ -217,6 +217,20 @@ def test_parity_other_than_plus_or_minus_one_is_rejected():
         element_from_dict({"eps": 5, "t": [0], "s": [0], "q": [[0]]})
 
 
+@pytest.mark.parametrize("bad", [True, False, 1.0, 1.5, "1", "-1"])
+@pytest.mark.parametrize("field", ["eps", "t", "s", "q"])
+def test_element_json_takes_only_int_values(field, bad):
+    data = element_to_dict(eval_word_hyp(word2(G1, E, G2, G1, E, G2)))
+    if field == "eps":
+        data["eps"] = bad
+    elif field == "q":
+        data["q"][1][0] = bad
+    else:
+        data[field][0] = bad
+    with pytest.raises(DomainError, match=f"element field '{field}'"):
+        element_from_dict(data)
+
+
 L = 2**62
 
 

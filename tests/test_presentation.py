@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import tracemalloc
 from typing import Sequence
 
 import pytest
@@ -36,6 +37,7 @@ from a1weyl.presentation import (
     RULE_CANCEL,
     RULE_DELETE,
     RULE_REVERSE,
+    ReplayedCertificate,
     RewriteCertificate,
     RewriteStep,
     WordMoves,
@@ -542,3 +544,108 @@ def test_rewrite_precondition_counts_letters_as_is_relation_w_decides(case):
     else:
         with pytest.raises(DomainError, match="^the word is not a relation, no reduction"):
             rewrite_to_identity(word, nu)
+
+
+# --- the replay that kept every intermediate word in a list: the view's oracle ---
+
+
+def eager_replay(cert: RewriteCertificate) -> list[list[int]]:
+    """All intermediate words, starting from the input and ending empty.
+
+    Every step is replayed as relator moves, so a certificate that replays
+    proves its word trivial from the relators alone.  Replay inserts only
+    ``g_0`` and letters already in the word, so the largest ``int`` start
+    letter bounds what it may insert.
+    """
+    moves = WordMoves(cert.start, max((g for g in cert.start if type(g) is int), default=0))
+    word = moves.word  # changed in place by every move
+    states = [word[:]]
+    for step in cert.steps:
+        if len(word) != step.before_len:
+            raise DomainError("certificate does not chain: length mismatch")
+        moves.apply(step)
+        if len(word) != step.after_len:
+            raise DomainError("step length bookkeeping does not match")
+        states.append(word[:])
+    if cert.final_empty and word:
+        raise DomainError("certificate claims the empty word but replay does not reach it")
+    return states
+
+
+def palindrome(phase: int, letters: int) -> tuple[int, ...]:
+    """``w + reverse(w)`` at baby nu = 4, ``w`` cycling g1..g4 from ``g(1 + phase)``."""
+    w = [1 + (phase + k) % 4 for k in range(letters // 2)]
+    return tuple(w + w[::-1])
+
+
+def assert_view_matches_eager_replay(indices, nu):
+    cert = rewrite_to_identity(indices, nu)
+    view = replay_certificate(cert)
+    oracle = eager_replay(cert)
+    n = len(oracle)
+    assert isinstance(view, ReplayedCertificate) and len(view) == n
+    assert list(view) == oracle
+    for i in range(-n, n):
+        assert view[i] == oracle[i], i
+    for i in (n, n + 3, -n - 1, -n - 4):
+        with pytest.raises(IndexError):
+            view[i]
+    for s in (slice(None), slice(None, -1), slice(1, None, 2), slice(None, None, -3), slice(n, None)):
+        assert view[s] == oracle[s], s
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.one_of(pair_up_relations(max_half=30), relations_with_relators()))
+@example((2, ()))
+@example((2, WORKED_LOOP))
+def test_replay_view_reads_what_the_eager_replay_listed(case):
+    assert_view_matches_eager_replay(case[1], case[0])
+
+
+@pytest.mark.parametrize("phase", range(4))
+def test_replay_view_of_a_palindrome_reads_what_the_eager_replay_listed(phase):
+    assert_view_matches_eager_replay(palindrome(phase, 240), 4)
+
+
+@pytest.mark.parametrize("index", [1.0, "0", None])
+def test_replay_view_index_must_be_an_integer(index):
+    view = replay_certificate(rewrite_to_identity(WORKED_LOOP, 2))
+    with pytest.raises(TypeError):
+        view[index]
+
+
+def test_replay_view_returns_fresh_lists():
+    view = replay_certificate(rewrite_to_identity(WORKED_LOOP, 2))
+    oracle = eager_replay(view.cert)
+    for read in (lambda: view[0], lambda: view[-1], lambda: view[3], lambda: view[1:4][1],
+                 lambda: next(iter(view))):
+        read().append(7)
+    for states in (list(view), list(view), view[:]):
+        states[0].clear()
+    assert [view[i] for i in range(len(view))] == oracle
+    assert list(view) == oracle
+
+
+def test_replay_keeps_only_the_live_word():
+    cert = rewrite_to_identity(palindrome(0, 8000), 4)  # 4000 steps; the list of states took 122 MiB
+    tracemalloc.start()
+    try:
+        view = replay_certificate(cert)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert len(view) == len(cert.steps) + 1 and view[-1] == []
+
+
+def test_a_tampered_middle_step_fails_the_replay_call_itself():
+    cert = rewrite_to_identity(palindrome(1, 400), 4)
+    k = len(cert.steps) // 2
+    step = cert.steps[k]
+    for bad in (
+        dataclasses.replace(step, payload=tuple(g % 4 + 1 for g in step.payload)),
+        dataclasses.replace(step, pos=step.pos + 1),
+    ):
+        tampered = dataclasses.replace(cert, steps=cert.steps[:k] + (bad,) + cert.steps[k + 1 :])
+        with pytest.raises(DomainError):
+            replay_certificate(tampered)

@@ -25,7 +25,7 @@ from a1weyl import (
     toroidal_semilattice,
     witness_word_for_element,
 )
-from a1weyl.weyl import power
+from a1weyl.weyl import element_from_dict, power
 from a1weyl.words import random_word
 
 from conftest import root
@@ -266,3 +266,15 @@ def test_witness_word_reaches_every_element():
         w = witness_word_for_element(elem)
         assert eval_word(w) == elem
         w.to_indices(baby_base(nu))  # letters stay inside the baby base
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 0.9, "1", "-1"])
+@pytest.mark.parametrize("field", ["eps", "t"])
+def test_element_json_takes_only_int_values(field, bad):
+    data = {"eps": 1, "t": [0, 3]}
+    if field == "eps":
+        data["eps"] = bad
+    else:
+        data["t"] = [bad, 3]
+    with pytest.raises(DomainError, match=f"element field '{field}'"):
+        element_from_dict(data)

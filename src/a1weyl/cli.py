@@ -57,8 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("alt-enum", help="enumerate alternating tuples over the base")
     _add_common(p)
     p.add_argument("--k", type=int, required=True, help="tuple length (even)")
-    p.add_argument("--max-k", type=int, default=12)
-    p.add_argument("--max-letters", type=int, default=8)
 
     p = subs.add_parser("presentation", help="emit one of the presentations")
     _add_common(p)
@@ -185,11 +183,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_alt_enum(args) -> int:
     base = _load_base(args)
-    tuples = list(
-        weyl.enumerate_alternating(
-            base.roots, args.k, max_k=args.max_k, max_letters=args.max_letters
-        )
-    )
+    tuples = list(weyl.enumerate_alternating(base.roots, args.k))
     rows = [words.format_word(words.Word(base.rank, tup), base) for tup in tuples]
     _emit(args, {"k": args.k, "count": len(rows), "tuples": rows},
           [f"count: {len(rows)}"] + rows)

@@ -71,9 +71,9 @@ class Path:
         return self.word.rank
 
 
-def _reflection(a: Root) -> WeylElement:
-    """The canonical form of the single letter ``w_a``: one step of a path."""
-    return WeylElement(-1, vec_scale(a.sign, a.lat))
+def _step(a: Root, b: Simplex) -> Simplex:
+    """One step of a path: ``w_a . B(x, o) = B(x + o*sign(a)*p(a), -o)``."""
+    return Simplex(vec_add(b.anchor, vec_scale(b.orient, vec_scale(a.sign, a.lat))), -b.orient)
 
 
 def path_of_word(word: Word, base: Simplex) -> Path:
@@ -81,7 +81,7 @@ def path_of_word(word: Word, base: Simplex) -> Path:
         raise DomainError("rank mismatch between word and base simplex")
     out = [base]
     for a in reversed(word.letters):
-        out.append(act_on_simplex(_reflection(a), out[-1]))
+        out.append(_step(a, out[-1]))
     return Path(tuple(out), word)
 
 
@@ -129,7 +129,7 @@ class _Tracer(WordMoves):
     def __init__(self, indices: Sequence[int], path: Path):
         super().__init__(indices, path.rank)
         self.at = list(reversed(path.simplices))
-        self.steps = [_reflection(a) for a in baby_base(path.rank).roots]
+        self.roots = baby_base(path.rank).roots
         self.moves: list[Move] = []
 
     def insert(self, pos: int, gens: tuple[int, ...]) -> Simplex:
@@ -137,7 +137,7 @@ class _Tracer(WordMoves):
         base = self.at[pos]
         entries = [base]
         for k in reversed(block):
-            entries.append(act_on_simplex(self.steps[k], entries[-1]))
+            entries.append(_step(self.roots[k], entries[-1]))
         self.at[pos:pos] = entries[:0:-1]
         self.moves.append(Move("insert", pos, gens, base))
         return base

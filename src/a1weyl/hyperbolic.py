@@ -23,16 +23,7 @@ from operator import add, mul
 
 from .errors import DomainError, InternalCheckError
 from .intmat import Mat, mat_mul
-from .lattice import (
-    ReflectableBase,
-    Vec,
-    checked_vec,
-    is_elliptic_like,
-    support_pairs,
-    vec_add,
-    vec_scale,
-    zero_vec,
-)
+from .lattice import ReflectableBase, Vec, checked_vec, is_elliptic_like, support_pairs, zero_vec
 from . import weyl
 from .weyl import WeylElement, bounded_columns, is_relation_w, reflection_product
 from .words import Word
@@ -102,14 +93,17 @@ def eval_word_hyp(word: Word) -> HyperbolicElement:
     Adding ``dual_p[c][j]`` telescopes the sum to
     ``dual_p[j][c] + dual_p[c][j] = 2 shift_j shift_c``, as ``w``
     preserving the Gram form requires, and on the diagonal
-    ``dual_p[j][j] = shift_j^2``.  So a bounded word (see
-    ``weyl.bounded_columns``) needs the sum only for ``j < c``, over the
-    prefix sums of its columns; any other word takes the checked loop.
+    ``dual_p[j][j] = shift_j^2``.  So the sum is needed only for ``j < c``,
+    over the prefix sums of the columns of ``weyl.bounded_columns``.
+
+    Only ``weyl`` guards the running sum: past the bound,
+    ``weyl.eval_word_checked`` raises where a partial sum leaves the 64-bit
+    band.  The dual rows are exact ints, checked once when
+    ``HyperbolicElement`` stores them.
     """
-    bounded = bounded_columns(word)
-    if bounded is None:
-        return eval_word_hyp_checked(word)
-    coefs, cols = bounded
+    coefs, cols, within = bounded_columns(word)
+    if not within:
+        weyl.eval_word_checked(word)  # raises where the running sum leaves the band
     nu = word.rank
     steps = [list(map(mul, coefs, col)) for col in cols]  # c_i p_c(a_i)
     shift = tuple(map(sum, steps))
@@ -125,28 +119,6 @@ def eval_word_hyp(word: Word) -> HyperbolicElement:
             rows[c][j] = 2 * shift[j] * shift[c] - entry
     parity = 1 if len(word) % 2 == 0 else -1
     return HyperbolicElement(parity, shift, tuple(-parity * t for t in shift), rows)
-
-
-def eval_word_hyp_checked(word: Word) -> HyperbolicElement:
-    """``eval_word_hyp`` in one pass, the running sum guarded at every letter.
-
-    The path for words beyond the bound of ``weyl.bounded_columns``.
-    """
-    nu, k = word.rank, len(word)
-    acc = zero_vec(nu)
-    rows = [list(zero_vec(nu)) for _ in range(nu)]
-    for i, a in enumerate(word.letters, start=1):
-        coef = a.sign if (k - i) % 2 == 0 else -a.sign
-        for j in range(nu):
-            pj = a.lat[j]
-            if pj == 0:
-                continue
-            row = rows[j]
-            for c in range(nu):
-                row[c] += pj * a.lat[c] + 2 * coef * pj * acc[c]
-        acc = vec_add(acc, vec_scale(coef, a.lat))
-    parity = 1 if k % 2 == 0 else -1
-    return HyperbolicElement(parity, acc, vec_scale(-parity, acc), tuple(tuple(r) for r in rows))
 
 
 def is_relation_hyp(word: Word) -> bool:
@@ -245,7 +217,7 @@ def center_basis(base: ReflectableBase) -> tuple[CentralGenerator, ...]:
                 indices = (i, 0, j, i, 0, j)
             word = Word.from_indices(base, indices)
             elem = eval_word_hyp(word)
-            if not is_central(word):
+            if not elem.projection().is_identity:
                 raise InternalCheckError(f"center word for pair {(i, j)} is not central")
             expected = _expected_dual_p(nu, (i, j), doubled=witness is None)
             if any(elem.dual_sgn) or elem.dual_p != expected:
@@ -265,5 +237,5 @@ def element_to_dict(h: HyperbolicElement) -> dict:
 
 def element_from_dict(data: dict) -> HyperbolicElement:
     w = weyl.element_from_dict(data)
-    q = tuple(weyl.json_ints(row, "q") for row in data["q"])
-    return HyperbolicElement(w.parity, w.shift, weyl.json_ints(data["s"], "s"), q)
+    s, q = weyl.json_ints(data, "s"), weyl.json_ints(data, "q", 2)
+    return HyperbolicElement(w.parity, w.shift, s, q)

@@ -10,11 +10,13 @@ All arithmetic is exact.  Coordinates are Python ints guarded to the signed
 64-bit range: overflow raises, it never wraps.  There is one guard policy.
 Values are checked where they enter, by the constructors of ``Root``,
 ``WeylElement`` and ``HyperbolicElement`` through :func:`checked_vec`, and
-the ``vec_*`` helpers check every result they build.  A word is bounded
-once: when ``B_c = sum_i |p_c(a_i)|`` is at most ``I64_MAX`` for every
-coordinate ``c``, no partial sum of its letters can leave the band, so the
-evaluations in ``weyl`` and ``hyperbolic`` sum it without per-step guards;
-otherwise they fall back to the checked loop, letter by letter.
+the ``vec_*`` helpers check every result they build.  A word's running sum
+is guarded in ``weyl`` alone: when ``B_c = sum_i |p_c(a_i)|`` is at most
+``I64_MAX`` for every coordinate ``c``, no partial sum of its letters can
+leave the band, so it is summed without per-step guards; otherwise
+``weyl.eval_word_checked`` sums it letter by letter and raises where it
+leaves the band.  Values derived from the sum, such as the dual rows of
+``hyperbolic``, are exact ints, checked once when they are stored.
 """
 
 from __future__ import annotations

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from .errors import DomainError, InternalCheckError
 from .hyperbolic import eval_word_hyp
 from .lattice import ReflectableBase, is_elliptic_like, support_pairs
-from .weyl import enumerate_alternating, eval_word
+from .weyl import MAX_K, enumerate_alternating, eval_word, json_ints
 from .words import Word
 
 TARGET_W = "W"
@@ -81,15 +81,18 @@ def presentation_to_dict(p: Presentation) -> dict:
 
 
 def presentation_from_dict(data: dict) -> Presentation:
-    return Presentation(
-        tuple(str(g) for g in data["generators"]),
-        tuple(tuple(int(i) for i in r) for r in data["relators"]),
-        str(data["target"]),
-        data.get("truncated_at"),
-    )
+    """The inverse of :func:`presentation_to_dict`; a malformed field is a ``DomainError``."""
+    relators = json_ints(data, "relators", 2, "presentation")
+    truncated_at = data.get("truncated_at")
+    if truncated_at is not None:
+        truncated_at = json_ints(data, "truncated_at", 0, "presentation")
+    labels = data.get("generators")
+    if not isinstance(labels, list) or any(type(g) is not str for g in labels):
+        raise DomainError(f"presentation field 'generators': {labels!r} is not an array of strings")
+    return Presentation(tuple(labels), relators, data.get("target"), truncated_at)
 
 
-def presentation_alternating(pool: Sequence, kmax: int, *, max_k: int = 12) -> Presentation:
+def presentation_alternating(pool: Sequence, kmax: int) -> Presentation:
     """Truncation of the full alternating presentation at relator length ``kmax``.
 
     ``pool`` is the list of generator roots; the untruncated presentation has
@@ -98,12 +101,12 @@ def presentation_alternating(pool: Sequence, kmax: int, *, max_k: int = 12) -> P
     """
     if kmax % 2 != 0:
         raise DomainError(f"kmax must be even, got {kmax}")
-    if kmax > max_k:
-        raise DomainError(f"kmax {kmax} exceeds the cap {max_k}")
+    if kmax > MAX_K:
+        raise DomainError(f"kmax {kmax} exceeds the cap {MAX_K}")
     index = {a: i for i, a in enumerate(pool)}
     relators = []
     for k in range(2, kmax + 1, 2):
-        for tup in enumerate_alternating(pool, k, max_k=max_k):
+        for tup in enumerate_alternating(pool, k):
             relators.append(tuple(index[a] for a in tup))
     labels = tuple(f"g{i}" for i in range(len(pool)))
     return Presentation(labels, tuple(relators), TARGET_W, truncated_at=kmax)
@@ -402,29 +405,35 @@ class WordMoves:
 class ReplayedCertificate(Sequence):
     """The words a replayed certificate passes through, rebuilt on demand.
 
-    ``replay_certificate`` has checked every step before it returns this view,
-    which keeps the certificate, ``nu`` and the final word only.  Entry ``k``
-    is the word after ``k`` steps, a fresh ``list[int]``: the final word is
-    copied, any other entry (and iteration) replays the steps again from the
-    start by :class:`WordMoves`.  Negative indices count from the end as for a
-    list; a slice replays once and returns a list of the entries it selects.
+    ``replay_certificate`` runs the checked replay of :meth:`_live` once before
+    it returns this view, which keeps the certificate, ``nu`` and the final
+    word only.  Entry ``k`` is the word after ``k`` steps, a fresh
+    ``list[int]``: the final word is copied, any other entry (and iteration)
+    replays the steps again from the start by :class:`WordMoves`.  Negative
+    indices count from the end as for a list; a slice replays once and
+    returns a list of the entries it selects.
     """
 
-    def __init__(self, cert: RewriteCertificate, nu: int, final: list[int]):
+    def __init__(self, cert: RewriteCertificate, nu: int):
         self.cert = cert
         self.nu = nu
-        self._final = final
+        self._final: list[int] = []
 
     def __len__(self) -> int:
         return len(self.cert.steps) + 1
 
     def _live(self) -> Iterator[list[int]]:
-        """The one live word after 0, 1, 2, ... steps; callers copy what they keep."""
+        """The one live word after 0, 1, 2, ... checked steps; callers copy what they keep."""
         moves = WordMoves(self.cert.start, self.nu)
-        yield moves.word
+        word = moves.word  # changed in place by every move
+        yield word
         for step in self.cert.steps:
+            if len(word) != step.before_len:
+                raise DomainError("certificate does not chain: length mismatch")
             moves.apply(step)
-            yield moves.word
+            if len(word) != step.after_len:
+                raise DomainError("step length bookkeeping does not match")
+            yield word
 
     def __iter__(self) -> Iterator[list[int]]:
         for word in self._live():
@@ -459,18 +468,13 @@ def replay_certificate(cert: RewriteCertificate) -> ReplayedCertificate:
     is stored, so memory is O(word length); the returned
     :class:`ReplayedCertificate` rebuilds the words when they are read.
     """
-    nu = max((g for g in cert.start if type(g) is int), default=0)
-    moves = WordMoves(cert.start, nu)
-    word = moves.word  # changed in place by every move
-    for step in cert.steps:
-        if len(word) != step.before_len:
-            raise DomainError("certificate does not chain: length mismatch")
-        moves.apply(step)
-        if len(word) != step.after_len:
-            raise DomainError("step length bookkeeping does not match")
+    view = ReplayedCertificate(cert, max((g for g in cert.start if type(g) is int), default=0))
+    for word in view._live():
+        pass
     if cert.final_empty and word:
         raise DomainError("certificate claims the empty word but replay does not reach it")
-    return ReplayedCertificate(cert, nu, word)
+    view._final = word
+    return view
 
 
 class _Rewriter:

@@ -57,39 +57,42 @@ def identity_element(rank: int) -> WeylElement:
     return WeylElement(1, zero_vec(rank))
 
 
-def bounded_columns(word: Word) -> tuple[list[int], list[Vec]] | None:
-    """The coefficients ``c_i = (-1)^(k-i) sign(a_i)`` and the lattice columns of a word.
+def bounded_columns(word: Word) -> tuple[list[int], list[Vec], bool]:
+    """A word's coefficients ``c_i = (-1)^(k-i) sign(a_i)``, its lattice columns and its bound.
 
     Column ``c`` is ``(p_c(a_1), ..., p_c(a_k))``, so ``shift_c`` is
-    ``sum(map(mul, coefs, col_c))``.  Returns None when some
-    ``B_c = sum_i |p_c(a_i)|`` exceeds ``I64_MAX``: below that bound no
-    partial sum leaves the 64-bit band, so the sums need no guard; above it
-    the caller takes its checked loop.
+    ``sum(map(mul, coefs, col_c))``.  The flag is True when every
+    ``B_c = sum_i |p_c(a_i)|`` is at most ``I64_MAX``: then no partial sum
+    leaves the 64-bit band and the sums need no guard.  Past the bound,
+    :func:`eval_word_checked` is the guard of the running sum, here and in
+    ``hyperbolic``.
     """
     letters = word.letters
     k = len(letters)
     if not k:
-        return [], [() for _ in range(word.rank)]
+        return [], [() for _ in range(word.rank)], True
     signs = islice(cycle((1, -1) if k % 2 else (-1, 1)), k)  # (-1)^(k-i) from i = 1
     coefs = list(map(mul, [a.sign for a in letters], signs))
     cols = list(zip(*[a.lat for a in letters]))
-    if any(sum(map(abs, col)) > I64_MAX for col in cols):
-        return None
-    return coefs, cols
+    return coefs, cols, all(sum(map(abs, col)) <= I64_MAX for col in cols)
 
 
 def eval_word(word: Word) -> WeylElement:
     """Canonical form of a word: bounded column sums, or the checked loop."""
-    bounded = bounded_columns(word)
-    if bounded is None:
+    coefs, cols, within = bounded_columns(word)
+    if not within:
         return eval_word_checked(word)
-    coefs, cols = bounded
     shift = tuple(sum(map(mul, coefs, col)) for col in cols)
     return WeylElement(1 if len(word) % 2 == 0 else -1, shift)
 
 
 def eval_word_checked(word: Word) -> WeylElement:
-    """``eval_word`` letter by letter, every step guarded; the path for unbounded words."""
+    """``eval_word`` letter by letter, every step guarded: the one guard of a running sum.
+
+    ``eval_word`` and ``hyperbolic.eval_word_hyp`` call it past the bound of
+    :func:`bounded_columns`; it raises exactly where a term ``c_i p(a_i)`` or
+    a partial sum leaves the 64-bit band.
+    """
     k = len(word)
     acc = zero_vec(word.rank)
     for i, a in enumerate(word.letters, start=1):
@@ -159,26 +162,24 @@ def is_alternating(pool: Sequence[Root], tup: Sequence[Root]) -> bool:
     return not any(alternating_sum(word))
 
 
-def enumerate_alternating(
-    pool: Sequence[Root],
-    k: int,
-    *,
-    max_k: int = 12,
-    max_letters: int = 8,
-) -> Iterator[tuple[Root, ...]]:
+MAX_K = 12  # longest alternating tuple searched
+MAX_LETTERS = 8  # largest pool searched
+
+
+def enumerate_alternating(pool: Sequence[Root], k: int) -> Iterator[tuple[Root, ...]]:
     """All alternating k-tuples over ``pool`` in index-lexicographic order.
 
-    Caps are validated eagerly; the returned stream searches depth first,
-    pruning on the sup-norm of the partial sum against what the remaining
-    positions can still cancel, so it stays cheap for the small pools the
-    caps allow.
+    The caps ``MAX_K`` and ``MAX_LETTERS`` are validated eagerly; the returned
+    stream searches depth first, pruning on the sup-norm of the partial sum
+    against what the remaining positions can still cancel, so it stays cheap
+    for the small pools the caps allow.
     """
     if k < 0 or k % 2 != 0:
         raise DomainError(f"tuple length must be even and non-negative, got {k}")
-    if k > max_k:
-        raise DomainError(f"tuple length {k} exceeds the cap {max_k}")
-    if len(pool) > max_letters:
-        raise DomainError(f"pool size {len(pool)} exceeds the cap {max_letters}")
+    if k > MAX_K:
+        raise DomainError(f"tuple length {k} exceeds the cap {MAX_K}")
+    if len(pool) > MAX_LETTERS:
+        raise DomainError(f"pool size {len(pool)} exceeds the cap {MAX_LETTERS}")
     return _alternating_stream(tuple(pool), k)
 
 
@@ -279,15 +280,28 @@ def element_to_dict(a: WeylElement) -> dict:
     return {"eps": a.parity, "t": list(a.shift)}
 
 
-def json_ints(values, field: str) -> tuple[int, ...]:
-    """The entries of a JSON array field, each an ``int`` and nothing that ``int()`` would take."""
-    entries = tuple(values)
-    bad = [v for v in entries if type(v) is not int]  # floats, strings, booleans
-    if bad:
-        raise DomainError(f"element field {field!r}: {bad[0]!r} is not an integer")
-    return entries
+def json_ints(data: dict, field: str, depth: int = 1, owner: str = "element"):
+    """``data[field]``: a JSON integer (``depth`` 0), an array of them (1) or of such arrays (2).
+
+    Floats, strings and booleans are not integers, even where ``int()`` would
+    take them; they, a missing field and a non-array raise ``DomainError``
+    naming the field.  Arrays come back as tuples.
+    """
+    name = f"{owner} field {field!r}"
+    if not isinstance(data, dict) or field not in data:
+        raise DomainError(f"{name} is missing")
+
+    def read(value, depth: int):
+        if not depth:
+            if type(value) is not int:
+                raise DomainError(f"{name}: {value!r} is not an integer")
+            return value
+        if not isinstance(value, (list, tuple)):
+            raise DomainError(f"{name}: {value!r} is not an array")
+        return tuple(read(v, depth - 1) for v in value)
+
+    return read(data[field], depth)
 
 
 def element_from_dict(data: dict) -> WeylElement:
-    (eps,) = json_ints([data["eps"]], "eps")
-    return WeylElement(eps, json_ints(data["t"], "t"))
+    return WeylElement(json_ints(data, "eps", 0), json_ints(data, "t"))

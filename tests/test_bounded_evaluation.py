@@ -11,9 +11,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from a1weyl import Root, Word, eval_word, eval_word_hyp, is_relation_w, matrix_of_word
-from a1weyl.hyperbolic import eval_word_hyp_checked, matrix_of_element_hyp
-from a1weyl.lattice import I64_MAX, I64_MIN, checked, checked_vec
+from a1weyl.hyperbolic import HyperbolicElement, matrix_of_element_hyp
+from a1weyl.lattice import I64_MAX, I64_MIN, checked, checked_vec, vec_add, vec_scale, zero_vec
 from a1weyl.weyl import alternating_sum, bounded_columns, eval_word_checked
+
+
+# The library's former checked loop for the extended group, kept verbatim as
+# the reference: eval_word_hyp now takes its guard from weyl.eval_word_checked.
+def eval_word_hyp_checked(word: Word) -> HyperbolicElement:
+    """``eval_word_hyp`` in one pass, the running sum guarded at every letter.
+
+    The path for words beyond the bound of ``weyl.bounded_columns``.
+    """
+    nu, k = word.rank, len(word)
+    acc = zero_vec(nu)
+    rows = [list(zero_vec(nu)) for _ in range(nu)]
+    for i, a in enumerate(word.letters, start=1):
+        coef = a.sign if (k - i) % 2 == 0 else -a.sign
+        for j in range(nu):
+            pj = a.lat[j]
+            if pj == 0:
+                continue
+            row = rows[j]
+            for c in range(nu):
+                row[c] += pj * a.lat[c] + 2 * coef * pj * acc[c]
+        acc = vec_add(acc, vec_scale(coef, a.lat))
+    parity = 1 if k % 2 == 0 else -1
+    return HyperbolicElement(parity, acc, vec_scale(-parity, acc), tuple(tuple(r) for r in rows))
 
 
 def is_relation_w_checked(word):
@@ -82,14 +106,14 @@ def words_at_the_bound(draw, total):
 @settings(deadline=None, max_examples=150)
 @given(words_at_the_bound(I64_MAX))
 def test_a_word_with_b_equal_to_i64_max_is_summed_by_columns(word):
-    assert bounded_columns(word) is not None
+    assert bounded_columns(word)[2]
     assert_same_as_checked(word)
 
 
 @settings(deadline=None, max_examples=150)
 @given(words_at_the_bound(I64_MAX + 1))
 def test_a_word_with_b_one_past_i64_max_takes_the_checked_loop(word):
-    assert bounded_columns(word) is None
+    assert not bounded_columns(word)[2]
     assert_same_as_checked(word)
 
 
@@ -146,3 +170,27 @@ def test_checked_vec_converts_and_raises_as_the_per_entry_guard(values):
     expected = outcome(checked_vec_reference, values)
     assert outcome(checked_vec, values) == expected
     assert outcome(checked_vec, iter(values)) == expected
+
+
+L = 2**62
+
+
+@pytest.mark.parametrize("letters, rows_in_band", [
+    ([(1, (L,)), (1, (L,))], True),
+    ([(1, (L, 1)), (1, (L, 2))], True),  # dual_p = ((0, L), (-L, 1))
+    ([(1, (L, 0, -L)), (-1, (-L, -1, L)), (-1, (1, 0, 1))], True),
+    ([(-1, (0, 1, 2)), (-1, (-L, 2, 0)), (-1, (-L, 1, 0)), (1, (1, 2, 0)), (-1, (1, 2, 0))], True),
+    ([(1, (L, 1)), (1, (L, 3))], False),  # dual_p[0][1] = 2^63
+    ([(1, (L,)), (1, (L + 2**32,))], False),  # dual_p[0][0] = shift^2 = 2^64
+    ([(1, (L, 0)), (1, (L, 3)), (-1, (5, -2))], False),
+])
+def test_past_the_bound_the_dual_rows_are_checked_where_they_are_stored(letters, rows_in_band):
+    word = Word(len(letters[0][1]), tuple(Root(sign, p) for sign, p in letters))
+    assert not bounded_columns(word)[2]
+    eval_word_checked(word)  # the running sum stays in the band
+    expected = outcome(eval_word_hyp_checked, word)
+    assert outcome(eval_word_hyp, word) == expected
+    if rows_in_band:
+        assert expected[0] == "value"
+    else:
+        assert expected[:2] == ("raises", OverflowError)

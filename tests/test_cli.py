@@ -118,6 +118,13 @@ def test_alt_enum_odd_k(capsys, baby2_config):
     assert main(["alt-enum", "--config", baby2_config, "--k", "3"]) == 5
 
 
+@pytest.mark.parametrize("option", ["--max-k", "--max-letters"])
+def test_alt_enum_caps_are_not_options(capsys, baby2_config, option):
+    with pytest.raises(SystemExit) as exc:  # with --k 14, --max-k 14 listed 272 835 tuples
+        main(["alt-enum", "--config", baby2_config, "--k", "2", option, "14"])
+    assert exc.value.code == 2
+
+
 def test_presentation_verify(capsys, baby2_config):
     code, data = run_json(
         capsys, "presentation", "--config", baby2_config, "--kind", "baby", "--verify"

@@ -9,6 +9,7 @@ from a1weyl import (
     DomainError,
     Move,
     MoveTrace,
+    Root,
     Simplex,
     WeylElement,
     Word,
@@ -281,6 +282,38 @@ class TestReplayRejectsTampering:
         trace = MoveTrace(self.START, b, (Move(kind, pos, gens, b),), ())
         with pytest.raises(DomainError):
             replay_trace(trace)
+
+
+I64_MAX, I64_MIN = 2**63 - 1, -(2**63)
+PAST_MAX = "integer 9223372036854775808 exceeds the signed 64-bit guard"
+PAST_MIN = "integer -9223372036854775809 exceeds the signed 64-bit guard"
+
+
+@pytest.mark.parametrize("letter, base, message", [
+    (Root(-1, (I64_MIN,)), base_simplex(1), PAST_MAX),  # sign(a) * p(a) leaves the band
+    (Root(1, (I64_MIN,)), Simplex((0,), -1), PAST_MAX),  # orient * sign(a) * p(a) does
+    (Root(1, (1, 0)), Simplex((I64_MAX, 0), 1), PAST_MAX),  # the anchor does
+])
+def test_a_path_step_past_the_band_raises_the_guard_error(letter, base, message):
+    with pytest.raises(OverflowError) as exc:
+        path_of_word(Word(base.rank, (letter,)), base)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("base, gens, message", [
+    (Simplex((I64_MAX, 0), 1), (1,), PAST_MAX),
+    (Simplex((0, I64_MIN), -1), (0, 1, 2), PAST_MIN),
+])
+def test_an_insert_at_the_band_edge_raises_the_guard_error(base, gens, message):
+    trace = MoveTrace((), base, (Move("insert", 0, gens, base),), ())
+    with pytest.raises(OverflowError) as exc:
+        replay_trace(trace)
+    assert str(exc.value) == message
+
+
+def test_a_path_step_next_to_the_band_edge_stays_in_it():
+    path = path_of_word(Word(2, (Root(1, (1, 0)),)), Simplex((I64_MAX - 1, 0), 1))
+    assert path.simplices[-1] == Simplex((I64_MAX, 0), -1)
 
 
 class TestFreeTransitiveAction:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from a1weyl import (
     DomainError,
     HyperbolicElement,
+    InternalCheckError,
     ReflectableBase,
     Root,
     WeylElement,
@@ -204,6 +205,17 @@ class TestCenterBasis:
         ]
         assert mat_rank(rows) == nu * (nu - 1) // 2
 
+    def test_a_non_central_element_is_an_internal_error(self, baby2_base, monkeypatch):
+        # centrality is read from the one evaluation of each word
+        from a1weyl import hyperbolic
+
+        def drop_a_letter(word):
+            return eval_word_hyp(Word(word.rank, word.letters[1:]))
+
+        monkeypatch.setattr(hyperbolic, "eval_word_hyp", drop_a_letter)
+        with pytest.raises(InternalCheckError, match="is not central"):
+            center_basis(baby2_base)
+
 
 def test_element_json_round_trip():
     h = eval_word_hyp(word2(G1, E, G2, G1, E, G2))
@@ -284,3 +296,15 @@ def test_eval_word_hyp_overflows_only_where_the_w_form_or_the_dual_rows_do():
     word = rank1_word((1, -(2**63)), (1, -(2**63 - 1)), (1, 0))
     assert eval_word(word) == WeylElement(-1, (-1,))
     assert eval_word_hyp(word) == eval_word_hyp(rank1_word((-1, 1)))
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"eps": 1}, "t"),  # was KeyError: 't'
+    ({"eps": 1, "t": 5}, "t"),  # was TypeError
+    ({"eps": 1, "t": [0]}, "s"),
+    ({"eps": 1, "t": [0], "s": [0], "q": 3}, "q"),
+    ({"eps": 1, "t": [0], "s": [0], "q": [3]}, "q"),
+])
+def test_element_json_names_a_missing_or_non_array_field(data, field):
+    with pytest.raises(DomainError, match=f"element field '{field}'"):
+        element_from_dict(data)

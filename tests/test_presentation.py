@@ -258,6 +258,24 @@ def test_presentation_json_round_trip(baby2_base):
         assert presentation_from_dict(presentation_to_dict(p)) == p
 
 
+PRESENTATION = {"generators": ["g0", "g1"], "relators": [[1, 1]], "target": "W"}
+
+
+@pytest.mark.parametrize("data, field", [
+    ({**PRESENTATION, "relators": [[1.9, 0.2]]}, "relators"),  # int() made it ((1, 0),)
+    ({**PRESENTATION, "relators": [["1", 0]]}, "relators"),
+    ({**PRESENTATION, "relators": [[True, 1]]}, "relators"),
+    ({**PRESENTATION, "truncated_at": "x"}, "truncated_at"),
+    ({"generators": ["g0"], "target": "W"}, "relators"),  # was KeyError
+    ({**PRESENTATION, "relators": 5}, "relators"),  # was TypeError
+    ({**PRESENTATION, "relators": [5]}, "relators"),
+    ({"relators": [[0, 0]], "target": "W"}, "generators"),
+])
+def test_presentation_json_takes_only_json_integers(data, field):
+    with pytest.raises(DomainError, match=f"presentation field '{field}'"):
+        presentation_from_dict(data)
+
+
 class TestReplayCertificateRejectsTampering:
     """Replay accepts only steps it can realise by relator moves on the live word."""
 

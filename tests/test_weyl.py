@@ -278,3 +278,13 @@ def test_element_json_takes_only_int_values(field, bad):
         data["t"] = [bad, 3]
     with pytest.raises(DomainError, match=f"element field '{field}'"):
         element_from_dict(data)
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"eps": 1}, "t"),  # was KeyError: 't'
+    ({"eps": 1, "t": 5}, "t"),  # was TypeError
+    ({"t": [0]}, "eps"),
+])
+def test_element_json_names_a_missing_or_non_array_field(data, field):
+    with pytest.raises(DomainError, match=f"element field '{field}'"):
+        element_from_dict(data)

@@ -6,21 +6,34 @@ Each simplex ``B(anchor, orient)`` is the set of points
 ``w . B(anchor, orient) = B(anchor + orient*shift(w), parity(w)*orient)``,
 freely and transitively.
 
-Paths: the path of ``w_{a_1}...w_{a_k}`` from a base simplex applies the
-letters right to left, recording ``k + 1`` simplices; it closes up exactly
-when the word is a relation.  Loops reduce to the trivial loop by inserting
-or deleting the elementary sub-loops of ``g_i^2`` and ``(g_0 g_i g_j)^2``
-(``i < j`` both nonzero); the trace records every elementary move together
-with the simplex its sub-loop is based at.
+Paths: the path of ``w = w_{a_1}...w_{a_k}`` from a base simplex
+``B(x, o)`` applies the letters right to left, recording ``k + 1``
+simplices; it closes up exactly when the word is a relation.  Entry ``r`` is
+the image of the base under the length-``r`` suffix ``u``, which is
+``B(x + o*shift(u), parity(u)*o)`` by the action above.  With ``weyl``'s
+coefficients ``c_i = (-1)^(k-i) sign(a_i)``, ``shift(u)`` is
+``sum_{i > k-r} c_i p(a_i)``, so the anchors are ``x + o*(suffix sums of
+c_i p(a_i))``: prefix sums of the same signed lattice columns ``eval_word``
+sums, read from the right, and the orientations alternate ``o, -o, ...``.
+:func:`_walk` takes these sums exactly and guards each anchor once, where
+``Simplex`` stores it, so a path raises at the first simplex that leaves the
+64-bit band.  Loop tracing inserts a block's letters by the same walk.
+
+Loops reduce to the trivial loop by inserting or deleting the elementary
+sub-loops of ``g_i^2`` and ``(g_0 g_i g_j)^2`` (``i < j`` both nonzero);
+the trace records every elementary move together with the simplex its
+sub-loop is based at.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Sequence
 
 from .errors import DomainError, InternalCheckError
-from .lattice import Root, Vec, baby_base, vec_add, vec_scale, zero_vec
+from .lattice import Root, Vec, baby_base, checked_vec, vec_add, vec_scale, zero_vec
 from .presentation import WordMoves, move_block, rewrite_to_identity  # noqa: F401
 from .weyl import WeylElement, is_relation_w
 from .words import Word
@@ -34,7 +47,7 @@ class Simplex:
     def __post_init__(self) -> None:
         if self.orient not in (-1, 1):
             raise DomainError(f"orientation must be +1 or -1, got {self.orient}")
-        object.__setattr__(self, "anchor", tuple(int(c) for c in self.anchor))
+        object.__setattr__(self, "anchor", checked_vec(self.anchor))
 
     @property
     def rank(self) -> int:
@@ -71,18 +84,26 @@ class Path:
         return self.word.rank
 
 
-def _step(a: Root, b: Simplex) -> Simplex:
-    """One step of a path: ``w_a . B(x, o) = B(x + o*sign(a)*p(a), -o)``."""
-    return Simplex(vec_add(b.anchor, vec_scale(b.orient, vec_scale(a.sign, a.lat))), -b.orient)
+def _walk(letters: Sequence[Root], base: Simplex) -> list[Simplex]:
+    """``base`` and its images as ``letters`` are applied in order, first to last.
+
+    Entry ``t`` is ``B(x + o*sum_{s<=t} (-1)^(s-1) sign(b_s) p(b_s), (-1)^t o)``
+    for ``base = B(x, o)`` and letters ``b_1, b_2, ...``: exact column prefix
+    sums, each anchor checked by ``Simplex``.
+    """
+    x, o = base.anchor, base.orient
+    cols = [*zip(*[a.lat for a in letters])] or [()] * len(x)  # no letters: empty columns
+    orients = [o, -o] * (len(letters) // 2 + 1)
+    coefs = list(map(mul, [a.sign for a in letters], orients))
+    rows = [accumulate(map(mul, coefs, col), initial=xc) for xc, col in zip(x, cols)]
+    anchors = zip(*rows) if rows else repeat((), len(letters) + 1)
+    return list(map(Simplex, anchors, orients))
 
 
 def path_of_word(word: Word, base: Simplex) -> Path:
     if word.rank != base.rank:
         raise DomainError("rank mismatch between word and base simplex")
-    out = [base]
-    for a in reversed(word.letters):
-        out.append(_step(a, out[-1]))
-    return Path(tuple(out), word)
+    return Path(tuple(_walk(word.letters[::-1], base)), word)
 
 
 def is_loop(p: Path) -> bool:
@@ -135,10 +156,7 @@ class _Tracer(WordMoves):
     def insert(self, pos: int, gens: tuple[int, ...]) -> Simplex:
         block = super().insert(pos, gens)
         base = self.at[pos]
-        entries = [base]
-        for k in reversed(block):
-            entries.append(_step(self.roots[k], entries[-1]))
-        self.at[pos:pos] = entries[:0:-1]
+        self.at[pos:pos] = _walk([self.roots[k] for k in reversed(block)], base)[:0:-1]
         self.moves.append(Move("insert", pos, gens, base))
         return base
 
@@ -181,9 +199,15 @@ def reduce_loop(p: Path) -> MoveTrace:
 def replay_trace(trace: MoveTrace, upto: int | None = None) -> Path:
     """Replay the first ``upto`` moves (default: all) and return the resulting path.
 
-    Raises ``DomainError`` unless every move applies to the live word and
-    records the base its sub-loop has there.
+    ``upto`` is ``None`` or an ``int`` in ``0..len(trace.moves)``.  Raises
+    ``DomainError`` for any other ``upto``, and unless every move applies to
+    the live word and records the base its sub-loop has there.
     """
+    n = len(trace.moves)
+    if upto is None:
+        upto = n
+    elif type(upto) is not int or not 0 <= upto <= n:
+        raise DomainError(f"upto must be None or an int in 0..{n}, got {upto!r}")
     crumbs = baby_base(trace.base.rank)
     tracer = _Tracer(trace.start, path_of_word(Word.from_indices(crumbs, trace.start), trace.base))
     for mv in trace.moves[:upto]:

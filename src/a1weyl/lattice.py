@@ -9,14 +9,16 @@ representatives mod 2; isotropic roots carry ``sign == 0``.
 All arithmetic is exact.  Coordinates are Python ints guarded to the signed
 64-bit range: overflow raises, it never wraps.  There is one guard policy.
 Values are checked where they enter, by the constructors of ``Root``,
-``WeylElement`` and ``HyperbolicElement`` through :func:`checked_vec`, and
-the ``vec_*`` helpers check every result they build.  A word's running sum
-is guarded in ``weyl`` alone: when ``B_c = sum_i |p_c(a_i)|`` is at most
-``I64_MAX`` for every coordinate ``c``, no partial sum of its letters can
-leave the band, so it is summed without per-step guards; otherwise
-``weyl.eval_word_checked`` sums it letter by letter and raises where it
-leaves the band.  Values derived from the sum, such as the dual rows of
-``hyperbolic``, are exact ints, checked once when they are stored.
+``WeylElement``, ``HyperbolicElement`` and ``geometry.Simplex`` through
+:func:`checked_vec`, and the ``vec_*`` helpers check every result they
+build.  A word's running sum is guarded in ``weyl``: when
+``B_c = sum_i |p_c(a_i)|`` is at most ``I64_MAX`` for every coordinate
+``c``, no partial sum of its letters can leave the band, so it is summed
+without per-step guards; otherwise ``weyl.eval_word_checked`` sums it letter
+by letter and raises where it leaves the band.  Values derived from such
+sums are exact ints, checked once when they are stored: the dual rows of
+``hyperbolic``, and the anchors of a path, which ``geometry._walk`` takes as
+exact column prefix sums and ``Simplex`` checks one by one.
 """
 
 from __future__ import annotations

@@ -410,8 +410,9 @@ class ReplayedCertificate(Sequence):
     word only.  Entry ``k`` is the word after ``k`` steps, a fresh
     ``list[int]``: the final word is copied, any other entry (and iteration)
     replays the steps again from the start by :class:`WordMoves`.  Negative
-    indices count from the end as for a list; a slice replays once and
-    returns a list of the entries it selects.
+    indices count from the end as for a list; a slice, ``reversed``,
+    ``index`` and ``count`` each replay once, and a slice returns a list of
+    the entries it selects.
     """
 
     def __init__(self, cert: RewriteCertificate, nu: int):
@@ -438,6 +439,19 @@ class ReplayedCertificate(Sequence):
     def __iter__(self) -> Iterator[list[int]]:
         for word in self._live():
             yield word[:]
+
+    def __reversed__(self) -> Iterator[list[int]]:
+        return iter(self[::-1])
+
+    def index(self, value, start=0, stop=None) -> int:
+        lo, hi, _ = slice(start, stop).indices(len(self))
+        for k, word in enumerate(itertools.islice(self._live(), hi)):
+            if k >= lo and word == value:
+                return k
+        raise ValueError(f"{value!r} is not a state of the replay")
+
+    def count(self, value) -> int:
+        return sum(word == value for word in self._live())
 
     def __getitem__(self, index):
         n = len(self)

@@ -323,3 +323,11 @@ def test_validate_rejects_non_integer_values(capsys, tmp_path, config):
     assert main(["validate", "--config", str(path)]) == 2
     assert "is not an integer" in capsys.readouterr().err
     assert main(["eval", "--config", str(path), "g0"]) == 2
+
+
+def test_path_with_an_anchor_past_the_band_names_the_anchor(capsys, baby2_config):
+    code = main(["path", "--config", baby2_config, "--anchor", "1180591620717411303424,0", "g1", "g1"])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert "integer 1180591620717411303424 exceeds the signed 64-bit guard" in captured.err

@@ -1,8 +1,9 @@
 import dataclasses
 import random
+from typing import Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from a1weyl import (
@@ -25,7 +26,10 @@ from a1weyl import (
     replay_trace,
     witness_word_for_element,
 )
-from a1weyl.geometry import move_block
+from a1weyl import geometry
+from a1weyl.geometry import Path, _Tracer, move_block
+from a1weyl.lattice import vec_add, vec_scale
+from a1weyl.presentation import WordMoves
 from a1weyl.words import random_relation_indices
 
 WORKED_LOOP = (2, 0, 2, 1, 0, 1, 0, 2, 1, 2, 1, 0)
@@ -381,3 +385,242 @@ class TestRenderSvg:
     def test_rank_restriction(self):
         with pytest.raises(DomainError):
             render_svg(path_of_word(Word.empty(3), base_simplex(3)))
+
+
+# --- the per-letter walk the column sums replaced: the references of _walk ---
+# _step, path_of_word and _Tracer as they were before paths were summed by
+# columns, kept verbatim (the tracer renamed).
+
+
+def _step(a: Root, b: Simplex) -> Simplex:
+    """One step of a path: ``w_a . B(x, o) = B(x + o*sign(a)*p(a), -o)``."""
+    return Simplex(vec_add(b.anchor, vec_scale(b.orient, vec_scale(a.sign, a.lat))), -b.orient)
+
+
+def reference_path_of_word(word: Word, base: Simplex) -> Path:
+    if word.rank != base.rank:
+        raise DomainError("rank mismatch between word and base simplex")
+    out = [base]
+    for a in reversed(word.letters):
+        out.append(_step(a, out[-1]))
+    return Path(tuple(out), word)
+
+
+class ReferenceTracer(WordMoves):
+    def __init__(self, indices: Sequence[int], path: Path):
+        super().__init__(indices, path.rank)
+        self.at = list(reversed(path.simplices))
+        self.roots = baby_base(path.rank).roots
+        self.moves: list[Move] = []
+
+    def insert(self, pos: int, gens: tuple[int, ...]) -> Simplex:
+        block = super().insert(pos, gens)
+        base = self.at[pos]
+        entries = [base]
+        for k in reversed(block):
+            entries.append(_step(self.roots[k], entries[-1]))
+        self.at[pos:pos] = entries[:0:-1]
+        self.moves.append(Move("insert", pos, gens, base))
+        return base
+
+    def delete(self, pos: int, gens: tuple[int, ...]) -> Simplex:
+        end = pos + len(super().delete(pos, gens))
+        base = self.at[end]
+        del self.at[pos:end]
+        self.moves.append(Move("delete", pos, gens, base))
+        return base
+
+
+def outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except Exception as exc:  # the type and the message must both match
+        return "raises", type(exc), str(exc)
+
+
+def with_reference_walk(fn, *args):
+    """``fn(*args)`` with the library's path and tracer swapped for the references."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "path_of_word", reference_path_of_word)
+        mp.setattr(geometry, "_Tracer", ReferenceTracer)
+        return outcome(fn, *args)
+
+
+walk_coords = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2**57), 2**57),  # forty of them and an anchor stay inside the bound
+    st.integers(I64_MIN + 1, I64_MAX),  # a term -(-2^63) is the one difference, pinned below
+)
+
+
+@st.composite
+def walks(draw, coords=walk_coords, max_rank=4, max_len=40):
+    rank = draw(st.integers(0, max_rank))
+    length = draw(st.one_of(st.sampled_from((0, 1, 2)), st.integers(0, max_len)))
+    letters = draw(st.lists(
+        st.builds(Root, st.sampled_from((-1, 1)), st.tuples(*[coords] * rank)),
+        min_size=length, max_size=length,
+    ))
+    base = Simplex(draw(st.tuples(*[coords] * rank)), draw(st.sampled_from((-1, 1))))
+    return Word(rank, tuple(letters)), base
+
+
+@settings(deadline=None, max_examples=300)
+@given(walks())
+def test_path_of_word_equals_the_per_letter_walk(case):
+    word, base = case
+    assert outcome(path_of_word, word, base) == outcome(reference_path_of_word, word, base)
+
+
+@st.composite
+def walks_at_the_bound(draw, total):
+    """Paths whose first coordinate has ``|x_0| + sum_t |p_0(a_t)| == total`` exactly."""
+    rank = draw(st.integers(1, 4))
+    length = draw(st.integers(1, 8))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=length, max_size=length)))
+    parts = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+    assume(max(parts[1:]) <= I64_MAX)  # no letter coordinate -2^63, whose term may be 2^63
+
+    def first(part):  # 2^63 is only in the band as -2^63
+        return -part if part > I64_MAX or draw(st.booleans()) else part
+
+    def rest():
+        return draw(st.tuples(*[st.integers(-3, 3)] * (rank - 1)))
+
+    base = Simplex((first(parts[0]), *rest()), draw(st.sampled_from((-1, 1))))
+    letters = [Root(draw(st.sampled_from((-1, 1))), (first(part), *rest())) for part in parts[1:]]
+    return Word(rank, tuple(letters)), base
+
+
+@settings(deadline=None, max_examples=150)
+@given(walks_at_the_bound(I64_MAX))
+def test_a_path_with_bound_equal_to_i64_max_stays_in_the_band(case):
+    word, base = case
+    result = outcome(path_of_word, word, base)
+    assert result[0] == "value"
+    assert result == outcome(reference_path_of_word, word, base)
+
+
+@settings(deadline=None, max_examples=150)
+@given(walks_at_the_bound(I64_MAX + 1))
+def test_a_path_with_bound_one_past_i64_max_equals_the_per_letter_walk(case):
+    word, base = case
+    assert outcome(path_of_word, word, base) == outcome(reference_path_of_word, word, base)
+
+
+def test_a_term_of_2_63_with_an_anchor_in_the_band_is_summed_exactly():
+    """The per-letter walk raised on the term ``-(-2^63)``; the sums keep the in-band anchor."""
+    word = Word(1, (Root(-1, (I64_MIN,)),))
+    base = Simplex((-5,), 1)
+    assert path_of_word(word, base).simplices == (base, Simplex((I64_MAX - 4,), -1))
+    assert outcome(reference_path_of_word, word, base) == ("raises", OverflowError, PAST_MAX)
+
+
+@st.composite
+def tracers_with_inserts(draw):
+    """A baby-base word, a base simplex near or past the bound, and blocks to insert."""
+    nu = draw(st.integers(0, 4))
+    indices = draw(st.lists(st.integers(0, nu), max_size=12))
+    edge = st.one_of(st.integers(-3, 3), st.integers(I64_MAX - 3, I64_MAX), st.integers(I64_MIN, I64_MIN + 3))
+    base = Simplex(draw(st.tuples(*[edge] * nu)), draw(st.sampled_from((-1, 1))))
+    blocks = [(i,) for i in range(nu + 1)] + [(0, i, j) for i in range(1, nu + 1) for j in range(i + 1, nu + 1)]
+    inserts = draw(st.lists(st.tuples(st.integers(0, 30), st.sampled_from(blocks)), max_size=6))
+    return nu, indices, base, inserts
+
+
+def tracer_states(tracer_type, indices, path, inserts):
+    tracer = tracer_type(indices, path)
+    states = []
+    for pos, gens in inserts:
+        pos %= len(tracer.word) + 1
+        states.append((outcome(tracer.insert, pos, gens), tracer.word[:], tracer.at[:], tracer.moves[:]))
+        if states[-1][0][0] == "raises":
+            break
+    return states
+
+
+@settings(deadline=None, max_examples=200)
+@given(tracers_with_inserts())
+def test_tracer_inserts_equal_the_per_letter_walk(case):
+    nu, indices, base, inserts = case
+    try:
+        path = reference_path_of_word(Word.from_indices(baby_base(nu), indices), base)
+    except OverflowError:
+        path = path_of_word(Word.empty(nu), base)
+        indices = []
+    assert tracer_states(_Tracer, indices, path, inserts) == tracer_states(
+        ReferenceTracer, indices, path, inserts
+    )
+
+
+@st.composite
+def loops_with_far_base(draw):
+    nu, indices, start = draw(loops_with_base())
+    edge = st.one_of(st.integers(-3, 3), st.integers(I64_MAX - 40, I64_MAX), st.integers(I64_MIN, I64_MIN + 40))
+    return nu, indices, Simplex(draw(st.tuples(*[edge] * nu)), start.orient)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(loops_with_base(), loops_with_far_base()))
+def test_loop_traces_and_replays_equal_the_per_letter_walk(case):
+    nu, indices, start = case
+    word = Word.from_indices(baby_base(nu), indices)
+
+    def trace_and_replays(word, start):
+        trace = reduce_loop(geometry.path_of_word(word, start))
+        return trace, [replay_trace(trace, b) for _, b, _ in trace.macros]
+
+    assert outcome(trace_and_replays, word, start) == with_reference_walk(trace_and_replays, word, start)
+
+
+def test_rank_zero_walks_alternate_the_orientation():
+    word = Word.from_indices(baby_base(0), (0, 0, 0))
+    path = path_of_word(word, Simplex((), -1))
+    assert [s.orient for s in path.simplices] == [-1, 1, -1, 1]
+    assert path == reference_path_of_word(word, Simplex((), -1))
+
+
+class TestSimplexGuardsItsAnchor:
+    @pytest.mark.parametrize("anchor, message", [
+        ((2**70, 0), "integer 1180591620717411303424 exceeds the signed 64-bit guard"),
+        ((0, I64_MAX + 1), PAST_MAX),
+        ((I64_MIN - 1,), PAST_MIN),
+    ])
+    def test_an_anchor_past_the_band_raises_the_guard_error(self, anchor, message):
+        with pytest.raises(OverflowError) as exc:
+            Simplex(anchor, 1)
+        assert str(exc.value) == message
+
+    def test_the_band_edges_are_anchors(self):
+        assert Simplex((I64_MAX, I64_MIN), -1).anchor == (I64_MAX, I64_MIN)
+
+
+class TestReplayTraceUpto:
+    def trace(self, baby2_base):
+        return reduce_loop(path_of_word(Word.from_indices(baby2_base, WORKED_LOOP), base_simplex(2)))
+
+    def test_none_replays_every_move(self, baby2_base):
+        trace = self.trace(baby2_base)
+        assert simplices_of(replay_trace(trace, None)) == (((0, 0), 1),)
+
+    def test_zero_replays_no_move(self, baby2_base):
+        trace = self.trace(baby2_base)
+        assert simplices_of(replay_trace(trace, 0)) == WORKED_PATH
+
+    def test_the_move_count_replays_every_move(self, baby2_base):
+        trace = self.trace(baby2_base)
+        assert replay_trace(trace, len(trace.moves)) == replay_trace(trace)
+
+    @pytest.mark.parametrize("upto", [-1, "end", "len"])
+    def test_outside_the_range_is_a_domain_error(self, baby2_base, upto):
+        trace = self.trace(baby2_base)
+        n = len(trace.moves)
+        upto = {"end": n + 1, "len": n + 10}.get(upto, upto)
+        with pytest.raises(DomainError, match=f"0..{n}"):
+            replay_trace(trace, upto)
+
+    @pytest.mark.parametrize("upto", [1.5, 2.0, "3", True])
+    def test_a_non_int_is_a_domain_error(self, baby2_base, upto):
+        trace = self.trace(baby2_base)
+        with pytest.raises(DomainError, match=f"0..{len(trace.moves)}"):
+            replay_trace(trace, upto)

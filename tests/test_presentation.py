@@ -667,3 +667,49 @@ def test_a_tampered_middle_step_fails_the_replay_call_itself():
         tampered = dataclasses.replace(cert, steps=cert.steps[:k] + (bad,) + cert.steps[k + 1 :])
         with pytest.raises(DomainError):
             replay_certificate(tampered)
+
+
+@pytest.mark.parametrize("indices, nu", [(WORKED_LOOP, 2), (palindrome(2, 120), 4), ((), 2)])
+def test_replay_view_reversed_index_and_count_read_what_the_eager_replay_listed(indices, nu):
+    view = replay_certificate(rewrite_to_identity(indices, nu))
+    oracle = eager_replay(view.cert)
+    n = len(oracle)
+    assert list(reversed(view)) == oracle[::-1]
+    for state in (*oracle, [9], (), oracle[0][:-1]):
+        assert view.count(state) == oracle.count(state)
+    for state in oracle:
+        for start, stop in ((0, None), (1, None), (-2, None), (0, -1), (n // 2, n), (-n - 3, n + 3)):
+            try:
+                expected = oracle.index(state, start, n if stop is None else stop)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    view.index(state, start, stop)
+            else:
+                assert view.index(state, start, stop) == expected
+    with pytest.raises(ValueError):
+        view.index([9])
+
+
+def test_replay_view_reversed_index_and_count_replay_once(monkeypatch):
+    cert = rewrite_to_identity(palindrome(0, 2000), 4)
+    view = replay_certificate(cert)
+    applied = 0
+    apply = WordMoves.apply
+
+    def counting_apply(self, step):
+        nonlocal applied
+        applied += 1
+        return apply(self, step)
+
+    middle = view[len(view) // 2]
+    monkeypatch.setattr(WordMoves, "apply", counting_apply)
+    for read in (
+        lambda: list(reversed(view)),
+        lambda: view.index([]),
+        lambda: view.index(middle),
+        lambda: view.count([]),
+        lambda: pytest.raises(ValueError, view.index, [9]),
+    ):
+        applied = 0
+        read()
+        assert applied <= len(cert.steps), applied

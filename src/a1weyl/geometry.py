@@ -10,14 +10,15 @@ Paths: the path of ``w = w_{a_1}...w_{a_k}`` from a base simplex
 ``B(x, o)`` applies the letters right to left, recording ``k + 1``
 simplices; it closes up exactly when the word is a relation.  Entry ``r`` is
 the image of the base under the length-``r`` suffix ``u``, which is
-``B(x + o*shift(u), parity(u)*o)`` by the action above.  With ``weyl``'s
-coefficients ``c_i = (-1)^(k-i) sign(a_i)``, ``shift(u)`` is
-``sum_{i > k-r} c_i p(a_i)``, so the anchors are ``x + o*(suffix sums of
-c_i p(a_i))``: prefix sums of the same signed lattice columns ``eval_word``
-sums, read from the right, and the orientations alternate ``o, -o, ...``.
-:func:`_walk` takes these sums exactly and guards each anchor once, where
-``Simplex`` stores it, so a path raises at the first simplex that leaves the
-64-bit band.  Loop tracing inserts a block's letters by the same walk.
+``B(x + o*shift(u), parity(u)*o)`` by the action above.  With the
+coefficients ``c_i = (-1)^(k-i) sign(a_i)`` of ``Word.columns``,
+``shift(u)`` is ``sum_{i > k-r} c_i p(a_i)``, so the anchors are
+``x + o*(suffix sums of c_i p(a_i))``: prefix sums of the word's signed
+lattice columns, the ones ``eval_word`` sums, read from the right, and the
+orientations alternate ``o, -o, ...``.  :func:`_walk` takes these sums
+exactly and guards each anchor once, where ``Simplex`` stores it, so a path
+raises at the first simplex that leaves the 64-bit band.  Loop tracing
+inserts a block by walking the block's word.
 
 Loops reduce to the trivial loop by inserting or deleting the elementary
 sub-loops of ``g_i^2`` and ``(g_0 g_i g_j)^2`` (``i < j`` both nonzero);
@@ -33,7 +34,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import DomainError, InternalCheckError
-from .lattice import Root, Vec, baby_base, checked_vec, vec_add, vec_scale, zero_vec
+from .lattice import Vec, baby_base, checked_vec, vec_add, vec_scale, zero_vec
 from .presentation import WordMoves, move_block, rewrite_to_identity  # noqa: F401
 from .weyl import WeylElement, is_relation_w
 from .words import Word
@@ -45,7 +46,7 @@ class Simplex:
     orient: int
 
     def __post_init__(self) -> None:
-        if self.orient not in (-1, 1):
+        if type(self.orient) is not int or self.orient not in (-1, 1):
             raise DomainError(f"orientation must be +1 or -1, got {self.orient}")
         object.__setattr__(self, "anchor", checked_vec(self.anchor))
 
@@ -84,26 +85,25 @@ class Path:
         return self.word.rank
 
 
-def _walk(letters: Sequence[Root], base: Simplex) -> list[Simplex]:
-    """``base`` and its images as ``letters`` are applied in order, first to last.
+def _walk(word: Word, base: Simplex) -> list[Simplex]:
+    """``base`` and its images under the suffixes of ``word``, shortest first.
 
-    Entry ``t`` is ``B(x + o*sum_{s<=t} (-1)^(s-1) sign(b_s) p(b_s), (-1)^t o)``
-    for ``base = B(x, o)`` and letters ``b_1, b_2, ...``: exact column prefix
-    sums, each anchor checked by ``Simplex``.
+    Entry ``t`` is ``B(x + o*sum_{i > k-t} c_i p(a_i), (-1)^t o)`` for
+    ``base = B(x, o)``: exact prefix sums of ``Word.columns`` read from the
+    right, each anchor checked by ``Simplex``.
     """
     x, o = base.anchor, base.orient
-    cols = [*zip(*[a.lat for a in letters])] or [()] * len(x)  # no letters: empty columns
-    orients = [o, -o] * (len(letters) // 2 + 1)
-    coefs = list(map(mul, [a.sign for a in letters], orients))
-    rows = [accumulate(map(mul, coefs, col), initial=xc) for xc, col in zip(x, cols)]
-    anchors = zip(*rows) if rows else repeat((), len(letters) + 1)
-    return list(map(Simplex, anchors, orients))
+    coefs, cols, _ = word.columns
+    steps = [o * c for c in reversed(coefs)]
+    rows = [accumulate(map(mul, steps, reversed(col)), initial=xc) for xc, col in zip(x, cols)]
+    anchors = zip(*rows) if rows else repeat((), len(coefs) + 1)
+    return list(map(Simplex, anchors, [o, -o] * (len(coefs) // 2 + 1)))
 
 
 def path_of_word(word: Word, base: Simplex) -> Path:
     if word.rank != base.rank:
         raise DomainError("rank mismatch between word and base simplex")
-    return Path(tuple(_walk(word.letters[::-1], base)), word)
+    return Path(tuple(_walk(word, base)), word)
 
 
 def is_loop(p: Path) -> bool:
@@ -150,13 +150,17 @@ class _Tracer(WordMoves):
     def __init__(self, indices: Sequence[int], path: Path):
         super().__init__(indices, path.rank)
         self.at = list(reversed(path.simplices))
-        self.roots = baby_base(path.rank).roots
+        self.crumbs = baby_base(path.rank)
+        self.blocks: dict[tuple[int, ...], Word] = {}
         self.moves: list[Move] = []
 
     def insert(self, pos: int, gens: tuple[int, ...]) -> Simplex:
         block = super().insert(pos, gens)
+        word = self.blocks.get(block)
+        if word is None:
+            word = self.blocks[block] = Word.from_indices(self.crumbs, block)
         base = self.at[pos]
-        self.at[pos:pos] = _walk([self.roots[k] for k in reversed(block)], base)[:0:-1]
+        self.at[pos:pos] = _walk(word, base)[:0:-1]
         self.moves.append(Move("insert", pos, gens, base))
         return base
 

@@ -25,7 +25,7 @@ from .errors import DomainError, InternalCheckError
 from .intmat import Mat, mat_mul
 from .lattice import ReflectableBase, Vec, checked_vec, is_elliptic_like, support_pairs, zero_vec
 from . import weyl
-from .weyl import WeylElement, bounded_columns, is_relation_w, reflection_product
+from .weyl import WeylElement, is_relation_w, reflection_product
 from .words import Word
 
 
@@ -94,14 +94,14 @@ def eval_word_hyp(word: Word) -> HyperbolicElement:
     ``dual_p[j][c] + dual_p[c][j] = 2 shift_j shift_c``, as ``w``
     preserving the Gram form requires, and on the diagonal
     ``dual_p[j][j] = shift_j^2``.  So the sum is needed only for ``j < c``,
-    over the prefix sums of the columns of ``weyl.bounded_columns``.
+    over the prefix sums of the columns of ``Word.columns``.
 
     Only ``weyl`` guards the running sum: past the bound,
     ``weyl.eval_word_checked`` raises where a partial sum leaves the 64-bit
     band.  The dual rows are exact ints, checked once when
     ``HyperbolicElement`` stores them.
     """
-    coefs, cols, within = bounded_columns(word)
+    coefs, cols, within = word.columns
     if not within:
         weyl.eval_word_checked(word)  # raises where the running sum leaves the band
     nu = word.rank

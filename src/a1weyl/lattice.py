@@ -10,15 +10,17 @@ All arithmetic is exact.  Coordinates are Python ints guarded to the signed
 64-bit range: overflow raises, it never wraps.  There is one guard policy.
 Values are checked where they enter, by the constructors of ``Root``,
 ``WeylElement``, ``HyperbolicElement`` and ``geometry.Simplex`` through
-:func:`checked_vec`, and the ``vec_*`` helpers check every result they
-build.  A word's running sum is guarded in ``weyl``: when
-``B_c = sum_i |p_c(a_i)|`` is at most ``I64_MAX`` for every coordinate
-``c``, no partial sum of its letters can leave the band, so it is summed
-without per-step guards; otherwise ``weyl.eval_word_checked`` sums it letter
-by letter and raises where it leaves the band.  Values derived from such
-sums are exact ints, checked once when they are stored: the dual rows of
-``hyperbolic``, and the anchors of a path, which ``geometry._walk`` takes as
-exact column prefix sums and ``Simplex`` checks one by one.
+:func:`checked_vec`, which takes ``int`` entries only (no floats, booleans
+or strings), and the ``vec_*`` helpers check every result they build.  A
+word's running sum is guarded in ``weyl``: when ``B_c = sum_i |p_c(a_i)|``
+is at most ``I64_MAX`` for every coordinate ``c`` (the flag of
+``words.Word.columns``), no partial sum of its letters can leave the band,
+so it is summed without per-step guards; otherwise
+``weyl.eval_word_checked`` sums it letter by letter and raises where it
+leaves the band.  Values derived from such sums are exact ints, checked once
+when they are stored: the dual rows of ``hyperbolic``, and the anchors of a
+path, which ``geometry._walk`` takes as prefix sums of ``Word.columns`` and
+``Simplex`` checks one by one.
 """
 
 from __future__ import annotations
@@ -46,21 +48,20 @@ def checked(n: int) -> int:
 
 
 def checked_vec(values: Iterable) -> Vec:
-    """The entries of ``values`` as ints, or raise as ``checked(int(c))`` does on the first bad one.
+    """The entries of ``values`` as a tuple, each an ``int`` in the 64-bit guard band.
 
-    A tuple or list is converted in one go and its band tested once with
-    ``min`` / ``max``; the entry-by-entry loop runs only to raise, or for
-    other iterables, so types, messages and order of errors are unchanged.
+    An entry that is not an ``int`` (a float, a bool, a string) raises
+    ``DomainError`` naming it.  Then the band is tested once with ``min`` /
+    ``max``; past it, ``checked`` raises on the first entry outside.
     """
-    if isinstance(values, (tuple, list)):
-        try:
-            vec = tuple(map(int, values))
-        except Exception:  # raised again below, after any earlier out-of-band entry
-            pass
-        else:
-            if not vec or (min(vec) >= I64_MIN and max(vec) <= I64_MAX):
-                return vec
-    return tuple(checked(int(c)) for c in values)
+    vec = tuple(values)
+    for c in vec:
+        if type(c) is not int:
+            raise DomainError(f"vector entry {c!r} is not an int")
+    if vec and (min(vec) < I64_MIN or max(vec) > I64_MAX):
+        for c in vec:
+            checked(c)
+    return vec
 
 
 def zero_vec(rank: int) -> Vec:
@@ -107,7 +108,7 @@ class Root:
     lat: Vec
 
     def __post_init__(self) -> None:
-        if self.sign not in (-1, 0, 1):
+        if type(self.sign) is not int or self.sign not in (-1, 0, 1):
             raise DomainError(f"root sign must be -1, 0 or +1, got {self.sign}")
         object.__setattr__(self, "lat", checked_vec(self.lat))
 

@@ -101,6 +101,8 @@ def presentation_alternating(pool: Sequence, kmax: int) -> Presentation:
     """
     if kmax % 2 != 0:
         raise DomainError(f"kmax must be even, got {kmax}")
+    if kmax < 0:
+        raise DomainError(f"kmax must be non-negative, got {kmax}")
     if kmax > MAX_K:
         raise DomainError(f"kmax {kmax} exceeds the cap {MAX_K}")
     index = {a: i for i, a in enumerate(pool)}

@@ -10,14 +10,12 @@ parts vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import cycle, islice
 from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import DomainError
 from .intmat import Mat, mat_identity
 from .lattice import (
-    I64_MAX,
     Root,
     Vec,
     checked,
@@ -40,7 +38,7 @@ class WeylElement:
     shift: Vec
 
     def __post_init__(self) -> None:
-        if self.parity not in (-1, 1):
+        if type(self.parity) is not int or self.parity not in (-1, 1):
             raise DomainError(f"parity must be +1 or -1, got {self.parity}")
         object.__setattr__(self, "shift", checked_vec(self.shift))
 
@@ -57,29 +55,9 @@ def identity_element(rank: int) -> WeylElement:
     return WeylElement(1, zero_vec(rank))
 
 
-def bounded_columns(word: Word) -> tuple[list[int], list[Vec], bool]:
-    """A word's coefficients ``c_i = (-1)^(k-i) sign(a_i)``, its lattice columns and its bound.
-
-    Column ``c`` is ``(p_c(a_1), ..., p_c(a_k))``, so ``shift_c`` is
-    ``sum(map(mul, coefs, col_c))``.  The flag is True when every
-    ``B_c = sum_i |p_c(a_i)|`` is at most ``I64_MAX``: then no partial sum
-    leaves the 64-bit band and the sums need no guard.  Past the bound,
-    :func:`eval_word_checked` is the guard of the running sum, here and in
-    ``hyperbolic``.
-    """
-    letters = word.letters
-    k = len(letters)
-    if not k:
-        return [], [() for _ in range(word.rank)], True
-    signs = islice(cycle((1, -1) if k % 2 else (-1, 1)), k)  # (-1)^(k-i) from i = 1
-    coefs = list(map(mul, [a.sign for a in letters], signs))
-    cols = list(zip(*[a.lat for a in letters]))
-    return coefs, cols, all(sum(map(abs, col)) <= I64_MAX for col in cols)
-
-
 def eval_word(word: Word) -> WeylElement:
-    """Canonical form of a word: bounded column sums, or the checked loop."""
-    coefs, cols, within = bounded_columns(word)
+    """Canonical form of a word: sums of ``Word.columns``, or the checked loop past its bound."""
+    coefs, cols, within = word.columns
     if not within:
         return eval_word_checked(word)
     shift = tuple(sum(map(mul, coefs, col)) for col in cols)
@@ -90,7 +68,7 @@ def eval_word_checked(word: Word) -> WeylElement:
     """``eval_word`` letter by letter, every step guarded: the one guard of a running sum.
 
     ``eval_word`` and ``hyperbolic.eval_word_hyp`` call it past the bound of
-    :func:`bounded_columns`; it raises exactly where a term ``c_i p(a_i)`` or
+    ``Word.columns``; it raises exactly where a term ``c_i p(a_i)`` or
     a partial sum leaves the 64-bit band.
     """
     k = len(word)

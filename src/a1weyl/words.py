@@ -3,17 +3,22 @@
 A word is the formal product of the reflections in its letters, leftmost
 letter acting last.  The text format is whitespace-separated tokens, each
 either ``g<k>`` (the k-th root of the active base, counted from 0) or an
-explicit root ``(+|-)e:<c1>,...,<cnu>`` meaning ``+-e + sum c_i*s_i``.
+explicit root ``(+|-)e:<c1>,...,<cnu>`` meaning ``+-e + sum c_i*s_i``, its
+numbers ASCII digits with an optional sign.  A word also holds its signed
+lattice columns, :attr:`Word.columns`, which every evaluation reads.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import cycle, islice
+from operator import mul
 from typing import Iterable
 
 from .errors import DomainError, WordParseError
-from .lattice import ReflectableBase, Root, Semilattice, root_in_rx
+from .lattice import I64_MAX, ReflectableBase, Root, Semilattice, Vec, root_in_rx
 
 
 @dataclass(frozen=True)
@@ -33,6 +38,26 @@ class Word:
 
     def __len__(self) -> int:
         return len(self.letters)
+
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], tuple[Vec, ...], bool]:
+        """The coefficients ``c_i = (-1)^(k-i) sign(a_i)``, the lattice columns and their bound.
+
+        Column ``c`` is ``(p_c(a_1), ..., p_c(a_k))``, so ``shift_c`` is
+        ``sum(map(mul, coefs, col_c))``.  The flag is True when every
+        ``B_c = sum_i |p_c(a_i)|`` is at most ``I64_MAX``: then no partial sum
+        leaves the 64-bit band and the sums need no guard.  Past the bound,
+        ``weyl.eval_word_checked`` is the guard of the running sum.  Built once
+        per word and shared by every reader, so it is held as tuples.
+        """
+        letters = self.letters
+        k = len(letters)
+        if not k:
+            return (), ((),) * self.rank, True
+        signs = islice(cycle((1, -1) if k % 2 else (-1, 1)), k)  # (-1)^(k-i) from i = 1
+        coefs = tuple(map(mul, [a.sign for a in letters], signs))
+        cols = tuple(zip(*[a.lat for a in letters]))
+        return coefs, cols, all(sum(map(abs, col)) <= I64_MAX for col in cols)
 
     def __add__(self, other: "Word") -> "Word":
         if self.rank != other.rank:
@@ -119,6 +144,9 @@ def parse_word(text: str, base: ReflectableBase) -> Word:
 
 
 def _parse_token(token: str, base: ReflectableBase) -> Root:
+    # int() would also take "_" separators and non-ASCII digits such as "\u0662"
+    if "_" in token or not token.isascii():
+        raise WordParseError(f"token {token!r} has a non-ASCII character or an '_'")
     if token.startswith("g"):
         try:
             k = int(token[1:])

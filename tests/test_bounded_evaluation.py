@@ -6,14 +6,31 @@ the checked loop otherwise.  The checked loops are the reference: every word
 must give the same result, or the same exception with the same message.
 """
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from a1weyl import Root, Word, eval_word, eval_word_hyp, is_relation_w, matrix_of_word
+from a1weyl import (
+    DomainError,
+    Root,
+    Simplex,
+    WeylElement,
+    Word,
+    base_simplex,
+    eval_word,
+    eval_word_hyp,
+    is_central,
+    is_loop,
+    is_relation_w,
+    matrix_of_word,
+    matrix_of_word_w,
+    path_of_word,
+)
 from a1weyl.hyperbolic import HyperbolicElement, matrix_of_element_hyp
 from a1weyl.lattice import I64_MAX, I64_MIN, checked, checked_vec, vec_add, vec_scale, zero_vec
-from a1weyl.weyl import alternating_sum, bounded_columns, eval_word_checked
+from a1weyl.weyl import alternating_sum, eval_word_checked
 
 
 # The library's former checked loop for the extended group, kept verbatim as
@@ -106,14 +123,14 @@ def words_at_the_bound(draw, total):
 @settings(deadline=None, max_examples=150)
 @given(words_at_the_bound(I64_MAX))
 def test_a_word_with_b_equal_to_i64_max_is_summed_by_columns(word):
-    assert bounded_columns(word)[2]
+    assert word.columns[2]
     assert_same_as_checked(word)
 
 
 @settings(deadline=None, max_examples=150)
 @given(words_at_the_bound(I64_MAX + 1))
 def test_a_word_with_b_one_past_i64_max_takes_the_checked_loop(word):
-    assert not bounded_columns(word)[2]
+    assert not word.columns[2]
     assert_same_as_checked(word)
 
 
@@ -157,19 +174,75 @@ def checked_vec_reference(values):
     [],
     (1, -2, 3),
     [I64_MIN, I64_MAX],
-    ("7", 2.0, True),
     (I64_MAX + 1,),
     (I64_MIN - 1, 0),
-    (0, I64_MAX + 1, "x"),  # out of band before non-numeric: the overflow is raised
-    (0, "x", I64_MAX + 1),  # non-numeric first: the ValueError is raised
-    (None, I64_MAX + 1),
-    (float("inf"),),
-    (1.5, 2**70),
 ])
 def test_checked_vec_converts_and_raises_as_the_per_entry_guard(values):
     expected = outcome(checked_vec_reference, values)
     assert outcome(checked_vec, values) == expected
     assert outcome(checked_vec, iter(values)) == expected
+
+
+@pytest.mark.parametrize("values, bad", [
+    (("7", 2.0, True), "7"),
+    ((0, I64_MAX + 1, "x"), "x"),  # the entry types are checked before the band
+    ((0, "x", I64_MAX + 1), "x"),
+    ((None, I64_MAX + 1), None),
+    ((float("inf"),), float("inf")),
+    ((1.5, 2**70), 1.5),
+])
+def test_checked_vec_raises_domain_error_naming_the_first_entry_that_is_not_an_int(values, bad):
+    for arg in (values, iter(values)):
+        with pytest.raises(DomainError, match=re.escape(repr(bad))):
+            checked_vec(arg)
+
+
+@pytest.mark.parametrize("cls, args", [
+    (Root, (1.0, (1, 1))),
+    (Root, (True, (1, 1))),
+    (Root, (1, (1.9, True))),
+    (WeylElement, (1.0, (2,))),
+    (WeylElement, (1, (2.5,))),
+    (Simplex, ((0, 0), 1.0)),
+    (Simplex, ((1.9, True), 1)),
+])
+def test_the_guarded_constructors_take_only_ints(cls, args):
+    with pytest.raises(DomainError):
+        cls(*args)
+
+
+def test_every_reader_of_one_word_shares_one_build_of_its_columns(monkeypatch):
+    build, builds = Word.columns.func, []
+
+    def counted(word):
+        builds.append(word)
+        return build(word)
+
+    monkeypatch.setattr(Word.columns, "func", counted)
+    word = Word(2, (Root(1, (1, 0)), Root(1, (0, 0)), Root(-1, (0, 1))) * 2)
+    eval_word(word)
+    eval_word_hyp(word)
+    is_central(word)
+    is_loop(path_of_word(word, base_simplex(2)))
+    assert len(builds) == 1 and builds[0] is word
+
+
+def test_a_word_with_its_columns_built_equals_a_fresh_copy():
+    word = Word(2, (Root(1, (1, 2)), Root(-1, (3, 0))))
+    fresh = Word(2, word.letters)
+    word.columns  # noqa: B018 - builds the view
+    assert "columns" in word.__dict__ and "columns" not in fresh.__dict__
+    assert word == fresh and hash(word) == hash(fresh) and repr(word) == repr(fresh)
+
+
+def test_a_planted_view_moves_eval_word_but_not_the_matrix_oracles():
+    word = Word(2, (Root(1, (1, 2)), Root(-1, (3, 0)), Root(1, (0, 4))))
+    fresh = Word(2, word.letters)
+    coefs, cols, within = fresh.columns
+    word.__dict__["columns"] = (tuple(-c for c in coefs), cols, within)
+    assert eval_word(word) != eval_word(fresh)
+    assert matrix_of_word_w(word) == matrix_of_word_w(fresh)
+    assert matrix_of_word(word) == matrix_of_word(fresh)
 
 
 L = 2**62
@@ -186,7 +259,7 @@ L = 2**62
 ])
 def test_past_the_bound_the_dual_rows_are_checked_where_they_are_stored(letters, rows_in_band):
     word = Word(len(letters[0][1]), tuple(Root(sign, p) for sign, p in letters))
-    assert not bounded_columns(word)[2]
+    assert not word.columns[2]
     eval_word_checked(word)  # the running sum stays in the band
     expected = outcome(eval_word_hyp_checked, word)
     assert outcome(eval_word_hyp, word) == expected

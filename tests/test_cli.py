@@ -93,6 +93,11 @@ def test_eval_parse_error(capsys, baby2_config):
     assert main(["eval", "--config", baby2_config, "gX"]) == 4
 
 
+@pytest.mark.parametrize("token", ["g1_0", "g\u0662", "+e:1_0,0", "+e:\u0661,0"])
+def test_eval_non_ascii_digits_or_underscores_are_parse_errors(capsys, baby2_config, token):
+    assert main(["eval", "--config", baby2_config, "g1", token]) == 4
+
+
 def test_eval_root_outside_system(capsys, baby2_config):
     assert main(["eval", "--config", baby2_config, "+e:1,1"]) == 5
 
@@ -228,6 +233,13 @@ def test_element_json_round_trips(capsys, baby2_config):
         capsys, "eval", "--config", baby2_config, "--group", "Wt", "g1", "g0"
     )
     assert element_from_dict(data["element"]).projection().shift == (-1, 0)
+
+
+def test_presentation_negative_kmax_is_domain_error(capsys, baby2_config):
+    code, out = run(capsys, "presentation", "--config", baby2_config, "--kind", "alternating",
+                    "--kmax", "-2")
+    assert code == 5
+    assert out == ""
 
 
 @pytest.mark.parametrize("rank", [0, 1, 2])

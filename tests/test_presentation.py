@@ -67,6 +67,14 @@ class TestPresentationAlternating:
         with pytest.raises(DomainError):
             presentation_alternating(baby2_base.roots, 3)
 
+    @pytest.mark.parametrize("kmax, message", [
+        (-2, "kmax must be non-negative, got -2"),
+        (-3, "kmax must be even, got -3"),
+    ])
+    def test_negative_kmax_rejected(self, baby2_base, kmax, message):
+        with pytest.raises(DomainError, match=message):
+            presentation_alternating(baby2_base.roots, kmax)
+
 
 class TestPresentationBaby:
     def test_rank0(self):

@@ -100,6 +100,12 @@ def test_spellings_of_one_root_parse_to_equal_roots(baby2_base):
     assert word.letters == (root(1, 1, 2),) * 3
 
 
+@pytest.mark.parametrize("bad", ["g1_0", "g\u0662", "+e:1_0,0", "+e:0,\uff11", "g\u00b2"])
+def test_digits_are_ascii_without_underscores(baby2_base, bad):
+    with pytest.raises(WordParseError, match="non-ASCII character or an '_'"):
+        parse_word(f"g1 {bad}", baby2_base)
+
+
 @pytest.mark.parametrize("bad", ["+e:1", "+e:1,x", "g9", "h1", "gx"])
 def test_a_bad_token_after_valid_repeats_raises_as_alone(baby2_base, bad):
     with pytest.raises(WordParseError) as alone:

@@ -112,6 +112,10 @@ def _simplex(args, rank: int) -> geometry.Simplex:
     if args.anchor is None:
         anchor = (0,) * rank
     else:
+        # The digit rule of word tokens: int() would also take "_" separators
+        # and non-ASCII digits such as "\u0662".
+        if "_" in args.anchor or not args.anchor.isascii():
+            raise WordParseError(f"anchor {args.anchor!r} has a non-ASCII character or an '_'")
         try:
             anchor = tuple(int(c) for c in args.anchor.split(","))
         except ValueError as exc:

@@ -11,6 +11,17 @@ triple reversal by such moves.  Replay keeps only the live word, so its
 memory is O(length), and returns the intermediate words as a view that
 replays the steps again when they are read.
 
+A reversal is realised once per distinct letter triple and then cited, as a
+lemma.  Every move of ``reverse_triple(q)`` is at an offset >= 0 from ``q``,
+and an insert is checked only against ``nu``.  So if the expansion succeeds
+on the isolated word ``[a, b, c]``, each of its deletes read only letters of
+the triple or letters the expansion had inserted, and it succeeds with the
+same moves at any position of any word holding that triple, leaving
+``c b a`` there.  An isolated failure proves nothing in context (a delete
+may match letters after the triple), so such a triple is expanded in place
+at every step, as are triples of letters that are not exactly ``int``
+(``True`` and ``1.0`` hash like ``1`` but fail ``move_block``).
+
 A macro does the first of three things that applies: cancel the leftmost
 adjacent pair ``g_k g_k`` and then every pair that unlocks (a cascade);
 delete the leftmost relator block ``0 i j 0 i j`` (``1 <= i < j <= nu``); or
@@ -404,6 +415,16 @@ class WordMoves:
             raise DomainError(f"{rule!r} step with payload {payload} does not apply at {q!r}")
 
 
+def _reverses_alone(triple: tuple[int, int, int], nu: int) -> bool:
+    """Whether ``reverse_triple(0)`` on the isolated ``triple`` succeeds and gives ``c b a``."""
+    moves = WordMoves(triple, nu)
+    try:
+        moves.reverse_triple(0)
+    except DomainError:
+        return False
+    return moves.word == [triple[2], triple[1], triple[0]]
+
+
 class ReplayedCertificate(Sequence):
     """The words a replayed certificate passes through, rebuilt on demand.
 
@@ -411,7 +432,8 @@ class ReplayedCertificate(Sequence):
     it returns this view, which keeps the certificate, ``nu`` and the final
     word only.  Entry ``k`` is the word after ``k`` steps, a fresh
     ``list[int]``: the final word is copied, any other entry (and iteration)
-    replays the steps again from the start by :class:`WordMoves`.  Negative
+    replays the steps again from the start, with the same checks and a
+    fresh lemma table (see the module docstring).  Negative
     indices count from the end as for a list; a slice, ``reversed``,
     ``index`` and ``count`` each replay once, and a slice returns a list of
     the entries it selects.
@@ -426,14 +448,44 @@ class ReplayedCertificate(Sequence):
         return len(self.cert.steps) + 1
 
     def _live(self) -> Iterator[list[int]]:
-        """The one live word after 0, 1, 2, ... checked steps; callers copy what they keep."""
+        """The one live word after 0, 1, 2, ... checked steps; callers copy what they keep.
+
+        A cancel that passes every check of ``WordMoves.delete`` is done in
+        place, and a reversal of ``int`` letters whose lemma holds swaps
+        ``word[q]`` and ``word[q + 2]``; any other step goes through
+        ``WordMoves``, so each accepts and rejects (with the same message)
+        as the full expansion does.
+        """
         moves = WordMoves(self.cert.start, self.nu)
         word = moves.word  # changed in place by every move
+        lemmas: dict[tuple[int, int, int], bool] = {}
         yield word
         for step in self.cert.steps:
             if len(word) != step.before_len:
                 raise DomainError("certificate does not chain: length mismatch")
-            moves.apply(step)
+            rule, q, payload = step.rule, step.pos, step.payload
+            if type(q) is not int or q < 0 or type(payload) is not tuple:
+                moves.apply(step)
+            elif rule == RULE_CANCEL and len(payload) == 1:
+                k = payload[0]
+                if type(k) is int and k >= 0 and word[q : q + 2] == [k, k]:
+                    del word[q : q + 2]
+                else:
+                    moves.apply(step)
+            elif rule == RULE_REVERSE and len(payload) == 3 and (
+                (triple := tuple(word[q : q + 3])) == payload
+            ):
+                a, b, c = triple
+                # Exact ints only: (True, 0, 2) hashes and compares like (1, 0, 2).
+                ok = type(a) is type(b) is type(c) is int and lemmas.get(triple)
+                if ok is None:
+                    ok = lemmas[triple] = _reverses_alone(triple, self.nu)
+                if ok:
+                    word[q], word[q + 2] = c, a
+                else:
+                    moves.reverse_triple(q)
+            else:
+                moves.apply(step)
             if len(word) != step.after_len:
                 raise DomainError("step length bookkeeping does not match")
             yield word
@@ -476,13 +528,17 @@ def replay_certificate(cert: RewriteCertificate) -> ReplayedCertificate:
     """Check every step of ``cert`` on one live word; the states as a lazy view.
 
     Every step is replayed as relator moves, so a certificate that replays
-    proves its word trivial from the relators alone.  Replay inserts only
-    ``g_0`` and letters already in the word, so the largest ``int`` start
-    letter bounds what it may insert.  A step that does not apply, a length
-    that does not chain, or a claimed empty word that is not reached raises
-    ``DomainError`` here, before anything is returned.  No intermediate word
-    is stored, so memory is O(word length); the returned
-    :class:`ReplayedCertificate` rebuilds the words when they are read.
+    proves its word trivial from the relators alone.  A triple reversal is
+    expanded into relator moves once per distinct triple of ``int`` letters
+    and cited after that as one swap (the lemmas of the module docstring);
+    the call accepts and rejects what expanding every reversal would.
+    Replay inserts only ``g_0`` and letters already in the word, so the
+    largest ``int`` start letter bounds what it may insert.  A step that
+    does not apply, a length that does not chain, or a claimed empty word
+    that is not reached raises ``DomainError`` here, before anything is
+    returned.  No intermediate word is stored, so memory is O(word length);
+    the returned :class:`ReplayedCertificate` rebuilds the words when they
+    are read.
     """
     view = ReplayedCertificate(cert, max((g for g in cert.start if type(g) is int), default=0))
     for word in view._live():

@@ -343,3 +343,22 @@ def test_path_with_an_anchor_past_the_band_names_the_anchor(capsys, baby2_config
     assert code == 5
     assert captured.out == ""
     assert "integer 1180591620717411303424 exceeds the signed 64-bit guard" in captured.err
+
+
+@pytest.mark.parametrize("command", ["path", "render-svg"])
+@pytest.mark.parametrize("anchor", ["1_0,٢", "1_0,2", "١,0", "1,２"])
+def test_anchor_takes_the_digits_of_a_word_token_only(capsys, tmp_path, baby2_config, command, anchor):
+    out = tmp_path / "loop.svg"
+    extra = ["--out", str(out)] if command == "render-svg" else []
+    code = main([command, "--config", baby2_config, *extra, "--anchor", anchor, "g1", "g1"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert f"anchor {anchor!r} has a non-ASCII character or an '_'" in captured.err
+    assert not out.exists()
+
+
+def test_anchor_with_signs_parses_as_before(capsys, baby2_config):
+    code, data = run_json(capsys, "path", "--config", baby2_config, "--anchor", "+1,-2", "g1", "g1")
+    assert code == 0
+    assert data["entries"][0] == {"anchor": [1, -2], "orient": 1}

@@ -3,7 +3,8 @@ import hashlib
 import itertools
 import random
 import tracemalloc
-from typing import Sequence
+from collections import Counter
+from typing import Iterator, Sequence
 
 import pytest
 from hypothesis import example, given, settings
@@ -42,6 +43,7 @@ from a1weyl.presentation import (
     RewriteStep,
     WordMoves,
     _Rewriter,
+    _reverses_alone,
     certificate_to_dict,
     move_block,
 )
@@ -721,3 +723,218 @@ def test_replay_view_reversed_index_and_count_replay_once(monkeypatch):
         applied = 0
         read()
         assert applied <= len(cert.steps), applied
+
+
+# --- the replay that expanded every reversal into relator moves: the lemma replay's oracle ---
+
+
+class ExpandingReplayedCertificate(ReplayedCertificate):
+    def _live(self) -> Iterator[list[int]]:
+        """The one live word after 0, 1, 2, ... checked steps; callers copy what they keep."""
+        moves = WordMoves(self.cert.start, self.nu)
+        word = moves.word  # changed in place by every move
+        yield word
+        for step in self.cert.steps:
+            if len(word) != step.before_len:
+                raise DomainError("certificate does not chain: length mismatch")
+            moves.apply(step)
+            if len(word) != step.after_len:
+                raise DomainError("step length bookkeeping does not match")
+            yield word
+
+
+def expanding_replay_certificate(cert: RewriteCertificate) -> ReplayedCertificate:
+    """Check every step of ``cert`` on one live word; the states as a lazy view.
+
+    Every step is replayed as relator moves, so a certificate that replays
+    proves its word trivial from the relators alone.  Replay inserts only
+    ``g_0`` and letters already in the word, so the largest ``int`` start
+    letter bounds what it may insert.  A step that does not apply, a length
+    that does not chain, or a claimed empty word that is not reached raises
+    ``DomainError`` here, before anything is returned.  No intermediate word
+    is stored, so memory is O(word length); the returned
+    :class:`ReplayedCertificate` rebuilds the words when they are read.
+    """
+    view = ExpandingReplayedCertificate(cert, max((g for g in cert.start if type(g) is int), default=0))
+    for word in view._live():
+        pass
+    if cert.final_empty and word:
+        raise DomainError("certificate claims the empty word but replay does not reach it")
+    view._final = word
+    return view
+
+
+def replay_outcome(replay, cert):
+    """The states of an accepted certificate, read three ways, or the error's type and message."""
+    try:
+        view = replay(cert)
+    except Exception as exc:  # noqa: BLE001 - the oracle compares every failure
+        return type(exc), str(exc)
+    return list(view), view[-1], view[len(view) // 2]
+
+
+def assert_replays_as_the_expansion(cert):
+    expected = replay_outcome(expanding_replay_certificate, cert)
+    assert replay_outcome(replay_certificate, cert) == expected
+    return expected
+
+
+# Same hash and equality as the int letter, but move_block refuses them.
+LOOKALIKES = {0: (False, 0.0), 1: (True, 1.0)}
+
+STEP_FIELDS = ("rule", "pos", "payload", "before_len", "after_len")
+
+
+@st.composite
+def tampered_value(draw, step, field, nu):
+    if field == "rule":
+        return draw(st.sampled_from([RULE_CANCEL, RULE_REVERSE, RULE_DELETE, "flip"]))
+    if field == "pos":
+        return draw(st.one_of(st.integers(-3, 3).map(lambda d: step.pos + d),
+                              st.sampled_from([1.5, "0", True, None, float(step.pos)])))
+    if field == "payload":
+        payload = step.payload
+        letters = st.one_of(st.integers(-1, nu + 1), st.sampled_from([True, False, 1.0, 0.0]))
+        return draw(st.one_of(
+            st.just(payload[::-1]),
+            st.just(list(payload)),
+            st.just(tuple(LOOKALIKES.get(g, (float(g),))[0] for g in payload)),
+            st.lists(letters, max_size=7).map(tuple),
+        ))
+    return getattr(step, field) + draw(st.sampled_from([-2, -1, 1, 2]))
+
+
+@st.composite
+def replay_cases(draw):
+    """A certificate of a relation at nu 1-5 or of a palindrome, possibly altered.
+
+    Some start letters 0 and 1 may become ``False``/``0.0`` and ``True``/``1.0``
+    (or a letter ``g`` the float ``g``), next to int triples that hash alike,
+    and one step may have one field tampered.
+    """
+    nu, indices = draw(st.one_of(
+        pair_up_relations(max_half=40),
+        relations_with_relators(),
+        st.tuples(st.just(4), st.builds(palindrome, st.integers(0, 3), st.integers(1, 60).map(lambda n: 2 * n))),
+    ))
+    cert = rewrite_to_identity(indices, nu)
+    start, steps = list(cert.start), list(cert.steps)
+    if start:
+        for q in draw(st.lists(st.integers(0, len(start) - 1), max_size=4)):
+            start[q] = draw(st.sampled_from(LOOKALIKES.get(start[q], (float(start[q]),))))
+    if steps and draw(st.booleans()):
+        k = draw(st.integers(0, len(steps) - 1))
+        field = draw(st.sampled_from(STEP_FIELDS))
+        steps[k] = dataclasses.replace(steps[k], **{field: draw(tampered_value(steps[k], field, nu))})
+    return dataclasses.replace(cert, start=tuple(start), steps=tuple(steps))
+
+
+def one_reversal(start, q):
+    """A one-step certificate that reverses ``start[q:q+3]``."""
+    triple = tuple(start[q : q + 3])
+    step = RewriteStep(RULE_REVERSE, q, triple, len(start), len(start))
+    return RewriteCertificate(tuple(start), (step,), ((0, 1, MACRO_BUBBLE),), False)
+
+
+@settings(deadline=None, max_examples=400)
+@given(replay_cases())
+@example(rewrite_to_identity(WORKED_LOOP, 2))
+@example(one_reversal((1, 1, 2, 2, 1, 1), 0))
+@example(TestReplayCertificateRejectsTampering.one_step((-1, -1), RULE_CANCEL, 0, (-1,), 0))
+@example(TestReplayCertificateRejectsTampering.one_step((1, 1), RULE_CANCEL, 0, (True,), 0))
+@example(TestReplayCertificateRejectsTampering.one_step((2, 1, 1), RULE_CANCEL, 2, (1,), 1))
+def test_replay_accepts_rejects_and_reads_as_the_full_expansion(cert):
+    assert_replays_as_the_expansion(cert)
+
+
+def test_tampering_is_rejected_with_the_full_expansions_message():
+    cert = rewrite_to_identity(random_relation_indices(random.Random(5), 4, 40), 4)
+    assert sum(s.rule == RULE_REVERSE for s in cert.steps) > 10
+    rejected = 0
+    for k, step in enumerate(cert.steps):
+        for field, value in (("pos", step.pos + 1), ("payload", step.payload[::-1]),
+                             ("before_len", step.before_len + 1), ("after_len", step.after_len - 1),
+                             ("rule", RULE_CANCEL if step.rule == RULE_REVERSE else RULE_REVERSE)):
+            bad = dataclasses.replace(step, **{field: value})
+            tampered = dataclasses.replace(cert, steps=cert.steps[:k] + (bad,) + cert.steps[k + 1 :])
+            rejected += assert_replays_as_the_expansion(tampered)[0] is DomainError
+    assert rejected > 200
+
+
+@pytest.mark.parametrize("a, b, c", [t for t in itertools.product(range(4), repeat=3)
+                                     if t[0] != t[2] and (t[0] == t[1] or t[1] == t[2])])
+def test_a_triple_whose_lemma_fails_alone_is_expanded_in_place(a, b, c):
+    assert not _reverses_alone((a, b, c), 3)
+    for prefix, suffix in (((), ()), ((3,), (0, a, b)), ((1, 2), (c, b, a, 0, 3, 3))):
+        start = prefix + (a, b, c) + suffix
+        outcome = assert_replays_as_the_expansion(one_reversal(start + (3,), len(prefix)))
+        assert outcome[0] is DomainError
+
+
+def test_lookalike_letters_never_hit_the_int_lemma():
+    # (1, 0, 2) reverses by its lemma; (True, 0, 2) and (1.0, 0, 2) hash alike,
+    # but move_block refuses them.
+    for lookalike in (True, 1.0):
+        start = (1, 0, 2, lookalike, 0, 2)
+        steps = (RewriteStep(RULE_REVERSE, 0, (1, 0, 2), 6, 6), RewriteStep(RULE_REVERSE, 3, (1, 0, 2), 6, 6))
+        cert = RewriteCertificate(start, steps, ((0, 2, MACRO_BUBBLE),), False)
+        error = assert_replays_as_the_expansion(cert)
+        assert error == (DomainError, f"(0, {lookalike!r}, 2) does not name an elementary loop")
+
+
+def test_replay_view_reversed_index_and_count_start_one_replay_each(monkeypatch):
+    view = replay_certificate(rewrite_to_identity(palindrome(0, 400), 4))
+    middle = view[len(view) // 2]
+    starts = 0
+    live = ReplayedCertificate._live
+
+    def counting_live(self):
+        nonlocal starts
+        starts += 1
+        return live(self)
+
+    monkeypatch.setattr(ReplayedCertificate, "_live", counting_live)
+    for read in (
+        lambda: list(reversed(view)),
+        lambda: view.index([]),
+        lambda: view.index(middle),
+        lambda: view.count([]),
+        lambda: pytest.raises(ValueError, view.index, [9]),
+    ):
+        starts = 0
+        read()
+        assert starts == 1
+
+
+@pytest.mark.parametrize("indices, nu", [
+    (random_relation_indices(random.Random(11), 4, 300), 4),
+    (random_relation_indices(random.Random(12), 5, 400), 5),
+])
+def test_one_replay_expands_each_distinct_triple_at_most_once(monkeypatch, indices, nu):
+    cert = rewrite_to_identity(indices, nu)
+    reversals = [s.payload for s in cert.steps if s.rule == RULE_REVERSE]
+    assert len(reversals) > len(set(reversals))  # a replay that expands every step fails here
+    expanded = Counter()
+    depth = 0
+    reverse_triple = WordMoves.reverse_triple
+
+    def counting_reverse_triple(self, q):
+        nonlocal depth
+        if not depth:
+            expanded[tuple(self.word[q : q + 3])] += 1
+        depth += 1
+        try:
+            return reverse_triple(self, q)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(WordMoves, "reverse_triple", counting_reverse_triple)
+    assert replay_certificate(cert)[-1] == []
+    assert expanded and max(expanded.values()) == 1
+
+
+def test_a_lemma_holds_only_if_the_expansion_gives_the_reversed_triple(monkeypatch):
+    assert _reverses_alone((1, 0, 2), 2) and _reverses_alone((2, 1, 2), 2)
+    monkeypatch.setattr(WordMoves, "reverse_triple", lambda self, q: None)
+    assert not _reverses_alone((1, 0, 2), 2)
+    assert _reverses_alone((2, 1, 2), 2)

@@ -25,6 +25,21 @@ EXIT_INTERNAL = 6
 WORD_HELP = "word tokens (g<k> or (+|-)e:c1,...); put them after -- if one starts with -"
 
 
+def ascii_int(text: str) -> int:
+    """``int(text)`` under the digit rule of word tokens: ASCII only, no ``_``.
+
+    ``int`` alone would also take ``_`` separators and non-ASCII digits such
+    as ``"\u0662"``.  The type of every integer option, so argparse makes a
+    bad value a usage error; ``_simplex`` reads anchor coordinates with it.
+    """
+    if "_" in text or not text.isascii():
+        raise ValueError("has a non-ASCII character or an '_'")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("is not an integer") from None
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="semilattice JSON file")
     sub.add_argument("--format", choices=("text", "json"), default="text")
@@ -56,12 +71,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("alt-enum", help="enumerate alternating tuples over the base")
     _add_common(p)
-    p.add_argument("--k", type=int, required=True, help="tuple length (even)")
+    p.add_argument("--k", type=ascii_int, required=True, help="tuple length (even)")
 
     p = subs.add_parser("presentation", help="emit one of the presentations")
     _add_common(p)
     p.add_argument("--kind", choices=("baby", "spre", "hyp", "alternating"), default="baby")
-    p.add_argument("--kmax", type=int, default=6, help="relator length bound (alternating kind)")
+    p.add_argument("--kmax", type=ascii_int, default=6,
+                   help="relator length bound (alternating kind)")
     p.add_argument("--verify", action="store_true", help="evaluate every relator in its target")
 
     p = subs.add_parser("reduce", help="certificate reducing a relation word to the identity")
@@ -72,13 +88,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("path", help="the simplex path of a word")
     _add_common(p)
     p.add_argument("--anchor", default=None, help="base simplex anchor, e.g. 0,0")
-    p.add_argument("--orient", type=int, choices=(1, -1), default=1)
+    p.add_argument("--orient", type=ascii_int, choices=(1, -1), default=1)
     p.add_argument("word", nargs="+", help=WORD_HELP)
 
     p = subs.add_parser("render-svg", help="render the path of a word (rank 2 only)")
     _add_common(p)
     p.add_argument("--anchor", default=None)
-    p.add_argument("--orient", type=int, choices=(1, -1), default=1)
+    p.add_argument("--orient", type=ascii_int, choices=(1, -1), default=1)
     p.add_argument("--out", required=True, help="output SVG file")
     p.add_argument("word", nargs="+", help=WORD_HELP)
 
@@ -87,9 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("oracle-compare", help="random words vs the matrix representations")
     _add_common(p)
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--len", dest="max_len", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=ascii_int, default=1000)
+    p.add_argument("--len", dest="max_len", type=ascii_int, default=16)
+    p.add_argument("--seed", type=ascii_int, default=0)
 
     return parser
 
@@ -112,14 +128,10 @@ def _simplex(args, rank: int) -> geometry.Simplex:
     if args.anchor is None:
         anchor = (0,) * rank
     else:
-        # The digit rule of word tokens: int() would also take "_" separators
-        # and non-ASCII digits such as "\u0662".
-        if "_" in args.anchor or not args.anchor.isascii():
-            raise WordParseError(f"anchor {args.anchor!r} has a non-ASCII character or an '_'")
         try:
-            anchor = tuple(int(c) for c in args.anchor.split(","))
+            anchor = tuple(map(ascii_int, args.anchor.split(",")))
         except ValueError as exc:
-            raise WordParseError(f"bad anchor {args.anchor!r}") from exc
+            raise WordParseError(f"anchor {args.anchor!r} {exc}") from exc
     return geometry.Simplex(anchor, args.orient)
 
 

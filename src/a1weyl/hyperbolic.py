@@ -8,7 +8,8 @@ vector split into its sign component ``dual_sgn[j]`` and its lattice part
 ``dual_sgn = -parity * shift`` (see :func:`eval_word_hyp`).  The group is a
 central extension of the group on ``V``: a word is central exactly when it
 restricts to the identity on ``V``, and the center is free abelian with an
-explicit basis indexed by pairs ``i < j``.
+explicit basis indexed by pairs ``i < j``: the words ``z_ij`` of
+:func:`central_word`, which ``presentation`` also builds its relators from.
 
 A full matrix representation on the ordered basis (e, s_1..s_nu, l_1..l_nu)
 is kept alongside as an independent oracle; the two are compared entry by
@@ -18,7 +19,7 @@ entry in the test suite and by the ``oracle-compare`` command.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, combinations
 from operator import add, mul
 
 from .errors import DomainError, InternalCheckError
@@ -195,34 +196,35 @@ def _expected_dual_p(rank: int, pair: tuple[int, int], doubled: bool) -> tuple[V
     return tuple(tuple(r) for r in rows)
 
 
+def central_word(pairs: dict[tuple[int, int], int], i: int, j: int) -> tuple[int, ...]:
+    """The word ``z_ij`` as generator indices: ``g_s g_i g_0 g_j`` when ``pairs``
+    maps ``(i, j)`` to ``s``, else ``(g_i g_0 g_j)^2``."""
+    s = pairs.get((i, j))
+    return (i, 0, j, i, 0, j) if s is None else (s, i, 0, j)
+
+
 def center_basis(base: ReflectableBase) -> tuple[CentralGenerator, ...]:
     """Explicit free basis of the center for an elliptic-like base.
 
-    For each pair ``i < j``: the word ``g_s g_i g_0 g_j`` when some base root
-    has support ``{i, j}`` (``s`` its index), else ``(g_i g_0 g_j)^2``.  Each
-    word is checked to be central and to move every dual vector exactly as
-    the basis element it names; a violation is an internal error.
+    For each pair ``i < j``: the word :func:`central_word` over
+    ``support_pairs(base)``.  Each word is checked to be central and to move
+    every dual vector exactly as the basis element it names; a violation is
+    an internal error.
     """
     if not is_elliptic_like(base):
         raise DomainError("center basis is only provided for elliptic-like bases")
     nu = base.rank
     pairs = support_pairs(base)
     out = []
-    for i in range(1, nu + 1):
-        for j in range(i + 1, nu + 1):
-            witness = pairs.get((i, j))
-            if witness is not None:
-                indices = (witness, i, 0, j)
-            else:
-                indices = (i, 0, j, i, 0, j)
-            word = Word.from_indices(base, indices)
-            elem = eval_word_hyp(word)
-            if not elem.projection().is_identity:
-                raise InternalCheckError(f"center word for pair {(i, j)} is not central")
-            expected = _expected_dual_p(nu, (i, j), doubled=witness is None)
-            if any(elem.dual_sgn) or elem.dual_p != expected:
-                raise InternalCheckError(f"center word for pair {(i, j)} has wrong dual action")
-            out.append(CentralGenerator((i, j), word, elem))
+    for i, j in combinations(range(1, nu + 1), 2):
+        word = Word.from_indices(base, central_word(pairs, i, j))
+        elem = eval_word_hyp(word)
+        if not elem.projection().is_identity:
+            raise InternalCheckError(f"center word for pair {(i, j)} is not central")
+        expected = _expected_dual_p(nu, (i, j), doubled=(i, j) not in pairs)
+        if any(elem.dual_sgn) or elem.dual_p != expected:
+            raise InternalCheckError(f"center word for pair {(i, j)} has wrong dual action")
+        out.append(CentralGenerator((i, j), word, elem))
     return tuple(out)
 
 

@@ -150,14 +150,16 @@ class Semilattice:
     ``cosets[0]`` must be the zero vector and ``cosets[1..rank]`` the standard
     basis vectors, in order; any further representative must have at least two
     nonzero entries.  Closure ``S +- 2S <= S`` holds for every coset union and
-    is therefore structural, not searched.
+    is therefore structural, not searched.  The rank and the entries are
+    stored as given; :func:`validate_semilattice` reports any that is not
+    an ``int``.
     """
 
     rank: int
     cosets: tuple[Vec, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cosets", tuple(tuple(int(c) for c in t) for t in self.cosets))
+        object.__setattr__(self, "cosets", tuple(map(tuple, self.cosets)))
 
     @property
     def m(self) -> int:
@@ -178,7 +180,15 @@ class Semilattice:
 
 def validate_semilattice(s: Semilattice) -> list[str]:
     """Return all invariant violations of ``s`` (empty list means valid)."""
-    errors: list[str] = []
+    # Floats, strings and booleans are not integers, even where int() would take them.
+    if type(s.rank) is not int:
+        return [f"rank {s.rank!r} is not an integer"]
+    errors = [
+        f"coset {k} entry {c!r} is not an integer"
+        for k, t in enumerate(s.cosets) for c in t if type(c) is not int
+    ]
+    if errors:
+        return errors
     if s.rank < 0:
         return [f"rank must be non-negative, got {s.rank}"]
     if not s.cosets:
@@ -235,10 +245,6 @@ def semilattice_from_dict(data: dict) -> Semilattice:
         cosets = tuple(tuple(row) for row in data["cosets"])
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed semilattice configuration: {exc}") from exc
-    # JSON floats, strings and booleans are not integers, even where int() would take them
-    bad = [v for v in (rank, *(c for row in cosets for c in row)) if type(v) is not int]
-    if bad:
-        raise ConfigError(f"malformed semilattice configuration: {bad[0]!r} is not an integer")
     s = Semilattice(rank, cosets)
     problems = validate_semilattice(s)
     if problems:

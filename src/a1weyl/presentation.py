@@ -54,7 +54,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .errors import DomainError, InternalCheckError
-from .hyperbolic import eval_word_hyp
+from .hyperbolic import central_word, eval_word_hyp
 from .lattice import ReflectableBase, is_elliptic_like, support_pairs
 from .weyl import MAX_K, enumerate_alternating, eval_word, json_ints
 from .words import Word
@@ -131,9 +131,8 @@ def presentation_baby_w(nu: int) -> Presentation:
         raise DomainError("rank must be non-negative")
     labels = tuple(f"g{k}" for k in range(nu + 1))
     relators = [(k, k) for k in range(nu + 1)]
-    for i in range(1, nu + 1):
-        for j in range(i + 1, nu + 1):
-            relators.append((0, i, j, 0, i, j))
+    for i, j in itertools.combinations(range(1, nu + 1), 2):
+        relators.append((0, i, j, 0, i, j))
     return Presentation(labels, tuple(relators), TARGET_W)
 
 
@@ -142,7 +141,8 @@ def presentation_w_spre(nu: int, pairs: Iterable[tuple[int, int]]) -> Presentati
 
     For each designated pair the sextic relator is traded for an involution
     ``g(i,j)^2`` plus the defining relator ``g(i,j) g_i g_0 g_j``; pairs left
-    out keep a sextic relator, written ``(g_i g_0 g_j)^2`` here.  With no
+    out keep a sextic relator, written ``(g_i g_0 g_j)^2`` here.  Both are
+    :func:`central_word` over the map from pair to new generator.  With no
     pairs at all this collapses to :func:`presentation_baby_w` verbatim.
     """
     pairs = sorted(set(tuple(p) for p in pairs))
@@ -154,12 +154,8 @@ def presentation_w_spre(nu: int, pairs: Iterable[tuple[int, int]]) -> Presentati
     labels = [f"g{k}" for k in range(nu + 1)] + [f"g({i},{j})" for i, j in pairs]
     pair_index = {p: nu + 1 + n for n, p in enumerate(pairs)}
     relators = [(k, k) for k in range(len(labels))]
-    for i in range(1, nu + 1):
-        for j in range(i + 1, nu + 1):
-            if (i, j) in pair_index:
-                relators.append((pair_index[(i, j)], i, 0, j))
-            else:
-                relators.append((i, 0, j, i, 0, j))
+    for i, j in itertools.combinations(range(1, nu + 1), 2):
+        relators.append(central_word(pair_index, i, j))
     return Presentation(tuple(labels), tuple(relators), TARGET_W)
 
 
@@ -167,8 +163,9 @@ def presentation_hyp(base: ReflectableBase) -> Presentation:
     """Finite presentation of the extended group for an elliptic-like base.
 
     Involutions for every generator, and for each pair ``i < j`` one
-    commutator per generator: with the central word ``g_s g_i g_0 g_j`` when
-    base root ``s`` has support ``{i, j}``, else with ``(g_i g_0 g_j)^2``.
+    commutator per generator with the central word ``z_ij`` of
+    :func:`central_word` over ``support_pairs(base)``: ``g_s g_i g_0 g_j``
+    when base root ``s`` has support ``{i, j}``, else ``(g_i g_0 g_j)^2``.
     """
     if not is_elliptic_like(base):
         raise DomainError("the hyperbolic presentation requires an elliptic-like base")
@@ -177,16 +174,11 @@ def presentation_hyp(base: ReflectableBase) -> Presentation:
     labels = tuple(f"g{k}" for k in range(m + 1))
     pairs = support_pairs(base)
     relators = [(k, k) for k in range(m + 1)]
-    for i in range(1, nu + 1):
-        for j in range(i + 1, nu + 1):
-            witness = pairs.get((i, j))
-            if witness is not None:
-                z = (witness, i, 0, j)
-            else:
-                z = (i, 0, j, i, 0, j)
-            z_inv = z[::-1]
-            for k in range(m + 1):
-                relators.append((k,) + z + (k,) + z_inv)
+    for i, j in itertools.combinations(range(1, nu + 1), 2):
+        z = central_word(pairs, i, j)
+        z_inv = z[::-1]
+        for k in range(m + 1):
+            relators.append((k,) + z + (k,) + z_inv)
     return Presentation(labels, tuple(relators), TARGET_WT)
 
 
@@ -198,28 +190,6 @@ def headline_relator_count(nu: int) -> int:
     surfaced so the discrepancy stays visible.
     """
     return nu * (nu + 1) // 2 + nu + 1
-
-
-def _resolve_label(label: str, base: ReflectableBase) -> tuple[int, ...]:
-    """Expand a generator label to base root indices; composite pairs expand
-    to the three-letter word g_j g_0 g_i."""
-    if label.startswith("g(") and label.endswith(")"):
-        try:
-            i, j = (int(part) for part in label[2:-1].split(","))
-        except ValueError as exc:
-            raise DomainError(f"unresolvable generator label {label!r}") from exc
-        if not (1 <= i <= base.rank and 1 <= j <= base.rank):
-            raise DomainError(f"composite label {label!r} out of range for rank {base.rank}")
-        return (j, 0, i)
-    if label.startswith("g"):
-        try:
-            k = int(label[1:])
-        except ValueError as exc:
-            raise DomainError(f"unresolvable generator label {label!r}") from exc
-        if not 0 <= k < len(base.roots):
-            raise DomainError(f"generator label {label!r} out of range")
-        return (k,)
-    raise DomainError(f"unresolvable generator label {label!r}")
 
 
 @dataclass(frozen=True)
@@ -234,10 +204,21 @@ class VerificationReport:
 
 
 def verify_presentation(p: Presentation, target: str, base: ReflectableBase) -> VerificationReport:
-    """Evaluate every relator in the chosen group; report the ones that survive."""
+    """Evaluate every relator in the chosen group; report the ones that survive.
+
+    A label is one of the spellings the constructors write: ``g<k>`` for base
+    root ``k``, and ``g(i,j)`` for ``1 <= i, j <= rank``, standing for the
+    word ``g_j g_0 g_i``.  Any other label is a ``DomainError``.
+    """
     if target not in (TARGET_W, TARGET_WT):
         raise DomainError(f"unknown target group {target!r}")
-    expansions = [_resolve_label(label, base) for label in p.generators]
+    word_of = {f"g{k}": (k,) for k in range(len(base.roots))}
+    span = range(1, base.rank + 1)
+    word_of.update({f"g({i},{j})": (j, 0, i) for i, j in itertools.product(span, span)})
+    try:
+        expansions = [word_of[label] for label in p.generators]
+    except KeyError as exc:
+        raise DomainError(f"unresolvable generator label {exc.args[0]!r}") from None
     failures = []
     for n, rel in enumerate(p.relators):
         indices = tuple(itertools.chain.from_iterable(expansions[g] for g in rel))
@@ -425,7 +406,7 @@ def _reverses_alone(triple: tuple[int, int, int], nu: int) -> bool:
     return moves.word == [triple[2], triple[1], triple[0]]
 
 
-class ReplayedCertificate(Sequence):
+class ReplayedCertificate:
     """The words a replayed certificate passes through, rebuilt on demand.
 
     ``replay_certificate`` runs the checked replay of :meth:`_live` once before
@@ -434,10 +415,13 @@ class ReplayedCertificate(Sequence):
     ``list[int]``: the final word is copied, any other entry (and iteration)
     replays the steps again from the start, with the same checks and a
     fresh lemma table (see the module docstring).  Negative
-    indices count from the end as for a list; a slice, ``reversed``,
-    ``index`` and ``count`` each replay once, and a slice returns a list of
-    the entries it selects.
+    indices count from the end as for a list; a slice replays once and
+    returns a list of the entries it selects.  ``reversed(view)`` is a
+    ``TypeError``, as it would replay once per entry: ``view[::-1]`` reads
+    the words backwards in one replay.
     """
+
+    __reversed__ = None
 
     def __init__(self, cert: RewriteCertificate, nu: int):
         self.cert = cert
@@ -493,19 +477,6 @@ class ReplayedCertificate(Sequence):
     def __iter__(self) -> Iterator[list[int]]:
         for word in self._live():
             yield word[:]
-
-    def __reversed__(self) -> Iterator[list[int]]:
-        return iter(self[::-1])
-
-    def index(self, value, start=0, stop=None) -> int:
-        lo, hi, _ = slice(start, stop).indices(len(self))
-        for k, word in enumerate(itertools.islice(self._live(), hi)):
-            if k >= lo and word == value:
-                return k
-        raise ValueError(f"{value!r} is not a state of the replay")
-
-    def count(self, value) -> int:
-        return sum(word == value for word in self._live())
 
     def __getitem__(self, index):
         n = len(self)

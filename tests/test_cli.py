@@ -362,3 +362,43 @@ def test_anchor_with_signs_parses_as_before(capsys, baby2_config):
     code, data = run_json(capsys, "path", "--config", baby2_config, "--anchor", "+1,-2", "g1", "g1")
     assert code == 0
     assert data["entries"][0] == {"anchor": [1, -2], "orient": 1}
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--k", "٢"), ("--k", "0_2"), ("--k", "２"), ("--kmax", "٤"), ("--kmax", "0_4"),
+    ("--orient", "١"), ("--orient", "0_1"), ("--n", "1_0"), ("--len", "٨"), ("--seed", "٥"),
+])
+def test_integer_options_take_the_digits_of_a_word_token_only(capsys, tmp_path, baby2_config,
+                                                              option, value):
+    out = tmp_path / "loop.svg"
+    argv = {
+        "--k": ["alt-enum", "--config", baby2_config],
+        "--kmax": ["presentation", "--config", baby2_config, "--kind", "alternating"],
+        "--orient": ["render-svg", "--config", baby2_config, "--out", str(out)],
+        "--n": ["oracle-compare", "--config", baby2_config],
+        "--len": ["oracle-compare", "--config", baby2_config],
+        "--seed": ["oracle-compare", "--config", baby2_config],
+    }[option]
+    with pytest.raises(SystemExit) as exc:  # int() read each of these as a number
+        main([*argv, option, value, *(["g1", "g1"] if option == "--orient" else [])])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument {option}: invalid ascii_int value: {value!r}" in captured.err
+    assert not out.exists()
+
+
+def test_integer_options_with_signs_parse_as_before(capsys, baby2_config):
+    code, data = run_json(capsys, "alt-enum", "--config", baby2_config, "--k", "+2")
+    assert (code, data["k"], data["count"]) == (0, 2, 3)
+    code, data = run_json(capsys, "path", "--config", baby2_config, "--orient", "-1", "g1", "g1")
+    assert code == 0 and data["entries"][0] == {"anchor": [0, 0], "orient": -1}
+    code, data = run_json(capsys, "oracle-compare", "--config", baby2_config,
+                          "--n", "+5", "--len", "+4", "--seed", "-1")
+    assert (code, data) == (0, {"n": 5, "mismatches": 0})
+
+
+def test_an_anchor_coordinate_that_is_no_integer_is_a_parse_error(capsys, baby2_config):
+    code = main(["path", "--config", baby2_config, "--anchor", "1,x", "g1", "g1"])
+    assert code == 4
+    assert "anchor '1,x' is not an integer" in capsys.readouterr().err

@@ -56,6 +56,23 @@ class TestValidateSemilattice:
         # third rep duplicates tau_0 and has too small a support
         assert validate_semilattice(s)
 
+    @pytest.mark.parametrize("cosets, bad", [
+        (((0, 0), (1.9, 0), (0, True)), ["coset 1 entry 1.9", "coset 2 entry True"]),
+        ((("1", 0), (1, 0), (0, 1)), ["coset 0 entry '1'"]),
+        (((0, 0), (1.0, 0), (0, 1)), ["coset 1 entry 1.0"]),
+    ])
+    def test_entries_are_stored_as_given_and_must_be_ints(self, cosets, bad):
+        # int() made the first two a valid baby lattice
+        s = Semilattice(2, cosets)
+        assert s.cosets == cosets
+        assert validate_semilattice(s) == [f"{b} is not an integer" for b in bad]
+
+    @pytest.mark.parametrize("rank", [2.0, "2", True])
+    def test_a_rank_that_is_not_an_int_is_reported(self, rank):
+        # zero_vec(2.0) raised TypeError
+        s = Semilattice(rank, ((0, 0), (1, 0), (0, 1)))
+        assert validate_semilattice(s) == [f"rank {rank!r} is not an integer"]
+
 
 class TestRootMembership:
     def test_coset_reduction_true(self, baby2):

@@ -111,9 +111,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_base(args) -> ReflectableBase:
+    # ValueError covers bad JSON, bytes that are not UTF-8 and an integer past
+    # the digit limit; RecursionError, arrays nested past the recursion limit.
     try:
         s = load_semilattice(args.config)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise OSError(f"cannot read configuration {args.config!r}: {exc}") from exc
     return ReflectableBase(s)
 

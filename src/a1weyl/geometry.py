@@ -205,7 +205,8 @@ def replay_trace(trace: MoveTrace, upto: int | None = None) -> Path:
 
     ``upto`` is ``None`` or an ``int`` in ``0..len(trace.moves)``.  Raises
     ``DomainError`` for any other ``upto``, and unless every move applies to
-    the live word and records the base its sub-loop has there.
+    the live word and records the base its sub-loop has there.  The path is
+    the tracer's own ``at`` read forwards: no second walk of the final word.
     """
     n = len(trace.moves)
     if upto is None:
@@ -223,7 +224,7 @@ def replay_trace(trace: MoveTrace, upto: int | None = None) -> Path:
             raise DomainError(f"unknown move kind {mv.kind!r}")
         if base != mv.base:
             raise DomainError("trace replay: recorded sub-loop base does not match")
-    return path_of_word(Word.from_indices(crumbs, tracer.word), trace.base)
+    return Path(tuple(reversed(tracer.at)), Word.from_indices(crumbs, tracer.word))
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +283,11 @@ def render_svg(p: Path) -> str:
         f'<text x="{x1 - 30}" y="-6" font-size="14">s1</text>',
         f'<text x="6" y="{y0 + 24}" font-size="14">s2</text>',
     ]
-    for simplex in sorted(triangles, key=lambda s: (s.anchor, s.orient)):
+    ordered = sorted(triangles, key=lambda s: (s.anchor, s.orient))
+    for simplex in ordered:
         pts = " ".join(f"{x},{y}" for x, y in _triangle(simplex))
         parts.append(f'<polygon points="{pts}" fill="none" stroke="#000" stroke-width="2"/>')
-    for simplex in sorted(triangles, key=lambda s: (s.anchor, s.orient)):
+    for simplex in ordered:
         labels = triangles[simplex]
         if not labels:
             continue

@@ -19,7 +19,7 @@ entry in the test suite and by the ``oracle-compare`` command.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, combinations_with_replacement
 from operator import add, mul
 
 from .errors import DomainError, InternalCheckError
@@ -47,7 +47,10 @@ class HyperbolicElement:
         object.__setattr__(self, "shift", WeylElement(self.parity, self.shift).shift)
         object.__setattr__(self, "dual_sgn", checked_vec(self.dual_sgn))
         object.__setattr__(self, "dual_p", tuple(checked_vec(row) for row in self.dual_p))
-        if len(self.dual_sgn) != len(self.shift) or len(self.dual_p) != len(self.shift):
+        nu = len(self.shift)
+        if len(self.dual_sgn) != nu or len(self.dual_p) != nu or any(
+            len(row) != nu for row in self.dual_p
+        ):
             raise DomainError("dual data must have one entry per lattice rank")
 
     @property
@@ -238,6 +241,19 @@ def element_to_dict(h: HyperbolicElement) -> dict:
 
 
 def element_from_dict(data: dict) -> HyperbolicElement:
+    """Read an element, refusing data that no element has.
+
+    Every element has ``s == -eps * t`` and ``q[j][c] + q[c][j] == 2 t_j t_c``
+    (so ``q[j][j] == t_j^2``), as :func:`eval_word_hyp` derives; data that
+    breaks either raises ``DomainError`` naming the field.
+    """
     w = weyl.element_from_dict(data)
     s, q = weyl.json_ints(data, "s"), weyl.json_ints(data, "q", 2)
-    return HyperbolicElement(w.parity, w.shift, s, q)
+    h = HyperbolicElement(w.parity, w.shift, s, q)
+    t = h.shift
+    if h.dual_sgn != tuple(-h.parity * x for x in t):
+        raise DomainError(f"element field 's': {list(s)} is not -eps * t")
+    for j, c in combinations_with_replacement(range(h.rank), 2):
+        if q[j][c] + q[c][j] != 2 * t[j] * t[c]:
+            raise DomainError(f"element field 'q': q[{j}][{c}] + q[{c}][{j}] != 2 t_{j} t_{c}")
+    return h

@@ -116,10 +116,6 @@ class Root:
     def rank(self) -> int:
         return len(self.lat)
 
-    @property
-    def is_isotropic(self) -> bool:
-        return self.sign == 0
-
     def negated(self) -> "Root":
         return Root(-self.sign, vec_neg(self.lat))
 
@@ -160,11 +156,6 @@ class Semilattice:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cosets", tuple(map(tuple, self.cosets)))
-
-    @property
-    def m(self) -> int:
-        """Index of the last coset representative."""
-        return len(self.cosets) - 1
 
     @cached_property
     def coset_set(self) -> frozenset[Vec]:
@@ -209,7 +200,7 @@ def validate_semilattice(s: Semilattice) -> list[str]:
         else:
             seen[t] = k
     if len(s.cosets) < s.rank + 1:
-        errors.append(f"need the {s.rank} standard basis representatives, got only {s.m}")
+        errors.append(f"need the {s.rank} standard basis representatives, got only {len(s.cosets) - 1}")
     else:
         for i in range(1, s.rank + 1):
             if s.cosets[i] != unit_vec(s.rank, i):
@@ -296,9 +287,6 @@ class ReflectableBase:
     @property
     def rank(self) -> int:
         return self.semilattice.rank
-
-    def __len__(self) -> int:
-        return len(self.roots)
 
 
 def baby_base(nu: int) -> ReflectableBase:

@@ -144,11 +144,15 @@ def presentation_w_spre(nu: int, pairs: Iterable[tuple[int, int]]) -> Presentati
     out keep a sextic relator, written ``(g_i g_0 g_j)^2`` here.  Both are
     :func:`central_word` over the map from pair to new generator.  With no
     pairs at all this collapses to :func:`presentation_baby_w` verbatim.
+    Every pair must be a tuple of two ``int`` values ``1 <= i < j <= nu``;
+    anything else raises ``DomainError``.
     """
-    pairs = sorted(set(tuple(p) for p in pairs))
-    for i, j in pairs:
-        if not 1 <= i < j <= nu:
-            raise DomainError(f"pair {(i, j)} out of range for rank {nu}")
+    pairs = list(pairs)
+    for p in pairs:  # every given pair, before the set keeps one of two equal ones
+        if not (isinstance(p, tuple) and len(p) == 2 and all(type(k) is int for k in p)
+                and 1 <= p[0] < p[1] <= nu):
+            raise DomainError(f"pair {p!r} is not a tuple of two ints 1 <= i < j <= {nu}")
+    pairs = sorted(set(pairs))
     if not pairs:
         return presentation_baby_w(nu)
     labels = [f"g{k}" for k in range(nu + 1)] + [f"g({i},{j})" for i, j in pairs]

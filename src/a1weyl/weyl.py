@@ -128,16 +128,14 @@ def is_relation_w(word: Word) -> bool:
 
 
 def is_alternating(pool: Sequence[Root], tup: Sequence[Root]) -> bool:
-    """Even-length tuples over ``pool`` whose alternating signed sum vanishes."""
+    """Even-length tuples over ``pool`` whose alternating signed sum vanishes.
+
+    That is :func:`is_relation_w`; an odd length is ``False`` before any word is built.
+    """
     allowed = set(pool)
-    if any(a not in allowed for a in tup):
+    if any(a not in allowed for a in tup) or len(tup) % 2:
         return False
-    if len(tup) % 2 != 0:
-        return False
-    if not tup:
-        return True
-    word = Word(tup[0].rank, tuple(tup))
-    return not any(alternating_sum(word))
+    return not tup or is_relation_w(Word(tup[0].rank, tuple(tup)))
 
 
 MAX_K = 12  # longest alternating tuple searched

@@ -70,9 +70,12 @@ class Word:
 
     @classmethod
     def from_indices(cls, base: ReflectableBase, indices: Iterable[int]) -> "Word":
+        """The word of base generators ``indices``, each an ``int`` (not a bool) in range."""
         roots = base.roots
         letters = []
         for k in indices:
+            if type(k) is not int:
+                raise DomainError(f"generator index {k!r} is not an int")
             if not 0 <= k < len(roots):
                 raise DomainError(f"generator index {k} out of range 0..{len(roots) - 1}")
             letters.append(roots[k])
@@ -162,9 +165,9 @@ def _parse_token(token: str, base: ReflectableBase) -> Root:
     raise WordParseError(f"unrecognised token {token!r}")
 
 
-def format_word(word: Word, base: ReflectableBase | None = None) -> str:
-    """Render a word in the text format, preferring ``g<k>`` tokens when possible."""
-    lookup = {a: k for k, a in enumerate(base.roots)} if base is not None else {}
+def format_word(word: Word, base: ReflectableBase) -> str:
+    """Render a word in the text format: ``g<k>`` for a root of ``base``, else explicit."""
+    lookup = {a: k for k, a in enumerate(base.roots)}
     tokens = []
     for a in word.letters:
         k = lookup.get(a)

@@ -63,6 +63,18 @@ def test_validate_malformed_json_is_io_error(capsys, tmp_path):
     assert "i/o error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [
+    b'{"rank": 2, "cosets": [[0, 0], [1, 0], [0, 1]], "note": "\xff"}',  # not UTF-8
+    b'{"rank": ' + b"9" * 5000 + b', "cosets": [[0]]}',  # past the int digit limit
+    b"[" * 200_000 + b"]" * 200_000,  # nested past the recursion limit
+], ids=["not-utf8", "long-int", "deep-nesting"])
+def test_a_config_that_cannot_be_decoded_is_an_io_error(capsys, tmp_path, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["validate", "--config", str(bad)]) == 3
+    assert "cannot read configuration" in capsys.readouterr().err
+
+
 def test_eval_relation_flag(capsys, baby2_config):
     code, data = run_json(
         capsys, "eval", "--config", baby2_config, "--group", "W",

@@ -287,6 +287,14 @@ class TestReplayRejectsTampering:
         with pytest.raises(DomainError):
             replay_trace(trace)
 
+    @pytest.mark.parametrize("start", [(True, True), (1.0, 1.0), (1, True)])
+    def test_a_start_index_that_is_not_an_int(self, start):
+        # (True, True) replayed to the empty path, and (1.0, 1.0) raised TypeError
+        b = base_simplex(2)
+        trace = MoveTrace(start, b, (Move("delete", 0, (1,), b),), ((0, 1, "cancel"),))
+        with pytest.raises(DomainError, match="is not an int"):
+            replay_trace(trace)
+
 
 I64_MAX, I64_MIN = 2**63 - 1, -(2**63)
 PAST_MAX = "integer 9223372036854775808 exceeds the signed 64-bit guard"

@@ -308,3 +308,27 @@ def test_eval_word_hyp_overflows_only_where_the_w_form_or_the_dual_rows_do():
 def test_element_json_names_a_missing_or_non_array_field(data, field):
     with pytest.raises(DomainError, match=f"element field '{field}'"):
         element_from_dict(data)
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"eps": 1, "t": [0, 0], "s": [5, 0], "q": [[0, 0], [0, 0]]}, "s"),  # s != -eps * t
+    ({"eps": -1, "t": [1], "s": [-1], "q": [[1]]}, "s"),
+    ({"eps": 1, "t": [0, 0], "s": [0, 0], "q": [[7, 0], [0, 0]]}, "q"),  # q[0][0] != t_0^2
+    ({"eps": 1, "t": [1, 2], "s": [-1, -2], "q": [[1, 3], [0, 4]]}, "q"),  # q[0][1] + q[1][0] != 4
+])
+def test_element_json_refuses_data_no_element_has(data, field):
+    with pytest.raises(DomainError, match=f"element field '{field}'"):
+        element_from_dict(data)
+
+
+def test_element_json_takes_a_consistent_element_not_from_a_word():
+    data = {"eps": 1, "t": [1, 2], "s": [-1, -2], "q": [[1, 5], [-1, 4]]}
+    assert element_to_dict(element_from_dict(data)) == data
+
+
+@pytest.mark.parametrize("q", [[[0], [0, 0, 0]], [[0, 0], [0]], [[0, 0, 0], [0, 0]]])
+def test_every_dual_row_has_one_entry_per_rank(q):
+    with pytest.raises(DomainError, match="one entry per lattice rank"):
+        HyperbolicElement(1, (0, 0), (0, 0), q)
+    with pytest.raises(DomainError, match="one entry per lattice rank"):
+        element_from_dict({"eps": 1, "t": [0, 0], "s": [0, 0], "q": q})

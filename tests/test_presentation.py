@@ -121,6 +121,24 @@ class TestPresentationSpre:
         with pytest.raises(DomainError):
             presentation_w_spre(2, [(0, 1)])
 
+    @pytest.mark.parametrize("pairs", [
+        [(1.0, 2)],  # wrote the label g(1.0,2)
+        [(True, 2)],
+        [(1, 2), (1.0, 2)],  # the set kept whichever came first
+        [(1.0, 2), (1, 2)],
+        [(1, 2, 3)],
+        [(1,)],
+        [[1, 2]],
+        [(2, 1)],
+        [(1, 3)],
+    ])
+    def test_every_pair_is_two_ints_in_range(self, pairs):
+        with pytest.raises(DomainError, match="is not a tuple of two ints"):
+            presentation_w_spre(2, pairs)
+
+    def test_a_repeated_pair_counts_once(self):
+        assert presentation_w_spre(2, [(1, 2), (1, 2)]) == presentation_w_spre(2, [(1, 2)])
+
 
 class TestPresentationHyp:
     def test_minimal_rank2(self, baby2_base):

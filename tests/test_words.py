@@ -87,6 +87,18 @@ def test_random_relation_indices_are_relations(baby2_base):
         assert is_relation_w(Word.from_indices(baby2_base, indices))
 
 
+@pytest.mark.parametrize("index", [True, False, 1.0, 0.0, "1", None])
+def test_from_indices_takes_ints_only(baby2_base, index):
+    with pytest.raises(DomainError, match=r"generator index .* is not an int"):
+        Word.from_indices(baby2_base, (1, index))
+
+
+@pytest.mark.parametrize("index", [-1, 3])
+def test_from_indices_out_of_range_keeps_its_message(baby2_base, index):
+    with pytest.raises(DomainError, match=f"generator index {index} out of range 0..2"):
+        Word.from_indices(baby2_base, (index,))
+
+
 def test_repeated_explicit_tokens_parse_as_one_built_token_by_token(baby2_base):
     tokens = ["+e:2,1", "-e:0,-3", "g1", "+e:2,1", "+e:2,3", "+e:2,1", "g1", "-e:0,-3", "+e:2,3"]
     word = parse_word(" ".join(tokens), baby2_base)

@@ -11,16 +11,24 @@ triple reversal by such moves.  Replay keeps only the live word, so its
 memory is O(length), and returns the intermediate words as a view that
 replays the steps again when they are read.
 
-A reversal is realised once per distinct letter triple and then cited, as a
-lemma.  Every move of ``reverse_triple(q)`` is at an offset >= 0 from ``q``,
-and an insert is checked only against ``nu``.  So if the expansion succeeds
-on the isolated word ``[a, b, c]``, each of its deletes read only letters of
-the triple or letters the expansion had inserted, and it succeeds with the
-same moves at any position of any word holding that triple, leaving
-``c b a`` there.  An isolated failure proves nothing in context (a delete
-may match letters after the triple), so such a triple is expanded in place
-at every step, as are triples of letters that are not exactly ``int``
-(``True`` and ``1.0`` hash like ``1`` but fail ``move_block``).
+A reversal is realised once per process for each distinct letter triple,
+keyed by expansion and ``nu``, and then cited, as a lemma.  Every move of
+``reverse_triple(q)`` is at an offset >= 0 from ``q``, and an insert is
+checked only against ``nu``.  So if the expansion succeeds on the isolated
+word ``[a, b, c]``, each of its deletes read only letters of the triple or
+letters the expansion had inserted, and it succeeds with the same moves at
+any position of any word holding that triple, leaving ``c b a`` there.  That
+fact depends on the triple, on ``nu`` and on the expansion code alone, not on
+the certificate, so every replay in the process may cite it: the table is
+keyed by the function ``WordMoves.reverse_triple`` and ``nu``, and a patched
+or replaced expansion starts with no lemmas.  An isolated failure proves
+nothing in context (a delete may match letters after the triple), so such a
+triple is recorded as failed and expanded in place at every step, as are
+triples of letters that are not exactly ``int`` (``True`` and ``1.0`` hash
+like ``1`` but fail ``move_block``); those never read or write the table.
+The table holds at most ``LEMMA_CAP`` lemmas in all and is emptied when a
+new one would pass that cap, so its memory is bounded and emptying it only
+costs re-proving.
 
 A macro does the first of three things that applies: cancel the leftmost
 adjacent pair ``g_k g_k`` and then every pair that unlocks (a cascade);
@@ -50,7 +58,7 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .errors import DomainError, InternalCheckError
@@ -410,6 +418,43 @@ def _reverses_alone(triple: tuple[int, int, int], nu: int) -> bool:
     return moves.word == [triple[2], triple[1], triple[0]]
 
 
+LEMMA_CAP = 1 << 16  # lemmas held at most, over every expansion and nu
+
+
+class _LemmaTable:
+    """The reversal lemmas proved in this process: ``triple -> holds`` per expansion and ``nu``.
+
+    The expansion is the function ``WordMoves.reverse_triple`` at the time of
+    the proof, so a patched or replaced one starts with no lemmas.  At most
+    ``LEMMA_CAP`` lemmas are held in all: proving one more first empties the
+    table.  Callers pass triples of exact ``int`` letters only.
+    """
+
+    def __init__(self) -> None:
+        self.tables: dict[tuple[Callable[[WordMoves, int], None], int], dict[tuple[int, int, int], bool]] = {}
+        self.size = 0
+
+    def clear(self) -> None:
+        self.tables.clear()
+        self.size = 0
+
+    def table(self, nu: int) -> dict[tuple[int, int, int], bool]:
+        """The lemmas of the current expansion at ``nu``, to read only (an empty dict if none)."""
+        return self.tables.get((WordMoves.reverse_triple, nu), {})
+
+    def prove(self, triple: tuple[int, int, int], nu: int) -> dict[tuple[int, int, int], bool]:
+        """Record whether ``triple`` reverses alone at ``nu``; the table that now holds it."""
+        if self.size >= LEMMA_CAP:
+            self.clear()
+        table = self.tables.setdefault((WordMoves.reverse_triple, nu), {})
+        table[triple] = _reverses_alone(triple, nu)
+        self.size += 1
+        return table
+
+
+_LEMMAS = _LemmaTable()
+
+
 class ReplayedCertificate:
     """The words a replayed certificate passes through, rebuilt on demand.
 
@@ -417,8 +462,8 @@ class ReplayedCertificate:
     it returns this view, which keeps the certificate, ``nu`` and the final
     word only.  Entry ``k`` is the word after ``k`` steps, a fresh
     ``list[int]``: the final word is copied, any other entry (and iteration)
-    replays the steps again from the start, with the same checks and a
-    fresh lemma table (see the module docstring).  Negative
+    replays the steps again from the start, with the same checks, citing
+    the process's lemma table (see the module docstring).  Negative
     indices count from the end as for a list; a slice replays once and
     returns a list of the entries it selects.  ``reversed(view)`` is a
     ``TypeError``, as it would replay once per entry: ``view[::-1]`` reads
@@ -442,14 +487,20 @@ class ReplayedCertificate:
         place, and a reversal of ``int`` letters whose lemma holds swaps
         ``word[q]`` and ``word[q + 2]``; any other step goes through
         ``WordMoves``, so each accepts and rejects (with the same message)
-        as the full expansion does.
+        as the full expansion does.  The lemmas are read from the table the
+        whole process shares, fetched once here for the current expansion
+        and ``nu``; a triple it lacks is proved once and added.  Step lengths
+        must be exact ``int``s.
         """
         moves = WordMoves(self.cert.start, self.nu)
         word = moves.word  # changed in place by every move
-        lemmas: dict[tuple[int, int, int], bool] = {}
+        lemmas = _LEMMAS.table(self.nu)
         yield word
         for step in self.cert.steps:
-            if len(word) != step.before_len:
+            before, after = step.before_len, step.after_len
+            if type(before) is not int or type(after) is not int:
+                raise DomainError(f"step lengths {before!r} -> {after!r} are not both ints")
+            if len(word) != before:
                 raise DomainError("certificate does not chain: length mismatch")
             rule, q, payload = step.rule, step.pos, step.payload
             if type(q) is not int or q < 0 or type(payload) is not tuple:
@@ -467,14 +518,15 @@ class ReplayedCertificate:
                 # Exact ints only: (True, 0, 2) hashes and compares like (1, 0, 2).
                 ok = type(a) is type(b) is type(c) is int and lemmas.get(triple)
                 if ok is None:
-                    ok = lemmas[triple] = _reverses_alone(triple, self.nu)
+                    lemmas = _LEMMAS.prove(triple, self.nu)
+                    ok = lemmas[triple]
                 if ok:
                     word[q], word[q + 2] = c, a
                 else:
                     moves.reverse_triple(q)
             else:
                 moves.apply(step)
-            if len(word) != step.after_len:
+            if len(word) != after:
                 raise DomainError("step length bookkeeping does not match")
             yield word
 
@@ -504,17 +556,21 @@ def replay_certificate(cert: RewriteCertificate) -> ReplayedCertificate:
 
     Every step is replayed as relator moves, so a certificate that replays
     proves its word trivial from the relators alone.  A triple reversal is
-    expanded into relator moves once per distinct triple of ``int`` letters
-    and cited after that as one swap (the lemmas of the module docstring);
-    the call accepts and rejects what expanding every reversal would.
-    Replay inserts only ``g_0`` and letters already in the word, so the
-    largest ``int`` start letter bounds what it may insert.  A step that
-    does not apply, a length that does not chain, or a claimed empty word
-    that is not reached raises ``DomainError`` here, before anything is
-    returned.  No intermediate word is stored, so memory is O(word length);
-    the returned :class:`ReplayedCertificate` rebuilds the words when they
-    are read.
+    expanded into relator moves once per process for each distinct triple
+    of ``int`` letters (keyed by expansion and ``nu``) and cited after that
+    as one swap, by this call and every later one (the lemmas of the module
+    docstring); the call accepts and rejects what expanding every reversal
+    would.  Replay inserts only ``g_0`` and letters already in the word, so
+    the largest ``int`` start letter bounds what it may insert.  A step
+    that does not apply, a length that is not an ``int`` or does not
+    chain, a ``final_empty`` that is not a ``bool``, or a claimed empty
+    word that is not reached raises ``DomainError`` here, before anything
+    is returned.  No intermediate word is stored, so memory is O(word
+    length); the returned :class:`ReplayedCertificate` rebuilds the words
+    when they are read.
     """
+    if type(cert.final_empty) is not bool:
+        raise DomainError(f"final_empty {cert.final_empty!r} is not a bool")
     view = ReplayedCertificate(cert, max((g for g in cert.start if type(g) is int), default=0))
     for word in view._live():
         pass
@@ -642,9 +698,11 @@ def rewrite_to_identity(indices: Sequence[int], nu: int) -> RewriteCertificate:
     """Reduce a relation word over the baby-base generators to the empty word.
 
     Precondition (checked): ``indices`` is a relation word over the baby-base
-    generators ``0..nu``, each letter an ``int``.  Each macro shortens the
-    word by at least two.
+    generators ``0..nu``, each letter an ``int``, and ``nu`` is an ``int``
+    >= 0.  Each macro shortens the word by at least two.
     """
+    if type(nu) is not int or nu < 0:
+        raise DomainError(f"nu {nu!r} is not an int >= 0")
     for g in indices:
         if type(g) is not int or not 0 <= g <= nu:
             raise DomainError(f"letter {g!r} is not an int in the generator range 0..{nu}")

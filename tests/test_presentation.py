@@ -30,7 +30,9 @@ from a1weyl import (
     toroidal_semilattice,
     verify_presentation,
 )
+from a1weyl import presentation
 from a1weyl.presentation import (
+    _LEMMAS,
     MACRO_BUBBLE,
     MACRO_CANCEL,
     MACRO_DELETE,
@@ -894,3 +896,131 @@ def test_a_lemma_holds_only_if_the_expansion_gives_the_reversed_triple(monkeypat
     monkeypatch.setattr(WordMoves, "reverse_triple", lambda self, q: None)
     assert not _reverses_alone((1, 0, 2), 2)
     assert _reverses_alone((2, 1, 2), 2)
+
+
+# --- one lemma table for the whole process ---
+
+
+def lemma_snapshot():
+    return {key: dict(table) for key, table in _LEMMAS.tables.items()}
+
+
+def replay_every_triple(nu):
+    """Replay one reversal of each triple over ``0..nu`` (accepted or not), proving its lemma at ``nu``."""
+    for triple in itertools.product(range(nu + 1), repeat=3):
+        replay_outcome(replay_certificate, one_reversal(triple + (nu,), 0))
+
+
+@settings(deadline=None, max_examples=200)
+@given(replay_cases())
+@example(rewrite_to_identity(WORKED_LOOP, 2))
+@example(one_reversal((1, 1, 2, 2, 1, 1), 0))
+@example(one_reversal((1, 0, 2, True, 0, 2), 3))
+def test_a_warmed_table_replays_as_a_cleared_one_and_as_the_full_expansion(cert):
+    expected = replay_outcome(expanding_replay_certificate, cert)
+    _LEMMAS.clear()
+    assert replay_outcome(replay_certificate, cert) == expected
+    _LEMMAS.clear()
+    replay_every_triple(max((g for g in cert.start if type(g) is int), default=0))
+    assert replay_outcome(replay_certificate, cert) == expected
+
+
+def test_a_second_replay_expands_no_triple(monkeypatch):
+    cert = rewrite_to_identity(random_relation_indices(random.Random(11), 4, 300), 4)
+    expanded = Counter()
+    reverse_triple = WordMoves.reverse_triple
+
+    def counting_reverse_triple(self, q):
+        expanded[tuple(self.word[q : q + 3])] += 1
+        return reverse_triple(self, q)
+
+    monkeypatch.setattr(WordMoves, "reverse_triple", counting_reverse_triple)
+    view = replay_certificate(cert)
+    assert view[-1] == [] and expanded
+    expanded.clear()
+    again = replay_certificate(cert)
+    assert again[-1] == [] and view[len(view) // 2] == again[len(view) // 2]
+    assert not expanded
+
+
+def test_a_patched_expansion_starts_with_no_lemmas(monkeypatch):
+    cert = one_reversal((1, 0, 2), 0)
+    assert replay_certificate(cert)[-1] == [2, 0, 1]
+    proved = lemma_snapshot()
+    assert proved[(WordMoves.reverse_triple, 2)][(1, 0, 2)] is True
+    # The no-op expansion cannot reverse (1, 0, 2): the lemma proved by the
+    # real one must not be cited for it.
+    monkeypatch.setattr(WordMoves, "reverse_triple", lambda self, q: None)
+    assert _LEMMAS.table(2) == {}
+    expected = replay_outcome(expanding_replay_certificate, cert)
+    assert expected[1] == [1, 0, 2]
+    assert replay_outcome(replay_certificate, cert) == expected
+    assert _LEMMAS.table(2) == {(1, 0, 2): False}
+    monkeypatch.undo()
+    assert _LEMMAS.table(2) == proved[(WordMoves.reverse_triple, 2)]
+
+
+def test_the_table_never_holds_more_than_the_cap(monkeypatch):
+    cert = rewrite_to_identity(random_relation_indices(random.Random(12), 5, 400), 5)
+    assert len({s.payload for s in cert.steps if s.rule == RULE_REVERSE}) > 3 * 5
+    monkeypatch.setattr(presentation, "LEMMA_CAP", 5)
+    _LEMMAS.clear()
+    sizes = []
+    for _ in replay_certificate(cert):
+        assert _LEMMAS.size == sum(map(len, _LEMMAS.tables.values()))
+        sizes.append(_LEMMAS.size)
+    assert max(sizes) == 5 and sum(b < a for a, b in zip(sizes, sizes[1:])) > 1  # emptied twice or more
+    assert replay_outcome(replay_certificate, cert) == replay_outcome(expanding_replay_certificate, cert)
+
+
+@pytest.mark.parametrize("lookalike", [True, 1.0])
+def test_lookalike_triples_never_read_or_write_the_table(lookalike):
+    _LEMMAS.clear()
+    lookalike_only = one_reversal((lookalike, 0, 2, 1), 0)
+    error = (DomainError, f"(0, {lookalike!r}, 2) does not name an elementary loop")
+    assert replay_outcome(replay_certificate, lookalike_only) == error
+    assert lemma_snapshot() == {}  # not written
+    assert replay_certificate(one_reversal((1, 0, 2), 0))[-1] == [2, 0, 1]
+    assert _LEMMAS.table(2) == {(1, 0, 2): True}
+    warmed = lemma_snapshot()
+    assert replay_outcome(replay_certificate, lookalike_only) == error  # (1, 0, 2) -> True not read
+    assert lemma_snapshot() == warmed
+
+
+@pytest.mark.parametrize("before_len, after_len", [(2.0, 0.0), (2, False), (2.0, 0), (2, 0.0), (True, 0)])
+def test_step_lengths_must_be_ints(before_len, after_len):
+    step = RewriteStep(RULE_CANCEL, 0, (1,), before_len, after_len)
+    cert = RewriteCertificate((1, 1), (step,), ((0, 1, MACRO_CANCEL),), False)
+    with pytest.raises(DomainError, match="^step lengths .* are not both ints$"):
+        replay_certificate(cert)
+
+
+@pytest.mark.parametrize("field", ["before_len", "after_len"])
+def test_a_float_length_in_a_real_certificate_is_refused(field):
+    cert = rewrite_to_identity(WORKED_LOOP, 2)
+    k = len(cert.steps) // 2
+    bad = dataclasses.replace(cert.steps[k], **{field: float(getattr(cert.steps[k], field))})
+    with pytest.raises(DomainError, match="are not both ints"):
+        replay_certificate(dataclasses.replace(cert, steps=cert.steps[:k] + (bad,) + cert.steps[k + 1 :]))
+
+
+def test_an_int_length_mismatch_keeps_its_messages():
+    for before_len, after_len, message in ((3, 0, "certificate does not chain: length mismatch"),
+                                           (2, 1, "step length bookkeeping does not match")):
+        step = RewriteStep(RULE_CANCEL, 0, (1,), before_len, after_len)
+        cert = RewriteCertificate((1, 1), (step,), ((0, 1, MACRO_CANCEL),), False)
+        assert replay_outcome(replay_certificate, cert) == (DomainError, message)
+
+
+@pytest.mark.parametrize("final_empty", [1, 0, 1.0, None, "true"])
+def test_final_empty_must_be_a_bool(final_empty):
+    cert = dataclasses.replace(rewrite_to_identity(WORKED_LOOP, 2), final_empty=final_empty)
+    with pytest.raises(DomainError, match=f"^final_empty {final_empty!r} is not a bool$"):
+        replay_certificate(cert)
+
+
+@pytest.mark.parametrize("nu", [2.5, True, False, 2.0, "2", None, -1])
+def test_rewrite_refuses_a_nu_that_is_not_an_int_from_zero(nu):
+    for word in ((1, 1), ()):
+        with pytest.raises(DomainError, match=f"^nu {nu!r} is not an int >= 0$"):
+            rewrite_to_identity(word, nu)

@@ -1,0 +1,159 @@
+#!/usr/bin/env python3
+"""Time two checkouts against each other on one benchmark workload, op by op in one process.
+
+    python3 scripts/ab_compare.py OLD_CHECKOUT NEW_CHECKOUT --workload decide --seed 1 --passes 5
+
+Each checkout's ``src/a1weyl`` is copied into a temporary directory under a
+package name of its own (``a1weyl_old``, ``a1weyl_new``); the package
+imports itself only relatively, so the two copies share no module and both
+load into this process.  The inputs come from this repository's
+``bench/inputs.py``: pass ``k`` runs variant ``k`` of the seed's inputs.
+For every input both sides run the benchmark's op for the workload (decide:
+parse, validate, ``eval_word``, ``eval_word_hyp``, ``is_central``; certify:
+rewrite and replay; loops: path, reduction, trace replay and, at rank 2,
+the SVG), one right after the other, the side that goes first alternating
+from op to op, and their answers must be equal by ``repr`` (replay states
+by their 64-bit bytes).  Only the op is timed.
+
+A side's ``ops_per_s`` in a pass is its number of ops over their summed
+time; the best pass of each side is printed, then the gain of new over old.
+Both sides meet the same host load at the same moments, which separate
+runs of ``bench/run.py`` on a shared host do not.  Stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import hashlib
+import importlib
+import shutil
+import sys
+import tempfile
+import time
+from array import array
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+import inputs as gen  # noqa: E402
+
+SIDES = ("old", "new")
+
+
+def load(checkout: Path, name: str, into: Path):
+    """Import ``checkout``'s ``src/a1weyl`` as the package ``name`` from a copy under ``into``."""
+    src = checkout / "src" / "a1weyl"
+    if not (src / "__init__.py").is_file():
+        sys.exit(f"ab_compare: no package at {src}")
+    shutil.copytree(src, into / name, ignore=shutil.ignore_patterns("__pycache__"))
+    return importlib.import_module(name)
+
+
+def prepare(m, workload: str, inps: list[dict], bases: dict) -> list[tuple]:
+    """The op arguments of one pass for library ``m``, built outside the timed interval."""
+    if workload == "decide":
+        make = {"baby": m.baby_semilattice, "toroidal": m.toroidal_semilattice,
+                "pairwise": m.pairwise_semilattice}
+        args = []
+        for inp in inps:
+            key = (inp["family"], inp["nu"])
+            if key not in bases:
+                bases[key] = m.ReflectableBase(make[inp["family"]](inp["nu"]))
+            args.append((inp["text"], bases[key]))
+        return args
+    if workload == "certify":
+        return [(tuple(inp["indices"]), inp["nu"]) for inp in inps]
+    return [(m.Word.from_indices(m.baby_base(inp["nu"]), inp["indices"]),
+             m.Simplex(inp["anchor"], inp["orient"])) for inp in inps]
+
+
+def op(m, workload: str, arg: tuple) -> tuple:
+    if workload == "decide":
+        text, base = arg
+        word = m.parse_word(text, base)
+        m.validate_word(base.semilattice, word)
+        return word, m.eval_word(word), m.eval_word_hyp(word), m.is_central(word)
+    if workload == "certify":
+        cert = m.rewrite_to_identity(*arg)
+        return cert, m.replay_certificate(cert)
+    word, start = arg
+    path = m.path_of_word(word, start)
+    trace = m.reduce_loop(path)
+    svg = m.render_svg(path) if word.rank == 2 else None
+    return path, trace, m.replay_trace(trace), svg
+
+
+def fingerprint(workload: str, answer: tuple) -> str:
+    h = hashlib.sha256()
+    if workload == "certify":
+        cert, states = answer
+        h.update(repr(cert).encode())
+        for state in states:
+            h.update(array("q", state).tobytes())
+    else:
+        h.update(repr(answer).encode())
+    return h.hexdigest()
+
+
+def timed(m, workload: str, arg: tuple) -> tuple[int, tuple]:
+    t0 = time.perf_counter_ns()
+    answer = op(m, workload, arg)
+    return time.perf_counter_ns() - t0, answer
+
+
+def compare(libs: dict, workload: str, seed: int, passes: int) -> tuple[dict, int]:
+    """Per side, ``ops_per_s`` of every pass, and the number of ops compared.
+
+    Exits 1 at the first pair of unequal answers.
+    """
+    inps = gen.make_inputs(workload, seed)
+    bases: dict = {side: {} for side in SIDES}
+    rates: dict[str, list[float]] = {side: [] for side in SIDES}
+    compared = 0
+    for k in range(passes):
+        pass_inps = gen.variant_inputs(workload, seed, k, inps)
+        args = {side: prepare(libs[side], workload, pass_inps, bases[side]) for side in SIDES}
+        spent = dict.fromkeys(SIDES, 0)
+        gc.collect()
+        for i in range(len(pass_inps)):
+            order = SIDES if (i + k) % 2 == 0 else SIDES[::-1]
+            answers = {}
+            for side in order:
+                ns, answers[side] = timed(libs[side], workload, args[side][i])
+                spent[side] += ns
+            if fingerprint(workload, answers["old"]) != fingerprint(workload, answers["new"]):
+                sys.exit(f"ab_compare: answers differ on pass {k} input {i}")
+            compared += 1
+        for side in SIDES:
+            rates[side].append(len(pass_inps) / (spent[side] / 1e9))
+    return rates, compared
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old", type=Path, help="checkout of the baseline")
+    parser.add_argument("new", type=Path, help="checkout of the change")
+    parser.add_argument("--workload", choices=("decide", "certify", "loops"), required=True)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--passes", type=int, default=5)
+    args = parser.parse_args(argv)
+    if args.passes < 1:
+        parser.error("--passes must be at least 1")
+    with tempfile.TemporaryDirectory(prefix="ab_compare-") as tmp:
+        sys.path.insert(0, tmp)
+        libs = {side: load(getattr(args, side).resolve(), f"a1weyl_{side}", Path(tmp))
+                for side in SIDES}
+        rates, compared = compare(libs, args.workload, args.seed, args.passes)
+    print(f"{args.workload} seed {args.seed} passes {args.passes}: {compared} answers equal")
+    for side in SIDES:
+        print(f"{side:3s} ops_per_s {max(rates[side]):9.1f} (best of {args.passes})"
+              f"  {getattr(args, side)}")
+    gain = max(rates["new"]) / max(rates["old"]) - 1
+    print(f"gain {gain:+.1%}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,8 +16,9 @@ coefficients ``c_i = (-1)^(k-i) sign(a_i)`` of ``Word.columns``,
 ``x + o*(suffix sums of c_i p(a_i))``: prefix sums of the word's signed
 lattice columns, the ones ``eval_word`` sums, read from the right, and the
 orientations alternate ``o, -o, ...``.  :func:`_walk` takes these sums
-exactly and guards each anchor once, where ``Simplex`` stores it, so a path
-raises at the first simplex that leaves the 64-bit band.  Loop tracing
+exactly and tests all the anchors of a walk against the 64-bit band with one
+``min`` / ``max``; past it, ``Simplex`` checks each anchor as it stores it,
+so a path raises at the first simplex that leaves the band.  Loop tracing
 inserts a block by walking the block's word.
 
 Loops reduce to the trivial loop by inserting or deleting the elementary
@@ -34,7 +35,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import DomainError, InternalCheckError
-from .lattice import Vec, baby_base, checked_vec, vec_add, vec_scale, zero_vec
+from .lattice import I64_MAX, I64_MIN, Vec, baby_base, checked_vec, vec_add, vec_scale, zero_vec
 from .presentation import WordMoves, move_block, rewrite_to_identity  # noqa: F401
 from .weyl import WeylElement, is_relation_w
 from .words import Word
@@ -90,14 +91,34 @@ def _walk(word: Word, base: Simplex) -> list[Simplex]:
 
     Entry ``t`` is ``B(x + o*sum_{i > k-t} c_i p(a_i), (-1)^t o)`` for
     ``base = B(x, o)``: exact prefix sums of ``Word.columns`` read from the
-    right, each anchor checked by ``Simplex``.
+    right.  One ``min`` / ``max`` tests every anchor of the walk against the
+    64-bit band; past it, ``Simplex`` checks them one by one and raises at
+    the first simplex outside.
     """
     x, o = base.anchor, base.orient
     coefs, cols, _ = word.columns
     steps = [o * c for c in reversed(coefs)]
-    rows = [accumulate(map(mul, steps, reversed(col)), initial=xc) for xc, col in zip(x, cols)]
+    rows = [list(accumulate(map(mul, steps, reversed(col)), initial=xc))
+            for xc, col in zip(x, cols)]
     anchors = zip(*rows) if rows else repeat((), len(coefs) + 1)
-    return list(map(Simplex, anchors, [o, -o] * (len(coefs) // 2 + 1)))
+    past = rows and (min(map(min, rows)) < I64_MIN or max(map(max, rows)) > I64_MAX)
+    make = Simplex if past else _unchecked_simplex
+    return list(map(make, anchors, [o, -o] * (len(coefs) // 2 + 1)))
+
+
+def _unchecked_simplex(anchor: Vec, orient: int) -> Simplex:
+    """A ``Simplex`` built without ``Simplex.__post_init__``; only :func:`_walk` calls it.
+
+    Safe because ``_walk`` hands it only what those checks pass: ``orient``
+    is the checked orientation of its base or its negation, the anchor is a
+    tuple of exact ``int`` sums of checked ``int`` entries, and ``_walk`` has
+    tested every anchor of the walk against the 64-bit band first.
+    """
+    simplex = object.__new__(Simplex)
+    fields = simplex.__dict__
+    fields["anchor"] = anchor
+    fields["orient"] = orient
+    return simplex
 
 
 def path_of_word(word: Word, base: Simplex) -> Path:

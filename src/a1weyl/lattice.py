@@ -11,16 +11,22 @@ All arithmetic is exact.  Coordinates are Python ints guarded to the signed
 Values are checked where they enter, by the constructors of ``Root``,
 ``WeylElement``, ``HyperbolicElement`` and ``geometry.Simplex`` through
 :func:`checked_vec`, which takes ``int`` entries only (no floats, booleans
-or strings), and the ``vec_*`` helpers check every result they build.  A
-word's running sum is guarded in ``weyl``: when ``B_c = sum_i |p_c(a_i)|``
+or strings), and the ``vec_*`` helpers check every result they build.  Two
+callers check a whole batch instead and build their records through a
+private factory that skips the constructor's checks, the only bypasses of
+them: ``words.parse_word`` reads all the explicit coordinates of a word with
+one ``int`` map and tests them against the band with one ``min`` / ``max``
+(``words._unchecked_root``), and ``geometry._walk`` tests all the anchors of
+a walk the same way (``geometry._unchecked_simplex``); where a batch test
+fails, the constructors check value by value and raise as they would alone.
+A word's running sum is guarded in ``weyl``: when ``B_c = sum_i |p_c(a_i)|``
 is at most ``I64_MAX`` for every coordinate ``c`` (the flag of
 ``words.Word.columns``), no partial sum of its letters can leave the band,
 so it is summed without per-step guards; otherwise
 ``weyl.eval_word_checked`` sums it letter by letter and raises where it
 leaves the band.  Values derived from such sums are exact ints, checked once
 when they are stored: the dual rows of ``hyperbolic``, and the anchors of a
-path, which ``geometry._walk`` takes as prefix sums of ``Word.columns`` and
-``Simplex`` checks one by one.
+path, which ``geometry._walk`` takes as prefix sums of ``Word.columns``.
 """
 
 from __future__ import annotations
@@ -97,10 +103,10 @@ def vec_scale(k: int, a: Vec) -> Vec:
 
 
 def vec_mod2(a: Vec) -> Vec:
-    return tuple(x % 2 for x in a)
+    return tuple([x & 1 for x in a])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Root:
     """A root ``sign*e + sum_i lat[i]*s_i``; isotropic exactly when sign is 0."""
 

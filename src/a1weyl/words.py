@@ -18,7 +18,7 @@ from operator import mul
 from typing import Iterable
 
 from .errors import DomainError, WordParseError
-from .lattice import I64_MAX, ReflectableBase, Root, Semilattice, Vec, root_in_rx
+from .lattice import I64_MAX, I64_MIN, ReflectableBase, Root, Semilattice, Vec, root_in_rx
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,9 @@ class Word:
     letters: tuple[Root, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for a in self.letters:
+        letters = tuple(self.letters)
+        object.__setattr__(self, "letters", letters)
+        for a in {id(a): a for a in letters}.values():  # each letter object once, in order
             if a.rank != self.rank:
                 raise DomainError(f"letter {a} has rank {a.rank}, word has rank {self.rank}")
             if a.sign == 0:
@@ -102,10 +103,14 @@ class Word:
 
 
 def validate_word(s: Semilattice, word: Word) -> None:
-    """Check every letter against the root system over ``s``, each distinct one once."""
+    """Check every letter against the root system over ``s``, each distinct object once.
+
+    Equal letters that are one object, as :func:`parse_word` shares them, are
+    checked once; equal letters built apart are each checked.
+    """
     if word.rank != s.rank:
         raise DomainError(f"word has rank {word.rank}, semilattice has rank {s.rank}")
-    for a in dict.fromkeys(word.letters):
+    for a in {id(a): a for a in word.letters}.values():
         if not root_in_rx(s, a):
             raise DomainError(f"letter {a} is not a non-isotropic root of the system")
 
@@ -134,16 +139,63 @@ def parse_word(text: str, base: ReflectableBase) -> Word:
     """Parse the shared text format against the active base.
 
     Each distinct token is parsed once per call; roots are frozen, so its
-    letters share one ``Root``.
+    letters share one ``Root``.  The distinct explicit tokens are parsed in
+    one batch by :func:`_parse_explicit_batch`: a shape test per token, one
+    ``int`` map over all their coordinates and one ``min`` / ``max`` test of
+    the 64-bit band for the whole word.  If the batch meets anything it does
+    not take (rank 0, an ``_`` or a non-ASCII character in the text, a token
+    of another shape, a coordinate ``int`` refuses or one past the band), it
+    builds no root, so every token goes through :func:`_parse_token`, which
+    raises the first bad token's error; the batch never raises by itself.
+    ``g<k>`` tokens always go through :func:`_parse_token`.
     """
-    roots: dict[str, Root] = {}
-    letters = []
-    for token in text.split():
-        root = roots.get(token)
+    tokens = text.split()
+    roots: dict[str, Root | None] = dict.fromkeys(tokens)
+    _parse_explicit_batch(roots, text, base.rank)
+    for token, root in roots.items():  # first occurrences, in order
         if root is None:
-            root = roots[token] = _parse_token(token, base)
-        letters.append(root)
-    return Word(base.rank, tuple(letters))
+            roots[token] = _parse_token(token, base)
+    return Word(base.rank, tuple(map(roots.__getitem__, tokens)))
+
+
+# The slot descriptors of the frozen ``Root``: they set a field past its ``__setattr__``.
+_set_sign = Root.sign.__set__
+_set_lat = Root.lat.__set__
+
+
+def _unchecked_root(sign: int, lat: Vec) -> Root:
+    """A ``Root`` built without ``Root.__post_init__``; only the batch parse calls it.
+
+    Safe because the batch hands it only what those checks pass: ``sign`` is
+    1 or -1 (from the token's first character), ``lat`` is a tuple of
+    ``int()`` results, and the batch has tested every coordinate of the word
+    against the 64-bit band before building any root.
+    """
+    root = object.__new__(Root)
+    _set_sign(root, sign)
+    _set_lat(root, lat)
+    return root
+
+
+def _parse_explicit_batch(roots: dict[str, Root | None], text: str, rank: int) -> None:
+    """Fill in the root of every explicit token among the keys of ``roots``, or of none."""
+    if not rank or "_" in text or not text.isascii():
+        return
+    explicit = [t for t in roots if t[0] != "g"]
+    if not explicit:
+        return
+    commas = rank - 1
+    for t in explicit:
+        if t[:3] not in ("+e:", "-e:") or t.count(",") != commas:
+            return
+    try:
+        coords = list(map(int, ",".join([t[3:] for t in explicit]).split(",")))
+    except ValueError:  # also an integer past the digit limit
+        return
+    if min(coords) < I64_MIN or max(coords) > I64_MAX:
+        return
+    for t, lat in zip(explicit, zip(*[iter(coords)] * rank)):
+        roots[t] = _unchecked_root(1 if t[0] == "+" else -1, lat)
 
 
 def _parse_token(token: str, base: ReflectableBase) -> Root:

@@ -37,6 +37,17 @@ def test_oracle_sweep_finds_no_mismatch():
     assert done.stdout.splitlines()[-1] == "total mismatches: 0"
 
 
+def test_ab_compare_of_the_repo_against_itself_finds_equal_answers():
+    root = str(SCRIPTS.parent)
+    done = run_script("ab_compare.py", root, root, "--workload", "decide", "--passes", "1")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "decide seed 1 passes 1: 216 answers equal"
+    assert [line.split()[:2] for line in lines[1:3]] == [["old", "ops_per_s"], ["new", "ops_per_s"]]
+    gains = [line for line in lines if line.startswith("gain ")]
+    assert len(gains) == 1 and gains[0].endswith("%")
+
+
 def test_output_digest_prints_one_digest_per_layer():
     done = run_script("output_digest.py", "--seeds", "1", "--variants", "0")
     assert done.returncode == 0, done.stderr

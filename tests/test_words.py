@@ -1,18 +1,27 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from a1weyl import (
     DomainError,
+    ReflectableBase,
     Root,
     Word,
     WordParseError,
+    baby_semilattice,
+    eval_word,
+    eval_word_hyp,
     format_word,
+    is_central,
     parse_word,
     random_relation_indices,
     random_word,
+    toroidal_semilattice,
     validate_word,
 )
+from a1weyl.lattice import I64_MAX, I64_MIN
 from a1weyl.weyl import is_relation_w
 
 from conftest import root
@@ -135,3 +144,131 @@ def test_validate_word_names_the_first_bad_letter_after_repeated_good_ones(baby2
     assert str(exc.value) == (
         "letter Root(sign=-1, lat=(1, 1)) is not a non-isotropic root of the system"
     )
+
+
+# --- the batch parse of explicit tokens against the token-by-token parse --------
+
+
+def _spelled(c: int, prefix: str) -> str:
+    """``c`` as ``int()`` reads it, with ``prefix`` ("", "0", "+", "+00") after any minus."""
+    return ("-" + prefix.lstrip("+") + str(-c)) if c < 0 else prefix + str(c)
+
+
+def _bad_tokens(rank: int) -> list[str]:
+    """One token of every kind ``parse_word`` refuses, at ``rank``."""
+    def explicit(first: str) -> str:
+        return "+e:" + ",".join([first] + ["0"] * (rank - 1))
+
+    return [
+        explicit("1_0"),
+        explicit("\u0662"),
+        f"g{rank + 1}",
+        "gX",
+        "+e:" + ",".join(["0"] * (rank + 1)),
+        "+e:1,",
+        "+E:1,0",
+        explicit(str(I64_MAX + 1)),
+        explicit(str(I64_MIN - 1)),
+        explicit("1" * 4301),
+    ]
+
+
+@st.composite
+def token_words(draw):
+    """A rank, its baby base, tokens with the root each names, and bad tokens to insert."""
+    rank = draw(st.integers(0, 8))
+    base = ReflectableBase(baby_semilattice(rank))
+    coord = st.one_of(st.integers(-9, 9), st.integers(I64_MIN, I64_MAX),
+                      st.sampled_from([I64_MIN, I64_MAX]))
+    generator = st.integers(0, rank).map(lambda k: (f"g{k}", base.roots[k]))
+
+    @st.composite
+    def explicit(draw):
+        sign = draw(st.sampled_from([1, -1]))
+        lat = draw(st.lists(coord, min_size=rank, max_size=rank))
+        spelling = st.sampled_from(["", "0", "+", "+00"])
+        prefixes = draw(st.lists(spelling, min_size=rank, max_size=rank))
+        text = ("+" if sign > 0 else "-") + "e:" + ",".join(map(_spelled, lat, prefixes))
+        return text, Root(sign, tuple(lat))
+
+    pool = draw(st.lists(st.one_of(generator, explicit()), min_size=1, max_size=6))
+    named = draw(st.lists(st.sampled_from(pool), max_size=16))
+    bad = draw(st.lists(st.sampled_from(_bad_tokens(rank)), max_size=2))
+    spots = sorted(draw(st.lists(st.integers(0, len(named)), min_size=len(bad), max_size=len(bad))))
+    return rank, base, named, list(zip(spots, bad))
+
+
+@settings(deadline=None, max_examples=300)
+@given(token_words())
+def test_the_batch_parse_equals_the_token_by_token_parse(case):
+    rank, base, named, bad = case
+    tokens = [text for text, _ in named]
+    if not bad:
+        word = parse_word(" ".join(tokens), base)
+        assert word == Word(rank, tuple(parse_word(t, base).letters[0] for t in tokens))
+        for letter, (_, expected) in zip(word.letters, named, strict=True):
+            assert letter == expected
+            assert hash(letter) == hash(expected)
+            assert repr(letter) == repr(expected)
+        return
+    for offset, (spot, token) in enumerate(bad):
+        tokens.insert(spot + offset, token)
+    with pytest.raises(Exception) as alone:
+        parse_word(bad[0][1], base)
+    with pytest.raises(type(alone.value)) as whole:
+        parse_word(" ".join(tokens), base)
+    assert type(whole.value) is type(alone.value)
+    assert str(whole.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 5])
+def test_coordinates_at_the_band_edges_parse(rank):
+    base = ReflectableBase(toroidal_semilattice(rank))
+    lat = tuple([I64_MAX, I64_MIN] * rank)[:rank]
+    text = "+e:" + ",".join(map(str, lat)) + " -e:" + ",".join(map(str, reversed(lat)))
+    assert parse_word(text, base).letters == (Root(1, lat), Root(-1, lat[::-1]))
+
+
+def test_parsed_roots_have_no_instance_dict(baby2_base):
+    letter = parse_word("+e:2,1", baby2_base).letters[0]
+    assert not hasattr(letter, "__dict__") and not hasattr(Root(1, (2, 1)), "__dict__")
+
+
+# --- each distinct letter object is checked once ----------------------------------
+
+
+GOOD = [Root(1, (2 * (k % 5), 0)) for k in range(1000)]  # 1000 objects, five values
+
+
+@pytest.mark.parametrize("bad, message", [
+    (Root(1, (1, 0, 0)), "letter Root(sign=1, lat=(1, 0, 0)) has rank 3, word has rank 2"),
+    (Root(0, (1, 1)), "word letters must be non-isotropic roots"),
+])
+def test_word_names_a_repeated_bad_letter_after_a_thousand_good_ones(bad, message):
+    later = Root(1, (3, 0, 0, 0))
+    with pytest.raises(DomainError) as exc:
+        Word(2, (*GOOD, bad, bad, later, bad))
+    assert str(exc.value) == message
+
+
+def test_validate_word_names_a_repeated_letter_outside_the_system_after_good_ones(baby2):
+    bad, later = Root(1, (1, 1)), Root(-1, (3, 3))
+    word = Word(2, (*GOOD, bad, bad, later, bad))
+    with pytest.raises(DomainError) as exc:
+        validate_word(baby2, word)
+    assert str(exc.value) == (
+        "letter Root(sign=1, lat=(1, 1)) is not a non-isotropic root of the system"
+    )
+
+
+def test_equal_letters_built_apart_validate_and_evaluate_as_shared_ones(toroidal2, toroidal2_base):
+    text = "+e:2,1 -e:0,-3 g3 +e:2,1 +e:2,1 -e:0,-3 g1 +e:1,1"
+    shared = parse_word(text, toroidal2_base)
+    apart = Word(2, tuple(Root(a.sign, a.lat) for a in shared.letters))
+    assert len({id(a) for a in apart.letters}) == len(apart)
+    assert len({id(a) for a in shared.letters}) < len(shared)
+    validate_word(toroidal2, apart)
+    assert apart == shared
+    assert eval_word(apart) == eval_word(shared)
+    assert eval_word_hyp(apart) == eval_word_hyp(shared)
+    assert is_central(apart) == is_central(shared)

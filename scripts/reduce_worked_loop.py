@@ -25,10 +25,7 @@ LOOP = (2, 0, 2, 1, 0, 1, 0, 2, 1, 2, 1, 0)
 
 
 def describe(path):
-    return " ".join(
-        f"B({','.join(map(str, s.anchor))};{'+' if s.orient > 0 else '-'})"
-        for s in path.simplices
-    )
+    return " ".join(map(str, path.simplices))
 
 
 def main() -> int:

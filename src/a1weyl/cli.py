@@ -1,5 +1,11 @@
 """Command-line interface.
 
+``main`` is the one place that parses the arguments, loads the
+configuration, runs the command, prints its result and maps every error to
+its exit code and stderr prefix.  Each handler ``_cmd_*(args, base)`` only
+computes: it returns ``(payload, lines)``, the JSON object of
+``--format json`` and the lines of ``--format text``.
+
 Exit codes: 0 ok, 2 invalid configuration or usage error, 3 I/O failure,
 4 word parse error, 5 domain error, 6 internal cross-check failure.
 """
@@ -30,7 +36,7 @@ def ascii_int(text: str) -> int:
 
     ``int`` alone would also take ``_`` separators and non-ASCII digits such
     as ``"\u0662"``.  The type of every integer option, so argparse makes a
-    bad value a usage error; ``_simplex`` reads anchor coordinates with it.
+    bad value a usage error; ``_path`` reads anchor coordinates with it.
     """
     if "_" in text or not text.isascii():
         raise ValueError("has a non-ASCII character or an '_'")
@@ -38,11 +44,6 @@ def ascii_int(text: str) -> int:
         return int(text)
     except ValueError:
         raise ValueError("is not an integer") from None
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", required=True, help="semilattice JSON file")
-    sub.add_argument("--format", choices=("text", "json"), default="text")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,53 +57,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("validate", help="check a semilattice configuration")
-    _add_common(p)
+    def command(name, help, *, group=False, anchor=False, word=False):
+        p = subs.add_parser(name, help=help)
+        p.add_argument("--config", required=True, help="semilattice JSON file")
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        if group:
+            p.add_argument("--group", choices=("W", "Wt"), default="W")
+        if anchor:
+            p.add_argument("--anchor", default=None, help="base simplex anchor, e.g. 0,0")
+            p.add_argument("--orient", type=ascii_int, choices=(1, -1), default=1)
+        if word:
+            p.add_argument("word", nargs="+", help=WORD_HELP)
+        return p
 
-    p = subs.add_parser("eval", help="evaluate a word to its canonical form")
-    _add_common(p)
-    p.add_argument("--group", choices=("W", "Wt"), default="W")
-    p.add_argument("word", nargs="+", help=WORD_HELP)
+    command("validate", "check a semilattice configuration")
+    command("eval", "evaluate a word to its canonical form", group=True, word=True)
+    command("check", "decide whether a word is a relation", group=True, word=True)
 
-    p = subs.add_parser("check", help="decide whether a word is a relation")
-    _add_common(p)
-    p.add_argument("--group", choices=("W", "Wt"), default="W")
-    p.add_argument("word", nargs="+", help=WORD_HELP)
-
-    p = subs.add_parser("alt-enum", help="enumerate alternating tuples over the base")
-    _add_common(p)
+    p = command("alt-enum", "enumerate alternating tuples over the base")
     p.add_argument("--k", type=ascii_int, required=True, help="tuple length (even)")
 
-    p = subs.add_parser("presentation", help="emit one of the presentations")
-    _add_common(p)
+    p = command("presentation", "emit one of the presentations")
     p.add_argument("--kind", choices=("baby", "spre", "hyp", "alternating"), default="baby")
     p.add_argument("--kmax", type=ascii_int, default=6,
                    help="relator length bound (alternating kind)")
     p.add_argument("--verify", action="store_true", help="evaluate every relator in its target")
 
-    p = subs.add_parser("reduce", help="certificate reducing a relation word to the identity")
-    _add_common(p)
+    p = command("reduce", "certificate reducing a relation word to the identity", word=True)
     p.add_argument("--no-replay", action="store_true", help="skip the replay self-check")
-    p.add_argument("word", nargs="+", help=WORD_HELP)
 
-    p = subs.add_parser("path", help="the simplex path of a word")
-    _add_common(p)
-    p.add_argument("--anchor", default=None, help="base simplex anchor, e.g. 0,0")
-    p.add_argument("--orient", type=ascii_int, choices=(1, -1), default=1)
-    p.add_argument("word", nargs="+", help=WORD_HELP)
+    command("path", "the simplex path of a word", anchor=True, word=True)
 
-    p = subs.add_parser("render-svg", help="render the path of a word (rank 2 only)")
-    _add_common(p)
-    p.add_argument("--anchor", default=None)
-    p.add_argument("--orient", type=ascii_int, choices=(1, -1), default=1)
+    p = command("render-svg", "render the path of a word (rank 2 only)", anchor=True, word=True)
     p.add_argument("--out", required=True, help="output SVG file")
-    p.add_argument("word", nargs="+", help=WORD_HELP)
 
-    p = subs.add_parser("center-basis", help="free basis of the center of the extended group")
-    _add_common(p)
+    command("center-basis", "free basis of the center of the extended group")
 
-    p = subs.add_parser("oracle-compare", help="random words vs the matrix representations")
-    _add_common(p)
+    p = command("oracle-compare", "random words vs the matrix representations")
     p.add_argument("--n", type=ascii_int, default=1000)
     p.add_argument("--len", dest="max_len", type=ascii_int, default=16)
     p.add_argument("--seed", type=ascii_int, default=0)
@@ -126,90 +117,59 @@ def _parse(args, base: ReflectableBase) -> words.Word:
     return word
 
 
-def _simplex(args, rank: int) -> geometry.Simplex:
+def _path(args, base: ReflectableBase) -> geometry.Path:
+    word = _parse(args, base)
     if args.anchor is None:
-        anchor = (0,) * rank
+        anchor = (0,) * base.rank
     else:
         try:
             anchor = tuple(map(ascii_int, args.anchor.split(",")))
         except ValueError as exc:
             raise WordParseError(f"anchor {args.anchor!r} {exc}") from exc
-    return geometry.Simplex(anchor, args.orient)
+    return geometry.path_of_word(word, geometry.Simplex(anchor, args.orient))
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+def _cmd_validate(args, base):
+    s = base.semilattice
+    return ({"ok": True, "rank": s.rank, "cosets": len(s.cosets)},
+            [f"ok: rank {s.rank}, {len(s.cosets)} coset representatives"])
 
 
-def _cmd_validate(args) -> int:
-    try:
-        s = _load_base(args).semilattice
-    except ConfigError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    _emit(args, {"ok": True, "rank": s.rank, "cosets": len(s.cosets)},
-          [f"ok: rank {s.rank}, {len(s.cosets)} coset representatives"])
-    return EXIT_OK
-
-
-def _cmd_eval(args) -> int:
-    base = _load_base(args)
+def _cmd_eval(args, base):
     word = _parse(args, base)
     if args.group == "W":
         elem = weyl.eval_word(word)
-        payload = {
-            "group": "W",
-            "element": weyl.element_to_dict(elem),
-            "relation": elem.is_identity,
-        }
-        lines = [
-            f"element: {json.dumps(weyl.element_to_dict(elem), sort_keys=True)}",
-            f"relation: {str(elem.is_identity).lower()}",
-        ]
+        payload = {"group": "W", "element": weyl.element_to_dict(elem)}
     else:
-        helem = hyperbolic.eval_word_hyp(word)
-        central = helem.projection().is_identity if word.rank >= 1 else None
-        payload = {
-            "group": "Wt",
-            "element": hyperbolic.element_to_dict(helem),
-            "relation": helem.is_identity,
-            "central": central,
-        }
-        lines = [
-            f"element: {json.dumps(hyperbolic.element_to_dict(helem), sort_keys=True)}",
-            f"relation: {str(helem.is_identity).lower()}",
-            f"central: {'n/a' if central is None else str(central).lower()}",
-        ]
-    _emit(args, payload, lines)
-    return EXIT_OK
+        elem = hyperbolic.eval_word_hyp(word)
+        central = elem.projection().is_identity if word.rank >= 1 else None
+        payload = {"group": "Wt", "element": hyperbolic.element_to_dict(elem), "central": central}
+    payload["relation"] = elem.is_identity
+    lines = [
+        f"element: {json.dumps(payload['element'], sort_keys=True)}",
+        f"relation: {str(elem.is_identity).lower()}",
+    ]
+    if args.group == "Wt":
+        lines.append(f"central: {'n/a' if central is None else str(central).lower()}")
+    return payload, lines
 
 
-def _cmd_check(args) -> int:
-    base = _load_base(args)
+def _cmd_check(args, base):
     word = _parse(args, base)
     if args.group == "W":
         result = weyl.is_relation_w(word)
     else:
         result = hyperbolic.is_relation_hyp(word)
-    _emit(args, {"group": args.group, "relation": result}, [f"relation: {str(result).lower()}"])
-    return EXIT_OK
+    return {"group": args.group, "relation": result}, [f"relation: {str(result).lower()}"]
 
 
-def _cmd_alt_enum(args) -> int:
-    base = _load_base(args)
+def _cmd_alt_enum(args, base):
     tuples = list(weyl.enumerate_alternating(base.roots, args.k))
     rows = [words.format_word(words.Word(base.rank, tup), base) for tup in tuples]
-    _emit(args, {"k": args.k, "count": len(rows), "tuples": rows},
-          [f"count: {len(rows)}"] + rows)
-    return EXIT_OK
+    return {"k": args.k, "count": len(rows), "tuples": rows}, [f"count: {len(rows)}"] + rows
 
 
-def _cmd_presentation(args) -> int:
-    base = _load_base(args)
+def _cmd_presentation(args, base):
     nu = base.rank
     if args.kind == "baby":
         pres = presentation.presentation_baby_w(nu)
@@ -233,63 +193,44 @@ def _cmd_presentation(args) -> int:
         payload["verified"] = report.ok
         payload["failures"] = list(report.failures)
         lines.append(f"verified: {str(report.ok).lower()} (failures: {list(report.failures)})")
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return payload, lines
 
 
-def _cmd_reduce(args) -> int:
-    base = _load_base(args)
-    word = _parse(args, base)
-    indices = word.to_indices(base)
+def _cmd_reduce(args, base):
+    indices = _parse(args, base).to_indices(base)
     cert = presentation.rewrite_to_identity(indices, base.rank)
     if not args.no_replay:
         try:
             presentation.replay_certificate(cert)
         except DomainError as exc:
             raise InternalCheckError(f"certificate replay failed: {exc}") from exc
-    payload = presentation.certificate_to_dict(cert)
-    lines = [
+    return presentation.certificate_to_dict(cert), [
         f"steps: {len(cert.steps)} in {len(cert.macros)} macro moves",
         f"final: empty word = {str(cert.final_empty).lower()}",
     ]
-    _emit(args, payload, lines)
-    return EXIT_OK
 
 
-def _cmd_path(args) -> int:
-    base = _load_base(args)
-    word = _parse(args, base)
-    start = _simplex(args, base.rank)
-    path = geometry.path_of_word(word, start)
+def _cmd_path(args, base):
+    path = _path(args, base)
     entries = [{"anchor": list(s.anchor), "orient": s.orient} for s in path.simplices]
-    lines = [
-        f"B({','.join(str(c) for c in s.anchor)};{'+' if s.orient > 0 else '-'})"
-        for s in path.simplices
-    ]
     loop = path.simplices[0] == path.simplices[-1]
-    _emit(args, {"entries": entries, "loop": loop}, lines + [f"loop: {str(loop).lower()}"])
-    return EXIT_OK
+    return ({"entries": entries, "loop": loop},
+            [str(s) for s in path.simplices] + [f"loop: {str(loop).lower()}"])
 
 
-def _cmd_render(args) -> int:
-    base = _load_base(args)
-    word = _parse(args, base)
-    start = _simplex(args, base.rank)
-    path = geometry.path_of_word(word, start)
+def _cmd_render(args, base):
+    path = _path(args, base)
     svg = geometry.render_svg(path)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(svg)
     except OSError as exc:
-        print(f"cannot write {args.out!r}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    _emit(args, {"out": args.out, "entries": len(path.simplices)},
-          [f"wrote {args.out} ({len(path.simplices)} path entries)"])
-    return EXIT_OK
+        raise OSError(f"cannot write {args.out!r}: {exc}") from exc
+    return ({"out": args.out, "entries": len(path.simplices)},
+            [f"wrote {args.out} ({len(path.simplices)} path entries)"])
 
 
-def _cmd_center(args) -> int:
-    base = _load_base(args)
+def _cmd_center(args, base):
     basis = hyperbolic.center_basis(base)
     payload = {
         "count": len(basis),
@@ -310,14 +251,12 @@ def _cmd_center(args) -> int:
             shift = " ".join(f"{-c:+d}*s{i + 1}" for i, c in enumerate(row) if c)
             moves.append(f"l{k + 1} -> l{k + 1}" + (f" {shift}" if shift else ""))
         lines.append(f"z{z.pair}: {words.format_word(z.word, base)} | " + "; ".join(moves))
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return payload, lines
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args, base):
     if args.n < 0 or args.max_len < 0:
         raise DomainError(f"--n and --len must be non-negative, got {args.n} and {args.max_len}")
-    base = _load_base(args)
     s = base.semilattice
     rng = random.Random(args.seed)
     mismatches = 0
@@ -330,8 +269,7 @@ def _cmd_oracle(args) -> int:
         helem = hyperbolic.eval_word_hyp(word)
         if hyperbolic.matrix_of_element_hyp(helem) != hyperbolic.matrix_of_word(word):
             mismatches += 1
-    _emit(args, {"n": args.n, "mismatches": mismatches}, [f"{mismatches} mismatches in {args.n} words"])
-    return EXIT_OK if mismatches == 0 else EXIT_INTERNAL
+    return {"n": args.n, "mismatches": mismatches}, [f"{mismatches} mismatches in {args.n} words"]
 
 
 _HANDLERS = {
@@ -351,7 +289,12 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        payload, lines = _HANDLERS[args.command](args, _load_base(args))
+        if args.format == "json":
+            print(json.dumps(payload, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -367,6 +310,8 @@ def main(argv: list[str] | None = None) -> int:
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    # oracle-compare reports disagreements in its result, then fails.
+    return EXIT_INTERNAL if payload.get("mismatches") else EXIT_OK
 
 
 if __name__ == "__main__":

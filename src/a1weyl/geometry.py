@@ -55,6 +55,10 @@ class Simplex:
     def rank(self) -> int:
         return len(self.anchor)
 
+    def __str__(self) -> str:
+        """The text form ``B(x,y;+)`` / ``B(x,y;-)`` that ``path`` prints."""
+        return f"B({','.join(map(str, self.anchor))};{'+' if self.orient > 0 else '-'})"
+
 
 def base_simplex(rank: int) -> Simplex:
     return Simplex(zero_vec(rank), 1)

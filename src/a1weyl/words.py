@@ -91,15 +91,20 @@ class Word:
         return Word(self.rank, self.letters[::-1])
 
     def to_indices(self, base: ReflectableBase) -> tuple[int, ...]:
-        """Express every letter as a base generator; raises if one is not in the base."""
+        """Express every letter as a base generator; raises if one is not in the base.
+
+        Each distinct letter object is resolved once, in first-occurrence
+        order, so the first bad letter of the word is the one reported.
+        """
         lookup = {a: k for k, a in enumerate(base.roots)}
-        out = []
-        for a in self.letters:
+        ids = list(map(id, self.letters))
+        index = {}
+        for key, a in dict(zip(ids, self.letters)).items():
             k = lookup.get(a.normalized())
             if k is None:
                 raise DomainError(f"letter {a} is not a generator of the base")
-            out.append(k)
-        return tuple(out)
+            index[key] = k
+        return tuple(map(index.__getitem__, ids))
 
 
 def validate_word(s: Semilattice, word: Word) -> None:

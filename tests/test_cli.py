@@ -1,9 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from a1weyl.cli import main
+from a1weyl.cli import _HANDLERS, main
 
 WORKED_LOOP_TEXT = "g2 g0 g2 g1 g0 g1 g0 g2 g1 g2 g1 g0".split()
 
@@ -414,3 +418,90 @@ def test_an_anchor_coordinate_that_is_no_integer_is_a_parse_error(capsys, baby2_
     code = main(["path", "--config", baby2_config, "--anchor", "1,x", "g1", "g1"])
     assert code == 4
     assert "anchor '1,x' is not an integer" in capsys.readouterr().err
+
+
+# --- one error map for every command -----------------------------------------------
+
+COMMAND_ARGS = {
+    "validate": [],
+    "eval": ["g1", "g1"],
+    "check": ["g1", "g1"],
+    "alt-enum": ["--k", "2"],
+    "presentation": [],
+    "reduce": ["g1", "g1"],
+    "path": ["g1", "g1"],
+    "render-svg": ["--out", "loop.svg", "g1", "g1"],
+    "center-basis": [],
+    "oracle-compare": ["--n", "3"],
+}
+
+
+def test_the_error_map_tests_cover_every_command():
+    assert set(COMMAND_ARGS) == set(_HANDLERS)
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_every_command_reports_an_invalid_config_as_a_configuration_error(
+        capsys, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"rank": 2, "cosets": [[0, 0], [1, 0], [1, 0]]}))
+    code = main([command, "--config", str(bad), *COMMAND_ARGS[command]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: duplicate coset representative")
+    assert not (tmp_path / "loop.svg").exists()
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_every_command_reports_a_missing_config_as_an_io_error(
+        capsys, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    code = main([command, "--config", str(tmp_path / "nope.json"), *COMMAND_ARGS[command]])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("i/o error: cannot read configuration")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_render_svg_into_a_missing_directory_is_an_io_error(capsys, tmp_path, baby2_config, fmt):
+    out = tmp_path / "no" / "such" / "loop.svg"
+    code = main(["render-svg", "--config", baby2_config, "--format", fmt, "--out", str(out),
+                 *WORKED_LOOP_TEXT])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith(f"i/o error: cannot write {str(out)!r}: ")
+    assert not out.parent.exists()
+
+
+def test_oracle_compare_prints_its_mismatches_then_fails(capsys, monkeypatch, baby2_config):
+    from a1weyl import weyl
+
+    monkeypatch.setattr(weyl, "matrix_of_word_w", lambda word: None)
+    argv = ["oracle-compare", "--config", baby2_config, "--n", "4"]
+    assert main(argv) == 6
+    captured = capsys.readouterr()
+    assert captured.out == "4 mismatches in 4 words\n"
+    assert captured.err == ""
+    code, data = run_json(capsys, *argv)
+    assert code == 6
+    assert data == {"n": 4, "mismatches": 4}
+
+
+def test_python_dash_m_runs_the_cli(baby2_config, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"rank": 2, "cosets": [[0, 0], [1, 0], [1, 0]]}))
+
+    def run_module(config):
+        return subprocess.run([sys.executable, "-m", "a1weyl", "validate", "--config", config],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    good = run_module(baby2_config)
+    assert (good.returncode, good.stdout) == (0, "ok: rank 2, 3 coset representatives\n")
+    dup = run_module(str(bad))
+    assert dup.returncode == 2
+    assert dup.stderr.startswith("configuration error: duplicate coset representative")

@@ -74,6 +74,18 @@ class TestActOnSimplex:
             act_on_simplex(WeylElement(1, (0, 0, 0)), base_simplex(2))
 
 
+class TestSimplexText:
+    def test_str_is_the_path_text_form(self):
+        assert str(Simplex((1, -2), -1)) == "B(1,-2;-)"
+        assert str(Simplex((0, 3), 1)) == "B(0,3;+)"
+
+    def test_rank_zero(self):
+        assert str(base_simplex(0)) == "B(;+)"
+
+    def test_repr_is_unchanged(self):
+        assert repr(Simplex((1, -2), -1)) == "Simplex(anchor=(1, -2), orient=-1)"
+
+
 class TestPathOfWord:
     def test_trivial_loop(self):
         p = path_of_word(Word.empty(2), base_simplex(2))

@@ -272,3 +272,18 @@ def test_equal_letters_built_apart_validate_and_evaluate_as_shared_ones(toroidal
     assert eval_word(apart) == eval_word(shared)
     assert eval_word_hyp(apart) == eval_word_hyp(shared)
     assert is_central(apart) == is_central(shared)
+
+
+def test_to_indices_names_a_letter_outside_the_base_after_a_thousand_copies_of_one(baby2_base):
+    good, bad, later = Root(-1, (0, -1)), Root(1, (2, 0)), Root(1, (4, 4))
+    word = Word(2, (good,) * 1000 + (bad, good, later, bad))
+    with pytest.raises(DomainError) as exc:
+        word.to_indices(baby2_base)
+    assert str(exc.value) == "letter Root(sign=1, lat=(2, 0)) is not a generator of the base"
+
+
+def test_equal_letters_built_apart_give_the_indices_of_shared_ones(baby2_base):
+    shared = parse_word("g2 -e:0,0 g2 g1 +e:0,1 g0 g1", baby2_base)
+    apart = Word(2, tuple(Root(a.sign, a.lat) for a in shared.letters))
+    assert len({id(a) for a in apart.letters}) == len(apart)
+    assert apart.to_indices(baby2_base) == shared.to_indices(baby2_base) == (2, 0, 2, 1, 2, 0, 1)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 
 from . import geometry, hyperbolic, presentation, weyl, words
@@ -32,18 +33,18 @@ WORD_HELP = "word tokens (g<k> or (+|-)e:c1,...); put them after -- if one start
 
 
 def ascii_int(text: str) -> int:
-    """``int(text)`` under the digit rule of word tokens: ASCII only, no ``_``.
+    """``int(text)`` under the digit rule of word tokens: exactly ``[+-]?[0-9]+``.
 
-    ``int`` alone would also take ``_`` separators and non-ASCII digits such
-    as ``"\u0662"``.  The type of every integer option, so argparse makes a
-    bad value a usage error; ``_path`` reads anchor coordinates with it.
+    ``int`` alone would also take ``_`` separators, non-ASCII digits such as
+    ``"\u0662"`` and surrounding whitespace.  The type of every integer
+    option, so argparse makes a bad value a usage error; ``_path`` reads
+    anchor coordinates with it.
     """
-    if "_" in text or not text.isascii():
-        raise ValueError("has a non-ASCII character or an '_'")
-    try:
+    if re.fullmatch(r"[+-]?[0-9]+", text):
         return int(text)
-    except ValueError:
-        raise ValueError("is not an integer") from None
+    if "_" in text or not text.isascii() or any(map(str.isspace, text)):
+        raise ValueError("has a non-ASCII character or an '_' or whitespace")
+    raise ValueError("is not an integer")
 
 
 def build_parser() -> argparse.ArgumentParser:

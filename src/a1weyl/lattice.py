@@ -290,6 +290,11 @@ class ReflectableBase:
     def roots(self) -> tuple[Root, ...]:
         return tuple(Root(1, t) for t in self.semilattice.cosets)
 
+    @cached_property
+    def root_index(self) -> dict[Root, int]:
+        """Each root of ``roots`` with its position ``k``, the ``g<k>`` of the text format."""
+        return {a: k for k, a in enumerate(self.roots)}
+
     @property
     def rank(self) -> int:
         return self.semilattice.rank

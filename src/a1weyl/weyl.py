@@ -16,6 +16,7 @@ from typing import Iterator, Sequence
 from .errors import DomainError
 from .intmat import Mat, mat_identity
 from .lattice import (
+    I64_MAX,
     Root,
     Vec,
     checked,
@@ -138,17 +139,18 @@ def is_alternating(pool: Sequence[Root], tup: Sequence[Root]) -> bool:
     return not tup or is_relation_w(Word(tup[0].rank, tuple(tup)))
 
 
-MAX_K = 12  # longest alternating tuple searched
-MAX_LETTERS = 8  # largest pool searched
+MAX_K = 12  # longest alternating tuple enumerated
+MAX_LETTERS = 8  # largest pool enumerated
+MAX_TUPLES = 10**6  # most alternating tuples one enumeration yields
 
 
 def enumerate_alternating(pool: Sequence[Root], k: int) -> Iterator[tuple[Root, ...]]:
     """All alternating k-tuples over ``pool`` in index-lexicographic order.
 
-    The caps ``MAX_K`` and ``MAX_LETTERS`` are validated eagerly; the returned
-    stream searches depth first, pruning on the sup-norm of the partial sum
-    against what the remaining positions can still cancel, so it stays cheap
-    for the small pools the caps allow.
+    Everything is checked before the first tuple: the caps ``MAX_K`` and
+    ``MAX_LETTERS``; ``OverflowError`` when ``k * max|p|`` passes ``I64_MAX``,
+    the bound of ``Word.columns`` for every k-tuple over the pool; and
+    ``DomainError`` when the count, read off the table of halves, passes ``MAX_TUPLES``.
     """
     if k < 0 or k % 2 != 0:
         raise DomainError(f"tuple length must be even and non-negative, got {k}")
@@ -160,30 +162,30 @@ def enumerate_alternating(pool: Sequence[Root], k: int) -> Iterator[tuple[Root, 
 
 
 def _alternating_stream(pool: tuple[Root, ...], k: int) -> Iterator[tuple[Root, ...]]:
-    if k == 0:
-        yield ()
-        return
-    if not pool:
-        return
-    rank = pool[0].rank
-    reach = max((max(abs(c) for c in a.lat) if a.lat else 0) for a in pool)
-    chosen: list[Root] = []
+    """Tabulate the halves by signed sum, check band and count, and join the halves that cancel.
 
-    def walk(pos: int, acc: Vec) -> Iterator[tuple[Root, ...]]:
-        if pos == k:
-            if not any(acc):
-                yield tuple(chosen)
-            return
-        remaining = k - pos
-        if acc and max(abs(c) for c in acc) > remaining * reach:
-            return
-        for a in pool:
-            coef = -a.sign if (pos + 1) % 2 == 1 else a.sign
-            chosen.append(a)
-            yield from walk(pos + 1, vec_add(acc, vec_scale(coef, a.lat)))
-            chosen.pop()
-
-    yield from walk(0, zero_vec(rank))
+    Each half ``f`` (an ``h``-tuple, ``h = k/2``, in ``itertools.product``
+    order) is listed with its signed sum ``s(f)`` at positions ``1..h``; at
+    positions ``h+1..k`` it carries ``(-1)^h s(f)``.  So ``f + t`` is
+    alternating exactly when ``s(t) = (-1)^(h+1) s(f)``.  Each ``f`` in
+    turn, joined with its ``t`` in table order, is index-lexicographic order.
+    """
+    reach = max((abs(c) for a in pool for c in a.lat), default=0)
+    if k * reach > I64_MAX:
+        raise OverflowError(f"{k} letters of size {reach} can leave the signed 64-bit guard")
+    h = k // 2
+    halves = [((), zero_vec(pool[0].rank if pool else 0))]
+    for pos in range(1, h + 1):
+        steps = [(a, vec_scale(a.sign if pos % 2 == 0 else -a.sign, a.lat)) for a in pool]
+        halves = [(f + (a,), vec_add(s, d)) for f, s in halves for a, d in steps]
+    table: dict[Vec, list[tuple[Root, ...]]] = {}
+    for t, s in halves:
+        table.setdefault(s, []).append(t)
+    partners = {s: table.get(vec_scale((-1) ** (h + 1), s), ()) for s in table}
+    count = sum(len(ts) * len(partners[s]) for s, ts in table.items())
+    if count > MAX_TUPLES:
+        raise DomainError(f"{count} alternating {k}-tuples exceed the cap {MAX_TUPLES}")
+    return (f + t for f, s in halves for t in partners[s])
 
 
 def witness_word_for_element(a: WeylElement) -> Word:

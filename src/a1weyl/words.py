@@ -96,7 +96,7 @@ class Word:
         Each distinct letter object is resolved once, in first-occurrence
         order, so the first bad letter of the word is the one reported.
         """
-        lookup = {a: k for k, a in enumerate(base.roots)}
+        lookup = base.root_index
         ids = list(map(id, self.letters))
         index = {}
         for key, a in dict(zip(ids, self.letters)).items():
@@ -224,7 +224,7 @@ def _parse_token(token: str, base: ReflectableBase) -> Root:
 
 def format_word(word: Word, base: ReflectableBase) -> str:
     """Render a word in the text format: ``g<k>`` for a root of ``base``, else explicit."""
-    lookup = {a: k for k, a in enumerate(base.roots)}
+    lookup = base.root_index
     tokens = []
     for a in word.letters:
         k = lookup.get(a)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from a1weyl import semilattice_to_dict, toroidal_semilattice
 from a1weyl.cli import _HANDLERS, main
 
 WORKED_LOOP_TEXT = "g2 g0 g2 g1 g0 g1 g0 g2 g1 g2 g1 g0".split()
@@ -144,6 +145,17 @@ def test_alt_enum_caps_are_not_options(capsys, baby2_config, option):
     with pytest.raises(SystemExit) as exc:  # with --k 14, --max-k 14 listed 272 835 tuples
         main(["alt-enum", "--config", baby2_config, "--k", "2", option, "14"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["alt-enum", "--k", "10"],
+                                  ["presentation", "--kind", "alternating", "--kmax", "10"]])
+def test_alternating_requests_past_max_tuples_exit_5(capsys, tmp_path, argv):
+    config = tmp_path / "tor3.json"
+    config.write_text(json.dumps(semilattice_to_dict(toroidal_semilattice(3))))
+    code = main([*argv, "--config", str(config)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (5, "")
+    assert "16003008 alternating 10-tuples exceed the cap 1000000" in captured.err
 
 
 def test_presentation_verify(capsys, baby2_config):
@@ -362,7 +374,7 @@ def test_path_with_an_anchor_past_the_band_names_the_anchor(capsys, baby2_config
 
 
 @pytest.mark.parametrize("command", ["path", "render-svg"])
-@pytest.mark.parametrize("anchor", ["1_0,٢", "1_0,2", "١,0", "1,２"])
+@pytest.mark.parametrize("anchor", ["1_0,٢", "1_0,2", "١,0", "1,２", " 1, 2", "1,2\n"])
 def test_anchor_takes_the_digits_of_a_word_token_only(capsys, tmp_path, baby2_config, command, anchor):
     out = tmp_path / "loop.svg"
     extra = ["--out", str(out)] if command == "render-svg" else []
@@ -383,6 +395,7 @@ def test_anchor_with_signs_parses_as_before(capsys, baby2_config):
 @pytest.mark.parametrize("option, value", [
     ("--k", "٢"), ("--k", "0_2"), ("--k", "２"), ("--kmax", "٤"), ("--kmax", "0_4"),
     ("--orient", "١"), ("--orient", "0_1"), ("--n", "1_0"), ("--len", "٨"), ("--seed", "٥"),
+    ("--k", " 2"), ("--kmax", "4 "), ("--seed", "\t5"),
 ])
 def test_integer_options_take_the_digits_of_a_word_token_only(capsys, tmp_path, baby2_config,
                                                               option, value):

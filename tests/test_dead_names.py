@@ -1,8 +1,11 @@
-"""Every function and class defined in the package is used somewhere.
+"""Every function, class and module-level name defined in the package is used somewhere.
 
-A name counts as used when it appears as a name, an attribute or an import
-alias in ``src``, ``tests``, ``scripts`` or ``bench``; dunder names are left
-out, as Python calls them itself.
+The module-level names are the targets of assignments at the top of a
+module: constants and private aliases such as ``words._set_sign``.  A name
+counts as used when it is read somewhere in ``src``, ``tests``, ``scripts``
+or ``bench``: loaded as a name or an attribute, or imported (an alias); an
+assignment to it is no use.  Dunder names are left out, as Python reads them
+itself.
 """
 
 from __future__ import annotations
@@ -20,14 +23,28 @@ def _trees(paths):
         yield path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
+def _assigned(node) -> list[ast.Name]:
+    """The names a module-level statement assigns, unpacking included."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+
+
 def defined_names() -> dict[str, str]:
-    """Non-dunder ``def`` and ``class`` names of the package, each with where it is defined."""
+    """Non-dunder ``def``, ``class`` and module-level assigned names of the package, with where."""
     out = {}
     for path, tree in _trees(sorted(PACKAGE.glob("*.py"))):
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not (node.name.startswith("__") and node.name.endswith("__")):
-                    out.setdefault(node.name, f"{path.relative_to(ROOT)}:{node.lineno}")
+        defs = [(n.name, n.lineno) for n in ast.walk(tree)
+                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        defs += [(n.id, n.lineno) for stmt in tree.body for n in _assigned(stmt)]
+        for name, lineno in defs:
+            if not (name.startswith("__") and name.endswith("__")):
+                out.setdefault(name, f"{path.relative_to(ROOT)}:{lineno}")
     return out
 
 
@@ -36,9 +53,9 @@ def used_names() -> set[str]:
     out: set[str] = set()
     for _, tree in _trees(paths):
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 out.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 out.add(node.attr)
             elif isinstance(node, ast.alias):
                 out.add(node.name.rsplit(".", 1)[-1])

@@ -1,11 +1,15 @@
+import hashlib
+import json
 import random
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from a1weyl import (
     DomainError,
+    ReflectableBase,
     Root,
     WeylElement,
     Word,
@@ -21,11 +25,13 @@ from a1weyl import (
     is_relation_w,
     matrix_of_element_w,
     matrix_of_word_w,
+    pairwise_semilattice,
+    presentation_alternating,
     reflect,
     toroidal_semilattice,
     witness_word_for_element,
 )
-from a1weyl.weyl import element_from_dict, power
+from a1weyl.weyl import MAX_TUPLES, element_from_dict, power
 from a1weyl.words import random_word
 
 from conftest import root
@@ -190,6 +196,24 @@ class TestEnumerateAlternating:
         for tup in enumerate_alternating(baby2_base.roots, 6):
             assert is_relation_w(Word(2, tup))
 
+    def test_toroidal3_k8_count(self):
+        roots = ReflectableBase(toroidal_semilattice(3)).roots
+        assert sum(1 for _ in enumerate_alternating(roots, 8)) == 343_000 <= MAX_TUPLES
+
+    def test_count_past_the_cap_is_refused_before_the_first_tuple(self):
+        roots = ReflectableBase(toroidal_semilattice(3)).roots
+        message = f"16003008 alternating 10-tuples exceed the cap {MAX_TUPLES}"
+        with pytest.raises(DomainError, match=message):
+            enumerate_alternating(roots, 10)
+
+    def test_band_bound_is_checked_before_the_first_tuple(self):
+        big = 2**62
+        pool = (Root(1, (big,)), Root(-1, (big,)))
+        with pytest.raises(OverflowError):  # two alternating tuples, but 2 * 2**62 > I64_MAX
+            enumerate_alternating(pool, 2)
+        edge = (Root(1, (big - 1,)), Root(-1, (big - 1,)))
+        assert list(enumerate_alternating(edge, 2)) == [(a, a) for a in edge]
+
 
 # ---------------------------------------------------------------------------
 # Algebraic laws
@@ -288,3 +312,37 @@ def test_element_json_takes_only_int_values(field, bad):
 def test_element_json_names_a_missing_or_non_array_field(data, field):
     with pytest.raises(DomainError, match=f"element field '{field}'"):
         element_from_dict(data)
+
+
+def _pools():
+    """Pools of rank 0..2 over a few small roots, so repeats and the empty pool are common."""
+    def of_rank(rank):
+        coords = st.tuples(*[st.integers(-2, 2)] * rank)
+        return st.tuples(st.just(rank), st.lists(st.builds(Root, signs, coords), max_size=4))
+    return st.integers(0, 2).flatmap(of_rank)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_pools(), st.sampled_from((0, 2, 4, 6)))
+@example((2, []), 0)
+@example((2, []), 4)
+@example((0, [Root(1, ()), Root(-1, ()), Root(1, ())]), 6)
+def test_enumerate_alternating_matches_brute_force(rank_pool, k):
+    rank, pool = rank_pool
+    brute = [t for t in product(pool, repeat=k) if is_relation_w(Word(rank, t))]
+    assert list(enumerate_alternating(pool, k)) == brute
+
+
+# Recorded with the depth-first search that the half-sum join replaced.
+ALTERNATING_RELATORS_SHA256 = "8646e6f87c35de27e7e61c019262d3cb2d289bd01ab5de8b1784f12a8b7f99bc"
+
+
+def test_alternating_relators_are_pinned():
+    digest = hashlib.sha256()
+    families = {"baby": baby_semilattice, "toroidal": toroidal_semilattice,
+                "pairwise": pairwise_semilattice}
+    for family, make in families.items():
+        for nu in (1, 2, 3):
+            relators = presentation_alternating(ReflectableBase(make(nu)).roots, 6).relators
+            digest.update(json.dumps([family, nu, [list(r) for r in relators]]).encode())
+    assert digest.hexdigest() == ALTERNATING_RELATORS_SHA256

@@ -165,8 +165,9 @@ def _cmd_check(args, base):
 
 
 def _cmd_alt_enum(args, base):
-    tuples = list(weyl.enumerate_alternating(base.roots, args.k))
-    rows = [words.format_word(words.Word(base.rank, tup), base) for tup in tuples]
+    pool = base.roots
+    token = {id(a): f"g{base.root_index[a]}" for a in pool}.__getitem__  # format_word's tokens
+    rows = [" ".join(map(token, map(id, tup))) for tup in weyl.enumerate_alternating(pool, args.k)]
     return {"k": args.k, "count": len(rows), "tuples": rows}, [f"count: {len(rows)}"] + rows
 
 

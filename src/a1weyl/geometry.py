@@ -41,7 +41,7 @@ from .weyl import WeylElement, is_relation_w
 from .words import Word
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Simplex:
     anchor: Vec
     orient: int
@@ -110,18 +110,25 @@ def _walk(word: Word, base: Simplex) -> list[Simplex]:
     return list(map(make, anchors, [o, -o] * (len(coefs) // 2 + 1)))
 
 
+# The slot descriptors of the frozen ``Simplex``: they set a field past its ``__setattr__``.
+_set_anchor = Simplex.anchor.__set__
+_set_orient = Simplex.orient.__set__
+
+
 def _unchecked_simplex(anchor: Vec, orient: int) -> Simplex:
     """A ``Simplex`` built without ``Simplex.__post_init__``; only :func:`_walk` calls it.
 
+    It stores both fields through their slot descriptors, as
+    ``words._unchecked_root`` does, so the record is the one the checked
+    constructor would build: it compares, hashes and pickles the same.
     Safe because ``_walk`` hands it only what those checks pass: ``orient``
     is the checked orientation of its base or its negation, the anchor is a
     tuple of exact ``int`` sums of checked ``int`` entries, and ``_walk`` has
     tested every anchor of the walk against the 64-bit band first.
     """
     simplex = object.__new__(Simplex)
-    fields = simplex.__dict__
-    fields["anchor"] = anchor
-    fields["orient"] = orient
+    _set_anchor(simplex, anchor)
+    _set_orient(simplex, orient)
     return simplex
 
 
@@ -138,7 +145,7 @@ def is_loop(p: Path) -> bool:
     return closed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Move:
     """Insert or delete one elementary sub-loop.
 
@@ -152,6 +159,20 @@ class Move:
     pos: int
     gens: tuple[int, ...]
     base: Simplex
+
+    # Hand-written: the generated frozen ``__init__`` calls ``object.__setattr__`` per field.
+    def __init__(self, kind: str, pos: int, gens: tuple[int, ...], base: Simplex) -> None:
+        _set_kind(self, kind)
+        _set_pos(self, pos)
+        _set_gens(self, gens)
+        _set_base(self, base)
+
+
+# The slot descriptors of the frozen ``Move``: they set a field past its ``__setattr__``.
+_set_kind = Move.kind.__set__
+_set_pos = Move.pos.__set__
+_set_gens = Move.gens.__set__
+_set_base = Move.base.__set__
 
 
 @dataclass(frozen=True)

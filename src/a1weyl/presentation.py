@@ -125,10 +125,14 @@ def presentation_alternating(pool: Sequence, kmax: int) -> Presentation:
     if kmax > MAX_K:
         raise DomainError(f"kmax {kmax} exceeds the cap {MAX_K}")
     index = {a: i for i, a in enumerate(pool)}
+    # The tuples hold the pool's own objects, so each letter is looked up by
+    # identity, not rehashed; the value is still ``index[a]``, the last
+    # position of a root equal to ``a``, as for a pool with equal roots.
+    by_id = {id(a): index[a] for a in pool}.__getitem__
     relators = []
     for k in range(2, kmax + 1, 2):
         for tup in enumerate_alternating(pool, k):
-            relators.append(tuple(index[a] for a in tup))
+            relators.append(tuple(map(by_id, map(id, tup))))
     labels = tuple(f"g{i}" for i in range(len(pool)))
     return Presentation(labels, tuple(relators), TARGET_W, truncated_at=kmax)
 
@@ -257,7 +261,7 @@ MACRO_DELETE = "delete-relator"
 MACRO_BUBBLE = "bubble"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RewriteStep:
     """One rule application: ``pos`` is 0-based in the word before the step."""
 
@@ -266,6 +270,23 @@ class RewriteStep:
     payload: tuple[int, ...]
     before_len: int
     after_len: int
+
+    # Hand-written: the generated frozen ``__init__`` calls ``object.__setattr__`` per field.
+    def __init__(self, rule: str, pos: int, payload: tuple[int, ...], before_len: int,
+                 after_len: int) -> None:
+        _set_rule(self, rule)
+        _set_pos(self, pos)
+        _set_payload(self, payload)
+        _set_before_len(self, before_len)
+        _set_after_len(self, after_len)
+
+
+# The slot descriptors of the frozen ``RewriteStep``: they set a field past its ``__setattr__``.
+_set_rule = RewriteStep.rule.__set__
+_set_pos = RewriteStep.pos.__set__
+_set_payload = RewriteStep.payload.__set__
+_set_before_len = RewriteStep.before_len.__set__
+_set_after_len = RewriteStep.after_len.__set__
 
 
 @dataclass(frozen=True)

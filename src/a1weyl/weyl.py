@@ -9,6 +9,7 @@ parts vanishes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from operator import mul
 from typing import Iterator, Sequence
@@ -150,7 +151,8 @@ def enumerate_alternating(pool: Sequence[Root], k: int) -> Iterator[tuple[Root, 
     Everything is checked before the first tuple: the caps ``MAX_K`` and
     ``MAX_LETTERS``; ``OverflowError`` when ``k * max|p|`` passes ``I64_MAX``,
     the bound of ``Word.columns`` for every k-tuple over the pool; and
-    ``DomainError`` when the count, read off the table of halves, passes ``MAX_TUPLES``.
+    ``DomainError`` when the count, read off the number of halves with each
+    signed sum, passes ``MAX_TUPLES``.
     """
     if k < 0 or k % 2 != 0:
         raise DomainError(f"tuple length must be even and non-negative, got {k}")
@@ -162,29 +164,42 @@ def enumerate_alternating(pool: Sequence[Root], k: int) -> Iterator[tuple[Root, 
 
 
 def _alternating_stream(pool: tuple[Root, ...], k: int) -> Iterator[tuple[Root, ...]]:
-    """Tabulate the halves by signed sum, check band and count, and join the halves that cancel.
+    """Check band and count, then tabulate the halves by signed sum and join those that cancel.
 
     Each half ``f`` (an ``h``-tuple, ``h = k/2``, in ``itertools.product``
     order) is listed with its signed sum ``s(f)`` at positions ``1..h``; at
     positions ``h+1..k`` it carries ``(-1)^h s(f)``.  So ``f + t`` is
-    alternating exactly when ``s(t) = (-1)^(h+1) s(f)``.  Each ``f`` in
-    turn, joined with its ``t`` in table order, is index-lexicographic order.
+    alternating exactly when ``s(t) = (-1)^(h+1) s(f)``, and the count is
+    ``sum_s n(s) n((-1)^(h+1) s)`` over the number ``n(s)`` of halves with
+    sum ``s``, which is built position by position from the distinct sums
+    alone: a refused request builds no half.  Each ``f`` in turn, joined
+    with its ``t`` in table order, is index-lexicographic order.
     """
     reach = max((abs(c) for a in pool for c in a.lat), default=0)
     if k * reach > I64_MAX:
         raise OverflowError(f"{k} letters of size {reach} can leave the signed 64-bit guard")
     h = k // 2
-    halves = [((), zero_vec(pool[0].rank if pool else 0))]
-    for pos in range(1, h + 1):
-        steps = [(a, vec_scale(a.sign if pos % 2 == 0 else -a.sign, a.lat)) for a in pool]
-        halves = [(f + (a,), vec_add(s, d)) for f, s in halves for a, d in steps]
+    flip = (-1) ** (h + 1)
+    zero = zero_vec(pool[0].rank if pool else 0)
+    steps = [[vec_scale(a.sign if pos % 2 == 0 else -a.sign, a.lat) for a in pool]
+             for pos in range(1, h + 1)]
+    sums = Counter({zero: 1})
+    for ds in steps:
+        grown: Counter[Vec] = Counter()
+        for s, n in sums.items():
+            for d in ds:
+                grown[vec_add(s, d)] += n
+        sums = grown
+    count = sum(n * sums.get(vec_scale(flip, s), 0) for s, n in sums.items())
+    if count > MAX_TUPLES:
+        raise DomainError(f"{count} alternating {k}-tuples exceed the cap {MAX_TUPLES}")
+    halves = [((), zero)]
+    for ds in steps:
+        halves = [(f + (a,), vec_add(s, d)) for f, s in halves for a, d in zip(pool, ds)]
     table: dict[Vec, list[tuple[Root, ...]]] = {}
     for t, s in halves:
         table.setdefault(s, []).append(t)
-    partners = {s: table.get(vec_scale((-1) ** (h + 1), s), ()) for s in table}
-    count = sum(len(ts) * len(partners[s]) for s, ts in table.items())
-    if count > MAX_TUPLES:
-        raise DomainError(f"{count} alternating {k}-tuples exceed the cap {MAX_TUPLES}")
+    partners = {s: table.get(vec_scale(flip, s), ()) for s in table}
     return (f + t for f, s in halves for t in partners[s])
 
 

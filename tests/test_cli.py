@@ -7,7 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from a1weyl import semilattice_to_dict, toroidal_semilattice
+from a1weyl import (
+    ReflectableBase,
+    Word,
+    enumerate_alternating,
+    format_word,
+    semilattice_to_dict,
+    toroidal_semilattice,
+)
 from a1weyl.cli import _HANDLERS, main
 
 WORKED_LOOP_TEXT = "g2 g0 g2 g1 g0 g1 g0 g2 g1 g2 g1 g0".split()
@@ -134,6 +141,16 @@ def test_alt_enum(capsys, baby2_config):
     assert code == 0
     assert data["count"] == 3
     assert data["tuples"] == ["g0 g0", "g1 g1", "g2 g2"]
+
+
+def test_alt_enum_rows_are_the_formatted_words(capsys, toroidal2_config):
+    base = ReflectableBase(toroidal_semilattice(2))
+    tuples = list(enumerate_alternating(base.roots, 4))
+    code, data = run_json(capsys, "alt-enum", "--config", toroidal2_config, "--k", "4")
+    assert code == 0 and data["count"] == len(tuples) > 0
+    assert data["tuples"] == [format_word(Word(2, t), base) for t in tuples]
+    code, out = run(capsys, "alt-enum", "--config", toroidal2_config, "--k", "4")
+    assert out.splitlines() == [f"count: {len(tuples)}", *data["tuples"]]
 
 
 def test_alt_enum_odd_k(capsys, baby2_config):

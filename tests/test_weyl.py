@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import tracemalloc
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -206,6 +208,18 @@ class TestEnumerateAlternating:
         with pytest.raises(DomainError, match=message):
             enumerate_alternating(roots, 10)
 
+    def test_refusal_at_the_length_cap_builds_no_halves(self):
+        roots = ReflectableBase(toroidal_semilattice(3)).roots
+        message = f"788889024 alternating 12-tuples exceed the cap {MAX_TUPLES}"
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=message):
+                enumerate_alternating(roots, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20  # a table of its 8**6 halves took about 62 MB
+
     def test_band_bound_is_checked_before_the_first_tuple(self):
         big = 2**62
         pool = (Root(1, (big,)), Root(-1, (big,)))
@@ -346,3 +360,13 @@ def test_alternating_relators_are_pinned():
             relators = presentation_alternating(ReflectableBase(make(nu)).roots, 6).relators
             digest.update(json.dumps([family, nu, [list(r) for r in relators]]).encode())
     assert digest.hexdigest() == ALTERNATING_RELATORS_SHA256
+
+
+def test_alternating_relators_of_a_pool_with_equal_roots_built_apart():
+    pool = (Root(1, (1, 0)), Root(1, (0, 0)), Root(1, (1, 0)))
+    assert pool[0] == pool[2] and pool[0] is not pool[2]
+    relators = presentation_alternating(pool, 4).relators
+    # Both copies take the index of the last equal root, as a Root-keyed lookup gives.
+    assert relators[:5] == ((2, 2), (2, 2), (1, 1), (2, 2), (2, 2))
+    assert Counter(relators[5:]) == {(2, 2, 2, 2): 16, (2, 2, 1, 1): 4, (2, 1, 1, 2): 4,
+                                     (1, 2, 2, 1): 4, (1, 1, 2, 2): 4, (1, 1, 1, 1): 1}

@@ -19,24 +19,51 @@ orientations alternate ``o, -o, ...``.  :func:`_walk` takes these sums
 exactly and tests all the anchors of a walk against the 64-bit band with one
 ``min`` / ``max``; past it, ``Simplex`` checks each anchor as it stores it,
 so a path raises at the first simplex that leaves the band.  Loop tracing
-inserts a block by walking the block's word.
+inserts a block by walking the block's word.  A hand-built ``Path`` is
+checked against the walk of its word.
 
 Loops reduce to the trivial loop by inserting or deleting the elementary
 sub-loops of ``g_i^2`` and ``(g_0 g_i g_j)^2`` (``i < j`` both nonzero);
 the trace records every elementary move together with the simplex its
 sub-loop is based at.
+
+Triple reversals are cited, as certificate replay cites its lemmas (the
+``presentation`` module docstring).  The first time a process reverses a
+triple ``[a, b, c]``, keyed by the expansion ``WordMoves.reverse_triple``,
+the tracer class and ``nu``, the tracer's own expansion runs on the
+isolated word with ``at[3] = B(0, +1)``, and its run is kept as a script:
+each move as (kind, offset from ``q``, gens, base ``B(d, f)``), the final
+``at[1]`` and ``at[2]``, and ``reach``, the largest ``|coordinate|`` of every
+anchor the run places, the unrecorded entries of each inserted block
+included.  An expansion that raises, or does not end in ``c b a``, gives no
+script.  Citing is sound for three reasons:
+
+- Every move is at an offset ``>= 0`` from ``q``, and a delete that succeeds
+  on the isolated word reads only letters of the triple or inserted ones,
+  so the same moves apply at any ``q`` of any word holding the triple.
+- The run never touches ``Y = at[q + 3] = B(x, o)``, and every entry it
+  reads or writes is the image of ``Y`` under the letters between.  The
+  action is affine, so a scripted ``B(d, f)`` lies at ``B(x + o*d, o*f)``.
+- When ``max(x) + reach <= I64_MAX`` and ``min(x) - reach >= I64_MIN``
+  (the band rule), every anchor of the run is in the 64-bit band, so no
+  move of it can overflow.
+
+Under the band rule the tracer writes the scripted moves at once, and
+``replay_trace`` checks a recorded run against the script and applies it as
+one swap.  Nearer the band edge, and without a script, a reversal is
+expanded and replayed move by move, which raises where it leaves the band.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, repeat
-from operator import mul
-from typing import Sequence
+from itertools import accumulate, chain, repeat
+from operator import add, mul, sub
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, InternalCheckError
 from .lattice import I64_MAX, I64_MIN, Vec, baby_base, checked_vec, vec_add, vec_scale, zero_vec
-from .presentation import WordMoves, move_block, rewrite_to_identity  # noqa: F401
+from .presentation import WordMoves, _LemmaTable, move_block, rewrite_to_identity
 from .weyl import WeylElement, is_relation_w
 from .words import Word
 
@@ -72,14 +99,30 @@ def act_on_simplex(a: WeylElement, b: Simplex) -> Simplex:
 
 @dataclass(frozen=True)
 class Path:
-    """Simplices visited by a word from a base; entry r is the length-r suffix image."""
+    """Simplices visited by a word from a base; entry r is the length-r suffix image.
+
+    The constructor walks the word from the first simplex and raises
+    ``DomainError`` unless the simplices are that walk, also when the walk
+    leaves the 64-bit band.  :func:`path_of_word` and :func:`replay_trace`
+    hold the walk already and build their paths through ``_unchecked_path``.
+    """
 
     simplices: tuple[Simplex, ...]
     word: Word
 
     def __post_init__(self) -> None:
-        if len(self.simplices) != len(self.word) + 1:
+        simplices, word = tuple(self.simplices), self.word
+        if len(simplices) != len(word) + 1:
             raise DomainError("a path has one simplex per word suffix, ends included")
+        first = simplices[0]
+        if not isinstance(first, Simplex) or first.rank != word.rank:
+            raise DomainError(f"a path starts at a simplex of its word's rank, not at {first!r}")
+        try:
+            walk = _walk(word, first)
+        except OverflowError as exc:
+            raise DomainError(f"the walk of a path's word from its first simplex leaves the band: {exc}") from None
+        if tuple(walk) != simplices:
+            raise DomainError("the simplices of a path are not the walk of its word from the first")
 
     @property
     def base(self) -> Simplex:
@@ -116,15 +159,16 @@ _set_orient = Simplex.orient.__set__
 
 
 def _unchecked_simplex(anchor: Vec, orient: int) -> Simplex:
-    """A ``Simplex`` built without ``Simplex.__post_init__``; only :func:`_walk` calls it.
+    """A ``Simplex`` built without ``Simplex.__post_init__``; only :func:`_walk` and :func:`_slots` call it.
 
     It stores both fields through their slot descriptors, as
     ``words._unchecked_root`` does, so the record is the one the checked
     constructor would build: it compares, hashes and pickles the same.
-    Safe because ``_walk`` hands it only what those checks pass: ``orient``
-    is the checked orientation of its base or its negation, the anchor is a
-    tuple of exact ``int`` sums of checked ``int`` entries, and ``_walk`` has
-    tested every anchor of the walk against the 64-bit band first.
+    Safe because both hand it only what those checks pass: ``orient`` is a
+    checked orientation or its negation, the anchor is a tuple of exact
+    ``int`` sums of checked ``int`` entries, and every such anchor has been
+    tested against the 64-bit band first (by ``_walk`` for its walk, by
+    ``_in_band`` for a script's points).
     """
     simplex = object.__new__(Simplex)
     _set_anchor(simplex, anchor)
@@ -132,10 +176,23 @@ def _unchecked_simplex(anchor: Vec, orient: int) -> Simplex:
     return simplex
 
 
+def _unchecked_path(simplices: tuple[Simplex, ...], word: Word) -> Path:
+    """A ``Path`` built without ``Path.__post_init__``, which walks the word again.
+
+    Only :func:`path_of_word` and :func:`replay_trace` call it, with the walk
+    they already hold: ``_walk`` of the word, or the table ``at`` of a tracer
+    read forwards, which is that walk by the tracer's invariant.
+    """
+    path = object.__new__(Path)
+    object.__setattr__(path, "simplices", simplices)
+    object.__setattr__(path, "word", word)
+    return path
+
+
 def path_of_word(word: Word, base: Simplex) -> Path:
     if word.rank != base.rank:
         raise DomainError("rank mismatch between word and base simplex")
-    return Path(tuple(_walk(word, base)), word)
+    return _unchecked_path(tuple(_walk(word, base)), word)
 
 
 def is_loop(p: Path) -> bool:
@@ -191,6 +248,12 @@ class _Tracer(WordMoves):
     relation, so it acts as the identity: a move leaves every entry outside
     its block unchanged and splices only the block's own entries, whatever
     the word length.  A move that does not apply raises ``DomainError``.
+
+    A triple reversal whose script is in band at ``Y = at[q + 3]`` (see the
+    module docstring) is written as one block: the scripted moves placed at
+    ``Y``, the swap of ``word[q]`` and ``word[q + 2]``, and the two new
+    entries ``at[q + 1]`` and ``at[q + 2]``.  Any other reversal is expanded
+    move by move.  Either way the moves recorded are the same.
     """
 
     def __init__(self, indices: Sequence[int], path: Path):
@@ -216,6 +279,108 @@ class _Tracer(WordMoves):
         del self.at[pos:end]
         self.moves.append(Move("delete", pos, gens, base))
         return base
+
+    def reverse_triple(self, q: int) -> None:
+        triple = tuple(self.word[q : q + 3])
+        if type(q) is int and q >= 0 and len(triple) == 3 and (
+            type(triple[0]) is type(triple[1]) is type(triple[2]) is int
+        ):
+            script = _script_of(self, triple)
+            if script and _in_band(self.at[q + 3].anchor, script.reach):
+                slots = _slots(self.at, q, script)
+                self.moves += [Move(kind, q + off, gens, slots[slot]) for kind, off, gens, slot in script.moves]
+                _reverse_in_place(self, q, script, slots)
+                return
+        super().reverse_triple(q)
+
+
+class _Script(NamedTuple):
+    """A triple reversal run once on the isolated word ``[a, b, c]``, with ``at[3] = B(0, +1)``.
+
+    The simplices it names are numbered by slot: slots 0..3 are the entries
+    ``at[0..3]`` the run starts from, and slot ``4 + n`` is ``B(d, f)`` for the
+    ``n``-th pair ``(d, f)`` of ``points``, the other simplices it names.
+    ``moves`` holds one ``(kind, offset from q, gens, slot of the base)`` per
+    move, ``ends`` the slots of the final ``at[1]`` and ``at[2]``, and
+    ``reach`` the largest ``|coordinate|`` of every anchor the run places:
+    each inserted block's walk, every base and both ends.
+    """
+
+    moves: tuple[tuple[str, int, tuple[int, ...], int], ...]
+    points: tuple[tuple[Vec, int], ...]
+    ends: tuple[int, int]
+    reach: int
+
+
+def _prove_script(triple: tuple[int, int, int], tracer_type: type, nu: int) -> _Script | tuple[()]:
+    """The script of ``triple`` for ``tracer_type`` at ``nu``, or ``()`` if it has none.
+
+    Runs the expansion ``WordMoves.reverse_triple`` through the tracer's own
+    ``insert`` and ``delete`` on the isolated word.  An expansion that
+    raises, makes no move, or does not end in ``c b a`` gives no script.
+    """
+    a, b, c = triple
+    crumbs = baby_base(nu)
+    try:
+        tracer = tracer_type(triple, path_of_word(Word.from_indices(crumbs, triple), base_simplex(nu)))
+        slot_of = {(s.anchor, s.orient): n for n, s in enumerate(tracer.at)}
+        WordMoves.reverse_triple(tracer, 0)
+    except DomainError:
+        return ()
+    if not tracer.moves or tracer.word != [c, b, a]:
+        return ()
+    ends = tracer.at[1], tracer.at[2]
+    named = [*(mv.base for mv in tracer.moves), *ends]
+    points = []
+    for s in named:
+        if (s.anchor, s.orient) not in slot_of:
+            slot_of[s.anchor, s.orient] = 4 + len(points)
+            points.append((s.anchor, s.orient))
+    spliced = [
+        _walk(Word.from_indices(crumbs, move_block(mv.gens)), mv.base) for mv in tracer.moves if mv.kind == "insert"
+    ]
+    return _Script(
+        tuple((mv.kind, mv.pos, mv.gens, slot_of[mv.base.anchor, mv.base.orient]) for mv in tracer.moves),
+        tuple(points),
+        tuple(slot_of[s.anchor, s.orient] for s in ends),
+        max((abs(v) for s in chain(named, *spliced) for v in s.anchor), default=0),
+    )
+
+
+# The scripts proved in this process, keyed by expansion, tracer class and ``nu``.
+_SCRIPTS = _LemmaTable(_prove_script)
+
+
+def _script_of(tracer: WordMoves, triple: tuple[int, int, int]) -> _Script | tuple[()]:
+    """The script of ``triple`` (exact ``int`` letters) for ``tracer``, proved on a miss."""
+    context = type(tracer), tracer.nu
+    script = _SCRIPTS.table(*context).get(triple)
+    if script is None:
+        script = _SCRIPTS.prove(triple, *context)[triple]
+    return script
+
+
+def _in_band(x: Vec, reach: int) -> bool:
+    """Whether every anchor within ``reach`` of ``x`` in each coordinate is in the 64-bit band."""
+    return max(x) + reach <= I64_MAX and min(x) - reach >= I64_MIN
+
+
+def _slots(at: list[Simplex], q: int, script: _Script) -> list[Simplex]:
+    """The simplices ``script`` names, placed at ``q``: ``at[q:q+4]``, then its points.
+
+    A point ``B(d, f)`` lies at ``B(x + o*d, o*f)`` for ``at[q + 3] = B(x, o)``;
+    callers have checked ``_in_band(x, script.reach)``.
+    """
+    x, o = at[q + 3].anchor, at[q + 3].orient
+    op = add if o > 0 else sub
+    return at[q : q + 4] + [_unchecked_simplex(tuple(map(op, x, d)), o * f) for d, f in script.points]
+
+
+def _reverse_in_place(tracer: WordMoves, q: int, script: _Script, slots: list[Simplex]) -> None:
+    """What ``script``'s moves leave at ``q``: ``word[q]`` and ``word[q + 2]`` swapped, two new entries."""
+    word = tracer.word
+    word[q], word[q + 2] = word[q + 2], word[q]
+    tracer.at[q + 1], tracer.at[q + 2] = slots[script.ends[0]], slots[script.ends[1]]
 
 
 def reduce_loop(p: Path) -> MoveTrace:
@@ -250,27 +415,90 @@ def replay_trace(trace: MoveTrace, upto: int | None = None) -> Path:
     """Replay the first ``upto`` moves (default: all) and return the resulting path.
 
     ``upto`` is ``None`` or an ``int`` in ``0..len(trace.moves)``.  Raises
-    ``DomainError`` for any other ``upto``, and unless every move applies to
-    the live word and records the base its sub-loop has there.  The path is
-    the tracer's own ``at`` read forwards: no second walk of the final word.
+    ``DomainError`` for any other ``upto``, for a trace base that is not a
+    ``Simplex`` or an entry that is not a ``Move``, and unless every move
+    applies to the live word and records the base its sub-loop has there.
+    An insert that starts a run of moves equal to the script of a triple
+    reversal (see :func:`_cited_run`) is replayed with its run as one swap;
+    every other move is replayed on its own, so the call accepts and
+    rejects, with the same message, what replaying every move would.  The
+    path is the tracer's own ``at`` read forwards: no second walk of the
+    final word.
     """
     n = len(trace.moves)
     if upto is None:
         upto = n
     elif type(upto) is not int or not 0 <= upto <= n:
         raise DomainError(f"upto must be None or an int in 0..{n}, got {upto!r}")
+    if not isinstance(trace.base, Simplex):
+        raise DomainError(f"trace base {trace.base!r} is not a Simplex")
     crumbs = baby_base(trace.base.rank)
     tracer = _Tracer(trace.start, path_of_word(Word.from_indices(crumbs, trace.start), trace.base))
-    for mv in trace.moves[:upto]:
-        if mv.kind == "insert":
-            base = tracer.insert(mv.pos, mv.gens)
-        elif mv.kind == "delete":
-            base = tracer.delete(mv.pos, mv.gens)
+    moves = trace.moves
+    k = 0
+    while k < upto:
+        mv = moves[k]
+        try:
+            kind, pos, gens, recorded = mv.kind, mv.pos, mv.gens, mv.base
+        except AttributeError:
+            raise DomainError(f"trace entry {k} is not a Move: {mv!r}") from None
+        if kind == "insert":
+            cited = _cited_run(tracer, moves, k, upto)
+            if cited:
+                k += cited
+                continue
+            base = tracer.insert(pos, gens)
+        elif kind == "delete":
+            base = tracer.delete(pos, gens)
         else:
-            raise DomainError(f"unknown move kind {mv.kind!r}")
-        if base != mv.base:
+            raise DomainError(f"unknown move kind {kind!r}")
+        if base != recorded:
             raise DomainError("trace replay: recorded sub-loop base does not match")
-    return Path(tuple(reversed(tracer.at)), Word.from_indices(crumbs, tracer.word))
+        k += 1
+    return _unchecked_path(tuple(reversed(tracer.at)), Word.from_indices(crumbs, tracer.word))
+
+
+def _cited_run(tracer: WordMoves, moves: Sequence[Move], k: int, end: int) -> int:
+    """Apply ``moves[k:]`` as one cited reversal if they start one; the count of moves cited, or 0.
+
+    ``moves[k]`` is an insert at ``p``.  For ``q`` in ``p - 3 .. p`` the live
+    triple ``word[q:q+3]`` may have a script whose first move is at offset
+    ``p - q`` and whose moves all lie before ``end``.  The run is cited when
+    ``_in_band`` holds at ``Y = at[q + 3]`` and each recorded move equals the
+    scripted one placed at ``Y`` with exact types: the kind, an ``int`` pos,
+    a ``tuple`` of ``int`` gens, and a ``Simplex`` base.  Replaying those
+    moves one by one would then succeed and leave what :func:`_reverse_in_place`
+    leaves.  The live letters are exact ``int``s: ``Word.from_indices`` checked
+    the start, and ``move_block`` every inserted block.
+    """
+    word, at = tracer.word, tracer.at
+    p, first = moves[k].pos, moves[k].gens
+    if type(p) is not int or type(first) is not tuple:
+        return 0
+    for q in range(max(p - 3, 0), min(p, len(word) - 3) + 1):
+        script = _script_of(tracer, tuple(word[q : q + 3]))
+        run = script and script.moves
+        if (
+            not run or run[0][1] != p - q or run[0][2] != first or k + len(run) > end
+            or not _in_band(at[q + 3].anchor, script.reach)
+        ):
+            continue
+        slots = _slots(at, q, script)
+        try:
+            for (kind, off, gens, slot), mv in zip(run, moves[k : k + len(run)]):
+                pos, got, base, want = mv.pos, mv.gens, mv.base, slots[slot]
+                if not (
+                    mv.kind == kind and type(pos) is int and pos == q + off
+                    and (got is gens or type(got) is tuple and got == gens and all(type(g) is int for g in got))
+                    and type(base) is Simplex and base.orient == want.orient and base.anchor == want.anchor
+                ):
+                    break
+            else:
+                _reverse_in_place(tracer, q, script, slots)
+                return len(run)
+        except AttributeError:  # an entry that is not a Move: the per-move loop names it
+            return 0
+    return 0
 
 
 # ---------------------------------------------------------------------------

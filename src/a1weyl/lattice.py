@@ -17,12 +17,16 @@ private factory that skips the constructor's checks, the only bypasses of
 them: ``words.parse_word`` reads all the explicit coordinates of a word with
 one ``int`` map and tests them against the band with one ``min`` / ``max``
 (``words._unchecked_root``), and ``geometry._walk`` tests all the anchors of
-a walk the same way (``geometry._unchecked_simplex``); where a batch test
-fails, the constructors check value by value and raise as they would alone.
-``Root`` and ``Simplex`` are slotted frozen dataclasses, and both factories
-store the fields through the slot descriptors, past the frozen
-``__setattr__``: the record holds what the checked constructor would have
-stored, so it compares, hashes and pickles the same.
+a walk the same way (``geometry._unchecked_simplex``, which also places the
+simplices of a cited triple reversal after one band test of its reach);
+where a batch test fails, the constructors check value by value and raise
+as they would alone.  ``Root`` and ``Simplex`` are slotted frozen
+dataclasses, and both factories store the fields through the slot
+descriptors, past the frozen ``__setattr__``: the record holds what the
+checked constructor would have stored, so it compares, hashes and pickles
+the same.  A ``geometry.Path`` checks that its simplices are the walk of
+its word; ``path_of_word`` and ``replay_trace``, which hold that walk
+already, build theirs through ``geometry._unchecked_path``.
 A word's running sum is guarded in ``weyl``: when ``B_c = sum_i |p_c(a_i)|``
 is at most ``I64_MAX`` for every coordinate ``c`` (the flag of
 ``words.Word.columns``), no partial sum of its letters can leave the band,

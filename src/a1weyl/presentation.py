@@ -28,7 +28,9 @@ triples of letters that are not exactly ``int`` (``True`` and ``1.0`` hash
 like ``1`` but fail ``move_block``); those never read or write the table.
 The table holds at most ``LEMMA_CAP`` lemmas in all and is emptied when a
 new one would pass that cap, so its memory is bounded and emptying it only
-costs re-proving.
+costs re-proving.  Loop tracing keeps the moves of each expansion as well,
+in a table of the same kind, and cites them as one block (the ``geometry``
+module docstring).
 
 A macro does the first of three things that applies: cancel the leftmost
 adjacent pair ``g_k g_k`` and then every pair that unlocks (a cascade);
@@ -439,41 +441,51 @@ def _reverses_alone(triple: tuple[int, int, int], nu: int) -> bool:
     return moves.word == [triple[2], triple[1], triple[0]]
 
 
-LEMMA_CAP = 1 << 16  # lemmas held at most, over every expansion and nu
+LEMMA_CAP = 1 << 16  # facts held at most by one table, over every key
 
 
 class _LemmaTable:
-    """The reversal lemmas proved in this process: ``triple -> holds`` per expansion and ``nu``.
+    """Facts about isolated triple reversals proved in this process, one table per key.
 
-    The expansion is the function ``WordMoves.reverse_triple`` at the time of
-    the proof, so a patched or replaced one starts with no lemmas.  At most
-    ``LEMMA_CAP`` lemmas are held in all: proving one more first empties the
-    table.  Callers pass triples of exact ``int`` letters only.
+    ``prover(triple, *context)`` proves the fact for ``triple``; the key of
+    its table is the function ``WordMoves.reverse_triple`` at the time of the
+    proof followed by ``context``, so a patched or replaced expansion starts
+    with no facts.  :data:`_LEMMAS` holds ``triple -> holds`` with context
+    ``(nu,)``; ``geometry`` keeps the scripts of loop tracing in a table of
+    this kind.  At most ``LEMMA_CAP`` facts are held in all: proving one more
+    first empties the table.  Callers pass triples of exact ``int`` letters
+    only.
     """
 
-    def __init__(self) -> None:
-        self.tables: dict[tuple[Callable[[WordMoves, int], None], int], dict[tuple[int, int, int], bool]] = {}
+    def __init__(self, prover: Callable[..., object]) -> None:
+        self.prover = prover
+        self.tables: dict[tuple, dict[tuple[int, int, int], object]] = {}
         self.size = 0
 
     def clear(self) -> None:
         self.tables.clear()
         self.size = 0
 
-    def table(self, nu: int) -> dict[tuple[int, int, int], bool]:
-        """The lemmas of the current expansion at ``nu``, to read only (an empty dict if none)."""
-        return self.tables.get((WordMoves.reverse_triple, nu), {})
+    def table(self, *context) -> dict[tuple[int, int, int], object]:
+        """The facts of the current expansion in ``context``, to read only (an empty dict if none)."""
+        return self.tables.get((WordMoves.reverse_triple, *context), {})
 
-    def prove(self, triple: tuple[int, int, int], nu: int) -> dict[tuple[int, int, int], bool]:
-        """Record whether ``triple`` reverses alone at ``nu``; the table that now holds it."""
+    def prove(self, triple: tuple[int, int, int], *context) -> dict[tuple[int, int, int], object]:
+        """Record the fact for ``triple`` in ``context``; the table that now holds it.
+
+        The prover runs first, so a prover that proves other facts on the
+        way (as ``geometry``'s does) cannot leave this one in an emptied table.
+        """
+        fact = self.prover(triple, *context)
         if self.size >= LEMMA_CAP:
             self.clear()
-        table = self.tables.setdefault((WordMoves.reverse_triple, nu), {})
-        table[triple] = _reverses_alone(triple, nu)
+        table = self.tables.setdefault((WordMoves.reverse_triple, *context), {})
+        table[triple] = fact
         self.size += 1
         return table
 
 
-_LEMMAS = _LemmaTable()
+_LEMMAS = _LemmaTable(_reverses_alone)
 
 
 class ReplayedCertificate:
@@ -511,19 +523,22 @@ class ReplayedCertificate:
         as the full expansion does.  The lemmas are read from the table the
         whole process shares, fetched once here for the current expansion
         and ``nu``; a triple it lacks is proved once and added.  Step lengths
-        must be exact ``int``s.
+        must be exact ``int``s, and an entry without the fields of a
+        ``RewriteStep`` is a ``DomainError`` naming it.
         """
         moves = WordMoves(self.cert.start, self.nu)
         word = moves.word  # changed in place by every move
         lemmas = _LEMMAS.table(self.nu)
         yield word
-        for step in self.cert.steps:
-            before, after = step.before_len, step.after_len
+        for k, step in enumerate(self.cert.steps):
+            try:
+                before, after, rule, q, payload = step.before_len, step.after_len, step.rule, step.pos, step.payload
+            except AttributeError:
+                raise DomainError(f"certificate entry {k} is not a RewriteStep: {step!r}") from None
             if type(before) is not int or type(after) is not int:
                 raise DomainError(f"step lengths {before!r} -> {after!r} are not both ints")
             if len(word) != before:
                 raise DomainError("certificate does not chain: length mismatch")
-            rule, q, payload = step.rule, step.pos, step.payload
             if type(q) is not int or q < 0 or type(payload) is not tuple:
                 moves.apply(step)
             elif rule == RULE_CANCEL and len(payload) == 1:

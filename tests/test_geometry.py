@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from typing import Sequence
 
@@ -27,6 +28,7 @@ from a1weyl import (
     witness_word_for_element,
 )
 from a1weyl import geometry
+from a1weyl.errors import InternalCheckError
 from a1weyl.geometry import Path, _Tracer, move_block
 from a1weyl.lattice import vec_add, vec_scale
 from a1weyl.presentation import WordMoves
@@ -644,3 +646,213 @@ class TestReplayTraceUpto:
         trace = self.trace(baby2_base)
         with pytest.raises(DomainError, match=f"0..{len(trace.moves)}"):
             replay_trace(trace, upto)
+
+
+# --- cited triple reversals: the replay loop they replaced is the reference ---
+
+
+def reference_replay_trace(trace: MoveTrace, upto: int | None = None) -> Path:
+    """``replay_trace`` as it was before reversals were cited, kept verbatim: every move on its own."""
+    n = len(trace.moves)
+    if upto is None:
+        upto = n
+    elif type(upto) is not int or not 0 <= upto <= n:
+        raise DomainError(f"upto must be None or an int in 0..{n}, got {upto!r}")
+    crumbs = baby_base(trace.base.rank)
+    tracer = _Tracer(trace.start, path_of_word(Word.from_indices(crumbs, trace.start), trace.base))
+    for mv in trace.moves[:upto]:
+        if mv.kind == "insert":
+            base = tracer.insert(mv.pos, mv.gens)
+        elif mv.kind == "delete":
+            base = tracer.delete(mv.pos, mv.gens)
+        else:
+            raise DomainError(f"unknown move kind {mv.kind!r}")
+        if base != mv.base:
+            raise DomainError("trace replay: recorded sub-loop base does not match")
+    return Path(tuple(reversed(tracer.at)), Word.from_indices(crumbs, tracer.word))
+
+
+def tamperings(mv):
+    """One-field changes of ``mv``: each must replay as the per-move loop replays it."""
+    anchor, orient = mv.base.anchor, mv.base.orient
+    yield dataclasses.replace(mv, kind="delete" if mv.kind == "insert" else "insert")
+    yield from (dataclasses.replace(mv, pos=pos) for pos in (mv.pos + 1, mv.pos - 1, True))
+    yield dataclasses.replace(mv, gens=(True, *mv.gens[1:]))
+    yield dataclasses.replace(mv, gens=tuple(True if g == 1 else g for g in mv.gens))
+    yield dataclasses.replace(mv, gens=list(mv.gens))
+    for c, step in itertools.product(range(len(anchor)), (1, -1)):
+        if I64_MIN <= anchor[c] + step <= I64_MAX:
+            moved = anchor[:c] + (anchor[c] + step,) + anchor[c + 1 :]
+            yield dataclasses.replace(mv, base=Simplex(moved, orient))
+    yield dataclasses.replace(mv, base=Simplex(anchor, -orient))
+    yield dataclasses.replace(mv, base=(anchor, orient))
+
+
+def every_upto_replays_as_the_reference(trace):
+    for upto in (None, *range(len(trace.moves) + 1)):
+        assert outcome(replay_trace, trace, upto) == outcome(reference_replay_trace, trace, upto)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.one_of(loops_with_base(), loops_with_far_base()), st.data())
+def test_a_tampered_reversal_run_replays_as_the_reference(case, data):
+    nu, indices, start = case
+    try:
+        trace = reduce_loop(path_of_word(Word.from_indices(baby_base(nu), indices), start))
+    except OverflowError:
+        return
+    every_upto_replays_as_the_reference(trace)
+    moves = trace.moves
+    inserts = [k for k, mv in enumerate(moves) if mv.kind == "insert"]
+    if not inserts:
+        return
+    k = data.draw(st.sampled_from(sorted({j for i in inserts for j in range(i, min(i + 14, len(moves)))})))
+    tampered = list(tamperings(moves[k]))
+    bad = data.draw(st.sampled_from(tampered))
+    every_upto_replays_as_the_reference(dataclasses.replace(trace, moves=moves[:k] + (bad,) + moves[k + 1 :]))
+    for bad in tampered:
+        forged = dataclasses.replace(trace, moves=moves[:k] + (bad,) + moves[k + 1 :])
+        assert outcome(replay_trace, forged) == outcome(reference_replay_trace, forged)
+
+
+@pytest.mark.parametrize("nu, indices", [
+    (2, WORKED_LOOP),
+    (2, commutator(3)),
+    (3, (1, 3, 2, 1, 3, 2)),  # runs holding pos 1 and gens (1,): look-alikes True and (True,)
+])
+def test_every_tampering_of_every_move_replays_as_the_reference(nu, indices):
+    trace = reduce_loop(path_of_word(Word.from_indices(baby_base(nu), indices), base_simplex(nu)))
+    moves = trace.moves
+    assert any(mv.kind == "insert" for mv in moves)
+    for k, mv in enumerate(moves):
+        for bad in tamperings(mv):
+            forged = dataclasses.replace(trace, moves=moves[:k] + (bad,) + moves[k + 1 :])
+            assert outcome(replay_trace, forged) == outcome(reference_replay_trace, forged)
+
+
+def reversible_triples(nu):
+    return [t for t in itertools.product(range(nu + 1), repeat=3) if geometry._script_of(
+        _Tracer(t, path_of_word(Word.from_indices(baby_base(nu), t), base_simplex(nu))), t)]
+
+
+def expansion_at(tracer_type, triple, y):
+    """Reverse ``triple`` with ``at[3] = y``: the moves and the entries, or the exception."""
+    nu = y.rank
+    path = path_of_word(Word.from_indices(baby_base(nu), triple), y)
+    tracer = tracer_type(triple, path)
+
+    def run():
+        tracer.reverse_triple(0)
+        return tracer.word, tracer.at, tracer.moves
+
+    return outcome(run)
+
+
+def edge_placements(nu):
+    """Each reversible triple with ``at[3] = Y`` at each edge of the band, 0 to 3 away, in one coordinate."""
+    edges = [e for d in range(4) for e in (I64_MAX - d, I64_MIN + d)]
+    for triple, c, edge, orient in itertools.product(reversible_triples(nu), range(nu), edges, (1, -1)):
+        y = Simplex(tuple(edge if i == c else 0 for i in range(nu)), orient)
+        try:
+            path = path_of_word(Word.from_indices(baby_base(nu), triple), y)
+        except OverflowError:
+            continue  # the path of the triple itself leaves the band
+        script = geometry._script_of(_Tracer(triple, path), triple)
+        yield triple, path, geometry._in_band(y.anchor, script.reach)
+
+
+@pytest.mark.parametrize("nu", [2, 3])
+def test_every_script_at_the_band_edge_writes_what_the_expansion_writes(nu):
+    cited = refused = 0
+    for triple, path, in_band in edge_placements(nu):
+        y = path.base
+        assert expansion_at(_Tracer, triple, y) == expansion_at(ReferenceTracer, triple, y)
+        cited += in_band
+        refused += not in_band
+    assert cited and refused
+
+
+def test_a_far_base_run_the_band_rule_refuses_replays_move_by_move(monkeypatch):
+    """Near the edge a run is replayed on its own moves, as the reference replays it, at every ``upto``."""
+    insert = _Tracer.insert
+    inserted = []
+
+    def counting_insert(self, pos, gens):
+        inserted.append(pos)
+        return insert(self, pos, gens)
+
+    monkeypatch.setattr(_Tracer, "insert", counting_insert)
+    refused = 0
+    for triple, path, in_band in edge_placements(2):
+        tracer = ReferenceTracer(triple, path)
+        tracer.reverse_triple(0)
+        trace = MoveTrace(triple, path.base, tuple(tracer.moves), ())
+        every_upto_replays_as_the_reference(trace)
+        del inserted[:]
+        replay_trace(trace)
+        assert bool(inserted) == (not in_band)
+        refused += not in_band
+    assert refused
+
+
+def test_a_traced_loop_replays_every_reversal_as_a_cited_run(monkeypatch):
+    trace = reduce_loop(path_of_word(Word.from_indices(baby_base(2), commutator(4)), base_simplex(2)))
+    assert any(mv.kind == "insert" for mv in trace.moves)
+    inserted = []
+    monkeypatch.setattr(_Tracer, "insert", lambda self, pos, gens: inserted.append(pos))
+    assert simplices_of(replay_trace(trace)) == (((0, 0), 1),)
+    assert inserted == []
+
+
+def test_a_patched_expansion_gets_no_cited_script(monkeypatch):
+    word = Word.from_indices(baby_base(2), WORKED_LOOP)
+    trace = reduce_loop(path_of_word(word, base_simplex(2)))
+    assert any(geometry._SCRIPTS.table(_Tracer, 2).values())
+    # The no-op expansion cannot reverse a triple: the scripts of the real
+    # one must not be cited for it, in tracing or in replay.
+    monkeypatch.setattr(WordMoves, "reverse_triple", lambda self, q: None)
+    assert geometry._SCRIPTS.table(_Tracer, 2) == {}
+    with pytest.raises(InternalCheckError):
+        reduce_loop(path_of_word(word, base_simplex(2)))
+    assert outcome(replay_trace, trace) == outcome(reference_replay_trace, trace)
+    assert not any(geometry._SCRIPTS.table(_Tracer, 2).values())
+    monkeypatch.undo()
+    assert reduce_loop(path_of_word(word, base_simplex(2))) == trace
+
+
+def test_the_reference_tracer_starts_with_no_scripts():
+    geometry._SCRIPTS.clear()
+    reduce_loop(path_of_word(Word.from_indices(baby_base(2), WORKED_LOOP), base_simplex(2)))
+    assert geometry._SCRIPTS.table(ReferenceTracer, 2) == {}
+    assert geometry._SCRIPTS.table(_Tracer, 2)
+
+
+# --- records that are not what they claim ---
+
+
+def test_a_path_must_be_the_walk_of_its_word():
+    word = Word.from_indices(baby_base(2), (1, 0, 2, 1, 0, 2))
+    walk = path_of_word(word, base_simplex(2)).simplices
+    assert Path(walk, word) == path_of_word(word, base_simplex(2))
+    forged = walk[:3] + (Simplex((9, 9), 1),) + walk[4:]
+    with pytest.raises(DomainError, match="not the walk of its word"):
+        Path(forged, word)
+    with pytest.raises(DomainError, match="rank"):
+        Path((base_simplex(3),) + walk[1:], word)
+
+
+def test_a_path_whose_walk_leaves_the_band_is_a_domain_error():
+    word = Word.from_indices(baby_base(1), (1, 1))
+    inside = (Simplex((I64_MAX,), 1), Simplex((I64_MAX,), 1), Simplex((I64_MAX,), 1))
+    with pytest.raises(DomainError, match="leaves the band"):
+        Path(inside, word)
+
+
+def test_foreign_trace_entries_are_domain_errors():
+    with pytest.raises(DomainError, match=r"^trace entry 0 is not a Move: 'x'$"):
+        replay_trace(MoveTrace((1, 1), base_simplex(2), ("x",), ()))
+    with pytest.raises(DomainError, match=r"^trace base \(0, 0\) is not a Simplex$"):
+        replay_trace(MoveTrace((1, 1), (0, 0), (), ()))
+    b = base_simplex(2)
+    with pytest.raises(DomainError, match=r"^trace entry 1 is not a Move: None$"):
+        replay_trace(MoveTrace((1, 1), b, (Move("insert", 0, (2,), b), None), ()))

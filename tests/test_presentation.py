@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import re
 import tracemalloc
 from collections import Counter
 from typing import Iterator, Sequence
@@ -985,6 +986,16 @@ def test_lookalike_triples_never_read_or_write_the_table(lookalike):
     warmed = lemma_snapshot()
     assert replay_outcome(replay_certificate, lookalike_only) == error  # (1, 0, 2) -> True not read
     assert lemma_snapshot() == warmed
+
+
+@pytest.mark.parametrize("steps, k, entry", [
+    (("x",), 0, "'x'"),
+    ((RewriteStep(RULE_CANCEL, 0, (1,), 4, 2), (1, 0)), 1, "(1, 0)"),
+])
+def test_a_certificate_entry_that_is_not_a_step_is_a_domain_error(steps, k, entry):
+    cert = RewriteCertificate((1, 1, 2, 2), steps, (), False)
+    with pytest.raises(DomainError, match=rf"^certificate entry {k} is not a RewriteStep: {re.escape(entry)}$"):
+        replay_certificate(cert)
 
 
 @pytest.mark.parametrize("before_len, after_len", [(2.0, 0.0), (2, False), (2.0, 0), (2, 0.0), (True, 0)])

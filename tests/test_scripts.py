@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -37,12 +39,13 @@ def test_oracle_sweep_finds_no_mismatch():
     assert done.stdout.splitlines()[-1] == "total mismatches: 0"
 
 
-def test_ab_compare_of_the_repo_against_itself_finds_equal_answers():
+@pytest.mark.parametrize("workload, answers", [("decide", 216), ("certify", 207), ("loops", 106)])
+def test_ab_compare_of_the_repo_against_itself_finds_equal_answers(workload, answers):
     root = str(SCRIPTS.parent)
-    done = run_script("ab_compare.py", root, root, "--workload", "decide", "--passes", "1")
+    done = run_script("ab_compare.py", root, root, "--workload", workload, "--passes", "1")
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert lines[0] == "decide seed 1 passes 1: 216 answers equal"
+    assert lines[0] == f"{workload} seed 1 passes 1: {answers} answers equal"
     assert [line.split()[:2] for line in lines[1:3]] == [["old", "ops_per_s"], ["new", "ops_per_s"]]
     gains = [line for line in lines if line.startswith("gain ")]
     assert len(gains) == 1 and gains[0].endswith("%")

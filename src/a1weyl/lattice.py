@@ -24,9 +24,17 @@ as they would alone.  ``Root`` and ``Simplex`` are slotted frozen
 dataclasses, and both factories store the fields through the slot
 descriptors, past the frozen ``__setattr__``: the record holds what the
 checked constructor would have stored, so it compares, hashes and pickles
-the same.  A ``geometry.Path`` checks that its simplices are the walk of
-its word; ``path_of_word`` and ``replay_trace``, which hold that walk
-already, build theirs through ``geometry._unchecked_path``.
+the same.  A ``words.Word`` checks that its rank is an ``int`` and that its
+letters are non-isotropic ``Root`` records of that rank; ``parse_word``
+builds its word through ``words._parsed_word``, which skips that check,
+because each letter it holds passed it already: a root of a valid base, a
+batch root (sign 1 or -1 and ``rank`` coordinates by construction) or a
+root that ``Root`` checked and ``_parse_explicit`` built at the word's
+rank.  It also plants the word's columns when ``k`` times the largest
+``|p|`` the batch read is at most ``I64_MAX``, which keeps every ``B_c``
+within the band.  A ``geometry.Path`` checks that its simplices are the
+walk of its word; ``path_of_word`` and ``replay_trace``, which hold that
+walk already, build theirs through ``geometry._unchecked_path``.
 A word's running sum is guarded in ``weyl``: when ``B_c = sum_i |p_c(a_i)|``
 is at most ``I64_MAX`` for every coordinate ``c`` (the flag of
 ``words.Word.columns``), no partial sum of its letters can leave the band,
@@ -306,6 +314,11 @@ class ReflectableBase:
     @property
     def rank(self) -> int:
         return self.semilattice.rank
+
+    @cached_property
+    def is_valid(self) -> bool:
+        """Whether the semilattice is valid, so every root has rank ``rank`` and 0/1 coordinates."""
+        return not validate_semilattice(self.semilattice)
 
 
 def baby_base(nu: int) -> ReflectableBase:

@@ -123,10 +123,17 @@ def is_relation_w(word: Word) -> bool:
     """Word problem for the group on ``V``: even length and vanishing alternating sum.
 
     At even length the alternating sum is the shift, summed with the same
-    coefficients, so :func:`eval_word` decides it and overflows where
+    coefficients.  Within the bound of ``Word.columns`` the column sums are
+    taken one by one and the answer is ``False`` at the first nonzero one;
+    past it, :func:`eval_word` decides, so the word overflows where
     :func:`alternating_sum` would.
     """
-    return len(word) % 2 == 0 and eval_word(word).is_identity
+    if len(word) % 2:
+        return False
+    coefs, cols, within = word.columns
+    if not within:
+        return eval_word(word).is_identity
+    return not any(sum(map(mul, coefs, col)) for col in cols)
 
 
 def is_alternating(pool: Sequence[Root], tup: Sequence[Root]) -> bool:

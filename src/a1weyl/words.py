@@ -29,9 +29,16 @@ class Word:
     letters: tuple[Root, ...]
 
     def __post_init__(self) -> None:
-        letters = tuple(self.letters)
+        if type(self.rank) is not int:
+            raise DomainError(f"word rank {self.rank!r} is not an int")
+        try:
+            letters = tuple(self.letters)
+        except TypeError:
+            raise DomainError(f"word letters {self.letters!r} are not a sequence") from None
         object.__setattr__(self, "letters", letters)
         for a in {id(a): a for a in letters}.values():  # each letter object once, in order
+            if type(a) is not Root:
+                raise DomainError(f"word letter {a!r} is not a Root")
             if a.rank != self.rank:
                 raise DomainError(f"letter {a} has rank {a.rank}, word has rank {self.rank}")
             if a.sign == 0:
@@ -51,13 +58,7 @@ class Word:
         ``weyl.eval_word_checked`` is the guard of the running sum.  Built once
         per word and shared by every reader, so it is held as tuples.
         """
-        letters = self.letters
-        k = len(letters)
-        if not k:
-            return (), ((),) * self.rank, True
-        signs = islice(cycle((1, -1) if k % 2 else (-1, 1)), k)  # (-1)^(k-i) from i = 1
-        coefs = tuple(map(mul, [a.sign for a in letters], signs))
-        cols = tuple(zip(*[a.lat for a in letters]))
+        coefs, cols = _coefs_and_cols(self.rank, self.letters)
         return coefs, cols, all(sum(map(abs, col)) <= I64_MAX for col in cols)
 
     def __add__(self, other: "Word") -> "Word":
@@ -107,14 +108,56 @@ class Word:
         return tuple(map(index.__getitem__, ids))
 
 
-def validate_word(s: Semilattice, word: Word) -> None:
-    """Check every letter against the root system over ``s``, each distinct object once.
+def _coefs_and_cols(rank: int, letters: tuple[Root, ...]) -> tuple[tuple[int, ...], tuple[Vec, ...]]:
+    """The first two entries of :attr:`Word.columns`."""
+    k = len(letters)
+    if not k:
+        return (), ((),) * rank
+    signs = islice(cycle((1, -1) if k % 2 else (-1, 1)), k)  # (-1)^(k-i) from i = 1
+    coefs = tuple(map(mul, [a.sign for a in letters], signs))
+    return coefs, tuple(zip(*[a.lat for a in letters]))
 
-    Equal letters that are one object, as :func:`parse_word` shares them, are
-    checked once; equal letters built apart are each checked.
+
+def _parsed_word(rank: int, letters: tuple[Root, ...], reach: int | None) -> Word:
+    """A ``Word`` built without ``Word.__post_init__``; only :func:`parse_word` calls it.
+
+    Safe because every letter the parse hands it already passed those
+    checks: it is a root of a valid base, a batch root (``_unchecked_root``:
+    sign 1 or -1, ``rank`` coordinates) or a ``_parse_explicit`` root, which
+    ``Root`` checked and which has ``rank`` coordinates.  ``reach`` is the
+    batch's ``max(-min, max, 1)`` over the word's explicit coordinates, or
+    ``None`` where the batch built nothing; it is at least every
+    ``|p_c(a_i)|``, base roots included, so ``k * reach <= I64_MAX`` bounds
+    every ``B_c`` and the planted columns carry the flag ``True`` that
+    :attr:`Word.columns` would compute.  Otherwise the columns stay lazy.
+    """
+    word = object.__new__(Word)
+    fields = vars(word)
+    fields["rank"] = rank
+    fields["letters"] = letters
+    if reach is not None and len(letters) * reach <= I64_MAX:
+        fields["columns"] = (*_coefs_and_cols(rank, letters), True)
+    return word
+
+
+def validate_word(s: Semilattice, word: Word) -> None:
+    """Check every letter against the root system over ``s``.
+
+    The letters' parity classes are read from the columns of
+    :attr:`Word.columns`, which the evaluations reuse: when the set of
+    classes ``p(a_i) mod 2`` lies in ``s.coset_set``, every letter is a
+    root of the system (a word's letters have its rank and a sign of 1 or
+    -1 already).  At rank 0, or when a class is missing, each distinct
+    letter object is checked in order, so the first bad letter is the one
+    named.  Equal letters that are one object, as :func:`parse_word` shares
+    them, are checked once there; equal letters built apart are each checked.
     """
     if word.rank != s.rank:
         raise DomainError(f"word has rank {word.rank}, semilattice has rank {s.rank}")
+    if s.rank:
+        cols = word.columns[1]
+        if set(zip(*[[x & 1 for x in col] for col in cols])) <= s.coset_set:
+            return
     for a in {id(a): a for a in word.letters}.values():
         if not root_in_rx(s, a):
             raise DomainError(f"letter {a} is not a non-isotropic root of the system")
@@ -152,15 +195,22 @@ def parse_word(text: str, base: ReflectableBase) -> Word:
     of another shape, a coordinate ``int`` refuses or one past the band), it
     builds no root, so every token goes through :func:`_parse_token`, which
     raises the first bad token's error; the batch never raises by itself.
-    ``g<k>`` tokens always go through :func:`_parse_token`.
+    ``g<k>`` tokens always go through :func:`_parse_token`.  The word is built
+    by :func:`_parsed_word`, past the letter checks its letters have passed,
+    unless its rank is not an ``int`` or it holds a ``g<k>`` of an invalid
+    base: then the checked constructor raises as it does for any word.
     """
     tokens = text.split()
+    rank = base.rank
     roots: dict[str, Root | None] = dict.fromkeys(tokens)
-    _parse_explicit_batch(roots, text, base.rank)
+    reach = _parse_explicit_batch(roots, text, rank)
     for token, root in roots.items():  # first occurrences, in order
         if root is None:
             roots[token] = _parse_token(token, base)
-    return Word(base.rank, tuple(map(roots.__getitem__, tokens)))
+    letters = tuple(map(roots.__getitem__, tokens))
+    if type(rank) is not int or ("g" in text and not base.is_valid):
+        return Word(rank, letters)
+    return _parsed_word(rank, letters, reach)
 
 
 # The slot descriptors of the frozen ``Root``: they set a field past its ``__setattr__``.
@@ -182,25 +232,31 @@ def _unchecked_root(sign: int, lat: Vec) -> Root:
     return root
 
 
-def _parse_explicit_batch(roots: dict[str, Root | None], text: str, rank: int) -> None:
-    """Fill in the root of every explicit token among the keys of ``roots``, or of none."""
+def _parse_explicit_batch(roots: dict[str, Root | None], text: str, rank: int) -> int | None:
+    """Fill in the root of every explicit token among the keys of ``roots``, or of none.
+
+    Returns ``max(-min, max, 1)`` over the coordinates it read (1 when there
+    are none), or ``None`` when it built no root.
+    """
     if not rank or "_" in text or not text.isascii():
-        return
+        return None
     explicit = [t for t in roots if t[0] != "g"]
     if not explicit:
-        return
+        return 1
     commas = rank - 1
     for t in explicit:
         if t[:3] not in ("+e:", "-e:") or t.count(",") != commas:
-            return
+            return None
     try:
         coords = list(map(int, ",".join([t[3:] for t in explicit]).split(",")))
     except ValueError:  # also an integer past the digit limit
-        return
-    if min(coords) < I64_MIN or max(coords) > I64_MAX:
-        return
+        return None
+    lo, hi = min(coords), max(coords)
+    if lo < I64_MIN or hi > I64_MAX:
+        return None
     for t, lat in zip(explicit, zip(*[iter(coords)] * rank)):
         roots[t] = _unchecked_root(1 if t[0] == "+" else -1, lat)
+    return max(-lo, hi, 1)
 
 
 def _parse_token(token: str, base: ReflectableBase) -> Root:

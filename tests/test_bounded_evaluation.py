@@ -38,7 +38,7 @@ from a1weyl.weyl import alternating_sum, eval_word_checked
 def eval_word_hyp_checked(word: Word) -> HyperbolicElement:
     """``eval_word_hyp`` in one pass, the running sum guarded at every letter.
 
-    The path for words beyond the bound of ``weyl.bounded_columns``.
+    The path for words beyond the bound of ``Word.columns``.
     """
     nu, k = word.rank, len(word)
     acc = zero_vec(nu)

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from a1weyl import (
     toroidal_semilattice,
     validate_word,
 )
-from a1weyl.lattice import I64_MAX, I64_MIN
+from a1weyl.lattice import I64_MAX, I64_MIN, Semilattice, pairwise_semilattice, root_in_rx
 from a1weyl.weyl import is_relation_w
 
 from conftest import root
@@ -287,3 +288,157 @@ def test_equal_letters_built_apart_give_the_indices_of_shared_ones(baby2_base):
     apart = Word(2, tuple(Root(a.sign, a.lat) for a in shared.letters))
     assert len({id(a) for a in apart.letters}) == len(apart)
     assert apart.to_indices(baby2_base) == shared.to_indices(baby2_base) == (2, 0, 2, 1, 2, 0, 1)
+
+
+# --- the checked constructor refuses what is not a word -----------------------------
+
+
+@pytest.mark.parametrize("rank, letters, message", [
+    (2, ((1, (0, 0)),), "word letter (1, (0, 0)) is not a Root"),
+    (2, (Root(1, (0, 0)), "g1"), "word letter 'g1' is not a Root"),
+    (2, None, "word letters None are not a sequence"),
+    (True, (Root(1, (0,)),), "word rank True is not an int"),
+    (2.0, (), "word rank 2.0 is not an int"),
+])
+def test_word_refuses_a_foreign_letter_or_rank(rank, letters, message):
+    with pytest.raises(DomainError) as exc:
+        Word(rank, letters)
+    assert str(exc.value) == message
+
+
+# --- the trusted parse against the checked constructor ------------------------------
+
+
+SEMILATTICES = (baby_semilattice, pairwise_semilattice, toroidal_semilattice)
+
+
+@st.composite
+def parsable_words(draw):
+    """A base at rank <= 4, the text of a word over it, and the reach of its explicit tokens.
+
+    Coordinates include the band edges and the values ``I64_MAX // k`` and
+    ``I64_MAX // k + 1`` for the word's length ``k``, so ``k * reach`` falls on
+    both sides of ``I64_MAX``.
+    """
+    rank = draw(st.integers(0, 4))
+    base = ReflectableBase(draw(st.sampled_from(SEMILATTICES))(rank))
+    k = draw(st.integers(0, 12))
+    edge = I64_MAX // max(k, 1)
+    coord = st.one_of(
+        st.integers(-9, 9),
+        st.integers(I64_MIN, I64_MAX),
+        st.sampled_from([c for c in (I64_MIN, I64_MAX, edge, edge + 1, -edge, -edge - 1)
+                         if I64_MIN <= c <= I64_MAX]),
+    )
+    generator = st.integers(0, len(base.roots) - 1).map(lambda g: (f"g{g}", ()))
+
+    @st.composite
+    def explicit(draw):
+        sign = draw(st.sampled_from("+-"))
+        lat = draw(st.lists(coord, min_size=rank, max_size=rank))
+        return sign + "e:" + ",".join(map(str, lat)), lat
+
+    pool = draw(st.lists(st.one_of(generator, explicit()), min_size=1, max_size=6))
+    named = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
+    coords = [c for _, lat in named for c in lat]
+    reach = max(-min(coords), max(coords), 1) if coords else 1
+    return base, " ".join(token for token, _ in named), reach
+
+
+@settings(deadline=None, max_examples=400)
+@given(parsable_words())
+def test_the_trusted_parse_equals_the_checked_constructor(case):
+    base, text, reach = case
+    word = parse_word(text, base)
+    planted = "columns" in word.__dict__  # read before anything caches the columns
+    rebuilt = Word(word.rank, word.letters)
+    assert word == rebuilt
+    assert hash(word) == hash(rebuilt)
+    assert repr(word) == repr(rebuilt)
+    assert word.columns == rebuilt.columns
+    assert planted == (word.rank >= 1 and len(word) * reach <= I64_MAX)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7])
+@pytest.mark.parametrize("past", [0, 1])
+def test_columns_are_planted_up_to_the_bound_of_length_times_reach(k, past):
+    """The largest reach with ``k * reach <= I64_MAX`` plants the columns; one more does not."""
+    reach = I64_MAX // k + past  # at k = 1 and past = 1 the coordinate is I64_MIN
+    text = " ".join([f"-e:0,{-reach}"] + ["g0"] * (k - 1))
+    word = parse_word(text, ReflectableBase(baby_semilattice(2)))
+    assert ("columns" in word.__dict__) == (not past)
+    assert word.columns == Word(2, word.letters).columns
+
+
+def test_a_word_over_an_invalid_base_is_built_by_the_checked_constructor():
+    short = ReflectableBase(Semilattice(2, ((0, 0), (1, 0), (0, 1, 0))))
+    with pytest.raises(DomainError) as exc:
+        parse_word("+e:0,0 g2 g2", short)
+    assert str(exc.value) == "letter Root(sign=1, lat=(0, 1, 0)) has rank 3, word has rank 2"
+    wide = ReflectableBase(Semilattice(2, ((0, 0), (2**62, 0), (0, 1))))
+    word = parse_word("g1 g0 g1 -e:0,0 g1 g2", wide)
+    assert "columns" not in word.__dict__
+    assert word.columns == Word(2, word.letters).columns and not word.columns[2]
+    with pytest.raises(OverflowError):
+        eval_word(word)
+
+
+# --- validation by parity class against the per-letter loop -------------------------
+
+
+def validate_word_per_letter(s, word):
+    """The library's former ``validate_word``, kept verbatim as the reference."""
+    if word.rank != s.rank:
+        raise DomainError(f"word has rank {word.rank}, semilattice has rank {s.rank}")
+    for a in {id(a): a for a in word.letters}.values():
+        if not root_in_rx(s, a):
+            raise DomainError(f"letter {a} is not a non-isotropic root of the system")
+
+
+def validation_outcome(s, word, validate):
+    try:
+        return validate(s, word)
+    except Exception as exc:  # the type and the message must both match
+        return type(exc), str(exc)
+
+
+@st.composite
+def semilattices_and_words(draw):
+    """A valid semilattice at rank <= 4 (or ``Semilattice(0, ())``) and a word over its rank.
+
+    Letters are drawn from every parity class, in and out of the semilattice;
+    a run of good letters, repeated as one object, comes first.
+    """
+    rank = draw(st.integers(0, 4))
+    if rank == 0:
+        s = draw(st.sampled_from([Semilattice(0, ()), Semilattice(0, ((),))]))
+    else:
+        wide = [t for t in product((0, 1), repeat=rank) if sum(t) >= 2]
+        extras = draw(st.lists(st.sampled_from(wide), unique=True)) if wide else []
+        s = Semilattice(rank, baby_semilattice(rank).cosets + tuple(extras))
+    classes = list(product((0, 1), repeat=rank))
+
+    def letter(tau):
+        lat = [t + 2 * draw(st.integers(-3, 3)) for t in tau]
+        return Root(draw(st.sampled_from((1, -1))), tuple(lat))
+
+    good = letter(draw(st.sampled_from(s.cosets))) if s.cosets else Root(1, ())
+    tail = [letter(draw(st.sampled_from(classes))) for _ in range(draw(st.integers(0, 6)))]
+    letters = [good] * draw(st.integers(0, 50)) + tail
+    word_rank = draw(st.sampled_from([rank, rank, rank + 1]))
+    if word_rank != rank:
+        letters = [Root(a.sign, (*a.lat, 0)) for a in letters]
+    return s, Word(word_rank, tuple(letters))
+
+
+@settings(deadline=None, max_examples=400)
+@given(semilattices_and_words())
+def test_validation_by_parity_class_equals_the_per_letter_loop(case):
+    s, word = case
+    expected = validation_outcome(s, word, validate_word_per_letter)
+    assert validation_outcome(s, word, validate_word) == expected
+    if word.rank == s.rank:
+        base = ReflectableBase(s)
+        parsed = parse_word(format_word(word, base), base)
+        assert validation_outcome(s, parsed, validate_word) == expected
+

@@ -16,9 +16,11 @@ from op to op, and their answers must be equal by ``repr`` (replay states
 by their 64-bit bytes).  Only the op is timed.
 
 A side's ``ops_per_s`` in a pass is its number of ops over their summed
-time; the best pass of each side is printed, then the gain of new over old.
-Both sides meet the same host load at the same moments, which separate
-runs of ``bench/run.py`` on a shared host do not.  Stdlib only.
+time.  Each side's line gives its best pass, then the median and the
+quartiles (inclusive method) of its passes; the ``gain`` line compares the
+best passes of new and old, the ``median gain`` line their medians.  Both
+sides meet the same host load at the same moments, which separate runs of
+``bench/run.py`` on a shared host do not.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import gc
 import hashlib
 import importlib
 import shutil
+import statistics
 import sys
 import tempfile
 import time
@@ -131,6 +134,14 @@ def compare(libs: dict, workload: str, seed: int, passes: int) -> tuple[dict, in
     return rates, compared
 
 
+def spread(rates: list[float]) -> tuple[float, float, float]:
+    """The median, first and third quartile of the passes' rates; a single pass is all three."""
+    if len(rates) < 2:
+        return rates[0], rates[0], rates[0]
+    q1, median, q3 = statistics.quantiles(rates, n=4, method="inclusive")
+    return median, q1, q3
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", type=Path, help="checkout of the baseline")
@@ -147,11 +158,14 @@ def main(argv: list[str] | None = None) -> int:
                 for side in SIDES}
         rates, compared = compare(libs, args.workload, args.seed, args.passes)
     print(f"{args.workload} seed {args.seed} passes {args.passes}: {compared} answers equal")
+    medians = {}
     for side in SIDES:
+        medians[side], q1, q3 = spread(rates[side])
         print(f"{side:3s} ops_per_s {max(rates[side]):9.1f} (best of {args.passes})"
-              f"  {getattr(args, side)}")
+              f"  median {medians[side]:9.1f} IQR [{q1:.1f}, {q3:.1f}]  {getattr(args, side)}")
     gain = max(rates["new"]) / max(rates["old"]) - 1
     print(f"gain {gain:+.1%}")
+    print(f"median gain {medians['new'] / medians['old'] - 1:+.1%}")
     return 0
 
 

@@ -52,10 +52,18 @@ Under the band rule the tracer writes the scripted moves at once, and
 ``replay_trace`` checks a recorded run against the script and applies it as
 one swap.  Nearer the band edge, and without a script, a reversal is
 expanded and replayed move by move, which raises where it leaves the band.
+
+A ``g_k^2`` is spliced in place by ``WordMoves.delete``, the one delete
+path.  ``reduce_loop`` sends each cancellation of its certificate straight
+to ``tracer.delete``, which records it; every other step goes through
+``tracer.apply``.  ``replay_trace`` deletes through ``WordMoves.delete`` and
+cuts ``at`` itself, so it records nothing for a delete; it builds a ``Move``
+only for an insert that no cited run covers.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from operator import add, mul, sub
@@ -63,7 +71,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import DomainError, InternalCheckError
 from .lattice import I64_MAX, I64_MIN, Vec, baby_base, checked_vec, vec_add, vec_scale, zero_vec
-from .presentation import WordMoves, _LemmaTable, move_block, rewrite_to_identity
+from .presentation import RULE_CANCEL, WordMoves, _LemmaTable, _require_sequence, move_block, rewrite_to_identity
 from .weyl import WeylElement, is_relation_w
 from .words import Word
 
@@ -139,8 +147,11 @@ def _walk(word: Word, base: Simplex) -> list[Simplex]:
     Entry ``t`` is ``B(x + o*sum_{i > k-t} c_i p(a_i), (-1)^t o)`` for
     ``base = B(x, o)``: exact prefix sums of ``Word.columns`` read from the
     right.  One ``min`` / ``max`` tests every anchor of the walk against the
-    64-bit band; past it, ``Simplex`` checks them one by one and raises at
-    the first simplex outside.
+    64-bit band.  In it, the simplices are built column by column, as
+    ``_unchecked_simplex`` builds one: ``object.__new__`` over the walk, then
+    each slot descriptor mapped over the anchors and the orientations.  Past
+    it, ``Simplex`` checks them one by one and raises at the first simplex
+    outside.
     """
     x, o = base.anchor, base.orient
     coefs, cols, _ = word.columns
@@ -148,9 +159,14 @@ def _walk(word: Word, base: Simplex) -> list[Simplex]:
     rows = [list(accumulate(map(mul, steps, reversed(col)), initial=xc))
             for xc, col in zip(x, cols)]
     anchors = zip(*rows) if rows else repeat((), len(coefs) + 1)
-    past = rows and (min(map(min, rows)) < I64_MIN or max(map(max, rows)) > I64_MAX)
-    make = Simplex if past else _unchecked_simplex
-    return list(map(make, anchors, [o, -o] * (len(coefs) // 2 + 1)))
+    orients = [o, -o] * (len(coefs) // 2 + 1)
+    if rows and (min(map(min, rows)) < I64_MIN or max(map(max, rows)) > I64_MAX):
+        return list(map(Simplex, anchors, orients))
+    # In band: the records of ``_unchecked_simplex``, built column by column.
+    walk = list(map(object.__new__, repeat(Simplex, len(coefs) + 1)))
+    deque(map(_set_anchor, walk, anchors), 0)
+    deque(map(_set_orient, walk, orients), 0)
+    return walk
 
 
 # The slot descriptors of the frozen ``Simplex``: they set a field past its ``__setattr__``.
@@ -159,16 +175,17 @@ _set_orient = Simplex.orient.__set__
 
 
 def _unchecked_simplex(anchor: Vec, orient: int) -> Simplex:
-    """A ``Simplex`` built without ``Simplex.__post_init__``; only :func:`_walk` and :func:`_slots` call it.
+    """A ``Simplex`` built without ``Simplex.__post_init__``; only :func:`_slots` calls it.
 
     It stores both fields through their slot descriptors, as
     ``words._unchecked_root`` does, so the record is the one the checked
     constructor would build: it compares, hashes and pickles the same.
-    Safe because both hand it only what those checks pass: ``orient`` is a
-    checked orientation or its negation, the anchor is a tuple of exact
-    ``int`` sums of checked ``int`` entries, and every such anchor has been
-    tested against the 64-bit band first (by ``_walk`` for its walk, by
-    ``_in_band`` for a script's points).
+    :func:`_walk` builds its in-band simplices the same way, a column at a
+    time.  Safe because both hand the setters only what those checks pass:
+    ``orient`` is a checked orientation or its negation, the anchor is a
+    tuple of exact ``int`` sums of checked ``int`` entries, and every such
+    anchor has been tested against the 64-bit band first (by ``_walk`` for
+    its walk, by ``_in_band`` for a script's points).
     """
     simplex = object.__new__(Simplex)
     _set_anchor(simplex, anchor)
@@ -388,8 +405,9 @@ def reduce_loop(p: Path) -> MoveTrace:
 
     The word-level certificate of :func:`rewrite_to_identity` drives the
     process; each of its steps expands into elementary insert/delete moves on
-    the path.  The returned macro spans group the elementary moves the way
-    the certificate grouped its steps.
+    the path; a cancellation goes straight to ``tracer.delete``.  The
+    returned macro spans group the elementary moves the way the certificate
+    grouped its steps.
     """
     if not is_loop(p):
         raise DomainError("only loops can be reduced")
@@ -402,7 +420,10 @@ def reduce_loop(p: Path) -> MoveTrace:
         start = len(tracer.moves)
         for step in cert.steps[a:b]:
             try:
-                tracer.apply(step)
+                if step.rule == RULE_CANCEL and type(step.payload) is tuple and len(step.payload) == 1:
+                    tracer.delete(step.pos, step.payload)  # what ``apply`` does, the commonest step
+                else:
+                    tracer.apply(step)
             except DomainError as exc:
                 raise InternalCheckError(f"certificate step {step} does not apply: {exc}") from exc
         macros.append((start, len(tracer.moves), kind))
@@ -415,26 +436,32 @@ def replay_trace(trace: MoveTrace, upto: int | None = None) -> Path:
     """Replay the first ``upto`` moves (default: all) and return the resulting path.
 
     ``upto`` is ``None`` or an ``int`` in ``0..len(trace.moves)``.  Raises
-    ``DomainError`` for any other ``upto``, for a trace base that is not a
-    ``Simplex`` or an entry that is not a ``Move``, and unless every move
-    applies to the live word and records the base its sub-loop has there.
-    An insert that starts a run of moves equal to the script of a triple
-    reversal (see :func:`_cited_run`) is replayed with its run as one swap;
-    every other move is replayed on its own, so the call accepts and
-    rejects, with the same message, what replaying every move would.  The
-    path is the tracer's own ``at`` read forwards: no second walk of the
-    final word.
+    ``DomainError`` for any other ``upto``, for a start or a move list that
+    is not a sequence, for a trace base that is not a ``Simplex`` or an
+    entry that is not a ``Move``, and unless every move applies to the live
+    word and records the base its sub-loop has there.  An insert that starts
+    a run of moves equal to the script of a triple reversal (see
+    :func:`_cited_run`) is replayed with its run as one swap; every other
+    insert goes through ``tracer.insert``.  A delete goes through
+    ``WordMoves.delete``, which splices a ``g_k^2`` in place, and then cuts
+    ``at`` as ``tracer.delete`` would, but records no ``Move``.  So the call
+    accepts and rejects, with the same message, what replaying every move
+    through the tracer would.  The path is the tracer's own ``at`` read
+    forwards: no second walk of the final word.
     """
-    n = len(trace.moves)
+    moves = trace.moves
+    _require_sequence(moves, "trace moves")
+    n = len(moves)
     if upto is None:
         upto = n
     elif type(upto) is not int or not 0 <= upto <= n:
         raise DomainError(f"upto must be None or an int in 0..{n}, got {upto!r}")
     if not isinstance(trace.base, Simplex):
         raise DomainError(f"trace base {trace.base!r} is not a Simplex")
+    _require_sequence(trace.start, "trace start")
     crumbs = baby_base(trace.base.rank)
     tracer = _Tracer(trace.start, path_of_word(Word.from_indices(crumbs, trace.start), trace.base))
-    moves = trace.moves
+    at = tracer.at
     k = 0
     while k < upto:
         mv = moves[k]
@@ -449,7 +476,10 @@ def replay_trace(trace: MoveTrace, upto: int | None = None) -> Path:
                 continue
             base = tracer.insert(pos, gens)
         elif kind == "delete":
-            base = tracer.delete(pos, gens)
+            # ``tracer.delete`` without the ``Move`` record, which replay never reads.
+            end = pos + len(WordMoves.delete(tracer, pos, gens))
+            base = at[end]
+            del at[pos:end]
         else:
             raise DomainError(f"unknown move kind {kind!r}")
         if base != recorded:

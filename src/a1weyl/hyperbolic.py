@@ -110,19 +110,19 @@ def eval_word_hyp(word: Word) -> HyperbolicElement:
         weyl.eval_word_checked(word)  # raises where the running sum leaves the band
     nu = word.rank
     steps = [list(map(mul, coefs, col)) for col in cols]  # c_i p_c(a_i)
-    shift = tuple(map(sum, steps))
     rows = [[0] * nu for _ in range(nu)]
-    for c in range(nu):
-        rows[c][c] = shift[c] * shift[c]
-        if not c:
-            continue
+    shift = [sum(steps[0])] if nu else []  # each later column's sum is the last of its prefix sums
+    for c in range(1, nu):
         acc = [0, *accumulate(steps[c])]
+        shift.append(acc[-1])
         both = list(map(add, acc, acc[1:]))  # acc_{i-1}[c] + acc_i[c]
         for j in range(c):
             rows[j][c] = entry = sum(map(mul, steps[j], both))
             rows[c][j] = 2 * shift[j] * shift[c] - entry
+    for c, t in enumerate(shift):
+        rows[c][c] = t * t
     parity = 1 if len(word) % 2 == 0 else -1
-    return HyperbolicElement(parity, shift, tuple(-parity * t for t in shift), rows)
+    return HyperbolicElement(parity, tuple(shift), tuple(-parity * t for t in shift), rows)
 
 
 def is_relation_hyp(word: Word) -> bool:

@@ -17,15 +17,17 @@ private factory that skips the constructor's checks, the only bypasses of
 them: ``words.parse_word`` reads all the explicit coordinates of a word with
 one ``int`` map and tests them against the band with one ``min`` / ``max``
 (``words._unchecked_root``), and ``geometry._walk`` tests all the anchors of
-a walk the same way (``geometry._unchecked_simplex``, which also places the
-simplices of a cited triple reversal after one band test of its reach);
-where a batch test fails, the constructors check value by value and raise
-as they would alone.  ``Root`` and ``Simplex`` are slotted frozen
-dataclasses, and both factories store the fields through the slot
-descriptors, past the frozen ``__setattr__``: the record holds what the
-checked constructor would have stored, so it compares, hashes and pickles
-the same.  A ``words.Word`` checks that its rank is an ``int`` and that its
-letters are non-isotropic ``Root`` records of that rank; ``parse_word``
+a walk the same way and then builds its simplices column by column, each
+slot descriptor mapped over the walk (``geometry._unchecked_simplex`` builds
+one simplex the same way, for the points of a cited triple reversal, after
+one band test of its reach); where a batch test fails, the constructors
+check value by value and raise as they would alone.  ``Root`` and
+``Simplex`` are slotted frozen dataclasses, and these builders store the
+fields through the slot descriptors, past the frozen ``__setattr__``: the
+record holds what the checked constructor would have stored, so it
+compares, hashes and pickles the same.  A ``words.Word`` checks that its
+rank is an ``int`` and that its letters are non-isotropic ``Root`` records
+of that rank; ``parse_word``
 builds its word through ``words._parsed_word``, which skips that check,
 because each letter it holds passed it already: a root of a valid base, a
 batch root (sign 1 or -1 and ``rank`` coordinates by construction) or a
@@ -51,7 +53,7 @@ import itertools
 import json
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, DomainError
@@ -321,7 +323,14 @@ class ReflectableBase:
         return not validate_semilattice(self.semilattice)
 
 
+@lru_cache(maxsize=64, typed=True)
 def baby_base(nu: int) -> ReflectableBase:
+    """The base of the baby semilattice of rank ``nu``, one record per rank.
+
+    The record is frozen and its ``roots`` and ``root_index`` are cached on
+    it, so every caller of a rank shares one build of them; ``typed`` keeps
+    ``True`` apart from ``1``.
+    """
     return ReflectableBase(baby_semilattice(nu))
 
 

@@ -317,6 +317,14 @@ def certificate_to_dict(cert: RewriteCertificate) -> dict:
     }
 
 
+def _require_sequence(value: object, what: str) -> None:
+    """Raise ``DomainError`` naming ``what`` unless ``value`` has a length, as a tuple or a list has."""
+    try:
+        len(value)
+    except TypeError:
+        raise DomainError(f"{what} {value!r} is not a sequence") from None
+
+
 def move_block(gens: tuple[int, ...]) -> tuple[int, ...]:
     """The word of the elementary loop named by ``gens``: ``g_k^2`` or ``(g_0 g_i g_j)^2``."""
     if len(gens) == 1:
@@ -351,10 +359,18 @@ class WordMoves:
         return block
 
     def delete(self, pos: int, gens: tuple[int, ...]) -> tuple[int, ...]:
+        word = self.word
+        if type(gens) is tuple and len(gens) == 1 and type(pos) is int and pos >= 0:
+            # The commonest move, a ``g_k^2``: the checks of ``move_block`` and
+            # the block test on exact types, with no block built to compare.
+            k = gens[0]
+            if type(k) is int and k >= 0 and pos + 1 < len(word) and word[pos] == k == word[pos + 1]:
+                del word[pos : pos + 2]
+                return gens + gens
         block = move_block(gens)
-        if type(pos) is not int or pos < 0 or tuple(self.word[pos : pos + len(block)]) != block:
+        if type(pos) is not int or pos < 0 or tuple(word[pos : pos + len(block)]) != block:
             raise DomainError(f"cannot delete {block} at {pos!r}: block absent")
-        del self.word[pos : pos + len(block)]
+        del word[pos : pos + len(block)]
         return block
 
     def reverse_triple(self, q: int) -> None:
@@ -516,11 +532,11 @@ class ReplayedCertificate:
     def _live(self) -> Iterator[list[int]]:
         """The one live word after 0, 1, 2, ... checked steps; callers copy what they keep.
 
-        A cancel that passes every check of ``WordMoves.delete`` is done in
-        place, and a reversal of ``int`` letters whose lemma holds swaps
-        ``word[q]`` and ``word[q + 2]``; any other step goes through
-        ``WordMoves``, so each accepts and rejects (with the same message)
-        as the full expansion does.  The lemmas are read from the table the
+        A cancel goes straight to ``WordMoves.delete``, which splices a
+        ``g_k^2`` in place, and a reversal of ``int`` letters whose lemma
+        holds swaps ``word[q]`` and ``word[q + 2]``; any other step goes
+        through ``WordMoves.apply``, so each accepts and rejects (with the
+        same message) as the full expansion does.  The lemmas are read from the table the
         whole process shares, fetched once here for the current expansion
         and ``nu``; a triple it lacks is proved once and added.  Step lengths
         must be exact ``int``s, and an entry without the fields of a
@@ -542,11 +558,7 @@ class ReplayedCertificate:
             if type(q) is not int or q < 0 or type(payload) is not tuple:
                 moves.apply(step)
             elif rule == RULE_CANCEL and len(payload) == 1:
-                k = payload[0]
-                if type(k) is int and k >= 0 and word[q : q + 2] == [k, k]:
-                    del word[q : q + 2]
-                else:
-                    moves.apply(step)
+                moves.delete(q, payload)
             elif rule == RULE_REVERSE and len(payload) == 3 and (
                 (triple := tuple(word[q : q + 3])) == payload
             ):
@@ -607,6 +619,8 @@ def replay_certificate(cert: RewriteCertificate) -> ReplayedCertificate:
     """
     if type(cert.final_empty) is not bool:
         raise DomainError(f"final_empty {cert.final_empty!r} is not a bool")
+    _require_sequence(cert.start, "certificate start")
+    _require_sequence(cert.steps, "certificate steps")
     view = ReplayedCertificate(cert, max((g for g in cert.start if type(g) is int), default=0))
     for word in view._live():
         pass

@@ -27,11 +27,11 @@ from a1weyl import (
     replay_trace,
     witness_word_for_element,
 )
-from a1weyl import geometry
+from a1weyl import geometry, lattice
 from a1weyl.errors import InternalCheckError
 from a1weyl.geometry import Path, _Tracer, move_block
 from a1weyl.lattice import vec_add, vec_scale
-from a1weyl.presentation import WordMoves
+from a1weyl.presentation import RewriteCertificate, RewriteStep, WordMoves
 from a1weyl.words import random_relation_indices
 
 WORKED_LOOP = (2, 0, 2, 1, 0, 1, 0, 2, 1, 2, 1, 0)
@@ -856,3 +856,124 @@ def test_foreign_trace_entries_are_domain_errors():
     b = base_simplex(2)
     with pytest.raises(DomainError, match=r"^trace entry 1 is not a Move: None$"):
         replay_trace(MoveTrace((1, 1), b, (Move("insert", 0, (2,), b), None), ()))
+
+
+@pytest.mark.parametrize("start, moves, field", [(None, (), "start"), ((1, 1), None, "moves")])
+def test_a_trace_field_that_is_not_a_sequence_is_a_domain_error(start, moves, field):
+    # both raised TypeError
+    with pytest.raises(DomainError, match=rf"^trace {field} None is not a sequence$"):
+        replay_trace(MoveTrace(start, base_simplex(2), moves, ()))
+
+
+# --- cancellations spliced in place: the tracing loop they replaced is the reference ---
+
+
+def reference_reduce_loop(p: Path) -> MoveTrace:
+    """``reduce_loop`` as it was before cancellations were spliced in place: every step through ``apply``.
+
+    Kept verbatim but for ``geometry.rewrite_to_identity``, looked up at the
+    call so that a forged certificate reaches both versions.
+    """
+    if not is_loop(p):
+        raise DomainError("only loops can be reduced")
+    nu = p.rank
+    indices = p.word.to_indices(baby_base(nu))
+    cert = geometry.rewrite_to_identity(indices, nu)
+    tracer = _Tracer(indices, p)
+    macros: list[tuple[int, int, str]] = []
+    for a, b, kind in cert.macros:
+        start = len(tracer.moves)
+        for step in cert.steps[a:b]:
+            try:
+                tracer.apply(step)
+            except DomainError as exc:
+                raise InternalCheckError(f"certificate step {step} does not apply: {exc}") from exc
+        macros.append((start, len(tracer.moves), kind))
+    if tracer.word:
+        raise InternalCheckError("reduction finished with a non-empty word")
+    return MoveTrace(tuple(indices), p.base, tuple(tracer.moves), tuple(macros))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(loops_with_base(), loops_with_far_base()))
+def test_reduce_loop_equals_the_reduction_through_apply(case):
+    nu, indices, start = case
+    word = Word.from_indices(baby_base(nu), indices)
+
+    def reduce(reducer):
+        return reducer(path_of_word(word, start))
+
+    assert outcome(reduce, reduce_loop) == outcome(reduce, reference_reduce_loop)
+
+
+def forged_cancels(step):
+    """One-field changes of a cancel step; each must trace as the reduction through ``apply`` traces it."""
+    k = step.payload[0]
+    for pos in (step.pos + 1, step.pos - 1, True, step.before_len - 1):
+        yield dataclasses.replace(step, pos=pos)
+    for payload in ((k + 1,), (True,), [k], (k, k), ()):
+        yield dataclasses.replace(step, payload=payload)
+
+
+def test_a_forged_cancel_traces_as_the_reduction_through_apply(monkeypatch):
+    path = path_of_word(Word.from_indices(baby_base(2), WORKED_LOOP), base_simplex(2))
+    cert = geometry.rewrite_to_identity(path.word.to_indices(baby_base(2)), 2)
+    refused = 0
+    for k, step in enumerate(cert.steps):
+        if step.rule != "cancel-involution":
+            continue
+        for bad in forged_cancels(step):
+            forged = dataclasses.replace(cert, steps=cert.steps[:k] + (bad,) + cert.steps[k + 1 :])
+            monkeypatch.setattr(geometry, "rewrite_to_identity", lambda indices, nu: forged)
+            got = outcome(reduce_loop, path)
+            assert got == outcome(reference_reduce_loop, path)
+            refused += got[:2] == ("raises", InternalCheckError)
+    assert refused
+
+
+def test_a_forged_cancel_that_does_not_apply_raises_the_same_check_error(monkeypatch):
+    path = path_of_word(Word.from_indices(baby_base(1), (1, 0, 0, 1)), base_simplex(1))
+    step = RewriteStep("cancel-involution", 0, (0,), 4, 2)  # the pair is at 1, not at 0
+    forged = RewriteCertificate((1, 0, 0, 1), (step,), ((0, 1, "cancel"),), True)
+    monkeypatch.setattr(geometry, "rewrite_to_identity", lambda indices, nu: forged)
+    message = (f"certificate step {step} does not apply: cannot delete (0, 0) at 0: block absent")
+    assert outcome(reduce_loop, path) == ("raises", InternalCheckError, message)
+    assert outcome(reference_reduce_loop, path) == ("raises", InternalCheckError, message)
+
+
+def test_trace_replay_builds_no_move_record(monkeypatch):
+    path = path_of_word(Word.from_indices(baby_base(2), commutator(4)), base_simplex(2))
+    replay_trace(reduce_loop(path))  # proves the scripts, which record moves of their own
+    built = []
+
+    def counting_move(*fields):
+        built.append(fields)
+        return Move(*fields)
+
+    monkeypatch.setattr(geometry, "Move", counting_move)
+    trace = reduce_loop(path)
+    assert len(built) == len(trace.moves) > 0  # the counter sees what tracing records
+    del built[:]
+    assert simplices_of(replay_trace(trace)) == (((0, 0), 1),)
+    assert built == []
+
+
+def test_each_reduction_and_each_replay_builds_at_most_one_base(monkeypatch):
+    path = path_of_word(Word.from_indices(baby_base(2), commutator(4)), base_simplex(2))
+    replay_trace(reduce_loop(path))  # proves the scripts, which build bases of their own
+    built = []
+    semilattice = lattice.baby_semilattice
+
+    def counting_semilattice(nu):
+        built.append(nu)
+        return semilattice(nu)
+
+    monkeypatch.setattr(lattice, "baby_semilattice", counting_semilattice)
+    lattice.baby_base.cache_clear()
+    trace = reduce_loop(path)
+    assert built == [2]
+    lattice.baby_base.cache_clear()
+    replay_trace(trace)
+    assert built == [2, 2]
+    replay_trace(trace)
+    assert built == [2, 2]

@@ -19,7 +19,7 @@ from a1weyl import (
     toroidal_semilattice,
     validate_semilattice,
 )
-from a1weyl.lattice import unit_vec, vec_add, vec_scale
+from a1weyl.lattice import baby_base, unit_vec, vec_add, vec_scale
 
 from conftest import root
 
@@ -239,6 +239,13 @@ def test_overflow_guard():
 
 def test_unit_vec():
     assert unit_vec(3, 2) == (0, 1, 0)
+
+
+def test_baby_base_is_built_once_per_rank():
+    assert baby_base(3) is baby_base(3)
+    assert baby_base(3) == ReflectableBase(baby_semilattice(3))
+    assert baby_base(True) is not baby_base(1)  # True hashes as 1 but is not the rank 1
+    assert baby_base(True).rank is True
 
 
 def test_constructors_are_valid():

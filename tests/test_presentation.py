@@ -381,6 +381,38 @@ def test_move_block_names_only_the_relators():
             move_block(gens)
 
 
+def reference_delete(word: list, pos, gens) -> tuple:
+    """``WordMoves.delete`` as it was before a ``g_k^2`` was spliced in place: every block through ``move_block``."""
+    block = move_block(gens)
+    if type(pos) is not int or pos < 0 or tuple(word[pos : pos + len(block)]) != block:
+        raise DomainError(f"cannot delete {block} at {pos!r}: block absent")
+    del word[pos : pos + len(block)]
+    return block
+
+
+@settings(max_examples=400)
+@given(
+    st.lists(st.integers(-1, 2), max_size=7),
+    st.one_of(st.integers(-3, 8), st.sampled_from([True, 1.0])),
+    st.one_of(
+        st.tuples(st.integers(-1, 2)),
+        st.sampled_from([(True,), (1.0,), [1], (), (1, 1)]),
+        st.tuples(st.just(0), st.integers(1, 2), st.integers(1, 3)),
+    ),
+)
+@example([2, -1, -1], 1, (-1,))  # a negative letter names no loop
+@example([1, 1, 2], -3, (1,))  # a negative position counts from no end
+def test_delete_equals_the_delete_through_move_block(letters, pos, gens):
+    def run(delete, word):
+        try:
+            return delete(word, pos, gens), word
+        except DomainError as exc:
+            return str(exc), word
+
+    moves = WordMoves(letters, 2)
+    assert run(lambda word, pos, gens: moves.delete(pos, gens), moves.word) == run(reference_delete, list(letters))
+
+
 def test_replay_rejects_a_non_int_start_letter_as_a_domain_error():
     for start in ((1, "x", 1, "x"), ("x", "x")):
         step = RewriteStep(RULE_CANCEL, 0, (1,), len(start), len(start) - 2)
@@ -995,6 +1027,14 @@ def test_lookalike_triples_never_read_or_write_the_table(lookalike):
 def test_a_certificate_entry_that_is_not_a_step_is_a_domain_error(steps, k, entry):
     cert = RewriteCertificate((1, 1, 2, 2), steps, (), False)
     with pytest.raises(DomainError, match=rf"^certificate entry {k} is not a RewriteStep: {re.escape(entry)}$"):
+        replay_certificate(cert)
+
+
+@pytest.mark.parametrize("start, steps, field", [(None, (), "start"), ((1, 1), None, "steps")])
+def test_a_certificate_field_that_is_not_a_sequence_is_a_domain_error(start, steps, field):
+    # both raised TypeError
+    cert = RewriteCertificate(start, steps, (), True)
+    with pytest.raises(DomainError, match=rf"^certificate {field} None is not a sequence$"):
         replay_certificate(cert)
 
 

@@ -1,6 +1,7 @@
 """The scripts under ``scripts/`` run end to end as separate processes."""
 
 import functools
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -49,6 +50,19 @@ def test_ab_compare_of_the_repo_against_itself_finds_equal_answers(workload, ans
     assert [line.split()[:2] for line in lines[1:3]] == [["old", "ops_per_s"], ["new", "ops_per_s"]]
     gains = [line for line in lines if line.startswith("gain ")]
     assert len(gains) == 1 and gains[0].endswith("%")
+
+
+def test_ab_compare_prints_the_median_and_quartiles_of_each_side():
+    root = str(SCRIPTS.parent)
+    done = run_script("ab_compare.py", root, root, "--workload", "loops", "--passes", "3")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    for line in lines[1:3]:
+        fields = line.replace("[", " ").replace("]", " ").replace(",", " ").split()
+        best, median, q1, q3 = float(fields[2]), float(fields[7]), float(fields[9]), float(fields[10])
+        assert fields[3:6] == ["(best", "of", "3)"] and fields[6] == "median" and fields[8] == "IQR"
+        assert q1 <= median <= q3 <= best
+    assert re.fullmatch(r"median gain [+-]\d+\.\d%", lines[-1])
 
 
 def test_output_digest_prints_one_digest_per_layer():

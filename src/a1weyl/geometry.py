@@ -27,31 +27,24 @@ sub-loops of ``g_i^2`` and ``(g_0 g_i g_j)^2`` (``i < j`` both nonzero);
 the trace records every elementary move together with the simplex its
 sub-loop is based at.
 
-Triple reversals are cited, as certificate replay cites its lemmas (the
-``presentation`` module docstring).  The first time a process reverses a
-triple ``[a, b, c]``, keyed by the expansion ``WordMoves.reverse_triple``,
-the tracer class and ``nu``, the tracer's own expansion runs on the
-isolated word with ``at[3] = B(0, +1)``, and its run is kept as a script:
-each move as (kind, offset from ``q``, gens, base ``B(d, f)``), the final
-``at[1]`` and ``at[2]``, and ``reach``, the largest ``|coordinate|`` of every
-anchor the run places, the unrecorded entries of each inserted block
-included.  An expansion that raises, or does not end in ``c b a``, gives no
-script.  Citing is sound for three reasons:
+Triple reversals are cited from the table of proved reversals that
+certificate replay cites too: each a script of the isolated run, relative
+to ``at[3] = B(0, +1)`` (the ``presentation`` module docstring).  Citing one
+at ``Y = at[q + 3] = B(x, o)`` is sound for three reasons:
 
-- Every move is at an offset ``>= 0`` from ``q``, and a delete that succeeds
-  on the isolated word reads only letters of the triple or inserted ones,
-  so the same moves apply at any ``q`` of any word holding the triple.
-- The run never touches ``Y = at[q + 3] = B(x, o)``, and every entry it
-  reads or writes is the image of ``Y`` under the letters between.  The
-  action is affine, so a scripted ``B(d, f)`` lies at ``B(x + o*d, o*f)``.
-- When ``max(x) + reach <= I64_MAX`` and ``min(x) - reach >= I64_MIN``
-  (the band rule), every anchor of the run is in the 64-bit band, so no
-  move of it can overflow.
+- The same moves apply at any ``q`` of any word holding the triple (the lemma).
+- The run never touches ``Y``, and every entry it reads or writes is the
+  image of ``Y`` under the letters between.  The action is affine, so a
+  scripted ``B(d, f)`` lies at ``B(x + o*d, o*f)``.
+- By the hull rule each coordinate of every such ``x + o*d``, the entries
+  of each inserted block included, lies between the same coordinate of two
+  stored simplices of ``at[q..q+3]``, which are in the 64-bit band, so no
+  move of the run can overflow.
 
-Under the band rule the tracer writes the scripted moves at once, and
-``replay_trace`` checks a recorded run against the script and applies it as
-one swap.  Nearer the band edge, and without a script, a reversal is
-expanded and replayed move by move, which raises where it leaves the band.
+So the tracer writes the scripted moves at once wherever a triple has a
+script, and ``replay_trace`` checks a recorded run against the script and
+applies it as one swap.  A triple without one is expanded and replayed move
+by move.
 
 A ``g_k^2`` is spliced in place by ``WordMoves.delete``, the one delete
 path.  ``reduce_loop`` sends each cancellation of its certificate straight
@@ -65,13 +58,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
-from operator import add, mul, sub
-from typing import NamedTuple, Sequence
+from itertools import accumulate, repeat
+from operator import mul
+from typing import Sequence
 
 from .errors import DomainError, InternalCheckError
 from .lattice import I64_MAX, I64_MIN, Vec, baby_base, checked_vec, vec_add, vec_scale, zero_vec
-from .presentation import RULE_CANCEL, WordMoves, _LemmaTable, _require_sequence, move_block, rewrite_to_identity
+from .presentation import RULE_CANCEL, WordMoves, _REVERSALS, _Script, _require_sequence, rewrite_to_identity
 from .weyl import WeylElement, is_relation_w
 from .words import Word
 
@@ -184,8 +177,9 @@ def _unchecked_simplex(anchor: Vec, orient: int) -> Simplex:
     time.  Safe because both hand the setters only what those checks pass:
     ``orient`` is a checked orientation or its negation, the anchor is a
     tuple of exact ``int`` sums of checked ``int`` entries, and every such
-    anchor has been tested against the 64-bit band first (by ``_walk`` for
-    its walk, by ``_in_band`` for a script's points).
+    anchor is in the 64-bit band: ``_walk`` tests its walk first, and each
+    coordinate of a script's point lies between those of two stored
+    simplices (the hull rule of the module docstring).
     """
     simplex = object.__new__(Simplex)
     _set_anchor(simplex, anchor)
@@ -266,11 +260,11 @@ class _Tracer(WordMoves):
     its block unchanged and splices only the block's own entries, whatever
     the word length.  A move that does not apply raises ``DomainError``.
 
-    A triple reversal whose script is in band at ``Y = at[q + 3]`` (see the
-    module docstring) is written as one block: the scripted moves placed at
-    ``Y``, the swap of ``word[q]`` and ``word[q + 2]``, and the two new
-    entries ``at[q + 1]`` and ``at[q + 2]``.  Any other reversal is expanded
-    move by move.  Either way the moves recorded are the same.
+    A triple reversal that has a script (see the module docstring) is
+    written as one block: the scripted moves placed at ``Y = at[q + 3]``,
+    the swap of ``word[q]`` and ``word[q + 2]``, and the two new entries
+    ``at[q + 1]`` and ``at[q + 2]``.  Any other reversal is expanded move by
+    move.  Either way the moves recorded are the same.
     """
 
     def __init__(self, indices: Sequence[int], path: Path):
@@ -302,8 +296,8 @@ class _Tracer(WordMoves):
         if type(q) is int and q >= 0 and len(triple) == 3 and (
             type(triple[0]) is type(triple[1]) is type(triple[2]) is int
         ):
-            script = _script_of(self, triple)
-            if script and _in_band(self.at[q + 3].anchor, script.reach):
+            script = _REVERSALS.script(triple, self.nu)
+            if script:
                 slots = _slots(self.at, q, script)
                 self.moves += [Move(kind, q + off, gens, slots[slot]) for kind, off, gens, slot in script.moves]
                 _reverse_in_place(self, q, script, slots)
@@ -311,86 +305,19 @@ class _Tracer(WordMoves):
         super().reverse_triple(q)
 
 
-class _Script(NamedTuple):
-    """A triple reversal run once on the isolated word ``[a, b, c]``, with ``at[3] = B(0, +1)``.
-
-    The simplices it names are numbered by slot: slots 0..3 are the entries
-    ``at[0..3]`` the run starts from, and slot ``4 + n`` is ``B(d, f)`` for the
-    ``n``-th pair ``(d, f)`` of ``points``, the other simplices it names.
-    ``moves`` holds one ``(kind, offset from q, gens, slot of the base)`` per
-    move, ``ends`` the slots of the final ``at[1]`` and ``at[2]``, and
-    ``reach`` the largest ``|coordinate|`` of every anchor the run places:
-    each inserted block's walk, every base and both ends.
-    """
-
-    moves: tuple[tuple[str, int, tuple[int, ...], int], ...]
-    points: tuple[tuple[Vec, int], ...]
-    ends: tuple[int, int]
-    reach: int
-
-
-def _prove_script(triple: tuple[int, int, int], tracer_type: type, nu: int) -> _Script | tuple[()]:
-    """The script of ``triple`` for ``tracer_type`` at ``nu``, or ``()`` if it has none.
-
-    Runs the expansion ``WordMoves.reverse_triple`` through the tracer's own
-    ``insert`` and ``delete`` on the isolated word.  An expansion that
-    raises, makes no move, or does not end in ``c b a`` gives no script.
-    """
-    a, b, c = triple
-    crumbs = baby_base(nu)
-    try:
-        tracer = tracer_type(triple, path_of_word(Word.from_indices(crumbs, triple), base_simplex(nu)))
-        slot_of = {(s.anchor, s.orient): n for n, s in enumerate(tracer.at)}
-        WordMoves.reverse_triple(tracer, 0)
-    except DomainError:
-        return ()
-    if not tracer.moves or tracer.word != [c, b, a]:
-        return ()
-    ends = tracer.at[1], tracer.at[2]
-    named = [*(mv.base for mv in tracer.moves), *ends]
-    points = []
-    for s in named:
-        if (s.anchor, s.orient) not in slot_of:
-            slot_of[s.anchor, s.orient] = 4 + len(points)
-            points.append((s.anchor, s.orient))
-    spliced = [
-        _walk(Word.from_indices(crumbs, move_block(mv.gens)), mv.base) for mv in tracer.moves if mv.kind == "insert"
-    ]
-    return _Script(
-        tuple((mv.kind, mv.pos, mv.gens, slot_of[mv.base.anchor, mv.base.orient]) for mv in tracer.moves),
-        tuple(points),
-        tuple(slot_of[s.anchor, s.orient] for s in ends),
-        max((abs(v) for s in chain(named, *spliced) for v in s.anchor), default=0),
-    )
-
-
-# The scripts proved in this process, keyed by expansion, tracer class and ``nu``.
-_SCRIPTS = _LemmaTable(_prove_script)
-
-
-def _script_of(tracer: WordMoves, triple: tuple[int, int, int]) -> _Script | tuple[()]:
-    """The script of ``triple`` (exact ``int`` letters) for ``tracer``, proved on a miss."""
-    context = type(tracer), tracer.nu
-    script = _SCRIPTS.table(*context).get(triple)
-    if script is None:
-        script = _SCRIPTS.prove(triple, *context)[triple]
-    return script
-
-
-def _in_band(x: Vec, reach: int) -> bool:
-    """Whether every anchor within ``reach`` of ``x`` in each coordinate is in the 64-bit band."""
-    return max(x) + reach <= I64_MAX and min(x) - reach >= I64_MIN
-
-
 def _slots(at: list[Simplex], q: int, script: _Script) -> list[Simplex]:
     """The simplices ``script`` names, placed at ``q``: ``at[q:q+4]``, then its points.
 
-    A point ``B(d, f)`` lies at ``B(x + o*d, o*f)`` for ``at[q + 3] = B(x, o)``;
-    callers have checked ``_in_band(x, script.reach)``.
+    A point ``(d, f)`` lies at ``B(x + o*d, o*f)`` for ``at[q + 3] = B(x, o)``.
     """
     x, o = at[q + 3].anchor, at[q + 3].orient
-    op = add if o > 0 else sub
-    return at[q : q + 4] + [_unchecked_simplex(tuple(map(op, x, d)), o * f) for d, f in script.points]
+    placed = at[q : q + 4]
+    for offset, f in script.points:
+        anchor = list(x)
+        for i, v in offset:
+            anchor[i] += o * v
+        placed.append(_unchecked_simplex(tuple(anchor), o * f))
+    return placed
 
 
 def _reverse_in_place(tracer: WordMoves, q: int, script: _Script, slots: list[Simplex]) -> None:
@@ -494,8 +421,8 @@ def _cited_run(tracer: WordMoves, moves: Sequence[Move], k: int, end: int) -> in
     ``moves[k]`` is an insert at ``p``.  For ``q`` in ``p - 3 .. p`` the live
     triple ``word[q:q+3]`` may have a script whose first move is at offset
     ``p - q`` and whose moves all lie before ``end``.  The run is cited when
-    ``_in_band`` holds at ``Y = at[q + 3]`` and each recorded move equals the
-    scripted one placed at ``Y`` with exact types: the kind, an ``int`` pos,
+    each recorded move equals the scripted one placed at ``Y = at[q + 3]``
+    with exact types: the kind, an ``int`` pos,
     a ``tuple`` of ``int`` gens, and a ``Simplex`` base.  Replaying those
     moves one by one would then succeed and leave what :func:`_reverse_in_place`
     leaves.  The live letters are exact ``int``s: ``Word.from_indices`` checked
@@ -506,12 +433,9 @@ def _cited_run(tracer: WordMoves, moves: Sequence[Move], k: int, end: int) -> in
     if type(p) is not int or type(first) is not tuple:
         return 0
     for q in range(max(p - 3, 0), min(p, len(word) - 3) + 1):
-        script = _script_of(tracer, tuple(word[q : q + 3]))
+        script = _REVERSALS.script(tuple(word[q : q + 3]), tracer.nu)
         run = script and script.moves
-        if (
-            not run or run[0][1] != p - q or run[0][2] != first or k + len(run) > end
-            or not _in_band(at[q + 3].anchor, script.reach)
-        ):
+        if not run or run[0][1] != p - q or run[0][2] != first or k + len(run) > end:
             continue
         slots = _slots(at, q, script)
         try:

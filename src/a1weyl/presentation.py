@@ -19,18 +19,22 @@ word ``[a, b, c]``, each of its deletes read only letters of the triple or
 letters the expansion had inserted, and it succeeds with the same moves at
 any position of any word holding that triple, leaving ``c b a`` there.  That
 fact depends on the triple, on ``nu`` and on the expansion code alone, not on
-the certificate, so every replay in the process may cite it: the table is
-keyed by the function ``WordMoves.reverse_triple`` and ``nu``, and a patched
-or replaced expansion starts with no lemmas.  An isolated failure proves
-nothing in context (a delete may match letters after the triple), so such a
-triple is recorded as failed and expanded in place at every step, as are
-triples of letters that are not exactly ``int`` (``True`` and ``1.0`` hash
-like ``1`` but fail ``move_block``); those never read or write the table.
-The table holds at most ``LEMMA_CAP`` lemmas in all and is emptied when a
-new one would pass that cap, so its memory is bounded and emptying it only
-costs re-proving.  Loop tracing keeps the moves of each expansion as well,
-in a table of the same kind, and cites them as one block (the ``geometry``
-module docstring).
+the certificate, so every replay in the process may cite it: one table,
+keyed by the function ``WordMoves.reverse_triple`` and ``nu``, serves
+certificate replay, loop tracing and trace replay (the ``geometry`` module
+docstring), and a patched or replaced expansion starts with no lemmas.  It
+holds each lemma as the script of the isolated run (:class:`_Script`), read
+from the run's words alone, so a proof costs the same at every ``nu``.  The
+hull rule: every entry of every word the run passes through has each
+coordinate within the range of that coordinate over the four start entries.
+A run that fails, moves nothing, or breaks the rule gives no script.  A
+reversal with ``a == c`` moves nothing and is a swap without one.  An
+isolated failure proves nothing in context (a delete may match letters after
+the triple), so any other triple without a script is expanded in place at
+every step, as are triples of letters that are not exactly ``int`` (``True``
+and ``1.0`` hash like ``1`` but fail ``move_block``); those never read or
+write the table.  At most ``LEMMA_CAP`` scripts are held, so emptying the
+table bounds its memory and only costs re-proving.
 
 A macro does the first of three things that applies: cancel the leftmost
 adjacent pair ``g_k g_k`` and then every pair that unlocks (a cascade);
@@ -60,8 +64,9 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, InternalCheckError
 from .hyperbolic import central_word, eval_word_hyp
@@ -447,61 +452,130 @@ class WordMoves:
             raise DomainError(f"{rule!r} step with payload {payload} does not apply at {q!r}")
 
 
-def _reverses_alone(triple: tuple[int, int, int], nu: int) -> bool:
-    """Whether ``reverse_triple(0)`` on the isolated ``triple`` succeeds and gives ``c b a``."""
-    moves = WordMoves(triple, nu)
+class _Recorder(WordMoves):
+    """``WordMoves`` that records each move as ``(kind, pos, gens)`` and each word it leaves."""
+
+    def __init__(self, indices: Sequence[int], nu: int):
+        super().__init__(indices, nu)
+        self.moves: list[tuple[str, int, tuple[int, ...]]] = []
+        self.words = [tuple(indices)]
+
+    def insert(self, pos: int, gens: tuple[int, ...]) -> tuple[int, ...]:
+        return self.record("insert", pos, gens, super().insert(pos, gens))
+
+    def delete(self, pos: int, gens: tuple[int, ...]) -> tuple[int, ...]:
+        return self.record("delete", pos, gens, super().delete(pos, gens))
+
+    def record(self, kind: str, pos: int, gens: tuple[int, ...], block: tuple[int, ...]) -> tuple[int, ...]:
+        self.moves.append((kind, pos, gens))
+        self.words.append(tuple(self.word))
+        return block
+
+
+class _Script(NamedTuple):
+    """A reversal run on the isolated ``[a, b, c]``, its simplices relative to ``at[3] = B(0, +1)``.
+
+    Slots 0..3 name the start entries ``at[0..3]``, slot ``4 + n`` the
+    ``n``-th ``(offset, orient)`` of ``points``: an offset lists ``(u - 1, v)``
+    for each letter ``u`` whose ``e_u`` has coefficient ``v != 0`` in the
+    anchor.  ``moves`` holds ``(kind, offset from q, gens, slot of the base)``
+    per move, and ``ends`` the slots of the final ``at[1]`` and ``at[2]``.
+    """
+
+    moves: tuple[tuple[str, int, tuple[int, ...], int], ...]
+    points: tuple[tuple[tuple[tuple[int, int], ...], int], ...]
+    ends: tuple[int, int]
+
+
+def _entries(word: tuple[int, ...], column: dict[int, int]) -> list[tuple[tuple[int, ...], int]]:
+    """``at[0..len(word)]`` of ``word`` from ``B(0, +1)``, each anchor as coefficients by ``column``.
+
+    ``at[r]``, the image under ``u = word[r:]``, has anchor ``sum_i (-1)^(m-i) e_{u_i}``
+    over the letters ``u_i != 0`` and orientation ``(-1)^m``, for ``m = len(u)``.
+    """
+    d, o = [0] * len(column), 1
+    out = [((*d,), o)]
+    for u in reversed(word):
+        if u:
+            d[column[u]] += o
+        o = -o
+        out.append(((*d,), o))
+    return out[::-1]
+
+
+def _script_alone(triple: tuple[int, int, int], nu: int) -> _Script | tuple[()]:
+    """The script of ``reverse_triple(0)`` on the isolated ``triple`` at ``nu``, or ``()`` if it has none.
+
+    An expansion that raises, moves nothing, does not end in ``c b a``, or
+    breaks the hull rule gives no script.  Only the triple's nonzero letters
+    occur in its words, so the cost does not grow with ``nu``.
+    """
+    a, b, c = triple
+    run = _Recorder(triple, nu)
     try:
-        moves.reverse_triple(0)
+        run.reverse_triple(0)
     except DomainError:
-        return False
-    return moves.word == [triple[2], triple[1], triple[0]]
+        return ()
+    if not run.moves or run.word != [c, b, a]:
+        return ()
+    letters = sorted({a, b, c} - {0})
+    column = {u: n for n, u in enumerate(letters)}
+    at = [_entries(word, column) for word in run.words]
+    hull = [(min(col), max(col)) for col in zip(*(d for d, _ in at[0]))]
+    if any(not lo <= v <= hi for entries in at for d, _ in entries for v, (lo, hi) in zip(d, hull)):
+        return ()
+    # A base is the entry at the move's position in the word without its
+    # block: the word before an insert, the word after a delete.
+    bases = [at[n + (kind == "delete")][pos] for n, (kind, pos, _) in enumerate(run.moves)]
+    slot_of = {e: n for n, e in enumerate(at[0])}
+    points = []
+    for d, f in (*bases, *at[-1][1:3]):
+        if (d, f) not in slot_of:
+            slot_of[d, f] = 4 + len(points)
+            points.append((tuple((u - 1, v) for u, v in zip(letters, d) if v), f))
+    return _Script(
+        tuple((*move, slot_of[e]) for move, e in zip(run.moves, bases)),
+        tuple(points),
+        (slot_of[at[-1][1]], slot_of[at[-1][2]]),
+    )
 
 
-LEMMA_CAP = 1 << 16  # facts held at most by one table, over every key
+LEMMA_CAP = 1 << 16  # scripts held at most by the table, over every key
 
 
 class _LemmaTable:
-    """Facts about isolated triple reversals proved in this process, one table per key.
+    """The scripts proved in this process, one table per key ``(WordMoves.reverse_triple, nu)``.
 
-    ``prover(triple, *context)`` proves the fact for ``triple``; the key of
-    its table is the function ``WordMoves.reverse_triple`` at the time of the
-    proof followed by ``context``, so a patched or replaced expansion starts
-    with no facts.  :data:`_LEMMAS` holds ``triple -> holds`` with context
-    ``(nu,)``; ``geometry`` keeps the scripts of loop tracing in a table of
-    this kind.  At most ``LEMMA_CAP`` facts are held in all: proving one more
-    first empties the table.  Callers pass triples of exact ``int`` letters
-    only.
+    At most ``LEMMA_CAP`` scripts are held in all: proving one more first
+    empties the table.  Callers pass triples of exact ``int`` letters only.
     """
 
-    def __init__(self, prover: Callable[..., object]) -> None:
-        self.prover = prover
-        self.tables: dict[tuple, dict[tuple[int, int, int], object]] = {}
+    def __init__(self) -> None:
+        self.tables: dict[tuple, dict[tuple[int, int, int], _Script | tuple[()]]] = {}
         self.size = 0
 
     def clear(self) -> None:
         self.tables.clear()
         self.size = 0
 
-    def table(self, *context) -> dict[tuple[int, int, int], object]:
-        """The facts of the current expansion in ``context``, to read only (an empty dict if none)."""
-        return self.tables.get((WordMoves.reverse_triple, *context), {})
+    def table(self, nu: int) -> dict[tuple[int, int, int], _Script | tuple[()]]:
+        """The scripts of the current expansion at ``nu``, to read only (an empty dict if none)."""
+        return self.tables.get((WordMoves.reverse_triple, nu), {})
 
-    def prove(self, triple: tuple[int, int, int], *context) -> dict[tuple[int, int, int], object]:
-        """Record the fact for ``triple`` in ``context``; the table that now holds it.
-
-        The prover runs first, so a prover that proves other facts on the
-        way (as ``geometry``'s does) cannot leave this one in an emptied table.
-        """
-        fact = self.prover(triple, *context)
-        if self.size >= LEMMA_CAP:
-            self.clear()
-        table = self.tables.setdefault((WordMoves.reverse_triple, *context), {})
-        table[triple] = fact
-        self.size += 1
-        return table
+    def script(self, triple: tuple[int, int, int], nu: int) -> _Script | tuple[()]:
+        """The script of ``triple`` at ``nu`` (``()`` for none), proved and recorded on a miss."""
+        script = self.table(nu).get(triple)
+        if script is None:
+            script = _script_alone(triple, nu)
+            if self.size >= LEMMA_CAP:
+                self.clear()
+            self.tables.setdefault((WordMoves.reverse_triple, nu), {})[triple] = script
+            self.size += 1
+        return script
 
 
-_LEMMAS = _LemmaTable(_reverses_alone)
+# The one table of proved reversals, cited by certificate replay, loop tracing and trace replay.
+_REVERSALS = _LemmaTable()
 
 
 class ReplayedCertificate:
@@ -533,18 +607,18 @@ class ReplayedCertificate:
         """The one live word after 0, 1, 2, ... checked steps; callers copy what they keep.
 
         A cancel goes straight to ``WordMoves.delete``, which splices a
-        ``g_k^2`` in place, and a reversal of ``int`` letters whose lemma
-        holds swaps ``word[q]`` and ``word[q + 2]``; any other step goes
-        through ``WordMoves.apply``, so each accepts and rejects (with the
-        same message) as the full expansion does.  The lemmas are read from the table the
-        whole process shares, fetched once here for the current expansion
-        and ``nu``; a triple it lacks is proved once and added.  Step lengths
-        must be exact ``int``s, and an entry without the fields of a
-        ``RewriteStep`` is a ``DomainError`` naming it.
+        ``g_k^2`` in place, and a reversal of ``int`` letters with a script,
+        or with ``a == c``, swaps ``word[q]`` and ``word[q + 2]``; any other
+        step goes through ``WordMoves.apply``, so each accepts and rejects
+        (with the same message) as the full expansion does.  The scripts are
+        read from the table the whole process shares, fetched once here for
+        the current expansion and ``nu``; a triple it lacks is proved once
+        and added.  Step lengths must be exact ``int``s, and an entry
+        without the fields of a ``RewriteStep`` is a ``DomainError`` naming it.
         """
         moves = WordMoves(self.cert.start, self.nu)
         word = moves.word  # changed in place by every move
-        lemmas = _LEMMAS.table(self.nu)
+        scripts = _REVERSALS.table(self.nu)
         yield word
         for k, step in enumerate(self.cert.steps):
             try:
@@ -564,10 +638,10 @@ class ReplayedCertificate:
             ):
                 a, b, c = triple
                 # Exact ints only: (True, 0, 2) hashes and compares like (1, 0, 2).
-                ok = type(a) is type(b) is type(c) is int and lemmas.get(triple)
+                ok = type(a) is type(b) is type(c) is int and (a == c or scripts.get(triple))
                 if ok is None:
-                    lemmas = _LEMMAS.prove(triple, self.nu)
-                    ok = lemmas[triple]
+                    ok = _REVERSALS.script(triple, self.nu)
+                    scripts = _REVERSALS.table(self.nu)
                 if ok:
                     word[q], word[q + 2] = c, a
                 else:

@@ -29,9 +29,9 @@ from a1weyl import (
 )
 from a1weyl import geometry, lattice
 from a1weyl.errors import InternalCheckError
-from a1weyl.geometry import Path, _Tracer, move_block
+from a1weyl.geometry import Path, _Tracer
 from a1weyl.lattice import vec_add, vec_scale
-from a1weyl.presentation import RewriteCertificate, RewriteStep, WordMoves
+from a1weyl.presentation import _REVERSALS, RewriteCertificate, RewriteStep, WordMoves, move_block
 from a1weyl.words import random_relation_indices
 
 WORKED_LOOP = (2, 0, 2, 1, 0, 1, 0, 2, 1, 2, 1, 0)
@@ -731,8 +731,7 @@ def test_every_tampering_of_every_move_replays_as_the_reference(nu, indices):
 
 
 def reversible_triples(nu):
-    return [t for t in itertools.product(range(nu + 1), repeat=3) if geometry._script_of(
-        _Tracer(t, path_of_word(Word.from_indices(baby_base(nu), t), base_simplex(nu))), t)]
+    return [t for t in itertools.product(range(nu + 1), repeat=3) if _REVERSALS.script(t, nu)]
 
 
 def expansion_at(tracer_type, triple, y):
@@ -754,26 +753,13 @@ def edge_placements(nu):
     for triple, c, edge, orient in itertools.product(reversible_triples(nu), range(nu), edges, (1, -1)):
         y = Simplex(tuple(edge if i == c else 0 for i in range(nu)), orient)
         try:
-            path = path_of_word(Word.from_indices(baby_base(nu), triple), y)
+            yield triple, path_of_word(Word.from_indices(baby_base(nu), triple), y)
         except OverflowError:
             continue  # the path of the triple itself leaves the band
-        script = geometry._script_of(_Tracer(triple, path), triple)
-        yield triple, path, geometry._in_band(y.anchor, script.reach)
 
 
-@pytest.mark.parametrize("nu", [2, 3])
-def test_every_script_at_the_band_edge_writes_what_the_expansion_writes(nu):
-    cited = refused = 0
-    for triple, path, in_band in edge_placements(nu):
-        y = path.base
-        assert expansion_at(_Tracer, triple, y) == expansion_at(ReferenceTracer, triple, y)
-        cited += in_band
-        refused += not in_band
-    assert cited and refused
-
-
-def test_a_far_base_run_the_band_rule_refuses_replays_move_by_move(monkeypatch):
-    """Near the edge a run is replayed on its own moves, as the reference replays it, at every ``upto``."""
+def counting_inserts(monkeypatch):
+    """Patch ``_Tracer.insert`` to note each position it inserts at; a cited run inserts through none."""
     insert = _Tracer.insert
     inserted = []
 
@@ -782,17 +768,35 @@ def test_a_far_base_run_the_band_rule_refuses_replays_move_by_move(monkeypatch):
         return insert(self, pos, gens)
 
     monkeypatch.setattr(_Tracer, "insert", counting_insert)
-    refused = 0
-    for triple, path, in_band in edge_placements(2):
+    return inserted
+
+
+@pytest.mark.parametrize("nu", [2, 3, 4])
+def test_every_script_at_the_band_edge_writes_what_the_expansion_writes(monkeypatch, nu):
+    inserted = counting_inserts(monkeypatch)
+    placements = 0
+    for triple, path in edge_placements(nu):
+        y = path.base
+        assert expansion_at(_Tracer, triple, y) == expansion_at(ReferenceTracer, triple, y)
+        assert inserted == []  # cited: no run is refused at the edge
+        placements += 1
+    assert placements
+
+
+def test_at_the_band_edge_every_run_is_cited_and_replays_as_the_reference(monkeypatch):
+    """At the edge a recorded run is replayed as one cited swap, and as the reference replays it at every ``upto``."""
+    inserted = counting_inserts(monkeypatch)
+    placements = 0
+    for triple, path in edge_placements(2):
         tracer = ReferenceTracer(triple, path)
         tracer.reverse_triple(0)
         trace = MoveTrace(triple, path.base, tuple(tracer.moves), ())
         every_upto_replays_as_the_reference(trace)
         del inserted[:]
         replay_trace(trace)
-        assert bool(inserted) == (not in_band)
-        refused += not in_band
-    assert refused
+        assert inserted == []
+        placements += 1
+    assert placements
 
 
 def test_a_traced_loop_replays_every_reversal_as_a_cited_run(monkeypatch):
@@ -807,24 +811,59 @@ def test_a_traced_loop_replays_every_reversal_as_a_cited_run(monkeypatch):
 def test_a_patched_expansion_gets_no_cited_script(monkeypatch):
     word = Word.from_indices(baby_base(2), WORKED_LOOP)
     trace = reduce_loop(path_of_word(word, base_simplex(2)))
-    assert any(geometry._SCRIPTS.table(_Tracer, 2).values())
+    assert any(_REVERSALS.table(2).values())
     # The no-op expansion cannot reverse a triple: the scripts of the real
     # one must not be cited for it, in tracing or in replay.
     monkeypatch.setattr(WordMoves, "reverse_triple", lambda self, q: None)
-    assert geometry._SCRIPTS.table(_Tracer, 2) == {}
+    assert _REVERSALS.table(2) == {}
     with pytest.raises(InternalCheckError):
         reduce_loop(path_of_word(word, base_simplex(2)))
     assert outcome(replay_trace, trace) == outcome(reference_replay_trace, trace)
-    assert not any(geometry._SCRIPTS.table(_Tracer, 2).values())
+    assert not any(_REVERSALS.table(2).values())
     monkeypatch.undo()
     assert reduce_loop(path_of_word(word, base_simplex(2))) == trace
 
 
-def test_the_reference_tracer_starts_with_no_scripts():
-    geometry._SCRIPTS.clear()
-    reduce_loop(path_of_word(Word.from_indices(baby_base(2), WORKED_LOOP), base_simplex(2)))
-    assert geometry._SCRIPTS.table(ReferenceTracer, 2) == {}
-    assert geometry._SCRIPTS.table(_Tracer, 2)
+class HoldingTracer(ReferenceTracer):
+    """The reference tracer, keeping every simplex ``at`` holds after each move."""
+
+    def __init__(self, indices: Sequence[int], path: Path):
+        super().__init__(indices, path)
+        self.held = list(self.at)
+
+    def insert(self, pos: int, gens: tuple[int, ...]) -> Simplex:
+        base = super().insert(pos, gens)
+        self.held += self.at
+        return base
+
+    def delete(self, pos: int, gens: tuple[int, ...]) -> Simplex:
+        base = super().delete(pos, gens)
+        self.held += self.at
+        return base
+
+
+@pytest.mark.parametrize("nu", range(7))
+def test_scripts_exist_for_distinct_letters_match_the_reference_and_keep_to_the_hull(nu):
+    """Checked against the reference expansion at ``at[3] = B(0, +1)``, not against the prover."""
+    y = base_simplex(nu)
+    scripted = 0
+    for triple in itertools.product(range(nu + 1), repeat=3):
+        script = _REVERSALS.script(triple, nu)
+        assert bool(script) == (len(set(triple)) == 3)
+        if not script:
+            continue
+        scripted += 1
+        tracer = HoldingTracer(triple, path_of_word(Word.from_indices(baby_base(nu), triple), y))
+        start = tracer.at[:]
+        tracer.reverse_triple(0)
+        points = [Simplex(tuple(dict(offset).get(i, 0) for i in range(nu)), f) for offset, f in script.points]
+        named = start + points
+        assert [Move(kind, off, gens, named[slot]) for kind, off, gens, slot in script.moves] == tracer.moves
+        assert [named[slot] for slot in script.ends] == tracer.at[1:3]
+        hull = [(min(col), max(col)) for col in zip(*(s.anchor for s in start))]
+        for s in tracer.held:
+            assert all(lo <= v <= hi for v, (lo, hi) in zip(s.anchor, hull))
+    assert scripted == (nu + 1) * nu * (nu - 1)
 
 
 # --- records that are not what they claim ---

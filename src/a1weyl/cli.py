@@ -4,7 +4,9 @@
 configuration, runs the command, prints its result and maps every error to
 its exit code and stderr prefix.  Each handler ``_cmd_*(args, base)`` only
 computes: it returns ``(payload, lines)``, the JSON object of
-``--format json`` and the lines of ``--format text``.
+``--format json`` and the lines of ``--format text``.  Handlers import
+what they use, so each command loads only the modules it runs: ``validate``
+loads none past ``lattice``.
 
 Exit codes: 0 ok, 2 invalid configuration or usage error, 3 I/O failure,
 4 word parse error, 5 domain error, 6 internal cross-check failure.
@@ -14,13 +16,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import re
 import sys
+from typing import TYPE_CHECKING
 
-from . import geometry, hyperbolic, presentation, weyl, words
 from .errors import ConfigError, DomainError, InternalCheckError, WordParseError
 from .lattice import ReflectableBase, load_semilattice, support_pairs
+
+if TYPE_CHECKING:
+    from .geometry import Path
+    from .words import Word
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -112,13 +117,17 @@ def _load_base(args) -> ReflectableBase:
     return ReflectableBase(s)
 
 
-def _parse(args, base: ReflectableBase) -> words.Word:
+def _parse(args, base: ReflectableBase) -> Word:
+    from . import words
+
     word = words.parse_word(" ".join(args.word), base)
     words.validate_word(base.semilattice, word)
     return word
 
 
-def _path(args, base: ReflectableBase) -> geometry.Path:
+def _path(args, base: ReflectableBase) -> Path:
+    from . import geometry
+
     word = _parse(args, base)
     if args.anchor is None:
         anchor = (0,) * base.rank
@@ -139,9 +148,13 @@ def _cmd_validate(args, base):
 def _cmd_eval(args, base):
     word = _parse(args, base)
     if args.group == "W":
+        from . import weyl
+
         elem = weyl.eval_word(word)
         payload = {"group": "W", "element": weyl.element_to_dict(elem)}
     else:
+        from . import hyperbolic
+
         elem = hyperbolic.eval_word_hyp(word)
         central = elem.projection().is_identity if word.rank >= 1 else None
         payload = {"group": "Wt", "element": hyperbolic.element_to_dict(elem), "central": central}
@@ -158,13 +171,19 @@ def _cmd_eval(args, base):
 def _cmd_check(args, base):
     word = _parse(args, base)
     if args.group == "W":
+        from . import weyl
+
         result = weyl.is_relation_w(word)
     else:
+        from . import hyperbolic
+
         result = hyperbolic.is_relation_hyp(word)
     return {"group": args.group, "relation": result}, [f"relation: {str(result).lower()}"]
 
 
 def _cmd_alt_enum(args, base):
+    from . import weyl
+
     pool = base.roots
     token = {id(a): f"g{base.root_index[a]}" for a in pool}.__getitem__  # format_word's tokens
     rows = [" ".join(map(token, map(id, tup))) for tup in weyl.enumerate_alternating(pool, args.k)]
@@ -172,6 +191,8 @@ def _cmd_alt_enum(args, base):
 
 
 def _cmd_presentation(args, base):
+    from . import presentation
+
     nu = base.rank
     if args.kind == "baby":
         pres = presentation.presentation_baby_w(nu)
@@ -199,6 +220,8 @@ def _cmd_presentation(args, base):
 
 
 def _cmd_reduce(args, base):
+    from . import presentation
+
     indices = _parse(args, base).to_indices(base)
     cert = presentation.rewrite_to_identity(indices, base.rank)
     if not args.no_replay:
@@ -221,6 +244,8 @@ def _cmd_path(args, base):
 
 
 def _cmd_render(args, base):
+    from . import geometry
+
     path = _path(args, base)
     svg = geometry.render_svg(path)
     try:
@@ -233,6 +258,8 @@ def _cmd_render(args, base):
 
 
 def _cmd_center(args, base):
+    from . import hyperbolic, words
+
     basis = hyperbolic.center_basis(base)
     payload = {
         "count": len(basis),
@@ -257,6 +284,10 @@ def _cmd_center(args, base):
 
 
 def _cmd_oracle(args, base):
+    import random
+
+    from . import hyperbolic, weyl, words
+
     if args.n < 0 or args.max_len < 0:
         raise DomainError(f"--n and --len must be non-negative, got {args.n} and {args.max_len}")
     s = base.semilattice

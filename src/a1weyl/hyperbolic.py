@@ -24,7 +24,7 @@ from operator import add, mul
 
 from .errors import DomainError, InternalCheckError
 from .intmat import Mat, mat_mul
-from .lattice import ReflectableBase, Vec, checked_vec, is_elliptic_like, support_pairs, zero_vec
+from .lattice import ReflectableBase, Vec, checked_rank, checked_vec, is_elliptic_like, support_pairs, zero_vec
 from . import weyl
 from .weyl import WeylElement, is_relation_w, reflection_product
 from .words import Word
@@ -143,7 +143,7 @@ def is_central(word: Word) -> bool:
 
 def gram_matrix(rank: int) -> Mat:
     """Pairing on (e, s_1..s_nu, l_1..l_nu): (e,e)=2, (s_i,l_j)=delta_ij, rest 0."""
-    n = 2 * rank + 1
+    n = 2 * checked_rank(rank) + 1
     rows = [[0] * n for _ in range(n)]
     rows[0][0] = 2
     for i in range(rank):
@@ -175,6 +175,9 @@ def matrix_of_element_hyp(h: HyperbolicElement) -> Mat:
 
 def preserves_gram(mat: Mat, rank: int) -> bool:
     g = gram_matrix(rank)
+    n = len(g)
+    if len(mat) != n or any(len(row) != n for row in mat):
+        raise DomainError(f"a rank-{rank} Gram test takes a {n}x{n} matrix")
     mt = tuple(zip(*mat))
     return mat_mul(mat_mul(mt, g), mat) == g
 

@@ -7,9 +7,9 @@ involved are at most (2*rank+1)-square, so plain Python is plenty.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
+from .errors import DomainError
 from .lattice import checked
 
 Mat = tuple[tuple[int, ...], ...]
@@ -21,7 +21,8 @@ def mat_identity(n: int) -> Mat:
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
     n, mid, m = len(a), len(b), len(b[0]) if b else 0
-    assert all(len(row) == mid for row in a), "inner dimension mismatch"
+    if not all(len(row) == mid for row in a):
+        raise DomainError(f"inner dimension mismatch: rows of length {mid} expected")
     return tuple(
         tuple(checked(sum(a[r][k] * b[k][c] for k in range(mid))) for c in range(m))
         for r in range(n)
@@ -30,6 +31,8 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 def mat_rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank over the rationals by fraction-exact Gaussian elimination."""
+    from fractions import Fraction  # here, so importing intmat does not load it
+
     work = [[Fraction(x) for x in row] for row in rows]
     rank = 0
     ncols = len(work[0]) if work else 0

@@ -71,6 +71,16 @@ def checked(n: int) -> int:
     return n
 
 
+def checked_rank(nu: int) -> int:
+    """Return ``nu`` unchanged, or raise ``DomainError`` unless it is a non-negative ``int``.
+
+    ``isinstance``, not ``type``: ``baby_base`` keeps ``True`` as a rank of its own.
+    """
+    if not isinstance(nu, int) or nu < 0:
+        raise DomainError(f"rank must be a non-negative int, got {nu!r}")
+    return nu
+
+
 def checked_vec(values: Iterable) -> Vec:
     """The entries of ``values`` as a tuple, each an ``int`` in the 64-bit guard band.
 
@@ -237,13 +247,14 @@ def validate_semilattice(s: Semilattice) -> list[str]:
 
 def baby_semilattice(nu: int) -> Semilattice:
     """The minimal semilattice: zero and the standard basis representatives only."""
+    checked_rank(nu)
     return Semilattice(nu, (zero_vec(nu),) + tuple(unit_vec(nu, i) for i in range(1, nu + 1)))
 
 
 def toroidal_semilattice(nu: int) -> Semilattice:
     """The full lattice: every 0/1 vector is a representative."""
     extras = sorted(
-        (t for t in itertools.product((0, 1), repeat=nu) if sum(t) >= 2),
+        (t for t in itertools.product((0, 1), repeat=checked_rank(nu)) if sum(t) >= 2),
         key=lambda t: (sum(t), tuple(-c for c in t)),
     )
     return Semilattice(nu, baby_semilattice(nu).cosets + tuple(extras))

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +21,7 @@ from a1weyl import (
     center_basis,
     eval_word,
     eval_word_hyp,
+    gram_matrix,
     identity_element_hyp,
     is_central,
     is_relation_hyp,
@@ -28,7 +33,7 @@ from a1weyl import (
     toroidal_semilattice,
 )
 from a1weyl.hyperbolic import element_from_dict, element_to_dict
-from a1weyl.intmat import mat_identity, mat_rank
+from a1weyl.intmat import mat_identity, mat_mul, mat_rank
 from a1weyl.words import random_word
 
 from conftest import root
@@ -158,6 +163,52 @@ roots2 = st.builds(Root, signs, st.tuples(st.integers(-3, 3), st.integers(-3, 3)
 def test_gram_matrix_is_preserved(letters):
     w = Word(2, tuple(letters))
     assert preserves_gram(matrix_of_word(w), 2)
+
+
+@pytest.mark.parametrize("mat,rank", [
+    (((1, 2),), 1),
+    (mat_identity(5), 1),
+    (mat_identity(3)[:2], 1),
+    (((1, 0, 0), (0, 1), (0, 0, 1)), 1),
+    (mat_identity(3), 2),
+])
+def test_the_gram_test_takes_only_a_square_matrix_of_its_rank(mat, rank):
+    with pytest.raises(DomainError, match="Gram test takes a"):
+        preserves_gram(mat, rank)
+
+
+@pytest.mark.parametrize("rank", [-1, 1.5, "1"])
+def test_the_gram_matrix_takes_only_a_non_negative_int_rank(rank):
+    with pytest.raises(DomainError, match="rank must be a non-negative int"):
+        gram_matrix(rank)
+    with pytest.raises(DomainError, match="rank must be a non-negative int"):
+        preserves_gram(mat_identity(3), rank)
+
+
+def test_a_product_of_mismatched_matrices_is_a_domain_error():
+    with pytest.raises(DomainError, match="inner dimension mismatch"):
+        mat_mul(((1, 2),), ((1,),))
+
+
+def test_bad_gram_input_is_a_domain_error_under_python_dash_O():
+    code = (
+        "from a1weyl import DomainError, gram_matrix, preserves_gram\n"
+        "from a1weyl.intmat import mat_mul\n"
+        "if __debug__:\n"
+        "    raise SystemExit('asserts are on')\n"
+        "calls = [lambda: preserves_gram(((1, 2),), 1), lambda: gram_matrix(-1),\n"
+        "         lambda: mat_mul(((1, 2),), ((1,),))]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except DomainError:\n"
+        "        continue\n"
+        "    raise SystemExit('no DomainError')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 class TestCenterBasis:

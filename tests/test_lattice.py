@@ -253,3 +253,10 @@ def test_constructors_are_valid():
         assert validate_semilattice(baby_semilattice(nu)) == []
         assert validate_semilattice(toroidal_semilattice(nu)) == []
         assert validate_semilattice(pairwise_semilattice(nu)) == []
+
+
+@pytest.mark.parametrize("nu", [-1, -2, 1.5, "2", None])
+@pytest.mark.parametrize("family", [baby_semilattice, toroidal_semilattice, pairwise_semilattice, baby_base])
+def test_a_family_takes_only_a_non_negative_int_rank(family, nu):
+    with pytest.raises(DomainError, match=r"rank must be a non-negative int, got"):
+        family(nu)

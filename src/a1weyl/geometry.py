@@ -56,14 +56,13 @@ only for an insert that no cited run covers.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import mul
 from typing import Sequence
 
 from .errors import DomainError, InternalCheckError
-from .lattice import I64_MAX, I64_MIN, Vec, baby_base, checked_vec, vec_add, vec_scale, zero_vec
+from .lattice import I64_MAX, I64_MIN, Vec, baby_base, checked_vec, mutable_twin, vec_add, vec_scale, zero_vec
 from .presentation import RULE_CANCEL, WordMoves, _REVERSALS, _Script, _require_sequence, rewrite_to_identity
 from .weyl import WeylElement, is_relation_w
 from .words import Word
@@ -140,11 +139,9 @@ def _walk(word: Word, base: Simplex) -> list[Simplex]:
     Entry ``t`` is ``B(x + o*sum_{i > k-t} c_i p(a_i), (-1)^t o)`` for
     ``base = B(x, o)``: exact prefix sums of ``Word.columns`` read from the
     right.  One ``min`` / ``max`` tests every anchor of the walk against the
-    64-bit band.  In it, the simplices are built column by column, as
-    ``_unchecked_simplex`` builds one: ``object.__new__`` over the walk, then
-    each slot descriptor mapped over the anchors and the orientations.  Past
-    it, ``Simplex`` checks them one by one and raises at the first simplex
-    outside.
+    64-bit band.  In it, :func:`_unchecked_simplex` is mapped over the
+    anchors and the orientations; past it, ``Simplex`` checks them one by
+    one and raises at the first simplex outside.
     """
     x, o = base.anchor, base.orient
     coefs, cols, _ = word.columns
@@ -155,35 +152,29 @@ def _walk(word: Word, base: Simplex) -> list[Simplex]:
     orients = [o, -o] * (len(coefs) // 2 + 1)
     if rows and (min(map(min, rows)) < I64_MIN or max(map(max, rows)) > I64_MAX):
         return list(map(Simplex, anchors, orients))
-    # In band: the records of ``_unchecked_simplex``, built column by column.
-    walk = list(map(object.__new__, repeat(Simplex, len(coefs) + 1)))
-    deque(map(_set_anchor, walk, anchors), 0)
-    deque(map(_set_orient, walk, orients), 0)
-    return walk
+    return list(map(_unchecked_simplex, anchors, orients))
 
 
-# The slot descriptors of the frozen ``Simplex``: they set a field past its ``__setattr__``.
-_set_anchor = Simplex.anchor.__set__
-_set_orient = Simplex.orient.__set__
+_SimplexTwin = mutable_twin(Simplex)
 
 
 def _unchecked_simplex(anchor: Vec, orient: int) -> Simplex:
-    """A ``Simplex`` built without ``Simplex.__post_init__``; only :func:`_slots` calls it.
+    """A ``Simplex`` built through its twin, past ``Simplex.__post_init__``.
 
-    It stores both fields through their slot descriptors, as
-    ``words._unchecked_root`` does, so the record is the one the checked
-    constructor would build: it compares, hashes and pickles the same.
-    :func:`_walk` builds its in-band simplices the same way, a column at a
-    time.  Safe because both hand the setters only what those checks pass:
-    ``orient`` is a checked orientation or its negation, the anchor is a
-    tuple of exact ``int`` sums of checked ``int`` entries, and every such
-    anchor is in the 64-bit band: ``_walk`` tests its walk first, and each
-    coordinate of a script's point lies between those of two stored
-    simplices (the hull rule of the module docstring).
+    Only :func:`_walk`, for a walk in the band, and :func:`_slots` call it.
+    The record is the one the checked constructor would build (the twin rule
+    of the ``lattice`` docstring): it compares, hashes and pickles the same.
+    Safe because both hand it only what those checks pass: ``orient`` is a
+    checked orientation or its negation, the anchor is a tuple of exact
+    ``int`` sums of checked ``int`` entries, and every such anchor is in the
+    64-bit band: ``_walk`` tests its walk first, and each coordinate of a
+    script's point lies between those of two stored simplices (the hull
+    rule of the module docstring).
     """
-    simplex = object.__new__(Simplex)
-    _set_anchor(simplex, anchor)
-    _set_orient(simplex, orient)
+    simplex = _SimplexTwin()
+    simplex.anchor = anchor
+    simplex.orient = orient
+    simplex.__class__ = Simplex
     return simplex
 
 
@@ -213,7 +204,7 @@ def is_loop(p: Path) -> bool:
     return closed
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Move:
     """Insert or delete one elementary sub-loop.
 
@@ -228,19 +219,19 @@ class Move:
     gens: tuple[int, ...]
     base: Simplex
 
-    # Hand-written: the generated frozen ``__init__`` calls ``object.__setattr__`` per field.
-    def __init__(self, kind: str, pos: int, gens: tuple[int, ...], base: Simplex) -> None:
-        _set_kind(self, kind)
-        _set_pos(self, pos)
-        _set_gens(self, gens)
-        _set_base(self, base)
+
+_MoveTwin = mutable_twin(Move)
 
 
-# The slot descriptors of the frozen ``Move``: they set a field past its ``__setattr__``.
-_set_kind = Move.kind.__set__
-_set_pos = Move.pos.__set__
-_set_gens = Move.gens.__set__
-_set_base = Move.base.__set__
+def _move(kind: str, pos: int, gens: tuple[int, ...], base: Simplex) -> Move:
+    """``Move(kind, pos, gens, base)``, built through its twin."""
+    move = _MoveTwin()
+    move.kind = kind
+    move.pos = pos
+    move.gens = gens
+    move.base = base
+    move.__class__ = Move
+    return move
 
 
 @dataclass(frozen=True)
@@ -281,14 +272,14 @@ class _Tracer(WordMoves):
             word = self.blocks[block] = Word.from_indices(self.crumbs, block)
         base = self.at[pos]
         self.at[pos:pos] = _walk(word, base)[:0:-1]
-        self.moves.append(Move("insert", pos, gens, base))
+        self.moves.append(_move("insert", pos, gens, base))
         return base
 
     def delete(self, pos: int, gens: tuple[int, ...]) -> Simplex:
         end = pos + len(super().delete(pos, gens))
         base = self.at[end]
         del self.at[pos:end]
-        self.moves.append(Move("delete", pos, gens, base))
+        self.moves.append(_move("delete", pos, gens, base))
         return base
 
     def reverse_triple(self, q: int) -> None:
@@ -299,7 +290,7 @@ class _Tracer(WordMoves):
             script = _REVERSALS.script(triple, self.nu)
             if script:
                 slots = _slots(self.at, q, script)
-                self.moves += [Move(kind, q + off, gens, slots[slot]) for kind, off, gens, slot in script.moves]
+                self.moves += [_move(kind, q + off, gens, slots[slot]) for kind, off, gens, slot in script.moves]
                 _reverse_in_place(self, q, script, slots)
                 return
         super().reverse_triple(q)

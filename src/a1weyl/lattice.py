@@ -12,31 +12,33 @@ Values are checked where they enter, by the constructors of ``Root``,
 ``WeylElement``, ``HyperbolicElement`` and ``geometry.Simplex`` through
 :func:`checked_vec`, which takes ``int`` entries only (no floats, booleans
 or strings), and the ``vec_*`` helpers check every result they build.  Two
-callers check a whole batch instead and build their records through a
-private factory that skips the constructor's checks, the only bypasses of
-them: ``words.parse_word`` reads all the explicit coordinates of a word with
-one ``int`` map and tests them against the band with one ``min`` / ``max``
-(``words._unchecked_root``), and ``geometry._walk`` tests all the anchors of
-a walk the same way and then builds its simplices column by column, each
-slot descriptor mapped over the walk (``geometry._unchecked_simplex`` builds
-one simplex the same way, for the points of a cited triple reversal, after
-one band test of its reach); where a batch test fails, the constructors
-check value by value and raise as they would alone.  ``Root`` and
-``Simplex`` are slotted frozen dataclasses, and these builders store the
-fields through the slot descriptors, past the frozen ``__setattr__``: the
-record holds what the checked constructor would have stored, so it
-compares, hashes and pickles the same.  A ``words.Word`` checks that its
-rank is an ``int`` and that its letters are non-isotropic ``Root`` records
-of that rank; ``parse_word``
-builds its word through ``words._parsed_word``, which skips that check,
-because each letter it holds passed it already: a root of a valid base, a
-batch root (sign 1 or -1 and ``rank`` coordinates by construction) or a
-root that ``Root`` checked and ``_parse_explicit`` built at the word's
-rank.  It also plants the word's columns when ``k`` times the largest
-``|p|`` the batch read is at most ``I64_MAX``, which keeps every ``B_c``
-within the band.  A ``geometry.Path`` checks that its simplices are the
-walk of its word; ``path_of_word`` and ``replay_trace``, which hold that
-walk already, build theirs through ``geometry._unchecked_path``.
+callers check a whole batch instead and build their records past the
+constructor's checks, the only bypasses of them: ``words.parse_word`` reads
+all the explicit coordinates of a word with one ``int`` map and tests them
+against the band with one ``min`` / ``max`` (``words._unchecked_root``), and
+``geometry._walk`` tests all the anchors of a walk the same way and maps
+``geometry._unchecked_simplex`` over it (which also builds the points of a
+cited triple reversal, after one band test of its reach); where a batch test
+fails, the constructors check value by value and raise as they would alone.
+Four builders, these two, ``presentation._step`` and ``geometry._move``,
+make their slotted frozen dataclasses by one rule (:func:`mutable_twin`):
+assign the fields of an instance of the record's twin, a class with the same
+``__slots__`` and no frozen ``__setattr__``, then set its ``__class__`` to
+the record's.  CPython allows that swap only between classes of one layout
+and raises ``TypeError`` otherwise, so the object's memory matches its
+class; it is then a plain record holding what the checked constructor would
+have stored, and compares, hashes, prints, copies and pickles the same.  A
+``words.Word`` checks that its rank is an ``int`` and that its letters are
+non-isotropic ``Root`` records of that rank; ``parse_word`` builds its word
+through ``words._parsed_word``, which skips that check, because each letter
+it holds passed it already: a root of a valid base, a batch root (sign 1 or
+-1 and ``rank`` coordinates by construction) or a root that ``Root`` checked
+and ``_parse_explicit`` built at the word's rank.  It also plants the word's
+columns when ``k`` times the largest ``|p|`` the batch read is at most
+``I64_MAX``, which keeps every ``B_c`` within the band.  A ``geometry.Path``
+checks that its simplices are the walk of its word; ``path_of_word`` and
+``replay_trace``, which hold that walk already, build theirs through
+``geometry._unchecked_path``.
 A word's running sum is guarded in ``weyl``: when ``B_c = sum_i |p_c(a_i)|``
 is at most ``I64_MAX`` for every coordinate ``c`` (the flag of
 ``words.Word.columns``), no partial sum of its letters can leave the band,
@@ -132,6 +134,11 @@ def vec_scale(k: int, a: Vec) -> Vec:
 
 def vec_mod2(a: Vec) -> Vec:
     return tuple([x & 1 for x in a])
+
+
+def mutable_twin(cls: type) -> type:
+    """The twin of the module docstring: the ``__slots__`` of ``cls``, no frozen ``__setattr__``."""
+    return type(f"_{cls.__name__}Twin", (), {"__slots__": cls.__slots__})
 
 
 @dataclass(frozen=True, slots=True)

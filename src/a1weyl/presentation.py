@@ -70,7 +70,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, InternalCheckError
 from .hyperbolic import central_word, eval_word_hyp
-from .lattice import ReflectableBase, is_elliptic_like, support_pairs
+from .lattice import ReflectableBase, is_elliptic_like, mutable_twin, support_pairs
 from .weyl import MAX_K, enumerate_alternating, eval_word, json_ints
 from .words import Word
 
@@ -268,7 +268,7 @@ MACRO_DELETE = "delete-relator"
 MACRO_BUBBLE = "bubble"
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class RewriteStep:
     """One rule application: ``pos`` is 0-based in the word before the step."""
 
@@ -278,22 +278,20 @@ class RewriteStep:
     before_len: int
     after_len: int
 
-    # Hand-written: the generated frozen ``__init__`` calls ``object.__setattr__`` per field.
-    def __init__(self, rule: str, pos: int, payload: tuple[int, ...], before_len: int,
-                 after_len: int) -> None:
-        _set_rule(self, rule)
-        _set_pos(self, pos)
-        _set_payload(self, payload)
-        _set_before_len(self, before_len)
-        _set_after_len(self, after_len)
+
+_StepTwin = mutable_twin(RewriteStep)
 
 
-# The slot descriptors of the frozen ``RewriteStep``: they set a field past its ``__setattr__``.
-_set_rule = RewriteStep.rule.__set__
-_set_pos = RewriteStep.pos.__set__
-_set_payload = RewriteStep.payload.__set__
-_set_before_len = RewriteStep.before_len.__set__
-_set_after_len = RewriteStep.after_len.__set__
+def _step(rule: str, pos: int, payload: tuple[int, ...], before_len: int, after_len: int) -> RewriteStep:
+    """``RewriteStep(rule, pos, payload, before_len, after_len)``, built through its twin."""
+    step = _StepTwin()
+    step.rule = rule
+    step.pos = pos
+    step.payload = payload
+    step.before_len = before_len
+    step.after_len = after_len
+    step.__class__ = RewriteStep
+    return step
 
 
 @dataclass(frozen=True)
@@ -732,7 +730,7 @@ class _Rewriter:
     def cut(self, rule: str, q: int, payload: tuple[int, ...], n: int) -> None:
         """Delete ``word[q:q+n]``: a new pair or block can only cross the seam at ``q``."""
         word = self.word
-        self.steps.append(RewriteStep(rule, q, payload, len(word), len(word) - n))
+        self.steps.append(_step(rule, q, payload, len(word), len(word) - n))
         del word[q : q + n]
         # Shift the upper bounds past the cut, then widen the windows to the
         # starts the seam can make: pairs at q - 1, blocks at q - 5 .. q.
@@ -801,7 +799,7 @@ class _Rewriter:
             if a == x:
                 c += 2  # palindromic triple: the reversal would be a no-op
                 continue
-            self.steps.append(RewriteStep(RULE_REVERSE, c, (a, b, x), n, n))
+            self.steps.append(_step(RULE_REVERSE, c, (a, b, x), n, n))
             word[c], word[c + 2] = x, a
             if c - 5 < self.rlo:  # the blocks through c .. c + 2 start at c - 5 .. c + 2
                 self.rlo = c - 5 if c > 5 else 0
@@ -821,12 +819,14 @@ class _Rewriter:
 def rewrite_to_identity(indices: Sequence[int], nu: int) -> RewriteCertificate:
     """Reduce a relation word over the baby-base generators to the empty word.
 
-    Precondition (checked): ``indices`` is a relation word over the baby-base
+    Precondition (checked): ``indices`` is a sequence (an iterator would be
+    used up by the checks) holding a relation word over the baby-base
     generators ``0..nu``, each letter an ``int``, and ``nu`` is an ``int``
     >= 0.  Each macro shortens the word by at least two.
     """
     if type(nu) is not int or nu < 0:
         raise DomainError(f"nu {nu!r} is not an int >= 0")
+    _require_sequence(indices, "word indices")
     for g in indices:
         if type(g) is not int or not 0 <= g <= nu:
             raise DomainError(f"letter {g!r} is not an int in the generator range 0..{nu}")

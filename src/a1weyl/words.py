@@ -18,7 +18,7 @@ from operator import mul
 from typing import Iterable
 
 from .errors import DomainError, WordParseError
-from .lattice import I64_MAX, I64_MIN, ReflectableBase, Root, Semilattice, Vec, root_in_rx
+from .lattice import I64_MAX, I64_MIN, ReflectableBase, Root, Semilattice, Vec, mutable_twin, root_in_rx
 
 
 @dataclass(frozen=True)
@@ -213,22 +213,21 @@ def parse_word(text: str, base: ReflectableBase) -> Word:
     return _parsed_word(rank, letters, reach)
 
 
-# The slot descriptors of the frozen ``Root``: they set a field past its ``__setattr__``.
-_set_sign = Root.sign.__set__
-_set_lat = Root.lat.__set__
+_RootTwin = mutable_twin(Root)
 
 
 def _unchecked_root(sign: int, lat: Vec) -> Root:
-    """A ``Root`` built without ``Root.__post_init__``; only the batch parse calls it.
+    """A ``Root`` built through its twin, past ``Root.__post_init__``; only the batch parse calls it.
 
     Safe because the batch hands it only what those checks pass: ``sign`` is
     1 or -1 (from the token's first character), ``lat`` is a tuple of
     ``int()`` results, and the batch has tested every coordinate of the word
     against the 64-bit band before building any root.
     """
-    root = object.__new__(Root)
-    _set_sign(root, sign)
-    _set_lat(root, lat)
+    root = _RootTwin()
+    root.sign = sign
+    root.lat = lat
+    root.__class__ = Root
     return root
 
 

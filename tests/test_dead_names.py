@@ -1,7 +1,7 @@
 """Every function, class and module-level name defined in the package is used somewhere.
 
 The module-level names are the targets of assignments at the top of a
-module: constants and private aliases such as ``words._set_sign``.  A name
+module: constants and private helpers such as ``words._RootTwin``.  A name
 counts as used when it is read somewhere in ``src``, ``tests``, ``scripts``
 or ``bench``: loaded as a name or an attribute, or imported (an alias); an
 assignment to it is no use.  Dunder names are left out, as Python reads them

@@ -989,7 +989,7 @@ def test_trace_replay_builds_no_move_record(monkeypatch):
         built.append(fields)
         return Move(*fields)
 
-    monkeypatch.setattr(geometry, "Move", counting_move)
+    monkeypatch.setattr(geometry, "_move", counting_move)
     trace = reduce_loop(path)
     assert len(built) == len(trace.moves) > 0  # the counter sees what tracing records
     del built[:]

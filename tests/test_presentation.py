@@ -435,6 +435,14 @@ def test_rewrite_rejects_numpy_integer_letters_as_a_domain_error():
         rewrite_to_identity(tuple(np.array([1, 1])), 2)
 
 
+@pytest.mark.parametrize("make", [iter, lambda letters: (g for g in letters)], ids=["iterator", "generator"])
+@pytest.mark.parametrize("letters", [(1, 2), (1, 1)], ids=["no-relation", "relation"])
+def test_rewrite_rejects_indices_that_are_not_a_sequence(make, letters):
+    # The letter check used to consume an iterator, so g1 g2 got a proof of the empty word.
+    with pytest.raises(DomainError, match=r"^word indices <.*> is not a sequence$"):
+        rewrite_to_identity(make(letters), 2)
+
+
 # --- the rewriter that rescans from position 0 after every change: the oracle ---
 
 

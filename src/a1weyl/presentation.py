@@ -56,7 +56,9 @@ reversals until a pair appears, and cancel that cascade.  The rewriter finds
   cover ``c - 5 .. c + 2``; a search reads only the window.
 
 So a cancellation or a bubble step reads O(1) letters, and the certificate
-is the one a rescan from position 0 after every change would give.
+is the one a rescan from position 0 after every change would give.  A macro
+runs on local variables (the word, its step list, the four window bounds)
+and writes the windows back once.
 """
 
 from __future__ import annotations
@@ -719,101 +721,94 @@ class _Rewriter:
         self.rlo, self.rhi = 0, len(self.word)
 
     def macro(self) -> str:
-        """Run one macro, appending its steps; returns the kind."""
-        if self.cancel_cascade():
-            return MACRO_CANCEL
-        if self.delete_relator():
-            return MACRO_DELETE
-        self.bubble()
-        return MACRO_BUBBLE
+        """Run one macro, appending its steps; returns the kind.
 
-    def cut(self, rule: str, q: int, payload: tuple[int, ...], n: int) -> None:
-        """Delete ``word[q:q+n]``: a new pair or block can only cross the seam at ``q``."""
-        word = self.word
-        self.steps.append(_step(rule, q, payload, len(word), len(word) - n))
-        del word[q : q + n]
-        # Shift the upper bounds past the cut, then widen the windows to the
-        # starts the seam can make: pairs at q - 1, blocks at q - 5 .. q.
-        # Comparisons, not min/max calls: this runs once per cancellation.
-        lo, rlo = (q - 1 if q > 1 else 0), (q - 5 if q > 5 else 0)
-        if lo < self.lo:
-            self.lo = lo
-        if rlo < self.rlo:
-            self.rlo = rlo
-        hi, rhi = self.hi - n, self.rhi - n
-        self.hi = hi if hi > q else q
-        self.rhi = rhi if rhi > q else q + 1
+        Cancel the leftmost pair until none is left (the cascade); if none
+        was, delete the leftmost block ``0 i j 0 i j`` (``1 <= i < j <= nu``);
+        if none is, bubble.  A search that finds something at ``q`` sets its
+        scan floor to ``q``, and both cuts, of 2 or 6 letters at ``q``, take
+        one block: a new pair or block can only cross the seam at ``q``.
 
-    def cancel_cascade(self) -> bool:
-        """Cancel the leftmost adjacent pair until none is left; True if one was."""
-        word = self.word
-        did = False
-        q, end = self.lo, min(self.hi, len(word) - 1)
-        while q < end:
-            if word[q] != word[q + 1]:
-                q += 1
-                continue
-            self.lo = q
-            self.cut(RULE_CANCEL, q, (word[q],), 2)
-            did = True
-            q, end = self.lo, min(self.hi, len(word) - 1)
-        self.lo, self.hi = len(word), 0
-        return did
-
-    def delete_relator(self) -> bool:
-        """Delete the leftmost block ``0 i j 0 i j`` (``1 <= i < j <= nu``); True if one was."""
-        word, nu = self.word, self.nu
-        for q in range(self.rlo, min(self.rhi, len(word) - 5)):
-            i, j = word[q + 1], word[q + 2]
-            if (
-                word[q] == 0
-                and word[q + 3] == 0
-                and word[q + 4] == i
-                and word[q + 5] == j
-                and 1 <= i < j <= nu
-            ):
-                self.rlo = q  # the scan found no block before q
-                self.cut(RULE_DELETE, q, tuple(word[q : q + 6]), 6)
-                return True
-        self.rlo, self.rhi = len(word), 0
-        return False
-
-    def bubble(self) -> None:
-        """Bubble the first letter toward its opposite-parity partner by triple reversals.
-
-        The word has no adjacent pair here, so reversing ``word[c:c+3]`` can
-        pair only at ``c - 1`` or ``c + 2``; the first pair it makes is
-        cancelled, together with any cascade it unlocks.  Letters of a
-        relation word split evenly between even and odd positions, so the
-        partner (the first odd position holding the first letter) exists, and
+        A bubble starts on a word with no pairs, so reversing ``word[c:c+3]``
+        can pair only at ``c - 1`` or ``c + 2``; the first pair it makes ends
+        it, and the cascade cancels that pair and all it unlocks.  Letters of
+        a relation word split evenly between even and odd positions, so the
+        partner (the first odd position holding the first letter) exists and
         the moving letter pairs with it at the latest when it arrives next to
-        it; running off the end of the word means the word was no relation.
+        it: running off the end of the word means the word was no relation.
+        The windows live in locals and are written back once, at the end.
         """
-        word = self.word
-        n = len(word)
-        c = 0
+        word, nu, append = self.word, self.nu, self.steps.append
+        n = start = len(word)
+        lo, hi, rlo, rhi = self.lo, self.hi, self.rlo, self.rhi
+        kind = MACRO_CANCEL
         while True:
-            if c + 2 >= n:
-                raise InternalCheckError("bubble found no partner; input was not a relation word")
-            a, b, x = word[c], word[c + 1], word[c + 2]
-            if a == x:
-                c += 2  # palindromic triple: the reversal would be a no-op
-                continue
-            self.steps.append(_step(RULE_REVERSE, c, (a, b, x), n, n))
-            word[c], word[c + 2] = x, a
-            if c - 5 < self.rlo:  # the blocks through c .. c + 2 start at c - 5 .. c + 2
-                self.rlo = c - 5 if c > 5 else 0
-            if c + 3 > self.rhi:
-                self.rhi = c + 3
-            if c and word[c - 1] == x:
-                self.lo, self.hi = c - 1, c + 3
-            elif c + 3 < n and word[c + 3] == a:
-                self.lo, self.hi = c + 2, c + 3
+            q, end = lo, (hi if hi < n else n - 1)
+            while q < end and word[q] != word[q + 1]:
+                q += 1
+            if q < end:
+                lo = q  # the scan found no pair before q
+                rule, m, payload = RULE_CANCEL, 2, (word[q],)
             else:
-                c += 2
-                continue
-            self.cancel_cascade()
-            return
+                lo, hi = n, 0
+                if n < start:  # the cascade after a cancel or a bubble is over
+                    break
+                for q in range(rlo, rhi if rhi < n - 5 else n - 5):
+                    i, j = word[q + 1], word[q + 2]
+                    if (
+                        word[q] == 0
+                        and word[q + 3] == 0
+                        and word[q + 4] == i
+                        and word[q + 5] == j
+                        and 1 <= i < j <= nu
+                    ):
+                        rlo = q  # the scan found no block before q
+                        rule, m, payload, kind = RULE_DELETE, 6, tuple(word[q : q + 6]), MACRO_DELETE
+                        break
+                else:
+                    rlo, rhi = n, 0
+                    for c in range(0, n - 2, 2):
+                        a, b, x = word[c], word[c + 1], word[c + 2]
+                        if a == x:
+                            continue  # palindromic triple: the reversal would be a no-op
+                        append(_step(RULE_REVERSE, c, (a, b, x), n, n))
+                        word[c], word[c + 2] = x, a
+                        if c - 5 < rlo:  # the blocks through c .. c + 2 start at c - 5 .. c + 2
+                            rlo = c - 5 if c > 5 else 0
+                        if c + 3 > rhi:
+                            rhi = c + 3
+                        if c and word[c - 1] == x:
+                            lo, hi = c - 1, c + 3
+                            break
+                        if c + 3 < n and word[c + 3] == a:
+                            lo, hi = c + 2, c + 3
+                            break
+                    else:
+                        raise InternalCheckError("bubble found no partner; input was not a relation word")
+                    kind = MACRO_BUBBLE
+                    continue
+            # The one cut, then the window rule: shift the upper bounds past the
+            # cut and widen the windows to pairs at q - 1 and blocks at q - 5 .. q.
+            # Comparisons, not min/max calls: this runs once per cancellation.
+            append(_step(rule, q, payload, n, n - m))
+            del word[q : q + m]
+            n -= m
+            p = q - 1 if q > 1 else 0
+            if p < lo:
+                lo = p
+            p = q - 5 if q > 5 else 0
+            if p < rlo:
+                rlo = p
+            hi -= m
+            if hi < q:
+                hi = q
+            rhi -= m
+            if rhi <= q:
+                rhi = q + 1
+            if m == 6:  # a relator deletion ends its macro
+                break
+        self.lo, self.hi, self.rlo, self.rhi = lo, hi, rlo, rhi
+        return kind
 
 
 def rewrite_to_identity(indices: Sequence[int], nu: int) -> RewriteCertificate:
@@ -823,6 +818,13 @@ def rewrite_to_identity(indices: Sequence[int], nu: int) -> RewriteCertificate:
     used up by the checks) holding a relation word over the baby-base
     generators ``0..nu``, each letter an ``int``, and ``nu`` is an ``int``
     >= 0.  Each macro shortens the word by at least two.
+
+    A certificate of a length-``L`` word has at most ``L**2/8 + L/2`` steps.
+    Every cut removes two or six letters, so there are at most ``L/2`` cuts.
+    Lengths stay even and each macro removes at least two letters, so the
+    macros start at distinct lengths ``n`` among ``L, L - 2, .., 2``.  A
+    bubble on length ``n`` reverses only at even ``c <= n - 4``, at most
+    ``n/2 - 1`` times, so a run makes at most ``L**2/8 - L/4`` reversals.
     """
     if type(nu) is not int or nu < 0:
         raise DomainError(f"nu {nu!r} is not an int >= 0")

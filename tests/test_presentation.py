@@ -416,6 +416,14 @@ def test_delete_equals_the_delete_through_move_block(letters, pos, gens):
     assert run(lambda word, pos, gens: moves.delete(pos, gens), moves.word) == run(reference_delete, list(letters))
 
 
+def test_a_square_delete_at_the_last_letter_is_a_block_absent_domain_error():
+    with pytest.raises(DomainError, match="block absent"):
+        WordMoves([1, 2, 1], 2).delete(2, (1,))
+    cert = RewriteCertificate((1, 2, 1), (RewriteStep(RULE_CANCEL, 2, (1,), 3, 1),), ((0, 1, MACRO_CANCEL),), False)
+    with pytest.raises(DomainError, match="block absent"):
+        replay_certificate(cert)
+
+
 def test_replay_rejects_a_non_int_start_letter_as_a_domain_error():
     for start in ((1, "x", 1, "x"), ("x", "x")):
         step = RewriteStep(RULE_CANCEL, 0, (1,), len(start), len(start) - 2)
@@ -535,9 +543,9 @@ def assert_same_as_rescan(indices, nu):
 
 
 @st.composite
-def pair_up_relations(draw, min_nu=1, max_half=100):
+def pair_up_relations(draw, min_nu=1, max_half=100, max_nu=5):
     """``(nu, word)``: two shuffles of one multiset of letters, interleaved."""
-    nu = draw(st.integers(min_nu, 5))
+    nu = draw(st.integers(min_nu, max_nu))
     n = draw(st.integers(0, max_half))
     half = draw(st.lists(st.integers(0, nu), min_size=n, max_size=n))
     odd, even = draw(st.permutations(half)), draw(st.permutations(half))
@@ -583,6 +591,13 @@ def test_certificates_with_relators_equal_the_rescan_rewriters(case):
 def test_a_bubble_without_partner_is_an_internal_check_error():
     with pytest.raises(InternalCheckError):
         _Rewriter((1, 2, 1, 3), 3).macro()  # not a relation: g1 has no odd-position partner
+
+
+def test_a_bubble_that_reaches_the_end_of_the_word_is_an_internal_check_error():
+    # The reversal at 0 leaves c + 3 == n, so the pair check after it must
+    # not read word[c + 3]; the next triple then runs off the end.
+    with pytest.raises(InternalCheckError):
+        _Rewriter((1, 2, 3), 3).macro()
 
 
 def test_a_relator_made_five_letters_before_a_cut_is_deleted():
@@ -684,6 +699,17 @@ def assert_view_matches_eager_replay(indices, nu):
             view[i]
     for s in (slice(None), slice(None, -1), slice(1, None, 2), slice(None, None, -3), slice(n, None)):
         assert view[s] == oracle[s], s
+
+
+@settings(deadline=None, max_examples=150)
+@given(pair_up_relations(min_nu=0, max_half=120, max_nu=6))
+@example((4, palindrome(0, 8000)))
+@example((2, (0, 1) * 20 + (0, 2) * 20 + (1, 0) * 20 + (2, 0) * 20))  # translation commutator, n = 20
+def test_a_certificate_has_at_most_l_squared_over_8_plus_l_over_2_steps(case):
+    nu, indices = case
+    n = len(indices)
+    cert = rewrite_to_identity(indices, nu)
+    assert 8 * len(cert.steps) <= n * n + 4 * n
 
 
 @settings(deadline=None, max_examples=100)

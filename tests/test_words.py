@@ -109,6 +109,12 @@ def test_from_indices_out_of_range_keeps_its_message(baby2_base, index):
         Word.from_indices(baby2_base, (index,))
 
 
+def test_a_generator_token_out_of_range_names_the_range(baby2_base):
+    with pytest.raises(WordParseError) as exc:
+        parse_word("g3", baby2_base)
+    assert str(exc.value) == "generator token 'g3' out of range 0..2"
+
+
 def test_repeated_explicit_tokens_parse_as_one_built_token_by_token(baby2_base):
     tokens = ["+e:2,1", "-e:0,-3", "g1", "+e:2,1", "+e:2,3", "+e:2,1", "g1", "-e:0,-3", "+e:2,3"]
     word = parse_word(" ".join(tokens), baby2_base)

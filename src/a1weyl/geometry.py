@@ -29,10 +29,10 @@ sub-loop is based at.
 
 Triple reversals are cited from the table of proved reversals that
 certificate replay cites too: each a script of the isolated run, relative
-to ``at[3] = B(0, +1)`` (the ``presentation`` module docstring).  Citing one
+to ``at[3] = B(0, +1)`` (the ``moves`` module docstring).  Citing one
 at ``Y = at[q + 3] = B(x, o)`` is sound for three reasons:
 
-- The same moves apply at any ``q`` of any word holding the triple (the lemma).
+- The same moves apply at any ``q`` of any word holding the triple (the ``moves`` lemma).
 - The run never touches ``Y``, and every entry it reads or writes is the
   image of ``Y`` under the letters between.  The action is affine, so a
   scripted ``B(d, f)`` lies at ``B(x + o*d, o*f)``.
@@ -45,13 +45,6 @@ So the tracer writes the scripted moves at once wherever a triple has a
 script, and ``replay_trace`` checks a recorded run against the script and
 applies it as one swap.  A triple without one is expanded and replayed move
 by move.
-
-A ``g_k^2`` is spliced in place by ``WordMoves.delete``, the one delete
-path.  ``reduce_loop`` sends each cancellation of its certificate straight
-to ``tracer.delete``, which records it; every other step goes through
-``tracer.apply``.  ``replay_trace`` deletes through ``WordMoves.delete`` and
-cuts ``at`` itself, so it records nothing for a delete; it builds a ``Move``
-only for an insert that no cited run covers.
 """
 
 from __future__ import annotations
@@ -63,7 +56,8 @@ from typing import Sequence
 
 from .errors import DomainError, InternalCheckError
 from .lattice import I64_MAX, I64_MIN, Vec, baby_base, checked_vec, mutable_twin, vec_add, vec_scale, zero_vec
-from .presentation import RULE_CANCEL, WordMoves, _REVERSALS, _Script, _require_sequence, rewrite_to_identity
+from .moves import REVERSALS, Script, WordMoves, require_sequence
+from .presentation import rewrite_to_identity
 from .weyl import WeylElement, is_relation_w
 from .words import Word
 
@@ -256,6 +250,13 @@ class _Tracer(WordMoves):
     the swap of ``word[q]`` and ``word[q + 2]``, and the two new entries
     ``at[q + 1]`` and ``at[q + 2]``.  Any other reversal is expanded move by
     move.  Either way the moves recorded are the same.
+
+    Only ``WordMoves.apply`` and the expansion's own recursion call
+    :meth:`reverse_triple`, always with an ``int`` ``q >= 0`` and a full
+    triple.  A tracer's letters are exact ``int``s in ``0..nu``
+    (``to_indices``, ``Word.from_indices``, ``move_block``), so each triple
+    is a sound key of the shared table, which a look-alike such as
+    ``(True, 0, 2)`` would corrupt for ``(1, 0, 2)``.
     """
 
     def __init__(self, indices: Sequence[int], path: Path):
@@ -283,20 +284,16 @@ class _Tracer(WordMoves):
         return base
 
     def reverse_triple(self, q: int) -> None:
-        triple = tuple(self.word[q : q + 3])
-        if type(q) is int and q >= 0 and len(triple) == 3 and (
-            type(triple[0]) is type(triple[1]) is type(triple[2]) is int
-        ):
-            script = _REVERSALS.script(triple, self.nu)
-            if script:
-                slots = _slots(self.at, q, script)
-                self.moves += [_move(kind, q + off, gens, slots[slot]) for kind, off, gens, slot in script.moves]
-                _reverse_in_place(self, q, script, slots)
-                return
-        super().reverse_triple(q)
+        script = REVERSALS.script(tuple(self.word[q : q + 3]))
+        if script:
+            slots = _slots(self.at, q, script)
+            self.moves += [_move(kind, q + off, gens, slots[slot]) for kind, off, gens, slot in script.moves]
+            _reverse_in_place(self, q, script, slots)
+        else:
+            super().reverse_triple(q)
 
 
-def _slots(at: list[Simplex], q: int, script: _Script) -> list[Simplex]:
+def _slots(at: list[Simplex], q: int, script: Script) -> list[Simplex]:
     """The simplices ``script`` names, placed at ``q``: ``at[q:q+4]``, then its points.
 
     A point ``(d, f)`` lies at ``B(x + o*d, o*f)`` for ``at[q + 3] = B(x, o)``.
@@ -311,7 +308,7 @@ def _slots(at: list[Simplex], q: int, script: _Script) -> list[Simplex]:
     return placed
 
 
-def _reverse_in_place(tracer: WordMoves, q: int, script: _Script, slots: list[Simplex]) -> None:
+def _reverse_in_place(tracer: WordMoves, q: int, script: Script, slots: list[Simplex]) -> None:
     """What ``script``'s moves leave at ``q``: ``word[q]`` and ``word[q + 2]`` swapped, two new entries."""
     word = tracer.word
     word[q], word[q + 2] = word[q + 2], word[q]
@@ -323,9 +320,8 @@ def reduce_loop(p: Path) -> MoveTrace:
 
     The word-level certificate of :func:`rewrite_to_identity` drives the
     process; each of its steps expands into elementary insert/delete moves on
-    the path; a cancellation goes straight to ``tracer.delete``.  The
-    returned macro spans group the elementary moves the way the certificate
-    grouped its steps.
+    the path.  The returned macro spans group the elementary moves the way
+    the certificate grouped its steps.
     """
     if not is_loop(p):
         raise DomainError("only loops can be reduced")
@@ -338,10 +334,7 @@ def reduce_loop(p: Path) -> MoveTrace:
         start = len(tracer.moves)
         for step in cert.steps[a:b]:
             try:
-                if step.rule == RULE_CANCEL and type(step.payload) is tuple and len(step.payload) == 1:
-                    tracer.delete(step.pos, step.payload)  # what ``apply`` does, the commonest step
-                else:
-                    tracer.apply(step)
+                tracer.apply(step)
             except DomainError as exc:
                 raise InternalCheckError(f"certificate step {step} does not apply: {exc}") from exc
         macros.append((start, len(tracer.moves), kind))
@@ -368,7 +361,7 @@ def replay_trace(trace: MoveTrace, upto: int | None = None) -> Path:
     forwards: no second walk of the final word.
     """
     moves = trace.moves
-    _require_sequence(moves, "trace moves")
+    require_sequence(moves, "trace moves")
     n = len(moves)
     if upto is None:
         upto = n
@@ -376,7 +369,7 @@ def replay_trace(trace: MoveTrace, upto: int | None = None) -> Path:
         raise DomainError(f"upto must be None or an int in 0..{n}, got {upto!r}")
     if not isinstance(trace.base, Simplex):
         raise DomainError(f"trace base {trace.base!r} is not a Simplex")
-    _require_sequence(trace.start, "trace start")
+    require_sequence(trace.start, "trace start")
     crumbs = baby_base(trace.base.rank)
     tracer = _Tracer(trace.start, path_of_word(Word.from_indices(crumbs, trace.start), trace.base))
     at = tracer.at
@@ -424,7 +417,7 @@ def _cited_run(tracer: WordMoves, moves: Sequence[Move], k: int, end: int) -> in
     if type(p) is not int or type(first) is not tuple:
         return 0
     for q in range(max(p - 3, 0), min(p, len(word) - 3) + 1):
-        script = _REVERSALS.script(tuple(word[q : q + 3]), tracer.nu)
+        script = REVERSALS.script(tuple(word[q : q + 3]))
         run = script and script.moves
         if not run or run[0][1] != p - q or run[0][2] != first or k + len(run) > end:
             continue

@@ -7,34 +7,7 @@ rules are the involutions ``g_k^2``, the six-letter relators
 relation word reduces to the empty word by the macro strategy below.  Replay
 trusts only the relators: it applies each certificate step as elementary
 moves, each inserting or deleting one relator block, and realises every
-triple reversal by such moves.  Replay keeps only the live word, so its
-memory is O(length), and returns the intermediate words as a view that
-replays the steps again when they are read.
-
-A reversal is realised once per process for each distinct letter triple,
-keyed by expansion and ``nu``, and then cited, as a lemma.  Every move of
-``reverse_triple(q)`` is at an offset >= 0 from ``q``, and an insert is
-checked only against ``nu``.  So if the expansion succeeds on the isolated
-word ``[a, b, c]``, each of its deletes read only letters of the triple or
-letters the expansion had inserted, and it succeeds with the same moves at
-any position of any word holding that triple, leaving ``c b a`` there.  That
-fact depends on the triple, on ``nu`` and on the expansion code alone, not on
-the certificate, so every replay in the process may cite it: one table,
-keyed by the function ``WordMoves.reverse_triple`` and ``nu``, serves
-certificate replay, loop tracing and trace replay (the ``geometry`` module
-docstring), and a patched or replaced expansion starts with no lemmas.  It
-holds each lemma as the script of the isolated run (:class:`_Script`), read
-from the run's words alone, so a proof costs the same at every ``nu``.  The
-hull rule: every entry of every word the run passes through has each
-coordinate within the range of that coordinate over the four start entries.
-A run that fails, moves nothing, or breaks the rule gives no script.  A
-reversal with ``a == c`` moves nothing and is a swap without one.  An
-isolated failure proves nothing in context (a delete may match letters after
-the triple), so any other triple without a script is expanded in place at
-every step, as are triples of letters that are not exactly ``int`` (``True``
-and ``1.0`` hash like ``1`` but fail ``move_block``); those never read or
-write the table.  At most ``LEMMA_CAP`` scripts are held, so emptying the
-table bounds its memory and only costs re-proving.
+triple reversal by such moves or cites it as a lemma (the ``moves`` module).
 
 A macro does the first of three things that applies: cancel the leftmost
 adjacent pair ``g_k g_k`` and then every pair that unlocks (a cascade);
@@ -68,11 +41,11 @@ import operator
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import DomainError, InternalCheckError
 from .hyperbolic import central_word, eval_word_hyp
 from .lattice import ReflectableBase, is_elliptic_like, mutable_twin, support_pairs
+from .moves import REVERSALS, RULE_CANCEL, RULE_DELETE, RULE_REVERSE, WordMoves, require_sequence
 from .weyl import MAX_K, enumerate_alternating, eval_word, json_ints
 from .words import Word
 
@@ -261,10 +234,6 @@ def verify_presentation(p: Presentation, target: str, base: ReflectableBase) -> 
 # Reduction certificates
 # ---------------------------------------------------------------------------
 
-RULE_CANCEL = "cancel-involution"
-RULE_REVERSE = "triple-reverse"
-RULE_DELETE = "delete-relator"
-
 MACRO_CANCEL = "cancel"
 MACRO_DELETE = "delete-relator"
 MACRO_BUBBLE = "bubble"
@@ -322,262 +291,6 @@ def certificate_to_dict(cert: RewriteCertificate) -> dict:
     }
 
 
-def _require_sequence(value: object, what: str) -> None:
-    """Raise ``DomainError`` naming ``what`` unless ``value`` has a length, as a tuple or a list has."""
-    try:
-        len(value)
-    except TypeError:
-        raise DomainError(f"{what} {value!r} is not a sequence") from None
-
-
-def move_block(gens: tuple[int, ...]) -> tuple[int, ...]:
-    """The word of the elementary loop named by ``gens``: ``g_k^2`` or ``(g_0 g_i g_j)^2``."""
-    if len(gens) == 1:
-        k = gens[0]
-        if type(k) is int and k >= 0:
-            return (k, k)
-    elif len(gens) == 3:
-        z, i, j = gens
-        if type(z) is type(i) is type(j) is int and z == 0 and 1 <= i < j:
-            return (0, i, j, 0, i, j)
-    raise DomainError(f"{gens!r} does not name an elementary loop")
-
-
-class WordMoves:
-    """A live word over ``g_0..g_nu`` changed only by elementary moves.
-
-    A move inserts or deletes the block of one relator (:func:`move_block`)
-    at an ``int`` position; a move that does not apply raises
-    ``DomainError``.  Inserted letters must not exceed ``g_nu``.
-    """
-
-    def __init__(self, indices: Sequence[int], nu: int):
-        self.word = list(indices)
-        self.nu = nu
-
-    def insert(self, pos: int, gens: tuple[int, ...]) -> tuple[int, ...]:
-        block = move_block(gens)
-        n = len(self.word)
-        if not (type(pos) is int and 0 <= pos <= n) or max(block) > self.nu:
-            raise DomainError(f"cannot insert {block} at {pos!r} into a word of length {n}")
-        self.word[pos:pos] = block
-        return block
-
-    def delete(self, pos: int, gens: tuple[int, ...]) -> tuple[int, ...]:
-        word = self.word
-        if type(gens) is tuple and len(gens) == 1 and type(pos) is int and pos >= 0:
-            # The commonest move, a ``g_k^2``: the checks of ``move_block`` and
-            # the block test on exact types, with no block built to compare.
-            k = gens[0]
-            if type(k) is int and k >= 0 and pos + 1 < len(word) and word[pos] == k == word[pos + 1]:
-                del word[pos : pos + 2]
-                return gens + gens
-        block = move_block(gens)
-        if type(pos) is not int or pos < 0 or tuple(word[pos : pos + len(block)]) != block:
-            raise DomainError(f"cannot delete {block} at {pos!r}: block absent")
-        del word[pos : pos + len(block)]
-        return block
-
-    def reverse_triple(self, q: int) -> None:
-        """Reverse ``word[q:q+3]`` by elementary moves.
-
-        Triples containing a 0 reverse in four moves against the six-letter
-        loop on their two nonzero letters; triples of three nonzero letters
-        route through a freshly inserted ``g_0^2`` and three sub-reversals.
-        A triple with two equal neighbours has no such expansion: one of its
-        moves raises ``DomainError``.
-        """
-        a, b, c = self.word[q : q + 3]
-        if a == c:
-            return  # palindromic: nothing to do
-        if 0 not in (a, b, c):
-            self.insert(q + 2, (0,))            # a b 0 0 c
-            self.reverse_triple(q)              # 0 b a 0 c
-            self.reverse_triple(q + 2)          # 0 b c 0 a
-            self.reverse_triple(q)              # c b 0 0 a
-            self.delete(q + 2, (0,))            # c b a
-            return
-        if b == 0:
-            d = (0, min(a, c), max(a, c))
-            i, j = d[1], d[2]
-            if (a, c) == (i, j):                # i 0 j -> j 0 i
-                self.insert(q + 2, d)           # i 0 [0 i j 0 i j] j
-                self.delete(q + 1, (0,))        # i i j 0 i j j
-                self.delete(q, (i,))            # j 0 i j j
-                self.delete(q + 3, (j,))        # j 0 i
-            else:                               # j 0 i -> i 0 j
-                self.insert(q + 3, (j,))        # j 0 i j j
-                self.insert(q, (i,))            # i i j 0 i j j
-                self.insert(q + 1, (0,))        # i 0 0 i j 0 i j j
-                self.delete(q + 2, d)           # i 0 j
-        elif a == 0:
-            d = (0, min(b, c), max(b, c))
-            i, j = d[1], d[2]
-            if (b, c) == (i, j):                # 0 i j -> j i 0
-                self.insert(q + 3, (0,))        # 0 i j 0 0
-                self.insert(q + 4, (i,))        # 0 i j 0 i i 0
-                self.insert(q + 5, (j,))        # 0 i j 0 i j j i 0
-                self.delete(q, d)               # j i 0
-            else:                               # 0 j i -> i j 0
-                self.insert(q + 1, d)           # 0 0 i j 0 i j j i
-                self.delete(q, (0,))            # i j 0 i j j i
-                self.delete(q + 4, (j,))        # i j 0 i i
-                self.delete(q + 3, (i,))        # i j 0
-        else:
-            d = (0, min(a, b), max(a, b))
-            i, j = d[1], d[2]
-            if (a, b) == (j, i):                # j i 0 -> 0 i j
-                self.insert(q, d)               # 0 i j 0 i j j i 0
-                self.delete(q + 5, (j,))        # 0 i j 0 i i 0
-                self.delete(q + 4, (i,))        # 0 i j 0 0
-                self.delete(q + 3, (0,))        # 0 i j
-            else:                               # i j 0 -> 0 j i
-                self.insert(q + 3, (i,))        # i j 0 i i
-                self.insert(q + 4, (j,))        # i j 0 i j j i
-                self.insert(q, (0,))            # 0 0 i j 0 i j j i
-                self.delete(q + 1, d)           # 0 j i
-
-    def apply(self, step: RewriteStep) -> None:
-        """Apply one certificate step by elementary moves, checking its payload."""
-        rule, q, payload = step.rule, step.pos, tuple(step.payload)
-        if rule == RULE_CANCEL and len(payload) == 1:
-            self.delete(q, payload)
-        elif rule == RULE_DELETE and len(payload) == 6 and payload[:3] == payload[3:]:
-            self.delete(q, payload[:3])
-        elif rule == RULE_REVERSE and type(q) is int and q >= 0 and len(payload) == 3 and (
-            tuple(self.word[q : q + 3]) == payload
-        ):
-            self.reverse_triple(q)
-        else:
-            raise DomainError(f"{rule!r} step with payload {payload} does not apply at {q!r}")
-
-
-class _Recorder(WordMoves):
-    """``WordMoves`` that records each move as ``(kind, pos, gens)`` and each word it leaves."""
-
-    def __init__(self, indices: Sequence[int], nu: int):
-        super().__init__(indices, nu)
-        self.moves: list[tuple[str, int, tuple[int, ...]]] = []
-        self.words = [tuple(indices)]
-
-    def insert(self, pos: int, gens: tuple[int, ...]) -> tuple[int, ...]:
-        return self.record("insert", pos, gens, super().insert(pos, gens))
-
-    def delete(self, pos: int, gens: tuple[int, ...]) -> tuple[int, ...]:
-        return self.record("delete", pos, gens, super().delete(pos, gens))
-
-    def record(self, kind: str, pos: int, gens: tuple[int, ...], block: tuple[int, ...]) -> tuple[int, ...]:
-        self.moves.append((kind, pos, gens))
-        self.words.append(tuple(self.word))
-        return block
-
-
-class _Script(NamedTuple):
-    """A reversal run on the isolated ``[a, b, c]``, its simplices relative to ``at[3] = B(0, +1)``.
-
-    Slots 0..3 name the start entries ``at[0..3]``, slot ``4 + n`` the
-    ``n``-th ``(offset, orient)`` of ``points``: an offset lists ``(u - 1, v)``
-    for each letter ``u`` whose ``e_u`` has coefficient ``v != 0`` in the
-    anchor.  ``moves`` holds ``(kind, offset from q, gens, slot of the base)``
-    per move, and ``ends`` the slots of the final ``at[1]`` and ``at[2]``.
-    """
-
-    moves: tuple[tuple[str, int, tuple[int, ...], int], ...]
-    points: tuple[tuple[tuple[tuple[int, int], ...], int], ...]
-    ends: tuple[int, int]
-
-
-def _entries(word: tuple[int, ...], column: dict[int, int]) -> list[tuple[tuple[int, ...], int]]:
-    """``at[0..len(word)]`` of ``word`` from ``B(0, +1)``, each anchor as coefficients by ``column``.
-
-    ``at[r]``, the image under ``u = word[r:]``, has anchor ``sum_i (-1)^(m-i) e_{u_i}``
-    over the letters ``u_i != 0`` and orientation ``(-1)^m``, for ``m = len(u)``.
-    """
-    d, o = [0] * len(column), 1
-    out = [((*d,), o)]
-    for u in reversed(word):
-        if u:
-            d[column[u]] += o
-        o = -o
-        out.append(((*d,), o))
-    return out[::-1]
-
-
-def _script_alone(triple: tuple[int, int, int], nu: int) -> _Script | tuple[()]:
-    """The script of ``reverse_triple(0)`` on the isolated ``triple`` at ``nu``, or ``()`` if it has none.
-
-    An expansion that raises, moves nothing, does not end in ``c b a``, or
-    breaks the hull rule gives no script.  Only the triple's nonzero letters
-    occur in its words, so the cost does not grow with ``nu``.
-    """
-    a, b, c = triple
-    run = _Recorder(triple, nu)
-    try:
-        run.reverse_triple(0)
-    except DomainError:
-        return ()
-    if not run.moves or run.word != [c, b, a]:
-        return ()
-    letters = sorted({a, b, c} - {0})
-    column = {u: n for n, u in enumerate(letters)}
-    at = [_entries(word, column) for word in run.words]
-    hull = [(min(col), max(col)) for col in zip(*(d for d, _ in at[0]))]
-    if any(not lo <= v <= hi for entries in at for d, _ in entries for v, (lo, hi) in zip(d, hull)):
-        return ()
-    # A base is the entry at the move's position in the word without its
-    # block: the word before an insert, the word after a delete.
-    bases = [at[n + (kind == "delete")][pos] for n, (kind, pos, _) in enumerate(run.moves)]
-    slot_of = {e: n for n, e in enumerate(at[0])}
-    points = []
-    for d, f in (*bases, *at[-1][1:3]):
-        if (d, f) not in slot_of:
-            slot_of[d, f] = 4 + len(points)
-            points.append((tuple((u - 1, v) for u, v in zip(letters, d) if v), f))
-    return _Script(
-        tuple((*move, slot_of[e]) for move, e in zip(run.moves, bases)),
-        tuple(points),
-        (slot_of[at[-1][1]], slot_of[at[-1][2]]),
-    )
-
-
-LEMMA_CAP = 1 << 16  # scripts held at most by the table, over every key
-
-
-class _LemmaTable:
-    """The scripts proved in this process, one table per key ``(WordMoves.reverse_triple, nu)``.
-
-    At most ``LEMMA_CAP`` scripts are held in all: proving one more first
-    empties the table.  Callers pass triples of exact ``int`` letters only.
-    """
-
-    def __init__(self) -> None:
-        self.tables: dict[tuple, dict[tuple[int, int, int], _Script | tuple[()]]] = {}
-        self.size = 0
-
-    def clear(self) -> None:
-        self.tables.clear()
-        self.size = 0
-
-    def table(self, nu: int) -> dict[tuple[int, int, int], _Script | tuple[()]]:
-        """The scripts of the current expansion at ``nu``, to read only (an empty dict if none)."""
-        return self.tables.get((WordMoves.reverse_triple, nu), {})
-
-    def script(self, triple: tuple[int, int, int], nu: int) -> _Script | tuple[()]:
-        """The script of ``triple`` at ``nu`` (``()`` for none), proved and recorded on a miss."""
-        script = self.table(nu).get(triple)
-        if script is None:
-            script = _script_alone(triple, nu)
-            if self.size >= LEMMA_CAP:
-                self.clear()
-            self.tables.setdefault((WordMoves.reverse_triple, nu), {})[triple] = script
-            self.size += 1
-        return script
-
-
-# The one table of proved reversals, cited by certificate replay, loop tracing and trace replay.
-_REVERSALS = _LemmaTable()
-
-
 class ReplayedCertificate:
     """The words a replayed certificate passes through, rebuilt on demand.
 
@@ -586,7 +299,7 @@ class ReplayedCertificate:
     word only.  Entry ``k`` is the word after ``k`` steps, a fresh
     ``list[int]``: the final word is copied, any other entry (and iteration)
     replays the steps again from the start, with the same checks, citing
-    the process's lemma table (see the module docstring).  Negative
+    the process's lemma table (the ``moves`` module docstring).  Negative
     indices count from the end as for a list; a slice replays once and
     returns a list of the entries it selects.  ``reversed(view)`` is a
     ``TypeError``, as it would replay once per entry: ``view[::-1]`` reads
@@ -612,13 +325,13 @@ class ReplayedCertificate:
         step goes through ``WordMoves.apply``, so each accepts and rejects
         (with the same message) as the full expansion does.  The scripts are
         read from the table the whole process shares, fetched once here for
-        the current expansion and ``nu``; a triple it lacks is proved once
-        and added.  Step lengths must be exact ``int``s, and an entry
-        without the fields of a ``RewriteStep`` is a ``DomainError`` naming it.
+        the current expansion; a triple it lacks is proved once and added.
+        Step lengths must be exact ``int``s, and an entry without the fields
+        of a ``RewriteStep`` is a ``DomainError`` naming it.
         """
         moves = WordMoves(self.cert.start, self.nu)
         word = moves.word  # changed in place by every move
-        scripts = _REVERSALS.table(self.nu)
+        scripts = REVERSALS.table()
         yield word
         for k, step in enumerate(self.cert.steps):
             try:
@@ -640,8 +353,8 @@ class ReplayedCertificate:
                 # Exact ints only: (True, 0, 2) hashes and compares like (1, 0, 2).
                 ok = type(a) is type(b) is type(c) is int and (a == c or scripts.get(triple))
                 if ok is None:
-                    ok = _REVERSALS.script(triple, self.nu)
-                    scripts = _REVERSALS.table(self.nu)
+                    ok = REVERSALS.script(triple)
+                    scripts = REVERSALS.table()
                 if ok:
                     word[q], word[q + 2] = c, a
                 else:
@@ -679,22 +392,22 @@ def replay_certificate(cert: RewriteCertificate) -> ReplayedCertificate:
     Every step is replayed as relator moves, so a certificate that replays
     proves its word trivial from the relators alone.  A triple reversal is
     expanded into relator moves once per process for each distinct triple
-    of ``int`` letters (keyed by expansion and ``nu``) and cited after that
-    as one swap, by this call and every later one (the lemmas of the module
-    docstring); the call accepts and rejects what expanding every reversal
-    would.  Replay inserts only ``g_0`` and letters already in the word, so
-    the largest ``int`` start letter bounds what it may insert.  A step
-    that does not apply, a length that is not an ``int`` or does not
-    chain, a ``final_empty`` that is not a ``bool``, or a claimed empty
-    word that is not reached raises ``DomainError`` here, before anything
-    is returned.  No intermediate word is stored, so memory is O(word
-    length); the returned :class:`ReplayedCertificate` rebuilds the words
-    when they are read.
+    of ``int`` letters and cited after that as one swap, by this call and
+    every later one (the lemmas of the ``moves`` module docstring); the
+    call accepts and rejects what expanding every reversal would.  Replay
+    inserts only ``g_0`` and letters already in the word, so the largest
+    ``int`` start letter bounds what it may insert.  A step that does not
+    apply, a length that is not an ``int`` or does not chain, a
+    ``final_empty`` that is not a ``bool``, or a claimed empty word that is
+    not reached raises ``DomainError`` here, before anything is returned.
+    No intermediate word is stored, so memory is O(word length); the
+    returned :class:`ReplayedCertificate` rebuilds the words when they are
+    read.
     """
     if type(cert.final_empty) is not bool:
         raise DomainError(f"final_empty {cert.final_empty!r} is not a bool")
-    _require_sequence(cert.start, "certificate start")
-    _require_sequence(cert.steps, "certificate steps")
+    require_sequence(cert.start, "certificate start")
+    require_sequence(cert.steps, "certificate steps")
     view = ReplayedCertificate(cert, max((g for g in cert.start if type(g) is int), default=0))
     for word in view._live():
         pass
@@ -828,7 +541,7 @@ def rewrite_to_identity(indices: Sequence[int], nu: int) -> RewriteCertificate:
     """
     if type(nu) is not int or nu < 0:
         raise DomainError(f"nu {nu!r} is not an int >= 0")
-    _require_sequence(indices, "word indices")
+    require_sequence(indices, "word indices")
     for g in indices:
         if type(g) is not int or not 0 <= g <= nu:
             raise DomainError(f"letter {g!r} is not an int in the generator range 0..{nu}")

@@ -1,3 +1,5 @@
+import faulthandler
+import os
 import sys
 from pathlib import Path
 
@@ -12,6 +14,25 @@ from a1weyl import (  # noqa: E402
     pairwise_semilattice,
     toroidal_semilattice,
 )
+
+# Seconds one test may run before the process dumps every thread's traceback
+# and exits nonzero: about 75 times the slowest test, so only a hang reaches it.
+LIMIT = 300
+_stderr_fd = 2
+
+
+def pytest_configure(config):
+    # Output capture is off while plugins are configured, so this copies the
+    # terminal's stderr: a traceback written to the captured one is lost at the exit.
+    global _stderr_fd
+    _stderr_fd = os.dup(2)
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    faulthandler.dump_traceback_later(LIMIT, exit=True, file=_stderr_fd)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 def root(sign, *coords):

@@ -31,7 +31,8 @@ from a1weyl import geometry, lattice
 from a1weyl.errors import InternalCheckError
 from a1weyl.geometry import Path, _Tracer
 from a1weyl.lattice import vec_add, vec_scale
-from a1weyl.presentation import _REVERSALS, RewriteCertificate, RewriteStep, WordMoves, move_block
+from a1weyl.moves import REVERSALS, WordMoves, move_block
+from a1weyl.presentation import RewriteCertificate, RewriteStep
 from a1weyl.words import random_relation_indices
 
 WORKED_LOOP = (2, 0, 2, 1, 0, 1, 0, 2, 1, 2, 1, 0)
@@ -731,7 +732,7 @@ def test_every_tampering_of_every_move_replays_as_the_reference(nu, indices):
 
 
 def reversible_triples(nu):
-    return [t for t in itertools.product(range(nu + 1), repeat=3) if _REVERSALS.script(t, nu)]
+    return [t for t in itertools.product(range(nu + 1), repeat=3) if REVERSALS.script(t)]
 
 
 def expansion_at(tracer_type, triple, y):
@@ -811,15 +812,15 @@ def test_a_traced_loop_replays_every_reversal_as_a_cited_run(monkeypatch):
 def test_a_patched_expansion_gets_no_cited_script(monkeypatch):
     word = Word.from_indices(baby_base(2), WORKED_LOOP)
     trace = reduce_loop(path_of_word(word, base_simplex(2)))
-    assert any(_REVERSALS.table(2).values())
+    assert any(REVERSALS.table().values())
     # The no-op expansion cannot reverse a triple: the scripts of the real
     # one must not be cited for it, in tracing or in replay.
     monkeypatch.setattr(WordMoves, "reverse_triple", lambda self, q: None)
-    assert _REVERSALS.table(2) == {}
+    assert REVERSALS.table() == {}
     with pytest.raises(InternalCheckError):
         reduce_loop(path_of_word(word, base_simplex(2)))
     assert outcome(replay_trace, trace) == outcome(reference_replay_trace, trace)
-    assert not any(_REVERSALS.table(2).values())
+    assert not any(REVERSALS.table().values())
     monkeypatch.undo()
     assert reduce_loop(path_of_word(word, base_simplex(2))) == trace
 
@@ -848,7 +849,7 @@ def test_scripts_exist_for_distinct_letters_match_the_reference_and_keep_to_the_
     y = base_simplex(nu)
     scripted = 0
     for triple in itertools.product(range(nu + 1), repeat=3):
-        script = _REVERSALS.script(triple, nu)
+        script = REVERSALS.script(triple)
         assert bool(script) == (len(set(triple)) == 3)
         if not script:
             continue

@@ -7,6 +7,7 @@ read ``sys.modules`` when the code ends, by a ``SystemExit`` too.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import subprocess
@@ -135,7 +136,7 @@ def test_validate_loads_no_group_module(config):
 def test_a_command_that_uses_no_presentation_loads_neither_it_nor_geometry(config, command):
     modules, done = run_cli(command[0], "--config", config, *command[1:])
     assert done.returncode == 0, done.stderr
-    assert not {"a1weyl.geometry", "a1weyl.presentation"} & modules
+    assert not {"a1weyl.geometry", "a1weyl.moves", "a1weyl.presentation"} & modules
     assert "fractions" not in modules
 
 
@@ -144,3 +145,15 @@ def test_importing_hyperbolic_does_not_load_fractions():
     assert done.returncode == 0, done.stderr
     assert {"a1weyl.hyperbolic", "a1weyl.intmat"} <= modules
     assert "fractions" not in modules
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    paths = sorted((SRC / "a1weyl").glob("*.py"))
+    assert paths
+    private = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("a1weyl")):
+                private += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                            if alias.name.startswith("_")]
+    assert not private, "private names imported across modules: " + ", ".join(private)

@@ -35,23 +35,18 @@ from a1weyl import (
     toroidal_semilattice,
     verify_presentation,
 )
-from a1weyl import presentation
+from a1weyl import moves
+from a1weyl.moves import REVERSALS, RULE_CANCEL, RULE_DELETE, RULE_REVERSE, WordMoves, move_block
 from a1weyl.presentation import (
-    _REVERSALS,
     MACRO_BUBBLE,
     MACRO_CANCEL,
     MACRO_DELETE,
     Presentation,
-    RULE_CANCEL,
-    RULE_DELETE,
-    RULE_REVERSE,
     ReplayedCertificate,
     RewriteCertificate,
     RewriteStep,
-    WordMoves,
     _Rewriter,
     certificate_to_dict,
-    move_block,
 )
 from a1weyl.words import random_relation_indices
 
@@ -916,7 +911,7 @@ def test_tampering_is_rejected_with_the_full_expansions_message():
 @pytest.mark.parametrize("a, b, c", [t for t in itertools.product(range(4), repeat=3)
                                      if t[0] != t[2] and (t[0] == t[1] or t[1] == t[2])])
 def test_a_triple_whose_lemma_fails_alone_is_expanded_in_place(a, b, c):
-    assert _REVERSALS.script((a, b, c), 3) == ()
+    assert REVERSALS.script((a, b, c)) == ()
     for prefix, suffix in (((), ()), ((3,), (0, a, b)), ((1, 2), (c, b, a, 0, 3, 3))):
         start = prefix + (a, b, c) + suffix
         outcome = assert_replays_as_the_expansion(one_reversal(start + (3,), len(prefix)))
@@ -962,11 +957,11 @@ def test_one_replay_expands_each_distinct_triple_at_most_once(monkeypatch, indic
 
 
 def test_a_lemma_holds_only_if_the_expansion_gives_the_reversed_triple(monkeypatch):
-    assert _REVERSALS.script((1, 0, 2), 2)
+    assert REVERSALS.script((1, 0, 2))
     monkeypatch.setattr(WordMoves, "reverse_triple", lambda self, q: None)
-    assert _REVERSALS.script((1, 0, 2), 2) == ()
+    assert REVERSALS.script((1, 0, 2)) == ()
     # (2, 1, 2) moves nothing, so it has no script either way and replay leaves it as it is.
-    assert _REVERSALS.script((2, 1, 2), 2) == ()
+    assert REVERSALS.script((2, 1, 2)) == ()
     assert assert_replays_as_the_expansion(one_reversal((2, 1, 2), 0))[1] == [2, 1, 2]
 
 
@@ -974,7 +969,7 @@ def test_a_lemma_holds_only_if_the_expansion_gives_the_reversed_triple(monkeypat
 
 
 def lemma_snapshot():
-    return {key: dict(table) for key, table in _REVERSALS.tables.items()}
+    return {key: dict(table) for key, table in REVERSALS.tables.items()}
 
 
 def replay_every_triple(nu):
@@ -990,9 +985,9 @@ def replay_every_triple(nu):
 @example(one_reversal((1, 0, 2, True, 0, 2), 3))
 def test_a_warmed_table_replays_as_a_cleared_one_and_as_the_full_expansion(cert):
     expected = replay_outcome(expanding_replay_certificate, cert)
-    _REVERSALS.clear()
+    REVERSALS.clear()
     assert replay_outcome(replay_certificate, cert) == expected
-    _REVERSALS.clear()
+    REVERSALS.clear()
     replay_every_triple(max((g for g in cert.start if type(g) is int), default=0))
     assert replay_outcome(replay_certificate, cert) == expected
 
@@ -1029,7 +1024,7 @@ def test_one_table_serves_certificate_replay_and_loop_tracing(monkeypatch):
     monkeypatch.setattr(WordMoves, "reverse_triple", counting_reverse_triple)
     for first, second in ((lambda: reduce_loop(loop), lambda: replay_certificate(cert)[-1]),
                           (lambda: replay_certificate(cert)[-1], lambda: reduce_loop(loop))):
-        _REVERSALS.clear()
+        REVERSALS.clear()
         first()
         assert expanded
         expanded.clear()
@@ -1041,7 +1036,7 @@ def test_one_table_serves_certificate_replay_and_loop_tracing(monkeypatch):
 def test_the_proof_of_a_reversal_does_not_grow_with_nu(big):
     """A certificate with one letter near ``10**6`` replays at once; a proof walking rank-``nu`` paths would not."""
     cert = one_reversal((big, 0, big - 1, big), 0)
-    _REVERSALS.clear()
+    REVERSALS.clear()
     start = time.perf_counter()
     replayed = replay_outcome(replay_certificate, cert)
     assert time.perf_counter() - start < 1.0
@@ -1053,41 +1048,41 @@ def test_a_patched_expansion_starts_with_no_lemmas(monkeypatch):
     cert = one_reversal((1, 0, 2), 0)
     assert replay_certificate(cert)[-1] == [2, 0, 1]
     proved = lemma_snapshot()
-    assert proved[(WordMoves.reverse_triple, 2)][(1, 0, 2)]
+    assert proved[WordMoves.reverse_triple][(1, 0, 2)]
     # The no-op expansion cannot reverse (1, 0, 2): the lemma proved by the
     # real one must not be cited for it.
     monkeypatch.setattr(WordMoves, "reverse_triple", lambda self, q: None)
-    assert _REVERSALS.table(2) == {}
+    assert REVERSALS.table() == {}
     expected = replay_outcome(expanding_replay_certificate, cert)
     assert expected[1] == [1, 0, 2]
     assert replay_outcome(replay_certificate, cert) == expected
-    assert _REVERSALS.table(2) == {(1, 0, 2): ()}
+    assert REVERSALS.table() == {(1, 0, 2): ()}
     monkeypatch.undo()
-    assert _REVERSALS.table(2) == proved[(WordMoves.reverse_triple, 2)]
+    assert REVERSALS.table() == proved[WordMoves.reverse_triple]
 
 
 def test_the_table_never_holds_more_than_the_cap(monkeypatch):
     cert = rewrite_to_identity(random_relation_indices(random.Random(12), 5, 400), 5)
     assert len({s.payload for s in cert.steps if s.rule == RULE_REVERSE}) > 3 * 5
-    monkeypatch.setattr(presentation, "LEMMA_CAP", 5)
-    _REVERSALS.clear()
+    monkeypatch.setattr(moves, "LEMMA_CAP", 5)
+    REVERSALS.clear()
     sizes = []
     for _ in replay_certificate(cert):
-        assert _REVERSALS.size == sum(map(len, _REVERSALS.tables.values()))
-        sizes.append(_REVERSALS.size)
+        assert REVERSALS.size == sum(map(len, REVERSALS.tables.values()))
+        sizes.append(REVERSALS.size)
     assert max(sizes) == 5 and sum(b < a for a, b in zip(sizes, sizes[1:])) > 1  # emptied twice or more
     assert replay_outcome(replay_certificate, cert) == replay_outcome(expanding_replay_certificate, cert)
 
 
 @pytest.mark.parametrize("lookalike", [True, 1.0])
 def test_lookalike_triples_never_read_or_write_the_table(lookalike):
-    _REVERSALS.clear()
+    REVERSALS.clear()
     lookalike_only = one_reversal((lookalike, 0, 2, 1), 0)
     error = (DomainError, f"(0, {lookalike!r}, 2) does not name an elementary loop")
     assert replay_outcome(replay_certificate, lookalike_only) == error
     assert lemma_snapshot() == {}  # not written
     assert replay_certificate(one_reversal((1, 0, 2), 0))[-1] == [2, 0, 1]
-    assert list(_REVERSALS.table(2)) == [(1, 0, 2)] and _REVERSALS.table(2)[(1, 0, 2)]
+    assert list(REVERSALS.table()) == [(1, 0, 2)] and REVERSALS.table()[(1, 0, 2)]
     warmed = lemma_snapshot()
     assert replay_outcome(replay_certificate, lookalike_only) == error  # (1, 0, 2) -> True not read
     assert lemma_snapshot() == warmed

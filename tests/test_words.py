@@ -90,6 +90,13 @@ def test_random_word_letters_are_members(baby2):
     validate_word(baby2, w)
 
 
+def test_a_seeded_random_word_is_pinned(baby2):
+    # The words behind ``oracle-compare --seed`` must not change unnoticed.
+    w = random_word(random.Random(7), baby2, 6)
+    assert w.letters == (root(-1, 2, -4), root(1, -4, 1), root(1, -2, -3),
+                         root(1, 3, -4), root(1, 4, 2), root(1, -4, -1))
+
+
 def test_random_relation_indices_are_relations(baby2_base):
     rng = random.Random(11)
     for _ in range(50):

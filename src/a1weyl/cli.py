@@ -286,7 +286,7 @@ def _cmd_center(args, base):
 def _cmd_oracle(args, base):
     import random
 
-    from . import hyperbolic, weyl, words
+    from . import hyperbolic, words
 
     if args.n < 0 or args.max_len < 0:
         raise DomainError(f"--n and --len must be non-negative, got {args.n} and {args.max_len}")
@@ -294,13 +294,7 @@ def _cmd_oracle(args, base):
     rng = random.Random(args.seed)
     mismatches = 0
     for _ in range(args.n):
-        word = words.random_word(rng, s, rng.randint(0, args.max_len))
-        elem = weyl.eval_word(word)
-        if weyl.matrix_of_element_w(elem) != weyl.matrix_of_word_w(word):
-            mismatches += 1
-            continue
-        helem = hyperbolic.eval_word_hyp(word)
-        if hyperbolic.matrix_of_element_hyp(helem) != hyperbolic.matrix_of_word(word):
+        if not hyperbolic.oracles_agree(words.random_word(rng, s, rng.randint(0, args.max_len))):
             mismatches += 1
     return {"n": args.n, "mismatches": mismatches}, [f"{mismatches} mismatches in {args.n} words"]
 

@@ -253,14 +253,16 @@ class _Tracer(WordMoves):
 
     Only ``WordMoves.apply`` and the expansion's own recursion call
     :meth:`reverse_triple`, always with an ``int`` ``q >= 0`` and a full
-    triple.  A tracer's letters are exact ``int``s in ``0..nu``
-    (``to_indices``, ``Word.from_indices``, ``move_block``), so each triple
-    is a sound key of the shared table, which a look-alike such as
-    ``(True, 0, 2)`` would corrupt for ``(1, 0, 2)``.
+    triple.  The tracer keeps its rank because it walks each block over
+    ``baby_base(rank)``, and that walk refuses a letter above the rank.  So
+    a tracer's letters are exact ``int``s in ``0..rank`` (``to_indices``,
+    ``Word.from_indices``, ``move_block``), and each triple is a sound key
+    of the shared table, which a look-alike such as ``(True, 0, 2)`` would
+    corrupt for ``(1, 0, 2)``.
     """
 
     def __init__(self, indices: Sequence[int], path: Path):
-        super().__init__(indices, path.rank)
+        super().__init__(indices)
         self.at = list(reversed(path.simplices))
         self.crumbs = baby_base(path.rank)
         self.blocks: dict[tuple[int, ...], Word] = {}
@@ -360,8 +362,8 @@ def replay_trace(trace: MoveTrace, upto: int | None = None) -> Path:
     through the tracer would.  The path is the tracer's own ``at`` read
     forwards: no second walk of the final word.
     """
-    moves = trace.moves
-    require_sequence(moves, "trace moves")
+    require_sequence(trace.moves, "trace moves")
+    moves = tuple(trace.moves)  # indexed and sliced per move; a deque cannot be sliced
     n = len(moves)
     if upto is None:
         upto = n

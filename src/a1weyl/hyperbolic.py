@@ -173,6 +173,14 @@ def matrix_of_element_hyp(h: HyperbolicElement) -> Mat:
     return tuple(tuple(r) for r in rows)
 
 
+def oracles_agree(word: Word) -> bool:
+    """Whether both canonical forms of ``word`` equal their matrix oracles (``W``, then the extension)."""
+    return (
+        weyl.matrix_of_element_w(weyl.eval_word(word)) == weyl.matrix_of_word_w(word)
+        and matrix_of_element_hyp(eval_word_hyp(word)) == matrix_of_word(word)
+    )
+
+
 def preserves_gram(mat: Mat, rank: int) -> bool:
     g = gram_matrix(rank)
     n = len(g)

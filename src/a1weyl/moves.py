@@ -1,20 +1,18 @@
-"""Elementary moves on a word over ``g_0..g_nu``, and the table of proved triple reversals.
+"""Elementary moves on a word, and the table of proved triple reversals.
 
 A reversal ``g_a g_b g_c -> g_c g_b g_a`` is realised once per process for
 each distinct letter triple, keyed by expansion, and then cited, as a lemma.
-Every move of ``reverse_triple(q)`` is at an offset >= 0 from ``q``, and it
-inserts only ``g_0`` and the triple's own letters, so its run is the same at
-every ``nu >= max(triple)`` and fails below; every caller's letters are at
-most its ``nu``, so the lemma is proved at ``nu = max(triple)``.  So if the
-expansion succeeds on the isolated word ``[a, b, c]``, each of its deletes
-read only letters of the triple or letters the expansion had inserted, and
-it succeeds with the same moves at any position of any word holding that
-triple, leaving ``c b a`` there.  That fact depends on the triple and on the
-expansion code alone, not on the certificate, so every replay in the process
-may cite it: one table, keyed by the function ``WordMoves.reverse_triple``,
-serves certificate replay, loop tracing and trace replay (the ``geometry``
-module docstring), and a patched or replaced expansion starts with no
-lemmas.  It holds each lemma as the script of the isolated run
+Every move of ``reverse_triple(q)`` is at an offset >= 0 from ``q``, and
+whether a move applies depends on its block and the word alone, not on a
+rank.  So if the expansion succeeds on the isolated word ``[a, b, c]``, each
+of its deletes read only letters of the triple or letters the expansion had
+inserted, and it succeeds with the same moves at any position of any word
+holding that triple, leaving ``c b a`` there.  That fact depends on the
+triple and on the expansion code alone, not on the certificate, so every
+replay in the process may cite it: one table, keyed by the function
+``WordMoves.reverse_triple``, serves certificate replay, loop tracing and
+trace replay (the ``geometry`` module docstring), and a patched or replaced
+expansion starts with no lemmas.  It holds each lemma as the script of the isolated run
 (:class:`Script`), read from the run's words alone (only the triple's
 nonzero letters occur in them), so a proof costs the same however large its
 letters.  The hull rule: every entry of every word the run passes through
@@ -44,9 +42,10 @@ RULE_DELETE = "delete-relator"
 
 
 def require_sequence(value: object, what: str) -> None:
-    """Raise ``DomainError`` naming ``what`` unless ``value`` has a length, as a tuple or a list has."""
+    """Raise ``DomainError`` naming ``what`` unless ``value`` has a length and iterates, as a tuple does."""
     try:
         len(value)
+        iter(value)
     except TypeError:
         raise DomainError(f"{what} {value!r} is not a sequence") from None
 
@@ -65,21 +64,21 @@ def move_block(gens: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class WordMoves:
-    """A live word over ``g_0..g_nu`` changed only by elementary moves.
+    """A live word changed only by elementary moves.
 
     A move inserts or deletes the block of one relator (:func:`move_block`)
     at an ``int`` position; a move that does not apply raises
-    ``DomainError``.  Inserted letters must not exceed ``g_nu``.
+    ``DomainError``.  Whether it applies depends on the block and the word
+    alone: a caller with a bounded alphabet bounds the letters itself.
     """
 
-    def __init__(self, indices: Sequence[int], nu: int):
+    def __init__(self, indices: Sequence[int]):
         self.word = list(indices)
-        self.nu = nu
 
     def insert(self, pos: int, gens: tuple[int, ...]) -> tuple[int, ...]:
         block = move_block(gens)
         n = len(self.word)
-        if not (type(pos) is int and 0 <= pos <= n) or max(block) > self.nu:
+        if not (type(pos) is int and 0 <= pos <= n):
             raise DomainError(f"cannot insert {block} at {pos!r} into a word of length {n}")
         self.word[pos:pos] = block
         return block
@@ -176,8 +175,8 @@ class WordMoves:
 class _Recorder(WordMoves):
     """``WordMoves`` that records each move as ``(kind, pos, gens)`` and each word it leaves."""
 
-    def __init__(self, indices: Sequence[int], nu: int):
-        super().__init__(indices, nu)
+    def __init__(self, indices: Sequence[int]):
+        super().__init__(indices)
         self.moves: list[tuple[str, int, tuple[int, ...]]] = []
         self.words = [tuple(indices)]
 
@@ -225,9 +224,9 @@ def _entries(word: tuple[int, ...], column: dict[int, int]) -> list[tuple[tuple[
 
 
 def _script_alone(triple: tuple[int, int, int]) -> Script | tuple[()]:
-    """The script of ``reverse_triple(0)`` on the isolated ``triple`` at ``nu = max(triple)``, or ``()``."""
+    """The script of ``reverse_triple(0)`` on the isolated ``triple``, or ``()``."""
     a, b, c = triple
-    run = _Recorder(triple, max(triple))
+    run = _Recorder(triple)
     try:
         run.reverse_triple(0)
     except DomainError:
@@ -262,7 +261,7 @@ LEMMA_CAP = 1 << 16  # scripts held at most by the table, over every key
 class _LemmaTable:
     """The scripts proved in this process, one table per expansion ``WordMoves.reverse_triple``.
 
-    Callers pass triples of exact ``int`` letters only, none above their ``nu``.
+    Callers pass triples of exact ``int`` letters only.
     """
 
     def __init__(self) -> None:

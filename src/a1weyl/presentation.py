@@ -29,9 +29,9 @@ reversals until a pair appears, and cancel that cascade.  The rewriter finds
   cover ``c - 5 .. c + 2``; a search reads only the window.
 
 So a cancellation or a bubble step reads O(1) letters, and the certificate
-is the one a rescan from position 0 after every change would give.  A macro
-runs on local variables (the word, its step list, the four window bounds)
-and writes the windows back once.
+is the one a rescan from position 0 after every change would give.  One
+function runs every macro, keeping the word, the steps, the macro spans and
+the four window bounds in local variables from the first macro to the last.
 """
 
 from __future__ import annotations
@@ -65,11 +65,17 @@ class Presentation:
     def __post_init__(self) -> None:
         if self.target not in (TARGET_W, TARGET_WT):
             raise DomainError(f"unknown target group {self.target!r}")
+        # The fields as presentation_from_dict reads them: exact ints, the relators as tuples.
+        fields = {"relators": self.relators, "truncated_at": self.truncated_at}
+        relators = json_ints(fields, "relators", 2, "presentation")
+        if self.truncated_at is not None:
+            json_ints(fields, "truncated_at", 0, "presentation")
         n = len(self.generators)
-        for rel in self.relators:
+        for rel in relators:
             for g in rel:
                 if not 0 <= g < n:
                     raise DomainError(f"relator index {g} out of range for {n} generators")
+        object.__setattr__(self, "relators", relators)
 
 
 def presentation_to_dict(p: Presentation) -> dict:
@@ -84,13 +90,10 @@ def presentation_to_dict(p: Presentation) -> dict:
 def presentation_from_dict(data: dict) -> Presentation:
     """The inverse of :func:`presentation_to_dict`; a malformed field is a ``DomainError``."""
     relators = json_ints(data, "relators", 2, "presentation")
-    truncated_at = data.get("truncated_at")
-    if truncated_at is not None:
-        truncated_at = json_ints(data, "truncated_at", 0, "presentation")
     labels = data.get("generators")
     if not isinstance(labels, list) or any(type(g) is not str for g in labels):
         raise DomainError(f"presentation field 'generators': {labels!r} is not an array of strings")
-    return Presentation(tuple(labels), relators, data.get("target"), truncated_at)
+    return Presentation(tuple(labels), relators, data.get("target"), data.get("truncated_at"))
 
 
 def presentation_alternating(pool: Sequence, kmax: int) -> Presentation:
@@ -295,8 +298,8 @@ class ReplayedCertificate:
     """The words a replayed certificate passes through, rebuilt on demand.
 
     ``replay_certificate`` runs the checked replay of :meth:`_live` once before
-    it returns this view, which keeps the certificate, ``nu`` and the final
-    word only.  Entry ``k`` is the word after ``k`` steps, a fresh
+    it returns this view, which keeps the certificate and the final word
+    only.  Entry ``k`` is the word after ``k`` steps, a fresh
     ``list[int]``: the final word is copied, any other entry (and iteration)
     replays the steps again from the start, with the same checks, citing
     the process's lemma table (the ``moves`` module docstring).  Negative
@@ -308,9 +311,8 @@ class ReplayedCertificate:
 
     __reversed__ = None
 
-    def __init__(self, cert: RewriteCertificate, nu: int):
+    def __init__(self, cert: RewriteCertificate):
         self.cert = cert
-        self.nu = nu
         self._final: list[int] = []
 
     def __len__(self) -> int:
@@ -329,7 +331,7 @@ class ReplayedCertificate:
         Step lengths must be exact ``int``s, and an entry without the fields
         of a ``RewriteStep`` is a ``DomainError`` naming it.
         """
-        moves = WordMoves(self.cert.start, self.nu)
+        moves = WordMoves(self.cert.start)
         word = moves.word  # changed in place by every move
         scripts = REVERSALS.table()
         yield word
@@ -394,12 +396,10 @@ def replay_certificate(cert: RewriteCertificate) -> ReplayedCertificate:
     expanded into relator moves once per process for each distinct triple
     of ``int`` letters and cited after that as one swap, by this call and
     every later one (the lemmas of the ``moves`` module docstring); the
-    call accepts and rejects what expanding every reversal would.  Replay
-    inserts only ``g_0`` and letters already in the word, so the largest
-    ``int`` start letter bounds what it may insert.  A step that does not
-    apply, a length that is not an ``int`` or does not chain, a
-    ``final_empty`` that is not a ``bool``, or a claimed empty word that is
-    not reached raises ``DomainError`` here, before anything is returned.
+    call accepts and rejects what expanding every reversal would.  A step
+    that does not apply, a length that is not an ``int`` or does not chain,
+    a ``final_empty`` that is not a ``bool``, or a claimed empty word that
+    is not reached raises ``DomainError`` here, before anything is returned.
     No intermediate word is stored, so memory is O(word length); the
     returned :class:`ReplayedCertificate` rebuilds the words when they are
     read.
@@ -408,7 +408,7 @@ def replay_certificate(cert: RewriteCertificate) -> ReplayedCertificate:
         raise DomainError(f"final_empty {cert.final_empty!r} is not a bool")
     require_sequence(cert.start, "certificate start")
     require_sequence(cert.steps, "certificate steps")
-    view = ReplayedCertificate(cert, max((g for g in cert.start if type(g) is int), default=0))
+    view = ReplayedCertificate(cert)
     for word in view._live():
         pass
     if cert.final_empty and word:
@@ -417,44 +417,35 @@ def replay_certificate(cert: RewriteCertificate) -> ReplayedCertificate:
     return view
 
 
-class _Rewriter:
-    """One run of the macro strategy: the live word, its steps, and two windows.
+def _reduce(indices: Sequence[int]) -> tuple[list[RewriteStep], list[tuple[int, int, str]]]:
+    """Run the macro strategy on a relation word to the empty word: its steps and macro spans.
 
-    No adjacent equal pair starts outside ``[lo, hi)``, and no relator block
-    starts outside ``[rlo, rhi)``.  Every cut and every reversal widens them
-    by the starts it can affect, and a search that finds nothing empties its
-    window, so a search reads only where a pair or a block can be new.
+    A macro cancels the leftmost pair until none is left (the cascade); if
+    none was, it deletes the leftmost block ``0 i j 0 i j`` (``1 <= i < j``,
+    and :func:`rewrite_to_identity` has checked every letter against ``nu``);
+    if none is, it bubbles.  No adjacent equal pair starts outside
+    ``[lo, hi)``, and no relator block starts outside ``[rlo, rhi)``.  A
+    search that finds something at ``q`` sets its scan floor to ``q``, and
+    one that finds nothing empties its window.  Both cuts, of 2 or 6 letters
+    at ``q``, take one block: a new pair or block can only cross the seam at
+    ``q``, and the windows widen by the starts the cut can affect.
+
+    A bubble starts on a word with no pairs, so reversing ``word[c:c+3]``
+    can pair only at ``c - 1`` or ``c + 2``; the first pair it makes ends
+    it, and the cascade cancels that pair and all it unlocks.  Letters of
+    a relation word split evenly between even and odd positions, so the
+    partner (the first odd position holding the first letter) exists and
+    the moving letter pairs with it at the latest when it arrives next to
+    it: running off the end of the word means the word was no relation.
     """
-
-    def __init__(self, indices: Sequence[int], nu: int):
-        self.word = list(indices)
-        self.nu = nu
-        self.steps: list[RewriteStep] = []
-        self.lo, self.hi = 0, len(self.word)
-        self.rlo, self.rhi = 0, len(self.word)
-
-    def macro(self) -> str:
-        """Run one macro, appending its steps; returns the kind.
-
-        Cancel the leftmost pair until none is left (the cascade); if none
-        was, delete the leftmost block ``0 i j 0 i j`` (``1 <= i < j <= nu``);
-        if none is, bubble.  A search that finds something at ``q`` sets its
-        scan floor to ``q``, and both cuts, of 2 or 6 letters at ``q``, take
-        one block: a new pair or block can only cross the seam at ``q``.
-
-        A bubble starts on a word with no pairs, so reversing ``word[c:c+3]``
-        can pair only at ``c - 1`` or ``c + 2``; the first pair it makes ends
-        it, and the cascade cancels that pair and all it unlocks.  Letters of
-        a relation word split evenly between even and odd positions, so the
-        partner (the first odd position holding the first letter) exists and
-        the moving letter pairs with it at the latest when it arrives next to
-        it: running off the end of the word means the word was no relation.
-        The windows live in locals and are written back once, at the end.
-        """
-        word, nu, append = self.word, self.nu, self.steps.append
-        n = start = len(word)
-        lo, hi, rlo, rhi = self.lo, self.hi, self.rlo, self.rhi
-        kind = MACRO_CANCEL
+    word = list(indices)
+    steps: list[RewriteStep] = []
+    append = steps.append
+    macros: list[tuple[int, int, str]] = []
+    n = len(word)
+    lo, hi, rlo, rhi = 0, n, 0, n
+    while n:
+        first, start, kind = len(steps), n, MACRO_CANCEL
         while True:
             q, end = lo, (hi if hi < n else n - 1)
             while q < end and word[q] != word[q + 1]:
@@ -468,13 +459,7 @@ class _Rewriter:
                     break
                 for q in range(rlo, rhi if rhi < n - 5 else n - 5):
                     i, j = word[q + 1], word[q + 2]
-                    if (
-                        word[q] == 0
-                        and word[q + 3] == 0
-                        and word[q + 4] == i
-                        and word[q + 5] == j
-                        and 1 <= i < j <= nu
-                    ):
+                    if word[q] == 0 and word[q + 3] == 0 and word[q + 4] == i and word[q + 5] == j and 1 <= i < j:
                         rlo = q  # the scan found no block before q
                         rule, m, payload, kind = RULE_DELETE, 6, tuple(word[q : q + 6]), MACRO_DELETE
                         break
@@ -520,8 +505,8 @@ class _Rewriter:
                 rhi = q + 1
             if m == 6:  # a relator deletion ends its macro
                 break
-        self.lo, self.hi, self.rlo, self.rhi = lo, hi, rlo, rhi
-        return kind
+        macros.append((first, len(steps), kind))
+    return steps, macros
 
 
 def rewrite_to_identity(indices: Sequence[int], nu: int) -> RewriteCertificate:
@@ -552,10 +537,5 @@ def rewrite_to_identity(indices: Sequence[int], nu: int) -> RewriteCertificate:
     even = Counter(itertools.islice(indices, 0, None, 2))
     if even != Counter(itertools.islice(indices, 1, None, 2)):
         raise DomainError("the word is not a relation, no reduction certificate exists")
-    rewriter = _Rewriter(indices, nu)
-    macros: list[tuple[int, int, str]] = []
-    while rewriter.word:
-        start = len(rewriter.steps)
-        kind = rewriter.macro()
-        macros.append((start, len(rewriter.steps), kind))
-    return RewriteCertificate(tuple(indices), tuple(rewriter.steps), tuple(macros), True)
+    steps, macros = _reduce(indices)
+    return RewriteCertificate(tuple(indices), tuple(steps), tuple(macros), True)

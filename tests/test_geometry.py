@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import random
@@ -431,7 +432,7 @@ def reference_path_of_word(word: Word, base: Simplex) -> Path:
 
 class ReferenceTracer(WordMoves):
     def __init__(self, indices: Sequence[int], path: Path):
-        super().__init__(indices, path.rank)
+        super().__init__(indices)
         self.at = list(reversed(path.simplices))
         self.roots = baby_base(path.rank).roots
         self.moves: list[Move] = []
@@ -903,6 +904,33 @@ def test_a_trace_field_that_is_not_a_sequence_is_a_domain_error(start, moves, fi
     # both raised TypeError
     with pytest.raises(DomainError, match=rf"^trace {field} None is not a sequence$"):
         replay_trace(MoveTrace(start, base_simplex(2), moves, ()))
+
+
+class LengthOnly:
+    """A length and nothing to iterate."""
+
+    def __len__(self) -> int:
+        return 2
+
+
+def test_a_trace_start_that_cannot_be_iterated_is_a_domain_error():
+    # raised TypeError
+    with pytest.raises(DomainError, match=r"^trace start <.*> is not a sequence$"):
+        replay_trace(MoveTrace(LengthOnly(), base_simplex(2), (), ()))
+
+
+def test_a_deque_of_moves_replays_as_the_same_moves_in_a_tuple(baby2_base):
+    # The cited runs were sliced out of the moves, which a deque refused with TypeError.
+    trace = reduce_loop(path_of_word(Word.from_indices(baby2_base, WORKED_LOOP), base_simplex(2)))
+    queued = dataclasses.replace(trace, moves=collections.deque(trace.moves))
+    for upto in (None, 0, *(b for _, b, _ in trace.macros)):
+        assert replay_trace(queued, upto) == replay_trace(trace, upto)
+
+
+def test_a_forged_insert_above_the_rank_is_refused_by_the_walk():
+    b = base_simplex(2)
+    with pytest.raises(DomainError, match=r"^generator index 7 out of range 0\.\.2$"):
+        replay_trace(MoveTrace((1, 1, 2, 2), b, (Move("insert", 0, (7,), b),), ()))
 
 
 # --- cancellations spliced in place: the tracing loop they replaced is the reference ---

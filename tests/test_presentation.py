@@ -45,7 +45,7 @@ from a1weyl.presentation import (
     ReplayedCertificate,
     RewriteCertificate,
     RewriteStep,
-    _Rewriter,
+    _reduce,
     certificate_to_dict,
 )
 from a1weyl.words import random_relation_indices
@@ -305,6 +305,24 @@ def test_presentation_json_takes_only_json_integers(data, field):
         presentation_from_dict(data)
 
 
+@pytest.mark.parametrize("relators, truncated_at, field", [
+    (((1.5, 1),), None, "relators"),  # verify_presentation raised TypeError on it
+    (((True, 1),), None, "relators"),
+    ((5,), None, "relators"),  # was TypeError
+    (((1, 1),), 2.5, "truncated_at"),
+])
+def test_a_presentation_refuses_look_alike_fields(relators, truncated_at, field):
+    with pytest.raises(DomainError, match=f"presentation field '{field}'"):
+        Presentation(("g0", "g1"), relators, "W", truncated_at)
+
+
+def test_a_presentation_keeps_its_relators_as_tuples():
+    p = Presentation(("g0", "g1"), [[1, 1], (0, 0)], "W")
+    assert p.relators == ((1, 1), (0, 0))
+    assert p == Presentation(("g0", "g1"), ((1, 1), (0, 0)), "W")
+    assert hash(p) == hash(Presentation(("g0", "g1"), ((1, 1), (0, 0)), "W"))
+
+
 class TestReplayCertificateRejectsTampering:
     """Replay accepts only steps it can realise by relator moves on the live word."""
 
@@ -361,7 +379,7 @@ class TestReplayCertificateRejectsTampering:
 @pytest.mark.parametrize("nu", [2, 3])
 def test_every_reduced_triple_reverses_by_relator_moves(nu):
     for a, b, c in itertools.product(range(nu + 1), repeat=3):
-        moves = WordMoves((1, a, b, c, 2), nu)
+        moves = WordMoves((1, a, b, c, 2))
         if a == b or b == c:
             if a != c:
                 with pytest.raises(DomainError):
@@ -369,6 +387,28 @@ def test_every_reduced_triple_reverses_by_relator_moves(nu):
             continue
         moves.reverse_triple(1)
         assert moves.word == [1, c, b, a, 2]
+
+
+@pytest.mark.parametrize("suffix", [(), (0,), (1, 2), (-1,)])
+def test_a_reversal_applies_by_its_letters_alone(suffix):
+    # No rank bounds a reversal: it moves distinct neighbours >= 0, leaves a == c, and refuses the rest.
+    for a, b, c in itertools.product(range(-2, 4), repeat=3):
+        moves = WordMoves((a, b, c, *suffix))
+        if a == c:
+            moves.reverse_triple(0)
+            assert moves.word == [a, b, c, *suffix]
+        elif min(a, b, c) >= 0 and a != b != c:
+            moves.reverse_triple(0)
+            assert moves.word == [c, b, a, *suffix]
+        else:
+            with pytest.raises(DomainError):
+                moves.reverse_triple(0)
+
+
+def test_a_reversal_of_negative_letters_does_not_replay():
+    step = RewriteStep(RULE_REVERSE, 0, (-1, -2, -3), 3, 3)
+    with pytest.raises(DomainError):
+        replay_certificate(RewriteCertificate((-1, -2, -3), (step,), ((0, 1, MACRO_BUBBLE),), False))
 
 
 def test_move_block_names_only_the_relators():
@@ -407,13 +447,13 @@ def test_delete_equals_the_delete_through_move_block(letters, pos, gens):
         except DomainError as exc:
             return str(exc), word
 
-    moves = WordMoves(letters, 2)
+    moves = WordMoves(letters)
     assert run(lambda word, pos, gens: moves.delete(pos, gens), moves.word) == run(reference_delete, list(letters))
 
 
 def test_a_square_delete_at_the_last_letter_is_a_block_absent_domain_error():
     with pytest.raises(DomainError, match="block absent"):
-        WordMoves([1, 2, 1], 2).delete(2, (1,))
+        WordMoves([1, 2, 1]).delete(2, (1,))
     cert = RewriteCertificate((1, 2, 1), (RewriteStep(RULE_CANCEL, 2, (1,), 3, 1),), ((0, 1, MACRO_CANCEL),), False)
     with pytest.raises(DomainError, match="block absent"):
         replay_certificate(cert)
@@ -585,14 +625,14 @@ def test_certificates_with_relators_equal_the_rescan_rewriters(case):
 
 def test_a_bubble_without_partner_is_an_internal_check_error():
     with pytest.raises(InternalCheckError):
-        _Rewriter((1, 2, 1, 3), 3).macro()  # not a relation: g1 has no odd-position partner
+        _reduce((1, 2, 1, 3))  # not a relation: g1 has no odd-position partner
 
 
 def test_a_bubble_that_reaches_the_end_of_the_word_is_an_internal_check_error():
     # The reversal at 0 leaves c + 3 == n, so the pair check after it must
     # not read word[c + 3]; the next triple then runs off the end.
     with pytest.raises(InternalCheckError):
-        _Rewriter((1, 2, 3), 3).macro()
+        _reduce((1, 2, 3))
 
 
 def test_a_relator_made_five_letters_before_a_cut_is_deleted():
@@ -659,7 +699,7 @@ def eager_replay(cert: RewriteCertificate) -> list[list[int]]:
     ``g_0`` and letters already in the word, so the largest ``int`` start
     letter bounds what it may insert.
     """
-    moves = WordMoves(cert.start, max((g for g in cert.start if type(g) is int), default=0))
+    moves = WordMoves(cert.start)
     word = moves.word  # changed in place by every move
     states = [word[:]]
     for step in cert.steps:
@@ -778,7 +818,7 @@ def test_replay_view_reads_backwards_by_a_slice_only():
 class ExpandingReplayedCertificate(ReplayedCertificate):
     def _live(self) -> Iterator[list[int]]:
         """The one live word after 0, 1, 2, ... checked steps; callers copy what they keep."""
-        moves = WordMoves(self.cert.start, self.nu)
+        moves = WordMoves(self.cert.start)
         word = moves.word  # changed in place by every move
         yield word
         for step in self.cert.steps:
@@ -802,7 +842,7 @@ def expanding_replay_certificate(cert: RewriteCertificate) -> ReplayedCertificat
     is stored, so memory is O(word length); the returned
     :class:`ReplayedCertificate` rebuilds the words when they are read.
     """
-    view = ExpandingReplayedCertificate(cert, max((g for g in cert.start if type(g) is int), default=0))
+    view = ExpandingReplayedCertificate(cert)
     for word in view._live():
         pass
     if cert.final_empty and word:
@@ -1104,6 +1144,25 @@ def test_a_certificate_field_that_is_not_a_sequence_is_a_domain_error(start, ste
     cert = RewriteCertificate(start, steps, (), True)
     with pytest.raises(DomainError, match=rf"^certificate {field} None is not a sequence$"):
         replay_certificate(cert)
+
+
+class LengthOnly:
+    """A length and nothing to iterate."""
+
+    def __len__(self) -> int:
+        return 2
+
+
+def test_indices_that_cannot_be_iterated_are_a_domain_error():
+    with pytest.raises(DomainError, match=r"^word indices <.*> is not a sequence$"):
+        rewrite_to_identity(LengthOnly(), 2)
+
+
+@pytest.mark.parametrize("start, steps, field", [(LengthOnly(), (), "start"), ((1, 1), LengthOnly(), "steps")])
+def test_a_certificate_field_that_cannot_be_iterated_is_a_domain_error(start, steps, field):
+    # both raised TypeError
+    with pytest.raises(DomainError, match=rf"^certificate {field} <.*> is not a sequence$"):
+        replay_certificate(RewriteCertificate(start, steps, (), False))
 
 
 @pytest.mark.parametrize("before_len, after_len", [(2.0, 0.0), (2, False), (2.0, 0), (2, 0.0), (True, 0)])

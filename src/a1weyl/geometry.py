@@ -254,27 +254,19 @@ class _Tracer(WordMoves):
     Only ``WordMoves.apply`` and the expansion's own recursion call
     :meth:`reverse_triple`, always with an ``int`` ``q >= 0`` and a full
     triple.  The tracer keeps its rank because it walks each block over
-    ``baby_base(rank)``, and that walk refuses a letter above the rank.  So
-    a tracer's letters are exact ``int``s in ``0..rank`` (``to_indices``,
-    ``Word.from_indices``, ``move_block``), and each triple is a sound key
-    of the shared table, which a look-alike such as ``(True, 0, 2)`` would
-    corrupt for ``(1, 0, 2)``.
+    ``baby_base(rank)``, and that walk refuses a letter above the rank.
     """
 
     def __init__(self, indices: Sequence[int], path: Path):
         super().__init__(indices)
         self.at = list(reversed(path.simplices))
         self.crumbs = baby_base(path.rank)
-        self.blocks: dict[tuple[int, ...], Word] = {}
         self.moves: list[Move] = []
 
     def insert(self, pos: int, gens: tuple[int, ...]) -> Simplex:
         block = super().insert(pos, gens)
-        word = self.blocks.get(block)
-        if word is None:
-            word = self.blocks[block] = Word.from_indices(self.crumbs, block)
         base = self.at[pos]
-        self.at[pos:pos] = _walk(word, base)[:0:-1]
+        self.at[pos:pos] = _walk(Word.from_indices(self.crumbs, block), base)[:0:-1]
         self.moves.append(_move("insert", pos, gens, base))
         return base
 
@@ -411,8 +403,7 @@ def _cited_run(tracer: WordMoves, moves: Sequence[Move], k: int, end: int) -> in
     with exact types: the kind, an ``int`` pos,
     a ``tuple`` of ``int`` gens, and a ``Simplex`` base.  Replaying those
     moves one by one would then succeed and leave what :func:`_reverse_in_place`
-    leaves.  The live letters are exact ``int``s: ``Word.from_indices`` checked
-    the start, and ``move_block`` every inserted block.
+    leaves.
     """
     word, at = tracer.word, tracer.at
     p, first = moves[k].pos, moves[k].gens

@@ -1,29 +1,30 @@
 """Elementary moves on a word, and the table of proved triple reversals.
 
 A reversal ``g_a g_b g_c -> g_c g_b g_a`` is realised once per process for
-each distinct letter triple, keyed by expansion, and then cited, as a lemma.
-Every move of ``reverse_triple(q)`` is at an offset >= 0 from ``q``, and
-whether a move applies depends on its block and the word alone, not on a
-rank.  So if the expansion succeeds on the isolated word ``[a, b, c]``, each
-of its deletes read only letters of the triple or letters the expansion had
-inserted, and it succeeds with the same moves at any position of any word
-holding that triple, leaving ``c b a`` there.  That fact depends on the
-triple and on the expansion code alone, not on the certificate, so every
-replay in the process may cite it: one table, keyed by the function
-``WordMoves.reverse_triple``, serves certificate replay, loop tracing and
-trace replay (the ``geometry`` module docstring), and a patched or replaced
-expansion starts with no lemmas.  It holds each lemma as the script of the isolated run
+each distinct letter triple, keyed by the triple, and then cited, as a
+lemma.  Every move of ``reverse_triple(q)`` is at an offset >= 0 from
+``q``, and whether a move applies depends on its block and the word alone,
+not on a rank.  So if the expansion succeeds on the isolated word
+``[a, b, c]``, each of its deletes read only letters of the triple or
+letters the expansion had inserted, and it succeeds with the same moves at
+any position of any word holding that triple, leaving ``c b a`` there.
+That fact depends on the triple and on the expansion code alone, not on the
+certificate, so every replay in the process may cite it: one table,
+``REVERSALS``, serves certificate replay, loop tracing and trace replay
+(the ``geometry`` module docstring).  Whoever replaces
+``WordMoves.reverse_triple`` clears the table, whose lemmas are of the
+expansion replaced.  It holds each lemma as the script of the isolated run
 (:class:`Script`), read from the run's words alone (only the triple's
 nonzero letters occur in them), so a proof costs the same however large its
 letters.  The hull rule: every entry of every word the run passes through
 has each coordinate within the range of that coordinate over the four start
 entries.  A run that fails, moves nothing, does not end in ``c b a``, or
-breaks the rule gives no script.  A reversal with ``a == c`` moves nothing
-and is a swap without one.  An isolated failure proves nothing in context (a
-delete may match letters after the triple), so any other triple without a
-script is expanded in place at every step, as are triples of letters that
+breaks the rule gives no script.  An isolated failure proves nothing in
+context (a delete may match letters after the triple), so any triple
+without a script is expanded in place at every step.  The table's one
+reader, ``REVERSALS.script``, gives no script to a triple of letters that
 are not exactly ``int`` (``True`` and ``1.0`` hash like ``1`` but fail
-``move_block``); those never read or write the table.  At most
+``move_block``), and never reads or writes the table for it.  At most
 ``LEMMA_CAP`` scripts are held: proving one more first empties the table,
 which bounds its memory and only costs re-proving.
 """
@@ -255,38 +256,24 @@ def _script_alone(triple: tuple[int, int, int]) -> Script | tuple[()]:
     )
 
 
-LEMMA_CAP = 1 << 16  # scripts held at most by the table, over every key
+LEMMA_CAP = 1 << 16  # scripts held at most by the table
 
 
-class _LemmaTable:
-    """The scripts proved in this process, one table per expansion ``WordMoves.reverse_triple``.
-
-    Callers pass triples of exact ``int`` letters only.
-    """
-
-    def __init__(self) -> None:
-        self.tables: dict[object, dict[tuple[int, int, int], Script | tuple[()]]] = {}
-        self.size = 0
-
-    def clear(self) -> None:
-        self.tables.clear()
-        self.size = 0
-
-    def table(self) -> dict[tuple[int, int, int], Script | tuple[()]]:
-        """The scripts of the current expansion, to read only (an empty dict if none)."""
-        return self.tables.get(WordMoves.reverse_triple, {})
+class _Lemmas(dict):
+    """The scripts proved in this process: a triple's :class:`Script`, or ``()`` if it has none."""
 
     def script(self, triple: tuple[int, int, int]) -> Script | tuple[()]:
-        """The script of ``triple`` (``()`` for none), proved and recorded on a miss."""
-        script = self.table().get(triple)
+        """The script of ``triple``, proved and recorded on a miss; ``()`` unless its letters are exact ``int``s."""
+        a, b, c = triple
+        if not (type(a) is type(b) is type(c) is int):
+            return ()
+        script = self.get(triple)
         if script is None:
-            script = _script_alone(triple)
-            if self.size >= LEMMA_CAP:
+            if len(self) >= LEMMA_CAP:
                 self.clear()
-            self.tables.setdefault(WordMoves.reverse_triple, {})[triple] = script
-            self.size += 1
+            script = self[triple] = _script_alone(triple)
         return script
 
 
 # The one table of proved reversals, cited by certificate replay, loop tracing and trace replay.
-REVERSALS = _LemmaTable()
+REVERSALS = _Lemmas()

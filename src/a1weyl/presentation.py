@@ -322,18 +322,16 @@ class ReplayedCertificate:
         """The one live word after 0, 1, 2, ... checked steps; callers copy what they keep.
 
         A cancel goes straight to ``WordMoves.delete``, which splices a
-        ``g_k^2`` in place, and a reversal of ``int`` letters with a script,
-        or with ``a == c``, swaps ``word[q]`` and ``word[q + 2]``; any other
-        step goes through ``WordMoves.apply``, so each accepts and rejects
-        (with the same message) as the full expansion does.  The scripts are
-        read from the table the whole process shares, fetched once here for
-        the current expansion; a triple it lacks is proved once and added.
-        Step lengths must be exact ``int``s, and an entry without the fields
-        of a ``RewriteStep`` is a ``DomainError`` naming it.
+        ``g_k^2`` in place.  A reversal whose triple has a script in the
+        table the whole process shares (``REVERSALS.script``) swaps
+        ``word[q]`` and ``word[q + 2]``; any other reversal is expanded in
+        place, and any other step goes through ``WordMoves.apply``, so each
+        accepts and rejects (with the same message) as the full expansion
+        does.  Step lengths must be exact ``int``s, and an entry without the
+        fields of a ``RewriteStep`` is a ``DomainError`` naming it.
         """
         moves = WordMoves(self.cert.start)
         word = moves.word  # changed in place by every move
-        scripts = REVERSALS.table()
         yield word
         for k, step in enumerate(self.cert.steps):
             try:
@@ -351,14 +349,8 @@ class ReplayedCertificate:
             elif rule == RULE_REVERSE and len(payload) == 3 and (
                 (triple := tuple(word[q : q + 3])) == payload
             ):
-                a, b, c = triple
-                # Exact ints only: (True, 0, 2) hashes and compares like (1, 0, 2).
-                ok = type(a) is type(b) is type(c) is int and (a == c or scripts.get(triple))
-                if ok is None:
-                    ok = REVERSALS.script(triple)
-                    scripts = REVERSALS.table()
-                if ok:
-                    word[q], word[q + 2] = c, a
+                if REVERSALS.script(triple):
+                    word[q], word[q + 2] = word[q + 2], word[q]
                 else:
                     moves.reverse_triple(q)
             else:

@@ -93,11 +93,16 @@ def inverse(a: WeylElement) -> WeylElement:
 
 
 def power(a: WeylElement, k: int) -> WeylElement:
-    out = identity_element(a.rank)
-    step = a if k >= 0 else inverse(a)
-    for _ in range(abs(k)):
-        out = compose(out, step)
-    return out
+    """``a`` composed ``k`` times (its inverse ``-k`` times for ``k < 0``), in O(rank).
+
+    A translation (parity 1) gives ``k * shift``.  An element of parity -1
+    is an involution: ``a`` for odd ``k``, the identity for even ``k``.
+    """
+    if type(k) is not int:
+        raise DomainError(f"power exponent must be an int, got {k!r}")
+    if a.parity == 1:
+        return WeylElement(1, vec_scale(k, a.shift))
+    return a if k % 2 else identity_element(a.rank)
 
 
 def act_on_root(a: WeylElement, beta: Root) -> Root:

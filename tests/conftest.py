@@ -35,6 +35,21 @@ def time_limit():
     faulthandler.cancel_dump_traceback_later()
 
 
+@pytest.fixture
+def cold_lemmas():
+    """An empty table of proved reversals, emptied again when the test ends.
+
+    The table is keyed by the triple alone, so a test that patches
+    ``WordMoves.reverse_triple`` requests this after ``monkeypatch``: no
+    lemma proved by the patched expansion outlives the test.
+    """
+    from a1weyl.moves import REVERSALS
+
+    REVERSALS.clear()
+    yield REVERSALS
+    REVERSALS.clear()
+
+
 def root(sign, *coords):
     return Root(sign, tuple(coords))
 

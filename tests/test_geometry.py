@@ -810,19 +810,20 @@ def test_a_traced_loop_replays_every_reversal_as_a_cited_run(monkeypatch):
     assert inserted == []
 
 
-def test_a_patched_expansion_gets_no_cited_script(monkeypatch):
+def test_a_patched_expansion_gets_no_cited_script(monkeypatch, cold_lemmas):
     word = Word.from_indices(baby_base(2), WORKED_LOOP)
     trace = reduce_loop(path_of_word(word, base_simplex(2)))
-    assert any(REVERSALS.table().values())
-    # The no-op expansion cannot reverse a triple: the scripts of the real
-    # one must not be cited for it, in tracing or in replay.
+    assert any(REVERSALS.values())
+    # The no-op expansion cannot reverse a triple: once the table is
+    # cleared, no script is cited for it, in tracing or in replay.
     monkeypatch.setattr(WordMoves, "reverse_triple", lambda self, q: None)
-    assert REVERSALS.table() == {}
+    REVERSALS.clear()
     with pytest.raises(InternalCheckError):
         reduce_loop(path_of_word(word, base_simplex(2)))
     assert outcome(replay_trace, trace) == outcome(reference_replay_trace, trace)
-    assert not any(REVERSALS.table().values())
+    assert not any(REVERSALS.values())
     monkeypatch.undo()
+    REVERSALS.clear()
     assert reduce_loop(path_of_word(word, base_simplex(2))) == trace
 
 

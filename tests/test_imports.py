@@ -157,3 +157,27 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                 private += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
                             if alias.name.startswith("_")]
     assert not private, "private names imported across modules: " + ", ".join(private)
+
+
+def test_outside_moves_the_lemma_table_is_read_only_through_its_script_method():
+    """Every use of ``REVERSALS`` outside ``moves`` is an import or the receiver of ``.script(...)``."""
+    uses, other = 0, []
+    for path in sorted((SRC / "a1weyl").glob("*.py")):
+        if path.name == "moves.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        receivers = {id(node.func.value) for node in ast.walk(tree)
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                     and node.func.attr == "script"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias) and node.name == "REVERSALS":
+                uses += 1
+                if node.asname:
+                    other.append(f"{path.name}:{node.lineno} imported as {node.asname}")
+            elif (isinstance(node, ast.Name) and node.id == "REVERSALS"
+                  or isinstance(node, ast.Attribute) and node.attr == "REVERSALS"):
+                uses += 1
+                if id(node) not in receivers:
+                    other.append(f"{path.name}:{node.lineno}")
+    assert uses
+    assert not other, "REVERSALS used other than through .script(...): " + ", ".join(other)

@@ -696,8 +696,7 @@ def eager_replay(cert: RewriteCertificate) -> list[list[int]]:
 
     Every step is replayed as relator moves, so a certificate that replays
     proves its word trivial from the relators alone.  Replay inserts only
-    ``g_0`` and letters already in the word, so the largest ``int`` start
-    letter bounds what it may insert.
+    ``g_0`` and letters already in the word.
     """
     moves = WordMoves(cert.start)
     word = moves.word  # changed in place by every move
@@ -835,11 +834,10 @@ def expanding_replay_certificate(cert: RewriteCertificate) -> ReplayedCertificat
 
     Every step is replayed as relator moves, so a certificate that replays
     proves its word trivial from the relators alone.  Replay inserts only
-    ``g_0`` and letters already in the word, so the largest ``int`` start
-    letter bounds what it may insert.  A step that does not apply, a length
-    that does not chain, or a claimed empty word that is not reached raises
-    ``DomainError`` here, before anything is returned.  No intermediate word
-    is stored, so memory is O(word length); the returned
+    ``g_0`` and letters already in the word.  A step that does not apply, a
+    length that does not chain, or a claimed empty word that is not reached
+    raises ``DomainError`` here, before anything is returned.  No
+    intermediate word is stored, so memory is O(word length); the returned
     :class:`ReplayedCertificate` rebuilds the words when they are read.
     """
     view = ExpandingReplayedCertificate(cert)
@@ -973,7 +971,7 @@ def test_lookalike_letters_never_hit_the_int_lemma():
     (random_relation_indices(random.Random(11), 4, 300), 4),
     (random_relation_indices(random.Random(12), 5, 400), 5),
 ])
-def test_one_replay_expands_each_distinct_triple_at_most_once(monkeypatch, indices, nu):
+def test_one_replay_expands_each_distinct_triple_at_most_once(monkeypatch, cold_lemmas, indices, nu):
     cert = rewrite_to_identity(indices, nu)
     reversals = [s.payload for s in cert.steps if s.rule == RULE_REVERSE]
     assert len(reversals) > len(set(reversals))  # a replay that expands every step fails here
@@ -996,9 +994,10 @@ def test_one_replay_expands_each_distinct_triple_at_most_once(monkeypatch, indic
     assert expanded and max(expanded.values()) == 1
 
 
-def test_a_lemma_holds_only_if_the_expansion_gives_the_reversed_triple(monkeypatch):
+def test_a_lemma_holds_only_if_the_expansion_gives_the_reversed_triple(monkeypatch, cold_lemmas):
     assert REVERSALS.script((1, 0, 2))
     monkeypatch.setattr(WordMoves, "reverse_triple", lambda self, q: None)
+    REVERSALS.clear()
     assert REVERSALS.script((1, 0, 2)) == ()
     # (2, 1, 2) moves nothing, so it has no script either way and replay leaves it as it is.
     assert REVERSALS.script((2, 1, 2)) == ()
@@ -1009,7 +1008,7 @@ def test_a_lemma_holds_only_if_the_expansion_gives_the_reversed_triple(monkeypat
 
 
 def lemma_snapshot():
-    return {key: dict(table) for key, table in REVERSALS.tables.items()}
+    return dict(REVERSALS)
 
 
 def replay_every_triple(nu):
@@ -1032,7 +1031,7 @@ def test_a_warmed_table_replays_as_a_cleared_one_and_as_the_full_expansion(cert)
     assert replay_outcome(replay_certificate, cert) == expected
 
 
-def test_a_second_replay_expands_no_triple(monkeypatch):
+def test_a_second_replay_expands_no_triple(monkeypatch, cold_lemmas):
     cert = rewrite_to_identity(random_relation_indices(random.Random(11), 4, 300), 4)
     expanded = Counter()
     reverse_triple = WordMoves.reverse_triple
@@ -1050,7 +1049,7 @@ def test_a_second_replay_expands_no_triple(monkeypatch):
     assert not expanded
 
 
-def test_one_table_serves_certificate_replay_and_loop_tracing(monkeypatch):
+def test_one_table_serves_certificate_replay_and_loop_tracing(monkeypatch, cold_lemmas):
     cert = rewrite_to_identity(WORKED_LOOP, 2)
     assert any(s.rule == RULE_REVERSE for s in cert.steps)
     loop = path_of_word(Word.from_indices(baby_base(2), WORKED_LOOP), base_simplex(2))
@@ -1084,21 +1083,18 @@ def test_the_proof_of_a_reversal_does_not_grow_with_nu(big):
     assert replayed[1] == [big - 1, 0, big, big]
 
 
-def test_a_patched_expansion_starts_with_no_lemmas(monkeypatch):
+def test_a_patched_expansion_starts_with_no_lemmas(monkeypatch, cold_lemmas):
     cert = one_reversal((1, 0, 2), 0)
     assert replay_certificate(cert)[-1] == [2, 0, 1]
-    proved = lemma_snapshot()
-    assert proved[WordMoves.reverse_triple][(1, 0, 2)]
-    # The no-op expansion cannot reverse (1, 0, 2): the lemma proved by the
-    # real one must not be cited for it.
+    assert REVERSALS[(1, 0, 2)]
+    # The no-op expansion cannot reverse (1, 0, 2): once the table is
+    # cleared, it proves no lemma and replay expands every reversal.
     monkeypatch.setattr(WordMoves, "reverse_triple", lambda self, q: None)
-    assert REVERSALS.table() == {}
+    REVERSALS.clear()
     expected = replay_outcome(expanding_replay_certificate, cert)
     assert expected[1] == [1, 0, 2]
     assert replay_outcome(replay_certificate, cert) == expected
-    assert REVERSALS.table() == {(1, 0, 2): ()}
-    monkeypatch.undo()
-    assert REVERSALS.table() == proved[WordMoves.reverse_triple]
+    assert lemma_snapshot() == {(1, 0, 2): ()}
 
 
 def test_the_table_never_holds_more_than_the_cap(monkeypatch):
@@ -1108,8 +1104,7 @@ def test_the_table_never_holds_more_than_the_cap(monkeypatch):
     REVERSALS.clear()
     sizes = []
     for _ in replay_certificate(cert):
-        assert REVERSALS.size == sum(map(len, REVERSALS.tables.values()))
-        sizes.append(REVERSALS.size)
+        sizes.append(len(REVERSALS))
     assert max(sizes) == 5 and sum(b < a for a, b in zip(sizes, sizes[1:])) > 1  # emptied twice or more
     assert replay_outcome(replay_certificate, cert) == replay_outcome(expanding_replay_certificate, cert)
 
@@ -1122,10 +1117,23 @@ def test_lookalike_triples_never_read_or_write_the_table(lookalike):
     assert replay_outcome(replay_certificate, lookalike_only) == error
     assert lemma_snapshot() == {}  # not written
     assert replay_certificate(one_reversal((1, 0, 2), 0))[-1] == [2, 0, 1]
-    assert list(REVERSALS.table()) == [(1, 0, 2)] and REVERSALS.table()[(1, 0, 2)]
+    assert list(REVERSALS) == [(1, 0, 2)] and REVERSALS[(1, 0, 2)]
     warmed = lemma_snapshot()
     assert replay_outcome(replay_certificate, lookalike_only) == error  # (1, 0, 2) -> True not read
     assert lemma_snapshot() == warmed
+
+
+def test_the_reader_gives_lookalike_triples_no_script_and_leaves_the_table(cold_lemmas):
+    lookalikes = [(True, 0, 2), (1.0, 0, 2), (1, 0, False)]
+    for triple in lookalikes:
+        assert REVERSALS.script(triple) == ()
+        assert lemma_snapshot() == {}  # cold: not written
+    # Warm: each look-alike equals a triple that is held, with or without a script.
+    assert REVERSALS.script((1, 0, 2)) and REVERSALS.script((1, 0, 0)) == ()
+    warmed = lemma_snapshot()
+    for triple in lookalikes:
+        assert REVERSALS.script(triple) == ()
+        assert lemma_snapshot() == warmed
 
 
 @pytest.mark.parametrize("steps, k, entry", [

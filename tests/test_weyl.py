@@ -287,6 +287,40 @@ def test_translated_reflection_powers(a, sigma, k):
     assert lhs == rhs
 
 
+def repeated(a, k):
+    """``a`` composed with itself ``|k|`` times, inverted first for ``k < 0``."""
+    out = identity_element(a.rank)
+    for _ in range(abs(k)):
+        out = compose(out, a if k >= 0 else inverse(a))
+    return out
+
+
+@pytest.mark.parametrize("parity", [1, -1])
+@pytest.mark.parametrize("k", [-5, -4, -1, 0, 1, 2, 3, 6])
+def test_power_of_either_parity_matches_repeated_composition(parity, k):
+    a = WeylElement(parity, (1, -2))
+    assert power(a, k) == repeated(a, k)
+
+
+def test_power_of_a_huge_exponent_returns_at_once():
+    assert power(WeylElement(1, (1, 2)), 10**9) == WeylElement(1, (10**9, 2 * 10**9))
+    assert power(WeylElement(1, (1, 2)), -(10**9)) == WeylElement(1, (-(10**9), -2 * 10**9))
+    assert power(WeylElement(-1, (1, 2)), 10**9) == identity_element(2)
+    assert power(WeylElement(-1, (1, 2)), 10**9 + 1) == WeylElement(-1, (1, 2))
+
+
+def test_power_past_the_band_overflows():
+    with pytest.raises(OverflowError):
+        power(WeylElement(1, (0, 3)), 2**62)
+    assert power(WeylElement(-1, (0, 3)), 2**62) == identity_element(2)
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, True, "2", None])
+def test_power_of_a_non_int_exponent_is_a_domain_error(k):
+    with pytest.raises(DomainError, match="power exponent must be an int"):
+        power(WeylElement(1, (1, 2)), k)
+
+
 def test_matrix_oracle_seeded():
     rng = random.Random(0)
     for _ in range(1000):

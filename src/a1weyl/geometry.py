@@ -50,14 +50,14 @@ by move.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from operator import mul
 from typing import Sequence
 
 from .errors import DomainError, InternalCheckError
 from .lattice import I64_MAX, I64_MIN, Vec, baby_base, checked_vec, mutable_twin, vec_add, vec_scale, zero_vec
 from .moves import REVERSALS, Script, WordMoves, require_sequence
-from .presentation import rewrite_to_identity
+from .presentation import StepColumns, rewrite_to_identity
 from .weyl import WeylElement, is_relation_w
 from .words import Word
 
@@ -251,7 +251,7 @@ class _Tracer(WordMoves):
     ``at[q + 1]`` and ``at[q + 2]``.  Any other reversal is expanded move by
     move.  Either way the moves recorded are the same.
 
-    Only ``WordMoves.apply`` and the expansion's own recursion call
+    Only ``WordMoves.apply_rule`` and the expansion's own recursion call
     :meth:`reverse_triple`, always with an ``int`` ``q >= 0`` and a full
     triple.  The tracer keeps its rank because it walks each block over
     ``baby_base(rank)``, and that walk refuses a letter above the rank.
@@ -315,7 +315,9 @@ def reduce_loop(p: Path) -> MoveTrace:
     The word-level certificate of :func:`rewrite_to_identity` drives the
     process; each of its steps expands into elementary insert/delete moves on
     the path.  The returned macro spans group the elementary moves the way
-    the certificate grouped its steps.
+    the certificate grouped its steps.  The steps are read once, in order,
+    as ``(rule, pos, payload)`` for ``WordMoves.apply_rule``: from the
+    columns when they are ``StepColumns``, building no record.
     """
     if not is_loop(p):
         raise DomainError("only loops can be reduced")
@@ -323,14 +325,20 @@ def reduce_loop(p: Path) -> MoveTrace:
     indices = p.word.to_indices(baby_base(nu))
     cert = rewrite_to_identity(indices, nu)
     tracer = _Tracer(indices, p)
+    steps = cert.steps
+    if type(steps) is StepColumns:
+        fields = steps.rows()
+    else:
+        fields = ((s.rule, s.pos, s.payload, None, None) for s in steps)
+    rows = enumerate(fields)
     macros: list[tuple[int, int, str]] = []
     for a, b, kind in cert.macros:
         start = len(tracer.moves)
-        for step in cert.steps[a:b]:
+        for k, (rule, q, payload, _, _) in islice(rows, b - a):
             try:
-                tracer.apply(step)
+                tracer.apply_rule(rule, q, payload)
             except DomainError as exc:
-                raise InternalCheckError(f"certificate step {step} does not apply: {exc}") from exc
+                raise InternalCheckError(f"certificate step {steps[k]} does not apply: {exc}") from exc
         macros.append((start, len(tracer.moves), kind))
     if tracer.word:
         raise InternalCheckError("reduction finished with a non-empty word")

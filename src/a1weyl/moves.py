@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 from .errors import DomainError
 
-# The step rules a certificate may cite; ``WordMoves.apply`` dispatches on them.
+# The step rules a certificate may cite; ``WordMoves.apply_rule`` dispatches on them.
 RULE_CANCEL = "cancel-involution"
 RULE_REVERSE = "triple-reverse"
 RULE_DELETE = "delete-relator"
@@ -53,11 +53,15 @@ def require_sequence(value: object, what: str) -> None:
 
 def move_block(gens: tuple[int, ...]) -> tuple[int, ...]:
     """The word of the elementary loop named by ``gens``: ``g_k^2`` or ``(g_0 g_i g_j)^2``."""
-    if len(gens) == 1:
+    try:
+        n = len(gens)
+    except TypeError:  # no length, so no loop: the refusal below names it
+        n = 0
+    if n == 1:
         k = gens[0]
         if type(k) is int and k >= 0:
             return (k, k)
-    elif len(gens) == 3:
+    elif n == 3:
         z, i, j = gens
         if type(z) is type(i) is type(j) is int and z == 0 and 1 <= i < j:
             return (0, i, j, 0, i, j)
@@ -159,8 +163,20 @@ class WordMoves:
                 self.delete(q + 1, d)           # 0 j i
 
     def apply(self, step) -> None:
-        """Apply one certificate step (a ``RewriteStep``) by elementary moves, checking its payload."""
-        rule, q, payload = step.rule, step.pos, tuple(step.payload)
+        """:meth:`apply_rule` on the fields of one certificate step (a ``RewriteStep``)."""
+        self.apply_rule(step.rule, step.pos, step.payload)
+
+    def apply_rule(self, rule: str, q: int, payload: Sequence[int]) -> None:
+        """Apply one certificate step by elementary moves, checking its payload.
+
+        A step that does not apply raises ``DomainError`` naming its rule,
+        payload and position, also when the payload cannot be iterated.
+        """
+        if type(payload) is not tuple:
+            try:
+                payload = tuple(payload)
+            except TypeError:
+                raise DomainError(f"{rule!r} step with payload {payload!r} does not apply at {q!r}") from None
         if rule == RULE_CANCEL and len(payload) == 1:
             self.delete(q, payload)
         elif rule == RULE_DELETE and len(payload) == 6 and payload[:3] == payload[3:]:

@@ -32,19 +32,32 @@ So a cancellation or a bubble step reads O(1) letters, and the certificate
 is the one a rescan from position 0 after every change would give.  One
 function runs every macro, keeping the word, the steps, the macro spans and
 the four window bounds in local variables from the first macro to the last.
+
+The rewriter writes each step into the typed columns of
+:class:`StepColumns` (a rule code, a position, the payload letters) and
+builds no record: a ``RewriteStep`` is built only when one is read, and the
+sequence reads, compares, hashes and prints as the tuple of its records.
+Replay is still an independent check: it applies every recorded step to a
+fresh copy of the start, by the same checks whether the steps are columns
+or records.  Reading columns it skips only what their types and their
+derivation make true, namely the field reads of each record with the test
+that its lengths are exact ``int``s, and the length bookkeeping after the
+start: each ``before_len`` and ``after_len`` follows from the start's
+length and the cuts, which replay makes itself.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from array import array
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, MutableSequence, Sequence
 from dataclasses import dataclass
 
 from .errors import DomainError, InternalCheckError
 from .hyperbolic import central_word, eval_word_hyp
-from .lattice import ReflectableBase, is_elliptic_like, mutable_twin, support_pairs
+from .lattice import I64_MAX, ReflectableBase, is_elliptic_like, mutable_twin, support_pairs
 from .moves import REVERSALS, RULE_CANCEL, RULE_DELETE, RULE_REVERSE, WordMoves, require_sequence
 from .weyl import MAX_K, enumerate_alternating, eval_word, json_ints
 from .words import Word
@@ -268,10 +281,122 @@ def _step(rule: str, pos: int, payload: tuple[int, ...], before_len: int, after_
     return step
 
 
+def _rows(length: int, rules: bytes, positions: Sequence[int], letters: Sequence[int],
+          o: int = 0) -> Iterator[tuple[str, int, tuple[int, ...], int, int]]:
+    """The fields ``(rule, pos, payload, before_len, after_len)`` of the steps of the columns.
+
+    ``length`` is the word's length before the first step and ``letters[o]``
+    the first letter of its payload.  A step's code is the width of its
+    payload (the ``StepColumns`` docstring): a cancellation of code 1
+    removes two letters, a deletion of code 6 six.
+    """
+    n = length
+    # Indexing, not a slice: an array slice costs more than the tuple.
+    for code, q in zip(rules, positions):
+        if code == 1:
+            yield RULE_CANCEL, q, (letters[o],), n, n - 2
+            n -= 2
+        elif code == 3:
+            yield RULE_REVERSE, q, (letters[o], letters[o + 1], letters[o + 2]), n, n
+        else:
+            yield RULE_DELETE, q, tuple(letters[o : o + 6]), n, n - 6
+            n -= 6
+        o += code
+
+
+# The letters a step of each code cuts from the word, as a ``bytes.translate`` table.
+_CUTS = bytes.maketrans(b"\x01\x03\x06", b"\x02\x00\x06")
+
+
+class StepColumns(Sequence):
+    """The steps of a library-built certificate, held as columns; a ``RewriteStep`` is built when read.
+
+    ``rules`` holds one code per step, the width of its payload: 1 for a
+    cancellation, 3 for a reversal, 6 for a relator deletion.  ``positions``
+    holds the steps' ``pos`` and ``letters`` their payloads one after
+    another, both ``array('q')``, so every entry is an exact ``int``.
+    ``before_len`` and ``after_len`` follow from ``length``, the length of
+    the start, and the cuts of the steps before.  The constructor refuses
+    columns of other types or of lengths that do not match (``DomainError``).
+
+    The sequence is the tuple of its records to ``==``, ``hash`` and
+    ``repr``, pickles and copies as columns, and reads as that tuple: an
+    index gives one record (``IndexError`` out of range), a slice a tuple of
+    records.  No record is kept: each read builds its records again, so
+    whoever reads every step pays for every record.  The first index or
+    slice builds a prefix index (each step's letter offset and word length,
+    16 bytes a step), after which an index costs O(1) and a slice O(its span).
+    """
+
+    __slots__ = ("length", "rules", "positions", "letters", "_starts")
+
+    def __init__(self, length: int, rules: bytes, positions: array, letters: array):
+        if not (type(length) is int and type(rules) is bytes and type(positions) is array
+                and type(letters) is array and positions.typecode == letters.typecode == "q"
+                and rules.count(1) + rules.count(3) + rules.count(6) == len(rules) == len(positions)
+                and len(rules) + 2 * rules.count(3) + 5 * rules.count(6) == len(letters)):
+            raise DomainError("the columns do not hold the codes, positions and letters of certificate steps")
+        self.length, self.rules, self.positions, self.letters = length, rules, positions, letters
+        self._starts: tuple[array, array] | None = None
+
+    def rows(self, k: int = 0, stop: int | None = None) -> Iterator[tuple[str, int, tuple[int, ...], int, int]]:
+        """The fields ``(rule, pos, payload, before_len, after_len)`` of steps ``k, k + 1, .., stop - 1``.
+
+        ``0 <= k <= len(self)``; ``stop`` (default: the end) is a slice bound.
+        """
+        if not k and stop is None:
+            return _rows(self.length, self.rules, self.positions, self.letters)
+        if self._starts is None:
+            self._starts = (array("q", itertools.accumulate(self.rules, initial=0)),
+                            array("q", itertools.accumulate(self.rules.translate(_CUTS), operator.sub,
+                                                            initial=self.length)))
+        offsets, lengths = self._starts
+        return _rows(lengths[k], self.rules[k:stop], self.positions[k:stop], self.letters, offsets[k])
+
+    def __len__(self) -> int:
+        return len(self.rules)
+
+    def __iter__(self) -> Iterator[RewriteStep]:
+        return itertools.starmap(_step, self.rows())
+
+    def __reversed__(self) -> Iterator[RewriteStep]:
+        return reversed(tuple(self))
+
+    def __getitem__(self, index):
+        n = len(self.rules)
+        if isinstance(index, slice):
+            keep = range(n)[index]
+            if not keep:
+                return ()
+            first = min(keep)
+            rows = list(self.rows(first, max(keep) + 1))
+            return tuple(_step(*rows[k - first]) for k in keep)
+        k = operator.index(index)
+        if k < 0:
+            k += n
+        if not 0 <= k < n:
+            raise IndexError("tuple index out of range")
+        return _step(*next(self.rows(k, k + 1)))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, StepColumns)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __reduce__(self):
+        return StepColumns, (self.length, self.rules, self.positions, self.letters)
+
+
 @dataclass(frozen=True)
 class RewriteCertificate:
     start: tuple[int, ...]
-    steps: tuple[RewriteStep, ...]
+    steps: Sequence[RewriteStep]  # a StepColumns when the rewriter built it
     macros: tuple[tuple[int, int, str], ...]
     final_empty: bool
 
@@ -292,6 +417,35 @@ def certificate_to_dict(cert: RewriteCertificate) -> dict:
         "macros": [[a, b, kind] for a, b, kind in cert.macros],
         "final_empty": cert.final_empty,
     }
+
+
+def _checked_steps(steps: Iterable, word: list[int]) -> Iterator[tuple[int, int, object, int, int]]:
+    """The entries of ``steps`` as the replay loop reads steps: ``(code, pos, src, 0, after_len)``, checked.
+
+    An entry whose ``pos`` is an ``int >= 0`` and whose payload is a tuple
+    of the width its rule's code names comes with that code and its payload
+    as ``src``, read from offset 0 as the columns' letters are.  Any other
+    entry comes with code 0 and itself as ``src``.  Before that, an entry
+    without the fields of a ``RewriteStep`` is a ``DomainError`` naming it,
+    and so are step lengths that are not exact ``int``s or a ``before_len``
+    that is not the length of the live ``word``.
+    """
+    for k, step in enumerate(steps):
+        try:
+            before, after, rule, q, payload = step.before_len, step.after_len, step.rule, step.pos, step.payload
+        except AttributeError:
+            raise DomainError(f"certificate entry {k} is not a RewriteStep: {step!r}") from None
+        if type(before) is not int or type(after) is not int:
+            raise DomainError(f"step lengths {before!r} -> {after!r} are not both ints")
+        if len(word) != before:
+            raise DomainError("certificate does not chain: length mismatch")
+        code = 0
+        if type(q) is int and q >= 0 and type(payload) is tuple:
+            width = len(payload)
+            if (width == 1 and rule == RULE_CANCEL or width == 3 and rule == RULE_REVERSE
+                    or width == 6 and rule == RULE_DELETE):
+                code = width
+        yield code, q, payload if code else step, 0, after
 
 
 class ReplayedCertificate:
@@ -321,41 +475,57 @@ class ReplayedCertificate:
     def _live(self) -> Iterator[list[int]]:
         """The one live word after 0, 1, 2, ... checked steps; callers copy what they keep.
 
-        A cancel goes straight to ``WordMoves.delete``, which splices a
-        ``g_k^2`` in place.  A reversal whose triple has a script in the
-        table the whole process shares (``REVERSALS.script``) swaps
-        ``word[q]`` and ``word[q + 2]``; any other reversal is expanded in
-        place, and any other step goes through ``WordMoves.apply``, so each
-        accepts and rejects (with the same message) as the full expansion
-        does.  Step lengths must be exact ``int``s, and an entry without the
-        fields of a ``RewriteStep`` is a ``DomainError`` naming it.
+        One loop applies every step, read as ``(code, pos, src, o,
+        after_len)``: the step's payload is ``src[o : o + code]``.  Steps
+        held as :class:`StepColumns` are read straight from the columns,
+        whose types make every position and letter an exact ``int`` and whose
+        lengths follow from the cuts, so only the start's length is compared
+        with theirs; any other sequence is read through
+        :func:`_checked_steps`.
+
+        A cancellation is spliced in place after the test of the ``g_k^2``
+        fast path of ``WordMoves.delete`` (the same exact-type and neighbour
+        test, inlined: a call per cancellation costs about 9% of a certify
+        op), and any other goes through ``WordMoves.delete`` for its
+        message.  A reversal whose triple has a script in the table the
+        whole process shares (``REVERSALS.script``) swaps ``word[q]`` and
+        ``word[q + 2]``; any other reversal is expanded in place.  A relator
+        deletion goes through ``WordMoves.apply_rule`` and an entry of code
+        0 through ``WordMoves.apply``, so each step accepts and rejects
+        (with the same message) as the full expansion does.
         """
         moves = WordMoves(self.cert.start)
         word = moves.word  # changed in place by every move
         yield word
-        for k, step in enumerate(self.cert.steps):
-            try:
-                before, after, rule, q, payload = step.before_len, step.after_len, step.rule, step.pos, step.payload
-            except AttributeError:
-                raise DomainError(f"certificate entry {k} is not a RewriteStep: {step!r}") from None
-            if type(before) is not int or type(after) is not int:
-                raise DomainError(f"step lengths {before!r} -> {after!r} are not both ints")
-            if len(word) != before:
+        steps = self.cert.steps
+        if type(steps) is StepColumns:
+            if len(word) != steps.length and steps.rules:
                 raise DomainError("certificate does not chain: length mismatch")
-            if type(q) is not int or q < 0 or type(payload) is not tuple:
-                moves.apply(step)
-            elif rule == RULE_CANCEL and len(payload) == 1:
-                moves.delete(q, payload)
-            elif rule == RULE_REVERSE and len(payload) == 3 and (
-                (triple := tuple(word[q : q + 3])) == payload
-            ):
-                if REVERSALS.script(triple):
+            rules = steps.rules
+            feed = zip(rules, steps.positions, itertools.repeat(steps.letters),
+                       itertools.accumulate(rules, initial=0), itertools.repeat(None))
+        else:
+            feed = _checked_steps(steps, word)
+        for code, q, src, o, after in feed:
+            if code == 1:
+                k = src[o]
+                if type(k) is int and k >= 0 and 0 <= q < len(word) - 1 and word[q] == k == word[q + 1]:
+                    del word[q : q + 2]
+                else:
+                    moves.delete(q, (k,))
+            elif code == 3:
+                payload = (src[o], src[o + 1], src[o + 2])
+                if q < 0 or (triple := tuple(word[q : q + 3])) != payload:
+                    moves.apply_rule(RULE_REVERSE, q, payload)
+                elif REVERSALS.script(triple):
                     word[q], word[q + 2] = word[q + 2], word[q]
                 else:
                     moves.reverse_triple(q)
+            elif code == 6:
+                moves.apply_rule(RULE_DELETE, q, tuple(src[o : o + 6]))
             else:
-                moves.apply(step)
-            if len(word) != after:
+                moves.apply(src)
+            if after is not None and len(word) != after:
                 raise DomainError("step length bookkeeping does not match")
             yield word
 
@@ -383,15 +553,24 @@ class ReplayedCertificate:
 def replay_certificate(cert: RewriteCertificate) -> ReplayedCertificate:
     """Check every step of ``cert`` on one live word; the states as a lazy view.
 
-    Every step is replayed as relator moves, so a certificate that replays
-    proves its word trivial from the relators alone.  A triple reversal is
-    expanded into relator moves once per process for each distinct triple
-    of ``int`` letters and cited after that as one swap, by this call and
-    every later one (the lemmas of the ``moves`` module docstring); the
-    call accepts and rejects what expanding every reversal would.  A step
-    that does not apply, a length that is not an ``int`` or does not chain,
-    a ``final_empty`` that is not a ``bool``, or a claimed empty word that
-    is not reached raises ``DomainError`` here, before anything is returned.
+    Every step is replayed as relator moves on a fresh copy of the start,
+    so a certificate that replays proves its word trivial from the relators
+    alone.  A triple reversal is expanded into relator moves once per
+    process for each distinct triple of ``int`` letters and cited after
+    that as one swap, by this call and every later one (the lemmas of the
+    ``moves`` module docstring); the call accepts and rejects what
+    expanding every reversal would.  A step that does not apply, a length
+    that is not an ``int`` or does not chain, a ``final_empty`` that is not
+    a ``bool``, or a claimed empty word that is not reached raises
+    ``DomainError`` here, before anything is returned.
+
+    Steps held as :class:`StepColumns` go through the same checks of each
+    cancellation, reversal and deletion against the live word; what is
+    skipped is reading and type-checking each record's fields and every
+    length after the start's, which the columns' types and their derivation
+    from the cuts already guarantee (``ReplayedCertificate._live``).  Any
+    other sequence of steps (a tuple, a deque, a certificate rebuilt by
+    ``dataclasses.replace`` with new steps) is read a record at a time.
     No intermediate word is stored, so memory is O(word length); the
     returned :class:`ReplayedCertificate` rebuilds the words when they are
     read.
@@ -409,8 +588,12 @@ def replay_certificate(cert: RewriteCertificate) -> ReplayedCertificate:
     return view
 
 
-def _reduce(indices: Sequence[int]) -> tuple[list[RewriteStep], list[tuple[int, int, str]]]:
-    """Run the macro strategy on a relation word to the empty word: its steps and macro spans.
+def _reduce(indices: Sequence[int]) -> tuple[bytes, array, MutableSequence[int], list[tuple[int, int, str]]]:
+    """Run the macro strategy on a relation word to the empty word: its step columns and macro spans.
+
+    The steps are written into the columns of :class:`StepColumns`: rule
+    codes, positions and letters.  The letters are an ``array('q')`` unless
+    a letter is past the 64-bit range, which makes them a list.
 
     A macro cancels the leftmost pair until none is left (the cascade); if
     none was, it deletes the leftmost block ``0 i j 0 i j`` (``1 <= i < j``,
@@ -431,20 +614,22 @@ def _reduce(indices: Sequence[int]) -> tuple[list[RewriteStep], list[tuple[int, 
     it: running off the end of the word means the word was no relation.
     """
     word = list(indices)
-    steps: list[RewriteStep] = []
-    append = steps.append
+    rules, positions = bytearray(), array("q")
+    letters: MutableSequence[int] = array("q") if max(word, default=0) <= I64_MAX else []
+    add_code, add_pos, add_letter = rules.append, positions.append, letters.append
     macros: list[tuple[int, int, str]] = []
     n = len(word)
     lo, hi, rlo, rhi = 0, n, 0, n
     while n:
-        first, start, kind = len(steps), n, MACRO_CANCEL
+        first, start, kind = len(rules), n, MACRO_CANCEL
         while True:
             q, end = lo, (hi if hi < n else n - 1)
             while q < end and word[q] != word[q + 1]:
                 q += 1
             if q < end:
                 lo = q  # the scan found no pair before q
-                rule, m, payload = RULE_CANCEL, 2, (word[q],)
+                code, m = 1, 2
+                add_letter(word[q])
             else:
                 lo, hi = n, 0
                 if n < start:  # the cascade after a cancel or a bubble is over
@@ -453,7 +638,8 @@ def _reduce(indices: Sequence[int]) -> tuple[list[RewriteStep], list[tuple[int, 
                     i, j = word[q + 1], word[q + 2]
                     if word[q] == 0 and word[q + 3] == 0 and word[q + 4] == i and word[q + 5] == j and 1 <= i < j:
                         rlo = q  # the scan found no block before q
-                        rule, m, payload, kind = RULE_DELETE, 6, tuple(word[q : q + 6]), MACRO_DELETE
+                        code, m, kind = 6, 6, MACRO_DELETE
+                        letters.extend(word[q : q + 6])
                         break
                 else:
                     rlo, rhi = n, 0
@@ -461,7 +647,11 @@ def _reduce(indices: Sequence[int]) -> tuple[list[RewriteStep], list[tuple[int, 
                         a, b, x = word[c], word[c + 1], word[c + 2]
                         if a == x:
                             continue  # palindromic triple: the reversal would be a no-op
-                        append(_step(RULE_REVERSE, c, (a, b, x), n, n))
+                        add_code(3)
+                        add_pos(c)
+                        add_letter(a)
+                        add_letter(b)
+                        add_letter(x)
                         word[c], word[c + 2] = x, a
                         if c - 5 < rlo:  # the blocks through c .. c + 2 start at c - 5 .. c + 2
                             rlo = c - 5 if c > 5 else 0
@@ -480,7 +670,8 @@ def _reduce(indices: Sequence[int]) -> tuple[list[RewriteStep], list[tuple[int, 
             # The one cut, then the window rule: shift the upper bounds past the
             # cut and widen the windows to pairs at q - 1 and blocks at q - 5 .. q.
             # Comparisons, not min/max calls: this runs once per cancellation.
-            append(_step(rule, q, payload, n, n - m))
+            add_code(code)
+            add_pos(q)
             del word[q : q + m]
             n -= m
             p = q - 1 if q > 1 else 0
@@ -497,8 +688,8 @@ def _reduce(indices: Sequence[int]) -> tuple[list[RewriteStep], list[tuple[int, 
                 rhi = q + 1
             if m == 6:  # a relator deletion ends its macro
                 break
-        macros.append((first, len(steps), kind))
-    return steps, macros
+        macros.append((first, len(rules), kind))
+    return bytes(rules), positions, letters, macros
 
 
 def rewrite_to_identity(indices: Sequence[int], nu: int) -> RewriteCertificate:
@@ -529,5 +720,9 @@ def rewrite_to_identity(indices: Sequence[int], nu: int) -> RewriteCertificate:
     even = Counter(itertools.islice(indices, 0, None, 2))
     if even != Counter(itertools.islice(indices, 1, None, 2)):
         raise DomainError("the word is not a relation, no reduction certificate exists")
-    steps, macros = _reduce(indices)
-    return RewriteCertificate(tuple(indices), tuple(steps), tuple(macros), True)
+    rules, positions, letters, macros = _reduce(indices)
+    if type(letters) is array:
+        steps = StepColumns(len(indices), rules, positions, letters)
+    else:  # a letter past the 64-bit range has no typed column: the records themselves
+        steps = tuple(itertools.starmap(_step, _rows(len(indices), rules, positions, letters)))
+    return RewriteCertificate(tuple(indices), steps, tuple(macros), True)

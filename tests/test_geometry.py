@@ -1046,3 +1046,14 @@ def test_each_reduction_and_each_replay_builds_at_most_one_base(monkeypatch):
     assert built == [2, 2]
     replay_trace(trace)
     assert built == [2, 2]
+
+
+@pytest.mark.parametrize("kind", ["insert", "delete"])
+@pytest.mark.parametrize("gens", [None, 5])
+def test_gens_without_a_length_do_not_name_an_elementary_loop(kind, gens):
+    # ``move_block`` raised TypeError from ``len(gens)``.
+    trace = MoveTrace((1, 1), base_simplex(2), (Move(kind, 0, gens, base_simplex(2)),), ())
+    with pytest.raises(DomainError, match=f"^{gens} does not name an elementary loop$"):
+        replay_trace(trace)
+    with pytest.raises(DomainError, match=f"^{gens} does not name an elementary loop$"):
+        move_block(gens)

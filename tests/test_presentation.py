@@ -1210,3 +1210,14 @@ def test_rewrite_refuses_a_nu_that_is_not_an_int_from_zero(nu):
     for word in ((1, 1), ()):
         with pytest.raises(DomainError, match=f"^nu {nu!r} is not an int >= 0$"):
             rewrite_to_identity(word, nu)
+
+
+@pytest.mark.parametrize("payload", [None, 5])
+def test_a_payload_that_cannot_be_iterated_is_a_domain_error_naming_the_step(payload):
+    # It raised TypeError from ``tuple(payload)`` in ``WordMoves.apply``.
+    cert = RewriteCertificate((1, 1), (RewriteStep(RULE_CANCEL, 0, payload, 2, 0),), (), True)
+    message = f"^'cancel-involution' step with payload {payload} does not apply at 0$"
+    with pytest.raises(DomainError, match=message):
+        replay_certificate(cert)
+    with pytest.raises(DomainError, match=message):
+        WordMoves((1, 1)).apply_rule(RULE_CANCEL, 0, payload)

@@ -1,7 +1,9 @@
 """The scripts under ``scripts/`` run end to end as separate processes."""
 
 import functools
+import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -89,4 +91,47 @@ def test_output_digests_are_unchanged():
     done = run_script("output_digest.py", "--seeds", "1", "--variants", "0")
     assert done.returncode == 0, done.stderr
     rows = [line.split() for line in done.stdout.splitlines()]
+    assert {r[0]: r[8] for r in rows} == OUTPUT_DIGESTS
+
+
+INTERPRETERS = ("3.10", "3.12", "3.13")
+
+
+@pytest.fixture(scope="module")
+def digests_elsewhere():
+    """The seed-1 digest run under each interpreter of ``INTERPRETERS``, all started at once.
+
+    Maps a version to its running process, or to the reason it is skipped.
+    ``python<version>`` is looked up on PATH and skipped if absent or if it
+    does not run that version; ``PYENV_VERSION`` lets a pyenv shim run an
+    installed interpreter of that version, and anything else ignores it.
+    """
+    runs = {}
+    for version in INTERPRETERS:
+        exe = shutil.which(f"python{version}")
+        env = {**os.environ, "PYENV_VERSION": version}
+        probe = exe and subprocess.run([exe, "-c", "import sys; print(*sys.version_info[:2])"],
+                                       capture_output=True, text=True, env=env, timeout=60)
+        if not probe or probe.returncode or probe.stdout.split() != version.split("."):
+            runs[version] = f"no python{version} runs on PATH"
+            continue
+        runs[version] = subprocess.Popen(
+            [exe, str(SCRIPTS / "output_digest.py"), "--seeds", "1", "--variants", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    yield runs
+    for run in runs.values():
+        if not isinstance(run, str) and run.poll() is None:
+            run.kill()
+            run.wait()
+
+
+@pytest.mark.parametrize("version", INTERPRETERS)
+def test_every_interpreter_gives_the_same_digests(digests_elsewhere, version):
+    run = digests_elsewhere[version]
+    if isinstance(run, str):
+        pytest.skip(run)
+    out, err = run.communicate(timeout=120)
+    assert run.returncode == 0, err
+    rows = [line.split() for line in out.splitlines()]
     assert {r[0]: r[8] for r in rows} == OUTPUT_DIGESTS

@@ -16,8 +16,9 @@ coefficients ``c_i = (-1)^(k-i) sign(a_i)`` of ``Word.columns``,
 ``x + o*(suffix sums of c_i p(a_i))``: prefix sums of the word's signed
 lattice columns, the ones ``eval_word`` sums, read from the right, and the
 orientations alternate ``o, -o, ...``.  :func:`_walk` takes these sums
-exactly and tests all the anchors of a walk against the 64-bit band with one
-``min`` / ``max``; past it, ``Simplex`` checks each anchor as it stores it,
+exactly.  Its anchors stay in the 64-bit band when ``|x_c| + B_c`` does for
+every coordinate (``Word.bounds``); otherwise one ``min`` / ``max`` tests
+them all, and past the band ``Simplex`` checks each anchor as it stores it,
 so a path raises at the first simplex that leaves the band.  Loop tracing
 inserts a block by walking the block's word.  A hand-built ``Path`` is
 checked against the walk of its word.
@@ -41,22 +42,32 @@ at ``Y = at[q + 3] = B(x, o)`` is sound for three reasons:
   stored simplices of ``at[q..q+3]``, which are in the 64-bit band, so no
   move of the run can overflow.
 
-So the tracer writes the scripted moves at once wherever a triple has a
-script, and ``replay_trace`` checks a recorded run against the script and
-applies it as one swap.  A triple without one is expanded and replayed move
-by move.
+So the tracer records a reversal whose triple has a script as one cited
+entry, ``(q, the triple and its script, Y)``, and writes what its moves
+leave at once; ``replay_trace`` checks the entry against its own live word
+and walk and applies it as one swap.  A triple without a script is expanded
+and recorded move by move.
+
+A trace is held as columns (:class:`MoveColumns`), one entry per move or per
+cited reversal: an index into a small per-trace table of ``(kind, gens)``
+and ``(triple, script)`` entries, the position, and a reference to the base,
+the ``Simplex`` the tracer's ``at`` held (``Y`` for a cited entry).  A
+``Move`` is built only when one is read; a cited entry reads as its
+script's moves placed at ``Y``.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, islice, repeat, starmap
 from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import DomainError, InternalCheckError
 from .lattice import I64_MAX, I64_MIN, Vec, baby_base, checked_vec, mutable_twin, vec_add, vec_scale, zero_vec
-from .moves import REVERSALS, Script, WordMoves, require_sequence
+from .moves import REVERSALS, RULE_CANCEL, RecordColumns, Script, WordMoves, require_sequence
 from .presentation import StepColumns, rewrite_to_identity
 from .weyl import WeylElement, is_relation_w
 from .words import Word
@@ -132,10 +143,12 @@ def _walk(word: Word, base: Simplex) -> list[Simplex]:
 
     Entry ``t`` is ``B(x + o*sum_{i > k-t} c_i p(a_i), (-1)^t o)`` for
     ``base = B(x, o)``: exact prefix sums of ``Word.columns`` read from the
-    right.  One ``min`` / ``max`` tests every anchor of the walk against the
-    64-bit band.  In it, :func:`_unchecked_simplex` is mapped over the
-    anchors and the orientations; past it, ``Simplex`` checks them one by
-    one and raises at the first simplex outside.
+    right.  Every anchor coordinate lies within ``|x_c| + B_c`` of zero
+    (``Word.bounds``), so the walk is in the 64-bit band when that is;
+    otherwise one ``min`` / ``max`` tests every anchor against the band.  In
+    it, :func:`_unchecked_simplex` is mapped over the anchors and the
+    orientations; past it, ``Simplex`` checks them one by one and raises at
+    the first simplex outside.
     """
     x, o = base.anchor, base.orient
     coefs, cols, _ = word.columns
@@ -144,7 +157,8 @@ def _walk(word: Word, base: Simplex) -> list[Simplex]:
             for xc, col in zip(x, cols)]
     anchors = zip(*rows) if rows else repeat((), len(coefs) + 1)
     orients = [o, -o] * (len(coefs) // 2 + 1)
-    if rows and (min(map(min, rows)) < I64_MIN or max(map(max, rows)) > I64_MAX):
+    if (rows and any(abs(xc) + b > I64_MAX for xc, b in zip(x, word.bounds))
+            and (min(map(min, rows)) < I64_MIN or max(map(max, rows)) > I64_MAX)):
         return list(map(Simplex, anchors, orients))
     return list(map(_unchecked_simplex, anchors, orients))
 
@@ -155,15 +169,18 @@ _SimplexTwin = mutable_twin(Simplex)
 def _unchecked_simplex(anchor: Vec, orient: int) -> Simplex:
     """A ``Simplex`` built through its twin, past ``Simplex.__post_init__``.
 
-    Only :func:`_walk`, for a walk in the band, and :func:`_slots` call it.
+    Only :func:`_walk`, for a walk in the band, and :func:`_slots` and
+    :func:`_place`, for the points of a script from the lemma table, call it.
     The record is the one the checked constructor would build (the twin rule
     of the ``lattice`` docstring): it compares, hashes and pickles the same.
-    Safe because both hand it only what those checks pass: ``orient`` is a
+    Safe because they hand it only what those checks pass: ``orient`` is a
     checked orientation or its negation, the anchor is a tuple of exact
     ``int`` sums of checked ``int`` entries, and every such anchor is in the
     64-bit band: ``_walk`` tests its walk first, and each coordinate of a
-    script's point lies between those of two stored simplices (the hull
-    rule of the module docstring).
+    proved script's point lies between those of two stored simplices (the
+    hull rule of the module docstring).  A stored script, which may be
+    forged, has its points built by the checked ``Simplex``
+    (:func:`_cited_fields`).
     """
     simplex = _SimplexTwin()
     simplex.anchor = anchor
@@ -228,11 +245,107 @@ def _move(kind: str, pos: int, gens: tuple[int, ...], base: Simplex) -> Move:
     return move
 
 
+def _widths(table: object) -> list[int] | None:
+    """The moves each entry of a trace table stands for, or ``None`` unless every entry is one.
+
+    An entry is ``(kind, gens)`` for one move, ``kind`` ``"insert"`` or
+    ``"delete"`` (``gens`` is checked by replay, as a record's is), or
+    ``(triple, script)`` for a cited reversal of three exact ``int`` letters
+    ``>= 0``, which stands for the moves of its :class:`Script`.
+    """
+    if type(table) is not tuple:
+        return None
+    widths = []
+    for entry in table:
+        if type(entry) is not tuple or len(entry) != 2:
+            return None
+        first, second = entry
+        if type(first) is str and first in ("insert", "delete"):
+            widths.append(1)
+        elif (type(first) is tuple and len(first) == 3
+              and type(first[0]) is type(first[1]) is type(first[2]) is int and min(first) >= 0
+              and type(second) is Script and second.moves):
+            widths.append(len(second.moves))
+        else:
+            return None
+    return widths
+
+
+class MoveColumns(RecordColumns):
+    """The moves of a traced loop, held as columns; a ``Move`` is built when read.
+
+    Entry ``e`` is ``table[codes[e]]`` at ``positions[e]`` with
+    ``bases[e]``: a ``(kind, gens)`` entry is the one move ``Move(kind, pos,
+    gens, base)``, and a ``(triple, script)`` entry is the cited reversal of
+    ``triple`` at ``q = pos`` with ``Y = at[q + 3] = base``, the moves of
+    ``script`` placed at ``Y`` (the module docstring).  ``codes`` and
+    ``positions`` are ``array('q')``, ``bases`` a list of ``Simplex``
+    records, the ones the tracer's ``at`` held.  The constructor refuses
+    columns of other types, of lengths that do not match, or naming entries
+    the table does not hold (``DomainError``).
+
+    The sequence reads, compares, hashes, prints and pickles as the tuple of
+    its records (``moves.RecordColumns``).  The first index or slice past
+    the start builds the index of each entry's first move (8 bytes an
+    entry), after which an index costs O(log n) and a slice O(its span).
+    """
+
+    __slots__ = ("table", "codes", "positions", "bases", "_n", "_starts")
+    COLUMNS = ("table", "codes", "positions", "bases")
+
+    def __init__(self, table: tuple, codes: array, positions: array, bases: list[Simplex]):
+        widths = _widths(table)
+        n = None
+        if (widths is not None and type(codes) is type(positions) is array
+                and codes.typecode == positions.typecode == "q" and type(bases) is list
+                and len(codes) == len(positions) == len(bases) and set(map(type, bases)) <= {Simplex}):
+            try:  # one pass over the codes: a code the table does not hold is a missing key
+                n = sum(map(dict(enumerate(widths)).__getitem__, codes))
+            except KeyError:
+                pass
+        if n is None:
+            raise DomainError("the columns do not hold the entries, positions and bases of loop moves")
+        self.table, self.codes, self.positions, self.bases = table, codes, positions, bases
+        self._n = n
+        self._starts: array | None = None
+
+    def __len__(self) -> int:
+        return self._n
+
+    def records(self, k: int = 0, stop: int | None = None) -> Iterator[Move]:
+        e = skip = 0
+        if k:
+            if self._starts is None:
+                self._starts = array("q", accumulate(map(_widths(self.table).__getitem__, self.codes), initial=0))
+            e = bisect_right(self._starts, k) - 1
+            skip = k - self._starts[e]
+        count = (self._n if stop is None else stop) - k
+        return starmap(_move, islice(self._fields(e), skip, skip + count))
+
+    def _fields(self, e: int) -> Iterator[tuple[str, int, tuple[int, ...], Simplex]]:
+        """The fields ``(kind, pos, gens, base)`` of the moves of entries ``e, e + 1, ..``."""
+        table, codes, positions, bases = self.table, self.codes, self.positions, self.bases
+        for i in range(e, len(codes)):
+            first, second = table[codes[i]]
+            if type(first) is str:
+                yield first, positions[i], second, bases[i]
+            else:
+                yield from _cited_fields(first, second, positions[i], bases[i])
+
+
 @dataclass(frozen=True)
 class MoveTrace:
+    """A loop's reduction to the trivial loop: its start word and base, the moves, and the macro spans.
+
+    ``moves`` is a sequence of ``Move`` records; :func:`reduce_loop` gives a
+    :class:`MoveColumns`, which equals, hashes and prints as the tuple of
+    its records and builds each ``Move`` only when it is read.  ``macros``
+    holds one ``(first, end, kind)`` span of moves per certificate macro.
+    """
+
     start: tuple[int, ...]
     base: Simplex
-    moves: tuple[Move, ...]
+    moves: Sequence[Move]
     macros: tuple[tuple[int, int, str], ...]
 
 
@@ -245,11 +358,15 @@ class _Tracer(WordMoves):
     its block unchanged and splices only the block's own entries, whatever
     the word length.  A move that does not apply raises ``DomainError``.
 
-    A triple reversal that has a script (see the module docstring) is
-    written as one block: the scripted moves placed at ``Y = at[q + 3]``,
-    the swap of ``word[q]`` and ``word[q + 2]``, and the two new entries
+    The moves go into the columns of :class:`MoveColumns`: ``table`` (each
+    entry found again through ``code_of``), ``codes``, ``positions`` and
+    ``bases``; ``extra`` counts the moves recorded past one per entry, so
+    ``len(codes) + extra`` moves are recorded.  A triple reversal that has a
+    script (see the module docstring) is one cited entry, written at once:
+    the swap of ``word[q]`` and ``word[q + 2]`` and the two new entries
     ``at[q + 1]`` and ``at[q + 2]``.  Any other reversal is expanded move by
-    move.  Either way the moves recorded are the same.
+    move.  Either way the moves recorded read the same; :attr:`moves` reads
+    them.
 
     Only ``WordMoves.apply_rule`` and the expansion's own recursion call
     :meth:`reverse_triple`, always with an ``int`` ``q >= 0`` and a full
@@ -261,52 +378,111 @@ class _Tracer(WordMoves):
         super().__init__(indices)
         self.at = list(reversed(path.simplices))
         self.crumbs = baby_base(path.rank)
-        self.moves: list[Move] = []
+        self.table: list[tuple] = []
+        self.code_of: dict = {}  # a move's (kind, gens), or the id of a cited script, to its table index
+        self.codes, self.positions, self.bases = array("q"), array("q"), []
+        self.extra = 0
+
+    @property
+    def moves(self) -> list[Move]:
+        """The moves recorded so far, each built on this read."""
+        return list(self.columns())
+
+    def columns(self) -> MoveColumns:
+        """The moves recorded so far as ``MoveColumns``."""
+        return MoveColumns(tuple(self.table), self.codes, self.positions, self.bases)
+
+    def code(self, entry: tuple, key: object) -> int:
+        """The table index of ``entry``, found by ``key`` and added on its first use."""
+        code = self.code_of.get(key)
+        if code is None:
+            code = self.code_of[key] = len(self.table)
+            self.table.append(entry)
+        return code
+
+    def record(self, kind: str, pos: int, gens: tuple[int, ...], base: Simplex) -> None:
+        move = (kind, gens)
+        try:
+            code = self.code(move, move)
+        except TypeError:  # look-alike gens, a list say, that cannot key the table: an entry of their own
+            code = len(self.table)
+            self.table.append(move)
+        self.codes.append(code)
+        self.positions.append(pos)
+        self.bases.append(base)
 
     def insert(self, pos: int, gens: tuple[int, ...]) -> Simplex:
         block = super().insert(pos, gens)
         base = self.at[pos]
         self.at[pos:pos] = _walk(Word.from_indices(self.crumbs, block), base)[:0:-1]
-        self.moves.append(_move("insert", pos, gens, base))
+        self.record("insert", pos, gens, base)
         return base
 
     def delete(self, pos: int, gens: tuple[int, ...]) -> Simplex:
         end = pos + len(super().delete(pos, gens))
         base = self.at[end]
         del self.at[pos:end]
-        self.moves.append(_move("delete", pos, gens, base))
+        self.record("delete", pos, gens, base)
         return base
 
     def reverse_triple(self, q: int) -> None:
-        script = REVERSALS.script(tuple(self.word[q : q + 3]))
-        if script:
-            slots = _slots(self.at, q, script)
-            self.moves += [_move(kind, q + off, gens, slots[slot]) for kind, off, gens, slot in script.moves]
-            _reverse_in_place(self, q, script, slots)
-        else:
+        triple = tuple(self.word[q : q + 3])
+        script = REVERSALS.script(triple)
+        if not script:
             super().reverse_triple(q)
+            return
+        self.codes.append(self.code((triple, script), id(script)))  # the table keeps the script alive
+        self.positions.append(q)
+        self.bases.append(self.at[q + 3])
+        self.extra += len(script.moves) - 1
+        _reverse_in_place(self, q, script)
+
+
+_TRACER_DELETE = _Tracer.delete  # the delete that the in-place cancellation of reduce_loop stands for
+
+
+def _point(y: Simplex, offset: tuple[tuple[int, int], ...], f: int) -> tuple[Vec, int]:
+    """The anchor and orientation of the script point ``(offset, f)`` at ``y = B(x, o)``: ``B(x + o*d, o*f)``."""
+    anchor, o = list(y.anchor), y.orient
+    for i, v in offset:
+        anchor[i] += o * v
+    return tuple(anchor), o * f
 
 
 def _slots(at: list[Simplex], q: int, script: Script) -> list[Simplex]:
-    """The simplices ``script`` names, placed at ``q``: ``at[q:q+4]``, then its points.
+    """The simplices a live ``script`` names, placed at ``q``: ``at[q:q+4]``, then its points at ``Y = at[q + 3]``.
 
-    A point ``(d, f)`` lies at ``B(x + o*d, o*f)`` for ``at[q + 3] = B(x, o)``.
+    ``script`` is the lemma table's, so its points keep to the hull of
+    ``at[q..q+3]`` (the module docstring) and are built unchecked.
     """
-    x, o = at[q + 3].anchor, at[q + 3].orient
-    placed = at[q : q + 4]
-    for offset, f in script.points:
-        anchor = list(x)
-        for i, v in offset:
-            anchor[i] += o * v
-        placed.append(_unchecked_simplex(tuple(anchor), o * f))
-    return placed
+    y = at[q + 3]
+    return at[q : q + 4] + [_unchecked_simplex(*_point(y, offset, f)) for offset, f in script.points]
 
 
-def _reverse_in_place(tracer: WordMoves, q: int, script: Script, slots: list[Simplex]) -> None:
+def _place(at: list[Simplex], q: int, script: Script, slot: int) -> Simplex:
+    """The simplex of one slot of a live ``script`` placed at ``q``: ``_slots(at, q, script)[slot]``."""
+    return at[q + slot] if slot < 4 else _unchecked_simplex(*_point(at[q + 3], *script.points[slot - 4]))
+
+
+def _cited_fields(triple: tuple[int, int, int], script: Script, q: int,
+                  y: Simplex) -> list[tuple[str, int, tuple[int, ...], Simplex]]:
+    """The moves ``(kind, pos, gens, base)`` of a stored ``script`` cited at ``q`` with ``at[q + 3] = y``.
+
+    ``at[q..q+3]`` is the walk of ``triple`` from ``y``, read backwards.  A
+    stored script may be forged, so its points are built by the checked
+    ``Simplex``, which raises past the 64-bit band as the walk does.
+    """
+    at = _walk(Word.from_indices(baby_base(y.rank), triple), y)[::-1]
+    slots = at + [Simplex(*_point(y, offset, f)) for offset, f in script.points]
+    return [(kind, q + off, gens, slots[slot]) for kind, off, gens, slot in script.moves]
+
+
+def _reverse_in_place(tracer: WordMoves, q: int, script: Script) -> None:
     """What ``script``'s moves leave at ``q``: ``word[q]`` and ``word[q + 2]`` swapped, two new entries."""
-    word = tracer.word
+    word, at = tracer.word, tracer.at
+    a, b = script.ends
     word[q], word[q + 2] = word[q + 2], word[q]
-    tracer.at[q + 1], tracer.at[q + 2] = slots[script.ends[0]], slots[script.ends[1]]
+    at[q + 1], at[q + 2] = _place(at, q, script, a), _place(at, q, script, b)
 
 
 def reduce_loop(p: Path) -> MoveTrace:
@@ -316,8 +492,14 @@ def reduce_loop(p: Path) -> MoveTrace:
     process; each of its steps expands into elementary insert/delete moves on
     the path.  The returned macro spans group the elementary moves the way
     the certificate grouped its steps.  The steps are read once, in order,
-    as ``(rule, pos, payload)`` for ``WordMoves.apply_rule``: from the
-    columns when they are ``StepColumns``, building no record.
+    through ``StepColumns.rows``.  A cancellation is spliced in place on
+    ``word`` and ``at`` and recorded, after the exact-type and neighbour
+    test of the ``g_k^2`` fast path of ``WordMoves.delete``; one that fails
+    it goes through ``tracer.delete`` for its message, and so does every
+    cancellation when the tracer's ``delete`` is not ``_Tracer``'s own.  Any
+    other step goes through ``tracer.apply_rule``, and a step of any other
+    sequence through ``tracer.apply``.  The trace's moves are the tracer's
+    columns.
     """
     if not is_loop(p):
         raise DomainError("only loops can be reduced")
@@ -325,24 +507,41 @@ def reduce_loop(p: Path) -> MoveTrace:
     indices = p.word.to_indices(baby_base(nu))
     cert = rewrite_to_identity(indices, nu)
     tracer = _Tracer(indices, p)
+    splice = type(tracer).delete is _TRACER_DELETE
+    word, at, codes = tracer.word, tracer.at, tracer.codes
+    add_code, add_pos, add_base = codes.append, tracer.positions.append, tracer.bases.append
     steps = cert.steps
-    if type(steps) is StepColumns:
-        fields = steps.rows()
-    else:
-        fields = ((s.rule, s.pos, s.payload, None, None) for s in steps)
-    rows = enumerate(fields)
+    rows = enumerate(steps.rows() if type(steps) is StepColumns else ((None, 0, step, 0, 0) for step in steps))
     macros: list[tuple[int, int, str]] = []
     for a, b, kind in cert.macros:
-        start = len(tracer.moves)
+        start = len(codes) + tracer.extra
         for k, (rule, q, payload, _, _) in islice(rows, b - a):
             try:
-                tracer.apply_rule(rule, q, payload)
+                if rule is RULE_CANCEL:
+                    g = payload[0]
+                    if (splice and type(g) is int and g >= 0 and 0 <= q < len(word) - 1
+                            and word[q] == g == word[q + 1]):
+                        del word[q : q + 2]
+                        move = "delete", payload
+                        add_code(tracer.code(move, move))
+                        add_pos(q)
+                        add_base(at[q + 2])
+                        del at[q : q + 2]
+                    else:
+                        tracer.delete(q, payload)
+                elif rule is None:
+                    tracer.apply(payload)
+                else:
+                    tracer.apply_rule(rule, q, payload)
             except DomainError as exc:
                 raise InternalCheckError(f"certificate step {steps[k]} does not apply: {exc}") from exc
-        macros.append((start, len(tracer.moves), kind))
-    if tracer.word:
+        macros.append((start, len(codes) + tracer.extra, kind))
+    if word:
         raise InternalCheckError("reduction finished with a non-empty word")
-    return MoveTrace(tuple(indices), p.base, tuple(tracer.moves), tuple(macros))
+    return MoveTrace(tuple(indices), p.base, tracer.columns(), tuple(macros))
+
+
+_CITE = object()  # the kind of a feed step that is one cited reversal: (_CITE, q, script, its move count)
 
 
 def replay_trace(trace: MoveTrace, upto: int | None = None) -> Path:
@@ -352,18 +551,34 @@ def replay_trace(trace: MoveTrace, upto: int | None = None) -> Path:
     ``DomainError`` for any other ``upto``, for a start or a move list that
     is not a sequence, for a trace base that is not a ``Simplex`` or an
     entry that is not a ``Move``, and unless every move applies to the live
-    word and records the base its sub-loop has there.  An insert that starts
-    a run of moves equal to the script of a triple reversal (see
-    :func:`_cited_run`) is replayed with its run as one swap; every other
-    insert goes through ``tracer.insert``.  A delete goes through
-    ``WordMoves.delete``, which splices a ``g_k^2`` in place, and then cuts
-    ``at`` as ``tracer.delete`` would, but records no ``Move``.  So the call
-    accepts and rejects, with the same message, what replaying every move
-    through the tracer would.  The path is the tracer's own ``at`` read
-    forwards: no second walk of the final word.
+    word and records the base its sub-loop has there.
+
+    Replay is an independent check, whatever feeds it: it walks the start
+    from scratch into a fresh word and a fresh walk, applies every move to
+    them and compares every recorded base with the live one.  One loop with
+    one step body applies the steps of a feed: a move, or a cited reversal,
+    which swaps ``word[q]`` and ``word[q + 2]`` and places the two new
+    entries.  Moves held as :class:`MoveColumns` are fed straight from the
+    columns (:func:`_column_feed`): a cited entry is applied as one swap
+    when its triple is the live ``word[q:q+3]``, its script is the one the
+    lemma table gives that triple, its ``Y`` is the live ``at[q + 3]`` and
+    ``upto`` does not cut it, and is fed move by move from its script
+    otherwise.  Any other sequence (a tuple, a deque, a trace rebuilt by
+    ``dataclasses.replace``) goes through the checked per-record feed
+    (:func:`_record_feed`), which cites a run of records only when each
+    equals the move a live script places.  A cited step is one that
+    replaying its moves one by one would apply with the same result, so the
+    call accepts and rejects, with the same message, what replaying every
+    move through the tracer would.  A delete goes through
+    ``WordMoves.delete`` and cuts ``at`` as ``tracer.delete`` does, without
+    recording a move.  No ``Move`` is built.  The path is the tracer's own
+    ``at`` read forwards: no second walk of the final word.
     """
-    require_sequence(trace.moves, "trace moves")
-    moves = tuple(trace.moves)  # indexed and sliced per move; a deque cannot be sliced
+    moves = trace.moves
+    columns = type(moves) is MoveColumns
+    if not columns:
+        require_sequence(moves, "trace moves")
+        moves = tuple(moves)  # indexed and sliced per move; a deque cannot be sliced
     n = len(moves)
     if upto is None:
         upto = n
@@ -374,22 +589,14 @@ def replay_trace(trace: MoveTrace, upto: int | None = None) -> Path:
     require_sequence(trace.start, "trace start")
     crumbs = baby_base(trace.base.rank)
     tracer = _Tracer(trace.start, path_of_word(Word.from_indices(crumbs, trace.start), trace.base))
-    at = tracer.at
-    k = 0
-    while k < upto:
-        mv = moves[k]
-        try:
-            kind, pos, gens, recorded = mv.kind, mv.pos, mv.gens, mv.base
-        except AttributeError:
-            raise DomainError(f"trace entry {k} is not a Move: {mv!r}") from None
+    word, at = tracer.word, tracer.at
+    for kind, pos, gens, recorded in (_column_feed if columns else _record_feed)(moves, tracer, upto):
+        if kind is _CITE:
+            _reverse_in_place(tracer, pos, gens)
+            continue
         if kind == "insert":
-            cited = _cited_run(tracer, moves, k, upto)
-            if cited:
-                k += cited
-                continue
             base = tracer.insert(pos, gens)
-        elif kind == "delete":
-            # ``tracer.delete`` without the ``Move`` record, which replay never reads.
+        elif kind == "delete":  # ``tracer.delete`` without recording a move, which replay never reads
             end = pos + len(WordMoves.delete(tracer, pos, gens))
             base = at[end]
             del at[pos:end]
@@ -397,12 +604,58 @@ def replay_trace(trace: MoveTrace, upto: int | None = None) -> Path:
             raise DomainError(f"unknown move kind {kind!r}")
         if base != recorded:
             raise DomainError("trace replay: recorded sub-loop base does not match")
-        k += 1
-    return _unchecked_path(tuple(reversed(tracer.at)), Word.from_indices(crumbs, tracer.word))
+    return _unchecked_path(tuple(reversed(at)), Word.from_indices(crumbs, word))
 
 
-def _cited_run(tracer: WordMoves, moves: Sequence[Move], k: int, end: int) -> int:
-    """Apply ``moves[k:]`` as one cited reversal if they start one; the count of moves cited, or 0.
+def _column_feed(columns: MoveColumns, tracer: _Tracer, upto: int) -> Iterator[tuple]:
+    """The steps of the first ``upto`` moves of ``columns``, each checked against the live tracer as it is fed.
+
+    A move entry is fed as its fields.  A cited entry ``(triple, script)``
+    at ``q`` with ``Y`` is fed as one cited step when its ``upto`` allows
+    all its moves, ``triple`` is the live ``word[q:q+3]``, the lemma table
+    gives that triple ``script`` and ``Y`` is the live ``at[q + 3]``; then
+    its moves are the live script's placed at the live ``Y``, which the
+    lemma of the ``moves`` docstring applies one by one with the result of
+    the swap.  Otherwise its moves are fed one by one, built from the
+    stored script at the stored ``Y`` as reading the record builds them.
+    """
+    word, at, table = tracer.word, tracer.at, columns.table
+    k = 0
+    for code, q, base in zip(columns.codes, columns.positions, columns.bases):
+        if k >= upto:
+            return
+        first, second = table[code]
+        if type(first) is str:
+            yield first, q, second, base
+            k += 1
+            continue
+        width = len(second.moves)
+        if k + width <= upto and q >= 0 and tuple(word[q : q + 3]) == first:
+            script = REVERSALS.script(first)
+            if (script is second or script == second) and at[q + 3] == base:
+                yield _CITE, q, second, width
+                k += width
+                continue
+        yield from islice(_cited_fields(first, second, q, base), upto - k)
+        k += width
+
+
+def _record_feed(moves: tuple, tracer: WordMoves, upto: int) -> Iterator[tuple]:
+    """The steps of ``moves[:upto]``, read a record at a time; a run that :func:`_cited_run` cites is one step."""
+    k = 0
+    while k < upto:
+        mv = moves[k]
+        try:
+            fields = mv.kind, mv.pos, mv.gens, mv.base
+        except AttributeError:
+            raise DomainError(f"trace entry {k} is not a Move: {mv!r}") from None
+        cited = fields[0] == "insert" and _cited_run(tracer, moves, k, upto)
+        yield cited or fields
+        k += cited[3] if cited else 1
+
+
+def _cited_run(tracer: WordMoves, moves: Sequence[Move], k: int, end: int) -> tuple | None:
+    """The cited step of the reversal ``moves[k:]`` start if they start one, else ``None``.
 
     ``moves[k]`` is an insert at ``p``.  For ``q`` in ``p - 3 .. p`` the live
     triple ``word[q:q+3]`` may have a script whose first move is at offset
@@ -416,7 +669,7 @@ def _cited_run(tracer: WordMoves, moves: Sequence[Move], k: int, end: int) -> in
     word, at = tracer.word, tracer.at
     p, first = moves[k].pos, moves[k].gens
     if type(p) is not int or type(first) is not tuple:
-        return 0
+        return None
     for q in range(max(p - 3, 0), min(p, len(word) - 3) + 1):
         script = REVERSALS.script(tuple(word[q : q + 3]))
         run = script and script.moves
@@ -433,11 +686,10 @@ def _cited_run(tracer: WordMoves, moves: Sequence[Move], k: int, end: int) -> in
                 ):
                     break
             else:
-                _reverse_in_place(tracer, q, script, slots)
-                return len(run)
+                return _CITE, q, script, len(run)
         except AttributeError:  # an entry that is not a Move: the per-move loop names it
-            return 0
-    return 0
+            return None
+    return None
 
 
 # ---------------------------------------------------------------------------

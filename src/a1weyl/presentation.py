@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from .errors import DomainError, InternalCheckError
 from .hyperbolic import central_word, eval_word_hyp
 from .lattice import I64_MAX, ReflectableBase, is_elliptic_like, mutable_twin, support_pairs
-from .moves import REVERSALS, RULE_CANCEL, RULE_DELETE, RULE_REVERSE, WordMoves, require_sequence
+from .moves import REVERSALS, RULE_CANCEL, RULE_DELETE, RULE_REVERSE, RecordColumns, WordMoves, require_sequence
 from .weyl import MAX_K, enumerate_alternating, eval_word, json_ints
 from .words import Word
 
@@ -308,7 +308,7 @@ def _rows(length: int, rules: bytes, positions: Sequence[int], letters: Sequence
 _CUTS = bytes.maketrans(b"\x01\x03\x06", b"\x02\x00\x06")
 
 
-class StepColumns(Sequence):
+class StepColumns(RecordColumns):
     """The steps of a library-built certificate, held as columns; a ``RewriteStep`` is built when read.
 
     ``rules`` holds one code per step, the width of its payload: 1 for a
@@ -319,16 +319,14 @@ class StepColumns(Sequence):
     the start, and the cuts of the steps before.  The constructor refuses
     columns of other types or of lengths that do not match (``DomainError``).
 
-    The sequence is the tuple of its records to ``==``, ``hash`` and
-    ``repr``, pickles and copies as columns, and reads as that tuple: an
-    index gives one record (``IndexError`` out of range), a slice a tuple of
-    records.  No record is kept: each read builds its records again, so
-    whoever reads every step pays for every record.  The first index or
-    slice builds a prefix index (each step's letter offset and word length,
-    16 bytes a step), after which an index costs O(1) and a slice O(its span).
+    The sequence reads, compares, hashes, prints and pickles as the tuple of
+    its records (``moves.RecordColumns``).  The first index or slice builds
+    a prefix index (each step's letter offset and word length, 16 bytes a
+    step), after which an index costs O(1) and a slice O(its span).
     """
 
     __slots__ = ("length", "rules", "positions", "letters", "_starts")
+    COLUMNS = ("length", "rules", "positions", "letters")
 
     def __init__(self, length: int, rules: bytes, positions: array, letters: array):
         if not (type(length) is int and type(rules) is bytes and type(positions) is array
@@ -343,6 +341,7 @@ class StepColumns(Sequence):
         """The fields ``(rule, pos, payload, before_len, after_len)`` of steps ``k, k + 1, .., stop - 1``.
 
         ``0 <= k <= len(self)``; ``stop`` (default: the end) is a slice bound.
+        ``rule`` is one of the ``RULE_*`` constants themselves.
         """
         if not k and stop is None:
             return _rows(self.length, self.rules, self.positions, self.letters)
@@ -353,44 +352,11 @@ class StepColumns(Sequence):
         offsets, lengths = self._starts
         return _rows(lengths[k], self.rules[k:stop], self.positions[k:stop], self.letters, offsets[k])
 
+    def records(self, k: int = 0, stop: int | None = None) -> Iterator[RewriteStep]:
+        return itertools.starmap(_step, self.rows(k, stop))
+
     def __len__(self) -> int:
         return len(self.rules)
-
-    def __iter__(self) -> Iterator[RewriteStep]:
-        return itertools.starmap(_step, self.rows())
-
-    def __reversed__(self) -> Iterator[RewriteStep]:
-        return reversed(tuple(self))
-
-    def __getitem__(self, index):
-        n = len(self.rules)
-        if isinstance(index, slice):
-            keep = range(n)[index]
-            if not keep:
-                return ()
-            first = min(keep)
-            rows = list(self.rows(first, max(keep) + 1))
-            return tuple(_step(*rows[k - first]) for k in keep)
-        k = operator.index(index)
-        if k < 0:
-            k += n
-        if not 0 <= k < n:
-            raise IndexError("tuple index out of range")
-        return _step(*next(self.rows(k, k + 1)))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (tuple, StepColumns)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-    def __reduce__(self):
-        return StepColumns, (self.length, self.rules, self.positions, self.letters)
 
 
 @dataclass(frozen=True)

@@ -56,10 +56,21 @@ class Word:
         ``B_c = sum_i |p_c(a_i)|`` is at most ``I64_MAX``: then no partial sum
         leaves the 64-bit band and the sums need no guard.  Past the bound,
         ``weyl.eval_word_checked`` is the guard of the running sum.  Built once
-        per word and shared by every reader, so it is held as tuples.
+        per word and shared by every reader, so it is held as tuples.  The
+        sums ``B_c`` it takes are kept as :attr:`bounds`.
         """
         coefs, cols = _coefs_and_cols(self.rank, self.letters)
-        return coefs, cols, all(sum(map(abs, col)) <= I64_MAX for col in cols)
+        bounds = vars(self)["bounds"] = tuple(sum(map(abs, col)) for col in cols)
+        return coefs, cols, all(b <= I64_MAX for b in bounds)
+
+    @cached_property
+    def bounds(self) -> tuple[int, ...]:
+        """``B_c = sum_i |p_c(a_i)|`` for each coordinate ``c``: no partial sum of column ``c`` is larger in size.
+
+        :attr:`columns` keeps them as it sums them; a word whose columns
+        were planted (``_parsed_word``) sums them here when first read.
+        """
+        return tuple(sum(map(abs, col)) for col in self.columns[1])
 
     def __add__(self, other: "Word") -> "Word":
         if self.rank != other.rank:

@@ -430,28 +430,35 @@ def reference_path_of_word(word: Word, base: Simplex) -> Path:
     return Path(tuple(out), word)
 
 
-class ReferenceTracer(WordMoves):
+class ReferenceTracer(_Tracer):
+    """The per-letter walk and the full expansion of every reversal, recording through ``_Tracer.record``.
+
+    It subclasses ``_Tracer`` only for the columns ``reduce_loop`` writes
+    and ``moves`` reads; every move is its own: the insert walks the block
+    letter by letter, and no reversal is cited.
+    """
+
+    reverse_triple = WordMoves.reverse_triple
+
     def __init__(self, indices: Sequence[int], path: Path):
-        super().__init__(indices)
-        self.at = list(reversed(path.simplices))
+        super().__init__(indices, path)
         self.roots = baby_base(path.rank).roots
-        self.moves: list[Move] = []
 
     def insert(self, pos: int, gens: tuple[int, ...]) -> Simplex:
-        block = super().insert(pos, gens)
+        block = WordMoves.insert(self, pos, gens)
         base = self.at[pos]
         entries = [base]
         for k in reversed(block):
             entries.append(_step(self.roots[k], entries[-1]))
         self.at[pos:pos] = entries[:0:-1]
-        self.moves.append(Move("insert", pos, gens, base))
+        self.record("insert", pos, gens, base)
         return base
 
     def delete(self, pos: int, gens: tuple[int, ...]) -> Simplex:
-        end = pos + len(super().delete(pos, gens))
+        end = pos + len(WordMoves.delete(self, pos, gens))
         base = self.at[end]
         del self.at[pos:end]
-        self.moves.append(Move("delete", pos, gens, base))
+        self.record("delete", pos, gens, base)
         return base
 
 
@@ -468,6 +475,21 @@ def with_reference_walk(fn, *args):
         mp.setattr(geometry, "path_of_word", reference_path_of_word)
         mp.setattr(geometry, "_Tracer", ReferenceTracer)
         return outcome(fn, *args)
+
+
+def test_the_reference_tracer_takes_every_cancellation_through_its_own_delete(monkeypatch):
+    deleted = []
+
+    class CountingReference(ReferenceTracer):
+        def delete(self, pos, gens):
+            deleted.append((pos, gens))
+            return super().delete(pos, gens)
+
+    path = path_of_word(Word.from_indices(baby_base(2), WORKED_LOOP), base_simplex(2))
+    monkeypatch.setattr(geometry, "_Tracer", CountingReference)
+    trace = reduce_loop(path)
+    assert deleted == [(m.pos, m.gens) for m in trace.moves if m.kind == "delete"]
+    assert any(len(gens) == 1 for _, gens in deleted)
 
 
 walk_coords = st.one_of(
@@ -1021,10 +1043,11 @@ def test_trace_replay_builds_no_move_record(monkeypatch):
 
     monkeypatch.setattr(geometry, "_move", counting_move)
     trace = reduce_loop(path)
-    assert len(built) == len(trace.moves) > 0  # the counter sees what tracing records
-    del built[:]
+    assert built == []
     assert simplices_of(replay_trace(trace)) == (((0, 0), 1),)
     assert built == []
+    records = tuple(trace.moves)
+    assert len(built) == len(records) == len(trace.moves) > 0  # the counter sees every record read
 
 
 def test_each_reduction_and_each_replay_builds_at_most_one_base(monkeypatch):

@@ -1,4 +1,8 @@
-"""The scripts under ``scripts/`` run end to end as separate processes."""
+"""The scripts under ``scripts/`` run end to end as separate processes.
+
+So do the output digest and the README tour's golden check
+(``tests/tour_checks.py``) under every supported interpreter found on PATH.
+"""
 
 import functools
 import os
@@ -10,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+TESTS = Path(__file__).resolve().parent
+SCRIPTS = TESTS.parent / "scripts"
 
 
 @functools.lru_cache(maxsize=None)  # the digest run is shared by two tests
@@ -97,33 +102,44 @@ def test_output_digests_are_unchanged():
 INTERPRETERS = ("3.10", "3.12", "3.13")
 
 
-@pytest.fixture(scope="module")
-def digests_elsewhere():
-    """The seed-1 digest run under each interpreter of ``INTERPRETERS``, all started at once.
+def run_elsewhere(argv, **env):
+    """``argv`` under each interpreter of ``INTERPRETERS``, all started at once: a fixture's body.
 
-    Maps a version to its running process, or to the reason it is skipped.
+    Yields a map from a version to its running process, or to the reason it
+    is skipped, and kills what still runs when the fixture ends.
     ``python<version>`` is looked up on PATH and skipped if absent or if it
     does not run that version; ``PYENV_VERSION`` lets a pyenv shim run an
     installed interpreter of that version, and anything else ignores it.
+    ``env`` is added to the environment of each run.
     """
     runs = {}
     for version in INTERPRETERS:
         exe = shutil.which(f"python{version}")
-        env = {**os.environ, "PYENV_VERSION": version}
+        run_env = {**os.environ, "PYENV_VERSION": version, **env}
         probe = exe and subprocess.run([exe, "-c", "import sys; print(*sys.version_info[:2])"],
-                                       capture_output=True, text=True, env=env, timeout=60)
+                                       capture_output=True, text=True, env=run_env, timeout=60)
         if not probe or probe.returncode or probe.stdout.split() != version.split("."):
             runs[version] = f"no python{version} runs on PATH"
             continue
-        runs[version] = subprocess.Popen(
-            [exe, str(SCRIPTS / "output_digest.py"), "--seeds", "1", "--variants", "0"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
-        )
+        runs[version] = subprocess.Popen([exe, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                         text=True, env=run_env)
     yield runs
     for run in runs.values():
         if not isinstance(run, str) and run.poll() is None:
             run.kill()
             run.wait()
+
+
+@pytest.fixture(scope="module")
+def digests_elsewhere():
+    """The seed-1 digest run under each interpreter of ``INTERPRETERS`` (:func:`run_elsewhere`)."""
+    yield from run_elsewhere([str(SCRIPTS / "output_digest.py"), "--seeds", "1", "--variants", "0"])
+
+
+@pytest.fixture(scope="module")
+def tours_elsewhere():
+    """The README tour's golden check, ``tests/tour_checks.py``, under each interpreter of ``INTERPRETERS``."""
+    yield from run_elsewhere([str(TESTS / "tour_checks.py")], PYTHONPATH=str(TESTS.parent / "src"))
 
 
 @pytest.mark.parametrize("version", INTERPRETERS)
@@ -135,3 +151,13 @@ def test_every_interpreter_gives_the_same_digests(digests_elsewhere, version):
     assert run.returncode == 0, err
     rows = [line.split() for line in out.splitlines()]
     assert {r[0]: r[8] for r in rows} == OUTPUT_DIGESTS
+
+
+@pytest.mark.parametrize("version", INTERPRETERS)
+def test_every_interpreter_prints_the_golden_tour(tours_elsewhere, version):
+    run = tours_elsewhere[version]
+    if isinstance(run, str):
+        pytest.skip(run)
+    out, err = run.communicate(timeout=120)
+    assert run.returncode == 0, out + err
+    assert out.split() == ["ok", *version.split(".")]

@@ -372,6 +372,18 @@ def test_the_trusted_parse_equals_the_checked_constructor(case):
     assert planted == (word.rank >= 1 and len(word) * reach <= I64_MAX)
 
 
+@settings(deadline=None, max_examples=200)
+@given(parsable_words())
+def test_the_bounds_are_the_sums_of_absolute_column_entries(case):
+    base, text, _ = case
+    word = parse_word(text, base)
+    expected = tuple(sum(abs(a.lat[c]) for a in word.letters) for c in range(word.rank))
+    assert word.bounds == expected  # summed when read, planted columns or not
+    rebuilt = Word(word.rank, word.letters)
+    assert rebuilt.columns[2] == all(b <= I64_MAX for b in expected)
+    assert "bounds" in rebuilt.__dict__ and rebuilt.bounds == expected  # kept by the columns build
+
+
 @pytest.mark.parametrize("k", [1, 2, 7])
 @pytest.mark.parametrize("past", [0, 1])
 def test_columns_are_planted_up_to_the_bound_of_length_times_reach(k, past):

@@ -17,10 +17,11 @@ by their 64-bit bytes).  Only the op is timed.
 
 A side's ``ops_per_s`` in a pass is its number of ops over their summed
 time.  Each side's line gives its best pass, then the median and the
-quartiles (inclusive method) of its passes; the ``gain`` line compares the
-best passes of new and old, the ``median gain`` line their medians.  Both
-sides meet the same host load at the same moments, which separate runs of
-``bench/run.py`` on a shared host do not.  Stdlib only.
+quartiles (inclusive method) of its passes.  Both sides of a pass meet the
+same host load at the same moments, which separate runs of ``bench/run.py``
+on a shared host do not, so the ``gain`` line is paired: the median over
+passes of the pass's new/old ratio, less one.  The ``median gain`` line
+compares the two sides' medians.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import argparse
 import gc
 import hashlib
 import importlib
+import operator
 import shutil
 import statistics
 import sys
@@ -163,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
         medians[side], q1, q3 = spread(rates[side])
         print(f"{side:3s} ops_per_s {max(rates[side]):9.1f} (best of {args.passes})"
               f"  median {medians[side]:9.1f} IQR [{q1:.1f}, {q3:.1f}]  {getattr(args, side)}")
-    gain = max(rates["new"]) / max(rates["old"]) - 1
+    gain = statistics.median(map(operator.truediv, rates["new"], rates["old"])) - 1
     print(f"gain {gain:+.1%}")
     print(f"median gain {medians['new'] / medians['old'] - 1:+.1%}")
     return 0

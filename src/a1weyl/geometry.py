@@ -46,7 +46,8 @@ So the tracer records a reversal whose triple has a script as one cited
 entry, ``(q, the triple and its script, Y)``, and writes what its moves
 leave at once; ``replay_trace`` checks the entry against its own live word
 and walk and applies it as one swap.  A triple without a script is expanded
-and recorded move by move.
+and recorded move by move.  Citing lives in the columns alone: a trace given
+as any other sequence of ``Move`` records replays move by move.
 
 A trace is held as columns (:class:`MoveColumns`), one entry per move or per
 cited reversal: an index into a small per-trace table of ``(kind, gens)``
@@ -169,8 +170,8 @@ _SimplexTwin = mutable_twin(Simplex)
 def _unchecked_simplex(anchor: Vec, orient: int) -> Simplex:
     """A ``Simplex`` built through its twin, past ``Simplex.__post_init__``.
 
-    Only :func:`_walk`, for a walk in the band, and :func:`_slots` and
-    :func:`_place`, for the points of a script from the lemma table, call it.
+    Only :func:`_walk`, for a walk in the band, and :func:`_place`, for the
+    points of a script from the lemma table, call it.
     The record is the one the checked constructor would build (the twin rule
     of the ``lattice`` docstring): it compares, hashes and pickles the same.
     Safe because they hand it only what those checks pass: ``orient`` is a
@@ -366,7 +367,9 @@ class _Tracer(WordMoves):
     the swap of ``word[q]`` and ``word[q + 2]`` and the two new entries
     ``at[q + 1]`` and ``at[q + 2]``.  Any other reversal is expanded move by
     move.  Either way the moves recorded read the same; :attr:`moves` reads
-    them.
+    them.  :meth:`delete` splices a ``g_k^2``, the commonest move, itself;
+    every cancellation of :func:`reduce_loop` goes through it, so a subclass
+    that overrides ``delete`` gets them all.
 
     Only ``WordMoves.apply_rule`` and the expansion's own recursion call
     :meth:`reverse_triple`, always with an ``int`` ``q >= 0`` and a full
@@ -419,9 +422,23 @@ class _Tracer(WordMoves):
         return base
 
     def delete(self, pos: int, gens: tuple[int, ...]) -> Simplex:
+        word, at = self.word, self.at
+        if type(gens) is tuple and len(gens) == 1 and type(pos) is int and pos >= 0:
+            # The test of the ``g_k^2`` fast path of ``WordMoves.delete``; on a
+            # pass the block and its two entries are cut and the move recorded here.
+            k = gens[0]
+            if type(k) is int and k >= 0 and pos + 1 < len(word) and word[pos] == k == word[pos + 1]:
+                del word[pos : pos + 2]
+                move = "delete", gens
+                self.codes.append(self.code(move, move))
+                self.positions.append(pos)
+                base = at[pos + 2]
+                self.bases.append(base)
+                del at[pos : pos + 2]
+                return base
         end = pos + len(super().delete(pos, gens))
-        base = self.at[end]
-        del self.at[pos:end]
+        base = at[end]
+        del at[pos:end]
         self.record("delete", pos, gens, base)
         return base
 
@@ -438,9 +455,6 @@ class _Tracer(WordMoves):
         _reverse_in_place(self, q, script)
 
 
-_TRACER_DELETE = _Tracer.delete  # the delete that the in-place cancellation of reduce_loop stands for
-
-
 def _point(y: Simplex, offset: tuple[tuple[int, int], ...], f: int) -> tuple[Vec, int]:
     """The anchor and orientation of the script point ``(offset, f)`` at ``y = B(x, o)``: ``B(x + o*d, o*f)``."""
     anchor, o = list(y.anchor), y.orient
@@ -449,18 +463,12 @@ def _point(y: Simplex, offset: tuple[tuple[int, int], ...], f: int) -> tuple[Vec
     return tuple(anchor), o * f
 
 
-def _slots(at: list[Simplex], q: int, script: Script) -> list[Simplex]:
-    """The simplices a live ``script`` names, placed at ``q``: ``at[q:q+4]``, then its points at ``Y = at[q + 3]``.
+def _place(at: list[Simplex], q: int, script: Script, slot: int) -> Simplex:
+    """The simplex of ``slot`` of a live ``script`` placed at ``q``: ``at[q + slot]``, or a point at ``Y = at[q + 3]``.
 
     ``script`` is the lemma table's, so its points keep to the hull of
     ``at[q..q+3]`` (the module docstring) and are built unchecked.
     """
-    y = at[q + 3]
-    return at[q : q + 4] + [_unchecked_simplex(*_point(y, offset, f)) for offset, f in script.points]
-
-
-def _place(at: list[Simplex], q: int, script: Script, slot: int) -> Simplex:
-    """The simplex of one slot of a live ``script`` placed at ``q``: ``_slots(at, q, script)[slot]``."""
     return at[q + slot] if slot < 4 else _unchecked_simplex(*_point(at[q + 3], *script.points[slot - 4]))
 
 
@@ -492,14 +500,11 @@ def reduce_loop(p: Path) -> MoveTrace:
     process; each of its steps expands into elementary insert/delete moves on
     the path.  The returned macro spans group the elementary moves the way
     the certificate grouped its steps.  The steps are read once, in order,
-    through ``StepColumns.rows``.  A cancellation is spliced in place on
-    ``word`` and ``at`` and recorded, after the exact-type and neighbour
-    test of the ``g_k^2`` fast path of ``WordMoves.delete``; one that fails
-    it goes through ``tracer.delete`` for its message, and so does every
-    cancellation when the tracer's ``delete`` is not ``_Tracer``'s own.  Any
-    other step goes through ``tracer.apply_rule``, and a step of any other
-    sequence through ``tracer.apply``.  The trace's moves are the tracer's
-    columns.
+    through ``StepColumns.rows``: a cancellation goes through
+    ``tracer.delete`` and any other step through ``tracer.apply_rule``; a
+    step of any other sequence goes through ``tracer.apply``.  Only the
+    tracer's methods change its word, ``at`` and columns, and the trace's
+    moves are its columns.
     """
     if not is_loop(p):
         raise DomainError("only loops can be reduced")
@@ -507,36 +512,23 @@ def reduce_loop(p: Path) -> MoveTrace:
     indices = p.word.to_indices(baby_base(nu))
     cert = rewrite_to_identity(indices, nu)
     tracer = _Tracer(indices, p)
-    splice = type(tracer).delete is _TRACER_DELETE
-    word, at, codes = tracer.word, tracer.at, tracer.codes
-    add_code, add_pos, add_base = codes.append, tracer.positions.append, tracer.bases.append
     steps = cert.steps
     rows = enumerate(steps.rows() if type(steps) is StepColumns else ((None, 0, step, 0, 0) for step in steps))
     macros: list[tuple[int, int, str]] = []
     for a, b, kind in cert.macros:
-        start = len(codes) + tracer.extra
+        start = len(tracer.codes) + tracer.extra
         for k, (rule, q, payload, _, _) in islice(rows, b - a):
             try:
                 if rule is RULE_CANCEL:
-                    g = payload[0]
-                    if (splice and type(g) is int and g >= 0 and 0 <= q < len(word) - 1
-                            and word[q] == g == word[q + 1]):
-                        del word[q : q + 2]
-                        move = "delete", payload
-                        add_code(tracer.code(move, move))
-                        add_pos(q)
-                        add_base(at[q + 2])
-                        del at[q : q + 2]
-                    else:
-                        tracer.delete(q, payload)
+                    tracer.delete(q, payload)
                 elif rule is None:
                     tracer.apply(payload)
                 else:
                     tracer.apply_rule(rule, q, payload)
             except DomainError as exc:
                 raise InternalCheckError(f"certificate step {steps[k]} does not apply: {exc}") from exc
-        macros.append((start, len(codes) + tracer.extra, kind))
-    if word:
+        macros.append((start, len(tracer.codes) + tracer.extra, kind))
+    if tracer.word:
         raise InternalCheckError("reduction finished with a non-empty word")
     return MoveTrace(tuple(indices), p.base, tracer.columns(), tuple(macros))
 
@@ -563,13 +555,12 @@ def replay_trace(trace: MoveTrace, upto: int | None = None) -> Path:
     when its triple is the live ``word[q:q+3]``, its script is the one the
     lemma table gives that triple, its ``Y`` is the live ``at[q + 3]`` and
     ``upto`` does not cut it, and is fed move by move from its script
-    otherwise.  Any other sequence (a tuple, a deque, a trace rebuilt by
-    ``dataclasses.replace``) goes through the checked per-record feed
-    (:func:`_record_feed`), which cites a run of records only when each
-    equals the move a live script places.  A cited step is one that
-    replaying its moves one by one would apply with the same result, so the
-    call accepts and rejects, with the same message, what replaying every
-    move through the tracer would.  A delete goes through
+    otherwise.  A cited step is one that replaying its moves one by one
+    would apply with the same result, so the call accepts and rejects, with
+    the same message, what replaying every move through the tracer would.
+    Any other sequence (a tuple, a deque, a trace rebuilt by
+    ``dataclasses.replace``) is read a record at a time and replayed move by
+    move (:func:`_record_feed`).  A delete goes through
     ``WordMoves.delete`` and cuts ``at`` as ``tracer.delete`` does, without
     recording a move.  No ``Move`` is built.  The path is the tracer's own
     ``at`` read forwards: no second walk of the final word.
@@ -578,7 +569,6 @@ def replay_trace(trace: MoveTrace, upto: int | None = None) -> Path:
     columns = type(moves) is MoveColumns
     if not columns:
         require_sequence(moves, "trace moves")
-        moves = tuple(moves)  # indexed and sliced per move; a deque cannot be sliced
     n = len(moves)
     if upto is None:
         upto = n
@@ -590,7 +580,8 @@ def replay_trace(trace: MoveTrace, upto: int | None = None) -> Path:
     crumbs = baby_base(trace.base.rank)
     tracer = _Tracer(trace.start, path_of_word(Word.from_indices(crumbs, trace.start), trace.base))
     word, at = tracer.word, tracer.at
-    for kind, pos, gens, recorded in (_column_feed if columns else _record_feed)(moves, tracer, upto):
+    feed = _column_feed(moves, tracer, upto) if columns else _record_feed(moves, upto)
+    for kind, pos, gens, recorded in feed:
         if kind is _CITE:
             _reverse_in_place(tracer, pos, gens)
             continue
@@ -640,56 +631,14 @@ def _column_feed(columns: MoveColumns, tracer: _Tracer, upto: int) -> Iterator[t
         k += width
 
 
-def _record_feed(moves: tuple, tracer: WordMoves, upto: int) -> Iterator[tuple]:
-    """The steps of ``moves[:upto]``, read a record at a time; a run that :func:`_cited_run` cites is one step."""
-    k = 0
-    while k < upto:
-        mv = moves[k]
+def _record_feed(moves: Sequence[Move], upto: int) -> Iterator[tuple]:
+    """The fields ``(kind, pos, gens, base)`` of the first ``upto`` records of ``moves``, one record at a time."""
+    for k, mv in enumerate(islice(moves, upto)):
         try:
             fields = mv.kind, mv.pos, mv.gens, mv.base
         except AttributeError:
             raise DomainError(f"trace entry {k} is not a Move: {mv!r}") from None
-        cited = fields[0] == "insert" and _cited_run(tracer, moves, k, upto)
-        yield cited or fields
-        k += cited[3] if cited else 1
-
-
-def _cited_run(tracer: WordMoves, moves: Sequence[Move], k: int, end: int) -> tuple | None:
-    """The cited step of the reversal ``moves[k:]`` start if they start one, else ``None``.
-
-    ``moves[k]`` is an insert at ``p``.  For ``q`` in ``p - 3 .. p`` the live
-    triple ``word[q:q+3]`` may have a script whose first move is at offset
-    ``p - q`` and whose moves all lie before ``end``.  The run is cited when
-    each recorded move equals the scripted one placed at ``Y = at[q + 3]``
-    with exact types: the kind, an ``int`` pos,
-    a ``tuple`` of ``int`` gens, and a ``Simplex`` base.  Replaying those
-    moves one by one would then succeed and leave what :func:`_reverse_in_place`
-    leaves.
-    """
-    word, at = tracer.word, tracer.at
-    p, first = moves[k].pos, moves[k].gens
-    if type(p) is not int or type(first) is not tuple:
-        return None
-    for q in range(max(p - 3, 0), min(p, len(word) - 3) + 1):
-        script = REVERSALS.script(tuple(word[q : q + 3]))
-        run = script and script.moves
-        if not run or run[0][1] != p - q or run[0][2] != first or k + len(run) > end:
-            continue
-        slots = _slots(at, q, script)
-        try:
-            for (kind, off, gens, slot), mv in zip(run, moves[k : k + len(run)]):
-                pos, got, base, want = mv.pos, mv.gens, mv.base, slots[slot]
-                if not (
-                    mv.kind == kind and type(pos) is int and pos == q + off
-                    and (got is gens or type(got) is tuple and got == gens and all(type(g) is int for g in got))
-                    and type(base) is Simplex and base.orient == want.orient and base.anchor == want.anchor
-                ):
-                    break
-            else:
-                return _CITE, q, script, len(run)
-        except AttributeError:  # an entry that is not a Move: the per-move loop names it
-            return None
-    return None
+        yield fields
 
 
 # ---------------------------------------------------------------------------

@@ -808,14 +808,16 @@ def test_every_script_at_the_band_edge_writes_what_the_expansion_writes(monkeypa
 
 
 def test_at_the_band_edge_every_run_is_cited_and_replays_as_the_reference(monkeypatch):
-    """At the edge a recorded run is replayed as one cited swap, and as the reference replays it at every ``upto``."""
+    """At the edge a cited reversal replays as one swap, and columns and records as the reference at every ``upto``."""
     inserted = counting_inserts(monkeypatch)
     placements = 0
     for triple, path in edge_placements(2):
-        tracer = ReferenceTracer(triple, path)
+        tracer = _Tracer(triple, path)
         tracer.reverse_triple(0)
-        trace = MoveTrace(triple, path.base, tuple(tracer.moves), ())
+        columns = tracer.columns()
+        trace = MoveTrace(triple, path.base, columns, ())
         every_upto_replays_as_the_reference(trace)
+        every_upto_replays_as_the_reference(MoveTrace(triple, path.base, tuple(columns), ()))
         del inserted[:]
         replay_trace(trace)
         assert inserted == []
@@ -943,7 +945,7 @@ def test_a_trace_start_that_cannot_be_iterated_is_a_domain_error():
 
 
 def test_a_deque_of_moves_replays_as_the_same_moves_in_a_tuple(baby2_base):
-    # The cited runs were sliced out of the moves, which a deque refused with TypeError.
+    # Record replay reads the moves one at a time, so a deque, which cannot be sliced, replays as a tuple.
     trace = reduce_loop(path_of_word(Word.from_indices(baby2_base, WORKED_LOOP), base_simplex(2)))
     queued = dataclasses.replace(trace, moves=collections.deque(trace.moves))
     for upto in (None, 0, *(b for _, b, _ in trace.macros)):

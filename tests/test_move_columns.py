@@ -250,6 +250,33 @@ def test_a_replayed_delete_accepts_and_refuses_as_the_delete_move(k):
                 assert got == expected
 
 
+@pytest.mark.parametrize("k", LOOKALIKES)
+def test_a_traced_delete_accepts_and_refuses_as_the_delete_move(k):
+    """``_Tracer.delete`` of a ``g_k^2`` accepts and refuses as ``WordMoves.delete`` does, and records what it cuts."""
+    crumbs, b = baby_base(2), base_simplex(2)
+    for start in itertools.product((0, 1, 2), repeat=3):
+        path = path_of_word(Word.from_indices(crumbs, start), b)
+        for q in range(-1, 4):
+            moves = WordMoves(start)
+            try:
+                moves.delete(q, (k,))
+                expected = "value", moves.word
+            except DomainError as exc:
+                expected = "raises", DomainError, str(exc)
+            tracer = _Tracer(start, path)
+            at = tracer.at[:]
+            got = outcome(tracer.delete, q, (k,))
+            if got[0] == "value":
+                base = at[q + 2]
+                assert got[1] == base
+                assert tracer.at == at[:q] + at[q + 2 :]
+                assert tracer.moves == [Move("delete", q, (k,), base)]
+                got = "value", tracer.word
+            else:
+                assert (tracer.at, tracer.moves) == (at, [])
+            assert got == expected
+
+
 def counting_inserts(monkeypatch):
     insert = _Tracer.insert
     inserted = []
@@ -282,8 +309,9 @@ def test_a_patched_expansion_replays_the_stored_scripts_move_by_move(trace, monk
 
 def test_a_script_proved_again_is_still_cited(trace, monkeypatch, cold_lemmas):
     REVERSALS.clear()  # each script is proved again: equal to the stored one, not the same object
+    records = replay_trace(as_records(trace))  # replayed move by move, before the count
     inserted = counting_inserts(monkeypatch)
-    assert replay_trace(trace) == replay_trace(as_records(trace))
+    assert replay_trace(trace) == records
     assert inserted == []
 
 

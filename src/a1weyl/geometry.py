@@ -60,7 +60,6 @@ script's moves placed at ``Y``.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, islice, repeat, starmap
 from operator import mul
@@ -286,12 +285,10 @@ class MoveColumns(RecordColumns):
     the table does not hold (``DomainError``).
 
     The sequence reads, compares, hashes, prints and pickles as the tuple of
-    its records (``moves.RecordColumns``).  The first index or slice past
-    the start builds the index of each entry's first move (8 bytes an
-    entry), after which an index costs O(log n) and a slice O(its span).
+    its records (``moves.RecordColumns``).
     """
 
-    __slots__ = ("table", "codes", "positions", "bases", "_n", "_starts")
+    __slots__ = ("table", "codes", "positions", "bases", "_n")
     COLUMNS = ("table", "codes", "positions", "bases")
 
     def __init__(self, table: tuple, codes: array, positions: array, bases: list[Simplex]):
@@ -308,30 +305,18 @@ class MoveColumns(RecordColumns):
             raise DomainError("the columns do not hold the entries, positions and bases of loop moves")
         self.table, self.codes, self.positions, self.bases = table, codes, positions, bases
         self._n = n
-        self._starts: array | None = None
 
     def __len__(self) -> int:
         return self._n
 
-    def records(self, k: int = 0, stop: int | None = None) -> Iterator[Move]:
-        e = skip = 0
-        if k:
-            if self._starts is None:
-                self._starts = array("q", accumulate(map(_widths(self.table).__getitem__, self.codes), initial=0))
-            e = bisect_right(self._starts, k) - 1
-            skip = k - self._starts[e]
-        count = (self._n if stop is None else stop) - k
-        return starmap(_move, islice(self._fields(e), skip, skip + count))
-
-    def _fields(self, e: int) -> Iterator[tuple[str, int, tuple[int, ...], Simplex]]:
-        """The fields ``(kind, pos, gens, base)`` of the moves of entries ``e, e + 1, ..``."""
-        table, codes, positions, bases = self.table, self.codes, self.positions, self.bases
-        for i in range(e, len(codes)):
-            first, second = table[codes[i]]
+    def __iter__(self) -> Iterator[Move]:
+        table = self.table
+        for code, q, base in zip(self.codes, self.positions, self.bases):
+            first, second = table[code]
             if type(first) is str:
-                yield first, positions[i], second, bases[i]
+                yield _move(first, q, second, base)
             else:
-                yield from _cited_fields(first, second, positions[i], bases[i])
+                yield from starmap(_move, _cited_fields(first, second, q, base))
 
 
 @dataclass(frozen=True)
@@ -478,11 +463,25 @@ def _cited_fields(triple: tuple[int, int, int], script: Script, q: int,
 
     ``at[q..q+3]`` is the walk of ``triple`` from ``y``, read backwards.  A
     stored script may be forged, so its points are built by the checked
-    ``Simplex``, which raises past the 64-bit band as the walk does.
+    ``Simplex``, which raises past the 64-bit band as the walk does, and a
+    point whose coordinate index is not an ``int`` below the rank, or a
+    move whose offset is not an ``int`` or whose slot is not an ``int``
+    naming a slot, is a ``DomainError`` naming it.
     """
-    at = _walk(Word.from_indices(baby_base(y.rank), triple), y)[::-1]
+    rank = y.rank
+    for point in script.points:
+        if any(type(i) is not int or not 0 <= i < rank for i, _ in point[0]):
+            raise DomainError(f"the script cited for {triple!r} has a point {point!r} off the {rank} coordinates")
+    at = _walk(Word.from_indices(baby_base(rank), triple), y)[::-1]
     slots = at + [Simplex(*_point(y, offset, f)) for offset, f in script.points]
-    return [(kind, q + off, gens, slots[slot]) for kind, off, gens, slot in script.moves]
+    fields = []
+    for move in script.moves:
+        kind, off, gens, slot = move
+        if type(off) is not int or type(slot) is not int or not 0 <= slot < len(slots):
+            raise DomainError(f"the script cited for {triple!r} has a move {move!r} whose offset is not an int"
+                              f" or whose slot is not one of 0..{len(slots) - 1}")
+        fields.append((kind, q + off, gens, slots[slot]))
+    return fields
 
 
 def _reverse_in_place(tracer: WordMoves, q: int, script: Script) -> None:
@@ -604,7 +603,8 @@ def _column_feed(columns: MoveColumns, tracer: _Tracer, upto: int) -> Iterator[t
     A move entry is fed as its fields.  A cited entry ``(triple, script)``
     at ``q`` with ``Y`` is fed as one cited step when its ``upto`` allows
     all its moves, ``triple`` is the live ``word[q:q+3]``, the lemma table
-    gives that triple ``script`` and ``Y`` is the live ``at[q + 3]``; then
+    gives that triple ``script`` (or an equal script whose moves read
+    without error) and ``Y`` is the live ``at[q + 3]``; then
     its moves are the live script's placed at the live ``Y``, which the
     lemma of the ``moves`` docstring applies one by one with the result of
     the swap.  Otherwise its moves are fed one by one, built from the
@@ -623,7 +623,8 @@ def _column_feed(columns: MoveColumns, tracer: _Tracer, upto: int) -> Iterator[t
         width = len(second.moves)
         if k + width <= upto and q >= 0 and tuple(word[q : q + 3]) == first:
             script = REVERSALS.script(first)
-            if (script is second or script == second) and at[q + 3] == base:
+            if ((script is second or script == second and _cited_fields(first, second, q, base))
+                    and at[q + 3] == base):
                 yield _CITE, q, second, width
                 k += width
                 continue

@@ -31,7 +31,6 @@ which bounds its memory and only costs re-proving.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Iterator, Sequence
 from typing import NamedTuple
 
@@ -58,42 +57,25 @@ class RecordColumns(Sequence):
     ``presentation.StepColumns`` holds a certificate's steps this way and
     ``geometry.MoveColumns`` a trace's moves.  The sequence is the tuple of
     its records to ``==``, ``hash`` and ``repr``, and reads as that tuple:
-    an index gives one record (negative ones count from the end,
-    ``IndexError`` past either end), a slice a tuple of records.  It
-    pickles and copies as its columns, the constructor's arguments named by
-    ``COLUMNS``.  No record is kept, so whoever reads every record pays for
-    every record.  A subclass defines ``COLUMNS``, ``__len__`` and
-    :meth:`records`.
+    an index, a slice and :meth:`index` read the records front to back into
+    it once.  It pickles and copies as its columns, the constructor's
+    arguments named by ``COLUMNS``.  No record is kept, so whoever reads
+    every record pays for every record.  A subclass defines ``COLUMNS``,
+    ``__len__`` and ``__iter__``.
     """
 
     __slots__ = ()
     COLUMNS: tuple[str, ...] = ()
 
-    def records(self, k: int = 0, stop: int | None = None) -> Iterator:
-        """Records ``k, k + 1, .., stop - 1``, built as read; ``stop`` (default: the end) is a slice bound."""
-        raise NotImplementedError
-
-    def __iter__(self) -> Iterator:
-        return self.records()
-
     def __reversed__(self) -> Iterator:
         return reversed(tuple(self))
 
     def __getitem__(self, index):
-        n = len(self)
-        if isinstance(index, slice):
-            keep = range(n)[index]
-            if not keep:
-                return ()
-            first = min(keep)
-            read = tuple(self.records(first, max(keep) + 1))
-            return tuple(read[k - first] for k in keep)
-        k = operator.index(index)
-        if k < 0:
-            k += n
-        if not 0 <= k < n:
-            raise IndexError("tuple index out of range")
-        return next(self.records(k, k + 1))
+        return tuple(self)[index]
+
+    def index(self, value, *bounds) -> int:
+        """As ``tuple.index``, after one read of the records; ``Sequence.index`` reads once per position."""
+        return tuple(self).index(value, *bounds)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (tuple, RecordColumns)):

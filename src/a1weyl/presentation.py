@@ -281,16 +281,15 @@ def _step(rule: str, pos: int, payload: tuple[int, ...], before_len: int, after_
     return step
 
 
-def _rows(length: int, rules: bytes, positions: Sequence[int], letters: Sequence[int],
-          o: int = 0) -> Iterator[tuple[str, int, tuple[int, ...], int, int]]:
+def _rows(length: int, rules: bytes, positions: Sequence[int],
+          letters: Sequence[int]) -> Iterator[tuple[str, int, tuple[int, ...], int, int]]:
     """The fields ``(rule, pos, payload, before_len, after_len)`` of the steps of the columns.
 
-    ``length`` is the word's length before the first step and ``letters[o]``
-    the first letter of its payload.  A step's code is the width of its
-    payload (the ``StepColumns`` docstring): a cancellation of code 1
-    removes two letters, a deletion of code 6 six.
+    ``length`` is the word's length before the first step.  A step's code
+    is the width of its payload (the ``StepColumns`` docstring): a
+    cancellation of code 1 removes two letters, a deletion of code 6 six.
     """
-    n = length
+    n, o = length, 0
     # Indexing, not a slice: an array slice costs more than the tuple.
     for code, q in zip(rules, positions):
         if code == 1:
@@ -302,10 +301,6 @@ def _rows(length: int, rules: bytes, positions: Sequence[int], letters: Sequence
             yield RULE_DELETE, q, tuple(letters[o : o + 6]), n, n - 6
             n -= 6
         o += code
-
-
-# The letters a step of each code cuts from the word, as a ``bytes.translate`` table.
-_CUTS = bytes.maketrans(b"\x01\x03\x06", b"\x02\x00\x06")
 
 
 class StepColumns(RecordColumns):
@@ -320,12 +315,10 @@ class StepColumns(RecordColumns):
     columns of other types or of lengths that do not match (``DomainError``).
 
     The sequence reads, compares, hashes, prints and pickles as the tuple of
-    its records (``moves.RecordColumns``).  The first index or slice builds
-    a prefix index (each step's letter offset and word length, 16 bytes a
-    step), after which an index costs O(1) and a slice O(its span).
+    its records (``moves.RecordColumns``).
     """
 
-    __slots__ = ("length", "rules", "positions", "letters", "_starts")
+    __slots__ = ("length", "rules", "positions", "letters")
     COLUMNS = ("length", "rules", "positions", "letters")
 
     def __init__(self, length: int, rules: bytes, positions: array, letters: array):
@@ -335,25 +328,16 @@ class StepColumns(RecordColumns):
                 and len(rules) + 2 * rules.count(3) + 5 * rules.count(6) == len(letters)):
             raise DomainError("the columns do not hold the codes, positions and letters of certificate steps")
         self.length, self.rules, self.positions, self.letters = length, rules, positions, letters
-        self._starts: tuple[array, array] | None = None
 
-    def rows(self, k: int = 0, stop: int | None = None) -> Iterator[tuple[str, int, tuple[int, ...], int, int]]:
-        """The fields ``(rule, pos, payload, before_len, after_len)`` of steps ``k, k + 1, .., stop - 1``.
+    def rows(self) -> Iterator[tuple[str, int, tuple[int, ...], int, int]]:
+        """The fields ``(rule, pos, payload, before_len, after_len)`` of the steps, in order.
 
-        ``0 <= k <= len(self)``; ``stop`` (default: the end) is a slice bound.
         ``rule`` is one of the ``RULE_*`` constants themselves.
         """
-        if not k and stop is None:
-            return _rows(self.length, self.rules, self.positions, self.letters)
-        if self._starts is None:
-            self._starts = (array("q", itertools.accumulate(self.rules, initial=0)),
-                            array("q", itertools.accumulate(self.rules.translate(_CUTS), operator.sub,
-                                                            initial=self.length)))
-        offsets, lengths = self._starts
-        return _rows(lengths[k], self.rules[k:stop], self.positions[k:stop], self.letters, offsets[k])
+        return _rows(self.length, self.rules, self.positions, self.letters)
 
-    def records(self, k: int = 0, stop: int | None = None) -> Iterator[RewriteStep]:
-        return itertools.starmap(_step, self.rows(k, stop))
+    def __iter__(self) -> Iterator[RewriteStep]:
+        return itertools.starmap(_step, self.rows())
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -420,20 +404,20 @@ class ReplayedCertificate:
     ``replay_certificate`` runs the checked replay of :meth:`_live` once before
     it returns this view, which keeps the certificate and the final word
     only.  Entry ``k`` is the word after ``k`` steps, a fresh
-    ``list[int]``: the final word is copied, any other entry (and iteration)
-    replays the steps again from the start, with the same checks, citing
-    the process's lemma table (the ``moves`` module docstring).  Negative
-    indices count from the end as for a list; a slice replays once and
-    returns a list of the entries it selects.  ``reversed(view)`` is a
-    ``TypeError``, as it would replay once per entry: ``view[::-1]`` reads
-    the words backwards in one replay.
+    ``list[int]``: the final word is copied once a replay has kept it, any
+    other entry (and iteration) replays the steps again from the start,
+    with the same checks, citing the process's lemma table (the ``moves``
+    module docstring).  Negative indices count from the end as for a list;
+    a slice replays once and returns a list of the entries it selects.
+    ``reversed(view)`` is a ``TypeError``, as it would replay once per
+    entry: ``view[::-1]`` reads the words backwards in one replay.
     """
 
     __reversed__ = None
 
     def __init__(self, cert: RewriteCertificate):
         self.cert = cert
-        self._final: list[int] = []
+        self._final: list[int] | None = None  # set by ``replay_certificate``
 
     def __len__(self) -> int:
         return len(self.cert.steps) + 1
@@ -511,7 +495,7 @@ class ReplayedCertificate:
             k += n
         if not 0 <= k < n:
             raise IndexError(f"state index {index} out of range for {n} states")
-        if k == n - 1:
+        if k == n - 1 and self._final is not None:
             return self._final[:]
         return next(itertools.islice(self._live(), k, None))[:]
 

@@ -433,7 +433,7 @@ def reference_path_of_word(word: Word, base: Simplex) -> Path:
 class ReferenceTracer(_Tracer):
     """The per-letter walk and the full expansion of every reversal, recording through ``_Tracer.record``.
 
-    It subclasses ``_Tracer`` only for the columns ``reduce_loop`` writes
+    It subclasses ``_Tracer`` only for the columns ``_Tracer.record`` writes
     and ``moves`` reads; every move is its own: the insert walks the block
     letter by letter, and no reversal is cited.
     """
@@ -958,11 +958,11 @@ def test_a_forged_insert_above_the_rank_is_refused_by_the_walk():
         replay_trace(MoveTrace((1, 1, 2, 2), b, (Move("insert", 0, (7,), b),), ()))
 
 
-# --- cancellations spliced in place: the tracing loop they replaced is the reference ---
+# --- cancellations through ``_Tracer.delete``: the tracing loop of every step through ``apply`` is the reference ---
 
 
 def reference_reduce_loop(p: Path) -> MoveTrace:
-    """``reduce_loop`` as it was before cancellations were spliced in place: every step through ``apply``.
+    """``reduce_loop`` as it was before cancellations went through ``tracer.delete``: every step through ``apply``.
 
     Kept verbatim but for ``geometry.rewrite_to_identity``, looked up at the
     call so that a forged certificate reaches both versions.

@@ -18,7 +18,7 @@ from array import array
 import pytest
 
 from a1weyl import DomainError, Move, MoveTrace, Simplex, Word, baby_base, base_simplex, path_of_word
-from a1weyl import reduce_loop, replay_trace
+from a1weyl import geometry, reduce_loop, replay_trace
 from a1weyl.geometry import MoveColumns, _Tracer
 from a1weyl.moves import REVERSALS, WordMoves
 
@@ -100,6 +100,28 @@ def test_an_index_reads_one_record_and_counts_from_either_end(trace):
             trace.moves[k]
     assert list(reversed(trace.moves)) == list(reversed(records))
     assert records[5] in trace.moves and trace.moves.index(records[5]) == records.index(records[5])
+
+
+@pytest.mark.parametrize("index", [1.5, "a", None])
+def test_an_index_that_is_not_an_int_raises_as_the_tuple_does(trace, index):
+    with pytest.raises(TypeError) as want:
+        tuple(trace.moves)[index]
+    with pytest.raises(TypeError) as got:
+        trace.moves[index]
+    assert str(got.value) == str(want.value)
+
+
+def test_index_builds_each_record_at_most_once(trace, monkeypatch):
+    records = tuple(trace.moves)
+    move, built = geometry._move, []
+
+    def counting_move(*fields):
+        built.append(fields)
+        return move(*fields)
+
+    monkeypatch.setattr(geometry, "_move", counting_move)
+    assert trace.moves.index(records[-1]) == records.index(records[-1])
+    assert 0 < len(built) <= len(records)
 
 
 @pytest.mark.parametrize("clone", [
@@ -223,6 +245,30 @@ def test_a_stored_point_past_the_band_raises_as_a_walk_does(trace):
         tuple(bad.moves)
     assert "exceeds the signed 64-bit guard" in str(read.value)
     assert outcome(replay_trace, bad) == ("raises", OverflowError, str(read.value))
+
+
+FIRST_MOVE = ("insert", 1, (0, 1, 2), 1)  # of the script of (0, 2, 1), which has two points
+FORGED_MOVES = {"slot": ("insert", 1, (0, 1, 2), 6), "offset": ("insert", "1", (0, 1, 2), 1),
+                "lookalike offset": ("insert", 1.0, (0, 1, 2), 1)}  # 1.0 == 1: the forgery equals the script
+
+
+@pytest.mark.parametrize("fault", [*FORGED_MOVES, "coordinate"])
+def test_a_stored_script_that_does_not_place_its_moves_is_a_domain_error(trace, fault):
+    """Reading the moves and replay both refuse the script, with one message that names the move or point."""
+    e = cited_entries(trace.moves)[0]
+    triple, script = trace.moves.table[trace.moves.codes[e]]
+    assert triple == (0, 2, 1) and script.moves[0] == FIRST_MOVE and len(script.points) == 2
+    if fault == "coordinate":
+        point = (((2, 1),), 1)  # coordinate 2 of a rank-2 anchor
+        bad, named = script._replace(points=(point,) + script.points[1:]), f"point {point!r} off the 2 coordinates"
+    else:
+        move = FORGED_MOVES[fault]
+        bad, named = script._replace(moves=(move,) + script.moves[1:]), f"move {move!r} whose offset is not an int"
+    forgery = forged(trace, e, entry=(triple, bad))
+    with pytest.raises(DomainError) as read:
+        tuple(forgery.moves)
+    assert str(read.value).startswith(f"the script cited for {triple!r} has a {named}")
+    assert outcome(replay_trace, forgery) == ("raises", DomainError, str(read.value))
 
 
 LOOKALIKES = (0, 1, 2, -1, True, 1.0)

@@ -790,6 +790,14 @@ def test_replay_keeps_only_the_live_word():
     assert len(view) == len(cert.steps) + 1 and view[-1] == []
 
 
+def test_a_view_built_directly_replays_for_its_last_state():
+    cert = rewrite_to_identity((1, 1, 2, 2), 2)
+    first = dataclasses.replace(cert, steps=cert.steps[:1], final_empty=False)
+    view = ReplayedCertificate(first)
+    assert view[-1] == list(view)[-1] == [2, 2]
+    assert view[-1] == replay_certificate(first)[-1]
+
+
 def test_a_tampered_middle_step_fails_the_replay_call_itself():
     cert = rewrite_to_identity(palindrome(1, 400), 4)
     k = len(cert.steps) // 2

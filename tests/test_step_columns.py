@@ -88,6 +88,28 @@ def test_an_index_reads_one_record_and_counts_from_either_end(cert):
     assert records[5] in cert.steps and cert.steps.index(records[5]) == records.index(records[5])
 
 
+@pytest.mark.parametrize("index", [1.5, "a", None])
+def test_an_index_that_is_not_an_int_raises_as_the_tuple_does(cert, index):
+    with pytest.raises(TypeError) as want:
+        tuple(cert.steps)[index]
+    with pytest.raises(TypeError) as got:
+        cert.steps[index]
+    assert str(got.value) == str(want.value)
+
+
+def test_index_builds_each_record_at_most_once(cert, monkeypatch):
+    records = tuple(cert.steps)
+    step, built = presentation._step, []
+
+    def counting_step(*fields):
+        built.append(fields)
+        return step(*fields)
+
+    monkeypatch.setattr(presentation, "_step", counting_step)
+    assert cert.steps.index(records[-1]) == records.index(records[-1])
+    assert 0 < len(built) <= len(records)
+
+
 def test_a_spliced_slice_is_a_tuple_of_records(cert):
     k = 10
     bad = dataclasses.replace(cert.steps[k], pos=cert.steps[k].pos + 1)

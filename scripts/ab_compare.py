@@ -21,7 +21,15 @@ quartiles (inclusive method) of its passes.  Both sides of a pass meet the
 same host load at the same moments, which separate runs of ``bench/run.py``
 on a shared host do not, so the ``gain`` line is paired: the median over
 passes of the pass's new/old ratio, less one.  The ``median gain`` line
-compares the two sides' medians.  Stdlib only.
+compares the two sides' medians.  Before the ``gain`` line, one ``gc`` line
+per side counts the cyclic collections that started inside its timed ops,
+by generation, with the milliseconds they took, over all passes (through
+``gc.callbacks``): a collection is paid by the op whose allocation set it
+off, and a full one walks every object of the process, the inputs of the
+pass included, so its cost shows here and not in a run with the collector
+off or a heap smaller than the benchmark's.  Both sides share one heap, so
+a full collection that one side's survivors made due can start inside the
+other side's op.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -102,14 +110,43 @@ def fingerprint(workload: str, answer: tuple) -> str:
     return h.hexdigest()
 
 
-def timed(m, workload: str, arg: tuple) -> tuple[int, tuple]:
+class Collections:
+    """A ``gc.callbacks`` entry: per side, the collections that start while its op runs, and their time.
+
+    ``side`` names the side whose op is running, or is ``None`` between ops.
+    ``counts[side]`` holds one count per generation, ``ns[side]`` their
+    summed time from start to stop.
+    """
+
+    def __init__(self) -> None:
+        self.side: str | None = None
+        self.counts = {side: [0, 0, 0] for side in SIDES}
+        self.ns = dict.fromkeys(SIDES, 0)
+        self.running: tuple[str, int] | None = None  # the side and start time of the collection running
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self.running = None
+            if self.side is not None:
+                self.counts[self.side][info["generation"]] += 1
+                self.running = self.side, time.perf_counter_ns()
+        elif self.running is not None:
+            side, t0 = self.running
+            self.ns[side] += time.perf_counter_ns() - t0
+            self.running = None
+
+
+def timed(m, workload: str, arg: tuple, collections: Collections, side: str) -> tuple[int, tuple]:
+    collections.side = side
     t0 = time.perf_counter_ns()
     answer = op(m, workload, arg)
-    return time.perf_counter_ns() - t0, answer
+    ns = time.perf_counter_ns() - t0
+    collections.side = None
+    return ns, answer
 
 
-def compare(libs: dict, workload: str, seed: int, passes: int) -> tuple[dict, int]:
-    """Per side, ``ops_per_s`` of every pass, and the number of ops compared.
+def compare(libs: dict, workload: str, seed: int, passes: int, collections: Collections) -> tuple[dict, int]:
+    """Per side, ``ops_per_s`` of every pass, and the number of ops compared; ``collections`` counts the collections.
 
     Exits 1 at the first pair of unequal answers.
     """
@@ -126,7 +163,7 @@ def compare(libs: dict, workload: str, seed: int, passes: int) -> tuple[dict, in
             order = SIDES if (i + k) % 2 == 0 else SIDES[::-1]
             answers = {}
             for side in order:
-                ns, answers[side] = timed(libs[side], workload, args[side][i])
+                ns, answers[side] = timed(libs[side], workload, args[side][i], collections, side)
                 spent[side] += ns
             if fingerprint(workload, answers["old"]) != fingerprint(workload, answers["new"]):
                 sys.exit(f"ab_compare: answers differ on pass {k} input {i}")
@@ -158,13 +195,22 @@ def main(argv: list[str] | None = None) -> int:
         sys.path.insert(0, tmp)
         libs = {side: load(getattr(args, side).resolve(), f"a1weyl_{side}", Path(tmp))
                 for side in SIDES}
-        rates, compared = compare(libs, args.workload, args.seed, args.passes)
+        collections = Collections()
+        gc.callbacks.append(collections)
+        try:
+            rates, compared = compare(libs, args.workload, args.seed, args.passes, collections)
+        finally:
+            gc.callbacks.remove(collections)
     print(f"{args.workload} seed {args.seed} passes {args.passes}: {compared} answers equal")
     medians = {}
     for side in SIDES:
         medians[side], q1, q3 = spread(rates[side])
         print(f"{side:3s} ops_per_s {max(rates[side]):9.1f} (best of {args.passes})"
               f"  median {medians[side]:9.1f} IQR [{q1:.1f}, {q3:.1f}]  {getattr(args, side)}")
+    for side in SIDES:
+        gen0, gen1, gen2 = collections.counts[side]
+        print(f"{side:3s} gc gen0 {gen0} gen1 {gen1} gen2 {gen2} in {collections.ns[side] / 1e6:.1f} ms"
+              f" inside its ops over {args.passes} passes")
     gain = statistics.median(map(operator.truediv, rates["new"], rates["old"])) - 1
     print(f"gain {gain:+.1%}")
     print(f"median gain {medians['new'] / medians['old'] - 1:+.1%}")

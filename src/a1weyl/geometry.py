@@ -14,8 +14,8 @@ the image of the base under the length-``r`` suffix ``u``, which is
 coefficients ``c_i = (-1)^(k-i) sign(a_i)`` of ``Word.columns``,
 ``shift(u)`` is ``sum_{i > k-r} c_i p(a_i)``, so the anchors are
 ``x + o*(suffix sums of c_i p(a_i))``: prefix sums of the word's signed
-lattice columns, the ones ``eval_word`` sums, read from the right, and the
-orientations alternate ``o, -o, ...``.  :func:`_walk` takes these sums
+terms ``Word.terms``, the ones ``eval_word`` sums, read from the right, and
+the orientations alternate ``o, -o, ...``.  :func:`_walk` takes these sums
 exactly.  Its anchors stay in the 64-bit band when ``|x_c| + B_c`` does for
 every coordinate (``Word.bounds``); otherwise one ``min`` / ``max`` tests
 them all, and past the band ``Simplex`` checks each anchor as it stores it,
@@ -62,7 +62,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate, islice, repeat, starmap
-from operator import mul
+from operator import sub
 from typing import Iterator, Sequence
 
 from .errors import DomainError, InternalCheckError
@@ -142,21 +142,20 @@ def _walk(word: Word, base: Simplex) -> list[Simplex]:
     """``base`` and its images under the suffixes of ``word``, shortest first.
 
     Entry ``t`` is ``B(x + o*sum_{i > k-t} c_i p(a_i), (-1)^t o)`` for
-    ``base = B(x, o)``: exact prefix sums of ``Word.columns`` read from the
-    right.  Every anchor coordinate lies within ``|x_c| + B_c`` of zero
-    (``Word.bounds``), so the walk is in the 64-bit band when that is;
-    otherwise one ``min`` / ``max`` tests every anchor against the band.  In
-    it, :func:`_unchecked_simplex` is mapped over the anchors and the
+    ``base = B(x, o)``: exact prefix sums of ``Word.terms`` read from the
+    right, added for ``o = 1`` and subtracted for ``o = -1``.  Every anchor
+    coordinate lies within ``|x_c| + B_c`` of zero (``Word.bounds``), so the
+    walk is in the 64-bit band when that is; otherwise one ``min`` /
+    ``max`` tests every anchor against the band.  In it,
+    :func:`_unchecked_simplex` is mapped over the anchors and the
     orientations; past it, ``Simplex`` checks them one by one and raises at
     the first simplex outside.
     """
     x, o = base.anchor, base.orient
-    coefs, cols, _ = word.columns
-    steps = [o * c for c in reversed(coefs)]
-    rows = [list(accumulate(map(mul, steps, reversed(col)), initial=xc))
-            for xc, col in zip(x, cols)]
-    anchors = zip(*rows) if rows else repeat((), len(coefs) + 1)
-    orients = [o, -o] * (len(coefs) // 2 + 1)
+    step = None if o == 1 else sub  # None: accumulate's own addition, which calls no function per term
+    rows = [list(accumulate(reversed(terms), step, initial=xc)) for xc, terms in zip(x, word.terms)]
+    anchors = zip(*rows) if rows else repeat((), len(word) + 1)
+    orients = [o, -o] * (len(word) // 2 + 1)
     if (rows and any(abs(xc) + b > I64_MAX for xc, b in zip(x, word.bounds))
             and (min(map(min, rows)) < I64_MIN or max(map(max, rows)) > I64_MAX)):
         return list(map(Simplex, anchors, orients))
@@ -251,7 +250,10 @@ def _widths(table: object) -> list[int] | None:
     An entry is ``(kind, gens)`` for one move, ``kind`` ``"insert"`` or
     ``"delete"`` (``gens`` is checked by replay, as a record's is), or
     ``(triple, script)`` for a cited reversal of three exact ``int`` letters
-    ``>= 0``, which stands for the moves of its :class:`Script`.
+    ``>= 0``, which stands for the moves of its :class:`Script`, if the
+    script has the shape that reading it takes apart (:func:`_script_shaped`);
+    what its fields hold is checked when its moves are read
+    (:func:`_cited_fields`).
     """
     if type(table) is not tuple:
         return None
@@ -264,11 +266,36 @@ def _widths(table: object) -> list[int] | None:
             widths.append(1)
         elif (type(first) is tuple and len(first) == 3
               and type(first[0]) is type(first[1]) is type(first[2]) is int and min(first) >= 0
-              and type(second) is Script and second.moves):
+              and type(second) is Script and second.moves and _script_shaped(second)):
             widths.append(len(second.moves))
         else:
             return None
     return widths
+
+
+def _script_shaped(script: Script) -> bool:
+    """Whether ``script`` takes apart as its moves are read, with ``ends`` a pair of ``int`` slots.
+
+    Its moves are a tuple of ``(kind, offset, gens, slot)`` fields and its
+    points a tuple of ``(offset, orient)`` pairs, each offset a tuple of
+    ``(index, value)`` pairs.  A script of another shape would make reading
+    or replay raise ``ValueError`` or ``TypeError``; the columns refuse it.
+    """
+    moves, points, ends = script
+    if type(moves) is not tuple or type(points) is not tuple:
+        return False
+    try:
+        for _, _, _, _ in moves:
+            pass
+        for offset, _ in points:
+            if type(offset) is not tuple:
+                return False
+            for _, _ in offset:
+                pass
+        a, b = ends
+    except (TypeError, ValueError):
+        return False
+    return type(a) is type(b) is int
 
 
 class MoveColumns(RecordColumns):

@@ -98,26 +98,26 @@ def eval_word_hyp(word: Word) -> HyperbolicElement:
     ``dual_p[j][c] + dual_p[c][j] = 2 shift_j shift_c``, as ``w``
     preserving the Gram form requires, and on the diagonal
     ``dual_p[j][j] = shift_j^2``.  So the sum is needed only for ``j < c``,
-    over the prefix sums of the columns of ``Word.columns``.
+    over the prefix sums of ``Word.terms``, the terms ``c_i p_c(a_i)`` that
+    ``eval_word`` sums.
 
     Only ``weyl`` guards the running sum: past the bound,
     ``weyl.eval_word_checked`` raises where a partial sum leaves the 64-bit
     band.  The dual rows are exact ints, checked once when
     ``HyperbolicElement`` stores them.
     """
-    coefs, cols, within = word.columns
-    if not within:
+    if not word.columns[2]:
         weyl.eval_word_checked(word)  # raises where the running sum leaves the band
     nu = word.rank
-    steps = [list(map(mul, coefs, col)) for col in cols]  # c_i p_c(a_i)
+    terms = word.terms
     rows = [[0] * nu for _ in range(nu)]
-    shift = [sum(steps[0])] if nu else []  # each later column's sum is the last of its prefix sums
+    shift = [sum(terms[0])] if nu else []  # each later column's sum is the last of its prefix sums
     for c in range(1, nu):
-        acc = [0, *accumulate(steps[c])]
+        acc = [0, *accumulate(terms[c])]
         shift.append(acc[-1])
         both = list(map(add, acc, acc[1:]))  # acc_{i-1}[c] + acc_i[c]
         for j in range(c):
-            rows[j][c] = entry = sum(map(mul, steps[j], both))
+            rows[j][c] = entry = sum(map(mul, terms[j], both))
             rows[c][j] = 2 * shift[j] * shift[c] - entry
     for c, t in enumerate(shift):
         rows[c][c] = t * t

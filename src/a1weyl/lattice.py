@@ -14,12 +14,13 @@ Values are checked where they enter, by the constructors of ``Root``,
 or strings), and the ``vec_*`` helpers check every result they build.  Two
 callers check a whole batch instead and build their records past the
 constructor's checks, the only bypasses of them: ``words.parse_word`` reads
-all the explicit coordinates of a word with one ``int`` map and tests them
-against the band with one ``min`` / ``max`` (``words._unchecked_root``), and
-``geometry._walk`` tests all the anchors of a walk the same way and maps
-``geometry._unchecked_simplex`` over it (which also builds the points of a
-cited triple reversal, after one band test of its reach); where a batch test
-fails, the constructors check value by value and raise as they would alone.
+all the explicit coordinates of a word with one ``int`` call per distinct
+coordinate string and tests them against the band with one ``min`` /
+``max`` (``words._unchecked_root``), and ``geometry._walk`` tests all the
+anchors of a walk the same way and maps ``geometry._unchecked_simplex`` over
+it (which also builds the points of a cited triple reversal, after one band
+test of its reach); where a batch test fails, the constructors check value
+by value and raise as they would alone.
 Four builders, these two, ``presentation._step`` and ``geometry._move``,
 make their slotted frozen dataclasses by one rule (:func:`mutable_twin`):
 assign the fields of an instance of the record's twin, a class with the same
@@ -29,16 +30,17 @@ and raises ``TypeError`` otherwise, so the object's memory matches its
 class; it is then a plain record holding what the checked constructor would
 have stored, and compares, hashes, prints, copies and pickles the same.  A
 ``words.Word`` checks that its rank is an ``int`` and that its letters are
-non-isotropic ``Root`` records of that rank; ``parse_word`` builds its word
-through ``words._parsed_word``, which skips that check, because each letter
-it holds passed it already: a root of a valid base, a batch root (sign 1 or
--1 and ``rank`` coordinates by construction) or a root that ``Root`` checked
-and ``_parse_explicit`` built at the word's rank.  It also plants the word's
-columns when ``k`` times the largest ``|p|`` the batch read is at most
-``I64_MAX``, which keeps every ``B_c`` within the band.  A ``geometry.Path``
-checks that its simplices are the walk of its word; ``path_of_word`` and
-``replay_trace``, which hold that walk already, build theirs through
-``geometry._unchecked_path``.
+non-isotropic ``Root`` records of that rank; ``parse_word`` and
+``Word.from_indices`` over a valid base build their words through
+``words._parsed_word``, which skips that check, because each letter they
+hold passed it already: a root of a valid base, a batch root (sign 1 or -1
+and ``rank`` coordinates by construction) or a root that ``Root`` checked
+and ``_parse_explicit`` built at the word's rank.  ``parse_word`` also
+plants the word's columns when ``k`` times the largest ``|p|`` the batch
+read is at most ``I64_MAX``, which keeps every ``B_c`` within the band.
+A ``geometry.Path`` checks that its simplices are the walk of its word;
+``path_of_word`` and ``replay_trace``, which hold that walk already, build
+theirs through ``geometry._unchecked_path``.
 A word's running sum is guarded in ``weyl``: when ``B_c = sum_i |p_c(a_i)|``
 is at most ``I64_MAX`` for every coordinate ``c`` (the flag of
 ``words.Word.columns``), no partial sum of its letters can leave the band,
@@ -46,7 +48,8 @@ so it is summed without per-step guards; otherwise
 ``weyl.eval_word_checked`` sums it letter by letter and raises where it
 leaves the band.  Values derived from such sums are exact ints, checked once
 when they are stored: the dual rows of ``hyperbolic``, and the anchors of a
-path, which ``geometry._walk`` takes as prefix sums of ``Word.columns``.
+path, which ``geometry._walk`` takes as suffix sums of ``Word.terms``, the
+columns times their coefficients.
 """
 
 from __future__ import annotations

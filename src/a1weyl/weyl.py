@@ -58,12 +58,10 @@ def identity_element(rank: int) -> WeylElement:
 
 
 def eval_word(word: Word) -> WeylElement:
-    """Canonical form of a word: sums of ``Word.columns``, or the checked loop past its bound."""
-    coefs, cols, within = word.columns
-    if not within:
+    """Canonical form of a word: sums of ``Word.terms``, or the checked loop past the bound of ``Word.columns``."""
+    if not word.columns[2]:
         return eval_word_checked(word)
-    shift = tuple(sum(map(mul, coefs, col)) for col in cols)
-    return WeylElement(1 if len(word) % 2 == 0 else -1, shift)
+    return WeylElement(1 if len(word) % 2 == 0 else -1, tuple(map(sum, word.terms)))
 
 
 def eval_word_checked(word: Word) -> WeylElement:
@@ -128,17 +126,16 @@ def is_relation_w(word: Word) -> bool:
     """Word problem for the group on ``V``: even length and vanishing alternating sum.
 
     At even length the alternating sum is the shift, summed with the same
-    coefficients.  Within the bound of ``Word.columns`` the column sums are
-    taken one by one and the answer is ``False`` at the first nonzero one;
-    past it, :func:`eval_word` decides, so the word overflows where
-    :func:`alternating_sum` would.
+    coefficients.  Within the bound of ``Word.columns`` the sums of
+    ``Word.terms`` are taken one by one and the answer is ``False`` at the
+    first nonzero one; past it, :func:`eval_word` decides, so the word
+    overflows where :func:`alternating_sum` would.
     """
     if len(word) % 2:
         return False
-    coefs, cols, within = word.columns
-    if not within:
+    if not word.columns[2]:
         return eval_word(word).is_identity
-    return not any(sum(map(mul, coefs, col)) for col in cols)
+    return not any(map(sum, word.terms))
 
 
 def is_alternating(pool: Sequence[Root], tup: Sequence[Root]) -> bool:

@@ -5,7 +5,8 @@ letter acting last.  The text format is whitespace-separated tokens, each
 either ``g<k>`` (the k-th root of the active base, counted from 0) or an
 explicit root ``(+|-)e:<c1>,...,<cnu>`` meaning ``+-e + sum c_i*s_i``, its
 numbers ASCII digits with an optional sign.  A word also holds its signed
-lattice columns, :attr:`Word.columns`, which every evaluation reads.
+lattice columns, :attr:`Word.columns`, and their products, :attr:`Word.terms`
+(the terms ``c_i p_c(a_i)`` per coordinate), which every evaluation reads.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import cycle, islice
+from itertools import chain, cycle, islice
 from operator import mul
 from typing import Iterable
 
@@ -52,7 +53,10 @@ class Word:
         """The coefficients ``c_i = (-1)^(k-i) sign(a_i)``, the lattice columns and their bound.
 
         Column ``c`` is ``(p_c(a_1), ..., p_c(a_k))``, so ``shift_c`` is
-        ``sum(map(mul, coefs, col_c))``.  The flag is True when every
+        ``sum(map(mul, coefs, col_c))``, the sum of :attr:`terms` ``[c]``.
+        The columns are strided slices of the letters' coordinates laid end
+        to end, which starts no iterator per letter, so a long word sets off
+        no cyclic collection as it is read.  The flag is True when every
         ``B_c = sum_i |p_c(a_i)|`` is at most ``I64_MAX``: then no partial sum
         leaves the 64-bit band and the sums need no guard.  Past the bound,
         ``weyl.eval_word_checked`` is the guard of the running sum.  Built once
@@ -72,6 +76,19 @@ class Word:
         """
         return tuple(sum(map(abs, col)) for col in self.columns[1])
 
+    @cached_property
+    def terms(self) -> tuple[tuple[int, ...], ...]:
+        """Per coordinate ``c``, the signed terms ``(c_1 p_c(a_1), ..., c_k p_c(a_k))`` of :attr:`columns`.
+
+        ``eval_word`` and ``is_relation_w`` sum them, ``eval_word_hyp`` takes
+        their prefix sums and ``geometry._walk`` their suffix sums, so every
+        reader shares one product of the columns.  Built from the columns
+        when first read, so columns planted on a word move every reader.
+        Each term is a letter's coordinate up to sign, so in the 64-bit band.
+        """
+        coefs, cols, _ = self.columns
+        return tuple([tuple(map(mul, coefs, col)) for col in cols])
+
     def __add__(self, other: "Word") -> "Word":
         if self.rank != other.rank:
             raise DomainError("cannot concatenate words of different ranks")
@@ -83,7 +100,11 @@ class Word:
 
     @classmethod
     def from_indices(cls, base: ReflectableBase, indices: Iterable[int]) -> "Word":
-        """The word of base generators ``indices``, each an ``int`` (not a bool) in range."""
+        """The word of base generators ``indices``, each an ``int`` (not a bool) in range.
+
+        Over a valid base the word is built by :func:`_parsed_word`, past the
+        letter checks: its letters are the base's roots, which pass them.
+        """
         roots = base.roots
         letters = []
         for k in indices:
@@ -92,6 +113,8 @@ class Word:
             if not 0 <= k < len(roots):
                 raise DomainError(f"generator index {k} out of range 0..{len(roots) - 1}")
             letters.append(roots[k])
+        if cls is Word and base.is_valid:  # a valid base has an int rank
+            return _parsed_word(base.rank, tuple(letters), None)
         return cls(base.rank, tuple(letters))
 
     def normalized(self) -> "Word":
@@ -105,11 +128,18 @@ class Word:
     def to_indices(self, base: ReflectableBase) -> tuple[int, ...]:
         """Express every letter as a base generator; raises if one is not in the base.
 
-        Each distinct letter object is resolved once, in first-occurrence
-        order, so the first bad letter of the word is the one reported.
+        A word of the base's own root objects, as :meth:`from_indices` and
+        ``g<k>`` tokens build it, is read in one pass by object identity.
+        Otherwise each distinct letter object is resolved once, in
+        first-occurrence order, so the first bad letter of the word is the
+        one reported.
         """
         lookup = base.root_index
         ids = list(map(id, self.letters))
+        try:
+            return tuple(map({id(a): lookup[a] for a in base.roots}.__getitem__, ids))
+        except KeyError:  # a letter that is not one of the base's root objects
+            pass
         index = {}
         for key, a in dict(zip(ids, self.letters)).items():
             k = lookup.get(a.normalized())
@@ -120,24 +150,23 @@ class Word:
 
 
 def _coefs_and_cols(rank: int, letters: tuple[Root, ...]) -> tuple[tuple[int, ...], tuple[Vec, ...]]:
-    """The first two entries of :attr:`Word.columns`."""
+    """The first two entries of :attr:`Word.columns`: column ``c`` is every ``rank``-th coordinate from ``c``."""
     k = len(letters)
-    if not k:
-        return (), ((),) * rank
     signs = islice(cycle((1, -1) if k % 2 else (-1, 1)), k)  # (-1)^(k-i) from i = 1
     coefs = tuple(map(mul, [a.sign for a in letters], signs))
-    return coefs, tuple(zip(*[a.lat for a in letters]))
+    flat = tuple(chain.from_iterable([a.lat for a in letters]))
+    return coefs, tuple([flat[c::rank] for c in range(rank)])
 
 
 def _parsed_word(rank: int, letters: tuple[Root, ...], reach: int | None) -> Word:
-    """A ``Word`` built without ``Word.__post_init__``; only :func:`parse_word` calls it.
+    """A ``Word`` built without ``Word.__post_init__``; only :func:`parse_word` and ``Word.from_indices`` call it.
 
-    Safe because every letter the parse hands it already passed those
-    checks: it is a root of a valid base, a batch root (``_unchecked_root``:
-    sign 1 or -1, ``rank`` coordinates) or a ``_parse_explicit`` root, which
-    ``Root`` checked and which has ``rank`` coordinates.  ``reach`` is the
+    Safe because every letter they hand it already passed those checks: it
+    is a root of a valid base, a batch root (``_unchecked_root``: sign 1 or
+    -1, ``rank`` coordinates) or a ``_parse_explicit`` root, which ``Root``
+    checked and which has ``rank`` coordinates.  ``reach`` is the
     batch's ``max(-min, max, 1)`` over the word's explicit coordinates, or
-    ``None`` where the batch built nothing; it is at least every
+    ``None`` where no batch built the letters; it is at least every
     ``|p_c(a_i)|``, base roots included, so ``k * reach <= I64_MAX`` bounds
     every ``B_c`` and the planted columns carry the flag ``True`` that
     :attr:`Word.columns` would compute.  Otherwise the columns stay lazy.
@@ -200,16 +229,17 @@ def parse_word(text: str, base: ReflectableBase) -> Word:
     Each distinct token is parsed once per call; roots are frozen, so its
     letters share one ``Root``.  The distinct explicit tokens are parsed in
     one batch by :func:`_parse_explicit_batch`: a shape test per token, one
-    ``int`` map over all their coordinates and one ``min`` / ``max`` test of
-    the 64-bit band for the whole word.  If the batch meets anything it does
-    not take (rank 0, an ``_`` or a non-ASCII character in the text, a token
-    of another shape, a coordinate ``int`` refuses or one past the band), it
-    builds no root, so every token goes through :func:`_parse_token`, which
-    raises the first bad token's error; the batch never raises by itself.
-    ``g<k>`` tokens always go through :func:`_parse_token`.  The word is built
-    by :func:`_parsed_word`, past the letter checks its letters have passed,
-    unless its rank is not an ``int`` or it holds a ``g<k>`` of an invalid
-    base: then the checked constructor raises as it does for any word.
+    ``int`` call per distinct coordinate string and one ``min`` / ``max``
+    test of the 64-bit band for the whole word.  If the batch meets
+    anything it does not take (rank 0, an ``_`` or a non-ASCII character in
+    the text, a token of another shape, a coordinate ``int`` refuses or one
+    past the band), it builds no root, so every token goes through
+    :func:`_parse_token`, which raises the first bad token's error; the
+    batch never raises by itself.  ``g<k>`` tokens always go through
+    :func:`_parse_token`.  The word is built by :func:`_parsed_word`, past
+    the letter checks its letters have passed, unless its rank is not an
+    ``int`` or it holds a ``g<k>`` of an invalid base: then the checked
+    constructor raises as it does for any word.
     """
     tokens = text.split()
     rank = base.rank
@@ -257,11 +287,13 @@ def _parse_explicit_batch(roots: dict[str, Root | None], text: str, rank: int) -
     for t in explicit:
         if t[:3] not in ("+e:", "-e:") or t.count(",") != commas:
             return None
+    parts = ",".join([t[3:] for t in explicit]).split(",")
     try:
-        coords = list(map(int, ",".join([t[3:] for t in explicit]).split(",")))
+        value = {s: int(s) for s in set(parts)}  # each distinct coordinate string converted once
     except ValueError:  # also an integer past the digit limit
         return None
-    lo, hi = min(coords), max(coords)
+    coords = list(map(value.__getitem__, parts))
+    lo, hi = min(value.values()), max(value.values())
     if lo < I64_MIN or hi > I64_MAX:
         return None
     for t, lat in zip(explicit, zip(*[iter(coords)] * rank)):

@@ -6,6 +6,8 @@ the checked loop otherwise.  The checked loops are the reference: every word
 must give the same result, or the same exception with the same message.
 """
 
+import gc
+import random
 import re
 
 import pytest
@@ -225,6 +227,44 @@ def test_every_reader_of_one_word_shares_one_build_of_its_columns(monkeypatch):
     is_central(word)
     is_loop(path_of_word(word, base_simplex(2)))
     assert len(builds) == 1 and builds[0] is word
+
+
+def test_every_reader_of_one_word_shares_one_build_of_its_terms(monkeypatch):
+    build, builds = Word.terms.func, []
+
+    def counted(word):
+        builds.append(word)
+        return build(word)
+
+    monkeypatch.setattr(Word.terms, "func", counted)
+    word = Word(2, (Root(1, (1, 0)), Root(1, (0, 0)), Root(-1, (0, 1))) * 2)
+    eval_word(word)
+    eval_word_hyp(word)
+    is_central(word)
+    is_loop(path_of_word(word, base_simplex(2)))
+    assert len(builds) == 1 and builds[0] is word
+
+
+def test_reading_a_long_word_sets_off_no_cyclic_collection():
+    """Building ``columns`` and ``terms`` of 20 000 letters keeps no collected object alive per letter."""
+    rng = random.Random(20)
+    pool = [Root(rng.choice((1, -1)), tuple(rng.randint(-9, 9) for _ in range(8))) for _ in range(64)]
+    word = Word(8, tuple(rng.choice(pool) for _ in range(20_000)))
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        word.columns  # noqa: B018 - builds the view
+        word.terms  # noqa: B018 - builds the view
+    finally:
+        gc.callbacks.remove(count)
+    assert started == []
+    assert word.terms == tuple(tuple(map(int.__mul__, word.columns[0], col)) for col in word.columns[1])
 
 
 def test_a_word_with_its_columns_built_equals_a_fresh_copy():

@@ -90,7 +90,7 @@ def test_a_slice_is_the_tuple_of_the_records_it_selects(trace, index):
     assert type(part) is tuple and part == tuple(trace.moves)[index]
 
 
-def test_an_index_reads_one_record_and_counts_from_either_end(trace):
+def test_an_index_reads_the_records_and_counts_from_either_end(trace):
     records = tuple(trace.moves)
     n = len(records)
     assert len(trace.moves) == n
@@ -269,6 +269,28 @@ def test_a_stored_script_that_does_not_place_its_moves_is_a_domain_error(trace, 
         tuple(forgery.moves)
     assert str(read.value).startswith(f"the script cited for {triple!r} has a {named}")
     assert outcome(replay_trace, forgery) == ("raises", DomainError, str(read.value))
+
+
+MALFORMED_SCRIPTS = {
+    "3-field move": lambda s: s._replace(moves=(s.moves[0][:3],) + s.moves[1:]),
+    "None move": lambda s: s._replace(moves=(None,) + s.moves[1:]),
+    "1-element point": lambda s: s._replace(points=(s.points[0][:1],) + s.points[1:]),
+    "1-element offset pair": lambda s: s._replace(points=(((s.points[0][0][0][:1],), s.points[0][1]),) + s.points[1:]),
+    "offset that is not a tuple": lambda s: s._replace(points=((7, s.points[0][1]),) + s.points[1:]),
+    "3 ends": lambda s: s._replace(ends=s.ends + (4,)),
+    "ends that are not ints": lambda s: s._replace(ends=(float(s.ends[0]), s.ends[1])),
+}
+
+
+@pytest.mark.parametrize("reader", [lambda t: tuple(t.moves), replay_trace], ids=["read", "replay"])
+@pytest.mark.parametrize("shape", MALFORMED_SCRIPTS)
+def test_a_cited_script_of_another_shape_is_a_domain_error(trace, shape, reader):
+    """The columns refuse a script that reading or replay would not take apart, so neither reader meets it."""
+    e = cited_entries(trace.moves)[0]
+    triple, script = trace.moves.table[trace.moves.codes[e]]
+    assert script.points[0][0]  # the first point has an offset to break
+    with pytest.raises(DomainError, match="do not hold the entries, positions and bases of loop moves"):
+        reader(forged(trace, e, entry=(triple, MALFORMED_SCRIPTS[shape](script))))
 
 
 LOOKALIKES = (0, 1, 2, -1, True, 1.0)

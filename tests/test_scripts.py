@@ -72,6 +72,16 @@ def test_ab_compare_prints_the_median_and_quartiles_of_each_side():
     assert re.fullmatch(r"median gain [+-]\d+\.\d%", lines[-1])
 
 
+def test_ab_compare_counts_the_collections_inside_each_sides_ops():
+    root = str(SCRIPTS.parent)
+    done = run_script("ab_compare.py", root, root, "--workload", "decide", "--passes", "2")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    for side, line in zip(("old", "new"), lines[3:5]):
+        assert re.fullmatch(side + r" +gc gen0 \d+ gen1 \d+ gen2 \d+ in \d+\.\d ms inside its ops over 2 passes", line)
+    assert lines[5].startswith("gain ")
+
+
 def test_output_digest_prints_one_digest_per_layer():
     done = run_script("output_digest.py", "--seeds", "1", "--variants", "0")
     assert done.returncode == 0, done.stderr

@@ -76,7 +76,7 @@ def test_a_slice_is_the_tuple_of_the_records_it_selects(cert, index):
     assert type(part) is tuple and part == tuple(cert.steps)[index]
 
 
-def test_an_index_reads_one_record_and_counts_from_either_end(cert):
+def test_an_index_reads_the_records_and_counts_from_either_end(cert):
     records = tuple(cert.steps)
     n = len(records)
     assert len(cert.steps) == n

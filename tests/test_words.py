@@ -24,6 +24,7 @@ from a1weyl import (
 )
 from a1weyl.lattice import I64_MAX, I64_MIN, Semilattice, pairwise_semilattice, root_in_rx
 from a1weyl.weyl import is_relation_w
+from a1weyl.words import _parse_token
 
 from conftest import root
 
@@ -301,6 +302,88 @@ def test_equal_letters_built_apart_give_the_indices_of_shared_ones(baby2_base):
     apart = Word(2, tuple(Root(a.sign, a.lat) for a in shared.letters))
     assert len({id(a) for a in apart.letters}) == len(apart)
     assert apart.to_indices(baby2_base) == shared.to_indices(baby2_base) == (2, 0, 2, 1, 2, 0, 1)
+
+
+def to_indices_per_letter(word, base):
+    """The library's former ``Word.to_indices``, kept verbatim as the reference."""
+    lookup = base.root_index
+    ids = list(map(id, word.letters))
+    index = {}
+    for key, a in dict(zip(ids, word.letters)).items():
+        k = lookup.get(a.normalized())
+        if k is None:
+            raise DomainError(f"letter {a} is not a generator of the base")
+        index[key] = k
+    return tuple(map(index.__getitem__, ids))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.tuples(st.sampled_from(["own", "copy", "negated", "outside"]), st.integers(0, 2)), max_size=12))
+def test_to_indices_by_identity_answers_as_the_per_letter_lookup(picks):
+    """The base's own root objects, equal copies, negations and letters outside the base, mixed."""
+    base = ReflectableBase(baby_semilattice(2))
+    make = {"own": lambda a: a, "copy": lambda a: Root(a.sign, a.lat), "negated": Root.negated,
+            "outside": lambda a: Root(1, (a.lat[0] + 2, a.lat[1]))}
+    word = Word(2, tuple(make[how](base.roots[k]) for how, k in picks))
+    try:
+        expected = "value", to_indices_per_letter(word, base)
+    except DomainError as exc:
+        expected = "raises", str(exc)
+    try:
+        got = "value", word.to_indices(base)
+    except DomainError as exc:
+        got = "raises", str(exc)
+    assert got == expected
+
+
+def test_from_indices_over_a_valid_base_skips_the_letter_checks(baby2_base, monkeypatch):
+    letters = tuple(baby2_base.roots[k] for k in (2, 0, 1, 1))
+    checked = Word(2, letters)
+    monkeypatch.setattr(Word, "__post_init__", lambda self: pytest.fail("the letters were checked again"))
+    word = Word.from_indices(baby2_base, (2, 0, 1, 1))
+    assert word == checked and hash(word) == hash(checked) and repr(word) == repr(checked)
+    assert word.to_indices(baby2_base) == (2, 0, 1, 1)
+
+
+def test_from_indices_over_an_invalid_base_or_for_a_subclass_checks_the_letters():
+    short = ReflectableBase(Semilattice(2, ((0, 0), (1, 0), (0, 1, 0))))
+    with pytest.raises(DomainError) as exc:
+        Word.from_indices(short, (0, 2))
+    assert str(exc.value) == "letter Root(sign=1, lat=(0, 1, 0)) has rank 3, word has rank 2"
+
+    class Checked(Word):
+        pass
+
+    word = Checked.from_indices(ReflectableBase(baby_semilattice(2)), (1, 2))
+    assert type(word) is Checked and word.letters == (Root(1, (1, 0)), Root(1, (0, 1)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 4), st.lists(st.tuples(st.sampled_from([1, -1]), st.lists(st.integers(-9, 9), min_size=4,
+                                                                                    max_size=4)), max_size=9))
+def test_the_terms_are_the_signed_coordinates_of_each_letter(rank, drawn):
+    """``terms[c][i - 1]`` is ``c_i p_c(a_i)`` with ``c_i = (-1)^(k-i) sign(a_i)``, at every rank and length."""
+    word = Word(rank, tuple(Root(sign, tuple(lat[:rank])) for sign, lat in drawn))
+    k = len(word)
+    expected = tuple(tuple((-1) ** (k - i) * a.sign * a.lat[c] for i, a in enumerate(word.letters, start=1))
+                     for c in range(rank))
+    assert word.terms == expected
+    assert word.columns[1] == tuple(tuple(a.lat[c] for a in word.letters) for c in range(rank))
+
+
+SPELLED = st.builds(lambda sign, zeros, n: f"{sign}{'0' * zeros}{n}",
+                    st.sampled_from(["", "+", "-"]), st.integers(0, 3), st.integers(0, 999))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.tuples(st.sampled_from("+-"), SPELLED, SPELLED), min_size=1, max_size=8))
+def test_the_batch_reads_every_spelling_of_a_coordinate_as_the_token_parse(drawn):
+    """Spellings such as ``+03`` and ``-0`` read in the batch as ``_parse_token`` reads them."""
+    base = ReflectableBase(baby_semilattice(2))
+    tokens = [f"{sign}e:{x},{y}" for sign, x, y in drawn]
+    word = parse_word(" ".join(tokens), base)
+    assert "columns" in word.__dict__  # planted: the batch built the roots
+    assert word.letters == tuple(_parse_token(t, base) for t in tokens)
 
 
 # --- the checked constructor refuses what is not a word -----------------------------

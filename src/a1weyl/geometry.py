@@ -24,14 +24,17 @@ inserts a block by walking the block's word.  A hand-built ``Path`` is
 checked against the walk of its word.
 
 Loops reduce to the trivial loop by inserting or deleting the elementary
-sub-loops of ``g_i^2`` and ``(g_0 g_i g_j)^2`` (``i < j`` both nonzero);
-the trace records every elementary move together with the simplex its
-sub-loop is based at.
-
-Triple reversals are cited from the table of proved reversals that
-certificate replay cites too: each a script of the isolated run, relative
-to ``at[3] = B(0, +1)`` (the ``moves`` module docstring).  Citing one
-at ``Y = at[q + 3] = B(x, o)`` is sound for three reasons:
+sub-loops of ``g_i^2`` and ``(g_0 g_i g_j)^2`` (``i < j`` both nonzero).
+A trace is that proof, every elementary move with the simplex its sub-loop
+is based at, and its start word, its base and the certificate of
+``rewrite_to_identity`` fix all of it, so that is all a trace holds
+(:class:`TraceMoves`): a cancellation or a relator deletion stands for one
+delete, and a triple reversal for the moves of its script in the table of
+proved reversals that certificate replay cites too (the ``moves`` module
+docstring), relative to ``at[3] = B(0, +1)``.  The moves are built when
+they are read, by the tracer, a live word and its walk ``at``, run over the
+steps.  Placing a script at ``Y = at[q + 3] = B(x, o)`` is sound for three
+reasons:
 
 - The same moves apply at any ``q`` of any word holding the triple (the ``moves`` lemma).
 - The run never touches ``Y``, and every entry it reads or writes is the
@@ -42,33 +45,27 @@ at ``Y = at[q + 3] = B(x, o)`` is sound for three reasons:
   stored simplices of ``at[q..q+3]``, which are in the 64-bit band, so no
   move of the run can overflow.
 
-So the tracer records a reversal whose triple has a script as one cited
-entry, ``(q, the triple and its script, Y)``, and writes what its moves
-leave at once; ``replay_trace`` checks the entry against its own live word
-and walk and applies it as one swap.  A triple without a script is expanded
-and recorded move by move.  Citing lives in the columns alone: a trace given
-as any other sequence of ``Move`` records replays move by move.
-
-A trace is held as columns (:class:`MoveColumns`), one entry per move or per
-cited reversal: an index into a small per-trace table of ``(kind, gens)``
-and ``(triple, script)`` entries, the position, and a reference to the base,
-the ``Simplex`` the tracer's ``at`` held (``Y`` for a cited entry).  A
-``Move`` is built only when one is read; a cited entry reads as its
-script's moves placed at ``Y``.
+So reading a reversal whose triple has a script yields its moves placed at
+``Y`` and writes what they leave at once.  ``reduce_loop`` checks the
+certificate on the word alone before it returns the view, and
+``replay_trace`` of a view replays the certificate the same way, up to a
+step end, and walks the word it reaches; a trace given as any other
+sequence of ``Move`` records replays move by move against a fresh walk,
+every recorded base compared.
 """
 
 from __future__ import annotations
 
-from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, islice, repeat, starmap
+from itertools import accumulate, islice, repeat
 from operator import sub
 from typing import Iterator, Sequence
 
 from .errors import DomainError, InternalCheckError
 from .lattice import I64_MAX, I64_MIN, Vec, baby_base, checked_vec, mutable_twin, vec_add, vec_scale, zero_vec
-from .moves import REVERSALS, RULE_CANCEL, RecordColumns, Script, WordMoves, require_sequence
-from .presentation import StepColumns, rewrite_to_identity
+from .moves import REVERSALS, RULE_CANCEL, RULE_REVERSE, RecordColumns, WordMoves, require_sequence
+from .presentation import ReplayedCertificate, RewriteCertificate, StepColumns, rewrite_to_identity
 from .weyl import WeylElement, is_relation_w
 from .words import Word
 
@@ -108,8 +105,9 @@ class Path:
 
     The constructor walks the word from the first simplex and raises
     ``DomainError`` unless the simplices are that walk, also when the walk
-    leaves the 64-bit band.  :func:`path_of_word` and :func:`replay_trace`
-    hold the walk already and build their paths through ``_unchecked_path``.
+    leaves the 64-bit band.  :func:`path_of_word`, and :func:`replay_trace`
+    when it replays records move by move, hold the walk already and build
+    their paths through ``_unchecked_path``.
     """
 
     simplices: tuple[Simplex, ...]
@@ -168,8 +166,9 @@ _SimplexTwin = mutable_twin(Simplex)
 def _unchecked_simplex(anchor: Vec, orient: int) -> Simplex:
     """A ``Simplex`` built through its twin, past ``Simplex.__post_init__``.
 
-    Only :func:`_walk`, for a walk in the band, and :func:`_place`, for the
-    points of a script from the lemma table, call it.
+    Only :func:`_walk`, for a walk in the band, and
+    :meth:`_Reader.reverse_triple`, for the points of a script from the
+    lemma table, call it.
     The record is the one the checked constructor would build (the twin rule
     of the ``lattice`` docstring): it compares, hashes and pickles the same.
     Safe because they hand it only what those checks pass: ``orient`` is a
@@ -177,9 +176,8 @@ def _unchecked_simplex(anchor: Vec, orient: int) -> Simplex:
     ``int`` sums of checked ``int`` entries, and every such anchor is in the
     64-bit band: ``_walk`` tests its walk first, and each coordinate of a
     proved script's point lies between those of two stored simplices (the
-    hull rule of the module docstring).  A stored script, which may be
-    forged, has its points built by the checked ``Simplex``
-    (:func:`_cited_fields`).
+    hull rule of the module docstring).  Scripts come from the lemma table
+    alone: a trace stores none.
     """
     simplex = _SimplexTwin()
     simplex.anchor = anchor
@@ -192,8 +190,9 @@ def _unchecked_path(simplices: tuple[Simplex, ...], word: Word) -> Path:
     """A ``Path`` built without ``Path.__post_init__``, which walks the word again.
 
     Only :func:`path_of_word` and :func:`replay_trace` call it, with the walk
-    they already hold: ``_walk`` of the word, or the table ``at`` of a tracer
-    read forwards, which is that walk by the tracer's invariant.
+    they already hold: ``_walk`` of the word, or, when ``replay_trace``
+    replays records move by move, the table ``at`` of its tracer read
+    forwards, which is that walk by the tracer's invariant.
     """
     path = object.__new__(Path)
     object.__setattr__(path, "simplices", simplices)
@@ -244,106 +243,102 @@ def _move(kind: str, pos: int, gens: tuple[int, ...], base: Simplex) -> Move:
     return move
 
 
-def _widths(table: object) -> list[int] | None:
-    """The moves each entry of a trace table stands for, or ``None`` unless every entry is one.
+def _move_ends(steps: Sequence) -> list[int]:
+    """``0``, then the number of moves the steps up to each step of ``steps`` stand for.
 
-    An entry is ``(kind, gens)`` for one move, ``kind`` ``"insert"`` or
-    ``"delete"`` (``gens`` is checked by replay, as a record's is), or
-    ``(triple, script)`` for a cited reversal of three exact ``int`` letters
-    ``>= 0``, which stands for the moves of its :class:`Script`, if the
-    script has the shape that reading it takes apart (:func:`_script_shaped`);
-    what its fields hold is checked when its moves are read
-    (:func:`_cited_fields`).
+    A cancellation or a relator deletion stands for one move, a reversal for
+    the moves of its triple's script (:func:`_script_width`).  Over columns,
+    whose letters are exact ``int``s, each distinct triple is looked up
+    once: at commutator n = 320 (103 680 steps) this loop takes 23 ms, where
+    one loop over ``StepColumns.rows`` with a lookup per reversal takes
+    71 ms.  An entry that is not a step is a ``DomainError``.
     """
-    if type(table) is not tuple:
-        return None
-    widths = []
-    for entry in table:
-        if type(entry) is not tuple or len(entry) != 2:
-            return None
-        first, second = entry
-        if type(first) is str and first in ("insert", "delete"):
-            widths.append(1)
-        elif (type(first) is tuple and len(first) == 3
-              and type(first[0]) is type(first[1]) is type(first[2]) is int and min(first) >= 0
-              and type(second) is Script and second.moves and _script_shaped(second)):
-            widths.append(len(second.moves))
-        else:
-            return None
-    return widths
+    widths: list[int] = []
+    append = widths.append
+    if type(steps) is StepColumns:
+        letters, o, seen = steps.letters, 0, {}
+        for code in steps.rules:
+            if code == 3:
+                triple = (letters[o], letters[o + 1], letters[o + 2])
+                width = seen.get(triple)
+                if width is None:
+                    width = seen[triple] = _script_width(triple, len(widths))
+                append(width)
+            else:
+                append(1)
+            o += code
+    else:
+        for step in steps:
+            try:
+                reverses, payload = step.rule == RULE_REVERSE, step.payload
+            except AttributeError:
+                raise DomainError(f"certificate entry {len(widths)} is not a RewriteStep: {step!r}") from None
+            append(_script_width(payload, len(widths)) if reverses else 1)
+    return list(accumulate(widths, initial=0))
 
 
-def _script_shaped(script: Script) -> bool:
-    """Whether ``script`` takes apart as its moves are read, with ``ends`` a pair of ``int`` slots.
-
-    Its moves are a tuple of ``(kind, offset, gens, slot)`` fields and its
-    points a tuple of ``(offset, orient)`` pairs, each offset a tuple of
-    ``(index, value)`` pairs.  A script of another shape would make reading
-    or replay raise ``ValueError`` or ``TypeError``; the columns refuse it.
-    """
-    moves, points, ends = script
-    if type(moves) is not tuple or type(points) is not tuple:
-        return False
-    try:
-        for _, _, _, _ in moves:
-            pass
-        for offset, _ in points:
-            if type(offset) is not tuple:
-                return False
-            for _, _ in offset:
-                pass
-        a, b = ends
-    except (TypeError, ValueError):
-        return False
-    return type(a) is type(b) is int
+def _script_width(triple: object, k: int) -> int:
+    """The number of moves of the script of ``triple``, reversed by step ``k``; ``DomainError`` if it has none."""
+    script = REVERSALS.script(triple) if type(triple) is tuple and len(triple) == 3 else ()
+    if not script:
+        raise DomainError(f"certificate step {k} reverses {triple!r}, which has no proved script")
+    return len(script.moves)
 
 
-class MoveColumns(RecordColumns):
-    """The moves of a traced loop, held as columns; a ``Move`` is built when read.
+class TraceMoves(RecordColumns):
+    """The moves of a traced loop, read from its start, its base and its certificate; a ``Move`` is built when read.
 
-    Entry ``e`` is ``table[codes[e]]`` at ``positions[e]`` with
-    ``bases[e]``: a ``(kind, gens)`` entry is the one move ``Move(kind, pos,
-    gens, base)``, and a ``(triple, script)`` entry is the cited reversal of
-    ``triple`` at ``q = pos`` with ``Y = at[q + 3] = base``, the moves of
-    ``script`` placed at ``Y`` (the module docstring).  ``codes`` and
-    ``positions`` are ``array('q')``, ``bases`` a list of ``Simplex``
-    records, the ones the tracer's ``at`` held.  The constructor refuses
-    columns of other types, of lengths that do not match, or naming entries
-    the table does not hold (``DomainError``).
+    ``start`` is a tuple of baby-base letters ``0..rank``, ``base`` a
+    ``Simplex`` of that rank and ``certificate`` a ``RewriteCertificate`` of
+    ``start``.  Each step stands for its moves (:func:`_move_ends`): the
+    length is their sum, counted when the view is built, and ``macros``
+    holds the move span of each macro of the certificate, the spans a
+    ``MoveTrace`` gives.  The constructor refuses anything else, and a
+    reversal whose triple has no script (``DomainError``).
 
-    The sequence reads, compares, hashes, prints and pickles as the tuple of
-    its records (``moves.RecordColumns``).
+    Reading runs the tracer over the steps from the walk of ``start``
+    (:class:`_Reader`) and yields each move as it is made; a step that does
+    not apply raises the ``DomainError`` of the move that does not.  The
+    sequence reads, compares, hashes, prints and pickles as the tuple of its
+    records (``moves.RecordColumns``).
     """
 
-    __slots__ = ("table", "codes", "positions", "bases", "_n")
-    COLUMNS = ("table", "codes", "positions", "bases")
+    __slots__ = ("start", "base", "certificate", "macros", "_n")
+    COLUMNS = ("start", "base", "certificate")
 
-    def __init__(self, table: tuple, codes: array, positions: array, bases: list[Simplex]):
-        widths = _widths(table)
-        n = None
-        if (widths is not None and type(codes) is type(positions) is array
-                and codes.typecode == positions.typecode == "q" and type(bases) is list
-                and len(codes) == len(positions) == len(bases) and set(map(type, bases)) <= {Simplex}):
-            try:  # one pass over the codes: a code the table does not hold is a missing key
-                n = sum(map(dict(enumerate(widths)).__getitem__, codes))
-            except KeyError:
-                pass
-        if n is None:
-            raise DomainError("the columns do not hold the entries, positions and bases of loop moves")
-        self.table, self.codes, self.positions, self.bases = table, codes, positions, bases
-        self._n = n
+    def __init__(self, start: tuple[int, ...], base: Simplex, certificate: RewriteCertificate):
+        if not (type(start) is tuple and isinstance(base, Simplex) and isinstance(certificate, RewriteCertificate)
+                and certificate.start == start and all(type(g) is int and 0 <= g <= base.rank for g in start)):
+            raise DomainError("the moves of a trace are read from a start of baby-base letters, a Simplex base"
+                              " and a certificate of that start")
+        ends = _move_ends(certificate.steps)
+        spans = certificate.macros
+        if not (type(spans) is tuple and all(type(span) is tuple and len(span) == 3 and type(span[0]) is int
+                                             and type(span[1]) is int and 0 <= span[0] <= span[1] < len(ends)
+                                             for span in spans)):
+            raise DomainError(f"the certificate macros {spans!r} are not spans of its steps")
+        self.start, self.base, self.certificate = start, base, certificate
+        self.macros = tuple((ends[a], ends[b], kind) for a, b, kind in spans)
+        self._n = ends[-1]
 
     def __len__(self) -> int:
         return self._n
 
     def __iter__(self) -> Iterator[Move]:
-        table = self.table
-        for code, q, base in zip(self.codes, self.positions, self.bases):
-            first, second = table[code]
-            if type(first) is str:
-                yield _move(first, q, second, base)
+        path = path_of_word(Word.from_indices(baby_base(self.base.rank), self.start), self.base)
+        reader = _Reader(self.start, path)
+        made = reader.made
+        steps = self.certificate.steps
+        rows = steps.rows() if type(steps) is StepColumns else ((None, 0, step, 0, 0) for step in steps)
+        for rule, q, payload, _, _ in rows:
+            if rule is RULE_CANCEL:
+                reader.delete(q, payload)
+            elif rule is None:
+                reader.apply(payload)
             else:
-                yield from starmap(_move, _cited_fields(first, second, q, base))
+                reader.apply_rule(rule, q, payload)
+            yield from made
+            made.clear()
 
 
 @dataclass(frozen=True)
@@ -351,9 +346,10 @@ class MoveTrace:
     """A loop's reduction to the trivial loop: its start word and base, the moves, and the macro spans.
 
     ``moves`` is a sequence of ``Move`` records; :func:`reduce_loop` gives a
-    :class:`MoveColumns`, which equals, hashes and prints as the tuple of
-    its records and builds each ``Move`` only when it is read.  ``macros``
-    holds one ``(first, end, kind)`` span of moves per certificate macro.
+    :class:`TraceMoves` over the start, the base and the certificate, which
+    equals, hashes and prints as the tuple of its records and builds them
+    only when read.  ``macros`` holds one ``(first, end, kind)`` span of
+    moves per certificate macro.
     """
 
     start: tuple[int, ...]
@@ -363,108 +359,73 @@ class MoveTrace:
 
 
 class _Tracer(WordMoves):
-    """Applies elementary moves to a live word, recording them with their bases.
+    """Applies elementary moves to a live word and to its walk.
 
     Invariant: ``at[q]`` is the simplex that ``word[q:]`` carries the base
     simplex to (the path, read backwards).  An elementary block is a
     relation, so it acts as the identity: a move leaves every entry outside
     its block unchanged and splices only the block's own entries, whatever
-    the word length.  A move that does not apply raises ``DomainError``.
-
-    The moves go into the columns of :class:`MoveColumns`: ``table`` (each
-    entry found again through ``code_of``), ``codes``, ``positions`` and
-    ``bases``; ``extra`` counts the moves recorded past one per entry, so
-    ``len(codes) + extra`` moves are recorded.  A triple reversal that has a
-    script (see the module docstring) is one cited entry, written at once:
-    the swap of ``word[q]`` and ``word[q + 2]`` and the two new entries
-    ``at[q + 1]`` and ``at[q + 2]``.  Any other reversal is expanded move by
-    move.  Either way the moves recorded read the same; :attr:`moves` reads
-    them.  :meth:`delete` splices a ``g_k^2``, the commonest move, itself;
-    every cancellation of :func:`reduce_loop` goes through it, so a subclass
-    that overrides ``delete`` gets them all.
-
-    Only ``WordMoves.apply_rule`` and the expansion's own recursion call
-    :meth:`reverse_triple`, always with an ``int`` ``q >= 0`` and a full
-    triple.  The tracer keeps its rank because it walks each block over
-    ``baby_base(rank)``, and that walk refuses a letter above the rank.
+    the word length.  :meth:`insert` and :meth:`delete` return the simplex
+    the move's sub-loop is based at; a move that does not apply raises
+    ``DomainError``.  The tracer keeps its rank because it walks each block
+    over ``baby_base(rank)``, and that walk refuses a letter above the rank.
     """
 
     def __init__(self, indices: Sequence[int], path: Path):
         super().__init__(indices)
         self.at = list(reversed(path.simplices))
         self.crumbs = baby_base(path.rank)
-        self.table: list[tuple] = []
-        self.code_of: dict = {}  # a move's (kind, gens), or the id of a cited script, to its table index
-        self.codes, self.positions, self.bases = array("q"), array("q"), []
-        self.extra = 0
-
-    @property
-    def moves(self) -> list[Move]:
-        """The moves recorded so far, each built on this read."""
-        return list(self.columns())
-
-    def columns(self) -> MoveColumns:
-        """The moves recorded so far as ``MoveColumns``."""
-        return MoveColumns(tuple(self.table), self.codes, self.positions, self.bases)
-
-    def code(self, entry: tuple, key: object) -> int:
-        """The table index of ``entry``, found by ``key`` and added on its first use."""
-        code = self.code_of.get(key)
-        if code is None:
-            code = self.code_of[key] = len(self.table)
-            self.table.append(entry)
-        return code
-
-    def record(self, kind: str, pos: int, gens: tuple[int, ...], base: Simplex) -> None:
-        move = (kind, gens)
-        try:
-            code = self.code(move, move)
-        except TypeError:  # look-alike gens, a list say, that cannot key the table: an entry of their own
-            code = len(self.table)
-            self.table.append(move)
-        self.codes.append(code)
-        self.positions.append(pos)
-        self.bases.append(base)
 
     def insert(self, pos: int, gens: tuple[int, ...]) -> Simplex:
         block = super().insert(pos, gens)
         base = self.at[pos]
         self.at[pos:pos] = _walk(Word.from_indices(self.crumbs, block), base)[:0:-1]
-        self.record("insert", pos, gens, base)
         return base
 
     def delete(self, pos: int, gens: tuple[int, ...]) -> Simplex:
-        word, at = self.word, self.at
-        if type(gens) is tuple and len(gens) == 1 and type(pos) is int and pos >= 0:
-            # The test of the ``g_k^2`` fast path of ``WordMoves.delete``; on a
-            # pass the block and its two entries are cut and the move recorded here.
-            k = gens[0]
-            if type(k) is int and k >= 0 and pos + 1 < len(word) and word[pos] == k == word[pos + 1]:
-                del word[pos : pos + 2]
-                move = "delete", gens
-                self.codes.append(self.code(move, move))
-                self.positions.append(pos)
-                base = at[pos + 2]
-                self.bases.append(base)
-                del at[pos : pos + 2]
-                return base
         end = pos + len(super().delete(pos, gens))
-        base = at[end]
-        del at[pos:end]
-        self.record("delete", pos, gens, base)
+        base = self.at[end]
+        del self.at[pos:end]
+        return base
+
+
+class _Reader(_Tracer):
+    """The tracer that reading a :class:`TraceMoves` runs: ``made`` takes each move it makes, as a ``Move``.
+
+    A reversal whose triple has a script (the module docstring) makes that
+    script's moves placed at ``Y = at[q + 3]`` and writes what they leave at
+    once: the swap of ``word[q]`` and ``word[q + 2]`` and the two new
+    entries ``at[q + 1]`` and ``at[q + 2]``.  Any other reversal is expanded
+    move by move.
+    """
+
+    def __init__(self, indices: Sequence[int], path: Path):
+        super().__init__(indices, path)
+        self.made: list[Move] = []
+
+    def insert(self, pos: int, gens: tuple[int, ...]) -> Simplex:
+        base = super().insert(pos, gens)
+        self.made.append(_move("insert", pos, gens, base))
+        return base
+
+    def delete(self, pos: int, gens: tuple[int, ...]) -> Simplex:
+        base = super().delete(pos, gens)
+        self.made.append(_move("delete", pos, gens, base))
         return base
 
     def reverse_triple(self, q: int) -> None:
-        triple = tuple(self.word[q : q + 3])
-        script = REVERSALS.script(triple)
+        word, at = self.word, self.at
+        script = REVERSALS.script(tuple(word[q : q + 3]))
         if not script:
             super().reverse_triple(q)
             return
-        self.codes.append(self.code((triple, script), id(script)))  # the table keeps the script alive
-        self.positions.append(q)
-        self.bases.append(self.at[q + 3])
-        self.extra += len(script.moves) - 1
-        _reverse_in_place(self, q, script)
+        # The script is the lemma table's, so its points keep to the hull of
+        # ``at[q..q+3]`` and are built unchecked.
+        slots = at[q : q + 4] + [_unchecked_simplex(*_point(at[q + 3], offset, f)) for offset, f in script.points]
+        self.made += [_move(kind, q + off, gens, slots[slot]) for kind, off, gens, slot in script.moves]
+        a, b = script.ends
+        word[q], word[q + 2] = word[q + 2], word[q]
+        at[q + 1], at[q + 2] = slots[a], slots[b]
 
 
 def _point(y: Simplex, offset: tuple[tuple[int, int], ...], f: int) -> tuple[Vec, int]:
@@ -475,91 +436,39 @@ def _point(y: Simplex, offset: tuple[tuple[int, int], ...], f: int) -> tuple[Vec
     return tuple(anchor), o * f
 
 
-def _place(at: list[Simplex], q: int, script: Script, slot: int) -> Simplex:
-    """The simplex of ``slot`` of a live ``script`` placed at ``q``: ``at[q + slot]``, or a point at ``Y = at[q + 3]``.
-
-    ``script`` is the lemma table's, so its points keep to the hull of
-    ``at[q..q+3]`` (the module docstring) and are built unchecked.
-    """
-    return at[q + slot] if slot < 4 else _unchecked_simplex(*_point(at[q + 3], *script.points[slot - 4]))
-
-
-def _cited_fields(triple: tuple[int, int, int], script: Script, q: int,
-                  y: Simplex) -> list[tuple[str, int, tuple[int, ...], Simplex]]:
-    """The moves ``(kind, pos, gens, base)`` of a stored ``script`` cited at ``q`` with ``at[q + 3] = y``.
-
-    ``at[q..q+3]`` is the walk of ``triple`` from ``y``, read backwards.  A
-    stored script may be forged, so its points are built by the checked
-    ``Simplex``, which raises past the 64-bit band as the walk does, and a
-    point whose coordinate index is not an ``int`` below the rank, or a
-    move whose offset is not an ``int`` or whose slot is not an ``int``
-    naming a slot, is a ``DomainError`` naming it.
-    """
-    rank = y.rank
-    for point in script.points:
-        if any(type(i) is not int or not 0 <= i < rank for i, _ in point[0]):
-            raise DomainError(f"the script cited for {triple!r} has a point {point!r} off the {rank} coordinates")
-    at = _walk(Word.from_indices(baby_base(rank), triple), y)[::-1]
-    slots = at + [Simplex(*_point(y, offset, f)) for offset, f in script.points]
-    fields = []
-    for move in script.moves:
-        kind, off, gens, slot = move
-        if type(off) is not int or type(slot) is not int or not 0 <= slot < len(slots):
-            raise DomainError(f"the script cited for {triple!r} has a move {move!r} whose offset is not an int"
-                              f" or whose slot is not one of 0..{len(slots) - 1}")
-        fields.append((kind, q + off, gens, slots[slot]))
-    return fields
-
-
-def _reverse_in_place(tracer: WordMoves, q: int, script: Script) -> None:
-    """What ``script``'s moves leave at ``q``: ``word[q]`` and ``word[q + 2]`` swapped, two new entries."""
-    word, at = tracer.word, tracer.at
-    a, b = script.ends
-    word[q], word[q + 2] = word[q + 2], word[q]
-    at[q + 1], at[q + 2] = _place(at, q, script, a), _place(at, q, script, b)
-
-
 def reduce_loop(p: Path) -> MoveTrace:
     """Move a loop over the baby-base generators to the trivial loop at its base.
 
-    The word-level certificate of :func:`rewrite_to_identity` drives the
-    process; each of its steps expands into elementary insert/delete moves on
-    the path.  The returned macro spans group the elementary moves the way
-    the certificate grouped its steps.  The steps are read once, in order,
-    through ``StepColumns.rows``: a cancellation goes through
-    ``tracer.delete`` and any other step through ``tracer.apply_rule``; a
-    step of any other sequence goes through ``tracer.apply``.  Only the
-    tracer's methods change its word, ``at`` and columns, and the trace's
-    moves are its columns.
+    The word-level certificate of :func:`rewrite_to_identity` is the proof,
+    and nothing is traced here: the trace's moves are a :class:`TraceMoves`
+    over the loop's word, its base and that certificate, each step standing
+    for its elementary moves, which are built when they are read.  The call
+    counts the moves of each step, one per cancellation or relator deletion
+    and its script's per reversal, and the macro spans group them the way
+    the certificate grouped its steps.  The rewriter reverses only triples
+    of three distinct letters, each of which has a script, so a reversal
+    step without one is an ``InternalCheckError``.  Then the certificate is
+    checked on the word alone (``ReplayedCertificate._live``): a step that
+    does not apply, or a word left non-empty, is an ``InternalCheckError``
+    too.
     """
     if not is_loop(p):
         raise DomainError("only loops can be reduced")
     nu = p.rank
-    indices = p.word.to_indices(baby_base(nu))
-    cert = rewrite_to_identity(indices, nu)
-    tracer = _Tracer(indices, p)
-    steps = cert.steps
-    rows = enumerate(steps.rows() if type(steps) is StepColumns else ((None, 0, step, 0, 0) for step in steps))
-    macros: list[tuple[int, int, str]] = []
-    for a, b, kind in cert.macros:
-        start = len(tracer.codes) + tracer.extra
-        for k, (rule, q, payload, _, _) in islice(rows, b - a):
-            try:
-                if rule is RULE_CANCEL:
-                    tracer.delete(q, payload)
-                elif rule is None:
-                    tracer.apply(payload)
-                else:
-                    tracer.apply_rule(rule, q, payload)
-            except DomainError as exc:
-                raise InternalCheckError(f"certificate step {steps[k]} does not apply: {exc}") from exc
-        macros.append((start, len(tracer.codes) + tracer.extra, kind))
-    if tracer.word:
+    cert = rewrite_to_identity(p.word.to_indices(baby_base(nu)), nu)
+    try:
+        moves = TraceMoves(cert.start, p.base, cert)
+    except DomainError as exc:
+        raise InternalCheckError(f"the certificate of a loop does not give its moves: {exc}") from exc
+    k = 0
+    try:
+        for k, word in enumerate(ReplayedCertificate(cert)._live()):
+            pass
+    except DomainError as exc:  # step ``k`` was being applied
+        raise InternalCheckError(f"certificate step {cert.steps[k]} does not apply: {exc}") from exc
+    if word:
         raise InternalCheckError("reduction finished with a non-empty word")
-    return MoveTrace(tuple(indices), p.base, tracer.columns(), tuple(macros))
-
-
-_CITE = object()  # the kind of a feed step that is one cited reversal: (_CITE, q, script, its move count)
+    return MoveTrace(cert.start, p.base, moves, moves.macros)
 
 
 def replay_trace(trace: MoveTrace, upto: int | None = None) -> Path:
@@ -571,29 +480,27 @@ def replay_trace(trace: MoveTrace, upto: int | None = None) -> Path:
     entry that is not a ``Move``, and unless every move applies to the live
     word and records the base its sub-loop has there.
 
-    Replay is an independent check, whatever feeds it: it walks the start
-    from scratch into a fresh word and a fresh walk, applies every move to
-    them and compares every recorded base with the live one.  One loop with
-    one step body applies the steps of a feed: a move, or a cited reversal,
-    which swaps ``word[q]`` and ``word[q + 2]`` and places the two new
-    entries.  Moves held as :class:`MoveColumns` are fed straight from the
-    columns (:func:`_column_feed`): a cited entry is applied as one swap
-    when its triple is the live ``word[q:q+3]``, its script is the one the
-    lemma table gives that triple, its ``Y`` is the live ``at[q + 3]`` and
-    ``upto`` does not cut it, and is fed move by move from its script
-    otherwise.  A cited step is one that replaying its moves one by one
-    would apply with the same result, so the call accepts and rejects, with
-    the same message, what replaying every move through the tracer would.
+    Moves held as a :class:`TraceMoves` over the trace's own start and base
+    (the same objects, as :func:`reduce_loop` gives them) are its
+    certificate's, so replay is the certificate's: its steps are replayed on
+    the word alone by ``ReplayedCertificate._live``, which cites the
+    process's lemmas as ``replay_certificate`` does, up to the step that
+    ends at move ``upto`` (:func:`_certificate_word`).  The path is the walk
+    of the word reached from the base.  A view stores no base, so there is
+    none to compare, and a view over a certificate that does not replay
+    fails as that certificate's replay fails.
+
     Any other sequence (a tuple, a deque, a trace rebuilt by
-    ``dataclasses.replace``) is read a record at a time and replayed move by
-    move (:func:`_record_feed`).  A delete goes through
-    ``WordMoves.delete`` and cuts ``at`` as ``tracer.delete`` does, without
-    recording a move.  No ``Move`` is built.  The path is the tracer's own
-    ``at`` read forwards: no second walk of the final word.
+    ``dataclasses.replace``), a view whose trace has another start or base,
+    or an ``upto`` inside a reversal is read a record at a time
+    (:func:`_record_feed`) and replayed move by move on a fresh word and a
+    fresh walk of the start, every recorded base compared with the live
+    one: the independent check of what a view yields.  No ``Move`` is built, and the path is the tracer's own ``at``
+    read forwards.
     """
     moves = trace.moves
-    columns = type(moves) is MoveColumns
-    if not columns:
+    view = type(moves) is TraceMoves
+    if not view:
         require_sequence(moves, "trace moves")
     n = len(moves)
     if upto is None:
@@ -604,59 +511,46 @@ def replay_trace(trace: MoveTrace, upto: int | None = None) -> Path:
         raise DomainError(f"trace base {trace.base!r} is not a Simplex")
     require_sequence(trace.start, "trace start")
     crumbs = baby_base(trace.base.rank)
+    if view and moves.start is trace.start and moves.base is trace.base:
+        word = _certificate_word(moves, upto)
+        if word is not None:
+            return path_of_word(Word.from_indices(crumbs, word), trace.base)
     tracer = _Tracer(trace.start, path_of_word(Word.from_indices(crumbs, trace.start), trace.base))
-    word, at = tracer.word, tracer.at
-    feed = _column_feed(moves, tracer, upto) if columns else _record_feed(moves, upto)
-    for kind, pos, gens, recorded in feed:
-        if kind is _CITE:
-            _reverse_in_place(tracer, pos, gens)
-            continue
+    for kind, pos, gens, recorded in _record_feed(moves, upto):
         if kind == "insert":
             base = tracer.insert(pos, gens)
-        elif kind == "delete":  # ``tracer.delete`` without recording a move, which replay never reads
-            end = pos + len(WordMoves.delete(tracer, pos, gens))
-            base = at[end]
-            del at[pos:end]
+        elif kind == "delete":
+            base = tracer.delete(pos, gens)
         else:
             raise DomainError(f"unknown move kind {kind!r}")
         if base != recorded:
             raise DomainError("trace replay: recorded sub-loop base does not match")
-    return _unchecked_path(tuple(reversed(at)), Word.from_indices(crumbs, word))
+    return _unchecked_path(tuple(reversed(tracer.at)), Word.from_indices(crumbs, tracer.word))
 
 
-def _column_feed(columns: MoveColumns, tracer: _Tracer, upto: int) -> Iterator[tuple]:
-    """The steps of the first ``upto`` moves of ``columns``, each checked against the live tracer as it is fed.
+def _certificate_word(moves: TraceMoves, upto: int) -> list[int] | None:
+    """The word after the first ``upto`` moves of ``moves``, by replay of its certificate.
 
-    A move entry is fed as its fields.  A cited entry ``(triple, script)``
-    at ``q`` with ``Y`` is fed as one cited step when its ``upto`` allows
-    all its moves, ``triple`` is the live ``word[q:q+3]``, the lemma table
-    gives that triple ``script`` (or an equal script whose moves read
-    without error) and ``Y`` is the live ``at[q + 3]``; then
-    its moves are the live script's placed at the live ``Y``, which the
-    lemma of the ``moves`` docstring applies one by one with the result of
-    the swap.  Otherwise its moves are fed one by one, built from the
-    stored script at the stored ``Y`` as reading the record builds them.
+    The steps whose moves all come before move ``upto`` are replayed by
+    ``ReplayedCertificate._live``.  The answer is ``None``, and the caller
+    replays the records, if move ``upto`` falls inside a reversal or the
+    lemma table no longer gives the widths the view was built with.
     """
-    word, at, table = tracer.word, tracer.at, columns.table
-    k = 0
-    for code, q, base in zip(columns.codes, columns.positions, columns.bases):
-        if k >= upto:
-            return
-        first, second = table[code]
-        if type(first) is str:
-            yield first, q, second, base
-            k += 1
-            continue
-        width = len(second.moves)
-        if k + width <= upto and q >= 0 and tuple(word[q : q + 3]) == first:
-            script = REVERSALS.script(first)
-            if ((script is second or script == second and _cited_fields(first, second, q, base))
-                    and at[q + 3] == base):
-                yield _CITE, q, second, width
-                k += width
-                continue
-        yield from islice(_cited_fields(first, second, q, base), upto - k)
-        k += width
+    live = ReplayedCertificate(moves.certificate)._live()
+    if upto == len(moves):
+        for word in live:
+            pass
+        return word
+    try:
+        ends = _move_ends(moves.certificate.steps)
+    except DomainError:  # a script the view counted is no longer in the table
+        return None
+    k = bisect_right(ends, upto) - 1  # the steps done whole
+    if ends[-1] != len(moves) or ends[k] != upto:
+        return None
+    for word in islice(live, k + 1):
+        pass
+    return word
 
 
 def _record_feed(moves: Sequence[Move], upto: int) -> Iterator[tuple]:

@@ -39,8 +39,9 @@ and ``_parse_explicit`` built at the word's rank.  ``parse_word`` also
 plants the word's columns when ``k`` times the largest ``|p|`` the batch
 read is at most ``I64_MAX``, which keeps every ``B_c`` within the band.
 A ``geometry.Path`` checks that its simplices are the walk of its word;
-``path_of_word`` and ``replay_trace``, which hold that walk already, build
-theirs through ``geometry._unchecked_path``.
+``path_of_word``, which takes that walk, and ``replay_trace`` of records
+move by move, whose tracer holds it, build theirs through
+``geometry._unchecked_path``.
 A word's running sum is guarded in ``weyl``: when ``B_c = sum_i |p_c(a_i)|``
 is at most ``I64_MAX`` for every coordinate ``c`` (the flag of
 ``words.Word.columns``), no partial sum of its letters can leave the band,

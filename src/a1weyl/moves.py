@@ -10,8 +10,8 @@ letters the expansion had inserted, and it succeeds with the same moves at
 any position of any word holding that triple, leaving ``c b a`` there.
 That fact depends on the triple and on the expansion code alone, not on the
 certificate, so every replay in the process may cite it: one table,
-``REVERSALS``, serves certificate replay, loop tracing and trace replay
-(the ``geometry`` module docstring).  Whoever replaces
+``REVERSALS``, serves certificate replay and the reading and replay of loop
+traces (the ``geometry`` module docstring).  Whoever replaces
 ``WordMoves.reverse_triple`` clears the table, whose lemmas are of the
 expansion replaced.  It holds each lemma as the script of the isolated run
 (:class:`Script`), read from the run's words alone (only the triple's
@@ -54,8 +54,8 @@ def require_sequence(value: object, what: str) -> None:
 class RecordColumns(Sequence):
     """Frozen records held as columns, each built when it is read: the contract of the proof records.
 
-    ``presentation.StepColumns`` holds a certificate's steps this way and
-    ``geometry.MoveColumns`` a trace's moves.  The sequence is the tuple of
+    ``presentation.StepColumns`` holds a certificate's steps this way, and
+    ``geometry.TraceMoves`` reads a trace's moves from its certificate.  The sequence is the tuple of
     its records to ``==``, ``hash`` and ``repr``, and reads as that tuple:
     an index, a slice and :meth:`index` read the records front to back into
     it once.  It pickles and copies as its columns, the constructor's
@@ -332,5 +332,5 @@ class _Lemmas(dict):
         return script
 
 
-# The one table of proved reversals, cited by certificate replay, loop tracing and trace replay.
+# The one table of proved reversals, cited by certificate replay and by the reading and replay of loop traces.
 REVERSALS = _Lemmas()

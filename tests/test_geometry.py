@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import itertools
 import random
+from array import array
 from typing import Sequence
 
 import pytest
@@ -30,10 +31,10 @@ from a1weyl import (
 )
 from a1weyl import geometry, lattice
 from a1weyl.errors import InternalCheckError
-from a1weyl.geometry import Path, _Tracer
+from a1weyl.geometry import Path, TraceMoves, _Tracer
 from a1weyl.lattice import vec_add, vec_scale
 from a1weyl.moves import REVERSALS, WordMoves, move_block
-from a1weyl.presentation import RewriteCertificate, RewriteStep
+from a1weyl.presentation import RewriteCertificate, RewriteStep, StepColumns
 from a1weyl.words import random_relation_indices
 
 WORKED_LOOP = (2, 0, 2, 1, 0, 1, 0, 2, 1, 2, 1, 0)
@@ -413,7 +414,7 @@ class TestRenderSvg:
 
 # --- the per-letter walk the column sums replaced: the references of _walk ---
 # _step, path_of_word and _Tracer as they were before paths were summed by
-# columns, kept verbatim (the tracer renamed).
+# columns, kept verbatim but for the tracer, renamed, which records its own moves.
 
 
 def _step(a: Root, b: Simplex) -> Simplex:
@@ -431,10 +432,10 @@ def reference_path_of_word(word: Word, base: Simplex) -> Path:
 
 
 class ReferenceTracer(_Tracer):
-    """The per-letter walk and the full expansion of every reversal, recording through ``_Tracer.record``.
+    """The per-letter walk and the full expansion of every reversal, recording each move in its own ``moves``.
 
-    It subclasses ``_Tracer`` only for the columns ``_Tracer.record`` writes
-    and ``moves`` reads; every move is its own: the insert walks the block
+    It subclasses ``_Tracer`` only for the live word and ``at`` its
+    constructor sets up; every move is its own: the insert walks the block
     letter by letter, and no reversal is cited.
     """
 
@@ -443,6 +444,7 @@ class ReferenceTracer(_Tracer):
     def __init__(self, indices: Sequence[int], path: Path):
         super().__init__(indices, path)
         self.roots = baby_base(path.rank).roots
+        self.moves: list[Move] = []
 
     def insert(self, pos: int, gens: tuple[int, ...]) -> Simplex:
         block = WordMoves.insert(self, pos, gens)
@@ -451,14 +453,14 @@ class ReferenceTracer(_Tracer):
         for k in reversed(block):
             entries.append(_step(self.roots[k], entries[-1]))
         self.at[pos:pos] = entries[:0:-1]
-        self.record("insert", pos, gens, base)
+        self.moves.append(Move("insert", pos, gens, base))
         return base
 
     def delete(self, pos: int, gens: tuple[int, ...]) -> Simplex:
         end = pos + len(WordMoves.delete(self, pos, gens))
         base = self.at[end]
         del self.at[pos:end]
-        self.record("delete", pos, gens, base)
+        self.moves.append(Move("delete", pos, gens, base))
         return base
 
 
@@ -469,15 +471,12 @@ def outcome(fn, *args):
         return "raises", type(exc), str(exc)
 
 
-def with_reference_walk(fn, *args):
-    """``fn(*args)`` with the library's path and tracer swapped for the references."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "path_of_word", reference_path_of_word)
-        mp.setattr(geometry, "_Tracer", ReferenceTracer)
-        return outcome(fn, *args)
+def as_records(trace):
+    """``trace`` with its moves read into a tuple of ``Move`` records."""
+    return dataclasses.replace(trace, moves=tuple(trace.moves))
 
 
-def test_the_reference_tracer_takes_every_cancellation_through_its_own_delete(monkeypatch):
+def test_the_reference_tracer_takes_every_cancellation_through_its_own_delete():
     deleted = []
 
     class CountingReference(ReferenceTracer):
@@ -486,10 +485,10 @@ def test_the_reference_tracer_takes_every_cancellation_through_its_own_delete(mo
             return super().delete(pos, gens)
 
     path = path_of_word(Word.from_indices(baby_base(2), WORKED_LOOP), base_simplex(2))
-    monkeypatch.setattr(geometry, "_Tracer", CountingReference)
-    trace = reduce_loop(path)
+    trace = reference_reduce_loop(path, CountingReference)
     assert deleted == [(m.pos, m.gens) for m in trace.moves if m.kind == "delete"]
     assert any(len(gens) == 1 for _, gens in deleted)
+    assert trace == reduce_loop(path)
 
 
 walk_coords = st.one_of(
@@ -579,7 +578,7 @@ def tracer_states(tracer_type, indices, path, inserts):
     states = []
     for pos, gens in inserts:
         pos %= len(tracer.word) + 1
-        states.append((outcome(tracer.insert, pos, gens), tracer.word[:], tracer.at[:], tracer.moves[:]))
+        states.append((outcome(tracer.insert, pos, gens), tracer.word[:], tracer.at[:]))
         if states[-1][0][0] == "raises":
             break
     return states
@@ -612,11 +611,15 @@ def test_loop_traces_and_replays_equal_the_per_letter_walk(case):
     nu, indices, start = case
     word = Word.from_indices(baby_base(nu), indices)
 
-    def trace_and_replays(word, start):
-        trace = reduce_loop(geometry.path_of_word(word, start))
-        return trace, [replay_trace(trace, b) for _, b, _ in trace.macros]
+    def library():
+        trace = reduce_loop(path_of_word(word, start))
+        return as_records(trace), [replay_trace(trace, b) for _, b, _ in trace.macros]
 
-    assert outcome(trace_and_replays, word, start) == with_reference_walk(trace_and_replays, word, start)
+    def reference():
+        trace = reference_reduce_loop(reference_path_of_word(word, start))
+        return trace, [reference_replay_trace(trace, b) for _, b, _ in trace.macros]
+
+    assert outcome(library) == outcome(reference)
 
 
 def test_rank_zero_walks_alternate_the_orientation():
@@ -759,7 +762,7 @@ def reversible_triples(nu):
 
 
 def expansion_at(tracer_type, triple, y):
-    """Reverse ``triple`` with ``at[3] = y``: the moves and the entries, or the exception."""
+    """Reverse ``triple`` with ``at[3] = y``: the word, the entries and the moves, or the exception."""
     nu = y.rank
     path = path_of_word(Word.from_indices(baby_base(nu), triple), y)
     tracer = tracer_type(triple, path)
@@ -767,6 +770,24 @@ def expansion_at(tracer_type, triple, y):
     def run():
         tracer.reverse_triple(0)
         return tracer.word, tracer.at, tracer.moves
+
+    return outcome(run)
+
+
+def reversal_trace(triple, y):
+    """The trace of one reversal of ``triple`` with ``at[3] = y``: a view over a one-step certificate."""
+    steps = StepColumns(3, bytes([3]), array("q", [0]), array("q", triple))
+    moves = TraceMoves(triple, y, RewriteCertificate(triple, steps, ((0, 1, "bubble"),), False))
+    return MoveTrace(triple, y, moves, moves.macros)
+
+
+def read_reversal(triple, y):
+    """The reversal read from its trace: the word and the entries its replay reaches, and the moves."""
+
+    def run():
+        trace = reversal_trace(triple, y)
+        path = replay_trace(trace)
+        return list(path.word.to_indices(baby_base(y.rank))), list(reversed(path.simplices)), list(trace.moves)
 
     return outcome(run)
 
@@ -801,23 +822,20 @@ def test_every_script_at_the_band_edge_writes_what_the_expansion_writes(monkeypa
     placements = 0
     for triple, path in edge_placements(nu):
         y = path.base
-        assert expansion_at(_Tracer, triple, y) == expansion_at(ReferenceTracer, triple, y)
+        assert read_reversal(triple, y) == expansion_at(ReferenceTracer, triple, y)
         assert inserted == []  # cited: no run is refused at the edge
         placements += 1
     assert placements
 
 
 def test_at_the_band_edge_every_run_is_cited_and_replays_as_the_reference(monkeypatch):
-    """At the edge a cited reversal replays as one swap, and columns and records as the reference at every ``upto``."""
+    """At the edge a cited reversal replays as one swap, and the view and its records as the reference at every ``upto``."""
     inserted = counting_inserts(monkeypatch)
     placements = 0
     for triple, path in edge_placements(2):
-        tracer = _Tracer(triple, path)
-        tracer.reverse_triple(0)
-        columns = tracer.columns()
-        trace = MoveTrace(triple, path.base, columns, ())
+        trace = reversal_trace(triple, path.base)
         every_upto_replays_as_the_reference(trace)
-        every_upto_replays_as_the_reference(MoveTrace(triple, path.base, tuple(columns), ()))
+        every_upto_replays_as_the_reference(as_records(trace))
         del inserted[:]
         replay_trace(trace)
         assert inserted == []
@@ -961,18 +979,20 @@ def test_a_forged_insert_above_the_rank_is_refused_by_the_walk():
 # --- cancellations through ``_Tracer.delete``: the tracing loop of every step through ``apply`` is the reference ---
 
 
-def reference_reduce_loop(p: Path) -> MoveTrace:
+def reference_reduce_loop(p: Path, tracer_type=ReferenceTracer) -> MoveTrace:
     """``reduce_loop`` as it was before cancellations went through ``tracer.delete``: every step through ``apply``.
 
     Kept verbatim but for ``geometry.rewrite_to_identity``, looked up at the
-    call so that a forged certificate reaches both versions.
+    call so that a forged certificate reaches both versions, and for the
+    tracer, which records its own moves: the reference's, which expands
+    every reversal, unless the caller names another.
     """
     if not is_loop(p):
         raise DomainError("only loops can be reduced")
     nu = p.rank
     indices = p.word.to_indices(baby_base(nu))
     cert = geometry.rewrite_to_identity(indices, nu)
-    tracer = _Tracer(indices, p)
+    tracer = tracer_type(indices, p)
     macros: list[tuple[int, int, str]] = []
     for a, b, kind in cert.macros:
         start = len(tracer.moves)
@@ -994,7 +1014,7 @@ def test_reduce_loop_equals_the_reduction_through_apply(case):
     word = Word.from_indices(baby_base(nu), indices)
 
     def reduce(reducer):
-        return reducer(path_of_word(word, start))
+        return as_records(reducer(path_of_word(word, start)))
 
     assert outcome(reduce, reduce_loop) == outcome(reduce, reference_reduce_loop)
 

@@ -20,7 +20,10 @@ time.  Each side's line gives its best pass, then the median and the
 quartiles (inclusive method) of its passes.  Both sides of a pass meet the
 same host load at the same moments, which separate runs of ``bench/run.py``
 on a shared host do not, so the ``gain`` line is paired: the median over
-passes of the pass's new/old ratio, less one.  The ``median gain`` line
+passes of the pass's new/old ratio, less one.  The ``new won`` line counts
+the passes whose new rate beats the old (a tie counts for neither side), so
+a claimed gain can be read against a rule such as "at least nine of ten
+pairs".  The ``median gain`` line
 compares the two sides' medians.  Before the ``gain`` line, one ``gc`` line
 per side counts the cyclic collections that started inside its timed ops,
 by generation, with the milliseconds they took, over all passes (through
@@ -213,6 +216,8 @@ def main(argv: list[str] | None = None) -> int:
               f" inside its ops over {args.passes} passes")
     gain = statistics.median(map(operator.truediv, rates["new"], rates["old"])) - 1
     print(f"gain {gain:+.1%}")
+    won = sum(map(operator.gt, rates["new"], rates["old"]))
+    print(f"new won {won} of {args.passes} passes")
     print(f"median gain {medians['new'] / medians['old'] - 1:+.1%}")
     return 0
 

@@ -147,8 +147,13 @@ def _walk(word: Word, base: Simplex) -> list[Simplex]:
     ``max`` tests every anchor against the band.  In it,
     :func:`_unchecked_simplex` is mapped over the anchors and the
     orientations; past it, ``Simplex`` checks them one by one and raises at
-    the first simplex outside.
+    the first simplex outside.  A word with no letters walks to ``[base]``
+    at once, before its columns are built, when ``base`` is a plain
+    ``Simplex``, so a walk holds plain ``Simplex`` records whatever its
+    word: the trace replay of a loop walks the empty word it ends at.
     """
+    if not word.letters and type(base) is Simplex:
+        return [base]
     x, o = base.anchor, base.orient
     step = None if o == 1 else sub  # None: accumulate's own addition, which calls no function per term
     rows = [list(accumulate(reversed(terms), step, initial=xc)) for xc, terms in zip(x, word.terms)]
@@ -307,8 +312,9 @@ class TraceMoves(RecordColumns):
     COLUMNS = ("start", "base", "certificate")
 
     def __init__(self, start: tuple[int, ...], base: Simplex, certificate: RewriteCertificate):
-        if not (type(start) is tuple and isinstance(base, Simplex) and isinstance(certificate, RewriteCertificate)
-                and certificate.start == start and all(type(g) is int and 0 <= g <= base.rank for g in start)):
+        rank = base.rank if isinstance(base, Simplex) else None
+        if not (type(start) is tuple and rank is not None and isinstance(certificate, RewriteCertificate)
+                and certificate.start == start and all(type(g) is int and 0 <= g <= rank for g in start)):
             raise DomainError("the moves of a trace are read from a start of baby-base letters, a Simplex base"
                               " and a certificate of that start")
         ends = _move_ends(certificate.steps)
@@ -571,65 +577,48 @@ _SCALE = 40  # pixels per lattice unit
 _PAD = 60
 
 
-def _screen(x: int, y: int) -> tuple[int, int]:
-    return (_SCALE * x, -_SCALE * y)
-
-
-def _triangle(s: Simplex) -> tuple[tuple[int, int], ...]:
-    ax, ay = 2 * s.anchor[0], 2 * s.anchor[1]
-    return (
-        _screen(ax, ay),
-        _screen(ax + s.orient, ay),
-        _screen(ax, ay + s.orient),
-    )
-
-
 def render_svg(p: Path) -> str:
     """Draw the visited simplices with visit labels B0, B1, ... in order.
 
     Each simplex is the triangle with corners 2*anchor, 2*anchor + orient*e1,
-    2*anchor + orient*e2; a closing loop entry reuses the label of the start.
+    2*anchor + orient*e2, drawn in ``_SCALE`` pixels a unit with the y axis
+    pointing down; a closing loop entry reuses the label of the start.  The
+    labels are grouped by the simplex's ``(anchor, orient)``, and each
+    distinct simplex's corners are computed once, in the sorted order of
+    those keys, for the bounds, its polygon and its label, which sits at the
+    corners' centroid rounded down, moved 4 pixels by the orientation.
     Output is deterministic for identical input.
     """
     if p.rank != 2:
         raise DomainError("SVG rendering is implemented for rank 2 only")
-    n = len(p.simplices)
-    closing = n > 1 and p.simplices[0] == p.simplices[-1]
-    labelled = n - 1 if closing else n
+    simplices = p.simplices
+    n = len(simplices)
+    closing = n > 1 and simplices[0] == simplices[-1]
+    visits: dict[tuple[Vec, int], list[str]] = {}
+    for r in range(n - 1 if closing else n):
+        s = simplices[r]
+        visits.setdefault((s.anchor, s.orient), []).append(f"B{r}")
 
-    triangles: dict[Simplex, list[str]] = {}
-    for r in range(labelled):
-        triangles.setdefault(p.simplices[r], []).append(f"B{r}")
-    for r in range(labelled, n):
-        triangles.setdefault(p.simplices[r], [])
-
+    polygons, texts = [], []
     xs, ys = [0], [0]
-    for tri in map(_triangle, triangles):
-        for x, y in tri:
-            xs.append(x)
-            ys.append(y)
+    for ((x, y), o), labels in sorted(visits.items()):
+        sx, sy, d = 2 * _SCALE * x, -2 * _SCALE * y, _SCALE * o  # the corner 2*anchor on screen, and one unit
+        xs += (sx, sx + d)
+        ys += (sy, sy - d)
+        polygons.append(f'<polygon points="{sx},{sy} {sx + d},{sy} {sx},{sy - d}" fill="none" stroke="#000"'
+                        ' stroke-width="2"/>')
+        texts.append(f'<text x="{(3 * sx + d) // 3 + 4 * o}" y="{(3 * sy - d) // 3 - 4 * o}" font-size="12">'
+                     f'{",".join(labels)}</text>')
     x0, x1 = min(xs) - _PAD, max(xs) + _PAD
     y0, y1 = min(ys) - _PAD, max(ys) + _PAD
-
-    parts = [
+    return "\n".join([
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{x0} {y0} {x1 - x0} {y1 - y0}" '
         f'width="{x1 - x0}" height="{y1 - y0}">',
         f'<line x1="{x0 + 8}" y1="0" x2="{x1 - 8}" y2="0" stroke="#888" stroke-width="1"/>',
         f'<line x1="0" y1="{y0 + 8}" x2="0" y2="{y1 - 8}" stroke="#888" stroke-width="1"/>',
         f'<text x="{x1 - 30}" y="-6" font-size="14">s1</text>',
         f'<text x="6" y="{y0 + 24}" font-size="14">s2</text>',
-    ]
-    ordered = sorted(triangles, key=lambda s: (s.anchor, s.orient))
-    for simplex in ordered:
-        pts = " ".join(f"{x},{y}" for x, y in _triangle(simplex))
-        parts.append(f'<polygon points="{pts}" fill="none" stroke="#000" stroke-width="2"/>')
-    for simplex in ordered:
-        labels = triangles[simplex]
-        if not labels:
-            continue
-        tri = _triangle(simplex)
-        cx = sum(x for x, _ in tri) // 3 + 4 * simplex.orient
-        cy = sum(y for _, y in tri) // 3 - 4 * simplex.orient
-        parts.append(f'<text x="{cx}" y="{cy}" font-size="12">{",".join(labels)}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts)
+        *polygons,
+        *texts,
+        "</svg>",
+    ])

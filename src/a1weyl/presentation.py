@@ -51,7 +51,6 @@ from __future__ import annotations
 import itertools
 import operator
 from array import array
-from collections import Counter
 from collections.abc import Iterable, Iterator, MutableSequence, Sequence
 from dataclasses import dataclass
 
@@ -648,7 +647,10 @@ def rewrite_to_identity(indices: Sequence[int], nu: int) -> RewriteCertificate:
     Precondition (checked): ``indices`` is a sequence (an iterator would be
     used up by the checks) holding a relation word over the baby-base
     generators ``0..nu``, each letter an ``int``, and ``nu`` is an ``int``
-    >= 0.  Each macro shortens the word by at least two.
+    >= 0.  Each macro shortens the word by at least two.  The letters are
+    checked first, so a letter that only looks like one (``True``, ``1.0``,
+    ``-1``, ``nu + 1``) is named before the relation test, which compares
+    the sorted letters at even positions with those at odd ones.
 
     A certificate of a length-``L`` word has at most ``L**2/8 + L/2`` steps.
     Every cut removes two or six letters, so there are at most ``L/2`` cuts.
@@ -666,9 +668,11 @@ def rewrite_to_identity(indices: Sequence[int], nu: int) -> RewriteCertificate:
     # Over the baby base g_0 adds nothing to the alternating sum and g_k
     # (k >= 1) adds +-s_k by the parity of its position: a relation has even
     # length and each g_k as often at even positions as at odd ones.  Both
-    # hold exactly when every letter is (g_0 too, as the halves are equally long).
-    even = Counter(itertools.islice(indices, 0, None, 2))
-    if even != Counter(itertools.islice(indices, 1, None, 2)):
+    # hold exactly when every letter is (g_0 too, as the halves are equally
+    # long): when the two halves sort to the same list.  ``islice`` reads any
+    # sequence, a ``deque`` too, which cannot be sliced.
+    even = sorted(itertools.islice(indices, 0, None, 2))
+    if even != sorted(itertools.islice(indices, 1, None, 2)):
         raise DomainError("the word is not a relation, no reduction certificate exists")
     rules, positions, letters, macros = _reduce(indices)
     if type(letters) is array:

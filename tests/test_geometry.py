@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import itertools
 import random
+import re
 from array import array
 from typing import Sequence
 
@@ -410,6 +411,109 @@ class TestRenderSvg:
     def test_rank_restriction(self):
         with pytest.raises(DomainError):
             render_svg(path_of_word(Word.empty(3), base_simplex(3)))
+
+
+# --- render_svg as it was before each distinct simplex was drawn once: its reference ---
+# kept verbatim, renamed: it keys the labels by Simplex and computes a
+# simplex's triangle for the bounds, for its polygon and for its label.
+
+_SCALE = 40  # pixels per lattice unit
+_PAD = 60
+
+
+def _screen(x: int, y: int) -> tuple[int, int]:
+    return (_SCALE * x, -_SCALE * y)
+
+
+def _triangle(s: Simplex) -> tuple[tuple[int, int], ...]:
+    ax, ay = 2 * s.anchor[0], 2 * s.anchor[1]
+    return (
+        _screen(ax, ay),
+        _screen(ax + s.orient, ay),
+        _screen(ax, ay + s.orient),
+    )
+
+
+def reference_render_svg(p: Path) -> str:
+    if p.rank != 2:
+        raise DomainError("SVG rendering is implemented for rank 2 only")
+    n = len(p.simplices)
+    closing = n > 1 and p.simplices[0] == p.simplices[-1]
+    labelled = n - 1 if closing else n
+
+    triangles: dict[Simplex, list[str]] = {}
+    for r in range(labelled):
+        triangles.setdefault(p.simplices[r], []).append(f"B{r}")
+    for r in range(labelled, n):
+        triangles.setdefault(p.simplices[r], [])
+
+    xs, ys = [0], [0]
+    for tri in map(_triangle, triangles):
+        for x, y in tri:
+            xs.append(x)
+            ys.append(y)
+    x0, x1 = min(xs) - _PAD, max(xs) + _PAD
+    y0, y1 = min(ys) - _PAD, max(ys) + _PAD
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{x0} {y0} {x1 - x0} {y1 - y0}" '
+        f'width="{x1 - x0}" height="{y1 - y0}">',
+        f'<line x1="{x0 + 8}" y1="0" x2="{x1 - 8}" y2="0" stroke="#888" stroke-width="1"/>',
+        f'<line x1="0" y1="{y0 + 8}" x2="0" y2="{y1 - 8}" stroke="#888" stroke-width="1"/>',
+        f'<text x="{x1 - 30}" y="-6" font-size="14">s1</text>',
+        f'<text x="6" y="{y0 + 24}" font-size="14">s2</text>',
+    ]
+    ordered = sorted(triangles, key=lambda s: (s.anchor, s.orient))
+    for simplex in ordered:
+        pts = " ".join(f"{x},{y}" for x, y in _triangle(simplex))
+        parts.append(f'<polygon points="{pts}" fill="none" stroke="#000" stroke-width="2"/>')
+    for simplex in ordered:
+        labels = triangles[simplex]
+        if not labels:
+            continue
+        tri = _triangle(simplex)
+        cx = sum(x for x, _ in tri) // 3 + 4 * simplex.orient
+        cy = sum(y for _, y in tri) // 3 - 4 * simplex.orient
+        parts.append(f'<text x="{cx}" y="{cy}" font-size="12">{",".join(labels)}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts)
+
+
+@st.composite
+def rank2_paths(draw):
+    """A rank-2 path: of a loop (a relation, or ``w`` then ``w`` reversed) or any word, from any base.
+
+    The anchor reaches ``+-2**40``.  As a hand-built ``Path`` every simplex
+    is a fresh object, so its equal simplices are distinct objects.
+    """
+    shape = draw(st.sampled_from(("relation", "mirror", "any")))
+    if shape == "relation":
+        indices = random_relation_indices(random.Random(draw(st.integers(0, 2**32 - 1))), 2,
+                                          draw(st.integers(0, 12)))
+    else:
+        indices = draw(st.lists(st.integers(0, 2), max_size=24))
+        if shape == "mirror":
+            indices += indices[::-1]
+    coordinate = st.integers(-(2**40), 2**40)
+    base = Simplex((draw(coordinate), draw(coordinate)), draw(st.sampled_from((1, -1))))
+    path = path_of_word(Word.from_indices(baby_base(2), indices), base)
+    if draw(st.booleans()):
+        path = Path(tuple(Simplex(tuple(list(s.anchor)), s.orient) for s in path.simplices), path.word)
+    return path
+
+
+@settings(deadline=None, max_examples=200)
+@given(rank2_paths())
+def test_render_svg_writes_the_bytes_of_the_reference_renderer(path):
+    assert render_svg(path).encode() == reference_render_svg(path).encode()
+
+
+def test_a_hand_built_path_of_distinct_equal_simplices_renders_as_the_reference():
+    walk = path_of_word(Word.from_indices(baby_base(2), WORKED_LOOP + (1, 1, 1, 1)), base_simplex(2))
+    copies = tuple(Simplex(tuple(list(s.anchor)), s.orient) for s in walk.simplices)
+    assert copies[0] == copies[2] and copies[0] is not copies[2]
+    path = Path(copies, walk.word)
+    assert render_svg(path).encode() == reference_render_svg(path).encode()
 
 
 # --- the per-letter walk the column sums replaced: the references of _walk ---
@@ -930,6 +1034,52 @@ def test_a_path_whose_walk_leaves_the_band_is_a_domain_error():
     inside = (Simplex((I64_MAX,), 1), Simplex((I64_MAX,), 1), Simplex((I64_MAX,), 1))
     with pytest.raises(DomainError, match="leaves the band"):
         Path(inside, word)
+
+
+@pytest.mark.parametrize("rank", range(4))
+@pytest.mark.parametrize("orient", [1, -1])
+def test_the_walk_of_the_empty_word_is_its_base_without_its_columns(rank, orient):
+    word, b = Word.empty(rank), Simplex(tuple(range(-1, rank - 1)), orient)
+    assert geometry._walk(word, b) == [b]
+    assert "columns" not in vars(word)
+
+
+def test_the_empty_walk_from_a_simplex_subclass_holds_a_plain_simplex():
+    class Marked(Simplex):
+        __slots__ = ()
+
+    b = Marked((0, 0), 1)
+    assert [type(s) for s in path_of_word(Word.empty(2), b).simplices] == [Simplex]
+    with pytest.raises(DomainError, match="^the simplices of a path are not the walk of its word from the first$"):
+        Path((b,), Word.empty(2))
+
+
+@pytest.mark.parametrize("rank", range(4))
+def test_a_path_of_the_empty_word_over_a_simplex_of_another_rank_is_refused(rank):
+    other = base_simplex(rank + 1)
+    with pytest.raises(DomainError, match=rf"^a path starts at a simplex of its word's rank, not at {re.escape(repr(other))}$"):
+        Path((other,), Word.empty(rank))
+    with pytest.raises(DomainError, match="^rank mismatch between word and base simplex$"):
+        path_of_word(Word.empty(rank), other)
+
+
+def empty_walk_loops():
+    """``(nu, indices, base)``: every commutator n <= 10 and seeded random loops at nu 2 and 3."""
+    for n in range(11):
+        yield 2, commutator(n), Simplex((n - 5, 3 - n), (-1) ** n)
+    rng = random.Random(38)
+    for k in range(24):
+        nu = 2 + k % 2
+        base = Simplex(tuple(rng.randint(-4, 4) for _ in range(nu)), rng.choice((1, -1)))
+        yield nu, random_relation_indices(rng, nu, rng.randint(0, 14)), base
+
+
+@pytest.mark.parametrize("nu, indices, base", list(empty_walk_loops()))
+def test_replay_of_a_loop_ends_at_the_path_of_the_empty_word_at_its_base(nu, indices, base):
+    trace = reduce_loop(path_of_word(Word.from_indices(baby_base(nu), indices), base))
+    replayed = replay_trace(trace)
+    assert replayed == Path((trace.base,), Word.empty(nu))
+    assert "columns" not in vars(replayed.word)
 
 
 def test_foreign_trace_entries_are_domain_errors():

@@ -5,7 +5,7 @@ import random
 import re
 import time
 import tracemalloc
-from collections import Counter
+from collections import Counter, deque
 from typing import Iterator, Sequence
 
 import pytest
@@ -686,6 +686,59 @@ def test_rewrite_precondition_counts_letters_as_is_relation_w_decides(case):
     else:
         with pytest.raises(DomainError, match="^the word is not a relation, no reduction"):
             rewrite_to_identity(word, nu)
+
+
+def counted_precondition(indices, nu):
+    """The message ``rewrite_to_identity`` refuses ``indices`` with, or None, as when each half was a ``Counter``."""
+    for g in indices:
+        if type(g) is not int or not 0 <= g <= nu:
+            return f"letter {g!r} is not an int in the generator range 0..{nu}"
+    if Counter(itertools.islice(indices, 0, None, 2)) != Counter(itertools.islice(indices, 1, None, 2)):
+        return "the word is not a relation, no reduction certificate exists"
+    return None
+
+
+@st.composite
+def near_relations(draw):
+    """``(nu, indices)``: a pair-up relation, maybe with one letter changed, added, dropped or a look-alike added.
+
+    The look-alikes are ``True``, ``1.0``, ``-1`` and ``nu + 1``; an added
+    letter makes the length odd.  The word is a tuple, a list or a ``deque``.
+    """
+    nu = draw(st.integers(0, 4))
+    n = draw(st.integers(0, 20))
+    half = draw(st.lists(st.integers(0, nu), min_size=n, max_size=n))
+    odd, even = draw(st.permutations(half)), draw(st.permutations(half))
+    word = [x for pair in zip(odd, even) for x in pair]
+    at = draw(st.integers(0, len(word)))
+    change = draw(st.sampled_from(("none", "replace", "add", "drop", "look-alike")))
+    if change == "replace" and word:
+        word[min(at, len(word) - 1)] = draw(st.integers(0, nu))
+    elif change == "add":
+        word.insert(at, draw(st.integers(0, nu)))
+    elif change == "drop" and word:
+        del word[min(at, len(word) - 1)]
+    elif change == "look-alike":
+        word.insert(at, draw(st.sampled_from((True, 1.0, -1, nu + 1))))
+    return nu, draw(st.sampled_from((tuple, list, deque)))(word)
+
+
+@settings(deadline=None, max_examples=400)
+@given(near_relations())
+@example((1, (1, 1.0)))
+@example((1, deque([1, 2])))
+@example((2, [True, 1, 1]))
+@example((2, deque([2, 1, 1, 2])))
+def test_the_relation_test_accepts_and_refuses_as_counting_each_half(case):
+    nu, indices = case
+    message = counted_precondition(indices, nu)
+    if message is None:
+        cert = rewrite_to_identity(indices, nu)
+        assert cert == rewrite_to_identity(tuple(indices), nu)
+        assert replay_certificate(cert)[-1] == []
+    else:
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            rewrite_to_identity(indices, nu)
 
 
 # --- the replay that kept every intermediate word in a list: the view's oracle ---

@@ -5,6 +5,7 @@ So do the output digest and the README tour's golden check
 """
 
 import functools
+import importlib.util
 import os
 import re
 import shutil
@@ -80,6 +81,24 @@ def test_ab_compare_counts_the_collections_inside_each_sides_ops():
     for side, line in zip(("old", "new"), lines[3:5]):
         assert re.fullmatch(side + r" +gc gen0 \d+ gen1 \d+ gen2 \d+ in \d+\.\d ms inside its ops over 2 passes", line)
     assert lines[5].startswith("gain ")
+
+
+def test_ab_compare_counts_the_passes_the_new_side_won(monkeypatch, capsys):
+    bench = SCRIPTS.parent / "bench"
+    spec = importlib.util.spec_from_file_location("inputs", bench / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    monkeypatch.setitem(sys.modules, "inputs", inputs)  # the script's ``import inputs``, gone after the test
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts bench/ first
+    spec = importlib.util.spec_from_file_location("ab_compare", SCRIPTS / "ab_compare.py")
+    ab_compare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab_compare)
+    rates = {"old": [100.0, 100.0, 100.0, 100.0], "new": [110.0, 100.0, 90.0, 120.0]}  # a win, a tie, a loss, a win
+    monkeypatch.setattr(ab_compare, "load", lambda checkout, name, into: None)
+    monkeypatch.setattr(ab_compare, "compare", lambda libs, workload, seed, passes, collections: (rates, 4))
+    assert ab_compare.main([".", ".", "--workload", "loops", "--passes", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3:] == ["gain +5.0%", "new won 2 of 4 passes", "median gain +5.0%"]
 
 
 def test_output_digest_prints_one_digest_per_layer():

@@ -454,9 +454,10 @@ def reduce_loop(p: Path) -> MoveTrace:
     the certificate grouped its steps.  The rewriter reverses only triples
     of three distinct letters, each of which has a script, so a reversal
     step without one is an ``InternalCheckError``.  Then the certificate is
-    checked on the word alone (``ReplayedCertificate._live``): a step that
-    does not apply, or a word left non-empty, is an ``InternalCheckError``
-    too.
+    checked on the word alone, in one run of its steps
+    (``ReplayedCertificate._replay``): a step that does not apply, or a word
+    left non-empty, is an ``InternalCheckError`` too, and a failing run is
+    replayed again a state at a time to name the step.
     """
     if not is_loop(p):
         raise DomainError("only loops can be reduced")
@@ -466,11 +467,16 @@ def reduce_loop(p: Path) -> MoveTrace:
         moves = TraceMoves(cert.start, p.base, cert)
     except DomainError as exc:
         raise InternalCheckError(f"the certificate of a loop does not give its moves: {exc}") from exc
-    k = 0
+    replayed = ReplayedCertificate(cert)
     try:
-        for k, word in enumerate(ReplayedCertificate(cert)._live()):
+        word = replayed._replay()
+    except DomainError as exc:
+        k = 0
+        try:  # the replay again, a state at a time: it fails at the same step, ``k``
+            for k, _ in enumerate(replayed._live()):
+                pass
+        except DomainError:
             pass
-    except DomainError as exc:  # step ``k`` was being applied
         raise InternalCheckError(f"certificate step {cert.steps[k]} does not apply: {exc}") from exc
     if word:
         raise InternalCheckError("reduction finished with a non-empty word")
@@ -489,7 +495,7 @@ def replay_trace(trace: MoveTrace, upto: int | None = None) -> Path:
     Moves held as a :class:`TraceMoves` over the trace's own start and base
     (the same objects, as :func:`reduce_loop` gives them) are its
     certificate's, so replay is the certificate's: its steps are replayed on
-    the word alone by ``ReplayedCertificate._live``, which cites the
+    the word alone by ``ReplayedCertificate._replay``, which cites the
     process's lemmas as ``replay_certificate`` does, up to the step that
     ends at move ``upto`` (:func:`_certificate_word`).  The path is the walk
     of the word reached from the base.  A view stores no base, so there is
@@ -538,15 +544,13 @@ def _certificate_word(moves: TraceMoves, upto: int) -> list[int] | None:
     """The word after the first ``upto`` moves of ``moves``, by replay of its certificate.
 
     The steps whose moves all come before move ``upto`` are replayed by
-    ``ReplayedCertificate._live``.  The answer is ``None``, and the caller
-    replays the records, if move ``upto`` falls inside a reversal or the
-    lemma table no longer gives the widths the view was built with.
+    ``ReplayedCertificate._replay``, in one run.  The answer is ``None``, and
+    the caller replays the records, if move ``upto`` falls inside a reversal
+    or the lemma table no longer gives the widths the view was built with.
     """
-    live = ReplayedCertificate(moves.certificate)._live()
+    replayed = ReplayedCertificate(moves.certificate)
     if upto == len(moves):
-        for word in live:
-            pass
-        return word
+        return replayed._replay()
     try:
         ends = _move_ends(moves.certificate.steps)
     except DomainError:  # a script the view counted is no longer in the table
@@ -554,9 +558,7 @@ def _certificate_word(moves: TraceMoves, upto: int) -> list[int] | None:
     k = bisect_right(ends, upto) - 1  # the steps done whole
     if ends[-1] != len(moves) or ends[k] != upto:
         return None
-    for word in islice(live, k + 1):
-        pass
-    return word
+    return replayed._replay(k)
 
 
 def _record_feed(moves: Sequence[Move], upto: int) -> Iterator[tuple]:

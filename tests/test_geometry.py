@@ -1204,6 +1204,38 @@ def test_a_forged_cancel_that_does_not_apply_raises_the_same_check_error(monkeyp
     assert outcome(reference_reduce_loop, path) == ("raises", InternalCheckError, message)
 
 
+def first_failing_step(cert):
+    """The first step of ``cert`` that does not apply, each step through ``WordMoves.apply``, and its error."""
+    moves = WordMoves(cert.start)
+    for step in cert.steps:
+        try:
+            moves.apply(step)
+        except DomainError as exc:
+            return step, exc
+    raise AssertionError("every step applies")
+
+
+@pytest.mark.parametrize("rule", ["cancel-involution", "triple-reverse", "delete-relator"])
+@pytest.mark.parametrize("as_columns", [True, False])
+def test_reduce_loop_names_a_middle_step_that_does_not_apply(monkeypatch, rule, as_columns):
+    indices = random_relation_indices(random.Random(11), 3, 60) + (0, 1, 2, 0, 1, 2)
+    path = path_of_word(Word.from_indices(baby_base(3), indices), base_simplex(3))
+    cert = geometry.rewrite_to_identity(indices, 3)
+    ks = [k for k, step in enumerate(cert.steps) if step.rule == rule]
+    k = ks[len(ks) // 2]
+    assert 0 < k < len(cert.steps) - 1
+    positions = array("q", cert.steps.positions)
+    positions[k] = 10**6  # past the end of any word the certificate passes through
+    steps = StepColumns(cert.steps.length, cert.steps.rules, positions, cert.steps.letters)
+    forged = dataclasses.replace(cert, steps=steps if as_columns else tuple(steps))
+    monkeypatch.setattr(geometry, "rewrite_to_identity", lambda indices, nu: forged)
+    bad, exc = first_failing_step(forged)
+    assert bad == forged.steps[k]
+    message = f"certificate step {bad} does not apply: {exc}"
+    assert outcome(reduce_loop, path) == ("raises", InternalCheckError, message)
+    assert outcome(reference_reduce_loop, path) == ("raises", InternalCheckError, message)
+
+
 def test_trace_replay_builds_no_move_record(monkeypatch):
     path = path_of_word(Word.from_indices(baby_base(2), commutator(4)), base_simplex(2))
     replay_trace(reduce_loop(path))  # proves the scripts, which record moves of their own

@@ -658,6 +658,45 @@ def test_nested_palindrome_certificate_is_unchanged(phase):
     assert hashlib.sha256(repr(cert).encode()).hexdigest() == PALINDROME_8000_SHA256[phase]
 
 
+def test_a_64000_letter_palindrome_is_one_cancel_macro_in_closed_form():
+    # The free reduction cancels at the middle first, then outwards: the
+    # cancel at step s sits at L/2 - 1 - s and removes w[-1 - s].
+    length = 64000
+    w = [1 + k % 4 for k in range(length // 2)]
+    cert = rewrite_to_identity(tuple(w + w[::-1]), 4)
+    steps = cert.steps
+    assert cert.macros == ((0, length // 2, MACRO_CANCEL),)
+    assert steps.rules == b"\x01" * (length // 2)
+    assert steps.positions.tolist() == list(range(length // 2 - 1, -1, -1))
+    assert steps.letters.tolist() == w[::-1]
+    assert steps[0] == RewriteStep(RULE_CANCEL, length // 2 - 1, (w[-1],), length, length - 2)
+    assert steps[-1] == RewriteStep(RULE_CANCEL, 0, (w[0],), 2, 0)
+    assert replay_certificate(cert)[-1] == []
+
+
+BIG = 2**63  # one past the 64-bit range
+
+
+@pytest.mark.parametrize("indices", [
+    (BIG, 1, 1, BIG),  # every cancel in the free reduction
+    (BIG, 1, 2, BIG, 1, 2),  # no free cancel: a bubble, then its cascade
+    (BIG, BIG, BIG, 1, 2, BIG, 1, 2),  # cancels in the free reduction and after it
+])
+def test_letters_past_the_64_bit_range_give_records_and_replay(indices):
+    cert = assert_same_as_rescan(indices, BIG)
+    assert type(cert.steps) is tuple and cert.steps
+    assert all(type(s) is RewriteStep for s in cert.steps)
+    assert any(BIG in s.payload for s in cert.steps)
+    assert list(replay_certificate(cert)) == eager_replay(cert)
+
+
+def test_a_big_letter_cancelled_in_the_free_reduction_is_a_record():
+    cert = rewrite_to_identity((BIG, 1, 1, BIG), BIG)
+    assert cert.steps == (RewriteStep(RULE_CANCEL, 1, (1,), 4, 2), RewriteStep(RULE_CANCEL, 0, (BIG,), 2, 0))
+    assert cert.macros == ((0, 2, MACRO_CANCEL),)
+    assert replay_certificate(cert)[-1] == []
+
+
 @st.composite
 def index_words(draw):
     """``(nu, word)``: a pair-up relation or any word over ``0..nu``, maybe one letter changed."""

@@ -31,27 +31,15 @@ is based at, and its start word, its base and the certificate of
 (:class:`TraceMoves`): a cancellation or a relator deletion stands for one
 delete, and a triple reversal for the moves of its script in the table of
 proved reversals that certificate replay cites too (the ``moves`` module
-docstring), relative to ``at[3] = B(0, +1)``.  The moves are built when
-they are read, by the tracer, a live word and its walk ``at``, run over the
-steps.  Placing a script at ``Y = at[q + 3] = B(x, o)`` is sound for three
-reasons:
-
-- The same moves apply at any ``q`` of any word holding the triple (the ``moves`` lemma).
-- The run never touches ``Y``, and every entry it reads or writes is the
-  image of ``Y`` under the letters between.  The action is affine, so a
-  scripted ``B(d, f)`` lies at ``B(x + o*d, o*f)``.
-- By the hull rule each coordinate of every such ``x + o*d``, the entries
-  of each inserted block included, lies between the same coordinate of two
-  stored simplices of ``at[q..q+3]``, which are in the 64-bit band, so no
-  move of the run can overflow.
-
-So reading a reversal whose triple has a script yields its moves placed at
-``Y`` and writes what they leave at once.  ``reduce_loop`` checks the
-certificate on the word alone before it returns the view, and
-``replay_trace`` of a view replays the certificate the same way, up to a
-step end, and walks the word it reaches; a trace given as any other
-sequence of ``Move`` records replays move by move against a fresh walk,
-every recorded base compared.
+docstring), so the certificate alone counts the moves.  The moves are built
+when they are read, by the tracer, a live word and its walk ``at``, run over
+the steps: a read expands each reversal by ``WordMoves.reverse_triple`` and
+walks each block it inserts, so the walk's band test covers every base it
+yields.  ``reduce_loop`` checks the certificate on the word alone before it
+returns the view, and ``replay_trace`` of a view replays the certificate the
+same way, up to a step end, and walks the word it reaches; a trace given as
+any other sequence of ``Move`` records replays move by move against a fresh
+walk, every recorded base compared.
 """
 
 from __future__ import annotations
@@ -171,18 +159,13 @@ _SimplexTwin = mutable_twin(Simplex)
 def _unchecked_simplex(anchor: Vec, orient: int) -> Simplex:
     """A ``Simplex`` built through its twin, past ``Simplex.__post_init__``.
 
-    Only :func:`_walk`, for a walk in the band, and
-    :meth:`_Reader.reverse_triple`, for the points of a script from the
-    lemma table, call it.
-    The record is the one the checked constructor would build (the twin rule
-    of the ``lattice`` docstring): it compares, hashes and pickles the same.
-    Safe because they hand it only what those checks pass: ``orient`` is a
+    Only :func:`_walk` calls it, for a walk in the band.  The record is the
+    one the checked constructor would build (the twin rule of the
+    ``lattice`` docstring): it compares, hashes and pickles the same.  Safe
+    because ``_walk`` hands it only what those checks pass: ``orient`` is a
     checked orientation or its negation, the anchor is a tuple of exact
-    ``int`` sums of checked ``int`` entries, and every such anchor is in the
-    64-bit band: ``_walk`` tests its walk first, and each coordinate of a
-    proved script's point lies between those of two stored simplices (the
-    hull rule of the module docstring).  Scripts come from the lemma table
-    alone: a trace stores none.
+    ``int`` sums of checked ``int`` entries, and ``_walk`` tests every
+    anchor against the 64-bit band first.
     """
     simplex = _SimplexTwin()
     simplex.anchor = anchor
@@ -398,11 +381,8 @@ class _Tracer(WordMoves):
 class _Reader(_Tracer):
     """The tracer that reading a :class:`TraceMoves` runs: ``made`` takes each move it makes, as a ``Move``.
 
-    A reversal whose triple has a script (the module docstring) makes that
-    script's moves placed at ``Y = at[q + 3]`` and writes what they leave at
-    once: the swap of ``word[q]`` and ``word[q + 2]`` and the two new
-    entries ``at[q + 1]`` and ``at[q + 2]``.  Any other reversal is expanded
-    move by move.
+    A reversal is expanded move by move by ``WordMoves.reverse_triple``, so
+    a read neither looks up nor fills the table of proved reversals.
     """
 
     def __init__(self, indices: Sequence[int], path: Path):
@@ -418,28 +398,6 @@ class _Reader(_Tracer):
         base = super().delete(pos, gens)
         self.made.append(_move("delete", pos, gens, base))
         return base
-
-    def reverse_triple(self, q: int) -> None:
-        word, at = self.word, self.at
-        script = REVERSALS.script(tuple(word[q : q + 3]))
-        if not script:
-            super().reverse_triple(q)
-            return
-        # The script is the lemma table's, so its points keep to the hull of
-        # ``at[q..q+3]`` and are built unchecked.
-        slots = at[q : q + 4] + [_unchecked_simplex(*_point(at[q + 3], offset, f)) for offset, f in script.points]
-        self.made += [_move(kind, q + off, gens, slots[slot]) for kind, off, gens, slot in script.moves]
-        a, b = script.ends
-        word[q], word[q + 2] = word[q + 2], word[q]
-        at[q + 1], at[q + 2] = slots[a], slots[b]
-
-
-def _point(y: Simplex, offset: tuple[tuple[int, int], ...], f: int) -> tuple[Vec, int]:
-    """The anchor and orientation of the script point ``(offset, f)`` at ``y = B(x, o)``: ``B(x + o*d, o*f)``."""
-    anchor, o = list(y.anchor), y.orient
-    for i, v in offset:
-        anchor[i] += o * v
-    return tuple(anchor), o * f
 
 
 def reduce_loop(p: Path) -> MoveTrace:

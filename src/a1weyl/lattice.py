@@ -18,9 +18,8 @@ all the explicit coordinates of a word with one ``int`` call per distinct
 coordinate string and tests them against the band with one ``min`` /
 ``max`` (``words._unchecked_root``), and ``geometry._walk`` tests all the
 anchors of a walk the same way and maps ``geometry._unchecked_simplex`` over
-it (which also builds the points of a cited triple reversal, after one band
-test of its reach); where a batch test fails, the constructors check value
-by value and raise as they would alone.
+it; where a batch test fails, the constructors check value by value and
+raise as they would alone.
 Four builders, these two, ``presentation._step`` and ``geometry._move``,
 make their slotted frozen dataclasses by one rule (:func:`mutable_twin`):
 assign the fields of an instance of the record's twin, a class with the same

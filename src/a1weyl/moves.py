@@ -10,23 +10,19 @@ letters the expansion had inserted, and it succeeds with the same moves at
 any position of any word holding that triple, leaving ``c b a`` there.
 That fact depends on the triple and on the expansion code alone, not on the
 certificate, so every replay in the process may cite it: one table,
-``REVERSALS``, serves certificate replay and the reading and replay of loop
-traces (the ``geometry`` module docstring).  Whoever replaces
-``WordMoves.reverse_triple`` clears the table, whose lemmas are of the
-expansion replaced.  It holds each lemma as the script of the isolated run
-(:class:`Script`), read from the run's words alone (only the triple's
-nonzero letters occur in them), so a proof costs the same however large its
-letters.  The hull rule: every entry of every word the run passes through
-has each coordinate within the range of that coordinate over the four start
-entries.  A run that fails, moves nothing, does not end in ``c b a``, or
-breaks the rule gives no script.  An isolated failure proves nothing in
-context (a delete may match letters after the triple), so any triple
-without a script is expanded in place at every step.  The table's one
-reader, ``REVERSALS.script``, gives no script to a triple of letters that
-are not exactly ``int`` (``True`` and ``1.0`` hash like ``1`` but fail
-``move_block``), and never reads or writes the table for it.  At most
-``LEMMA_CAP`` scripts are held: proving one more first empties the table,
-which bounds its memory and only costs re-proving.
+``REVERSALS``, serves certificate replay, the replay of a loop trace held
+as its certificate, and the count of a trace's moves (the ``geometry``
+module docstring).  Whoever replaces ``WordMoves.reverse_triple`` clears
+the table, whose lemmas are of the expansion replaced.  It holds each lemma
+as the moves of the isolated run (:class:`Script`).  A run that fails,
+moves nothing or does not end in ``c b a`` gives no script.  An isolated
+failure proves nothing in context (a delete may match letters after the
+triple), so any triple without a script is expanded in place at every step.
+The table's one reader, ``REVERSALS.script``, gives no script to a triple
+of letters that are not exactly ``int`` (``True`` and ``1.0`` hash like
+``1`` but fail ``move_block``), and never reads or writes the table for it.
+At most ``LEMMA_CAP`` scripts are held: proving one more first empties the
+table, which bounds its memory and only costs re-proving.
 """
 
 from __future__ import annotations
@@ -231,12 +227,11 @@ class WordMoves:
 
 
 class _Recorder(WordMoves):
-    """``WordMoves`` that records each move as ``(kind, pos, gens)`` and each word it leaves."""
+    """``WordMoves`` that records each move as ``(kind, pos, gens)``."""
 
     def __init__(self, indices: Sequence[int]):
         super().__init__(indices)
         self.moves: list[tuple[str, int, tuple[int, ...]]] = []
-        self.words = [tuple(indices)]
 
     def insert(self, pos: int, gens: tuple[int, ...]) -> tuple[int, ...]:
         return self.record("insert", pos, gens, super().insert(pos, gens))
@@ -246,39 +241,13 @@ class _Recorder(WordMoves):
 
     def record(self, kind: str, pos: int, gens: tuple[int, ...], block: tuple[int, ...]) -> tuple[int, ...]:
         self.moves.append((kind, pos, gens))
-        self.words.append(tuple(self.word))
         return block
 
 
 class Script(NamedTuple):
-    """A reversal run on the isolated ``[a, b, c]``, its simplices relative to ``at[3] = B(0, +1)``.
+    """A reversal run on the isolated ``[a, b, c]``: ``moves`` holds ``(kind, offset from q, gens)`` per move."""
 
-    Slots 0..3 name the start entries ``at[0..3]``, slot ``4 + n`` the
-    ``n``-th ``(offset, orient)`` of ``points``: an offset lists ``(u - 1, v)``
-    for each letter ``u`` whose ``e_u`` has coefficient ``v != 0`` in the
-    anchor.  ``moves`` holds ``(kind, offset from q, gens, slot of the base)``
-    per move, and ``ends`` the slots of the final ``at[1]`` and ``at[2]``.
-    """
-
-    moves: tuple[tuple[str, int, tuple[int, ...], int], ...]
-    points: tuple[tuple[tuple[tuple[int, int], ...], int], ...]
-    ends: tuple[int, int]
-
-
-def _entries(word: tuple[int, ...], column: dict[int, int]) -> list[tuple[tuple[int, ...], int]]:
-    """``at[0..len(word)]`` of ``word`` from ``B(0, +1)``, each anchor as coefficients by ``column``.
-
-    ``at[r]``, the image under ``u = word[r:]``, has anchor ``sum_i (-1)^(m-i) e_{u_i}``
-    over the letters ``u_i != 0`` and orientation ``(-1)^m``, for ``m = len(u)``.
-    """
-    d, o = [0] * len(column), 1
-    out = [((*d,), o)]
-    for u in reversed(word):
-        if u:
-            d[column[u]] += o
-        o = -o
-        out.append(((*d,), o))
-    return out[::-1]
+    moves: tuple[tuple[str, int, tuple[int, ...]], ...]
 
 
 def _script_alone(triple: tuple[int, int, int]) -> Script | tuple[()]:
@@ -291,26 +260,7 @@ def _script_alone(triple: tuple[int, int, int]) -> Script | tuple[()]:
         return ()
     if not run.moves or run.word != [c, b, a]:
         return ()
-    letters = sorted({a, b, c} - {0})
-    column = {u: n for n, u in enumerate(letters)}
-    at = [_entries(word, column) for word in run.words]
-    hull = [(min(col), max(col)) for col in zip(*(d for d, _ in at[0]))]
-    if any(not lo <= v <= hi for entries in at for d, _ in entries for v, (lo, hi) in zip(d, hull)):
-        return ()
-    # A base is the entry at the move's position in the word without its
-    # block: the word before an insert, the word after a delete.
-    bases = [at[n + (kind == "delete")][pos] for n, (kind, pos, _) in enumerate(run.moves)]
-    slot_of = {e: n for n, e in enumerate(at[0])}
-    points = []
-    for d, f in (*bases, *at[-1][1:3]):
-        if (d, f) not in slot_of:
-            slot_of[d, f] = 4 + len(points)
-            points.append((tuple((u - 1, v) for u, v in zip(letters, d) if v), f))
-    return Script(
-        tuple((*move, slot_of[e]) for move, e in zip(run.moves, bases)),
-        tuple(points),
-        (slot_of[at[-1][1]], slot_of[at[-1][2]]),
-    )
+    return Script(tuple(run.moves))
 
 
 LEMMA_CAP = 1 << 16  # scripts held at most by the table
@@ -332,5 +282,5 @@ class _Lemmas(dict):
         return script
 
 
-# The one table of proved reversals, cited by certificate replay and by the reading and replay of loop traces.
+# The one table of proved reversals, cited by certificate replay and read for the move count of loop traces.
 REVERSALS = _Lemmas()

@@ -429,9 +429,19 @@ def test_under_a_patched_expansion_a_view_fails_as_its_certificate_replay_and_it
 def test_a_script_proved_again_is_still_cited(trace, monkeypatch, cold_lemmas):
     REVERSALS.clear()  # each script is proved again: equal to the stored one, not the same object
     records = replay_trace(as_records(trace))  # replayed move by move, before the count
+    step_ends(trace.moves.certificate)  # proves each script, before the count: a read proves none
     inserted = counting_inserts(monkeypatch, WordMoves)
     assert replay_trace(trace) == records
     assert inserted == []
+
+
+def test_a_read_neither_looks_up_nor_fills_the_lemma_table(cold_lemmas):
+    made = traced(2, commutator(4))
+    records = tuple(made.moves)
+    assert any(mv.kind == "insert" for mv in records)
+    REVERSALS.clear()
+    assert tuple(made.moves) == records
+    assert not REVERSALS
 
 
 def test_a_trace_holds_at_most_15_bytes_a_move():

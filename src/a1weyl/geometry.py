@@ -29,16 +29,17 @@ A trace is that proof, every elementary move with the simplex its sub-loop
 is based at, and its start word, its base and the certificate of
 ``rewrite_to_identity`` fix all of it, so that is all a trace holds
 (:class:`TraceMoves`): a cancellation or a relator deletion stands for one
-delete, and a triple reversal for the moves of its script in the table of
-proved reversals that certificate replay cites too (the ``moves`` module
-docstring), so the certificate alone counts the moves.  The moves are built
-when they are read, by the tracer, a live word and its walk ``at``, run over
-the steps: a read expands each reversal by ``WordMoves.reverse_triple`` and
-walks each block it inserts, so the walk's band test covers every base it
-yields.  ``reduce_loop`` checks the certificate on the word alone before it
-returns the view, and ``replay_trace`` of a view replays the certificate the
-same way, up to a step end, and walks the word it reaches; a trace given as
-any other sequence of ``Move`` records replays move by move against a fresh
+delete, and a triple reversal for the 4 or 14 moves of its expansion, which
+the one proof that certificate replay cites too shows for every triple of
+three distinct letters (the ``moves`` module docstring), so the certificate
+alone counts the moves.  The moves are built when they are read, by the
+tracer, a live word and its walk ``at``, run over the steps: a read expands
+each reversal by ``WordMoves.reverse_triple`` and walks each block it
+inserts, so the walk's band test covers every base it yields.
+``reduce_loop`` checks the certificate on the word alone before it returns
+the view, and ``replay_trace`` of a view replays the certificate the same
+way, up to a step end, and walks the word it reaches; a trace given as any
+other sequence of ``Move`` records replays move by move against a fresh
 walk, every recorded base compared.
 """
 
@@ -52,7 +53,7 @@ from typing import Iterator, Sequence
 
 from .errors import DomainError, InternalCheckError
 from .lattice import I64_MAX, I64_MIN, Vec, baby_base, checked_vec, mutable_twin, vec_add, vec_scale, zero_vec
-from .moves import REVERSALS, RULE_CANCEL, RULE_REVERSE, RecordColumns, WordMoves, require_sequence
+from .moves import RULE_CANCEL, RULE_REVERSE, RecordColumns, WordMoves, require_sequence, reversal_width, reversible
 from .presentation import ReplayedCertificate, RewriteCertificate, StepColumns, rewrite_to_identity
 from .weyl import WeylElement, is_relation_w
 from .words import Word
@@ -235,11 +236,12 @@ def _move_ends(steps: Sequence) -> list[int]:
     """``0``, then the number of moves the steps up to each step of ``steps`` stand for.
 
     A cancellation or a relator deletion stands for one move, a reversal for
-    the moves of its triple's script (:func:`_script_width`).  Over columns,
-    whose letters are exact ``int``s, each distinct triple is looked up
-    once: at commutator n = 320 (103 680 steps) this loop takes 23 ms, where
-    one loop over ``StepColumns.rows`` with a lookup per reversal takes
-    71 ms.  An entry that is not a step is a ``DomainError``.
+    the moves of its proved expansion (:func:`_proved_width`).  Over
+    columns, whose letters are exact ``int``s, each distinct triple is
+    tested once: at commutator n = 320 (103 680 steps) this loop takes
+    28 ms, where a test of the predicate per row takes 41 ms (best of 7,
+    2-vCPU Xeon VM, Python 3.11).  An entry that is not a step is a
+    ``DomainError``.
     """
     widths: list[int] = []
     append = widths.append
@@ -250,7 +252,7 @@ def _move_ends(steps: Sequence) -> list[int]:
                 triple = (letters[o], letters[o + 1], letters[o + 2])
                 width = seen.get(triple)
                 if width is None:
-                    width = seen[triple] = _script_width(triple, len(widths))
+                    width = seen[triple] = _proved_width(triple, len(widths))
                 append(width)
             else:
                 append(1)
@@ -261,16 +263,15 @@ def _move_ends(steps: Sequence) -> list[int]:
                 reverses, payload = step.rule == RULE_REVERSE, step.payload
             except AttributeError:
                 raise DomainError(f"certificate entry {len(widths)} is not a RewriteStep: {step!r}") from None
-            append(_script_width(payload, len(widths)) if reverses else 1)
+            append(_proved_width(payload, len(widths)) if reverses else 1)
     return list(accumulate(widths, initial=0))
 
 
-def _script_width(triple: object, k: int) -> int:
-    """The number of moves of the script of ``triple``, reversed by step ``k``; ``DomainError`` if it has none."""
-    script = REVERSALS.script(triple) if type(triple) is tuple and len(triple) == 3 else ()
-    if not script:
+def _proved_width(triple: object, k: int) -> int:
+    """The number of moves of the reversal of ``triple`` by step ``k``; ``DomainError`` unless it is proved."""
+    if not (type(triple) is tuple and len(triple) == 3 and reversible(*triple)):
         raise DomainError(f"certificate step {k} reverses {triple!r}, which has no proved script")
-    return len(script.moves)
+    return reversal_width(triple)
 
 
 class TraceMoves(RecordColumns):
@@ -282,7 +283,7 @@ class TraceMoves(RecordColumns):
     length is their sum, counted when the view is built, and ``macros``
     holds the move span of each macro of the certificate, the spans a
     ``MoveTrace`` gives.  The constructor refuses anything else, and a
-    reversal whose triple has no script (``DomainError``).
+    reversal that ``moves.reversible`` does not prove (``DomainError``).
 
     Reading runs the tracer over the steps from the walk of ``start``
     (:class:`_Reader`) and yields each move as it is made; a step that does
@@ -381,8 +382,8 @@ class _Tracer(WordMoves):
 class _Reader(_Tracer):
     """The tracer that reading a :class:`TraceMoves` runs: ``made`` takes each move it makes, as a ``Move``.
 
-    A reversal is expanded move by move by ``WordMoves.reverse_triple``, so
-    a read neither looks up nor fills the table of proved reversals.
+    A reversal is expanded move by move by ``WordMoves.reverse_triple``, and
+    none is cited.
     """
 
     def __init__(self, indices: Sequence[int], path: Path):
@@ -408,11 +409,11 @@ def reduce_loop(p: Path) -> MoveTrace:
     over the loop's word, its base and that certificate, each step standing
     for its elementary moves, which are built when they are read.  The call
     counts the moves of each step, one per cancellation or relator deletion
-    and its script's per reversal, and the macro spans group them the way
-    the certificate grouped its steps.  The rewriter reverses only triples
-    of three distinct letters, each of which has a script, so a reversal
-    step without one is an ``InternalCheckError``.  Then the certificate is
-    checked on the word alone, in one run of its steps
+    and 4 or 14 per reversal, and the macro spans group them the way the
+    certificate grouped its steps.  The rewriter reverses only triples of
+    three distinct letters, each of which ``moves.reversible`` proves, so a
+    reversal step it does not prove is an ``InternalCheckError``.  Then the
+    certificate is checked on the word alone, in one run of its steps
     (``ReplayedCertificate._replay``): a step that does not apply, or a word
     left non-empty, is an ``InternalCheckError`` too, and a failing run is
     replayed again a state at a time to name the step.
@@ -454,7 +455,7 @@ def replay_trace(trace: MoveTrace, upto: int | None = None) -> Path:
     (the same objects, as :func:`reduce_loop` gives them) are its
     certificate's, so replay is the certificate's: its steps are replayed on
     the word alone by ``ReplayedCertificate._replay``, which cites the
-    process's lemmas as ``replay_certificate`` does, up to the step that
+    proved reversals as ``replay_certificate`` does, up to the step that
     ends at move ``upto`` (:func:`_certificate_word`).  The path is the walk
     of the word reached from the base.  A view stores no base, so there is
     none to compare, and a view over a certificate that does not replay
@@ -504,15 +505,12 @@ def _certificate_word(moves: TraceMoves, upto: int) -> list[int] | None:
     The steps whose moves all come before move ``upto`` are replayed by
     ``ReplayedCertificate._replay``, in one run.  The answer is ``None``, and
     the caller replays the records, if move ``upto`` falls inside a reversal
-    or the lemma table no longer gives the widths the view was built with.
+    or the steps no longer stand for the moves the view counted.
     """
     replayed = ReplayedCertificate(moves.certificate)
     if upto == len(moves):
         return replayed._replay()
-    try:
-        ends = _move_ends(moves.certificate.steps)
-    except DomainError:  # a script the view counted is no longer in the table
-        return None
+    ends = _move_ends(moves.certificate.steps)
     k = bisect_right(ends, upto) - 1  # the steps done whole
     if ends[-1] != len(moves) or ends[k] != upto:
         return None

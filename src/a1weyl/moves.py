@@ -1,34 +1,38 @@
-"""Elementary moves on a word, and the table of proved triple reversals.
+"""Elementary moves on a word, and the one proof that lets replay cite a triple reversal.
 
-A reversal ``g_a g_b g_c -> g_c g_b g_a`` is realised once per process for
-each distinct letter triple, keyed by the triple, and then cited, as a
-lemma.  Every move of ``reverse_triple(q)`` is at an offset >= 0 from
-``q``, and whether a move applies depends on its block and the word alone,
-not on a rank.  So if the expansion succeeds on the isolated word
-``[a, b, c]``, each of its deletes read only letters of the triple or
-letters the expansion had inserted, and it succeeds with the same moves at
-any position of any word holding that triple, leaving ``c b a`` there.
-That fact depends on the triple and on the expansion code alone, not on the
-certificate, so every replay in the process may cite it: one table,
-``REVERSALS``, serves certificate replay, the replay of a loop trace held
-as its certificate, and the count of a trace's moves (the ``geometry``
-module docstring).  Whoever replaces ``WordMoves.reverse_triple`` clears
-the table, whose lemmas are of the expansion replaced.  It holds each lemma
-as the moves of the isolated run (:class:`Script`).  A run that fails,
-moves nothing or does not end in ``c b a`` gives no script.  An isolated
-failure proves nothing in context (a delete may match letters after the
-triple), so any triple without a script is expanded in place at every step.
-The table's one reader, ``REVERSALS.script``, gives no script to a triple
-of letters that are not exactly ``int`` (``True`` and ``1.0`` hash like
-``1`` but fail ``move_block``), and never reads or writes the table for it.
-At most ``LEMMA_CAP`` scripts are held: proving one more first empties the
-table, which bounds its memory and only costs re-proving.
+A reversal ``g_a g_b g_c -> g_c g_b g_a`` follows from the relators, and
+``WordMoves.reverse_triple`` derives it by elementary moves; replay may cite
+it as one swap, a lemma, wherever that derivation is proved.  One finite
+proof serves every triple, by two facts:
+
+- *Position.*  Every move of ``reverse_triple(q)`` is at an offset >= 0
+  from ``q``, and whether it applies depends on its block and the word
+  alone.  So a run that reverses the isolated ``[a, b, c]`` read only the
+  triple and what it inserted, and reverses that triple in any word.
+- *Shape.*  Of exact ``int`` letters >= 0, the expansion and
+  :func:`move_block` read only their order and which of them is 0, so an
+  order-preserving relabelling of those letters that fixes 0 maps one
+  isolated run onto another.  Three distinct letters >= 0 have one of 12
+  shapes: the orderings of ``(1, 2, 3)`` and of ``(0, 1, 2)``.
+
+:func:`shapes_proved` runs the expansion alone on those 12 triples, on
+first use and once per process, and holds when each ends as ``c b a`` in
+:func:`reversal_width` moves; :func:`reversible` holds for three distinct
+exact ``int``s >= 0 once it has.  Any other triple (an equal pair, a
+negative letter, or ``True`` and ``1.0``, which equal ``1`` but fail
+``move_block``) is expanded in place at every step: an isolated failure
+proves nothing in context, where a delete may match letters after the
+triple.  So the lemmas a replay cites depend on the expansion code alone,
+not on what the process ran before.  Whoever replaces
+``WordMoves.reverse_triple`` calls ``shapes_proved.cache_clear()``, and a
+replacement that breaks any shape turns citing off for the whole process.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from collections.abc import Iterator, Sequence
-from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -226,61 +230,46 @@ class WordMoves:
             raise DomainError(f"{rule!r} step with payload {payload} does not apply at {q!r}")
 
 
-class _Recorder(WordMoves):
-    """``WordMoves`` that records each move as ``(kind, pos, gens)``."""
+class _Counting(WordMoves):
+    """``WordMoves`` that counts its moves in ``made``."""
 
-    def __init__(self, indices: Sequence[int]):
-        super().__init__(indices)
-        self.moves: list[tuple[str, int, tuple[int, ...]]] = []
+    made = 0
 
     def insert(self, pos: int, gens: tuple[int, ...]) -> tuple[int, ...]:
-        return self.record("insert", pos, gens, super().insert(pos, gens))
+        self.made += 1
+        return super().insert(pos, gens)
 
     def delete(self, pos: int, gens: tuple[int, ...]) -> tuple[int, ...]:
-        return self.record("delete", pos, gens, super().delete(pos, gens))
-
-    def record(self, kind: str, pos: int, gens: tuple[int, ...], block: tuple[int, ...]) -> tuple[int, ...]:
-        self.moves.append((kind, pos, gens))
-        return block
+        self.made += 1
+        return super().delete(pos, gens)
 
 
-class Script(NamedTuple):
-    """A reversal run on the isolated ``[a, b, c]``: ``moves`` holds ``(kind, offset from q, gens)`` per move."""
+def reversal_width(triple: tuple[int, int, int]) -> int:
+    """The number of moves a proved reversal of ``triple`` stands for: 4 with a 0 among its letters, 14 without."""
+    return 4 if 0 in triple else 14
 
-    moves: tuple[tuple[str, int, tuple[int, ...]], ...]
 
-
-def _script_alone(triple: tuple[int, int, int]) -> Script | tuple[()]:
-    """The script of ``reverse_triple(0)`` on the isolated ``triple``, or ``()``."""
-    a, b, c = triple
-    run = _Recorder(triple)
+def _reverses_alone(triple: tuple[int, int, int]) -> bool:
+    """Whether ``reverse_triple(0)`` on the isolated ``triple`` ends reversed, in :func:`reversal_width` moves."""
+    run = _Counting(triple)
     try:
         run.reverse_triple(0)
     except DomainError:
-        return ()
-    if not run.moves or run.word != [c, b, a]:
-        return ()
-    return Script(tuple(run.moves))
+        return False
+    return run.word == list(reversed(triple)) and run.made == reversal_width(triple)
 
 
-LEMMA_CAP = 1 << 16  # scripts held at most by the table
+# One triple of each shape that reverses: the orderings of three nonzero letters, and of 0 with two.
+_SHAPES = (*itertools.permutations((1, 2, 3)), *itertools.permutations((0, 1, 2)))
 
 
-class _Lemmas(dict):
-    """The scripts proved in this process: a triple's :class:`Script`, or ``()`` if it has none."""
-
-    def script(self, triple: tuple[int, int, int]) -> Script | tuple[()]:
-        """The script of ``triple``, proved and recorded on a miss; ``()`` unless its letters are exact ``int``s."""
-        a, b, c = triple
-        if not (type(a) is type(b) is type(c) is int):
-            return ()
-        script = self.get(triple)
-        if script is None:
-            if len(self) >= LEMMA_CAP:
-                self.clear()
-            script = self[triple] = _script_alone(triple)
-        return script
+@functools.cache
+def shapes_proved() -> bool:
+    """Whether the expansion reverses each of the 12 shapes alone: the one proof that replay cites, run on first use."""
+    return all(map(_reverses_alone, _SHAPES))
 
 
-# The one table of proved reversals, cited by certificate replay and read for the move count of loop traces.
-REVERSALS = _Lemmas()
+def reversible(a: object, b: object, c: object) -> bool:
+    """Whether the reversal of ``g_a g_b g_c`` is proved: three distinct exact ``int``s >= 0, once the shapes hold."""
+    return (a != b != c != a and type(a) is type(b) is type(c) is int and a >= 0 and b >= 0 and c >= 0
+            and shapes_proved())

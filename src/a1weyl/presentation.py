@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from .errors import DomainError, InternalCheckError
 from .hyperbolic import central_word, eval_word_hyp
 from .lattice import I64_MAX, ReflectableBase, is_elliptic_like, mutable_twin, support_pairs
-from .moves import REVERSALS, RULE_CANCEL, RULE_DELETE, RULE_REVERSE, RecordColumns, WordMoves, require_sequence
+from .moves import RULE_CANCEL, RULE_DELETE, RULE_REVERSE, RecordColumns, WordMoves, require_sequence, shapes_proved
 from .weyl import MAX_K, enumerate_alternating, eval_word, json_ints
 from .words import Word
 
@@ -416,14 +416,16 @@ def _apply_steps(moves: WordMoves, feed: Iterable[tuple[int, int, object, int, i
     fast path of ``WordMoves.delete`` (the same exact-type and neighbour
     test, inlined: a ``WordMoves.delete`` call per cancellation costs about
     9% of a certify op), and any other goes through ``WordMoves.delete`` for
-    its message.  A reversal whose triple has a script in the table the whole
-    process shares (``REVERSALS.script``) swaps ``word[q]`` and
-    ``word[q + 2]``; any other reversal is expanded in place.  A relator
+    its message.  A reversal of a triple that ``moves.reversible`` proves
+    swaps ``word[q]`` and ``word[q + 2]``; any other reversal is expanded in
+    place.  The predicate is inlined, its comparisons first, and the proof
+    it rests on (``moves.shapes_proved``) is read once per call.  A relator
     deletion goes through ``WordMoves.apply_rule`` and an entry of code 0
     through ``WordMoves.apply``, so each step accepts and rejects (with the
     same message) as the full expansion does.
     """
     word = moves.word  # changed in place by every move
+    cited = shapes_proved()
     for code, q, src, o, after in feed:
         if code == 1:
             k = src[o]
@@ -434,11 +436,14 @@ def _apply_steps(moves: WordMoves, feed: Iterable[tuple[int, int, object, int, i
         elif code == 3:
             payload = (src[o], src[o + 1], src[o + 2])
             if q < 0 or (triple := tuple(word[q : q + 3])) != payload:
-                moves.apply_rule(RULE_REVERSE, q, payload)
-            elif REVERSALS.script(triple):
-                word[q], word[q + 2] = word[q + 2], word[q]
+                moves.apply_rule(RULE_REVERSE, q, payload)  # refuses the step, with its message
             else:
-                moves.reverse_triple(q)
+                a, b, c = triple
+                if (a != b != c != a and type(a) is type(b) is type(c) is int and a >= 0 and b >= 0 and c >= 0
+                        and cited):
+                    word[q], word[q + 2] = c, a
+                else:
+                    moves.reverse_triple(q)
         elif code == 6:
             moves.apply_rule(RULE_DELETE, q, tuple(src[o : o + 6]))
         else:
@@ -455,8 +460,8 @@ class ReplayedCertificate:
     word only.  Entry ``k`` is the word after ``k`` steps, a fresh
     ``list[int]``: the final word is copied once a replay has kept it, any
     other entry (and iteration) replays the steps again from the start,
-    with the same checks, citing the process's lemma table (the ``moves``
-    module docstring).  Negative indices count from the end as for a list;
+    with the same checks, citing the proved reversals (the ``moves`` module
+    docstring).  Negative indices count from the end as for a list;
     a slice replays once and returns a list of the entries it selects.
     ``reversed(view)`` is a ``TypeError``, as it would replay once per
     entry: ``view[::-1]`` reads the words backwards in one replay.
@@ -543,14 +548,15 @@ def replay_certificate(cert: RewriteCertificate) -> ReplayedCertificate:
 
     Every step is replayed as relator moves on a fresh copy of the start,
     so a certificate that replays proves its word trivial from the relators
-    alone.  A triple reversal is expanded into relator moves once per
-    process for each distinct triple of ``int`` letters and cited after
-    that as one swap, by this call and every later one (the lemmas of the
-    ``moves`` module docstring); the call accepts and rejects what
-    expanding every reversal would.  A step that does not apply, a length
-    that is not an ``int`` or does not chain, a ``final_empty`` that is not
-    a ``bool``, or a claimed empty word that is not reached raises
-    ``DomainError`` here, before anything is returned.
+    alone.  A reversal of three distinct ``int`` letters >= 0 is cited as
+    one swap, once the expansion has reversed each of the 12 shapes of
+    such a triple alone (the proof of the ``moves`` module docstring, run
+    once per process); any other reversal is expanded into relator moves.
+    The call accepts and rejects what expanding every reversal would.  A
+    step that does not apply, a length that is not an ``int`` or does not
+    chain, a ``final_empty`` that is not a ``bool``, or a claimed empty word
+    that is not reached raises ``DomainError`` here, before anything is
+    returned.
 
     Steps held as :class:`StepColumns` go through the same checks of each
     cancellation, reversal and deletion against the live word; what is

@@ -36,18 +36,18 @@ def time_limit():
 
 
 @pytest.fixture
-def cold_lemmas():
-    """An empty table of proved reversals, emptied again when the test ends.
+def cold_proof():
+    """The proof of the reversal shapes not yet run, and cleared again when the test ends.
 
-    The table is keyed by the triple alone, so a test that patches
-    ``WordMoves.reverse_triple`` requests this after ``monkeypatch``: no
-    lemma proved by the patched expansion outlives the test.
+    A test that patches ``WordMoves.reverse_triple`` requests this after
+    ``monkeypatch``: the proof then runs on the patched expansion, and what
+    it finds does not outlive the test.
     """
-    from a1weyl.moves import REVERSALS
+    from a1weyl.moves import shapes_proved
 
-    REVERSALS.clear()
-    yield REVERSALS
-    REVERSALS.clear()
+    shapes_proved.cache_clear()
+    yield shapes_proved
+    shapes_proved.cache_clear()
 
 
 def root(sign, *coords):

@@ -34,7 +34,7 @@ from a1weyl import geometry, lattice
 from a1weyl.errors import InternalCheckError
 from a1weyl.geometry import Path, TraceMoves, _Tracer
 from a1weyl.lattice import vec_add, vec_scale
-from a1weyl.moves import REVERSALS, WordMoves, move_block
+from a1weyl.moves import WordMoves, move_block, reversal_width, reversible, shapes_proved
 from a1weyl.presentation import RewriteCertificate, RewriteStep, StepColumns
 from a1weyl.words import random_relation_indices
 
@@ -862,7 +862,7 @@ def test_every_tampering_of_every_move_replays_as_the_reference(nu, indices):
 
 
 def reversible_triples(nu):
-    return [t for t in itertools.product(range(nu + 1), repeat=3) if REVERSALS.script(t)]
+    return [t for t in itertools.product(range(nu + 1), repeat=3) if reversible(*t)]
 
 
 def expansion_at(tracer_type, triple, y):
@@ -955,37 +955,38 @@ def test_a_traced_loop_replays_every_reversal_as_a_cited_run(monkeypatch):
     assert inserted == []
 
 
-def test_a_patched_expansion_gets_no_cited_script(monkeypatch, cold_lemmas):
+def test_a_patched_expansion_gets_no_cited_script(monkeypatch, cold_proof):
     word = Word.from_indices(baby_base(2), WORKED_LOOP)
     trace = reduce_loop(path_of_word(word, base_simplex(2)))
-    assert any(REVERSALS.values())
-    # The no-op expansion cannot reverse a triple: once the table is
-    # cleared, no script is cited for it, in tracing or in replay.
+    assert shapes_proved()
+    # The no-op expansion cannot reverse a triple: once the proof is
+    # cleared, it fails and no reversal is cited, in tracing or in replay.
     monkeypatch.setattr(WordMoves, "reverse_triple", lambda self, q: None)
-    REVERSALS.clear()
+    shapes_proved.cache_clear()
     with pytest.raises(InternalCheckError):
         reduce_loop(path_of_word(word, base_simplex(2)))
     assert outcome(replay_trace, trace) == outcome(reference_replay_trace, trace)
-    assert not any(REVERSALS.values())
+    assert not shapes_proved()
     monkeypatch.undo()
-    REVERSALS.clear()
+    shapes_proved.cache_clear()
     assert reduce_loop(path_of_word(word, base_simplex(2))) == trace
 
 
 @pytest.mark.parametrize("nu", range(7))
 def test_scripts_exist_for_distinct_letters_and_match_the_reference(nu):
-    """Checked against the reference expansion, not against the prover."""
+    """Checked against the reference expansion, not against the prover: it reverses in the width counted."""
     y = base_simplex(nu)
     scripted = 0
     for triple in itertools.product(range(nu + 1), repeat=3):
-        script = REVERSALS.script(triple)
-        assert bool(script) == (len(set(triple)) == 3)
-        if not script:
+        proved = reversible(*triple)
+        assert proved == (len(set(triple)) == 3)
+        if not proved:
             continue
         scripted += 1
         tracer = ReferenceTracer(triple, path_of_word(Word.from_indices(baby_base(nu), triple), y))
         tracer.reverse_triple(0)
-        assert script.moves == tuple((mv.kind, mv.pos, mv.gens) for mv in tracer.moves)
+        assert tracer.word == list(reversed(triple))
+        assert len(tracer.moves) == reversal_width(triple) == (4 if 0 in triple else 14)
     assert scripted == (nu + 1) * nu * (nu - 1)
 
 

@@ -159,25 +159,31 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert not private, "private names imported across modules: " + ", ".join(private)
 
 
-def test_outside_moves_the_lemma_table_is_read_only_through_its_script_method():
-    """Every use of ``REVERSALS`` outside ``moves`` is an import or the receiver of ``.script(...)``."""
+def test_outside_moves_the_proof_is_read_only_through_its_reader():
+    """Outside ``moves``, ``shapes_proved`` and ``reversible`` are imported by name and only called.
+
+    The proof's cached state is read through ``shapes_proved()`` alone: no
+    other module clears it, inspects its cache or reaches the function it
+    wraps.
+    """
+    readers = {"shapes_proved", "reversible"}
     uses, other = 0, []
     for path in sorted((SRC / "a1weyl").glob("*.py")):
         if path.name == "moves.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        receivers = {id(node.func.value) for node in ast.walk(tree)
-                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                     and node.func.attr == "script"}
+        callees = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
         for node in ast.walk(tree):
-            if isinstance(node, ast.alias) and node.name == "REVERSALS":
+            if isinstance(node, ast.alias) and node.name in readers:
                 uses += 1
                 if node.asname:
                     other.append(f"{path.name}:{node.lineno} imported as {node.asname}")
-            elif (isinstance(node, ast.Name) and node.id == "REVERSALS"
-                  or isinstance(node, ast.Attribute) and node.attr == "REVERSALS"):
+            elif (isinstance(node, ast.Name) and node.id in readers
+                  or isinstance(node, ast.Attribute) and node.attr in readers):
                 uses += 1
-                if id(node) not in receivers:
+                if id(node) not in callees:
                     other.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Attribute) and node.attr in ("cache_clear", "cache_info", "__wrapped__"):
+                other.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert uses
-    assert not other, "REVERSALS used other than through .script(...): " + ", ".join(other)
+    assert not other, "the proof read other than through a call of its reader: " + ", ".join(other)

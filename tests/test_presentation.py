@@ -6,7 +6,7 @@ import re
 import time
 import tracemalloc
 from collections import Counter, deque
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,8 +35,7 @@ from a1weyl import (
     toroidal_semilattice,
     verify_presentation,
 )
-from a1weyl import moves
-from a1weyl.moves import REVERSALS, RULE_CANCEL, RULE_DELETE, RULE_REVERSE, WordMoves, move_block
+from a1weyl.moves import RULE_CANCEL, RULE_DELETE, RULE_REVERSE, WordMoves, move_block, reversible, shapes_proved
 from a1weyl.presentation import (
     MACRO_BUBBLE,
     MACRO_CANCEL,
@@ -49,6 +48,7 @@ from a1weyl.presentation import (
     certificate_to_dict,
 )
 from a1weyl.words import random_relation_indices
+from references import expanding_replay_certificate, replay_outcome
 
 WORKED_LOOP = (2, 0, 2, 1, 0, 1, 0, 2, 1, 2, 1, 0)
 
@@ -911,51 +911,7 @@ def test_replay_view_reads_backwards_by_a_slice_only():
     assert view[::-1] == eager_replay(view.cert)[::-1]
 
 
-# --- the replay that expanded every reversal into relator moves: the lemma replay's oracle ---
-
-
-class ExpandingReplayedCertificate(ReplayedCertificate):
-    def _live(self) -> Iterator[list[int]]:
-        """The one live word after 0, 1, 2, ... checked steps; callers copy what they keep."""
-        moves = WordMoves(self.cert.start)
-        word = moves.word  # changed in place by every move
-        yield word
-        for step in self.cert.steps:
-            if len(word) != step.before_len:
-                raise DomainError("certificate does not chain: length mismatch")
-            moves.apply(step)
-            if len(word) != step.after_len:
-                raise DomainError("step length bookkeeping does not match")
-            yield word
-
-
-def expanding_replay_certificate(cert: RewriteCertificate) -> ReplayedCertificate:
-    """Check every step of ``cert`` on one live word; the states as a lazy view.
-
-    Every step is replayed as relator moves, so a certificate that replays
-    proves its word trivial from the relators alone.  Replay inserts only
-    ``g_0`` and letters already in the word.  A step that does not apply, a
-    length that does not chain, or a claimed empty word that is not reached
-    raises ``DomainError`` here, before anything is returned.  No
-    intermediate word is stored, so memory is O(word length); the returned
-    :class:`ReplayedCertificate` rebuilds the words when they are read.
-    """
-    view = ExpandingReplayedCertificate(cert)
-    for word in view._live():
-        pass
-    if cert.final_empty and word:
-        raise DomainError("certificate claims the empty word but replay does not reach it")
-    view._final = word
-    return view
-
-
-def replay_outcome(replay, cert):
-    """The states of an accepted certificate, read three ways, or the error's type and message."""
-    try:
-        view = replay(cert)
-    except Exception as exc:  # noqa: BLE001 - the oracle compares every failure
-        return type(exc), str(exc)
-    return list(view), view[-1], view[len(view) // 2]
+# --- the replay that expands every reversal into relator moves (``references``): the lemma replay's oracle ---
 
 
 def assert_replays_as_the_expansion(cert):
@@ -1049,7 +1005,7 @@ def test_tampering_is_rejected_with_the_full_expansions_message():
 @pytest.mark.parametrize("a, b, c", [t for t in itertools.product(range(4), repeat=3)
                                      if t[0] != t[2] and (t[0] == t[1] or t[1] == t[2])])
 def test_a_triple_whose_lemma_fails_alone_is_expanded_in_place(a, b, c):
-    assert REVERSALS.script((a, b, c)) == ()
+    assert not reversible(a, b, c)
     for prefix, suffix in (((), ()), ((3,), (0, a, b)), ((1, 2), (c, b, a, 0, 3, 3))):
         start = prefix + (a, b, c) + suffix
         outcome = assert_replays_as_the_expansion(one_reversal(start + (3,), len(prefix)))
@@ -1067,15 +1023,20 @@ def test_lookalike_letters_never_hit_the_int_lemma():
         assert error == (DomainError, f"(0, {lookalike!r}, 2) does not name an elementary loop")
 
 
+# One triple of each shape that reverses: the 12 the proof runs alone.
+SHAPES = {*itertools.permutations((1, 2, 3)), *itertools.permutations((0, 1, 2))}
+
+
 @pytest.mark.parametrize("indices, nu", [
     (random_relation_indices(random.Random(11), 4, 300), 4),
     (random_relation_indices(random.Random(12), 5, 400), 5),
 ])
-def test_one_replay_expands_each_distinct_triple_at_most_once(monkeypatch, cold_lemmas, indices, nu):
+def test_one_replay_expands_each_distinct_triple_at_most_once(monkeypatch, cold_proof, indices, nu):
+    """Cold, a replay expands the 12 shapes once each, alone, and no triple of the certificate in place."""
     cert = rewrite_to_identity(indices, nu)
     reversals = [s.payload for s in cert.steps if s.rule == RULE_REVERSE]
     assert len(reversals) > len(set(reversals))  # a replay that expands every step fails here
-    expanded = Counter()
+    expanded, alone = Counter(), []
     depth = 0
     reverse_triple = WordMoves.reverse_triple
 
@@ -1083,6 +1044,7 @@ def test_one_replay_expands_each_distinct_triple_at_most_once(monkeypatch, cold_
         nonlocal depth
         if not depth:
             expanded[tuple(self.word[q : q + 3])] += 1
+            alone.append(len(self.word) == 3)
         depth += 1
         try:
             return reverse_triple(self, q)
@@ -1091,28 +1053,24 @@ def test_one_replay_expands_each_distinct_triple_at_most_once(monkeypatch, cold_
 
     monkeypatch.setattr(WordMoves, "reverse_triple", counting_reverse_triple)
     assert replay_certificate(cert)[-1] == []
-    assert expanded and max(expanded.values()) == 1
+    assert expanded == Counter(SHAPES) and all(alone)
 
 
-def test_a_lemma_holds_only_if_the_expansion_gives_the_reversed_triple(monkeypatch, cold_lemmas):
-    assert REVERSALS.script((1, 0, 2))
+def test_a_lemma_holds_only_if_the_expansion_gives_the_reversed_triple(monkeypatch, cold_proof):
+    assert reversible(1, 0, 2)
     monkeypatch.setattr(WordMoves, "reverse_triple", lambda self, q: None)
-    REVERSALS.clear()
-    assert REVERSALS.script((1, 0, 2)) == ()
-    # (2, 1, 2) moves nothing, so it has no script either way and replay leaves it as it is.
-    assert REVERSALS.script((2, 1, 2)) == ()
+    shapes_proved.cache_clear()
+    assert not reversible(1, 0, 2) and not shapes_proved()
+    # (2, 1, 2) moves nothing, so it is not reversible either way and replay leaves it as it is.
+    assert not reversible(2, 1, 2)
     assert assert_replays_as_the_expansion(one_reversal((2, 1, 2), 0))[1] == [2, 1, 2]
 
 
-# --- one lemma table for the whole process ---
-
-
-def lemma_snapshot():
-    return dict(REVERSALS)
+# --- one proof for the whole process ---
 
 
 def replay_every_triple(nu):
-    """Replay one reversal of each triple over ``0..nu`` (accepted or not), proving its lemma at ``nu``."""
+    """Replay one reversal of each triple over ``0..nu``, accepted or not: replays unrelated to the one checked."""
     for triple in itertools.product(range(nu + 1), repeat=3):
         replay_outcome(replay_certificate, one_reversal(triple + (nu,), 0))
 
@@ -1122,16 +1080,17 @@ def replay_every_triple(nu):
 @example(rewrite_to_identity(WORKED_LOOP, 2))
 @example(one_reversal((1, 1, 2, 2, 1, 1), 0))
 @example(one_reversal((1, 0, 2, True, 0, 2), 3))
-def test_a_warmed_table_replays_as_a_cleared_one_and_as_the_full_expansion(cert):
+def test_a_replay_gives_the_same_states_and_errors_whatever_ran_before(cert):
+    """Before and after the proof is cleared, and after unrelated replays, a replay reads as the full expansion."""
     expected = replay_outcome(expanding_replay_certificate, cert)
-    REVERSALS.clear()
     assert replay_outcome(replay_certificate, cert) == expected
-    REVERSALS.clear()
+    shapes_proved.cache_clear()
+    assert replay_outcome(replay_certificate, cert) == expected
     replay_every_triple(max((g for g in cert.start if type(g) is int), default=0))
     assert replay_outcome(replay_certificate, cert) == expected
 
 
-def test_a_second_replay_expands_no_triple(monkeypatch, cold_lemmas):
+def test_a_second_replay_expands_no_triple(monkeypatch, cold_proof):
     cert = rewrite_to_identity(random_relation_indices(random.Random(11), 4, 300), 4)
     expanded = Counter()
     reverse_triple = WordMoves.reverse_triple
@@ -1149,7 +1108,7 @@ def test_a_second_replay_expands_no_triple(monkeypatch, cold_lemmas):
     assert not expanded
 
 
-def test_one_table_serves_certificate_replay_and_loop_tracing(monkeypatch, cold_lemmas):
+def test_one_proof_serves_certificate_replay_and_loop_tracing(monkeypatch, cold_proof):
     cert = rewrite_to_identity(WORKED_LOOP, 2)
     assert any(s.rule == RULE_REVERSE for s in cert.steps)
     loop = path_of_word(Word.from_indices(baby_base(2), WORKED_LOOP), base_simplex(2))
@@ -1163,7 +1122,7 @@ def test_one_table_serves_certificate_replay_and_loop_tracing(monkeypatch, cold_
     monkeypatch.setattr(WordMoves, "reverse_triple", counting_reverse_triple)
     for first, second in ((lambda: reduce_loop(loop), lambda: replay_certificate(cert)[-1]),
                           (lambda: replay_certificate(cert)[-1], lambda: reduce_loop(loop))):
-        REVERSALS.clear()
+        shapes_proved.cache_clear()
         first()
         assert expanded
         expanded.clear()
@@ -1175,7 +1134,7 @@ def test_one_table_serves_certificate_replay_and_loop_tracing(monkeypatch, cold_
 def test_the_proof_of_a_reversal_does_not_grow_with_nu(big):
     """A certificate with one letter near ``10**6`` replays at once; a proof walking rank-``nu`` paths would not."""
     cert = one_reversal((big, 0, big - 1, big), 0)
-    REVERSALS.clear()
+    shapes_proved.cache_clear()
     start = time.perf_counter()
     replayed = replay_outcome(replay_certificate, cert)
     assert time.perf_counter() - start < 1.0
@@ -1183,57 +1142,75 @@ def test_the_proof_of_a_reversal_does_not_grow_with_nu(big):
     assert replayed[1] == [big - 1, 0, big, big]
 
 
-def test_a_patched_expansion_starts_with_no_lemmas(monkeypatch, cold_lemmas):
+def test_a_patched_expansion_starts_with_no_lemmas(monkeypatch, cold_proof):
     cert = one_reversal((1, 0, 2), 0)
     assert replay_certificate(cert)[-1] == [2, 0, 1]
-    assert REVERSALS[(1, 0, 2)]
-    # The no-op expansion cannot reverse (1, 0, 2): once the table is
-    # cleared, it proves no lemma and replay expands every reversal.
+    assert shapes_proved()
+    # The no-op expansion cannot reverse (1, 0, 2): once the proof is
+    # cleared, it fails and replay expands every reversal.
     monkeypatch.setattr(WordMoves, "reverse_triple", lambda self, q: None)
-    REVERSALS.clear()
+    shapes_proved.cache_clear()
     expected = replay_outcome(expanding_replay_certificate, cert)
     assert expected[1] == [1, 0, 2]
     assert replay_outcome(replay_certificate, cert) == expected
-    assert lemma_snapshot() == {(1, 0, 2): ()}
+    assert not shapes_proved()
 
 
-def test_the_table_never_holds_more_than_the_cap(monkeypatch):
-    cert = rewrite_to_identity(random_relation_indices(random.Random(12), 5, 400), 5)
-    assert len({s.payload for s in cert.steps if s.rule == RULE_REVERSE}) > 3 * 5
-    monkeypatch.setattr(moves, "LEMMA_CAP", 5)
-    REVERSALS.clear()
-    sizes = []
-    for _ in replay_certificate(cert):
-        sizes.append(len(REVERSALS))
-    assert max(sizes) == 5 and sum(b < a for a, b in zip(sizes, sizes[1:])) > 1  # emptied twice or more
-    assert replay_outcome(replay_certificate, cert) == replay_outcome(expanding_replay_certificate, cert)
+def test_an_expansion_that_breaks_one_shape_turns_citing_off_for_every_triple(monkeypatch, cold_proof):
+    reverse_triple = WordMoves.reverse_triple
+    in_place = []
+
+    def breaking_3_2_1(self, q):
+        triple = tuple(self.word[q : q + 3])
+        if triple == (3, 2, 1):
+            return None  # leaves it as it is
+        if type(self) is WordMoves:  # replay's word, not a run of the proof
+            in_place.append(triple)
+        return reverse_triple(self, q)
+
+    monkeypatch.setattr(WordMoves, "reverse_triple", breaking_3_2_1)
+    assert not shapes_proved()
+    assert not reversible(1, 0, 2)
+    assert replay_certificate(one_reversal((1, 0, 2, 5), 0))[-1] == [2, 0, 1, 5]
+    assert in_place == [(1, 0, 2)]  # expanded in place, not cited
+
+
+def test_an_expansion_that_reverses_by_other_moves_proves_nothing(monkeypatch, cold_proof):
+    """A trace counts 4 or 14 moves per reversal, so a run that reverses the triple by any other number fails the proof."""
+
+    def swap(self, q):
+        self.word[q], self.word[q + 2] = self.word[q + 2], self.word[q]
+
+    monkeypatch.setattr(WordMoves, "reverse_triple", swap)
+    assert not shapes_proved()
+    assert not reversible(1, 0, 2)
+
+
+def test_a_reversal_of_any_letters_from_minus_2_to_3_replays_as_the_expansion():
+    for triple in itertools.product(range(-2, 4), repeat=3):
+        assert_replays_as_the_expansion(one_reversal(triple + (3,), 0))
 
 
 @pytest.mark.parametrize("lookalike", [True, 1.0])
-def test_lookalike_triples_never_read_or_write_the_table(lookalike):
-    REVERSALS.clear()
+def test_lookalike_triples_are_expanded_with_the_proof_cold_or_warm(lookalike, cold_proof):
     lookalike_only = one_reversal((lookalike, 0, 2, 1), 0)
     error = (DomainError, f"(0, {lookalike!r}, 2) does not name an elementary loop")
-    assert replay_outcome(replay_certificate, lookalike_only) == error
-    assert lemma_snapshot() == {}  # not written
+    assert replay_outcome(replay_certificate, lookalike_only) == error  # cold: the proof runs first
+    shapes_proved.cache_clear()
     assert replay_certificate(one_reversal((1, 0, 2), 0))[-1] == [2, 0, 1]
-    assert list(REVERSALS) == [(1, 0, 2)] and REVERSALS[(1, 0, 2)]
-    warmed = lemma_snapshot()
-    assert replay_outcome(replay_certificate, lookalike_only) == error  # (1, 0, 2) -> True not read
-    assert lemma_snapshot() == warmed
+    assert shapes_proved.cache_info().currsize == 1
+    assert replay_outcome(replay_certificate, lookalike_only) == error  # warm: (1, 0, 2) is cited, True is not
 
 
-def test_the_reader_gives_lookalike_triples_no_script_and_leaves_the_table(cold_lemmas):
+def test_the_predicate_refuses_lookalike_triples_without_running_the_proof(cold_proof):
     lookalikes = [(True, 0, 2), (1.0, 0, 2), (1, 0, False)]
     for triple in lookalikes:
-        assert REVERSALS.script(triple) == ()
-        assert lemma_snapshot() == {}  # cold: not written
-    # Warm: each look-alike equals a triple that is held, with or without a script.
-    assert REVERSALS.script((1, 0, 2)) and REVERSALS.script((1, 0, 0)) == ()
-    warmed = lemma_snapshot()
+        assert not reversible(*triple)
+    assert shapes_proved.cache_info().currsize == 0  # cold: not run
+    # Warm: each look-alike equals a triple that is reversible, or one that is not.
+    assert reversible(1, 0, 2) and not reversible(1, 0, 0)
     for triple in lookalikes:
-        assert REVERSALS.script(triple) == ()
-        assert lemma_snapshot() == warmed
+        assert not reversible(*triple)
 
 
 @pytest.mark.parametrize("steps, k, entry", [

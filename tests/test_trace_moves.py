@@ -25,9 +25,10 @@ from hypothesis import strategies as st
 from a1weyl import DomainError, InternalCheckError, Move, MoveTrace, Simplex, Word, baby_base, base_simplex
 from a1weyl import geometry, path_of_word, reduce_loop, replay_certificate, replay_trace
 from a1weyl.geometry import TraceMoves, _Tracer
-from a1weyl.moves import REVERSALS, RULE_REVERSE, WordMoves
+from a1weyl.moves import RULE_REVERSE, WordMoves, reversible, shapes_proved
 from a1weyl.presentation import RewriteCertificate, RewriteStep, StepColumns, rewrite_to_identity
 from a1weyl.words import random_relation_indices
+from references import expansion_alone
 
 WORKED_LOOP = (2, 0, 2, 1, 0, 1, 0, 2, 1, 2, 1, 0)
 
@@ -59,8 +60,8 @@ def reversal_steps(certificate):
 
 
 def step_ends(certificate):
-    """The index of each step's first move, then the number of moves."""
-    widths = (len(REVERSALS.script(s.payload).moves) if s.rule == RULE_REVERSE else 1 for s in certificate.steps)
+    """The index of each step's first move, then the number of moves: a reversal's counted by its expansion alone."""
+    widths = (len(expansion_alone(s.payload)) if s.rule == RULE_REVERSE else 1 for s in certificate.steps)
     return [0, *itertools.accumulate(widths)]
 
 
@@ -327,7 +328,7 @@ def assert_every_reversal_has_a_script(indices, nu):
     for k in reversal_steps(cert):
         triple = cert.steps[k].payload
         assert len(set(triple)) == 3, (k, triple)
-        assert REVERSALS.script(triple), (k, triple)
+        assert reversible(*triple) and expansion_alone(triple), (k, triple)
 
 
 @settings(deadline=None, max_examples=150)
@@ -410,43 +411,42 @@ def counting_inserts(monkeypatch, owner):
 def test_a_reversal_cut_by_upto_replays_as_the_records(trace):
     cert = trace.moves.certificate
     k = reversal_steps(cert)[0]
-    assert REVERSALS.script(cert.steps[k].payload).moves[0][0] == "insert"
+    assert expansion_alone(cert.steps[k].payload)[0][0] == "insert"
     every_upto_replays_as_the_records(trace, [step_ends(cert)[k] + 1])
 
 
 def test_under_a_patched_expansion_a_view_fails_as_its_certificate_replay_and_its_records_replay(
-        trace, monkeypatch, cold_lemmas):
+        trace, monkeypatch, cold_proof):
     records = as_records(trace)
     monkeypatch.setattr(WordMoves, "reverse_triple", lambda self, q: None)
-    REVERSALS.clear()
+    shapes_proved.cache_clear()
     got = outcome(replay_trace, trace)
     assert got[:2] == ("raises", DomainError)  # no script: the reversal did nothing
     assert got == outcome(replay_certificate, trace.moves.certificate) == outcome(tuple, trace.moves)
     assert replay_trace(records).simplices == (trace.base,)  # the records hold every move
-    assert not any(REVERSALS.values())
+    assert not shapes_proved()
 
 
-def test_a_script_proved_again_is_still_cited(trace, monkeypatch, cold_lemmas):
-    REVERSALS.clear()  # each script is proved again: equal to the stored one, not the same object
+def test_a_script_proved_again_is_still_cited(trace, monkeypatch, cold_proof):
     records = replay_trace(as_records(trace))  # replayed move by move, before the count
-    step_ends(trace.moves.certificate)  # proves each script, before the count: a read proves none
+    assert shapes_proved()  # the shapes proved again, before the count: a read proves none
     inserted = counting_inserts(monkeypatch, WordMoves)
     assert replay_trace(trace) == records
     assert inserted == []
 
 
-def test_a_read_neither_looks_up_nor_fills_the_lemma_table(cold_lemmas):
+def test_a_read_neither_reads_nor_runs_the_proof(cold_proof):
     made = traced(2, commutator(4))
     records = tuple(made.moves)
     assert any(mv.kind == "insert" for mv in records)
-    REVERSALS.clear()
+    shapes_proved.cache_clear()
     assert tuple(made.moves) == records
-    assert not REVERSALS
+    assert shapes_proved.cache_info()[:2] == (0, 0)  # no hit, no miss
 
 
 def test_a_trace_holds_at_most_15_bytes_a_move():
     path = path_of_word(Word.from_indices(baby_base(2), commutator(40)), base_simplex(2))
-    reduce_loop(path)  # proves the scripts the trace cites
+    reduce_loop(path)  # runs the proof the trace cites
     gc.collect()
     tracemalloc.start()
     try:

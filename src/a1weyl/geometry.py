@@ -11,8 +11,8 @@ Paths: the path of ``w = w_{a_1}...w_{a_k}`` from a base simplex
 simplices; it closes up exactly when the word is a relation.  Entry ``r`` is
 the image of the base under the length-``r`` suffix ``u``, which is
 ``B(x + o*shift(u), parity(u)*o)`` by the action above.  With the
-coefficients ``c_i = (-1)^(k-i) sign(a_i)`` of ``Word.columns``,
-``shift(u)`` is ``sum_{i > k-r} c_i p(a_i)``, so the anchors are
+coefficients ``c_i = (-1)^(k-i) sign(a_i)``, ``shift(u)`` is
+``sum_{i > k-r} c_i p(a_i)``, so the anchors are
 ``x + o*(suffix sums of c_i p(a_i))``: prefix sums of the word's signed
 terms ``Word.terms``, the ones ``eval_word`` sums, read from the right, and
 the orientations alternate ``o, -o, ...``.  :func:`_walk` takes these sums
@@ -137,7 +137,7 @@ def _walk(word: Word, base: Simplex) -> list[Simplex]:
     :func:`_unchecked_simplex` is mapped over the anchors and the
     orientations; past it, ``Simplex`` checks them one by one and raises at
     the first simplex outside.  A word with no letters walks to ``[base]``
-    at once, before its columns are built, when ``base`` is a plain
+    at once, before its terms are built, when ``base`` is a plain
     ``Simplex``, so a walk holds plain ``Simplex`` records whatever its
     word: the trace replay of a loop walks the empty word it ends at.
     """

@@ -101,12 +101,12 @@ def eval_word_hyp(word: Word) -> HyperbolicElement:
     over the prefix sums of ``Word.terms``, the terms ``c_i p_c(a_i)`` that
     ``eval_word`` sums.
 
-    Only ``weyl`` guards the running sum: past the bound,
+    Only ``weyl`` guards the running sum: when ``Word.in_band`` fails,
     ``weyl.eval_word_checked`` raises where a partial sum leaves the 64-bit
     band.  The dual rows are exact ints, checked once when
     ``HyperbolicElement`` stores them.
     """
-    if not word.columns[2]:
+    if not word.in_band:
         weyl.eval_word_checked(word)  # raises where the running sum leaves the band
     nu = word.rank
     terms = word.terms

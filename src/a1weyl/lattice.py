@@ -35,21 +35,19 @@ non-isotropic ``Root`` records of that rank; ``parse_word`` and
 hold passed it already: a root of a valid base, a batch root (sign 1 or -1
 and ``rank`` coordinates by construction) or a root that ``Root`` checked
 and ``_parse_explicit`` built at the word's rank.  ``parse_word`` also
-plants the word's columns when ``k`` times the largest ``|p|`` the batch
-read is at most ``I64_MAX``, which keeps every ``B_c`` within the band.
+plants the word's ``in_band`` flag when ``k`` times the largest ``|p|`` the
+batch read is at most ``I64_MAX``, which keeps every ``B_c`` within the band.
 A ``geometry.Path`` checks that its simplices are the walk of its word;
 ``path_of_word``, which takes that walk, and ``replay_trace`` of records
 move by move, whose tracer holds it, build theirs through
 ``geometry._unchecked_path``.
-A word's running sum is guarded in ``weyl``: when ``B_c = sum_i |p_c(a_i)|``
-is at most ``I64_MAX`` for every coordinate ``c`` (the flag of
-``words.Word.columns``), no partial sum of its letters can leave the band,
-so it is summed without per-step guards; otherwise
-``weyl.eval_word_checked`` sums it letter by letter and raises where it
-leaves the band.  Values derived from such sums are exact ints, checked once
-when they are stored: the dual rows of ``hyperbolic``, and the anchors of a
-path, which ``geometry._walk`` takes as suffix sums of ``Word.terms``, the
-columns times their coefficients.
+A word's running sum is guarded in ``weyl``: when ``words.Word.in_band``
+holds, the sums of ``words.Word.terms`` are taken without per-step guards;
+otherwise ``weyl.eval_word_checked`` sums the letters one by one and raises
+where the sum leaves the band.  Values derived from such sums are exact
+ints, checked once when they are stored: the dual rows of ``hyperbolic``,
+and the anchors of a path, which ``geometry._walk`` takes as suffix sums of
+``Word.terms``.
 """
 
 from __future__ import annotations

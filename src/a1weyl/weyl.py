@@ -58,8 +58,8 @@ def identity_element(rank: int) -> WeylElement:
 
 
 def eval_word(word: Word) -> WeylElement:
-    """Canonical form of a word: sums of ``Word.terms``, or the checked loop past the bound of ``Word.columns``."""
-    if not word.columns[2]:
+    """Canonical form of a word: sums of ``Word.terms``, or the checked loop when ``Word.in_band`` fails."""
+    if not word.in_band:
         return eval_word_checked(word)
     return WeylElement(1 if len(word) % 2 == 0 else -1, tuple(map(sum, word.terms)))
 
@@ -67,8 +67,8 @@ def eval_word(word: Word) -> WeylElement:
 def eval_word_checked(word: Word) -> WeylElement:
     """``eval_word`` letter by letter, every step guarded: the one guard of a running sum.
 
-    ``eval_word`` and ``hyperbolic.eval_word_hyp`` call it past the bound of
-    ``Word.columns``; it raises exactly where a term ``c_i p(a_i)`` or
+    ``eval_word`` and ``hyperbolic.eval_word_hyp`` call it when
+    ``Word.in_band`` fails; it raises exactly where a term ``c_i p(a_i)`` or
     a partial sum leaves the 64-bit band.
     """
     k = len(word)
@@ -126,14 +126,14 @@ def is_relation_w(word: Word) -> bool:
     """Word problem for the group on ``V``: even length and vanishing alternating sum.
 
     At even length the alternating sum is the shift, summed with the same
-    coefficients.  Within the bound of ``Word.columns`` the sums of
+    coefficients.  When ``Word.in_band`` holds the sums of
     ``Word.terms`` are taken one by one and the answer is ``False`` at the
-    first nonzero one; past it, :func:`eval_word` decides, so the word
+    first nonzero one; otherwise :func:`eval_word` decides, so the word
     overflows where :func:`alternating_sum` would.
     """
     if len(word) % 2:
         return False
-    if not word.columns[2]:
+    if not word.in_band:
         return eval_word(word).is_identity
     return not any(map(sum, word.terms))
 
@@ -159,7 +159,7 @@ def enumerate_alternating(pool: Sequence[Root], k: int) -> Iterator[tuple[Root, 
 
     Everything is checked before the first tuple: the caps ``MAX_K`` and
     ``MAX_LETTERS``; ``OverflowError`` when ``k * max|p|`` passes ``I64_MAX``,
-    the bound of ``Word.columns`` for every k-tuple over the pool; and
+    which bounds every ``Word.bounds`` of a k-tuple over the pool; and
     ``DomainError`` when the count, read off the number of halves with each
     signed sum, passes ``MAX_TUPLES``.
     """

@@ -4,9 +4,10 @@ A word is the formal product of the reflections in its letters, leftmost
 letter acting last.  The text format is whitespace-separated tokens, each
 either ``g<k>`` (the k-th root of the active base, counted from 0) or an
 explicit root ``(+|-)e:<c1>,...,<cnu>`` meaning ``+-e + sum c_i*s_i``, its
-numbers ASCII digits with an optional sign.  A word also holds its signed
-lattice columns, :attr:`Word.columns`, and their products, :attr:`Word.terms`
-(the terms ``c_i p_c(a_i)`` per coordinate), which every evaluation reads.
+numbers ASCII digits with an optional sign.  A word also holds one derived
+view, :attr:`Word.terms` (the terms ``c_i p_c(a_i)`` per coordinate), which
+every evaluation reads, with its bounds and the 64-bit flag
+:attr:`Word.in_band` taken from it.
 """
 
 from __future__ import annotations
@@ -49,45 +50,44 @@ class Word:
         return len(self.letters)
 
     @cached_property
-    def columns(self) -> tuple[tuple[int, ...], tuple[Vec, ...], bool]:
-        """The coefficients ``c_i = (-1)^(k-i) sign(a_i)``, the lattice columns and their bound.
+    def terms(self) -> tuple[tuple[int, ...], ...]:
+        """Per coordinate ``c``, the signed terms ``(c_1 p_c(a_1), ..., c_k p_c(a_k))``, ``c_i = (-1)^(k-i) sign(a_i)``.
 
-        Column ``c`` is ``(p_c(a_1), ..., p_c(a_k))``, so ``shift_c`` is
-        ``sum(map(mul, coefs, col_c))``, the sum of :attr:`terms` ``[c]``.
-        The columns are strided slices of the letters' coordinates laid end
-        to end, which starts no iterator per letter, so a long word sets off
-        no cyclic collection as it is read.  The flag is True when every
-        ``B_c = sum_i |p_c(a_i)|`` is at most ``I64_MAX``: then no partial sum
-        leaves the 64-bit band and the sums need no guard.  Past the bound,
-        ``weyl.eval_word_checked`` is the guard of the running sum.  Built once
-        per word and shared by every reader, so it is held as tuples.  The
-        sums ``B_c`` it takes are kept as :attr:`bounds`.
+        The one derived view of a word: ``eval_word`` and ``is_relation_w``
+        sum them, ``eval_word_hyp`` takes their prefix sums and
+        ``geometry._walk`` their suffix sums, so every reader shares one
+        build.  Coordinate ``c`` is a strided slice of the letters'
+        coordinates laid end to end, times the coefficients, which starts no
+        iterator per letter, so a long word sets off no cyclic collection as
+        it is read.  Each term is a letter's coordinate up to sign, so in
+        the 64-bit band.
         """
-        coefs, cols = _coefs_and_cols(self.rank, self.letters)
-        bounds = vars(self)["bounds"] = tuple(sum(map(abs, col)) for col in cols)
-        return coefs, cols, all(b <= I64_MAX for b in bounds)
+        letters, rank, k = self.letters, self.rank, len(self.letters)
+        signs = islice(cycle((1, -1) if k % 2 else (-1, 1)), k)  # (-1)^(k-i) from i = 1
+        coefs = list(map(mul, [a.sign for a in letters], signs))
+        flat = tuple(chain.from_iterable([a.lat for a in letters]))
+        return tuple([tuple(map(mul, coefs, flat[c::rank])) for c in range(rank)])
 
     @cached_property
     def bounds(self) -> tuple[int, ...]:
-        """``B_c = sum_i |p_c(a_i)|`` for each coordinate ``c``: no partial sum of column ``c`` is larger in size.
+        """``B_c = sum_i |p_c(a_i)|`` for each coordinate ``c``: no partial sum of ``terms[c]`` is larger in size.
 
-        :attr:`columns` keeps them as it sums them; a word whose columns
-        were planted (``_parsed_word``) sums them here when first read.
+        Summed over :attr:`terms`, whose entries are the ``p_c(a_i)`` up to sign.
         """
-        return tuple(sum(map(abs, col)) for col in self.columns[1])
+        return tuple([sum(map(abs, t)) for t in self.terms])
 
     @cached_property
-    def terms(self) -> tuple[tuple[int, ...], ...]:
-        """Per coordinate ``c``, the signed terms ``(c_1 p_c(a_1), ..., c_k p_c(a_k))`` of :attr:`columns`.
+    def in_band(self) -> bool:
+        """Whether every ``B_c`` of :attr:`bounds` is at most ``I64_MAX``.
 
-        ``eval_word`` and ``is_relation_w`` sum them, ``eval_word_hyp`` takes
-        their prefix sums and ``geometry._walk`` their suffix sums, so every
-        reader shares one product of the columns.  Built from the columns
-        when first read, so columns planted on a word move every reader.
-        Each term is a letter's coordinate up to sign, so in the 64-bit band.
+        Every partial sum of ``terms[c]`` is at most ``B_c`` in size, so when
+        the flag holds no partial sum leaves the 64-bit band and the sums of
+        :attr:`terms` need no guard.  Otherwise ``weyl.eval_word_checked``
+        is the guard of the running sum.
+        ``_parsed_word`` plants the flag ``True`` when its bound on every
+        ``B_c`` holds, so the parse builds no view.
         """
-        coefs, cols, _ = self.columns
-        return tuple([tuple(map(mul, coefs, col)) for col in cols])
+        return all(b <= I64_MAX for b in self.bounds)
 
     def __add__(self, other: "Word") -> "Word":
         if self.rank != other.rank:
@@ -149,15 +149,6 @@ class Word:
         return tuple(map(index.__getitem__, ids))
 
 
-def _coefs_and_cols(rank: int, letters: tuple[Root, ...]) -> tuple[tuple[int, ...], tuple[Vec, ...]]:
-    """The first two entries of :attr:`Word.columns`: column ``c`` is every ``rank``-th coordinate from ``c``."""
-    k = len(letters)
-    signs = islice(cycle((1, -1) if k % 2 else (-1, 1)), k)  # (-1)^(k-i) from i = 1
-    coefs = tuple(map(mul, [a.sign for a in letters], signs))
-    flat = tuple(chain.from_iterable([a.lat for a in letters]))
-    return coefs, tuple([flat[c::rank] for c in range(rank)])
-
-
 def _parsed_word(rank: int, letters: tuple[Root, ...], reach: int | None) -> Word:
     """A ``Word`` built without ``Word.__post_init__``; only :func:`parse_word` and ``Word.from_indices`` call it.
 
@@ -168,35 +159,35 @@ def _parsed_word(rank: int, letters: tuple[Root, ...], reach: int | None) -> Wor
     batch's ``max(-min, max, 1)`` over the word's explicit coordinates, or
     ``None`` where no batch built the letters; it is at least every
     ``|p_c(a_i)|``, base roots included, so ``k * reach <= I64_MAX`` bounds
-    every ``B_c`` and the planted columns carry the flag ``True`` that
-    :attr:`Word.columns` would compute.  Otherwise the columns stay lazy.
+    every ``B_c`` and the word is planted with the :attr:`Word.in_band`
+    ``True`` it would compute.  Otherwise the flag stays lazy.
     """
     word = object.__new__(Word)
     fields = vars(word)
     fields["rank"] = rank
     fields["letters"] = letters
     if reach is not None and len(letters) * reach <= I64_MAX:
-        fields["columns"] = (*_coefs_and_cols(rank, letters), True)
+        fields["in_band"] = True
     return word
 
 
 def validate_word(s: Semilattice, word: Word) -> None:
     """Check every letter against the root system over ``s``.
 
-    The letters' parity classes are read from the columns of
-    :attr:`Word.columns`, which the evaluations reuse: when the set of
-    classes ``p(a_i) mod 2`` lies in ``s.coset_set``, every letter is a
-    root of the system (a word's letters have its rank and a sign of 1 or
-    -1 already).  At rank 0, or when a class is missing, each distinct
-    letter object is checked in order, so the first bad letter is the one
-    named.  Equal letters that are one object, as :func:`parse_word` shares
-    them, are checked once there; equal letters built apart are each checked.
+    The letters' parity classes are read from :attr:`Word.terms`, which
+    the evaluations reuse; a term is a coordinate up to sign, and a sign
+    keeps the parity.  When the set of classes ``p(a_i) mod 2`` lies in
+    ``s.coset_set``, every letter is a root of the system (a word's letters
+    have its rank and a sign of 1 or -1 already).  At rank 0, or when a
+    class is missing, each distinct letter object is checked in order, so
+    the first bad letter is the one named.  Equal letters that are one
+    object, as :func:`parse_word` shares them, are checked once there; equal
+    letters built apart are each checked.
     """
     if word.rank != s.rank:
         raise DomainError(f"word has rank {word.rank}, semilattice has rank {s.rank}")
     if s.rank:
-        cols = word.columns[1]
-        if set(zip(*[[x & 1 for x in col] for col in cols])) <= s.coset_set:
+        if set(zip(*[[x & 1 for x in t] for t in word.terms])) <= s.coset_set:
             return
     for a in {id(a): a for a in word.letters}.values():
         if not root_in_rx(s, a):

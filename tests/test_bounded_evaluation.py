@@ -1,6 +1,6 @@
 """The bounded evaluations agree with the checked loops, on both sides of the bound.
 
-``eval_word``, ``eval_word_hyp`` and ``is_relation_w`` sum a word by columns
+``eval_word``, ``eval_word_hyp`` and ``is_relation_w`` sum a word's terms
 when every ``B_c = sum_i |p_c(a_i)|`` is at most ``I64_MAX``, and fall back to
 the checked loop otherwise.  The checked loops are the reference: every word
 must give the same result, or the same exception with the same message.
@@ -40,7 +40,7 @@ from a1weyl.weyl import alternating_sum, eval_word_checked
 def eval_word_hyp_checked(word: Word) -> HyperbolicElement:
     """``eval_word_hyp`` in one pass, the running sum guarded at every letter.
 
-    The path for words beyond the bound of ``Word.columns``.
+    The path for words that are not ``Word.in_band``.
     """
     nu, k = word.rank, len(word)
     acc = zero_vec(nu)
@@ -125,19 +125,19 @@ def words_at_the_bound(draw, total):
 @settings(deadline=None, max_examples=150)
 @given(words_at_the_bound(I64_MAX))
 def test_a_word_with_b_equal_to_i64_max_is_summed_by_columns(word):
-    assert word.columns[2]
+    assert word.in_band
     assert_same_as_checked(word)
 
 
 @settings(deadline=None, max_examples=150)
 @given(words_at_the_bound(I64_MAX + 1))
 def test_a_word_with_b_one_past_i64_max_takes_the_checked_loop(word):
-    assert not word.columns[2]
+    assert not word.in_band
     assert_same_as_checked(word)
 
 
 @pytest.mark.parametrize("letters, expected", [
-    # B = I64_MAX, and so is the shift: summed by columns
+    # B = I64_MAX, and so is the shift: the terms are summed unguarded
     ([(-1, I64_MAX - 5), (1, 5)], (1, (I64_MAX,))),
     # B = I64_MAX + 1: the checked loop raises where the sum leaves the band
     ([(-1, I64_MAX - 5), (1, 6)], OverflowError),
@@ -213,22 +213,6 @@ def test_the_guarded_constructors_take_only_ints(cls, args):
         cls(*args)
 
 
-def test_every_reader_of_one_word_shares_one_build_of_its_columns(monkeypatch):
-    build, builds = Word.columns.func, []
-
-    def counted(word):
-        builds.append(word)
-        return build(word)
-
-    monkeypatch.setattr(Word.columns, "func", counted)
-    word = Word(2, (Root(1, (1, 0)), Root(1, (0, 0)), Root(-1, (0, 1))) * 2)
-    eval_word(word)
-    eval_word_hyp(word)
-    is_central(word)
-    is_loop(path_of_word(word, base_simplex(2)))
-    assert len(builds) == 1 and builds[0] is word
-
-
 def test_every_reader_of_one_word_shares_one_build_of_its_terms(monkeypatch):
     build, builds = Word.terms.func, []
 
@@ -246,7 +230,7 @@ def test_every_reader_of_one_word_shares_one_build_of_its_terms(monkeypatch):
 
 
 def test_reading_a_long_word_sets_off_no_cyclic_collection():
-    """Building ``columns`` and ``terms`` of 20 000 letters keeps no collected object alive per letter."""
+    """Building ``terms`` and ``bounds`` of 20 000 letters keeps no collected object alive per letter."""
     rng = random.Random(20)
     pool = [Root(rng.choice((1, -1)), tuple(rng.randint(-9, 9) for _ in range(8))) for _ in range(64)]
     word = Word(8, tuple(rng.choice(pool) for _ in range(20_000)))
@@ -259,27 +243,26 @@ def test_reading_a_long_word_sets_off_no_cyclic_collection():
     gc.collect()
     gc.callbacks.append(count)
     try:
-        word.columns  # noqa: B018 - builds the view
         word.terms  # noqa: B018 - builds the view
+        word.bounds  # noqa: B018 - sums it
     finally:
         gc.callbacks.remove(count)
     assert started == []
-    assert word.terms == tuple(tuple(map(int.__mul__, word.columns[0], col)) for col in word.columns[1])
+    assert word.bounds == tuple(sum(abs(a.lat[c]) for a in word.letters) for c in range(8))
 
 
 def test_a_word_with_its_columns_built_equals_a_fresh_copy():
     word = Word(2, (Root(1, (1, 2)), Root(-1, (3, 0))))
     fresh = Word(2, word.letters)
-    word.columns  # noqa: B018 - builds the view
-    assert "columns" in word.__dict__ and "columns" not in fresh.__dict__
+    word.terms  # noqa: B018 - builds the view
+    assert "terms" in word.__dict__ and "terms" not in fresh.__dict__
     assert word == fresh and hash(word) == hash(fresh) and repr(word) == repr(fresh)
 
 
 def test_a_planted_view_moves_eval_word_but_not_the_matrix_oracles():
     word = Word(2, (Root(1, (1, 2)), Root(-1, (3, 0)), Root(1, (0, 4))))
     fresh = Word(2, word.letters)
-    coefs, cols, within = fresh.columns
-    word.__dict__["columns"] = (tuple(-c for c in coefs), cols, within)
+    word.__dict__["terms"] = tuple(tuple(-t for t in ts) for ts in fresh.terms)
     assert eval_word(word) != eval_word(fresh)
     assert matrix_of_word_w(word) == matrix_of_word_w(fresh)
     assert matrix_of_word(word) == matrix_of_word(fresh)
@@ -299,7 +282,7 @@ L = 2**62
 ])
 def test_past_the_bound_the_dual_rows_are_checked_where_they_are_stored(letters, rows_in_band):
     word = Word(len(letters[0][1]), tuple(Root(sign, p) for sign, p in letters))
-    assert not word.columns[2]
+    assert not word.in_band
     eval_word_checked(word)  # the running sum stays in the band
     expected = outcome(eval_word_hyp_checked, word)
     assert outcome(eval_word_hyp, word) == expected

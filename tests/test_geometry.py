@@ -1016,7 +1016,7 @@ def test_a_path_whose_walk_leaves_the_band_is_a_domain_error():
 def test_the_walk_of_the_empty_word_is_its_base_without_its_columns(rank, orient):
     word, b = Word.empty(rank), Simplex(tuple(range(-1, rank - 1)), orient)
     assert geometry._walk(word, b) == [b]
-    assert "columns" not in vars(word)
+    assert "terms" not in vars(word)
 
 
 def test_the_empty_walk_from_a_simplex_subclass_holds_a_plain_simplex():
@@ -1054,7 +1054,7 @@ def test_replay_of_a_loop_ends_at_the_path_of_the_empty_word_at_its_base(nu, ind
     trace = reduce_loop(path_of_word(Word.from_indices(baby_base(nu), indices), base))
     replayed = replay_trace(trace)
     assert replayed == Path((trace.base,), Word.empty(nu))
-    assert "columns" not in vars(replayed.word)
+    assert "terms" not in vars(replayed.word)
 
 
 def test_foreign_trace_entries_are_domain_errors():

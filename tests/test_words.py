@@ -368,7 +368,6 @@ def test_the_terms_are_the_signed_coordinates_of_each_letter(rank, drawn):
     expected = tuple(tuple((-1) ** (k - i) * a.sign * a.lat[c] for i, a in enumerate(word.letters, start=1))
                      for c in range(rank))
     assert word.terms == expected
-    assert word.columns[1] == tuple(tuple(a.lat[c] for a in word.letters) for c in range(rank))
 
 
 SPELLED = st.builds(lambda sign, zeros, n: f"{sign}{'0' * zeros}{n}",
@@ -382,7 +381,7 @@ def test_the_batch_reads_every_spelling_of_a_coordinate_as_the_token_parse(drawn
     base = ReflectableBase(baby_semilattice(2))
     tokens = [f"{sign}e:{x},{y}" for sign, x, y in drawn]
     word = parse_word(" ".join(tokens), base)
-    assert "columns" in word.__dict__  # planted: the batch built the roots
+    assert "in_band" in word.__dict__  # planted: the batch built the roots
     assert word.letters == tuple(_parse_token(t, base) for t in tokens)
 
 
@@ -446,12 +445,13 @@ def parsable_words(draw):
 def test_the_trusted_parse_equals_the_checked_constructor(case):
     base, text, reach = case
     word = parse_word(text, base)
-    planted = "columns" in word.__dict__  # read before anything caches the columns
+    planted = "in_band" in word.__dict__  # read before anything caches the flag
+    assert "terms" not in word.__dict__  # the parse builds no view
     rebuilt = Word(word.rank, word.letters)
     assert word == rebuilt
     assert hash(word) == hash(rebuilt)
     assert repr(word) == repr(rebuilt)
-    assert word.columns == rebuilt.columns
+    assert (word.terms, word.in_band) == (rebuilt.terms, rebuilt.in_band)
     assert planted == (word.rank >= 1 and len(word) * reach <= I64_MAX)
 
 
@@ -461,21 +461,22 @@ def test_the_bounds_are_the_sums_of_absolute_column_entries(case):
     base, text, _ = case
     word = parse_word(text, base)
     expected = tuple(sum(abs(a.lat[c]) for a in word.letters) for c in range(word.rank))
-    assert word.bounds == expected  # summed when read, planted columns or not
+    assert word.bounds == expected  # summed when read, planted flag or not
     rebuilt = Word(word.rank, word.letters)
-    assert rebuilt.columns[2] == all(b <= I64_MAX for b in expected)
-    assert "bounds" in rebuilt.__dict__ and rebuilt.bounds == expected  # kept by the columns build
+    assert rebuilt.in_band == all(b <= I64_MAX for b in expected)
+    assert "bounds" in rebuilt.__dict__ and rebuilt.bounds == expected  # kept once read
 
 
 @pytest.mark.parametrize("k", [1, 2, 7])
 @pytest.mark.parametrize("past", [0, 1])
 def test_columns_are_planted_up_to_the_bound_of_length_times_reach(k, past):
-    """The largest reach with ``k * reach <= I64_MAX`` plants the columns; one more does not."""
+    """The largest reach with ``k * reach <= I64_MAX`` plants ``in_band``; one more does not."""
     reach = I64_MAX // k + past  # at k = 1 and past = 1 the coordinate is I64_MIN
     text = " ".join([f"-e:0,{-reach}"] + ["g0"] * (k - 1))
     word = parse_word(text, ReflectableBase(baby_semilattice(2)))
-    assert ("columns" in word.__dict__) == (not past)
-    assert word.columns == Word(2, word.letters).columns
+    assert ("in_band" in word.__dict__) == (not past) and "terms" not in word.__dict__
+    rebuilt = Word(2, word.letters)
+    assert (word.terms, word.in_band) == (rebuilt.terms, rebuilt.in_band)
 
 
 def test_a_word_over_an_invalid_base_is_built_by_the_checked_constructor():
@@ -485,8 +486,8 @@ def test_a_word_over_an_invalid_base_is_built_by_the_checked_constructor():
     assert str(exc.value) == "letter Root(sign=1, lat=(0, 1, 0)) has rank 3, word has rank 2"
     wide = ReflectableBase(Semilattice(2, ((0, 0), (2**62, 0), (0, 1))))
     word = parse_word("g1 g0 g1 -e:0,0 g1 g2", wide)
-    assert "columns" not in word.__dict__
-    assert word.columns == Word(2, word.letters).columns and not word.columns[2]
+    assert "in_band" not in word.__dict__ and "terms" not in word.__dict__
+    assert word.terms == Word(2, word.letters).terms and not word.in_band
     with pytest.raises(OverflowError):
         eval_word(word)
 

@@ -236,11 +236,11 @@ def _cmd_reduce(args, base):
 
 
 def _cmd_path(args, base):
-    path = _path(args, base)
-    entries = [{"anchor": list(s.anchor), "orient": s.orient} for s in path.simplices]
-    loop = path.simplices[0] == path.simplices[-1]
+    simplices = tuple(_path(args, base).simplices)  # the walk, read once
+    entries = [{"anchor": list(s.anchor), "orient": s.orient} for s in simplices]
+    loop = simplices[0] == simplices[-1]
     return ({"entries": entries, "loop": loop},
-            [str(s) for s in path.simplices] + [f"loop: {str(loop).lower()}"])
+            [str(s) for s in simplices] + [f"loop: {str(loop).lower()}"])
 
 
 def _cmd_render(args, base):
@@ -253,8 +253,8 @@ def _cmd_render(args, base):
             fh.write(svg)
     except OSError as exc:
         raise OSError(f"cannot write {args.out!r}: {exc}") from exc
-    return ({"out": args.out, "entries": len(path.simplices)},
-            [f"wrote {args.out} ({len(path.simplices)} path entries)"])
+    n = len(path.simplices)  # a count, which reads no simplex
+    return ({"out": args.out, "entries": n}, [f"wrote {args.out} ({n} path entries)"])
 
 
 def _cmd_center(args, base):

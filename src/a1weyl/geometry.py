@@ -15,13 +15,17 @@ coefficients ``c_i = (-1)^(k-i) sign(a_i)``, ``shift(u)`` is
 ``sum_{i > k-r} c_i p(a_i)``, so the anchors are
 ``x + o*(suffix sums of c_i p(a_i))``: prefix sums of the word's signed
 terms ``Word.terms``, the ones ``eval_word`` sums, read from the right, and
-the orientations alternate ``o, -o, ...``.  :func:`_walk` takes these sums
-exactly.  Its anchors stay in the 64-bit band when ``|x_c| + B_c`` does for
-every coordinate (``Word.bounds``); otherwise one ``min`` / ``max`` tests
-them all, and past the band ``Simplex`` checks each anchor as it stores it,
-so a path raises at the first simplex that leaves the band.  Loop tracing
-inserts a block by walking the block's word.  A hand-built ``Path`` is
-checked against the walk of its word.
+the orientations alternate ``o, -o, ...``.  A path holds its word and its
+base, and its simplices are a view over the two (:class:`WalkSimplices`)
+that builds a simplex only when one is read: an index sums one suffix of
+each coordinate's terms, and :func:`_walk` reads them all, by exact sums,
+building each record through ``_unchecked_simplex`` in the band and
+through ``Simplex``, which checks each anchor as it stores it, past it.
+``path_of_word`` tests the band once, ``|x_c| + B_c <= I64_MAX`` for every
+coordinate (``Word.bounds``), and where that fails walks the word up front,
+so a path that leaves the band raises at its first simplex outside, from
+``path_of_word`` itself.  Loop tracing inserts a block by walking the block's
+word.  A hand-built ``Path`` is checked against the walk of its word.
 
 Loops reduce to the trivial loop by inserting or deleting the elementary
 sub-loops of ``g_i^2`` and ``(g_0 g_i g_j)^2`` (``i < j`` both nonzero).
@@ -48,7 +52,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, islice, repeat
-from operator import sub
+from operator import add, sub
 from typing import Iterator, Sequence
 
 from .errors import DomainError, InternalCheckError
@@ -94,12 +98,15 @@ class Path:
 
     The constructor walks the word from the first simplex and raises
     ``DomainError`` unless the simplices are that walk, also when the walk
-    leaves the 64-bit band.  :func:`path_of_word`, and :func:`replay_trace`
-    when it replays records move by move, hold the walk already and build
-    their paths through ``_unchecked_path``.
+    leaves the 64-bit band.  :func:`path_of_word` builds its path through
+    ``_unchecked_path`` with ``simplices`` a :class:`WalkSimplices` over
+    the word and the base, which is that walk by construction and builds no
+    simplex until one is read; :func:`replay_trace`, when it replays
+    records move by move, holds the walk as a tuple already.  Either way
+    ``simplices`` equals, hashes and prints as the tuple of the walk.
     """
 
-    simplices: tuple[Simplex, ...]
+    simplices: Sequence[Simplex]
     word: Word
 
     def __post_init__(self) -> None:
@@ -139,7 +146,8 @@ def _walk(word: Word, base: Simplex) -> list[Simplex]:
     the first simplex outside.  A word with no letters walks to ``[base]``
     at once, before its terms are built, when ``base`` is a plain
     ``Simplex``, so a walk holds plain ``Simplex`` records whatever its
-    word: the trace replay of a loop walks the empty word it ends at.
+    word: a read of the path of the empty word, where the replay of a loop
+    ends, builds no terms.
     """
     if not word.letters and type(base) is Simplex:
         return [base]
@@ -148,10 +156,18 @@ def _walk(word: Word, base: Simplex) -> list[Simplex]:
     rows = [list(accumulate(reversed(terms), step, initial=xc)) for xc, terms in zip(x, word.terms)]
     anchors = zip(*rows) if rows else repeat((), len(word) + 1)
     orients = [o, -o] * (len(word) // 2 + 1)
-    if (rows and any(abs(xc) + b > I64_MAX for xc, b in zip(x, word.bounds))
+    if (rows and _past_bound(word, x)
             and (min(map(min, rows)) < I64_MIN or max(map(max, rows)) > I64_MAX)):
         return list(map(Simplex, anchors, orients))
     return list(map(_unchecked_simplex, anchors, orients))
+
+
+def _past_bound(word: Word, anchor: Vec) -> bool:
+    """Whether ``|x_c| + B_c > I64_MAX`` for a coordinate (``Word.bounds``).
+
+    Only then may a walk of ``word`` from ``anchor`` leave the 64-bit band.
+    """
+    return any(abs(xc) + b > I64_MAX for xc, b in zip(anchor, word.bounds))
 
 
 _SimplexTwin = mutable_twin(Simplex)
@@ -160,13 +176,15 @@ _SimplexTwin = mutable_twin(Simplex)
 def _unchecked_simplex(anchor: Vec, orient: int) -> Simplex:
     """A ``Simplex`` built through its twin, past ``Simplex.__post_init__``.
 
-    Only :func:`_walk` calls it, for a walk in the band.  The record is the
+    Only :func:`_walk` calls it, for a walk in the band, and an ``int``
+    index of a :class:`WalkSimplices`, for its one entry.  The record is the
     one the checked constructor would build (the twin rule of the
     ``lattice`` docstring): it compares, hashes and pickles the same.  Safe
-    because ``_walk`` hands it only what those checks pass: ``orient`` is a
+    because both hand it only what those checks pass: ``orient`` is a
     checked orientation or its negation, the anchor is a tuple of exact
     ``int`` sums of checked ``int`` entries, and ``_walk`` tests every
-    anchor against the 64-bit band first.
+    anchor against the 64-bit band first, as the view's constructor tests
+    every entry of the view.
     """
     simplex = _SimplexTwin()
     simplex.anchor = anchor
@@ -175,13 +193,71 @@ def _unchecked_simplex(anchor: Vec, orient: int) -> Simplex:
     return simplex
 
 
-def _unchecked_path(simplices: tuple[Simplex, ...], word: Word) -> Path:
+class WalkSimplices(RecordColumns):
+    """The simplices of a path, read from its word and its base; a ``Simplex`` is built when read.
+
+    ``word`` is a ``Word`` and ``base`` a ``Simplex`` of its rank; a base of
+    a subclass is held as the plain ``Simplex`` equal to it, and that one
+    record, entry 0, is the only one the view keeps.  The constructor tests
+    the band once, ``|x_c| + B_c <= I64_MAX`` for every coordinate
+    (``Word.bounds``), which puts every entry in it; where that fails it
+    runs :func:`_walk` once, which raises at the first entry outside.  So
+    every entry of a view lies in the band.
+
+    Iterating runs :func:`_walk` with the base record as entry 0.  An
+    ``int`` index computes its one entry from suffix sums of
+    ``Word.terms``, and reads the base record wherever the entry equals it,
+    as the end of a loop does, so :func:`is_loop` builds no record; any
+    other index reads the records once (``moves.RecordColumns``), as do
+    equality, ``hash`` and ``repr``.  It pickles and copies as its word and
+    its base.
+    """
+
+    __slots__ = ("word", "base")
+    COLUMNS = ("word", "base")
+
+    def __init__(self, word: Word, base: Simplex):
+        if word.rank != base.rank:
+            raise DomainError("rank mismatch between word and base simplex")
+        if type(base) is not Simplex:
+            base = Simplex(base.anchor, base.orient)
+        if word.letters and _past_bound(word, base.anchor):
+            _walk(word, base)
+        self.word, self.base = word, base
+
+    def __len__(self) -> int:
+        return len(self.word) + 1
+
+    def __iter__(self) -> Iterator[Simplex]:
+        walk = _walk(self.word, self.base)
+        walk[0] = self.base
+        return iter(walk)
+
+    def __getitem__(self, index):
+        if type(index) is not int:
+            return tuple(self)[index]
+        k, base = len(self.word), self.base
+        r = index + k + 1 if index < 0 else index
+        if not 0 <= r <= k:
+            raise IndexError("tuple index out of range")
+        if r == 0:
+            return base
+        sums = [sum(t[k - r:]) for t in self.word.terms]
+        anchor = tuple(map(add if base.orient == 1 else sub, base.anchor, sums))
+        orient = -base.orient if r & 1 else base.orient
+        if orient == base.orient and anchor == base.anchor:
+            return base
+        return _unchecked_simplex(anchor, orient)
+
+
+def _unchecked_path(simplices: Sequence[Simplex], word: Word) -> Path:
     """A ``Path`` built without ``Path.__post_init__``, which walks the word again.
 
-    Only :func:`path_of_word` and :func:`replay_trace` call it, with the walk
-    they already hold: ``_walk`` of the word, or, when ``replay_trace``
-    replays records move by move, the table ``at`` of its tracer read
-    forwards, which is that walk by the tracer's invariant.
+    Only :func:`path_of_word` and :func:`replay_trace` call it, with what is
+    the walk already: a :class:`WalkSimplices` over the word and its base,
+    or, when ``replay_trace`` replays records move by move, the table ``at``
+    of its tracer read forwards, which is that walk by the tracer's
+    invariant.
     """
     path = object.__new__(Path)
     object.__setattr__(path, "simplices", simplices)
@@ -190,9 +266,13 @@ def _unchecked_path(simplices: tuple[Simplex, ...], word: Word) -> Path:
 
 
 def path_of_word(word: Word, base: Simplex) -> Path:
-    if word.rank != base.rank:
-        raise DomainError("rank mismatch between word and base simplex")
-    return _unchecked_path(tuple(_walk(word, base)), word)
+    """The path of ``word`` from ``base``: its simplices are a :class:`WalkSimplices`, built when read.
+
+    ``DomainError`` when the ranks differ; ``OverflowError``, the guard
+    error of ``lattice.checked``, when the walk leaves the 64-bit band,
+    raised here by the view's band test and not when an entry is read.
+    """
+    return _unchecked_path(WalkSimplices(word, base), word)
 
 
 def is_loop(p: Path) -> bool:
@@ -549,7 +629,7 @@ def render_svg(p: Path) -> str:
     """
     if p.rank != 2:
         raise DomainError("SVG rendering is implemented for rank 2 only")
-    simplices = p.simplices
+    simplices = tuple(p.simplices)  # one read of the walk; each index of a view would walk it again
     n = len(simplices)
     closing = n > 1 and simplices[0] == simplices[-1]
     visits: dict[tuple[Vec, int], list[str]] = {}

@@ -54,14 +54,17 @@ def require_sequence(value: object, what: str) -> None:
 class RecordColumns(Sequence):
     """Frozen records held as columns, each built when it is read: the contract of the proof records.
 
-    ``presentation.StepColumns`` holds a certificate's steps this way, and
-    ``geometry.TraceMoves`` reads a trace's moves from its certificate.  The sequence is the tuple of
-    its records to ``==``, ``hash`` and ``repr``, and reads as that tuple:
-    an index, a slice and :meth:`index` read the records front to back into
-    it once.  It pickles and copies as its columns, the constructor's
-    arguments named by ``COLUMNS``.  No record is kept, so whoever reads
-    every record pays for every record.  A subclass defines ``COLUMNS``,
-    ``__len__`` and ``__iter__``.
+    ``presentation.StepColumns`` holds a certificate's steps this way,
+    ``geometry.TraceMoves`` reads a trace's moves from its certificate, and
+    ``geometry.WalkSimplices`` a path's simplices from its word and its
+    base.  The sequence is the tuple of its records to ``==``, ``hash`` and
+    ``repr``, and reads as that tuple: an index, a slice and :meth:`index`
+    read the records front to back into it once, unless a subclass computes
+    an ``int`` index itself, as ``WalkSimplices`` does.  It pickles and
+    copies as its columns, the constructor's arguments named by
+    ``COLUMNS``.  No record is kept, so whoever reads every record pays for
+    every record.  A subclass defines ``COLUMNS``, ``__len__`` and
+    ``__iter__``.
     """
 
     __slots__ = ()

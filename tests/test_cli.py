@@ -390,6 +390,27 @@ def test_path_with_an_anchor_past_the_band_names_the_anchor(capsys, baby2_config
     assert "integer 1180591620717411303424 exceeds the signed 64-bit guard" in captured.err
 
 
+def test_path_whose_walk_leaves_the_band_and_comes_back_names_the_first_anchor_outside(capsys, baby2_config):
+    code = main(["path", "--config", baby2_config, "--anchor", "9223372036854775807,0", "g1", "g1"])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert "integer 9223372036854775808 exceeds the signed 64-bit guard" in captured.err
+
+
+@pytest.mark.parametrize("command", ["path", "render-svg"])
+def test_path_and_render_svg_walk_the_word_once(capsys, monkeypatch, tmp_path, baby2_config, command):
+    from a1weyl import geometry
+
+    walks, walk = [], geometry._walk
+    monkeypatch.setattr(geometry, "_walk", lambda word, base: walks.append(word) or walk(word, base))
+    extra = ["--out", str(tmp_path / "loop.svg")] if command == "render-svg" else []
+    code, data = run_json(capsys, command, "--config", baby2_config, *extra, *WORKED_LOOP_TEXT)
+    assert code == 0 and len(walks) == 1 and len(walks[0]) == len(WORKED_LOOP_TEXT)
+    entries = data["entries"]
+    assert (entries if command == "render-svg" else len(entries)) == len(WORKED_LOOP_TEXT) + 1
+
+
 @pytest.mark.parametrize("command", ["path", "render-svg"])
 @pytest.mark.parametrize("anchor", ["1_0,٢", "1_0,2", "١,0", "1,２", " 1, 2", "1,2\n"])
 def test_anchor_takes_the_digits_of_a_word_token_only(capsys, tmp_path, baby2_config, command, anchor):

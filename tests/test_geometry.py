@@ -1,6 +1,8 @@
 import collections
+import copy
 import dataclasses
 import itertools
+import pickle
 import random
 import re
 from array import array
@@ -1259,3 +1261,146 @@ def test_gens_without_a_length_do_not_name_an_elementary_loop(kind, gens):
         replay_trace(trace)
     with pytest.raises(DomainError, match=f"^{gens} does not name an elementary loop$"):
         move_block(gens)
+
+
+# --- a path's simplices are a view over its word and its base, built when read ---
+
+
+@st.composite
+def words_and_bases(draw):
+    """A baby-base word of rank 0..4, a loop or any word, from a base anchored up to ``+-2**40`` or at the band edge."""
+    nu = draw(st.integers(0, 4))
+    indices = draw(st.lists(st.integers(0, nu), max_size=16))
+    shape = draw(st.sampled_from(("relation", "mirror", "any")))
+    if shape == "relation":
+        indices = random_relation_indices(random.Random(draw(st.integers(0, 2**32 - 1))), nu, draw(st.integers(0, 10)))
+    elif shape == "mirror":
+        indices += indices[::-1]
+    coordinate = st.one_of(st.integers(-(2**40), 2**40), st.integers(I64_MAX - 3, I64_MAX),
+                           st.integers(I64_MIN, I64_MIN + 3))
+    base = Simplex(draw(st.tuples(*[coordinate] * nu)), draw(st.sampled_from((1, -1))))
+    return Word.from_indices(baby_base(nu), indices), base
+
+
+def tuple_path(word, base):
+    """The path of ``word`` from ``base`` as the constructor checks it: the tuple of the unchanged walk."""
+    return Path(tuple(geometry._walk(word, base)), word)
+
+
+CLONES = [
+    *(lambda x, p=p: pickle.loads(pickle.dumps(x, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+    copy.copy, copy.deepcopy, dataclasses.replace, lambda p: Path(p.simplices, p.word),
+]
+
+
+def assert_reads_as_the_tuple_path(path, want):
+    view, walk = path.simplices, want.simplices
+    assert type(view) is geometry.WalkSimplices and type(walk) is tuple
+    assert path == want and want == path and view == walk and walk == view
+    assert hash(path) == hash(want) and hash(view) == hash(walk)
+    assert repr(path) == repr(want) and repr(view) == repr(walk)
+    for clone in CLONES:
+        copied = clone(path)
+        assert type(copied.simplices) is geometry.WalkSimplices
+        assert copied == want and hash(copied) == hash(want) and repr(copied) == repr(want)
+    n = len(walk)
+    assert len(view) == n
+    assert type(path.base) is Simplex and path.base is path.base is view[0] is view[-n] is tuple(view)[0]
+    assert [str(s) for s in view] == [str(s) for s in walk]
+    for r in range(-n, n):
+        assert view[r] == walk[r] and type(view[r]) is Simplex and str(view[r]) == str(walk[r])
+    for cut in (slice(None), slice(1, None), slice(None, -1), slice(None, None, -1), slice(1, n, 2), slice(n, 0)):
+        assert view[cut] == walk[cut]
+    for index in (n, -n - 1, True, "0", 1.0):
+        assert outcome(view.__getitem__, index) == outcome(walk.__getitem__, index)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(words_and_bases(), rank2_paths().map(lambda p: (p.word, p.base))))
+def test_a_path_of_a_word_reads_as_the_tuple_of_its_walk(case):
+    word, base = case
+    got, want = outcome(path_of_word, word, base), outcome(tuple_path, word, base)
+    if want[0] == "raises":
+        assert got == want
+    else:
+        assert_reads_as_the_tuple_path(got[1], want[1])
+
+
+@pytest.mark.parametrize("orient", [1, -1])
+@pytest.mark.parametrize("anchor", [(I64_MAX, 0), (0, I64_MIN), (I64_MAX - 1, I64_MIN + 1)])
+def test_a_path_at_the_band_edge_reads_as_the_tuple_of_its_walk(anchor, orient):
+    for indices in itertools.product(range(3), repeat=3):
+        word, base = Word.from_indices(baby_base(2), indices), Simplex(anchor, orient)
+        got, want = outcome(path_of_word, word, base), outcome(tuple_path, word, base)
+        if want[0] == "raises":
+            assert got == want
+        else:
+            assert_reads_as_the_tuple_path(got[1], want[1])
+
+
+def test_a_path_from_a_simplex_subclass_reads_from_the_plain_simplex():
+    class Marked(Simplex):
+        __slots__ = ()
+
+    word = Word.from_indices(baby_base(2), WORKED_LOOP)
+    path = path_of_word(word, Marked((1, -1), -1))
+    assert_reads_as_the_tuple_path(path, tuple_path(word, Simplex((1, -1), -1)))
+
+
+def test_a_path_built_from_a_view_over_another_word_is_refused():
+    view = path_of_word(Word.from_indices(baby_base(2), WORKED_LOOP), base_simplex(2)).simplices
+    other = Word.from_indices(baby_base(2), WORKED_LOOP[::-1])
+    with pytest.raises(DomainError, match="^the simplices of a path are not the walk of its word from the first$"):
+        Path(view, other)
+
+
+def test_a_walk_that_leaves_the_band_and_comes_back_raises_at_path_of_word():
+    word = Word.from_indices(baby_base(2), (1, 1))
+    with pytest.raises(OverflowError) as exc:
+        path_of_word(word, Simplex((I64_MAX, 0), 1))
+    assert str(exc.value) == PAST_MAX
+
+
+def counting(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` in a list, each call still made."""
+    calls, inner = [], getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_a_rank_3_loop_is_traced_and_replayed_without_building_a_simplex(monkeypatch):
+    word = Word.from_indices(baby_base(3), random_relation_indices(random.Random(43), 3, 30))
+    base = Simplex((3, -2, 5), -1)
+    unchecked = counting(monkeypatch, geometry, "_unchecked_simplex")
+    checked = counting(monkeypatch, Simplex, "__post_init__")
+    path = path_of_word(word, base)
+    replayed = replay_trace(reduce_loop(path))
+    assert path.base is path.base is base
+    assert (unchecked, checked) == ([], [])
+    assert tuple(path.simplices)[-1] == base and len(unchecked) == len(word) + 1  # what a full read builds
+    assert replayed == Path((base,), Word.empty(3))
+
+
+def test_render_svg_walks_the_word_once(monkeypatch):
+    walks = counting(monkeypatch, geometry, "_walk")
+    path = path_of_word(Word.from_indices(baby_base(2), WORKED_LOOP + (1, 1)), base_simplex(2))
+    assert walks == []
+    render_svg(path)
+    assert len(walks) == 1
+
+
+@pytest.mark.parametrize("base", [Simplex((1, 2, -3), 1), base_simplex(3)])
+def test_the_replay_of_a_reduced_loop_reads_no_record(monkeypatch, base):
+    def refused(moves, upto):
+        raise AssertionError("the records of a reduced loop were read")
+
+    monkeypatch.setattr(geometry, "_record_feed", refused)
+    word = Word.from_indices(baby_base(3), random_relation_indices(random.Random(7), 3, 12))
+    trace = reduce_loop(path_of_word(word, base))
+    for upto in (None, *(b for _, b, _ in trace.macros)):
+        assert replay_trace(trace, upto).base is base

@@ -14,18 +14,22 @@ the image of the base under the length-``r`` suffix ``u``, which is
 coefficients ``c_i = (-1)^(k-i) sign(a_i)``, ``shift(u)`` is
 ``sum_{i > k-r} c_i p(a_i)``, so the anchors are
 ``x + o*(suffix sums of c_i p(a_i))``: prefix sums of the word's signed
-terms ``Word.terms``, the ones ``eval_word`` sums, read from the right, and
-the orientations alternate ``o, -o, ...``.  A path holds its word and its
-base, and its simplices are a view over the two (:class:`WalkSimplices`)
-that builds a simplex only when one is read: an index sums one suffix of
-each coordinate's terms, and :func:`_walk` reads them all, by exact sums,
-building each record through ``_unchecked_simplex`` in the band and
-through ``Simplex``, which checks each anchor as it stores it, past it.
+terms ``Word.terms``, whose whole sums ``eval_word`` reads, read from the
+right, and the orientations alternate ``o, -o, ...``.  A path holds its
+word and its base, and its simplices are a view over the two
+(:class:`WalkSimplices`) that builds a simplex only when one is read: an
+index sums one suffix of each coordinate's terms, the last entry reads the
+word's one whole sum ``Word.sums``, and :func:`_walk` reads them all, by
+exact sums, building each record through ``_unchecked_simplex`` in the
+band and through ``Simplex``, which checks each anchor as it stores it,
+past it.
 ``path_of_word`` tests the band once, ``|x_c| + B_c <= I64_MAX`` for every
-coordinate (``Word.bounds``), and where that fails walks the word up front,
-so a path that leaves the band raises at its first simplex outside, from
-``path_of_word`` itself.  Loop tracing inserts a block by walking the block's
-word.  A hand-built ``Path`` is checked against the walk of its word.
+coordinate (``Word.bounds``, counted from the indices of a word that
+``Word.from_indices`` built, so a loop op builds no ``Word.terms``), and
+where that fails walks the word up front, so a path that leaves the band
+raises at its first simplex outside, from ``path_of_word`` itself.  Loop
+tracing inserts a block by walking the block's word.  A hand-built ``Path``
+is checked against the walk of its word.
 
 Loops reduce to the trivial loop by inserting or deleting the elementary
 sub-loops of ``g_i^2`` and ``(g_0 g_i g_j)^2`` (``i < j`` both nonzero).
@@ -102,8 +106,11 @@ class Path:
     ``_unchecked_path`` with ``simplices`` a :class:`WalkSimplices` over
     the word and the base, which is that walk by construction and builds no
     simplex until one is read; :func:`replay_trace`, when it replays
-    records move by move, holds the walk as a tuple already.  Either way
-    ``simplices`` equals, hashes and prints as the tuple of the walk.
+    records move by move, holds the walk as a tuple already.  A hand-built
+    path keeps a ``WalkSimplices`` it is given, and the tuple of any other
+    sequence, so a list given to it can change nothing after the check.
+    Either way ``simplices`` equals, hashes and prints as the tuple of the
+    walk.
     """
 
     simplices: Sequence[Simplex]
@@ -122,6 +129,8 @@ class Path:
             raise DomainError(f"the walk of a path's word from its first simplex leaves the band: {exc}") from None
         if tuple(walk) != simplices:
             raise DomainError("the simplices of a path are not the walk of its word from the first")
+        if type(self.simplices) is not WalkSimplices:
+            object.__setattr__(self, "simplices", simplices)
 
     @property
     def base(self) -> Simplex:
@@ -206,11 +215,12 @@ class WalkSimplices(RecordColumns):
 
     Iterating runs :func:`_walk` with the base record as entry 0.  An
     ``int`` index computes its one entry from suffix sums of
-    ``Word.terms``, and reads the base record wherever the entry equals it,
-    as the end of a loop does, so :func:`is_loop` builds no record; any
-    other index reads the records once (``moves.RecordColumns``), as do
-    equality, ``hash`` and ``repr``.  It pickles and copies as its word and
-    its base.
+    ``Word.terms``, the last entry from ``Word.sums``, which
+    ``is_relation_w`` reads too, and reads the base record wherever the
+    entry equals it, as the end of a loop does, so :func:`is_loop` builds
+    no record and sums the word once; any other index reads the records
+    once (``moves.RecordColumns``), as do equality, ``hash`` and ``repr``.
+    It pickles and copies as its word and its base.
     """
 
     __slots__ = ("word", "base")
@@ -242,7 +252,7 @@ class WalkSimplices(RecordColumns):
             raise IndexError("tuple index out of range")
         if r == 0:
             return base
-        sums = [sum(t[k - r:]) for t in self.word.terms]
+        sums = self.word.sums if r == k else [sum(t[k - r:]) for t in self.word.terms]
         anchor = tuple(map(add if base.orient == 1 else sub, base.anchor, sums))
         orient = -base.orient if r & 1 else base.orient
         if orient == base.orient and anchor == base.anchor:
@@ -276,6 +286,11 @@ def path_of_word(word: Word, base: Simplex) -> Path:
 
 
 def is_loop(p: Path) -> bool:
+    """Whether the path closes up, checked against the word problem: the free action says they agree.
+
+    The end entry and ``is_relation_w`` both read ``Word.sums``, so the
+    word is summed once.
+    """
     closed = p.simplices[0] == p.simplices[-1]
     if closed != is_relation_w(p.word):
         raise InternalCheckError("free action violated: loop test disagrees with the word problem")

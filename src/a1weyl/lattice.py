@@ -38,19 +38,23 @@ hold passed it already: a root of a valid base, a batch root (sign 1 or -1
 and ``rank`` coordinates by construction) or a root that ``Root`` checked
 and ``_parse_explicit`` built at the word's rank.  ``parse_word`` also
 plants the word's ``in_band`` flag when ``k`` times the largest ``|p|`` the
-batch read is at most ``I64_MAX``, which keeps every ``B_c`` within the band.
+batch read is at most ``I64_MAX``, which keeps every ``B_c`` within the band;
+``Word.from_indices`` plants it by the same rule with 1 as that largest
+``|p|``, since a valid base's roots have 0/1 coordinates, and plants the
+indices with the base's ``roots``, from which the word's ``sums`` and
+``bounds`` are counted and its ``to_indices`` for that base is read.
 A ``geometry.Path`` checks that its simplices are the walk of its word;
 ``path_of_word``, whose simplices are a ``geometry.WalkSimplices`` view
 that is the walk by construction, and ``replay_trace`` of records move by
 move, whose tracer holds the walk, build theirs through
 ``geometry._unchecked_path``.
 A word's running sum is guarded in ``weyl``: when ``words.Word.in_band``
-holds, the sums of ``words.Word.terms`` are taken without per-step guards;
-otherwise ``weyl.eval_word_checked`` sums the letters one by one and raises
-where the sum leaves the band.  Values derived from such sums are exact
-ints, checked once when they are stored: the dual rows of ``hyperbolic``,
-and the anchors of a path, which ``geometry._walk`` takes as suffix sums of
-``Word.terms``.
+holds, the sums of ``words.Word.terms`` (``words.Word.sums``) are taken
+without per-step guards; otherwise ``weyl.eval_word_checked`` sums the
+letters one by one and raises where the sum leaves the band.  Values
+derived from such sums are exact ints, checked once when they are stored:
+the dual rows of ``hyperbolic``, and the anchors of a path, which
+``geometry._walk`` takes as suffix sums of ``Word.terms``.
 """
 
 from __future__ import annotations

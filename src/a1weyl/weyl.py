@@ -58,10 +58,10 @@ def identity_element(rank: int) -> WeylElement:
 
 
 def eval_word(word: Word) -> WeylElement:
-    """Canonical form of a word: sums of ``Word.terms``, or the checked loop when ``Word.in_band`` fails."""
+    """Canonical form of a word: its shift is ``Word.sums``, or the checked loop when ``Word.in_band`` fails."""
     if not word.in_band:
         return eval_word_checked(word)
-    return WeylElement(1 if len(word) % 2 == 0 else -1, tuple(map(sum, word.terms)))
+    return WeylElement(1 if len(word) % 2 == 0 else -1, word.sums)
 
 
 def eval_word_checked(word: Word) -> WeylElement:
@@ -126,16 +126,16 @@ def is_relation_w(word: Word) -> bool:
     """Word problem for the group on ``V``: even length and vanishing alternating sum.
 
     At even length the alternating sum is the shift, summed with the same
-    coefficients.  When ``Word.in_band`` holds the sums of
-    ``Word.terms`` are taken one by one and the answer is ``False`` at the
-    first nonzero one; otherwise :func:`eval_word` decides, so the word
+    coefficients.  When ``Word.in_band`` holds the answer is whether
+    ``Word.sums`` vanishes, the one sum ``eval_word`` and the end of a
+    path read too; otherwise :func:`eval_word` decides, so the word
     overflows where :func:`alternating_sum` would.
     """
     if len(word) % 2:
         return False
     if not word.in_band:
         return eval_word(word).is_identity
-    return not any(map(sum, word.terms))
+    return not any(word.sums)
 
 
 def is_alternating(pool: Sequence[Root], tup: Sequence[Root]) -> bool:

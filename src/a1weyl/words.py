@@ -6,17 +6,22 @@ either ``g<k>`` (the k-th root of the active base, counted from 0) or an
 explicit root ``(+|-)e:<c1>,...,<cnu>`` meaning ``+-e + sum c_i*s_i``, its
 numbers ASCII digits with an optional sign.  A word also holds one derived
 view, :attr:`Word.terms` (the terms ``c_i p_c(a_i)`` per coordinate), which
-every evaluation reads, with its bounds and the 64-bit flag
-:attr:`Word.in_band` taken from it.
+the prefix and suffix sums of an evaluation read, with its sums
+:attr:`Word.sums`, its bounds and the 64-bit flag :attr:`Word.in_band`
+taken from it.  A word of base letters that :meth:`Word.from_indices` built
+holds its indices, and its one derived view for the sums and the bounds is
+then the counts of each index at the positions of each sign, so no
+:attr:`Word.terms` is built for them.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, cycle, islice
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable
 
 from .errors import DomainError, WordParseError
@@ -29,6 +34,7 @@ class Word:
 
     rank: int
     letters: tuple[Root, ...]
+    _planted = None  # (base.roots, indices) of a word from_indices built over a valid base: not a field
 
     def __post_init__(self) -> None:
         if type(self.rank) is not int:
@@ -69,12 +75,60 @@ class Word:
         return tuple([tuple(map(mul, coefs, flat[c::rank])) for c in range(rank)])
 
     @cached_property
+    def _index_counts(self) -> tuple[Counter, Counter]:
+        """``(n+, n-)``: how often each held index stands where ``(-1)^(k-i)`` is +1, and where it is -1.
+
+        Position ``i`` (from 1) has ``k - i`` even exactly when ``i`` and
+        ``k`` have one parity, so the two counts are of the strided slices
+        of the indices that end at the last position and at the one before.
+        """
+        indices = self._planted[1]
+        odd = len(indices) % 2
+        return Counter(indices[1 - odd::2]), Counter(indices[odd::2])
+
+    def _over_roots(self, op) -> tuple[int, ...]:
+        """``sum_j op(n+_j, n-_j) tau_j`` per coordinate, over the held base roots ``e + tau_j``."""
+        roots = self._planted[0]
+        plus, minus = self._index_counts
+        held = plus.keys() | minus.keys()
+        weights = [op(plus.get(j, 0), minus.get(j, 0)) for j in held]
+        lats = [roots[j].lat for j in held]
+        if not lats:
+            return (0,) * self.rank
+        return tuple([sum(map(mul, column, weights)) for column in zip(*lats)])
+
+    @cached_property
+    def sums(self) -> tuple[int, ...]:
+        """``t_c = sum_i c_i p_c(a_i)`` for each coordinate ``c``: the shift of the word's canonical form.
+
+        The one sum of the whole word, which ``eval_word``,
+        ``is_relation_w`` and the last entry of a path's ``WalkSimplices``
+        read, so a loop test sums its word once.  Summed over :attr:`terms`,
+        unless the word holds its indices (:meth:`from_indices`).  Then
+        letter ``i`` is the base root ``e + tau_j`` of index ``j = a_i``,
+        of sign 1, so ``c_i = (-1)^(k-i)`` and ``p(a_i) = tau_j``; grouping
+        the positions by index, with ``n+_j`` and ``n-_j`` the number of
+        positions of ``j`` where ``c_i`` is +1 and -1
+        (:attr:`_index_counts`), gives ``t_c = sum_j tau_j[c] (n+_j - n-_j)``.
+        """
+        if self._planted is None:
+            return tuple(map(sum, self.terms))
+        return self._over_roots(sub)
+
+    @cached_property
     def bounds(self) -> tuple[int, ...]:
         """``B_c = sum_i |p_c(a_i)|`` for each coordinate ``c``: no partial sum of ``terms[c]`` is larger in size.
 
-        Summed over :attr:`terms`, whose entries are the ``p_c(a_i)`` up to sign.
+        Summed over :attr:`terms`, whose entries are the ``p_c(a_i)`` up to
+        sign, unless the word holds its indices (:meth:`from_indices`).
+        Then ``p(a_i) = tau_j`` for the index ``j = a_i``, whose coordinates
+        are 0 or 1, so ``|p_c(a_i)| = tau_j[c]``, and grouping the positions
+        by index as :attr:`sums` does gives
+        ``B_c = sum_j tau_j[c] (n+_j + n-_j)`` from the same counts.
         """
-        return tuple([sum(map(abs, t)) for t in self.terms])
+        if self._planted is None:
+            return tuple([sum(map(abs, t)) for t in self.terms])
+        return self._over_roots(add)
 
     @cached_property
     def in_band(self) -> bool:
@@ -85,7 +139,8 @@ class Word:
         :attr:`terms` need no guard.  Otherwise ``weyl.eval_word_checked``
         is the guard of the running sum.
         ``_parsed_word`` plants the flag ``True`` when its bound on every
-        ``B_c`` holds, so the parse builds no view.
+        ``B_c`` holds, so neither the parse nor :meth:`from_indices` builds
+        a view or a bound for it.
         """
         return all(b <= I64_MAX for b in self.bounds)
 
@@ -102,10 +157,19 @@ class Word:
     def from_indices(cls, base: ReflectableBase, indices: Iterable[int]) -> "Word":
         """The word of base generators ``indices``, each an ``int`` (not a bool) in range.
 
-        Over a valid base the word is built by :func:`_parsed_word`, past the
+        ``indices`` is read once, into a tuple, so any iterable serves.  Over
+        a valid base the word is built by :func:`_parsed_word`, past the
         letter checks: its letters are the base's roots, which pass them.
+        Their coordinates are 0 or 1, so the reach is 1 and the word is
+        planted ``in_band``.  The word also holds that tuple and
+        ``base.roots``, from which :attr:`sums` and :attr:`bounds` are
+        counted and :meth:`to_indices` answers for that base.  The held pair
+        is no field: it takes no part in ``==``, ``hash`` or ``repr``, and a
+        word built any other way, ``dataclasses.replace`` included, holds
+        none.
         """
         roots = base.roots
+        indices = tuple(indices)
         letters = []
         for k in indices:
             if type(k) is not int:
@@ -114,7 +178,9 @@ class Word:
                 raise DomainError(f"generator index {k} out of range 0..{len(roots) - 1}")
             letters.append(roots[k])
         if cls is Word and base.is_valid:  # a valid base has an int rank
-            return _parsed_word(base.rank, tuple(letters), None)
+            word = _parsed_word(base.rank, tuple(letters), 1)
+            vars(word)["_planted"] = roots, indices
+            return word
         return cls(base.rank, tuple(letters))
 
     def normalized(self) -> "Word":
@@ -128,12 +194,17 @@ class Word:
     def to_indices(self, base: ReflectableBase) -> tuple[int, ...]:
         """Express every letter as a base generator; raises if one is not in the base.
 
-        A word of the base's own root objects, as :meth:`from_indices` and
-        ``g<k>`` tokens build it, is read in one pass by object identity.
+        A word that :meth:`from_indices` built over this base's ``roots``
+        object returns the indices it holds.  Any other word of the base's
+        own root objects, as ``g<k>`` tokens build it, is read in one pass
+        by object identity.
         Otherwise each distinct letter object is resolved once, in
         first-occurrence order, so the first bad letter of the word is the
         one reported.
         """
+        planted = self._planted
+        if planted is not None and planted[0] is base.roots:
+            return planted[1]
         lookup = base.root_index
         ids = list(map(id, self.letters))
         try:
@@ -156,8 +227,9 @@ def _parsed_word(rank: int, letters: tuple[Root, ...], reach: int | None) -> Wor
     is a root of a valid base, a batch root (``_unchecked_root``: sign 1 or
     -1, ``rank`` coordinates) or a ``_parse_explicit`` root, which ``Root``
     checked and which has ``rank`` coordinates.  ``reach`` is the
-    batch's ``max(-min, max, 1)`` over the word's explicit coordinates, or
-    ``None`` where no batch built the letters; it is at least every
+    batch's ``max(-min, max, 1)`` over the word's explicit coordinates, 1
+    for ``from_indices``, whose letters have 0/1 coordinates, or ``None``
+    where no batch built the letters; it is at least every
     ``|p_c(a_i)|``, base roots included, so ``k * reach <= I64_MAX`` bounds
     every ``B_c`` and the word is planted with the :attr:`Word.in_band`
     ``True`` it would compute.  Otherwise the flag stays lazy.

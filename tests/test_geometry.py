@@ -1,11 +1,14 @@
 import collections
 import copy
 import dataclasses
+import importlib.util
 import itertools
+import pathlib
 import pickle
 import random
 import re
 from array import array
+from functools import cached_property
 from typing import Sequence
 
 import pytest
@@ -1006,6 +1009,15 @@ def test_a_path_must_be_the_walk_of_its_word():
         Path((base_simplex(3),) + walk[1:], word)
 
 
+def test_a_hand_built_path_keeps_the_tuple_of_the_list_it_was_given():
+    given = [base_simplex(2)]
+    path = Path(given, Word.empty(2))
+    assert type(path.simplices) is tuple
+    assert hash(path) == hash(Path((base_simplex(2),), Word.empty(2)))
+    given.append(base_simplex(2))
+    assert path.simplices == (base_simplex(2),) and len(path.simplices) == len(path.word) + 1
+
+
 def test_a_path_whose_walk_leaves_the_band_is_a_domain_error():
     word = Word.from_indices(baby_base(1), (1, 1))
     inside = (Simplex((I64_MAX,), 1), Simplex((I64_MAX,), 1), Simplex((I64_MAX,), 1))
@@ -1386,6 +1398,32 @@ def test_a_rank_3_loop_is_traced_and_replayed_without_building_a_simplex(monkeyp
     assert replayed == Path((base,), Word.empty(3))
 
 
+def counting_view(monkeypatch, name):
+    """Count the builds of the cached ``Word`` view ``name`` in a list of the words it is built for."""
+    built, inner = [], vars(Word)[name].func
+
+    def counted(word):
+        built.append(word)
+        return inner(word)
+
+    view = cached_property(counted)
+    view.__set_name__(Word, name)
+    monkeypatch.setattr(Word, name, view)
+    return built
+
+
+def test_a_rank_3_loop_from_indices_builds_no_terms_and_sums_its_word_once(monkeypatch):
+    word = Word.from_indices(baby_base(3), random_relation_indices(random.Random(44), 3, 30))
+    assert len(word) == 60
+    terms, sums = counting_view(monkeypatch, "terms"), counting_view(monkeypatch, "sums")
+    path = path_of_word(word, Simplex((3, -2, 5), -1))
+    trace = reduce_loop(path)
+    replayed = replay_trace(trace)
+    assert terms == []
+    assert sum(w is word for w in sums) == 1
+    assert replayed == Path((path.base,), Word.empty(3))
+
+
 def test_render_svg_walks_the_word_once(monkeypatch):
     walks = counting(monkeypatch, geometry, "_walk")
     path = path_of_word(Word.from_indices(baby_base(2), WORKED_LOOP + (1, 1)), base_simplex(2))
@@ -1404,3 +1442,36 @@ def test_the_replay_of_a_reduced_loop_reads_no_record(monkeypatch, base):
     trace = reduce_loop(path_of_word(word, base))
     for upto in (None, *(b for _, b, _ in trace.macros)):
         assert replay_trace(trace, upto).base is base
+
+
+# --- the benchmark's loops inputs: a word from indices answers as the checked word ---
+
+
+def bench_inputs():
+    """``bench/inputs.py``, loaded as a module of its own: the benchmark's inputs, read and not changed."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_inputs", pathlib.Path(__file__).resolve().parent.parent / "bench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def loop_answers(word, inp):
+    """What a loops op answers, with the replay at every macro end as its path's word and base."""
+    path = path_of_word(word, Simplex(inp["anchor"], inp["orient"]))
+    trace = reduce_loop(path)
+    ends = [replay_trace(trace, end) for _, end, _ in trace.macros]
+    assert all(type(p.simplices) is geometry.WalkSimplices for p in ends)  # each a view of its word and base
+    return (path, (trace.start, trace.base, trace.macros, trace.moves.certificate, len(trace.moves)),
+            [(p.word, p.base) for p in ends], render_svg(path) if word.rank == 2 else None)
+
+
+def test_the_benchmark_loops_answer_alike_from_indices_and_from_the_checked_word():
+    gen = bench_inputs()
+    for seed in (1, 2, 3):
+        inps = gen.make_inputs("loops", seed)
+        for k in (0, 1, 2):
+            for inp in gen.variant_inputs("loops", seed, k, inps):
+                word = Word.from_indices(baby_base(inp["nu"]), inp["indices"])
+                checked = Word(word.rank, word.letters)
+                assert loop_answers(word, inp) == loop_answers(checked, inp)

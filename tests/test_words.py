@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 from itertools import product
 
@@ -551,3 +554,95 @@ def test_validation_by_parity_class_equals_the_per_letter_loop(case):
         parsed = parse_word(format_word(word, base), base)
         assert validation_outcome(s, parsed, validate_word) == expected
 
+
+
+# --- a word of base letters counts its indices: the checked word's sums and bounds ---------
+
+
+FAMILIES = {"baby": baby_semilattice, "toroidal": toroidal_semilattice, "pairwise": pairwise_semilattice}
+BASES = {(family, nu): ReflectableBase(make(nu)) for family, make in FAMILIES.items() for nu in range(5)}
+
+
+def checked_word(base, indices):
+    """The word of ``indices`` as the checked constructor builds it: it holds no indices."""
+    word = Word(base.rank, tuple(base.roots[k] for k in indices))
+    assert word._planted is None
+    return word
+
+
+def counted_reads(word, base):
+    return word.sums, word.bounds, word.in_band, word.to_indices(base)
+
+
+def assert_counts_as_the_checked_word(base, indices, source=None):
+    """``from_indices`` (of ``source``, default ``indices``) reads as the checked word, and builds no ``terms``."""
+    word = Word.from_indices(base, indices if source is None else source)
+    checked = checked_word(base, indices)
+    assert word == checked and hash(word) == hash(checked) and repr(word) == repr(checked)
+    assert counted_reads(word, base) == counted_reads(checked, base)
+    assert word.to_indices(base) is word._planted[1] and word._planted[0] is base.roots
+    assert "terms" not in vars(word) and "terms" in vars(checked)
+    return word
+
+
+def test_every_short_word_of_base_letters_counts_as_the_checked_word():
+    """Every word up to the longest length with at most 1 024 words of it, over ν <= 3: odd, even and empty."""
+    for (family, nu), base in BASES.items():
+        if nu > 3:
+            continue
+        n = len(base.roots)
+        longest = 10 if n == 1 else max(k for k in range(11) if n**k <= 1024)
+        for length in range(longest + 1):
+            for indices in product(range(n), repeat=length):
+                assert_counts_as_the_checked_word(base, indices)
+
+
+@st.composite
+def base_letter_words(draw):
+    """A base of rank <= 4 from one of the three families, and up to 500 of its indices."""
+    base = BASES[draw(st.sampled_from(sorted(FAMILIES))), draw(st.integers(0, 4))]
+    return base, draw(st.lists(st.integers(0, len(base.roots) - 1), max_size=500))
+
+
+@settings(deadline=None, max_examples=200)
+@given(base_letter_words())
+def test_a_long_word_of_base_letters_counts_as_the_checked_word(case):
+    base, indices = case
+    assert_counts_as_the_checked_word(base, tuple(indices))
+
+
+@pytest.mark.parametrize("shape", [list, tuple, lambda indices: (k for k in indices)])
+@pytest.mark.parametrize("indices", [(), (2,), (1, 0), (0, 2, 1), (1, 2, 2, 1, 0, 0), (3, 1, 3, 0, 2)])
+def test_indices_of_any_iterable_are_held_as_one_tuple(shape, indices):
+    base = BASES["toroidal", 2]
+    word = assert_counts_as_the_checked_word(base, indices, shape(indices))
+    assert type(word._planted[1]) is tuple and word.to_indices(base) == indices
+
+
+def test_to_indices_for_another_base_object_reads_the_letters():
+    word = Word.from_indices(BASES["baby", 2], (2, 0, 1, 1))
+    other = ReflectableBase(baby_semilattice(2))  # equal, but its roots are other objects
+    assert other == BASES["baby", 2] and other.roots is not BASES["baby", 2].roots
+    assert word.to_indices(other) == (2, 0, 1, 1)
+    wide = Word.from_indices(BASES["toroidal", 2], (0, 3))
+    with pytest.raises(DomainError, match=r"^letter Root\(sign=1, lat=\(1, 1\)\) is not a generator of the base$"):
+        wide.to_indices(BASES["baby", 2])
+
+
+WORD_CLONES = [
+    *(lambda x, p=p: pickle.loads(pickle.dumps(x, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+    copy.copy, copy.deepcopy, dataclasses.replace,
+]
+
+
+@pytest.mark.parametrize("clone", WORD_CLONES)
+@pytest.mark.parametrize("read_first", [False, True])
+def test_a_copied_word_of_base_letters_reads_as_the_original(clone, read_first):
+    base = BASES["pairwise", 3]
+    indices = (6, 1, 0, 4, 4, 2, 5, 3, 0)
+    word = Word.from_indices(base, indices)
+    if read_first:
+        counted_reads(word, base)
+    copied = clone(word)
+    assert copied == word and hash(copied) == hash(word) and repr(copied) == repr(word)
+    assert counted_reads(copied, base) == counted_reads(word, base) == counted_reads(checked_word(base, indices), base)

@@ -17,12 +17,13 @@ coefficients ``c_i = (-1)^(k-i) sign(a_i)``, ``shift(u)`` is
 terms ``Word.terms``, whose whole sums ``eval_word`` reads, read from the
 right, and the orientations alternate ``o, -o, ...``.  A path holds its
 word and its base, and its simplices are a view over the two
-(:class:`WalkSimplices`) that builds a simplex only when one is read: an
-index sums one suffix of each coordinate's terms, the last entry reads the
-word's one whole sum ``Word.sums``, and :func:`_walk` reads them all, by
-exact sums, building each record through ``_unchecked_simplex`` in the
-band and through ``Simplex``, which checks each anchor as it stores it,
-past it.
+(:class:`WalkSimplices`) that builds a simplex only when one is read: the
+first entry is the base, the last reads the word's one whole sum
+``Word.sums``, and :func:`_walk` reads them all, by exact sums, building
+each record through ``_unchecked_simplex`` in the band and through
+``Simplex``, which checks each anchor as it stores it, past it.  Every
+path the library returns, from ``path_of_word`` and from ``replay_trace``,
+holds that view.
 ``path_of_word`` tests the band once, ``|x_c| + B_c <= I64_MAX`` for every
 coordinate (``Word.bounds``, counted from the indices of a word that
 ``Word.from_indices`` built, so a loop op builds no ``Word.terms``), and
@@ -102,13 +103,13 @@ class Path:
 
     The constructor walks the word from the first simplex and raises
     ``DomainError`` unless the simplices are that walk, also when the walk
-    leaves the 64-bit band.  :func:`path_of_word` builds its path through
-    ``_unchecked_path`` with ``simplices`` a :class:`WalkSimplices` over
-    the word and the base, which is that walk by construction and builds no
-    simplex until one is read; :func:`replay_trace`, when it replays
-    records move by move, holds the walk as a tuple already.  A hand-built
-    path keeps a ``WalkSimplices`` it is given, and the tuple of any other
-    sequence, so a list given to it can change nothing after the check.
+    leaves the 64-bit band.  :func:`path_of_word`, which
+    :func:`replay_trace` returns too, builds its path past that check, with
+    ``simplices`` a :class:`WalkSimplices` over the word and the base, which
+    is that walk by construction and builds no simplex until one is read.
+    A hand-built path keeps a ``WalkSimplices`` it is given, and the tuple
+    of any other sequence, so a list given to it can change nothing after
+    the check.
     Either way ``simplices`` equals, hashes and prints as the tuple of the
     walk.
     """
@@ -185,8 +186,8 @@ _SimplexTwin = mutable_twin(Simplex)
 def _unchecked_simplex(anchor: Vec, orient: int) -> Simplex:
     """A ``Simplex`` built through its twin, past ``Simplex.__post_init__``.
 
-    Only :func:`_walk` calls it, for a walk in the band, and an ``int``
-    index of a :class:`WalkSimplices`, for its one entry.  The record is the
+    Only :func:`_walk` calls it, for a walk in the band, and the last entry
+    of a :class:`WalkSimplices`, read by index.  The record is the
     one the checked constructor would build (the twin rule of the
     ``lattice`` docstring): it compares, hashes and pickles the same.  Safe
     because both hand it only what those checks pass: ``orient`` is a
@@ -213,14 +214,14 @@ class WalkSimplices(RecordColumns):
     runs :func:`_walk` once, which raises at the first entry outside.  So
     every entry of a view lies in the band.
 
-    Iterating runs :func:`_walk` with the base record as entry 0.  An
-    ``int`` index computes its one entry from suffix sums of
-    ``Word.terms``, the last entry from ``Word.sums``, which
-    ``is_relation_w`` reads too, and reads the base record wherever the
-    entry equals it, as the end of a loop does, so :func:`is_loop` builds
-    no record and sums the word once; any other index reads the records
-    once (``moves.RecordColumns``), as do equality, ``hash`` and ``repr``.
-    It pickles and copies as its word and its base.
+    Iterating runs :func:`_walk` with the base record as entry 0.  The two
+    ends, the entries ``Path.base`` and :func:`is_loop` read, are computed
+    by index: entry 0 is the base record, and the last entry is the base
+    moved by ``Word.sums``, which ``is_relation_w`` reads too, or the base
+    record where it equals it, as the end of a loop does, so ``is_loop``
+    builds no record and sums the word once.  Any other index reads the
+    records once (``moves.RecordColumns``), as do equality, ``hash`` and
+    ``repr``.  It pickles and copies as its word and its base.
     """
 
     __slots__ = ("word", "base")
@@ -244,35 +245,16 @@ class WalkSimplices(RecordColumns):
         return iter(walk)
 
     def __getitem__(self, index):
-        if type(index) is not int:
-            return tuple(self)[index]
         k, base = len(self.word), self.base
-        r = index + k + 1 if index < 0 else index
-        if not 0 <= r <= k:
-            raise IndexError("tuple index out of range")
-        if r == 0:
+        if type(index) is not int or index not in (0, -1, k, -k - 1):
+            return tuple(self)[index]
+        if index in (0, -k - 1):
             return base
-        sums = self.word.sums if r == k else [sum(t[k - r:]) for t in self.word.terms]
-        anchor = tuple(map(add if base.orient == 1 else sub, base.anchor, sums))
-        orient = -base.orient if r & 1 else base.orient
+        anchor = tuple(map(add if base.orient == 1 else sub, base.anchor, self.word.sums))
+        orient = -base.orient if k & 1 else base.orient
         if orient == base.orient and anchor == base.anchor:
             return base
         return _unchecked_simplex(anchor, orient)
-
-
-def _unchecked_path(simplices: Sequence[Simplex], word: Word) -> Path:
-    """A ``Path`` built without ``Path.__post_init__``, which walks the word again.
-
-    Only :func:`path_of_word` and :func:`replay_trace` call it, with what is
-    the walk already: a :class:`WalkSimplices` over the word and its base,
-    or, when ``replay_trace`` replays records move by move, the table ``at``
-    of its tracer read forwards, which is that walk by the tracer's
-    invariant.
-    """
-    path = object.__new__(Path)
-    object.__setattr__(path, "simplices", simplices)
-    object.__setattr__(path, "word", word)
-    return path
 
 
 def path_of_word(word: Word, base: Simplex) -> Path:
@@ -281,8 +263,13 @@ def path_of_word(word: Word, base: Simplex) -> Path:
     ``DomainError`` when the ranks differ; ``OverflowError``, the guard
     error of ``lattice.checked``, when the walk leaves the 64-bit band,
     raised here by the view's band test and not when an entry is read.
+    The view is that walk by construction, so the path is built past
+    ``Path.__post_init__``, which would walk the word again.
     """
-    return _unchecked_path(WalkSimplices(word, base), word)
+    path = object.__new__(Path)
+    object.__setattr__(path, "simplices", WalkSimplices(word, base))
+    object.__setattr__(path, "word", word)
+    return path
 
 
 def is_loop(p: Path) -> bool:
@@ -551,18 +538,19 @@ def replay_trace(trace: MoveTrace, upto: int | None = None) -> Path:
     certificate's, so replay is the certificate's: its steps are replayed on
     the word alone by ``ReplayedCertificate._replay``, which cites the
     proved reversals as ``replay_certificate`` does, up to the step that
-    ends at move ``upto`` (:func:`_certificate_word`).  The path is the walk
-    of the word reached from the base.  A view stores no base, so there is
-    none to compare, and a view over a certificate that does not replay
-    fails as that certificate's replay fails.
+    ends at move ``upto`` (:func:`_certificate_word`).  A view stores no
+    base, so there is none to compare, and a view over a certificate that
+    does not replay fails as that certificate's replay fails.
 
     Any other sequence (a tuple, a deque, a trace rebuilt by
     ``dataclasses.replace``), a view whose trace has another start or base,
     or an ``upto`` inside a reversal is read a record at a time
     (:func:`_record_feed`) and replayed move by move on a fresh word and a
     fresh walk of the start, every recorded base compared with the live
-    one: the independent check of what a view yields.  No ``Move`` is built, and the path is the tracer's own ``at``
-    read forwards.
+    one: the independent check of what a view yields.  No ``Move`` is built.
+
+    Either way the answer is :func:`path_of_word` of the word reached, from
+    the trace's base: a :class:`WalkSimplices` over the two.
     """
     moves = trace.moves
     view = type(moves) is TraceMoves
@@ -577,21 +565,22 @@ def replay_trace(trace: MoveTrace, upto: int | None = None) -> Path:
         raise DomainError(f"trace base {trace.base!r} is not a Simplex")
     require_sequence(trace.start, "trace start")
     crumbs = baby_base(trace.base.rank)
+    word = None
     if view and moves.start is trace.start and moves.base is trace.base:
         word = _certificate_word(moves, upto)
-        if word is not None:
-            return path_of_word(Word.from_indices(crumbs, word), trace.base)
-    tracer = _Tracer(trace.start, path_of_word(Word.from_indices(crumbs, trace.start), trace.base))
-    for kind, pos, gens, recorded in _record_feed(moves, upto):
-        if kind == "insert":
-            base = tracer.insert(pos, gens)
-        elif kind == "delete":
-            base = tracer.delete(pos, gens)
-        else:
-            raise DomainError(f"unknown move kind {kind!r}")
-        if base != recorded:
-            raise DomainError("trace replay: recorded sub-loop base does not match")
-    return _unchecked_path(tuple(reversed(tracer.at)), Word.from_indices(crumbs, tracer.word))
+    if word is None:
+        tracer = _Tracer(trace.start, path_of_word(Word.from_indices(crumbs, trace.start), trace.base))
+        for kind, pos, gens, recorded in _record_feed(moves, upto):
+            if kind == "insert":
+                base = tracer.insert(pos, gens)
+            elif kind == "delete":
+                base = tracer.delete(pos, gens)
+            else:
+                raise DomainError(f"unknown move kind {kind!r}")
+            if base != recorded:
+                raise DomainError("trace replay: recorded sub-loop base does not match")
+        word = tracer.word
+    return path_of_word(Word.from_indices(crumbs, word), trace.base)
 
 
 def _certificate_word(moves: TraceMoves, upto: int) -> list[int] | None:

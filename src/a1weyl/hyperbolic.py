@@ -98,8 +98,9 @@ def eval_word_hyp(word: Word) -> HyperbolicElement:
     ``dual_p[j][c] + dual_p[c][j] = 2 shift_j shift_c``, as ``w``
     preserving the Gram form requires, and on the diagonal
     ``dual_p[j][j] = shift_j^2``.  So the sum is needed only for ``j < c``,
-    over the prefix sums of ``Word.terms``, the terms ``c_i p_c(a_i)`` that
-    ``eval_word`` sums.
+    over the prefix sums of ``Word.terms``, the terms ``c_i p_c(a_i)``.  The
+    shift, and with it ``dual_sgn`` and the diagonal, is ``Word.sums``, the
+    one whole sum of the word, which ``eval_word`` reads too.
 
     Only ``weyl`` guards the running sum: when ``Word.in_band`` fails,
     ``weyl.eval_word_checked`` raises where a partial sum leaves the 64-bit
@@ -109,12 +110,10 @@ def eval_word_hyp(word: Word) -> HyperbolicElement:
     if not word.in_band:
         weyl.eval_word_checked(word)  # raises where the running sum leaves the band
     nu = word.rank
-    terms = word.terms
+    terms, shift = word.terms, word.sums
     rows = [[0] * nu for _ in range(nu)]
-    shift = [sum(terms[0])] if nu else []  # each later column's sum is the last of its prefix sums
     for c in range(1, nu):
         acc = [0, *accumulate(terms[c])]
-        shift.append(acc[-1])
         both = list(map(add, acc, acc[1:]))  # acc_{i-1}[c] + acc_i[c]
         for j in range(c):
             rows[j][c] = entry = sum(map(mul, terms[j], both))
@@ -122,7 +121,7 @@ def eval_word_hyp(word: Word) -> HyperbolicElement:
     for c, t in enumerate(shift):
         rows[c][c] = t * t
     parity = 1 if len(word) % 2 == 0 else -1
-    return HyperbolicElement(parity, tuple(shift), tuple(-parity * t for t in shift), rows)
+    return HyperbolicElement(parity, shift, tuple(-parity * t for t in shift), rows)
 
 
 def is_relation_hyp(word: Word) -> bool:

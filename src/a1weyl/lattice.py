@@ -18,10 +18,10 @@ all the explicit coordinates of a word with one ``int`` call per distinct
 coordinate string and tests them against the band with one ``min`` /
 ``max`` (``words._unchecked_root``), and ``geometry._walk`` tests all the
 anchors of a walk the same way and maps ``geometry._unchecked_simplex`` over
-it (a ``geometry.WalkSimplices`` index builds its one entry through it
-too, the view's constructor having tested the band for every entry); where
-a batch test fails, the constructors check value by value and raise as
-they would alone.
+it (a ``geometry.WalkSimplices`` builds its last entry, read by index,
+through it too, the view's constructor having tested the band for every
+entry); where a batch test fails, the constructors check value by value
+and raise as they would alone.
 Four builders, these two, ``presentation._step`` and ``geometry._move``,
 make their slotted frozen dataclasses by one rule (:func:`mutable_twin`):
 assign the fields of an instance of the record's twin, a class with the same
@@ -44,10 +44,9 @@ batch read is at most ``I64_MAX``, which keeps every ``B_c`` within the band;
 indices with the base's ``roots``, from which the word's ``sums`` and
 ``bounds`` are counted and its ``to_indices`` for that base is read.
 A ``geometry.Path`` checks that its simplices are the walk of its word;
-``path_of_word``, whose simplices are a ``geometry.WalkSimplices`` view
-that is the walk by construction, and ``replay_trace`` of records move by
-move, whose tracer holds the walk, build theirs through
-``geometry._unchecked_path``.
+``geometry.path_of_word``, which ``replay_trace`` returns too, builds its
+path past that check, its simplices a ``geometry.WalkSimplices`` view that
+is the walk by construction.
 A word's running sum is guarded in ``weyl``: when ``words.Word.in_band``
 holds, the sums of ``words.Word.terms`` (``words.Word.sums``) are taken
 without per-step guards; otherwise ``weyl.eval_word_checked`` sums the

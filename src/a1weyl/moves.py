@@ -60,8 +60,8 @@ class RecordColumns(Sequence):
     base.  The sequence is the tuple of its records to ``==``, ``hash`` and
     ``repr``, and reads as that tuple: an index, a slice and :meth:`index`
     read the records front to back into it once, unless a subclass computes
-    an ``int`` index itself, as ``WalkSimplices`` does.  It pickles and
-    copies as its columns, the constructor's arguments named by
+    an ``int`` index itself, as ``WalkSimplices`` does its two ends.  It
+    pickles and copies as its columns, the constructor's arguments named by
     ``COLUMNS``.  No record is kept, so whoever reads every record pays for
     every record.  A subclass defines ``COLUMNS``, ``__len__`` and
     ``__iter__``.

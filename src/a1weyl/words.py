@@ -59,13 +59,12 @@ class Word:
     def terms(self) -> tuple[tuple[int, ...], ...]:
         """Per coordinate ``c``, the signed terms ``(c_1 p_c(a_1), ..., c_k p_c(a_k))``, ``c_i = (-1)^(k-i) sign(a_i)``.
 
-        The one derived view of a word: ``eval_word`` and ``is_relation_w``
-        sum them, ``eval_word_hyp`` takes their prefix sums and
-        ``geometry._walk`` their suffix sums, so every reader shares one
-        build.  Coordinate ``c`` is a strided slice of the letters'
-        coordinates laid end to end, times the coefficients, which starts no
-        iterator per letter, so a long word sets off no cyclic collection as
-        it is read.  Each term is a letter's coordinate up to sign, so in
+        The one derived view of a word: :attr:`sums` sums them,
+        ``eval_word_hyp`` takes their prefix sums and ``geometry._walk``
+        their suffix sums, so every reader shares one build.  Coordinate
+        ``c`` is a strided slice of the letters' coordinates laid end to
+        end, times the coefficients, which starts no iterator per letter, so
+        a long word sets off no cyclic collection as it is read.  Each term is a letter's coordinate up to sign, so in
         the 64-bit band.
         """
         letters, rank, k = self.letters, self.rank, len(self.letters)
@@ -102,14 +101,15 @@ class Word:
         """``t_c = sum_i c_i p_c(a_i)`` for each coordinate ``c``: the shift of the word's canonical form.
 
         The one sum of the whole word, which ``eval_word``,
-        ``is_relation_w`` and the last entry of a path's ``WalkSimplices``
-        read, so a loop test sums its word once.  Summed over :attr:`terms`,
-        unless the word holds its indices (:meth:`from_indices`).  Then
-        letter ``i`` is the base root ``e + tau_j`` of index ``j = a_i``,
-        of sign 1, so ``c_i = (-1)^(k-i)`` and ``p(a_i) = tau_j``; grouping
-        the positions by index, with ``n+_j`` and ``n-_j`` the number of
-        positions of ``j`` where ``c_i`` is +1 and -1
-        (:attr:`_index_counts`), gives ``t_c = sum_j tau_j[c] (n+_j - n-_j)``.
+        ``eval_word_hyp``, ``is_relation_w`` and the last entry of a path's
+        ``WalkSimplices`` read, so a loop test sums its word once.  Summed
+        over :attr:`terms`, unless the word holds its indices
+        (:meth:`from_indices`).  Then letter ``i`` is the base root
+        ``e + tau_j`` of index ``j = a_i``, of sign 1, so
+        ``c_i = (-1)^(k-i)`` and ``p(a_i) = tau_j``; grouping the positions
+        by index, with ``n+_j`` and ``n-_j`` the number of positions of
+        ``j`` where ``c_i`` is +1 and -1 (:attr:`_index_counts`), gives
+        ``t_c = sum_j tau_j[c] (n+_j - n-_j)``.
         """
         if self._planted is None:
             return tuple(map(sum, self.terms))
@@ -195,10 +195,8 @@ class Word:
         """Express every letter as a base generator; raises if one is not in the base.
 
         A word that :meth:`from_indices` built over this base's ``roots``
-        object returns the indices it holds.  Any other word of the base's
-        own root objects, as ``g<k>`` tokens build it, is read in one pass
-        by object identity.
-        Otherwise each distinct letter object is resolved once, in
+        object returns the indices it holds.  Any other word looks each
+        distinct letter object up once in ``base.root_index``, in
         first-occurrence order, so the first bad letter of the word is the
         one reported.
         """
@@ -207,10 +205,6 @@ class Word:
             return planted[1]
         lookup = base.root_index
         ids = list(map(id, self.letters))
-        try:
-            return tuple(map({id(a): lookup[a] for a in base.roots}.__getitem__, ids))
-        except KeyError:  # a letter that is not one of the base's root objects
-            pass
         index = {}
         for key, a in dict(zip(ids, self.letters)).items():
             k = lookup.get(a.normalized())

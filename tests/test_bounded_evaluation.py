@@ -266,6 +266,13 @@ def test_a_planted_view_moves_eval_word_but_not_the_matrix_oracles():
     assert eval_word(word) != eval_word(fresh)
     assert matrix_of_word_w(word) == matrix_of_word_w(fresh)
     assert matrix_of_word(word) == matrix_of_word(fresh)
+    summed = Word(2, word.letters)  # both evaluations take the shift from the one planted sum
+    summed.__dict__["sums"] = planted = tuple(t + 2 for t in fresh.sums)
+    hyp = eval_word_hyp(summed)
+    assert eval_word(summed).shift == hyp.shift == planted != fresh.sums
+    assert hyp.dual_sgn == tuple(-hyp.parity * t for t in planted)
+    assert matrix_of_word_w(summed) == matrix_of_word_w(fresh)
+    assert matrix_of_word(summed) == matrix_of_word(fresh)
 
 
 L = 2**62

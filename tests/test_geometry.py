@@ -29,6 +29,7 @@ from a1weyl import (
     compose,
     eval_word,
     is_loop,
+    parse_word,
     path_of_word,
     reduce_loop,
     render_svg,
@@ -1430,6 +1431,20 @@ def test_render_svg_walks_the_word_once(monkeypatch):
     assert walks == []
     render_svg(path)
     assert len(walks) == 1
+
+
+@pytest.mark.parametrize("word, base", [
+    (Word.from_indices(baby_base(3), random_relation_indices(random.Random(45), 3, 10)), Simplex((3, -2, 5), -1)),
+    (parse_word("+e:1,2 -e:-3,0 +e:3,0 +e:1,2", baby_base(2)), Simplex((4, -1), 1)),
+])
+def test_the_ends_of_a_path_are_read_without_a_walk_and_any_other_entry_with_one(monkeypatch, word, base):
+    path = path_of_word(word, base)
+    walks = counting(monkeypatch, geometry, "_walk")
+    assert path.simplices[0] == path.simplices[-1] == base and is_loop(path)
+    assert walks == []
+    second = path.simplices[1]
+    assert len(walks) == 1
+    assert second == act_on_simplex(eval_word(Word(word.rank, word.letters[-1:])), base)
 
 
 @pytest.mark.parametrize("base", [Simplex((1, 2, -3), 1), base_simplex(3)])

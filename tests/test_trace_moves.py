@@ -222,6 +222,7 @@ def every_upto_replays_as_the_records(trace, uptos=None):
     records = as_records(trace)
     for upto in (None, *range(len(trace.moves) + 1)) if uptos is None else uptos:
         assert outcome(replay_trace, trace, upto) == outcome(replay_trace, records, upto)
+        assert type(replay_trace(records, upto).simplices) is geometry.WalkSimplices  # the record route's path too
 
 
 @pytest.mark.parametrize("nu, indices", LOOPS)

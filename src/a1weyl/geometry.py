@@ -42,9 +42,9 @@ delete, and a triple reversal for the 4 or 14 moves of its expansion, which
 the one proof that certificate replay cites too shows for every triple of
 three distinct letters (the ``moves`` module docstring), so the certificate
 alone counts the moves.  The moves are built when they are read, by the
-tracer, a live word and its walk ``at``, run over the steps: a read expands
-each reversal by ``WordMoves.reverse_triple`` and walks each block it
-inserts, so the walk's band test covers every base it yields.
+certificate's replay run on the tracer, a live word and its walk ``at``: a
+read refuses what replay refuses, expands each reversal and walks each
+block it inserts, so the walk's band test covers every base it yields.
 ``reduce_loop`` checks the certificate on the word alone before it returns
 the view, and ``replay_trace`` of a view replays the certificate the same
 way, up to a step end, and walks the word it reaches; a trace given as any
@@ -62,7 +62,7 @@ from typing import Iterator, Sequence
 
 from .errors import DomainError, InternalCheckError
 from .lattice import I64_MAX, I64_MIN, Vec, baby_base, checked_vec, mutable_twin, vec_add, vec_scale, zero_vec
-from .moves import RULE_CANCEL, RULE_REVERSE, RecordColumns, WordMoves, require_sequence, reversal_width, reversible
+from .moves import RULE_REVERSE, RecordColumns, WordMoves, require_sequence, reversal_width, reversible
 from .presentation import ReplayedCertificate, RewriteCertificate, StepColumns, rewrite_to_identity
 from .weyl import WeylElement, is_relation_w
 from .words import Word
@@ -367,11 +367,11 @@ class TraceMoves(RecordColumns):
     ``MoveTrace`` gives.  The constructor refuses anything else, and a
     reversal that ``moves.reversible`` does not prove (``DomainError``).
 
-    Reading runs the tracer over the steps from the walk of ``start``
-    (:class:`_Reader`) and yields each move as it is made; a step that does
-    not apply raises the ``DomainError`` of the move that does not.  The
-    sequence reads, compares, hashes, prints and pickles as the tuple of its
-    records (``moves.RecordColumns``).
+    Reading runs the certificate's replay on the tracer of the walk of
+    ``start`` (:class:`_Reader`) and yields each step's moves once the step
+    is made and checked, so it refuses what that replay refuses, with its
+    ``DomainError``.  The sequence reads, compares, hashes, prints and
+    pickles as the tuple of its records (``moves.RecordColumns``).
     """
 
     __slots__ = ("start", "base", "certificate", "macros", "_n")
@@ -400,15 +400,7 @@ class TraceMoves(RecordColumns):
         path = path_of_word(Word.from_indices(baby_base(self.base.rank), self.start), self.base)
         reader = _Reader(self.start, path)
         made = reader.made
-        steps = self.certificate.steps
-        rows = steps.rows() if type(steps) is StepColumns else ((None, 0, step, 0, 0) for step in steps)
-        for rule, q, payload, _, _ in rows:
-            if rule is RULE_CANCEL:
-                reader.delete(q, payload)
-            elif rule is None:
-                reader.apply(payload)
-            else:
-                reader.apply_rule(rule, q, payload)
+        for _ in ReplayedCertificate(self.certificate)._live(reader):
             yield from made
             made.clear()
 

@@ -336,15 +336,8 @@ class StepColumns(RecordColumns):
             raise DomainError("the columns do not hold the codes, positions and letters of certificate steps")
         self.length, self.rules, self.positions, self.letters = length, rules, positions, letters
 
-    def rows(self) -> Iterator[tuple[str, int, tuple[int, ...], int, int]]:
-        """The fields ``(rule, pos, payload, before_len, after_len)`` of the steps, in order.
-
-        ``rule`` is one of the ``RULE_*`` constants themselves.
-        """
-        return _rows(self.length, self.rules, self.positions, self.letters)
-
     def __iter__(self) -> Iterator[RewriteStep]:
-        return itertools.starmap(_step, self.rows())
+        return itertools.starmap(_step, _rows(self.length, self.rules, self.positions, self.letters))
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -406,30 +399,33 @@ def _checked_steps(steps: Iterable, word: list[int]) -> Iterator[tuple[int, int,
 
 
 def _apply_steps(moves: WordMoves, feed: Iterable[tuple[int, int, object, int, int | None]]) -> None:
-    """Apply every step of ``feed`` to the live word of ``moves``, checked; the one loop body of replay.
+    """Apply every step of ``feed`` to the live word of ``moves``, checked; the one step loop of the library.
 
-    A step is read as ``(code, pos, src, o, after_len)``: its payload is
-    ``src[o : o + code]``, and an ``after_len`` of ``None`` is one that
-    follows from the cuts (``ReplayedCertificate._feed``).
+    Replay, its states, ``reduce_loop``'s check, ``replay_trace`` and a read
+    of a trace's moves all run here.  A step is read as ``(code, pos, src,
+    o, after_len)``: its payload is ``src[o : o + code]``, and an
+    ``after_len`` of ``None`` follows from the cuts (``ReplayedCertificate._feed``).
 
-    A cancellation is spliced in place after the test of the ``g_k^2``
-    fast path of ``WordMoves.delete`` (the same exact-type and neighbour
-    test, inlined: a ``WordMoves.delete`` call per cancellation costs about
-    9% of a certify op), and any other goes through ``WordMoves.delete`` for
-    its message.  A reversal of a triple that ``moves.reversible`` proves
-    swaps ``word[q]`` and ``word[q + 2]``; any other reversal is expanded in
-    place.  The predicate is inlined, its comparisons first, and the proof
-    it rests on (``moves.shapes_proved``) is read once per call.  A relator
-    deletion goes through ``WordMoves.apply_rule`` and an entry of code 0
-    through ``WordMoves.apply``, so each step accepts and rejects (with the
-    same message) as the full expansion does.
+    Two shortcuts are taken only when ``type(moves) is WordMoves``, a rule
+    that any later replay of a run of steps in one operation keeps too.  A
+    cancellation is spliced in place after the ``g_k^2`` test of
+    ``WordMoves.delete``, inlined (a call per cancellation costs about 9% of
+    a certify op), and a reversal that ``moves.reversible`` proves (inlined,
+    its comparisons first, the proof read once per call) swaps ``word[q]``
+    and ``word[q + 2]``.  Any other cancellation goes through
+    ``moves.delete``, reversal through ``moves.reverse_triple``, relator
+    deletion through ``moves.apply_rule`` and entry of code 0 through
+    ``moves.apply``.  So a subclass, such as the tracer a read runs, makes
+    every move itself and never reads the proof, and each step accepts and
+    rejects (with the same message) as the full expansion does.
     """
     word = moves.word  # changed in place by every move
-    cited = shapes_proved()
+    exact = type(moves) is WordMoves
+    cited = exact and shapes_proved()
     for code, q, src, o, after in feed:
         if code == 1:
             k = src[o]
-            if type(k) is int and k >= 0 and 0 <= q < len(word) - 1 and word[q] == k == word[q + 1]:
+            if exact and type(k) is int and k >= 0 and 0 <= q < len(word) - 1 and word[q] == k == word[q + 1]:
                 del word[q : q + 2]
             else:
                 moves.delete(q, (k,))
@@ -494,17 +490,20 @@ class ReplayedCertificate:
         return zip(rules, steps.positions, itertools.repeat(steps.letters),
                    itertools.accumulate(rules, initial=0), itertools.repeat(None))
 
-    def _live(self) -> Iterator[list[int]]:
+    def _live(self, moves: WordMoves | None = None) -> Iterator[list[int]]:
         """The one live word after 0, 1, 2, ... checked steps; callers copy what they keep.
 
-        Each step is applied by its own call of :func:`_apply_steps`, and a
-        call per step (a cancellation, mostly) costs: iterating the states
-        of seed 1's certify certificates (88 501 steps) takes 62 ms, against
-        43 ms for :meth:`_replay`, which applies them all in one call, for a
-        reader that wants only the word after them (Python 3.11, 2-vCPU
-        Xeon VM).
+        ``moves`` owns the live word: a fresh ``WordMoves`` of the start by
+        default, or a subclass holding the start, such as the tracer a read
+        of a ``geometry.TraceMoves`` runs.  Each step is applied by its own call
+        of :func:`_apply_steps`, and a call per step (a cancellation, mostly)
+        costs: iterating the states of seed 1's certify certificates (88 501
+        steps) takes 62 ms, against 43 ms for :meth:`_replay`, which applies
+        them all in one call, for a reader that wants only the word after
+        them (Python 3.11, 2-vCPU Xeon VM).
         """
-        moves = WordMoves(self.cert.start)
+        if moves is None:
+            moves = WordMoves(self.cert.start)
         yield moves.word
         for step in self._feed(moves.word):
             _apply_steps(moves, (step,))

@@ -1,17 +1,23 @@
 """Every relation over ``g_0..g_nu`` up to a length: counted, certified, replayed and traced.
 
-The worlds are ``nu = 2`` up to 10 letters, ``nu = 3`` up to 8 and
-``nu = 4`` up to 6.  Every word over the baby-base letters of a world is
-enumerated and the relations are those ``is_relation_w`` accepts.  Their
-number per length is pinned and checked against a closed form: over the
-baby base a word is a relation exactly when its letters at even and at odd
-positions sort alike, so there are sum over the multisets ``M`` of ``k``
-letters of ``(k! / prod mult_M!)^2`` relations of length ``2k``.  Each
-relation's certificate replays as the full expansion replays it and has
-at most ``L^2/8 + L/2`` steps at length ``L``, and each relation of up to 8
-letters reduces as a loop whose trace replays to its base.  Every word over
-the base letters of five smaller (family, nu) cells, relation or not, has
-the canonical forms of its matrix oracles.
+The worlds are ``nu = 2`` up to 12 letters, ``nu = 3`` up to 8 and
+``nu = 4`` up to 8.  Up to 10, 8 and 6 letters every word over the
+baby-base letters of a world is enumerated and the relations are those
+``is_relation_w`` accepts.  Their number per length is pinned and checked
+against a closed form: over the baby base a word is a relation exactly when
+its letters at even and at odd positions sort alike, so there are sum over
+the multisets ``M`` of ``k`` letters of ``(k! / prod mult_M!)^2`` relations
+of length ``2k``.  At the longer lengths, 12 letters for ``nu = 2`` and 8
+for ``nu = 4``, enumerating every word would take seconds, so the relations
+are built directly as those arrangements, one multiset's at the even
+positions and at the odd; the builder gives the filter's relations where
+both run, ``is_relation_w`` accepts each word it builds, and their number
+is the closed form's.  Each relation's certificate replays as the full
+expansion replays it and has at most ``L^2/8 + L/2`` steps at length ``L``,
+and each relation of up to 8 letters over ``nu = 2`` and ``nu = 3``, and up
+to 6 over ``nu = 4``, reduces as a loop whose trace replays to its base.
+Every word over the base letters of five smaller (family, nu) cells,
+relation or not, has the canonical forms of its matrix oracles.
 """
 
 import functools
@@ -51,6 +57,8 @@ MOST_STEPS = {
     3: (0, 1, 2, 4, 7),
     4: (0, 1, 2, 4),
 }
+# The longer worlds, whose relations are built rather than filtered: nu -> (letters, relations, most steps).
+LONGER = {2: (12, 35169, 10), 4: (8, 7885, 7)}
 LOOP_LETTERS = 8  # the longest relation also reduced as a loop
 # (family, nu, most letters) -> the number of words over the base letters up to that length.
 # Pairwise nu = 2 is toroidal nu = 2.
@@ -74,6 +82,19 @@ def relations(nu, length):
 def certificates(nu, length):
     """The certificate of ``rewrite_to_identity`` for each of ``relations(nu, length)``, in order."""
     return [rewrite_to_identity(w, nu) for w in relations(nu, length)]
+
+
+@functools.cache
+def built_relations(nu, length):
+    """Every relation of ``length`` letters over ``g_0..g_nu``, built: a multiset's arrangements at even and odd positions."""
+    words = []
+    for multiset in itertools.combinations_with_replacement(range(nu + 1), length // 2):
+        arrangements = sorted(set(itertools.permutations(multiset)))
+        for even, odd in itertools.product(arrangements, repeat=2):
+            word = [0] * length
+            word[0::2], word[1::2] = even, odd
+            words.append(tuple(word))
+    return words
 
 
 def closed_form(letters, k):
@@ -132,3 +153,25 @@ def test_every_word_over_the_base_letters_has_the_canonical_forms_of_its_oracles
             assert oracles_agree(Word.from_indices(base, w)), w
             words += 1
     assert words == ORACLE_CELLS[family, nu, most]
+
+
+@pytest.mark.parametrize("nu", sorted(LONGER))
+def test_the_built_relations_of_a_longer_world_are_relations_counted_by_the_closed_form(nu):
+    assert all(sorted(built_relations(nu, n)) == relations(nu, n) for n in lengths(nu))  # where the filter runs too
+    n, count, _ = LONGER[nu]
+    crumbs, words = baby_base(nu), built_relations(nu, n)
+    assert all(is_relation_w(Word.from_indices(crumbs, w)) for w in words)
+    assert len(set(words)) == len(words) == closed_form(nu + 1, n // 2) == count
+
+
+@pytest.mark.parametrize("nu", sorted(LONGER))
+def test_every_certificate_of_a_longer_world_replays_as_the_full_expansion_within_the_step_bound(nu):
+    n, _, most = LONGER[nu]
+    steps = 0
+    for w in built_relations(nu, n):
+        cert = rewrite_to_identity(w, nu)
+        expected = replay_outcome(expanding_replay_certificate, cert)
+        assert expected[1] == [], w
+        assert replay_outcome(replay_certificate, cert) == expected, w
+        steps = max(steps, len(cert.steps))
+    assert steps == most and 8 * most <= n * n + 4 * n

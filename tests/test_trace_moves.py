@@ -2,7 +2,7 @@
 
 The view holds the loop's start, its base and its certificate, and nothing
 else: each step stands for its moves, and a ``Move`` is built only when one
-is read, by the tracer run over the steps.  To everything but
+is read, by its certificate's replay run on the tracer.  To everything but
 ``replay_trace``, which replays the certificate itself, the sequence is the
 tuple it replaces; and replay of the view accepts and refuses, with the same
 message, what replay of that tuple does.
@@ -26,9 +26,9 @@ from a1weyl import DomainError, InternalCheckError, Move, MoveTrace, Simplex, Wo
 from a1weyl import geometry, path_of_word, reduce_loop, replay_certificate, replay_trace
 from a1weyl.geometry import TraceMoves, _Tracer
 from a1weyl.moves import RULE_REVERSE, WordMoves, reversible, shapes_proved
-from a1weyl.presentation import RewriteCertificate, RewriteStep, StepColumns, rewrite_to_identity
+from a1weyl.presentation import ReplayedCertificate, RewriteCertificate, RewriteStep, StepColumns, rewrite_to_identity
 from a1weyl.words import random_relation_indices
-from references import expansion_alone
+from references import Recording, expansion_alone
 
 WORKED_LOOP = (2, 0, 2, 1, 0, 1, 0, 2, 1, 2, 1, 0)
 
@@ -258,6 +258,50 @@ def test_a_view_over_a_forged_certificate_fails_as_its_reading_and_its_certifica
         else:
             assert got == outcome(replay_trace, dataclasses.replace(forged, moves=read[1]))
     assert refused
+
+
+def forged_lengths(trace):
+    """``(view, k)``: views over the certificate with one length off, and the steps before the forged one, ``k``.
+
+    The columns' start length is 2 too large, and each record copy of the
+    steps has one step's ``before_len`` 2 too large, its ``after_len`` 2 too
+    small, or its ``after_len`` the look-alike ``True``.
+    """
+    start, base, cert = fields(trace)
+    steps = cert.steps
+    forged = StepColumns(steps.length + 2, steps.rules, steps.positions, steps.letters)
+    yield TraceMoves(start, base, dataclasses.replace(cert, steps=forged)), 0
+    records = tuple(steps)
+    for k, step in enumerate(records):
+        for lengths in ((step.before_len + 2, step.after_len), (step.before_len, step.after_len - 2),
+                        (step.before_len, True)):
+            copied = (*records[:k], dataclasses.replace(step, before_len=lengths[0], after_len=lengths[1]),
+                      *records[k + 1 :])
+            yield TraceMoves(start, base, dataclasses.replace(cert, steps=copied)), k
+
+
+@pytest.mark.parametrize("nu, indices", LOOPS)
+def test_a_view_with_a_forged_length_reads_as_its_certificate_replays(nu, indices):
+    """Reading, trace replay and certificate replay refuse a length that does not chain, with one message."""
+    trace = traced(nu, indices)
+    ends = step_ends(trace.moves.certificate)
+    for moves, k in forged_lengths(trace):
+        forged = dataclasses.replace(trace, moves=moves)
+        read = outcome(tuple, moves)
+        assert read[:2] == ("raises", DomainError)
+        assert read == outcome(replay_trace, forged) == outcome(replay_certificate, moves.certificate)
+        assert replay_trace(forged, ends[k]) == replay_trace(trace, ends[k])  # the steps before still replay
+
+
+@pytest.mark.parametrize("nu, indices", [*LOOPS, *((2, commutator(n)) for n in range(1, 11))])
+def test_replaying_a_certificate_on_a_recording_engine_makes_the_moves_a_read_yields(nu, indices):
+    """Reading a view is its certificate's replay with every move made: a recorder sees the moves the view yields."""
+    trace = traced(nu, indices)
+    recording = Recording(trace.start)
+    for word in ReplayedCertificate(trace.moves.certificate)._live(recording):
+        pass
+    assert recording.moves == [(m.kind, m.pos, m.gens) for m in trace.moves]
+    assert word == [] and recording.word is word
 
 
 WORKED_START = (1, 1) + WORKED_LOOP[2:]  # the first deleted block of the worked loop is absent from it

@@ -41,15 +41,16 @@ is based at, and its start word, its base and the certificate of
 delete, and a triple reversal for the 4 or 14 moves of its expansion, which
 the one proof that certificate replay cites too shows for every triple of
 three distinct letters (the ``moves`` module docstring), so the certificate
-alone counts the moves.  The moves are built when they are read, by the
-certificate's replay run on the tracer, a live word and its walk ``at``: a
-read refuses what replay refuses, expands each reversal and walks each
-block it inserts, so the walk's band test covers every base it yields.
-``reduce_loop`` checks the certificate on the word alone before it returns
-the view, and ``replay_trace`` of a view replays the certificate the same
-way, up to a step end, and walks the word it reaches; a trace given as any
-other sequence of ``Move`` records replays move by move against a fresh
-walk, every recorded base compared.
+alone counts the moves (``presentation.move_ends``: this module reads no
+step).  The moves are built when they are read, by the certificate's
+replay run on the tracer, a live word and its walk ``at``: a read refuses
+what replay refuses, expands each reversal and walks each block it
+inserts, so the walk's band test covers every base it yields.
+``reduce_loop`` checks the certificate (``presentation.check_certificate``)
+before it returns the view, and ``replay_trace`` of a view replays the
+certificate on the word alone, up to a step end, and walks the word it
+reaches; a trace given as any other sequence of ``Move`` records replays
+move by move against a fresh walk, every recorded base compared.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ from typing import Iterator, Sequence
 
 from .errors import DomainError, InternalCheckError
 from .lattice import I64_MAX, I64_MIN, Vec, baby_base, checked_vec, mutable_twin, vec_add, vec_scale, zero_vec
-from .moves import RULE_REVERSE, RecordColumns, WordMoves, require_sequence, reversal_width, reversible
-from .presentation import ReplayedCertificate, RewriteCertificate, StepColumns, rewrite_to_identity
+from .moves import RecordColumns, WordMoves, require_sequence
+from .presentation import ReplayedCertificate, RewriteCertificate, check_certificate, move_ends, rewrite_to_identity
 from .weyl import WeylElement, is_relation_w
 from .words import Word
 
@@ -314,58 +315,16 @@ def _move(kind: str, pos: int, gens: tuple[int, ...], base: Simplex) -> Move:
     return move
 
 
-def _move_ends(steps: Sequence) -> list[int]:
-    """``0``, then the number of moves the steps up to each step of ``steps`` stand for.
-
-    A cancellation or a relator deletion stands for one move, a reversal for
-    the moves of its proved expansion (:func:`_proved_width`).  Over
-    columns, whose letters are exact ``int``s, each distinct triple is
-    tested once: at commutator n = 320 (103 680 steps) this loop takes
-    28 ms, where a test of the predicate per row takes 41 ms (best of 7,
-    2-vCPU Xeon VM, Python 3.11).  An entry that is not a step is a
-    ``DomainError``.
-    """
-    widths: list[int] = []
-    append = widths.append
-    if type(steps) is StepColumns:
-        letters, o, seen = steps.letters, 0, {}
-        for code in steps.rules:
-            if code == 3:
-                triple = (letters[o], letters[o + 1], letters[o + 2])
-                width = seen.get(triple)
-                if width is None:
-                    width = seen[triple] = _proved_width(triple, len(widths))
-                append(width)
-            else:
-                append(1)
-            o += code
-    else:
-        for step in steps:
-            try:
-                reverses, payload = step.rule == RULE_REVERSE, step.payload
-            except AttributeError:
-                raise DomainError(f"certificate entry {len(widths)} is not a RewriteStep: {step!r}") from None
-            append(_proved_width(payload, len(widths)) if reverses else 1)
-    return list(accumulate(widths, initial=0))
-
-
-def _proved_width(triple: object, k: int) -> int:
-    """The number of moves of the reversal of ``triple`` by step ``k``; ``DomainError`` unless it is proved."""
-    if not (type(triple) is tuple and len(triple) == 3 and reversible(*triple)):
-        raise DomainError(f"certificate step {k} reverses {triple!r}, which has no proved script")
-    return reversal_width(triple)
-
-
 class TraceMoves(RecordColumns):
     """The moves of a traced loop, read from its start, its base and its certificate; a ``Move`` is built when read.
 
     ``start`` is a tuple of baby-base letters ``0..rank``, ``base`` a
     ``Simplex`` of that rank and ``certificate`` a ``RewriteCertificate`` of
-    ``start``.  Each step stands for its moves (:func:`_move_ends`): the
-    length is their sum, counted when the view is built, and ``macros``
+    ``start``.  Each step stands for its moves (``presentation.move_ends``):
+    the length is their sum, counted when the view is built, and ``macros``
     holds the move span of each macro of the certificate, the spans a
     ``MoveTrace`` gives.  The constructor refuses anything else, and a
-    reversal that ``moves.reversible`` does not prove (``DomainError``).
+    reversal without a proved expansion (``DomainError``).
 
     Reading runs the certificate's replay on the tracer of the walk of
     ``start`` (:class:`_Reader`) and yields each step's moves once the step
@@ -383,14 +342,14 @@ class TraceMoves(RecordColumns):
                 and certificate.start == start and all(type(g) is int and 0 <= g <= rank for g in start)):
             raise DomainError("the moves of a trace are read from a start of baby-base letters, a Simplex base"
                               " and a certificate of that start")
-        ends = _move_ends(certificate.steps)
-        spans = certificate.macros
-        if not (type(spans) is tuple and all(type(span) is tuple and len(span) == 3 and type(span[0]) is int
-                                             and type(span[1]) is int and 0 <= span[0] <= span[1] < len(ends)
-                                             for span in spans)):
-            raise DomainError(f"the certificate macros {spans!r} are not spans of its steps")
-        self.start, self.base, self.certificate = start, base, certificate
-        self.macros = tuple((ends[a], ends[b], kind) for a, b, kind in spans)
+        ends = move_ends(certificate.steps)
+        spans, macros = certificate.macros, []
+        for span in spans if type(spans) is tuple else (None,):  # macros that are no tuple fail as a span
+            if not (type(span) is tuple and len(span) == 3 and type(span[0]) is int and type(span[1]) is int
+                    and 0 <= span[0] <= span[1] < len(ends)):
+                raise DomainError(f"the certificate macros {spans!r} are not spans of its steps")
+            macros.append((ends[span[0]], ends[span[1]], span[2]))
+        self.start, self.base, self.certificate, self.macros = start, base, certificate, tuple(macros)
         self._n = ends[-1]
 
     def __len__(self) -> int:
@@ -481,16 +440,12 @@ def reduce_loop(p: Path) -> MoveTrace:
     The word-level certificate of :func:`rewrite_to_identity` is the proof,
     and nothing is traced here: the trace's moves are a :class:`TraceMoves`
     over the loop's word, its base and that certificate, each step standing
-    for its elementary moves, which are built when they are read.  The call
-    counts the moves of each step, one per cancellation or relator deletion
-    and 4 or 14 per reversal, and the macro spans group them the way the
-    certificate grouped its steps.  The rewriter reverses only triples of
-    three distinct letters, each of which ``moves.reversible`` proves, so a
-    reversal step it does not prove is an ``InternalCheckError``.  Then the
-    certificate is checked on the word alone, in one run of its steps
-    (``ReplayedCertificate._replay``): a step that does not apply, or a word
-    left non-empty, is an ``InternalCheckError`` too, and a failing run is
-    replayed again a state at a time to name the step.
+    for its elementary moves (``presentation.move_ends``), which are built
+    when they are read.  The rewriter reverses only triples of three
+    distinct letters, which the ``moves`` proof covers, so a reversal step
+    without a proved expansion is an ``InternalCheckError``; so is a
+    certificate that fails ``presentation.check_certificate``, the
+    self-check that ``a1weyl reduce`` runs too.
     """
     if not is_loop(p):
         raise DomainError("only loops can be reduced")
@@ -500,19 +455,7 @@ def reduce_loop(p: Path) -> MoveTrace:
         moves = TraceMoves(cert.start, p.base, cert)
     except DomainError as exc:
         raise InternalCheckError(f"the certificate of a loop does not give its moves: {exc}") from exc
-    replayed = ReplayedCertificate(cert)
-    try:
-        word = replayed._replay()
-    except DomainError as exc:
-        k = 0
-        try:  # the replay again, a state at a time: it fails at the same step, ``k``
-            for k, _ in enumerate(replayed._live()):
-                pass
-        except DomainError:
-            pass
-        raise InternalCheckError(f"certificate step {cert.steps[k]} does not apply: {exc}") from exc
-    if word:
-        raise InternalCheckError("reduction finished with a non-empty word")
+    check_certificate(cert)
     return MoveTrace(cert.start, p.base, moves, moves.macros)
 
 
@@ -586,7 +529,7 @@ def _certificate_word(moves: TraceMoves, upto: int) -> list[int] | None:
     replayed = ReplayedCertificate(moves.certificate)
     if upto == len(moves):
         return replayed._replay()
-    ends = _move_ends(moves.certificate.steps)
+    ends = move_ends(moves.certificate.steps)
     k = bisect_right(ends, upto) - 1  # the steps done whole
     if ends[-1] != len(moves) or ends[k] != upto:
         return None

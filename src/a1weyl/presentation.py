@@ -51,7 +51,8 @@ or records.  Reading columns it skips only what their types and their
 derivation make true, namely the field reads of each record with the test
 that its lengths are exact ``int``s, and the length bookkeeping after the
 start: each ``before_len`` and ``after_len`` follows from the start's
-length and the cuts, which replay makes itself.
+length and the cuts, which replay makes itself.  The other reads of a
+certificate are here too: :func:`move_ends` and :func:`check_certificate`.
 """
 
 from __future__ import annotations
@@ -60,12 +61,14 @@ import itertools
 import operator
 from array import array
 from collections.abc import Iterable, Iterator, MutableSequence, Sequence
+from contextlib import suppress
 from dataclasses import dataclass
 
 from .errors import DomainError, InternalCheckError
 from .hyperbolic import central_word, eval_word_hyp
 from .lattice import I64_MAX, ReflectableBase, is_elliptic_like, mutable_twin, support_pairs
-from .moves import RULE_CANCEL, RULE_DELETE, RULE_REVERSE, RecordColumns, WordMoves, require_sequence, shapes_proved
+from .moves import (RULE_CANCEL, RULE_DELETE, RULE_REVERSE, RecordColumns, WordMoves, require_sequence,
+                    reversal_width, reversible, shapes_proved)
 from .weyl import MAX_K, enumerate_alternating, eval_word, json_ints
 from .words import Word
 
@@ -343,6 +346,48 @@ class StepColumns(RecordColumns):
         return len(self.rules)
 
 
+def move_ends(steps: Sequence) -> list[int]:
+    """``0``, then the number of elementary moves the steps up to each step of ``steps`` stand for.
+
+    A cancellation or a relator deletion stands for one move, a reversal for
+    the moves of its proved expansion (:func:`_proved_width`).  Over
+    columns, whose letters are exact ``int``s, each distinct triple is
+    tested once: at commutator n = 320 (103 680 steps) this loop takes
+    28 ms, where a test of the predicate per row takes 41 ms (best of 7,
+    2-vCPU Xeon VM, Python 3.11).  An entry that is not a step is a
+    ``DomainError``.
+    """
+    widths: list[int] = []
+    append = widths.append
+    if type(steps) is StepColumns:
+        letters, o, seen = steps.letters, 0, {}
+        for code in steps.rules:
+            if code == 3:
+                triple = (letters[o], letters[o + 1], letters[o + 2])
+                width = seen.get(triple)
+                if width is None:
+                    width = seen[triple] = _proved_width(triple, len(widths))
+                append(width)
+            else:
+                append(1)
+            o += code
+    else:
+        for step in steps:
+            try:
+                reverses, payload = step.rule == RULE_REVERSE, step.payload
+            except AttributeError:
+                raise DomainError(f"certificate entry {len(widths)} is not a RewriteStep: {step!r}") from None
+            append(_proved_width(payload, len(widths)) if reverses else 1)
+    return list(itertools.accumulate(widths, initial=0))
+
+
+def _proved_width(triple: object, k: int) -> int:
+    """The number of moves of the reversal of ``triple`` by step ``k``; ``DomainError`` unless it is proved."""
+    if not (type(triple) is tuple and len(triple) == 3 and reversible(*triple)):
+        raise DomainError(f"certificate step {k} reverses {triple!r}, which has no proved script")
+    return reversal_width(triple)
+
+
 @dataclass(frozen=True)
 class RewriteCertificate:
     start: tuple[int, ...]
@@ -401,9 +446,9 @@ def _checked_steps(steps: Iterable, word: list[int]) -> Iterator[tuple[int, int,
 def _apply_steps(moves: WordMoves, feed: Iterable[tuple[int, int, object, int, int | None]]) -> None:
     """Apply every step of ``feed`` to the live word of ``moves``, checked; the one step loop of the library.
 
-    Replay, its states, ``reduce_loop``'s check, ``replay_trace`` and a read
-    of a trace's moves all run here.  A step is read as ``(code, pos, src,
-    o, after_len)``: its payload is ``src[o : o + code]``, and an
+    Replay, its states, :func:`check_certificate`, ``replay_trace`` and a
+    read of a trace's moves all run here.  A step is read as ``(code, pos,
+    src, o, after_len)``: its payload is ``src[o : o + code]``, and an
     ``after_len`` of ``None`` follows from the cuts (``ReplayedCertificate._feed``).
 
     Two shortcuts are taken only when ``type(moves) is WordMoves``, a rule
@@ -557,20 +602,14 @@ def replay_certificate(cert: RewriteCertificate) -> ReplayedCertificate:
     that is not reached raises ``DomainError`` here, before anything is
     returned.
 
-    Steps held as :class:`StepColumns` go through the same checks of each
-    cancellation, reversal and deletion against the live word; what is
-    skipped is reading and type-checking each record's fields and every
-    length after the start's, which the columns' types and their derivation
-    from the cuts already guarantee (``ReplayedCertificate._feed``).  Any
-    other sequence of steps (a tuple, a deque, a certificate rebuilt by
-    ``dataclasses.replace`` with new steps) is read a record at a time.
-    The steps run in one loop to the end (``ReplayedCertificate._replay``),
-    which hands out no state between two of them, as does a read of one
-    entry of the view; iteration and slices replay a state at a time
+    Steps held as :class:`StepColumns` are read straight from the columns
+    (the module docstring, ``ReplayedCertificate._feed``), any other
+    sequence a record at a time.  The steps run in one loop to the end
+    (``ReplayedCertificate._replay``), as does a read of one entry of the
+    view; iteration and slices replay a state at a time
     (``ReplayedCertificate._live``), by the same loop body,
-    :func:`_apply_steps`.  No intermediate word is stored, so
-    memory is O(word length); the returned :class:`ReplayedCertificate`
-    rebuilds the words when they are read.
+    :func:`_apply_steps`.  No intermediate word is stored, so memory is
+    O(word length).
     """
     if type(cert.final_empty) is not bool:
         raise DomainError(f"final_empty {cert.final_empty!r} is not a bool")
@@ -582,6 +621,25 @@ def replay_certificate(cert: RewriteCertificate) -> ReplayedCertificate:
         raise DomainError("certificate claims the empty word but replay does not reach it")
     view._final = word
     return view
+
+
+def check_certificate(cert: RewriteCertificate) -> None:
+    """``InternalCheckError`` unless a certificate the library has just built replays to the empty word.
+
+    The steps run once (``ReplayedCertificate._replay``); only a failing run
+    is replayed again, a state at a time, to name the step.
+    """
+    replayed = ReplayedCertificate(cert)
+    try:
+        word = replayed._replay()
+    except DomainError as exc:
+        k = 0
+        with suppress(DomainError):  # the replay again, a state at a time: it fails at the same step, ``k``
+            for k, _ in enumerate(replayed._live()):
+                pass
+        raise InternalCheckError(f"certificate step {cert.steps[k]} does not apply: {exc}") from exc
+    if word:
+        raise InternalCheckError("reduction finished with a non-empty word")
 
 
 class _NotARelation(InternalCheckError):

@@ -556,3 +556,48 @@ def test_python_dash_m_runs_the_cli(baby2_config, tmp_path):
     dup = run_module(str(bad))
     assert dup.returncode == 2
     assert dup.stderr.startswith("configuration error: duplicate coset representative")
+
+
+def test_presentation_spre_on_a_pairwise_config(capsys, tmp_path):
+    from a1weyl import pairwise_semilattice, presentation_w_spre, support_pairs
+    from a1weyl.presentation import presentation_to_dict
+
+    config = tmp_path / "pairwise3.json"
+    cosets = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 0, 1], [0, 1, 1]]
+    config.write_text(json.dumps({"rank": 3, "cosets": cosets}))
+    base = ReflectableBase(pairwise_semilattice(3))
+    assert base.semilattice.cosets == tuple(map(tuple, cosets))
+    code, out = run(capsys, "presentation", "--config", str(config), "--kind", "spre")
+    assert code == 0
+    assert out == "generators: 7\nrelators: 10\n"
+    code, data = run_json(capsys, "presentation", "--config", str(config), "--kind", "spre")
+    assert code == 0
+    assert data == presentation_to_dict(presentation_w_spre(3, support_pairs(base).keys()))
+    code, out = run(capsys, "presentation", "--config", str(config), "--kind", "spre", "--verify")
+    assert code == 0
+    assert out.splitlines()[-1] == "verified: true (failures: [])"
+
+
+def test_reduce_names_the_failing_step_as_reduce_loop_does(capsys, monkeypatch, baby2_config):
+    import dataclasses
+
+    from a1weyl import InternalCheckError, base_simplex, geometry, path_of_word, presentation
+    from a1weyl.lattice import baby_base
+
+    indices = tuple(int(token[1:]) for token in WORKED_LOOP_TEXT)
+    cert = presentation.rewrite_to_identity(indices, 2)
+    steps = tuple(cert.steps)
+    k = next(k for k, step in enumerate(steps) if k and step.rule == "cancel-involution")
+    bad = dataclasses.replace(steps[k], pos=steps[k].pos + 1)
+    forged = dataclasses.replace(cert, steps=steps[:k] + (bad,) + steps[k + 1 :])
+    monkeypatch.setattr(presentation, "rewrite_to_identity", lambda indices, nu: forged)
+    monkeypatch.setattr(geometry, "rewrite_to_identity", lambda indices, nu: forged)
+    with pytest.raises(InternalCheckError) as info:
+        geometry.reduce_loop(path_of_word(Word.from_indices(baby_base(2), indices), base_simplex(2)))
+    assert str(info.value).startswith(f"certificate step {bad} does not apply: ")
+    code = main(["reduce", "--config", baby2_config, *WORKED_LOOP_TEXT])
+    captured = capsys.readouterr()
+    assert code == 6
+    assert captured.out == ""
+    assert captured.err == f"internal check failed: {info.value}\n"
+    assert main(["reduce", "--no-replay", "--config", baby2_config, *WORKED_LOOP_TEXT]) == 0

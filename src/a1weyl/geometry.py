@@ -28,9 +28,10 @@ holds that view.
 coordinate (``Word.bounds``, counted from the indices of a word that
 ``Word.from_indices`` built, so a loop op builds no ``Word.terms``), and
 where that fails walks the word up front, so a path that leaves the band
-raises at its first simplex outside, from ``path_of_word`` itself.  Loop
-tracing inserts a block by walking the block's word.  A hand-built ``Path``
-is checked against the walk of its word.
+raises at its first simplex outside, from ``path_of_word`` itself.  A walk
+reads no bounds: one ``min`` / ``max`` tests the anchors it has summed, for
+a block that loop tracing inserts as for a whole word.  A hand-built ``Path`` is checked
+against the walk of its word.  Only a walk builds records through a twin.
 
 Loops reduce to the trivial loop by inserting or deleting the elementary
 sub-loops of ``g_i^2`` and ``(g_0 g_i g_j)^2`` (``i < j`` both nonzero).
@@ -41,9 +42,9 @@ is based at, and its start word, its base and the certificate of
 delete, and a triple reversal for the 4 or 14 moves of its expansion, which
 the one proof that certificate replay cites too shows for every triple of
 three distinct letters (the ``moves`` module docstring), so the certificate
-alone counts the moves (``presentation.move_ends``: this module reads no
-step).  The moves are built when they are read, by the certificate's
-replay run on the tracer, a live word and its walk ``at``: a read refuses
+alone counts the moves, once, when the view is built
+(``presentation.move_widths``: this module reads no step).  The moves are
+built when they are read, by the certificate's replay run on the tracer, a live word and its walk ``at``: a read refuses
 what replay refuses, expands each reversal and walks each block it
 inserts, so the walk's band test covers every base it yields.
 ``reduce_loop`` checks the certificate (``presentation.check_certificate``)
@@ -64,7 +65,7 @@ from typing import Iterator, Sequence
 from .errors import DomainError, InternalCheckError
 from .lattice import I64_MAX, I64_MIN, Vec, baby_base, checked_vec, mutable_twin, vec_add, vec_scale, zero_vec
 from .moves import RecordColumns, WordMoves, require_sequence
-from .presentation import ReplayedCertificate, RewriteCertificate, check_certificate, move_ends, rewrite_to_identity
+from .presentation import ReplayedCertificate, RewriteCertificate, check_certificate, move_widths, rewrite_to_identity
 from .weyl import WeylElement, is_relation_w
 from .words import Word
 
@@ -148,10 +149,9 @@ def _walk(word: Word, base: Simplex) -> list[Simplex]:
 
     Entry ``t`` is ``B(x + o*sum_{i > k-t} c_i p(a_i), (-1)^t o)`` for
     ``base = B(x, o)``: exact prefix sums of ``Word.terms`` read from the
-    right, added for ``o = 1`` and subtracted for ``o = -1``.  Every anchor
-    coordinate lies within ``|x_c| + B_c`` of zero (``Word.bounds``), so the
-    walk is in the 64-bit band when that is; otherwise one ``min`` /
-    ``max`` tests every anchor against the band.  In it,
+    right, added for ``o = 1`` and subtracted for ``o = -1``.  One ``min`` /
+    ``max`` over the anchors tests the 64-bit band, and no ``Word.bounds``
+    is read.  In the band,
     :func:`_unchecked_simplex` is mapped over the anchors and the
     orientations; past it, ``Simplex`` checks them one by one and raises at
     the first simplex outside.  A word with no letters walks to ``[base]``
@@ -167,18 +167,9 @@ def _walk(word: Word, base: Simplex) -> list[Simplex]:
     rows = [list(accumulate(reversed(terms), step, initial=xc)) for xc, terms in zip(x, word.terms)]
     anchors = zip(*rows) if rows else repeat((), len(word) + 1)
     orients = [o, -o] * (len(word) // 2 + 1)
-    if (rows and _past_bound(word, x)
-            and (min(map(min, rows)) < I64_MIN or max(map(max, rows)) > I64_MAX)):
+    if rows and (min(map(min, rows)) < I64_MIN or max(map(max, rows)) > I64_MAX):
         return list(map(Simplex, anchors, orients))
     return list(map(_unchecked_simplex, anchors, orients))
-
-
-def _past_bound(word: Word, anchor: Vec) -> bool:
-    """Whether ``|x_c| + B_c > I64_MAX`` for a coordinate (``Word.bounds``).
-
-    Only then may a walk of ``word`` from ``anchor`` leave the 64-bit band.
-    """
-    return any(abs(xc) + b > I64_MAX for xc, b in zip(anchor, word.bounds))
 
 
 _SimplexTwin = mutable_twin(Simplex)
@@ -233,7 +224,7 @@ class WalkSimplices(RecordColumns):
             raise DomainError("rank mismatch between word and base simplex")
         if type(base) is not Simplex:
             base = Simplex(base.anchor, base.orient)
-        if word.letters and _past_bound(word, base.anchor):
+        if word.letters and any(abs(xc) + b > I64_MAX for xc, b in zip(base.anchor, word.bounds)):
             _walk(word, base)
         self.word, self.base = word, base
 
@@ -301,18 +292,7 @@ class Move:
     base: Simplex
 
 
-_MoveTwin = mutable_twin(Move)
-
-
-def _move(kind: str, pos: int, gens: tuple[int, ...], base: Simplex) -> Move:
-    """``Move(kind, pos, gens, base)``, built through its twin."""
-    move = _MoveTwin()
-    move.kind = kind
-    move.pos = pos
-    move.gens = gens
-    move.base = base
-    move.__class__ = Move
-    return move
+_move = Move  # the builder a read of a trace calls, by a name of its own so its records can be counted
 
 
 class TraceMoves(RecordColumns):
@@ -320,11 +300,12 @@ class TraceMoves(RecordColumns):
 
     ``start`` is a tuple of baby-base letters ``0..rank``, ``base`` a
     ``Simplex`` of that rank and ``certificate`` a ``RewriteCertificate`` of
-    ``start``.  Each step stands for its moves (``presentation.move_ends``):
-    the length is their sum, counted when the view is built, and ``macros``
-    holds the move span of each macro of the certificate, the spans a
-    ``MoveTrace`` gives.  The constructor refuses anything else, and a
-    reversal without a proved expansion (``DomainError``).
+    ``start``.  Each step stands for its moves, one byte a step
+    (``presentation.move_widths``), counted when the view is built and
+    kept: the length and ``macros``, the move span of each macro of the
+    certificate, come from one accumulation of them.  The constructor
+    refuses anything else, and a reversal without a proved expansion
+    (``DomainError``).
 
     Reading runs the certificate's replay on the tracer of the walk of
     ``start`` (:class:`_Reader`) and yields each step's moves once the step
@@ -333,7 +314,7 @@ class TraceMoves(RecordColumns):
     pickles as the tuple of its records (``moves.RecordColumns``).
     """
 
-    __slots__ = ("start", "base", "certificate", "macros", "_n")
+    __slots__ = ("start", "base", "certificate", "macros", "_widths", "_n")
     COLUMNS = ("start", "base", "certificate")
 
     def __init__(self, start: tuple[int, ...], base: Simplex, certificate: RewriteCertificate):
@@ -342,7 +323,8 @@ class TraceMoves(RecordColumns):
                 and certificate.start == start and all(type(g) is int and 0 <= g <= rank for g in start)):
             raise DomainError("the moves of a trace are read from a start of baby-base letters, a Simplex base"
                               " and a certificate of that start")
-        ends = move_ends(certificate.steps)
+        widths = move_widths(certificate.steps)
+        ends = list(accumulate(widths, initial=0))
         spans, macros = certificate.macros, []
         for span in spans if type(spans) is tuple else (None,):  # macros that are no tuple fail as a span
             if not (type(span) is tuple and len(span) == 3 and type(span[0]) is int and type(span[1]) is int
@@ -350,7 +332,7 @@ class TraceMoves(RecordColumns):
                 raise DomainError(f"the certificate macros {spans!r} are not spans of its steps")
             macros.append((ends[span[0]], ends[span[1]], span[2]))
         self.start, self.base, self.certificate, self.macros = start, base, certificate, tuple(macros)
-        self._n = ends[-1]
+        self._widths, self._n = widths, ends[-1]
 
     def __len__(self) -> int:
         return self._n
@@ -440,7 +422,7 @@ def reduce_loop(p: Path) -> MoveTrace:
     The word-level certificate of :func:`rewrite_to_identity` is the proof,
     and nothing is traced here: the trace's moves are a :class:`TraceMoves`
     over the loop's word, its base and that certificate, each step standing
-    for its elementary moves (``presentation.move_ends``), which are built
+    for its elementary moves (``presentation.move_widths``), which are built
     when they are read.  The rewriter reverses only triples of three
     distinct letters, which the ``moves`` proof covers, so a reversal step
     without a proved expansion is an ``InternalCheckError``; so is a
@@ -521,17 +503,17 @@ def replay_trace(trace: MoveTrace, upto: int | None = None) -> Path:
 def _certificate_word(moves: TraceMoves, upto: int) -> list[int] | None:
     """The word after the first ``upto`` moves of ``moves``, by replay of its certificate.
 
-    The steps whose moves all come before move ``upto`` are replayed by
-    ``ReplayedCertificate._replay``, in one run.  The answer is ``None``, and
-    the caller replays the records, if move ``upto`` falls inside a reversal
-    or the steps no longer stand for the moves the view counted.
+    The steps whose moves all come before move ``upto``, by the widths the
+    view kept, are replayed by ``ReplayedCertificate._replay``, in one run.
+    The answer is ``None``, and the caller replays the records, if move
+    ``upto`` falls inside a reversal.
     """
     replayed = ReplayedCertificate(moves.certificate)
     if upto == len(moves):
         return replayed._replay()
-    ends = move_ends(moves.certificate.steps)
+    ends = list(accumulate(moves._widths, initial=0))
     k = bisect_right(ends, upto) - 1  # the steps done whole
-    if ends[-1] != len(moves) or ends[k] != upto:
+    if ends[k] != upto:
         return None
     return replayed._replay(k)
 

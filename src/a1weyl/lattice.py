@@ -22,12 +22,13 @@ it (a ``geometry.WalkSimplices`` builds its last entry, read by index,
 through it too, the view's constructor having tested the band for every
 entry); where a batch test fails, the constructors check value by value
 and raise as they would alone.
-Four builders, these two, ``presentation._step`` and ``geometry._move``,
-make their slotted frozen dataclasses by one rule (:func:`mutable_twin`):
-assign the fields of an instance of the record's twin, a class with the same
-``__slots__`` and no frozen ``__setattr__``, then set its ``__class__`` to
-the record's.  CPython allows that swap only between classes of one layout
-and raises ``TypeError`` otherwise, so the object's memory matches its
+Three builders, these two and ``presentation._step`` (which every read of
+a certificate's steps calls), make their slotted frozen dataclasses by
+one rule (:func:`mutable_twin`): assign the fields of an instance of the
+record's twin, a class with the same ``__slots__`` and no frozen
+``__setattr__``, then set its ``__class__`` to the record's.  CPython
+allows that swap only between classes of one layout and raises
+``TypeError`` otherwise, so the object's memory matches its
 class; it is then a plain record holding what the checked constructor would
 have stored, and compares, hashes, prints, copies and pickles the same.  A
 ``words.Word`` checks that its rank is an ``int`` and that its letters are
@@ -415,6 +416,8 @@ def check_reflectable_set(s: Semilattice, roots: Sequence[Root], radius: int) ->
     """
     if not roots:
         raise DomainError("the candidate reflectable set must be non-empty")
+    if type(radius) is not int:
+        raise DomainError(f"radius {radius!r} is not an int")
     if radius < 1:
         raise DomainError("radius must be at least 1")
     for a in roots:

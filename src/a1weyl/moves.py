@@ -133,14 +133,11 @@ class WordMoves:
         return block
 
     def delete(self, pos: int, gens: tuple[int, ...]) -> tuple[int, ...]:
+        """Cut the block of ``gens`` at ``pos`` and return it, by one route for every block.
+
+        ``presentation._apply_steps`` splices a replay's ``g_k^2`` in place.
+        """
         word = self.word
-        if type(gens) is tuple and len(gens) == 1 and type(pos) is int and pos >= 0:
-            # The commonest move, a ``g_k^2``: the checks of ``move_block`` and
-            # the block test on exact types, with no block built to compare.
-            k = gens[0]
-            if type(k) is int and k >= 0 and pos + 1 < len(word) and word[pos] == k == word[pos + 1]:
-                del word[pos : pos + 2]
-                return gens + gens
         block = move_block(gens)
         if type(pos) is not int or pos < 0 or tuple(word[pos : pos + len(block)]) != block:
             raise DomainError(f"cannot delete {block} at {pos!r}: block absent")

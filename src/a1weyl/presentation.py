@@ -52,7 +52,7 @@ derivation make true, namely the field reads of each record with the test
 that its lengths are exact ``int``s, and the length bookkeeping after the
 start: each ``before_len`` and ``after_len`` follows from the start's
 length and the cuts, which replay makes itself.  The other reads of a
-certificate are here too: :func:`move_ends` and :func:`check_certificate`.
+certificate are here too: :func:`move_widths` and :func:`check_certificate`.
 """
 
 from __future__ import annotations
@@ -346,8 +346,8 @@ class StepColumns(RecordColumns):
         return len(self.rules)
 
 
-def move_ends(steps: Sequence) -> list[int]:
-    """``0``, then the number of elementary moves the steps up to each step of ``steps`` stand for.
+def move_widths(steps: Sequence) -> bytes:
+    """The number of elementary moves each step of ``steps`` stands for, one byte a step: 1, 4 or 14.
 
     A cancellation or a relator deletion stands for one move, a reversal for
     the moves of its proved expansion (:func:`_proved_width`).  Over
@@ -357,7 +357,7 @@ def move_ends(steps: Sequence) -> list[int]:
     2-vCPU Xeon VM, Python 3.11).  An entry that is not a step is a
     ``DomainError``.
     """
-    widths: list[int] = []
+    widths = bytearray()
     append = widths.append
     if type(steps) is StepColumns:
         letters, o, seen = steps.letters, 0, {}
@@ -378,7 +378,7 @@ def move_ends(steps: Sequence) -> list[int]:
             except AttributeError:
                 raise DomainError(f"certificate entry {len(widths)} is not a RewriteStep: {step!r}") from None
             append(_proved_width(payload, len(widths)) if reverses else 1)
-    return list(itertools.accumulate(widths, initial=0))
+    return bytes(widths)
 
 
 def _proved_width(triple: object, k: int) -> int:
@@ -453,14 +453,15 @@ def _apply_steps(moves: WordMoves, feed: Iterable[tuple[int, int, object, int, i
 
     Two shortcuts are taken only when ``type(moves) is WordMoves``, a rule
     that any later replay of a run of steps in one operation keeps too.  A
-    cancellation is spliced in place after the ``g_k^2`` test of
-    ``WordMoves.delete``, inlined (a call per cancellation costs about 9% of
-    a certify op), and a reversal that ``moves.reversible`` proves (inlined,
-    its comparisons first, the proof read once per call) swaps ``word[q]``
-    and ``word[q + 2]``.  Any other cancellation goes through
-    ``moves.delete``, reversal through ``moves.reverse_triple``, relator
-    deletion through ``moves.apply_rule`` and entry of code 0 through
-    ``moves.apply``.  So a subclass, such as the tracer a read runs, makes
+    cancellation is spliced in place after the checks of ``move_block`` and
+    the block test of ``WordMoves.delete`` on exact types, inlined (a call
+    per cancellation costs about 9% of a certify op): the one ``g_k^2``
+    shortcut of the library, written here alone.  A reversal that
+    ``moves.reversible`` proves (inlined, its comparisons first, the proof
+    read once per call) swaps ``word[q]`` and ``word[q + 2]``.  Any other
+    cancellation goes through ``moves.delete``, reversal through
+    ``moves.reverse_triple``, relator deletion through ``moves.apply_rule``
+    and entry of code 0 through ``moves.apply``.  So a subclass, such as the tracer a read runs, makes
     every move itself and never reads the proof, and each step accepts and
     rejects (with the same message) as the full expansion does.
     """

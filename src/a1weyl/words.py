@@ -125,6 +125,7 @@ class Word:
         are 0 or 1, so ``|p_c(a_i)| = tau_j[c]``, and grouping the positions
         by index as :attr:`sums` does gives
         ``B_c = sum_j tau_j[c] (n+_j + n-_j)`` from the same counts.
+        ``geometry.WalkSimplices`` reads them, and ``geometry._walk`` does not.
         """
         if self._planted is None:
             return tuple([sum(map(abs, t)) for t in self.terms])
@@ -145,6 +146,8 @@ class Word:
         return all(b <= I64_MAX for b in self.bounds)
 
     def __add__(self, other: "Word") -> "Word":
+        if not isinstance(other, Word):
+            return NotImplemented
         if self.rank != other.rank:
             raise DomainError("cannot concatenate words of different ranks")
         return Word(self.rank, self.letters + other.letters)

@@ -247,6 +247,18 @@ def test_center_basis(capsys, toroidal2_config):
     assert gen["element"]["q"] == [[0, -1], [1, 0]]
 
 
+def test_center_basis_of_the_wrong_dual_action_is_internal_check_failure(capsys, monkeypatch, toroidal2_config):
+    from a1weyl import hyperbolic
+
+    honest = hyperbolic._expected_dual_p
+    monkeypatch.setattr(hyperbolic, "_expected_dual_p", lambda rank, pair, doubled: honest(rank, pair, not doubled))
+    code = main(["center-basis", "--config", toroidal2_config])
+    captured = capsys.readouterr()
+    assert code == 6
+    assert captured.out == ""
+    assert captured.err == "internal check failed: center word for pair (1, 2) has wrong dual action\n"
+
+
 def test_oracle_compare(capsys, baby2_config):
     code, data = run_json(
         capsys, "oracle-compare", "--config", baby2_config, "--n", "100", "--len", "8"

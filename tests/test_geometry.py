@@ -1425,6 +1425,45 @@ def test_a_rank_3_loop_from_indices_builds_no_terms_and_sums_its_word_once(monke
     assert replayed == Path((path.base,), Word.empty(3))
 
 
+@pytest.mark.parametrize("base", [base_simplex(2), Simplex((-4, 7), -1)])
+def test_a_read_and_a_record_replay_count_no_bounds_for_the_blocks_they_walk(monkeypatch, base):
+    """A walk tests its own anchors: only the start's path view reads ``Word.bounds``, once."""
+    start = Word.from_indices(baby_base(2), (0, 1) * 6 + (0, 2) * 6 + (1, 0) * 6 + (2, 0) * 6)
+    trace = reduce_loop(path_of_word(start, base))
+    records = dataclasses.replace(trace, moves=tuple(trace.moves))
+    assert any(mv.kind == "insert" for mv in records.moves)
+    bounds = counting_view(monkeypatch, "bounds")
+    assert tuple(trace.moves) == records.moves
+    assert bounds == [start]
+    bounds.clear()
+    assert replay_trace(records) == Path((base,), Word.empty(2))
+    assert bounds == [start]
+
+
+def test_a_replay_to_any_macro_end_counts_no_moves(monkeypatch):
+    """Building the view counts each step's moves; a replay to a move finds its step in those counts."""
+    widths = counting(monkeypatch, geometry, "move_widths")
+    trace = reduce_loop(path_of_word(Word.from_indices(baby_base(3), (1, 3, 2, 1, 3, 2) * 3), base_simplex(3)))
+    records = dataclasses.replace(trace, moves=tuple(trace.moves))
+    assert len(widths) == 1
+    for first, end, _ in trace.macros:
+        for upto in (first, end):
+            assert replay_trace(trace, upto) == replay_trace(records, upto)
+    assert len(widths) == 1
+
+
+@pytest.mark.parametrize("indices", [WORKED_LOOP, WORKED_LOOP[1:]])
+def test_is_loop_refuses_a_loop_test_that_disagrees_with_the_word_problem(monkeypatch, indices):
+    path = path_of_word(Word.from_indices(baby_base(2), indices), base_simplex(2))
+    truth = geometry.is_relation_w(path.word)
+    monkeypatch.setattr(geometry, "is_relation_w", lambda word: not truth)
+    message = "^free action violated: loop test disagrees with the word problem$"
+    with pytest.raises(InternalCheckError, match=message):
+        is_loop(path)
+    with pytest.raises(InternalCheckError, match=message):
+        reduce_loop(path)
+
+
 def test_render_svg_walks_the_word_once(monkeypatch):
     walks = counting(monkeypatch, geometry, "_walk")
     path = path_of_word(Word.from_indices(baby_base(2), WORKED_LOOP + (1, 1)), base_simplex(2))

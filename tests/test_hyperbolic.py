@@ -267,6 +267,18 @@ class TestCenterBasis:
         with pytest.raises(InternalCheckError, match="is not central"):
             center_basis(baby2_base)
 
+    def test_a_central_word_of_the_wrong_dual_action_is_an_internal_error(self, baby2_base, monkeypatch):
+        from a1weyl import hyperbolic
+
+        honest = hyperbolic._expected_dual_p
+
+        def doubled(rank, pair, doubled):
+            return tuple(tuple(2 * c for c in row) for row in honest(rank, pair, doubled))
+
+        monkeypatch.setattr(hyperbolic, "_expected_dual_p", doubled)
+        with pytest.raises(InternalCheckError, match=r"^center word for pair \(1, 2\) has wrong dual action$"):
+            center_basis(baby2_base)
+
 
 def test_element_json_round_trip():
     h = eval_word_hyp(word2(G1, E, G2, G1, E, G2))

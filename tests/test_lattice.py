@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -212,6 +214,11 @@ class TestCheckReflectableSet:
     def test_empty_candidate_rejected(self, baby2):
         with pytest.raises(DomainError):
             check_reflectable_set(baby2, [], 4)
+
+    @pytest.mark.parametrize("radius", [1.5, "2", True])
+    def test_radius_must_be_an_int(self, baby2, baby2_base, radius):
+        with pytest.raises(DomainError, match=f"^radius {re.escape(repr(radius))} is not an int$"):
+            check_reflectable_set(baby2, list(baby2_base.roots), radius)
 
     def test_radius_must_be_positive(self, baby2, baby2_base):
         with pytest.raises(DomainError):

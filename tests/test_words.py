@@ -42,6 +42,12 @@ def test_word_rejects_rank_mismatch():
         Word(2, (root(1, 1),))
 
 
+@pytest.mark.parametrize("other", [5, (1,)])
+def test_a_word_adds_only_a_word(other):
+    with pytest.raises(TypeError, match="unsupported operand"):
+        Word.empty(1) + other
+
+
 def test_parse_generator_tokens(baby2_base):
     w = parse_word("g0 g1 g2", baby2_base)
     assert w.letters == baby2_base.roots
